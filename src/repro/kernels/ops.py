@@ -182,13 +182,14 @@ def delta_swap_many(t: PairTables, configs: np.ndarray, ii, jj) -> np.ndarray:
     rows_idx = np.arange(configs.shape[0])
     aa = configs[rows_idx, ii]
     bb = configs[rows_idx, jj]
-    rows = t.diff_rows[aa, bb]                       # (B, S*n_shells)
     nbr_i = t.cat_table[ii]                          # (B, Z)
     keys_i = configs[rows_idx[:, None], nbr_i] + t.shell_offsets
     keys_j = configs[rows_idx[:, None], t.cat_table[jj]] + t.shell_offsets
+    a_col, b_col = aa[:, None], bb[:, None]
+    diff = t.diff_rows                               # (S, S, S*n_shells)
     delta = (
-        np.take_along_axis(rows, keys_i, axis=1).sum(axis=1)
-        - np.take_along_axis(rows, keys_j, axis=1).sum(axis=1)
+        diff[a_col, b_col, keys_i].sum(axis=1)
+        - diff[a_col, b_col, keys_j].sum(axis=1)
     )
     hits = nbr_i == jj[:, None]                      # (B, Z)
     if hits.any():
@@ -205,9 +206,8 @@ def delta_flip_many(t: PairTables, configs: np.ndarray, sites, new_species) -> n
     new = np.asarray(new_species)
     rows_idx = np.arange(configs.shape[0])
     old = configs[rows_idx, sites]
-    rows = t.diff_rows[old, new]                     # (B, S*n_shells)
     keys = configs[rows_idx[:, None], t.cat_table[sites]] + t.shell_offsets
-    delta = np.take_along_axis(rows, keys, axis=1).sum(axis=1)
+    delta = t.diff_rows[old[:, None], new[:, None], keys].sum(axis=1)
     if t.field is not None:
         delta += t.field[new] - t.field[old]
     delta[old == new] = 0.0

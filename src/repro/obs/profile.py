@@ -367,11 +367,11 @@ class ProfiledProposal:
         prof.stop(section, t0)
         return out
 
-    def draw_fields(self, configs, hamiltonian, rng):
+    def draw_fields(self, configs, hamiltonian, rng, n_steps=1):
         prof = self.profiler
         section = self._section + ".fields"
         t0 = prof.start(section)
-        out = self.inner.draw_fields(configs, hamiltonian, rng)
+        out = self.inner.draw_fields(configs, hamiltonian, rng, n_steps)
         prof.stop(section, t0)
         return out
 

@@ -1,23 +1,19 @@
-"""Fused SPMD campaign super-steps (DESIGN.md §16).
+"""Fused SPMD campaign state and engines (DESIGN.md §16).
 
-The classic REWL advance phase treats every window team as an opaque
-stepping object: W windows × K walkers mean W independent ``propose_many``
-/ ``delta_energy_*_many`` dispatches per super-step.  This module fuses the
-whole campaign into one SPMD array program:
+The whole campaign is one SPMD array program:
 
 - :class:`FusedCampaignState` — all W·K walker configurations live as rows
   of a single ``(W·K, n_sites)`` array, with per-window ``ln g`` /
   histogram planes and per-window ``ln f`` scalars packed alongside;
 - :class:`FusedTeam` — a :class:`~repro.sampling.batched.
   BatchedWangLandauSampler` whose arrays are *views* into the campaign
-  state and whose scalars live in shared blocks, so the existing commit
-  logic (and every driver phase that reads team state) works unchanged;
-- :func:`fused_advance` — the fused super-step: each window's proposal
-  draws its move fields from its own RNG stream
-  (:meth:`~repro.proposals.base.Proposal.draw_fields`), the fields are
-  stacked, and **one** ``delta_energy_*_many`` gather prices every
-  window's moves before the per-team masked commits
-  (:meth:`~repro.sampling.batched.BatchedWangLandauSampler.commit_batch`);
+  state and whose scalars live in shared blocks, so every driver phase that
+  reads team state works unchanged;
+- :func:`fused_advance` — the campaign-wide block advance
+  (:func:`repro.sampling.batched.advance_block`): each team draws a whole
+  round's randomness once, then every super-step runs once for all rows of
+  all windows — one ``delta_energy_*_many`` gather, one bin lookup, one
+  commit loop — and team state is written back once per block;
 - :class:`FusedEngine` — in-process driver hook (``backend="fused"``);
 - :class:`ShmEngine` — multiprocess driver hook (``backend="shm"``): the
   campaign state is allocated in :mod:`multiprocessing.shared_memory`
@@ -27,12 +23,13 @@ whole campaign into one SPMD array program:
   are processed (in strict schedule order, preserving the exchange RNG
   stream) as soon as both endpoints land, while other ranks keep stepping.
 
-Bit-identity: the draw/price split consumes each window's RNG streams in
-exactly the per-window order (fields, then acceptance noise inside
-``commit_batch``), the ``*_many`` kernels reduce row-wise, and the
-exchange stream is consumed in pair-schedule order — so ``backend="fused"``
-and ``backend="shm"`` reproduce the per-window batched campaign bit for
-bit (pinned by ``tests/test_fused_campaign.py``).
+Bit-identity: a team's trajectory is a pure function of its seed and the
+sequence of advance-call lengths, whichever teams share its block; every
+backend issues the same lengths (``exchange_interval`` per round), the
+``*_many`` kernels reduce row-wise, and the exchange stream is consumed in
+pair-schedule order — so ``backend="fused"`` and ``backend="shm"`` reproduce
+the per-window batched campaign bit for bit (pinned by
+``tests/test_fused_campaign.py``).
 """
 
 from __future__ import annotations
@@ -47,10 +44,8 @@ from repro.faults import faults_from_env
 from repro.lattice.configuration import CONFIG_DTYPE
 from repro.obs.events import worker_log
 from repro.parallel.comm import SharedMemoryCommunicator, ShmWorld
-from repro.proposals.base import assemble_move
-from repro.sampling.batched import BatchedWangLandauSampler
+from repro.sampling.batched import BatchedWangLandauSampler, advance_block
 from repro.sampling.wang_landau import WalkerCounters
-from repro.util.rng import as_generator
 
 __all__ = [
     "FusedCampaignState",
@@ -132,11 +127,9 @@ class FusedCampaignState:
                  n_sites: int, width: int, config_dtype=CONFIG_DTYPE,
                  alloc=None) -> "FusedCampaignState":
         """Allocate fresh campaign arrays (``alloc=None`` → host memory)."""
-        if alloc is None:
-            def alloc(name, shape, dtype):
-                return np.zeros(shape, dtype=dtype)
         arrays = {
-            name: alloc(name, shape, dtype)
+            name: (np.zeros(shape, dtype=dtype) if alloc is None
+                   else alloc(name, shape, dtype))
             for name, (shape, dtype) in
             cls.specs(n_windows, walkers_per_window, n_sites, width,
                       config_dtype).items()
@@ -156,28 +149,43 @@ class FusedCampaignState:
         return slice(w * k, (w + 1) * k)
 
 
-class _FusedRef:
-    """A team's binding into the campaign state: (state, window index)."""
-
-    __slots__ = ("state", "w")
-
-    def __init__(self, state: FusedCampaignState, w: int):
-        self.state = state
-        self.w = w
-
-
 # --------------------------------------------------------------------------
 # view-backed team
 # --------------------------------------------------------------------------
+
+
+def _shared_scalar(name: str, array: str, column, cast):
+    """A team scalar kept in ``state.<array>[w]`` (or ``[w, column]``) while
+    the team is bound (``_fused = (state, w)``), in the instance dict otherwise."""
+
+    def cell(ref):
+        state, w = ref
+        return getattr(state, array), (w if column is None else (w, column))
+
+    def fget(self):
+        ref = self.__dict__.get("_fused")
+        if ref is None:
+            return self.__dict__[name]
+        block, index = cell(ref)
+        return cast(block[index])
+
+    def fset(self, value):
+        ref = self.__dict__.get("_fused")
+        if ref is None:
+            self.__dict__[name] = value
+        else:
+            block, index = cell(ref)
+            block[index] = cast(value)
+
+    return property(fget, fset)
 
 
 class FusedTeam(BatchedWangLandauSampler):
     """A batched window team whose storage lives in a campaign state.
 
     Array attributes (``configs``, ``ln_g``, …) are plain instance-dict
-    entries rebound to views of the fused arrays — every in-place update in
-    :meth:`~repro.sampling.batched.BatchedWangLandauSampler.commit_batch`
-    lands directly in campaign (possibly shared) memory.  Scalar walker
+    entries rebound to views of the fused arrays — every in-place update of
+    the sampler lands directly in campaign (possibly shared) memory.  Scalar walker
     state (``ln_f``, ``n_steps``, ``n_accepted``, the per-iteration step
     counter) is promoted to properties over the state's scalar blocks, so a
     controller halving ``ln_f`` is immediately visible to the worker rank
@@ -190,71 +198,17 @@ class FusedTeam(BatchedWangLandauSampler):
     hook does this after any rollback/restore).
     """
 
-    _ARRAYS = ("configs", "energies", "bins", "ln_g", "histogram", "visited",
-               "slot_steps", "slot_accepted")
+    _ROW_ARRAYS = ("configs", "energies", "bins")  # one row per walker
+    _ARRAYS = _ROW_ARRAYS + ("ln_g", "histogram", "visited", "slot_steps",
+                             "slot_accepted")        # one row per window
     _SCALARS = ("ln_f", "n_steps", "n_accepted", "_steps_this_iteration")
 
     # -- shared scalars ----------------------------------------------------
 
-    @property
-    def ln_f(self) -> float:
-        ref = self.__dict__.get("_fused")
-        if ref is None:
-            return self.__dict__["ln_f"]
-        return float(ref.state.ln_f[ref.w])
-
-    @ln_f.setter
-    def ln_f(self, value) -> None:
-        ref = self.__dict__.get("_fused")
-        if ref is None:
-            self.__dict__["ln_f"] = value
-        else:
-            ref.state.ln_f[ref.w] = float(value)
-
-    @property
-    def n_steps(self) -> int:
-        ref = self.__dict__.get("_fused")
-        if ref is None:
-            return self.__dict__["n_steps"]
-        return int(ref.state.counts[ref.w, 0])
-
-    @n_steps.setter
-    def n_steps(self, value) -> None:
-        ref = self.__dict__.get("_fused")
-        if ref is None:
-            self.__dict__["n_steps"] = value
-        else:
-            ref.state.counts[ref.w, 0] = int(value)
-
-    @property
-    def n_accepted(self) -> int:
-        ref = self.__dict__.get("_fused")
-        if ref is None:
-            return self.__dict__["n_accepted"]
-        return int(ref.state.counts[ref.w, 1])
-
-    @n_accepted.setter
-    def n_accepted(self, value) -> None:
-        ref = self.__dict__.get("_fused")
-        if ref is None:
-            self.__dict__["n_accepted"] = value
-        else:
-            ref.state.counts[ref.w, 1] = int(value)
-
-    @property
-    def _steps_this_iteration(self) -> int:
-        ref = self.__dict__.get("_fused")
-        if ref is None:
-            return self.__dict__["_steps_this_iteration"]
-        return int(ref.state.counts[ref.w, 2])
-
-    @_steps_this_iteration.setter
-    def _steps_this_iteration(self, value) -> None:
-        ref = self.__dict__.get("_fused")
-        if ref is None:
-            self.__dict__["_steps_this_iteration"] = value
-        else:
-            ref.state.counts[ref.w, 2] = int(value)
+    ln_f = _shared_scalar("ln_f", "ln_f", None, float)
+    n_steps = _shared_scalar("n_steps", "counts", 0, int)
+    n_accepted = _shared_scalar("n_accepted", "counts", 1, int)
+    _steps_this_iteration = _shared_scalar("_steps_this_iteration", "counts", 2, int)
 
     # -- binding -----------------------------------------------------------
 
@@ -279,27 +233,17 @@ class FusedTeam(BatchedWangLandauSampler):
         d = team.__dict__
         for n in cls._SCALARS:
             d.pop(n, None)
-        d["_fused"] = _FusedRef(state, w)
+        d["_fused"] = (state, w)
         rows = state.rows(w)
+        for n in cls._ARRAYS:
+            plane = getattr(state, n)
+            view = plane[rows] if n in cls._ROW_ARRAYS else plane[w]
+            if push:
+                view[...] = arrays[n]
+            d[n] = view
         if push:
-            state.configs[rows] = arrays["configs"]
-            state.energies[rows] = arrays["energies"]
-            state.bins[rows] = arrays["bins"]
-            state.ln_g[w] = arrays["ln_g"]
-            state.histogram[w] = arrays["histogram"]
-            state.visited[w] = arrays["visited"]
-            state.slot_steps[w] = arrays["slot_steps"]
-            state.slot_accepted[w] = arrays["slot_accepted"]
             for n, v in scalars.items():
                 setattr(team, n, v)  # through the property → shared block
-        d["configs"] = state.configs[rows]
-        d["energies"] = state.energies[rows]
-        d["bins"] = state.bins[rows]
-        d["ln_g"] = state.ln_g[w]
-        d["histogram"] = state.histogram[w]
-        d["visited"] = state.visited[w]
-        d["slot_steps"] = state.slot_steps[w]
-        d["slot_accepted"] = state.slot_accepted[w]
         return team
 
     @classmethod
@@ -310,16 +254,14 @@ class FusedTeam(BatchedWangLandauSampler):
         teams (and anything holding them, e.g. a result built later) never
         dangle into freed memory.
         """
-        ref = team.__dict__.pop("_fused", None)
-        if ref is None:
-            return
         d = team.__dict__
+        if "_fused" not in d:
+            return
+        scalars = {n: getattr(team, n) for n in cls._SCALARS}
+        del d["_fused"]
+        d.update(scalars)
         for n in cls._ARRAYS:
             d[n] = np.array(d[n], copy=True)
-        d["ln_f"] = float(ref.state.ln_f[ref.w])
-        d["n_steps"] = int(ref.state.counts[ref.w, 0])
-        d["n_accepted"] = int(ref.state.counts[ref.w, 1])
-        d["_steps_this_iteration"] = int(ref.state.counts[ref.w, 2])
 
     @classmethod
     def attach(cls, *, state: FusedCampaignState, w: int, hamiltonian,
@@ -331,25 +273,8 @@ class FusedTeam(BatchedWangLandauSampler):
         and the RNG stream arrives with every advance command.
         """
         team = object.__new__(cls)
-        cfg = replace(wl_cfg, batch_size=state.walkers_per_window)
-        d = team.__dict__
-        d["cfg"] = cfg
-        d["hamiltonian"] = hamiltonian
-        d["proposal"] = proposal
-        d["grid"] = grid
-        d["rng"] = as_generator(rng)
-        d["ln_f_final"] = float(cfg.ln_f_final)
-        d["flatness"] = float(cfg.flatness)
-        d["schedule"] = cfg.schedule
-        d["check_interval"] = (
-            max(1000, 100 * grid.n_bins)
-            if cfg.check_interval is None
-            else int(cfg.check_interval)
-        )
-        d["n_iterations"] = 0
-        d["iteration_steps"] = []
-        d["counters"] = WalkerCounters()
-        d["profiler"] = None
+        team._configure(replace(wl_cfg, batch_size=state.walkers_per_window),
+                        hamiltonian, proposal, grid, rng)
         cls.adopt(team, state, w, push=False)
         return team
 
@@ -368,78 +293,16 @@ class FusedTeam(BatchedWangLandauSampler):
 
 
 # --------------------------------------------------------------------------
-# the fused super-step
+# the campaign-wide advance
 # --------------------------------------------------------------------------
 
 
-def _gather_configs(teams, windows, idxs, state):
-    """Stacked configuration rows for the windows in ``idxs``.
-
-    When every team participates and their windows are consecutive, the
-    campaign array itself is sliced — the one-gather fast path with no
-    copies; otherwise rows are concatenated (still a single kernel call).
-    """
-    if len(idxs) == 1:
-        return teams[idxs[0]].configs
-    if state is not None:
-        ws = [windows[i] for i in idxs]
-        if ws[-1] - ws[0] + 1 == len(ws):
-            k = state.walkers_per_window
-            return state.configs[ws[0] * k:(ws[-1] + 1) * k]
-    return np.concatenate([teams[i].configs for i in idxs], axis=0)
-
-
-def fused_advance(teams, windows, n_steps, hamiltonian, profiler=None,
-                  state=None) -> None:
-    """``n_steps`` fused super-steps across several window teams.
-
-    Per super-step: every team's proposal draws its move fields from its
-    own RNG stream (``draw_fields``), same-kind fields are stacked, and one
-    ``delta_energy_*_many`` gather per kind prices the whole batch (timed
-    under ``rewl.fused_gather``); each team then commits its rows against
-    its own ln g with its own acceptance noise.  Teams whose proposal does
-    not support the draw/price split (``draw_fields`` → None, e.g. mixture
-    proposals) fall back to their monolithic ``step_batch`` — consuming the
-    identical RNG stream, since the default ``draw_fields`` draws nothing.
-    """
-    for _ in range(int(n_steps)):
-        fields = [
-            t.proposal.draw_fields(t.configs, t.hamiltonian, t.rng)
-            for t in teams
-        ]
-        by_kind: dict[str, list[int]] = {}
-        for i, f in enumerate(fields):
-            if f is not None:
-                by_kind.setdefault(f.kind, []).append(i)
-        deltas: list = [None] * len(teams)
-        for kind, idxs in by_kind.items():
-            cfgs = _gather_configs(teams, windows, idxs, state)
-            if len(idxs) == 1:
-                a, b = fields[idxs[0]].a, fields[idxs[0]].b
-            else:
-                a = np.concatenate([fields[i].a for i in idxs])
-                b = np.concatenate([fields[i].b for i in idxs])
-            t0 = (
-                profiler.start("rewl.fused_gather")
-                if profiler is not None else None
-            )
-            if kind == "swap":
-                d = hamiltonian.delta_energy_swap_many(cfgs, a, b)
-            else:
-                d = hamiltonian.delta_energy_flip_many(cfgs, a, b)
-            if profiler is not None:
-                profiler.stop("rewl.fused_gather", t0)
-            off = 0
-            for i in idxs:
-                n = fields[i].a.shape[0]
-                deltas[i] = d[off:off + n]
-                off += n
-        for i, team in enumerate(teams):
-            f = fields[i]
-            if f is None:
-                team.step_batch()
-            else:
-                team.commit_batch(assemble_move(f, team.configs, deltas[i]))
+def fused_advance(teams, n_steps, hamiltonian, profiler=None) -> None:
+    """``n_steps`` campaign-wide super-steps: the block advance that
+    ``team.steps(n)`` is the one-team case of, with its one stacked ΔE gather
+    per super-step timed under ``rewl.fused_gather``."""
+    advance_block(teams, int(n_steps), hamiltonian, profiler,
+                  gather_section="rewl.fused_gather")
 
 
 # --------------------------------------------------------------------------
@@ -447,13 +310,20 @@ def fused_advance(teams, windows, n_steps, hamiltonian, profiler=None,
 # --------------------------------------------------------------------------
 
 
-def _campaign_width(windows) -> int:
-    widths = {spec.grid.n_bins for spec in windows}
+def _campaign_state(driver, alloc=None) -> FusedCampaignState:
+    """Campaign arrays sized for ``driver``'s windows and walker teams."""
+    widths = {spec.grid.n_bins for spec in driver.windows}
     if len(widths) != 1:
         raise ValueError(
             f"fused campaign needs a common window width, got {sorted(widths)}"
         )
-    return widths.pop()
+    first = driver.walkers[0][0].configs
+    return FusedCampaignState.allocate(
+        n_windows=len(driver.windows),
+        walkers_per_window=driver.cfg.walkers_per_window,
+        n_sites=first.shape[1], width=widths.pop(), config_dtype=first.dtype,
+        alloc=alloc,
+    )
 
 
 class FusedEngine:
@@ -467,13 +337,7 @@ class FusedEngine:
     overlapped = False
 
     def __init__(self, driver):
-        k = driver.cfg.walkers_per_window
-        first = driver.walkers[0][0].configs
-        self.state = FusedCampaignState.allocate(
-            n_windows=len(driver.windows), walkers_per_window=k,
-            n_sites=first.shape[1], width=_campaign_width(driver.windows),
-            config_dtype=first.dtype,
-        )
+        self.state = _campaign_state(driver)
 
     def bind_window(self, driver, w: int) -> None:
         """(Re-)bind window ``w``'s team into the campaign arrays."""
@@ -481,10 +345,8 @@ class FusedEngine:
 
     def advance(self, driver, active, n_steps: int) -> None:
         teams = [driver.walkers[w][0] for w in active]
-        fused_advance(
-            teams, list(active), n_steps, driver.hamiltonian,
-            profiler=driver.profiler, state=self.state,
-        )
+        fused_advance(teams, n_steps, driver.hamiltonian,
+                      profiler=driver.profiler)
 
     def close(self, driver) -> None:
         for team in (t[0] for t in driver.walkers):
@@ -554,8 +416,7 @@ def _shm_campaign_worker(handle, rank, blob):
                 live = [teams[w] for w in ws]
                 prof = live[0].profiler
                 try:
-                    fused_advance(live, ws, n_steps, ham, profiler=prof,
-                                  state=state)
+                    fused_advance(live, n_steps, ham, profiler=prof)
                 except Exception as exc:  # pragma: no cover - defensive
                     err = f"{type(exc).__name__}: {exc}"
                     report = {w: {"ok": False, "error": err} for w in ws}
@@ -621,12 +482,7 @@ class ShmEngine:
             n_ranks = min(n_windows, max(1, (os.cpu_count() or 2) - 1))
         self.n_workers = max(1, min(int(n_ranks), n_windows))
         self.world = ShmWorld(self.n_workers + 1)
-        first = driver.walkers[0][0].configs
-        self.state = FusedCampaignState.allocate(
-            n_windows=n_windows, walkers_per_window=k,
-            n_sites=first.shape[1], width=_campaign_width(driver.windows),
-            config_dtype=first.dtype, alloc=self.world.alloc_array,
-        )
+        self.state = _campaign_state(driver, alloc=self.world.alloc_array)
         self.rank_of = [1 + (w % self.n_workers) for w in range(n_windows)]
         self.comm = SharedMemoryCommunicator(world=self.world.handle(), rank=0)
         wl_cfg = driver.walkers[0][0].cfg

@@ -28,11 +28,9 @@ Composition:
 
 from repro.proposals.base import (
     BatchMove,
-    FusedFields,
+    FieldBlock,
     Move,
     Proposal,
-    assemble_move,
-    price_fields,
 )
 from repro.proposals.cache import CurrentLogQCache
 from repro.proposals.local import (
@@ -48,11 +46,9 @@ from repro.proposals.mixture import MixtureProposal
 
 __all__ = [
     "BatchMove",
-    "FusedFields",
+    "FieldBlock",
     "Move",
     "Proposal",
-    "assemble_move",
-    "price_fields",
     "CurrentLogQCache",
     "SwapProposal",
     "NeighborSwapProposal",

@@ -25,8 +25,7 @@ import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
 
-__all__ = ["Move", "BatchMove", "FusedFields", "Proposal", "assemble_move",
-           "price_fields"]
+__all__ = ["Move", "BatchMove", "FieldBlock", "Proposal"]
 
 
 @dataclass
@@ -127,72 +126,60 @@ class BatchMove:
         config[self.sites[b]] = self.new_values[b]
 
 
-@dataclass
-class FusedFields:
-    """The random fields of a vectorized local proposal, before pricing.
+class FieldBlock:
+    """All the randomness of ``n`` super-steps of a local kernel, drawn once.
 
-    Splitting :meth:`Proposal.propose_many` into a *draw* half (RNG only,
-    per walker team, shape ``(B,)`` fields) and a *price* half (pure ΔE
-    kernels, no RNG) lets the fused REWL super-step draw fields per window
-    — preserving each window's independent RNG stream bit-for-bit — and
-    then price every window's rows with **one** stacked
-    ``delta_energy_*_many`` gather.  The per-row kernels in
-    :mod:`repro.kernels.ops` reduce along ``axis=1`` only, so the stacked
-    call is bitwise identical to per-window calls.
-
-    Attributes
-    ----------
-    kind : str
-        ``"swap"`` (``a``/``b`` are the two site columns) or ``"flip"``
-        (``a`` is the site column, ``b`` the new species column).
-    a, b : numpy.ndarray of shape (B,)
-        The drawn fields, meaning per ``kind`` as above.
+    :meth:`Proposal.draw_fields` fills ``arrays`` (each ``(n, B, ...)``:
+    step-major, one row per walker) from the team's stream in a few array
+    calls; nothing in them depends on the configurations.  Each super-step
+    then *resolves* its slice against the current configurations.  Blocks
+    with equal :attr:`key` are stacked along the row axis, so one resolve
+    and one ``delta_energy_*_many`` gather serve every window of a campaign.
     """
 
-    kind: str
-    a: np.ndarray
-    b: np.ndarray
+    many = ""  # name of the Hamiltonian's ``*_many`` kernel pricing a move
 
+    def __init__(self, *arrays: np.ndarray, **params):
+        self.arrays, self.params = arrays, params
 
-def assemble_move(fields: FusedFields, configs: np.ndarray,
-                  delta_energies: np.ndarray) -> BatchMove:
-    """Pack priced fields into a :class:`BatchMove`.
+    @property
+    def key(self) -> tuple:
+        return (type(self), *sorted(self.params.items()))
 
-    Produces exactly the arrays the monolithic ``propose_many`` overrides
-    used to build, so the split path is bit-identical to the fused one.
-    """
-    n_rows = configs.shape[0]
-    rows = np.arange(n_rows)
-    if fields.kind == "swap":
-        ii, jj = fields.a, fields.b
+    def stacked(self, blocks) -> "FieldBlock":
+        """This block followed by ``blocks`` (same key) along the row axis."""
+        columns = zip(self.arrays, *(f.arrays for f in blocks))
+        return type(self)(*(np.concatenate(c, axis=1) for c in columns),
+                          **self.params)
+
+    def resolve(self, step: int, configs: np.ndarray, rows: np.ndarray,
+                streams) -> np.ndarray:
+        """Super-step ``step``'s fields as moves on the current ``configs``.
+
+        Returns a ``(B, 2)`` array whose two columns are what the ``many``
+        kernel prices.  ``streams`` lists ``(rng, row_lo, row_hi)`` per
+        team, for kernels that may need fresh draws (the swap fallback).
+        """
+        raise NotImplementedError
+
+    def moves(self, configs: np.ndarray, rows: np.ndarray, move: np.ndarray):
+        """``(sites, new_values)`` of ``rows``' resolved moves, each
+        ``(len(rows), k)`` as in :class:`BatchMove`, read from ``configs``."""
+        raise NotImplementedError
+
+    def batch_move(self, configs: np.ndarray, hamiltonian: Hamiltonian,
+                   rng: np.random.Generator) -> "BatchMove":
+        """Resolve and price step 0: ``propose_many`` is the one-step block."""
+        n_rows = configs.shape[0]
+        rows = np.arange(n_rows)
+        move = self.resolve(0, configs, rows, [(rng, 0, n_rows)])
+        sites, values = self.moves(configs, rows, move)
+        price = getattr(hamiltonian, self.many)
         return BatchMove(
-            sites=np.stack([ii, jj], axis=1),
-            new_values=np.stack(
-                [configs[rows, jj], configs[rows, ii]], axis=1
-            ).astype(configs.dtype, copy=False),
-            delta_energies=delta_energies,
+            sites=sites, new_values=values.astype(configs.dtype, copy=False),
+            delta_energies=price(configs, move[:, 0], move[:, 1]),
             log_q_ratios=np.zeros(n_rows),
         )
-    if fields.kind == "flip":
-        return BatchMove(
-            sites=fields.a[:, None],
-            new_values=fields.b[:, None].astype(configs.dtype, copy=False),
-            delta_energies=delta_energies,
-            log_q_ratios=np.zeros(n_rows),
-        )
-    raise ValueError(f"unknown fused-field kind {fields.kind!r}")
-
-
-def price_fields(fields: FusedFields, configs: np.ndarray,
-                 hamiltonian: Hamiltonian) -> BatchMove:
-    """Price drawn fields with the matching ``delta_energy_*_many`` kernel."""
-    if fields.kind == "swap":
-        delta = hamiltonian.delta_energy_swap_many(configs, fields.a, fields.b)
-    elif fields.kind == "flip":
-        delta = hamiltonian.delta_energy_flip_many(configs, fields.a, fields.b)
-    else:
-        raise ValueError(f"unknown fused-field kind {fields.kind!r}")
-    return assemble_move(fields, configs, delta)
 
 
 class Proposal(abc.ABC):
@@ -235,18 +222,16 @@ class Proposal(abc.ABC):
     ) -> BatchMove:
         """Produce one move per row of ``configs`` (shape ``(B, n_sites)``).
 
-        Default: loop over :meth:`propose` row by row with the shared
-        ``rng``.  Local proposals override this with a fully vectorized
-        kernel (array RNG draws + ``delta_energy_*_many``); the batched WL
-        stepper only ever calls this entry point, so overriding it is all a
-        proposal needs to opt into batched stepping.
-
-        Note the default's RNG *draw order* differs from the vectorized
-        overrides (scalar draws per row vs. one array draw per field), so
-        batched trajectories are reproducible per proposal implementation,
-        not across them.
+        A proposal with a draw/resolve split (:meth:`draw_fields`) is
+        proposed as its one-step block: array draws, one
+        ``delta_energy_*_many`` gather.  Otherwise: loop over
+        :meth:`propose` row by row with the shared ``rng`` (DL and mixture
+        proposals override this with their own batched kernels).
         """
         configs = np.atleast_2d(configs)
+        block = self.draw_fields(configs, hamiltonian, rng)
+        if block is not None:
+            return block.batch_move(configs, hamiltonian, rng)
         n_rows = configs.shape[0]
         # Single pass: each move is packed as it is proposed.  The padded
         # width starts at 1 and grows when a wider move appears; grown
@@ -291,14 +276,13 @@ class Proposal(abc.ABC):
         configs: np.ndarray,
         hamiltonian: Hamiltonian,
         rng: np.random.Generator,
-    ) -> FusedFields | None:
-        """Draw the per-row random fields of a vectorized local kernel.
+        n_steps: int = 1,
+    ) -> FieldBlock | None:
+        """Draw the randomness of ``n_steps`` super-steps of a local kernel.
 
-        Returns ``None`` when the proposal has no draw/price split (the
-        default); the fused super-step then falls back to that team's
-        monolithic :meth:`propose_many`.  Overrides must consume the RNG in
-        exactly the order the matching ``propose_many`` did, so either path
-        yields the same trajectory.
+        Returns ``None``, drawing nothing, when the proposal has no
+        draw/resolve split (the default): the block advance then steps that
+        team through :meth:`propose_many`, one super-step at a time.
         """
         return None
 

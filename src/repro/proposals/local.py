@@ -22,18 +22,86 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
-from repro.proposals.base import (
-    BatchMove,
-    FusedFields,
-    Move,
-    Proposal,
-    price_fields,
-)
+from repro.proposals.base import FieldBlock, Move, Proposal
 from repro.util.validation import check_integer
 
 __all__ = ["SwapProposal", "NeighborSwapProposal", "FlipProposal", "MultiSwapProposal"]
 
 _MAX_DISTINCT_TRIES = 256
+
+#: Candidate site pairs drawn per row-step of a swap block.  A candidate
+#: fails with probability ~1/n_species on an equiatomic alloy, so 6 leave
+#: about one row-step in 4000 to the rejection loop.
+_SWAP_CANDIDATES = 6
+
+
+class SwapBlock(FieldBlock):
+    """``_SWAP_CANDIDATES`` i.i.d. site pairs per row-step, shape
+    ``(n, B, T, 2)``.
+
+    A row-step takes its first acceptable pair, and one whose ``T`` pairs
+    all fail runs the bounded rejection loop on its team's stream.  The
+    candidates are i.i.d. and drawn before the configuration they meet, so
+    "first acceptable of T, else keep drawing" *is* the rejection sampler:
+    the move is uniform over acceptable ordered pairs and ``log q = 0``.
+    """
+
+    many = "delta_energy_swap_many"
+    _flat = None  # per-block cache, filled by the first resolve
+
+    def resolve(self, step, configs, rows, streams):
+        pairs = self.arrays[0][step]
+        if self.params["distinct"]:  # unlike species implies i != j
+            if self._flat is None:  # candidates as indices into configs.reshape(-1)
+                self._flat = self.arrays[0] + (rows * configs.shape[1])[:, None, None]
+            species = configs.reshape(-1).take(self._flat[step])
+            ok = species[..., 0] != species[..., 1]
+        else:
+            ok = pairs[..., 0] != pairs[..., 1]
+        pick = ok.argmax(axis=1) + rows * pairs.shape[1]
+        move = pairs.reshape(-1, 2).take(pick, axis=0)
+        good = ok.reshape(-1).take(pick)
+        if np.count_nonzero(good) < len(rows):
+            for rng, lo, hi in streams:
+                sub = lo + np.flatnonzero(~good[lo:hi])
+                if len(sub):
+                    move[sub] = self._redraw(configs[sub], rng)
+        return move
+
+    def moves(self, configs, rows, move):
+        sites = move[rows]
+        return sites, configs[rows[:, None], sites[:, ::-1]]
+
+    def _redraw(self, configs, rng):
+        """Bounded rejection loop (falls back to a possibly-identity pair)."""
+        n, distinct = self.params["n_sites"], self.params["distinct"]
+        rows = np.arange(configs.shape[0])[:, None]
+        pairs = rng.integers(n, size=(len(rows), 2))
+        for _ in range(_MAX_DISTINCT_TRIES - 1):
+            species = configs[rows, pairs] if distinct else pairs
+            bad = species[:, 0] == species[:, 1]
+            if not bad.any():
+                break
+            pairs[bad] = rng.integers(n, size=(int(bad.sum()), 2))
+        return pairs
+
+
+class FlipBlock(FieldBlock):
+    """A site and a species shift in ``1..S-1`` per row-step: two ``(n, B)``
+    arrays."""
+
+    many = "delta_energy_flip_many"
+
+    def resolve(self, step, configs, rows, streams):
+        sites, shifts = self.arrays[0][step], self.arrays[1][step]
+        move = np.empty((len(rows), 2), dtype=sites.dtype)
+        move[:, 0] = sites
+        move[:, 1] = (configs[rows, sites] + shifts) % self.params["n_species"]
+        return move
+
+    def moves(self, configs, rows, move):
+        move = move[rows]
+        return move[:, :1], move[:, 1:]
 
 
 class SwapProposal(Proposal):
@@ -72,37 +140,12 @@ class SwapProposal(Proposal):
             log_q_ratio=0.0,
         )
 
-    def draw_fields(self, configs, hamiltonian: Hamiltonian, rng):
-        """Array site-pair draws with the bounded distinct-pair resample.
-
-        The resampling loop reruns only the rows that still hold an
-        identity pair, mirroring the scalar kernel's distinct-pair
-        semantics (and its fallback to a possibly-identity pair on
-        exhaustion).
-        """
-        configs = np.atleast_2d(configs)
-        n_rows = configs.shape[0]
+    def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1):
+        """Candidate site pairs for ``n_steps`` super-steps (one array draw)."""
         n = hamiltonian.n_sites
-        rows = np.arange(n_rows)
-        ii = rng.integers(n, size=n_rows)
-        jj = rng.integers(n, size=n_rows)
-        for _ in range(_MAX_DISTINCT_TRIES - 1):
-            bad = ii == jj
-            if self.require_distinct:
-                bad |= configs[rows, ii] == configs[rows, jj]
-            if not bad.any():
-                break
-            n_bad = int(bad.sum())
-            ii[bad] = rng.integers(n, size=n_bad)
-            jj[bad] = rng.integers(n, size=n_bad)
-        return FusedFields(kind="swap", a=ii, b=jj)
-
-    def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
-                     current_energies=None) -> BatchMove:
-        """Vectorized per-row swaps: array site draws + ``delta_energy_swap_many``."""
-        configs = np.atleast_2d(configs)
-        fields = self.draw_fields(configs, hamiltonian, rng)
-        return price_fields(fields, configs, hamiltonian)
+        shape = (n_steps, np.atleast_2d(configs).shape[0], _SWAP_CANDIDATES, 2)
+        return SwapBlock(rng.integers(n, size=shape),
+                         distinct=self.require_distinct, n_sites=n)
 
 
 class NeighborSwapProposal(Proposal):
@@ -166,23 +209,12 @@ class FlipProposal(Proposal):
             log_q_ratio=0.0,
         )
 
-    def draw_fields(self, configs, hamiltonian: Hamiltonian, rng):
-        """Array site + species-shift draws for per-row flips."""
-        configs = np.atleast_2d(configs)
-        n_rows = configs.shape[0]
-        rows = np.arange(n_rows)
-        sites = rng.integers(hamiltonian.n_sites, size=n_rows)
-        old = configs[rows, sites]
-        shift = 1 + rng.integers(hamiltonian.n_species - 1, size=n_rows)
-        new = (old + shift) % hamiltonian.n_species
-        return FusedFields(kind="flip", a=sites, b=new)
-
-    def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
-                     current_energies=None) -> BatchMove:
-        """Vectorized per-row flips: array draws + ``delta_energy_flip_many``."""
-        configs = np.atleast_2d(configs)
-        fields = self.draw_fields(configs, hamiltonian, rng)
-        return price_fields(fields, configs, hamiltonian)
+    def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1):
+        """Sites and species shifts for ``n_steps`` super-steps."""
+        shape = (n_steps, np.atleast_2d(configs).shape[0])
+        sites = rng.integers(hamiltonian.n_sites, size=shape)
+        shifts = 1 + rng.integers(hamiltonian.n_species - 1, size=shape)
+        return FlipBlock(sites, shifts, n_species=hamiltonian.n_species)
 
 
 class MultiSwapProposal(Proposal):

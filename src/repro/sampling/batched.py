@@ -4,11 +4,9 @@
 window* together against one shared ``ln g`` / histogram.  Each super-step
 is split into a vectorized phase and a sequential phase:
 
-- **vectorized** (amortized over B): proposal generation
-  (:meth:`~repro.proposals.base.Proposal.propose_many` → array RNG draws +
-  the ``delta_energy_*_many`` kernels of :mod:`repro.kernels`), bin lookup
-  (:meth:`EnergyGrid.index_array`), and the acceptance noise
-  ``ln u ~ log U(0,1)^B``;
+- **vectorized** (amortized over B): move generation, the
+  ``delta_energy_*_many`` kernels of :mod:`repro.kernels`, the bin lookup
+  and the acceptance noise ``ln u ~ log U(0,1)^B``;
 - **sequential** (cheap scalar loop): the accept/reject decision and the
   ``ln g``/histogram commit, walker by walker.
 
@@ -22,20 +20,21 @@ established multiple-walkers-per-window REWL scheme (Vogel et al. 2013), so
 the convergence guarantees carry over unchanged (E1-tested in
 ``tests/test_batched_wl.py``).
 
-What batching changes is only *which* serial trajectory is realized: RNG
-draws are array-shaped (one draw per field per super-step) rather than the
-scalar sampler's per-step draw sequence.  ``batch_size=1`` therefore does
-not use this class at all — :func:`make_wang_landau` returns the plain
-scalar :class:`WangLandauSampler`, keeping single-walker runs bit-identical
-to the pre-kernel implementation.
+Two paths run super-steps.  Local (swap/flip) proposals go through
+:func:`advance_block` (DESIGN.md §16): a team draws the randomness of a
+whole ``steps(n)`` call at once, and the super-steps of every team that
+advances together run as one array program with team state written back
+once per block.  Proposals without a draw/resolve split — the deep-learning
+proposals, whose ``propose_many`` overrides (DESIGN.md §12) run one model
+sampling pass, one density-scoring forward and one batched full-config
+energy evaluation per walker team, and mixtures of them — go through
+:meth:`BatchedWangLandauSampler.step_batch`, one ``propose_many`` and one
+``commit_batch`` per super-step (``tests/test_dl_batched.py`` pins that this
+path reproduces exact enumeration).
 
-The deep-learning proposals batch the same entry point: their
-``propose_many`` overrides (DESIGN.md §12) run one model sampling pass, one
-density-scoring forward and one batched full-config energy evaluation per
-walker team, so a DL-driven (or mixture) batched chain amortizes the model
-cost over B walkers exactly like the local kernels amortize ΔE — the
-``tests/test_dl_batched.py`` E1-style test pins that this path still
-reproduces exact enumeration.
+``batch_size=1`` does not use this class at all — :func:`make_wang_landau`
+returns the plain scalar :class:`WangLandauSampler`, keeping single-walker
+runs bit-identical to the pre-kernel implementation.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.sampling.base import register_sampler
+from repro.sampling.binning import StackedGrids
 from repro.sampling.wang_landau import (
     WalkerCounters,
     WangLandauResult,
@@ -55,7 +55,7 @@ from repro.sampling.wang_landau import (
 )
 from repro.util.rng import as_generator
 
-__all__ = ["BatchedWangLandauSampler", "make_wang_landau"]
+__all__ = ["BatchedWangLandauSampler", "advance_block", "make_wang_landau"]
 
 
 def make_wang_landau(*args, **kwargs):
@@ -68,19 +68,16 @@ def make_wang_landau(*args, **kwargs):
     """
     resolved, cfg = _resolve_wl_args("make_wang_landau", args, dict(kwargs))
     initial = np.asarray(resolved["initial_config"])
+    cls = BatchedWangLandauSampler
     if cfg.batch_size <= 1:
+        cls = WangLandauSampler
         if initial.ndim == 2:
             if initial.shape[0] != 1:
                 raise ValueError(
                     f"batch_size=1 but initial_config has {initial.shape[0]} rows"
                 )
             initial = initial[0]
-        return WangLandauSampler(
-            hamiltonian=resolved["hamiltonian"], proposal=resolved["proposal"],
-            grid=resolved["grid"], initial_config=initial,
-            rng=resolved.get("rng"), config=cfg,
-        )
-    return BatchedWangLandauSampler(
+    return cls(
         hamiltonian=resolved["hamiltonian"], proposal=resolved["proposal"],
         grid=resolved["grid"], initial_config=initial,
         rng=resolved.get("rng"), config=cfg,
@@ -122,11 +119,7 @@ class BatchedWangLandauSampler:
             configs = np.array(initial, copy=True)
         if cfg.batch_size != configs.shape[0]:
             cfg = replace(cfg, batch_size=configs.shape[0])
-        self.cfg = cfg
-        self.hamiltonian = hamiltonian
-        self.proposal = kwargs["proposal"]
-        self.grid = grid
-        self.rng = as_generator(kwargs.get("rng"))
+        self._configure(cfg, hamiltonian, kwargs["proposal"], grid, kwargs.get("rng"))
         for row in configs:
             hamiltonian.validate_config(row)
         self.configs = configs
@@ -140,6 +133,28 @@ class BatchedWangLandauSampler:
                 "drive_into_range"
             )
         self.ln_f = float(cfg.ln_f_init)
+        n = grid.n_bins
+        self.ln_g = np.zeros(n)
+        self.histogram = np.zeros(n, dtype=np.int64)
+        self.visited = np.zeros(n, dtype=bool)
+        self.n_steps = 0
+        self.n_accepted = 0
+        self._steps_this_iteration = 0
+        self.slot_accepted = np.zeros(self.n_slots, dtype=np.int64)
+        self.slot_steps = np.zeros(self.n_slots, dtype=np.int64)
+        if cfg.profile_sample_every:
+            from repro.obs.profile import SectionProfiler
+
+            self.enable_profiling(SectionProfiler(sample_every=cfg.profile_sample_every))
+
+    def _configure(self, cfg, hamiltonian, proposal, grid, rng) -> None:
+        """Everything but the walker state (shared with ``FusedTeam.attach``,
+        whose walker state already lives in the campaign arrays)."""
+        self.cfg = cfg
+        self.hamiltonian = hamiltonian
+        self.proposal = proposal
+        self.grid = grid
+        self.rng = as_generator(rng)
         self.ln_f_final = float(cfg.ln_f_final)
         self.flatness = float(cfg.flatness)
         self.schedule = cfg.schedule
@@ -148,24 +163,10 @@ class BatchedWangLandauSampler:
             if cfg.check_interval is None
             else int(cfg.check_interval)
         )
-
-        n = grid.n_bins
-        self.ln_g = np.zeros(n)
-        self.histogram = np.zeros(n, dtype=np.int64)
-        self.visited = np.zeros(n, dtype=bool)
-        self.n_steps = 0
-        self.n_accepted = 0
         self.n_iterations = 0
         self.iteration_steps: list[int] = []
-        self._steps_this_iteration = 0
-        self.slot_accepted = np.zeros(self.n_slots, dtype=np.int64)
-        self.slot_steps = np.zeros(self.n_slots, dtype=np.int64)
         self.counters = WalkerCounters()
         self.profiler = None
-        if cfg.profile_sample_every:
-            from repro.obs.profile import SectionProfiler
-
-            self.enable_profiling(SectionProfiler(sample_every=cfg.profile_sample_every))
 
     # ----------------------------------------------------------------- slots
 
@@ -216,12 +217,10 @@ class BatchedWangLandauSampler:
     def commit_batch(self, batch) -> int:
         """Decide and commit a prepared :class:`BatchMove`.  Returns accepts.
 
-        The back half of :meth:`step_batch`, split out so the fused REWL
-        super-step (:mod:`repro.parallel.fused`) can price many teams' moves
-        with one stacked gather and still commit each team here.  This draws
-        the acceptance noise from ``self.rng`` — after the proposal's own
-        field draws, exactly where :meth:`step_batch` drew it — so the fused
-        and per-window paths consume each team's stream identically.
+        The back half of :meth:`step_batch` (DL, mixture and global
+        proposals); local proposals commit inside :func:`advance_block`.
+        Draws the acceptance noise from ``self.rng``, after the proposal's
+        own draws.
         """
         n_rows = self.n_slots
         new_energies = self.energies + batch.delta_energies
@@ -268,21 +267,25 @@ class BatchedWangLandauSampler:
             self.slot_accepted[acc] += 1
         if prof is not None:
             prof.stop("wl.batch_commit", t0)
-        counters = self.counters
-        counters.null_proposals += n_null
-        counters.proposals += n_rows - n_null
-        counters.out_of_grid += n_out
-        counters.accepted += accepted
-        self.n_accepted += accepted
-        self.n_steps += n_rows
-        self._steps_this_iteration += n_rows
+        self._tally(n_rows, accepted, n_out, n_null)
         self.slot_steps += 1
         return accepted
 
+    def _tally(self, steps: int, accepted: int, out_of_grid: int, null: int = 0) -> None:
+        """Add ``steps`` walker steps and their outcomes to the counters."""
+        counters = self.counters
+        counters.null_proposals += null
+        counters.proposals += steps - null
+        counters.out_of_grid += out_of_grid
+        counters.accepted += accepted
+        self.n_accepted += accepted
+        self.n_steps += steps
+        self._steps_this_iteration += steps
+
     def steps(self, n_steps_per_walker: int) -> None:
-        """Run ``n_steps_per_walker`` super-steps (the REWL advance phase)."""
-        for _ in range(n_steps_per_walker):
-            self.step_batch()
+        """Run ``n_steps_per_walker`` super-steps (the REWL advance phase):
+        the one-team case of :func:`advance_block`."""
+        advance_block([self], n_steps_per_walker, self.hamiltonian, self.profiler)
 
     # ----------------------------------------------------------- iteration
 
@@ -362,8 +365,7 @@ class BatchedWangLandauSampler:
         with span:
             while self.n_steps < max_steps and self.ln_f > self.ln_f_final:
                 budget = min(self.check_interval, max_steps - self.n_steps)
-                for _ in range(max(1, budget // n_rows)):
-                    self.step_batch()
+                self.steps(max(1, budget // n_rows))
                 if self.is_flat():
                     self.advance_modification_factor()
                     if telemetry is not None:
@@ -410,3 +412,128 @@ class BatchedWangLandauSampler:
             f"BatchedWangLandauSampler(n_slots={self.n_slots}, "
             f"n_bins={self.grid.n_bins}, ln_f={self.ln_f:.3g})"
         )
+
+
+#: Longest block drawn at once.  A block holds its drawn fields and its
+#: acceptance noise (a few integers and one float per row-step), so the cap
+#: bounds block memory; longer advance calls split into sub-blocks.
+_MAX_BLOCK_STEPS = 512
+
+
+def advance_block(teams, n_steps: int, hamiltonian, profiler=None,
+                  gather_section: str | None = None) -> None:
+    """``n_steps`` super-steps of every team in ``teams`` (DESIGN.md §16).
+
+    Per sub-block of at most ``_MAX_BLOCK_STEPS`` steps, each team draws the
+    whole block's randomness from its own stream — its proposal's
+    :meth:`~repro.proposals.base.Proposal.draw_fields`, then the acceptance
+    noise — and teams whose blocks share a key run as one array program
+    (:func:`_run_block`).  A team whose proposal has no draw/resolve split
+    (``draw_fields`` → None, drawing nothing: DL, mixture, global moves)
+    takes its super-steps through :meth:`step_batch`.  A trajectory is thus
+    a pure function of the seed and the sequence of ``n_steps`` values.
+    """
+    for start in range(0, n_steps, _MAX_BLOCK_STEPS):
+        n = min(_MAX_BLOCK_STEPS, n_steps - start)
+        groups: dict[tuple, list] = {}
+        for team in teams:
+            fields = team.proposal.draw_fields(
+                team.configs, team.hamiltonian, team.rng, n
+            )
+            if fields is None:
+                for _ in range(n):
+                    team.step_batch()
+            else:
+                groups.setdefault(fields.key, []).append((team, fields))
+        for members in groups.values():
+            _run_block(members, n, hamiltonian, profiler, gather_section)
+
+
+def _run_block(members, n: int, hamiltonian, prof, gather_section) -> None:
+    """One block for teams of one field kind: every super-step runs once for
+    all rows of all teams — resolve, one ΔE gather, one bin lookup, one
+    sequential commit loop, one scatter — and team state is written back
+    once at the end.
+
+    The commit loop keeps row order inside a window and runs on flat Python
+    lists (``ln g`` and bins of all windows end to end) that live for the
+    whole block, so each decision still sees every earlier deposit.
+    """
+    teams = [team for team, _ in members]
+    fields = members[0][1]
+    if len(teams) > 1:
+        fields = fields.stacked([f for _, f in members[1:]])
+    sizes = [team.n_slots for team in teams]
+    ends = np.cumsum(sizes).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    grids = StackedGrids([team.grid for team in teams], sizes)
+    offsets = grids.offsets.tolist()
+    # One team steps its own arrays in place; several are gathered once per
+    # block (their rows need not be contiguous anywhere) and written back.
+    in_place = len(teams) == 1
+    configs = teams[0].configs if in_place else np.concatenate(
+        [team.configs for team in teams])
+    energies = teams[0].energies if in_place else np.concatenate(
+        [team.energies for team in teams])
+    ln_u = np.log(np.concatenate(
+        [team.rng.random((n, k)) for team, k in zip(teams, sizes)], axis=1
+    )).tolist()
+    ln_g = np.concatenate([team.ln_g for team in teams]).tolist()
+    bins = np.concatenate(
+        [team.bins + off for team, off in zip(teams, offsets)]).tolist()
+    hist = [0] * len(ln_g)
+    ln_f = [team.ln_f for team in teams]
+    n_out = [0] * len(teams)
+    slot_accepted = [0] * ends[-1]
+    rows = np.arange(ends[-1])
+    streams = [(team.rng, lo, hi) for team, (lo, hi) in zip(teams, spans)]
+    price = getattr(hamiltonian, fields.many)
+    timed = prof is not None and gather_section is not None
+
+    for step in range(n):
+        move = fields.resolve(step, configs, rows, streams)
+        t0 = prof.start(gather_section) if timed else None
+        delta = price(configs, move[:, 0], move[:, 1])
+        if timed:
+            prof.stop(gather_section, t0)
+        new_energies = energies + delta
+        new_bins = grids.index_rows(new_energies).tolist()
+        t0 = prof.start("wl.batch_commit") if prof is not None else None
+        u = ln_u[step]
+        accepted: list[int] = []
+        for w, (lo, hi) in enumerate(spans):
+            f = ln_f[w]
+            for r, nb, u_r in zip(range(lo, hi), new_bins[lo:hi], u[lo:hi]):
+                cur = bins[r]
+                if nb < 0:
+                    n_out[w] += 1
+                else:
+                    log_alpha = ln_g[cur] - ln_g[nb]
+                    if log_alpha >= 0.0 or u_r < log_alpha:
+                        bins[r] = cur = nb
+                        accepted.append(r)
+                        slot_accepted[r] += 1
+                # Update the (possibly unchanged) current bin — mandatory for WL.
+                ln_g[cur] += f
+                hist[cur] += 1
+        if accepted:
+            acc = np.asarray(accepted)
+            sites, values = fields.moves(configs, acc, move)
+            configs[acc[:, None], sites] = values
+            energies[acc] = new_energies[acc]
+        if prof is not None:
+            prof.stop("wl.batch_commit", t0)
+
+    for w, (team, (lo, hi)) in enumerate(zip(teams, spans)):
+        g_lo, g_hi = offsets[w], offsets[w + 1]
+        if not in_place:
+            team.configs[:] = configs[lo:hi]
+            team.energies[:] = energies[lo:hi]
+        team.ln_g[:] = ln_g[g_lo:g_hi]
+        team.bins[:] = np.asarray(bins[lo:hi]) - g_lo
+        deposits = np.asarray(hist[g_lo:g_hi])
+        team.histogram += deposits
+        team.visited |= deposits > 0
+        team.slot_steps += n
+        team.slot_accepted += np.asarray(slot_accepted[lo:hi])
+        team._tally(n * (hi - lo), sum(slot_accepted[lo:hi]), n_out[w])

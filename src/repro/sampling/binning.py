@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.util.validation import check_integer
 
-__all__ = ["EnergyGrid"]
+__all__ = ["EnergyGrid", "StackedGrids"]
 
 
 class EnergyGrid:
@@ -141,3 +141,61 @@ class EnergyGrid:
             f"EnergyGrid({kind}, n_bins={self.n_bins}, "
             f"range=[{self.e_min:.6g}, {self.e_max:.6g}])"
         )
+
+
+class StackedGrids:
+    """One bin lookup for rows that belong to different energy windows.
+
+    ``grids[w]`` owns ``rows_per_grid[w]`` consecutive rows.  The windows
+    must be :meth:`EnergyGrid.subgrid` cuts of one grid (REWL windows are):
+    their edges (or levels) are then exact copies of a common array, so one
+    ``searchsorted`` on it, mapped through a per-window table, equals each
+    window's own :meth:`EnergyGrid.index_array` — right edge inclusive, level
+    tolerance included.  Bins come back *flat*: window ``w``'s bin ``k`` is
+    ``offsets[w] + k``, the layout of the windows' concatenated ``ln g``.
+    """
+
+    def __init__(self, grids, rows_per_grid):
+        first = grids[0]
+        self.is_levels = first.is_levels
+        self.tol = first._tol
+        if any(g.is_levels != self.is_levels or g._tol != self.tol for g in grids):
+            raise ValueError("stacked windows must share one grid mode and tolerance")
+        marks = [g._levels if self.is_levels else g._edges for g in grids]
+        self.marks = np.unique(np.concatenate(marks))
+        lo = np.searchsorted(self.marks, [m[0] for m in marks])
+        for m, start in zip(marks, lo):
+            if not np.array_equal(self.marks[start:start + len(m)], m):
+                raise ValueError("stacked windows must be cut from one grid")
+        n_bins = np.array([g.n_bins for g in grids])
+        self.offsets = np.concatenate([[0], np.cumsum(n_bins)])
+        # table[w, m + 1]: flat bin of global mark (edge or level) ``m`` in
+        # window ``w``, −1 outside it; column 0 is "no mark".  A uniform
+        # window also maps its top edge to its last bin (inclusive right
+        # edge); energies above that edge are masked in index_rows.
+        table = np.full((len(grids), len(self.marks) + 1), -1, dtype=np.int64)
+        for w, g in enumerate(grids):
+            table[w, lo[w] + 1:lo[w] + 1 + g.n_bins] = self.offsets[w] + np.arange(g.n_bins)
+            if not self.is_levels:
+                table[w, lo[w] + 1 + g.n_bins] = self.offsets[w + 1] - 1
+        self._table = table.ravel()
+        self._row_base = np.repeat(np.arange(len(grids)) * table.shape[1], rows_per_grid)
+        self._e_max = np.repeat([g.e_max for g in grids], rows_per_grid)
+        # levels: pad with ±inf so both neighbours of any energy exist
+        self._padded = np.concatenate([[-np.inf], self.marks, [np.inf]])
+        self._sides = np.array([[0], [1]])
+
+    def index_rows(self, energies: np.ndarray) -> np.ndarray:
+        """Flat bin of ``energies[r]`` in row ``r``'s window; −1 outside."""
+        if self.is_levels:
+            # padded indices of the levels on either side of each energy:
+            # padded[k[0]] < e <= padded[k[1]]
+            k = self.marks.searchsorted(energies) + self._sides
+            hit = np.abs(self._padded.take(k) - energies) <= self.tol
+            # levels are > 2 tol apart, so at most one side hits; neither
+            # hitting sums to column 0, which holds -1
+            return self._table.take((k * hit).sum(axis=0) + self._row_base)
+        mark = self.marks.searchsorted(energies, side="right")
+        flat = self._table.take(mark + self._row_base)
+        flat[energies > self._e_max] = -1
+        return flat

@@ -128,7 +128,12 @@ def drive_into_range(hamiltonian: Hamiltonian, proposal: Proposal, grid: EnergyG
 
     for _ in range(max_steps):
         if grid.contains(energy):
-            return config
+            # The running sum drifts from H(config) by ulps, which decides
+            # containment when an edge sits on an energy level; the samplers
+            # bin the recomputed energy, so that is the one that counts.
+            energy = float(hamiltonian.energy(config))
+            if grid.contains(energy):
+                return config
         move = proposal.propose(config, hamiltonian, rng, current_energy=energy)
         if move is None:
             continue

@@ -11,6 +11,10 @@ Three contracts from the kernels redesign:
 3. The REWL driver's ``batched_walkers`` mode converges, exchanges between
    slots, stitches windows within tolerance, and round-trips through
    checkpoints bit-identically.
+4. Local proposals advance in *blocks* (``advance_block``): a block equals
+   an independent step-by-step replay of the same draws, splits
+   deterministically above the sub-block cap, leaves teams without a
+   draw/resolve split on ``step_batch``, and is unbiased over seeds.
 """
 
 import numpy as np
@@ -20,7 +24,11 @@ from repro.hamiltonians import IsingHamiltonian, enumerate_density_of_states
 from repro.lattice import square_lattice
 from repro.parallel import REWLConfig, REWLDriver
 from repro.parallel.checkpoint import load_checkpoint, save_checkpoint
-from repro.proposals import FlipProposal
+from repro.obs import Telemetry
+from repro.obs.profile import SectionProfiler
+from repro.parallel.fused import fused_advance
+from repro.proposals import FlipProposal, MixtureProposal
+from repro.sampling import batched
 from repro.sampling import (
     BatchedWangLandauSampler,
     EnergyGrid,
@@ -28,6 +36,7 @@ from repro.sampling import (
     WLConfig,
     make_wang_landau,
 )
+from repro.sampling.wang_landau import drive_into_range
 
 
 @pytest.fixture(scope="module")
@@ -257,3 +266,150 @@ class TestBatchedREWL:
         for a, b in zip(ref.window_ln_g, res.window_ln_g):
             assert np.array_equal(a, b)
         assert np.array_equal(ref.exchange_accepts, res.exchange_accepts)
+
+
+TEAM_ARRAYS = ("configs", "energies", "bins", "ln_g", "histogram", "visited",
+               "slot_steps", "slot_accepted")
+
+
+def assert_same_team_state(a, b):
+    for name in TEAM_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.n_steps, a.n_accepted) == (b.n_steps, b.n_accepted)
+    assert a.counters == b.counters
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+class TestBlockAdvance:
+    def _team(self, ising, grid, proposal=None, seed=3, k=4):
+        """A team on an inner window, so out-of-grid proposals occur."""
+        window = grid.subgrid(2, 9)
+        start = drive_into_range(ising, FlipProposal(), window,
+                                 np.zeros(16, dtype=np.int8), rng=0)
+        return BatchedWangLandauSampler(
+            hamiltonian=ising, proposal=proposal or FlipProposal(), grid=window,
+            initial_config=start, rng=seed, config=WLConfig(batch_size=k),
+        )
+
+    def test_block_equals_step_by_step_replay_of_its_draws(self, ising, grid):
+        """Totals of a block (ln g, histogram, visited, slot and walker
+        counters) are the per-step sums of an independent scalar replay."""
+        n, k = 60, 4
+        wl = self._team(ising, grid, k=k)
+        ref = self._team(ising, grid, k=k)
+        wl.steps(n)
+
+        window, rows = ref.grid, np.arange(k)
+        fields = ref.proposal.draw_fields(ref.configs, ising, ref.rng, n)
+        ln_u = np.log(ref.rng.random((n, k)))
+        proposals = accepted = out_of_grid = 0
+        for step in range(n):
+            move = fields.resolve(step, ref.configs, rows, [(ref.rng, 0, k)])
+            delta = ising.delta_energy_flip_many(ref.configs, move[:, 0], move[:, 1])
+            for b in range(k):  # one scalar WL step per walker, in row order
+                proposals += 1
+                new_bin = window.index(ref.energies[b] + delta[b])
+                if new_bin < 0:
+                    out_of_grid += 1
+                else:
+                    log_alpha = ref.ln_g[ref.bins[b]] - ref.ln_g[new_bin]
+                    if log_alpha >= 0.0 or ln_u[step, b] < log_alpha:
+                        ref.configs[b, move[b, 0]] = move[b, 1]
+                        ref.energies[b] += delta[b]
+                        ref.bins[b] = new_bin
+                        ref.slot_accepted[b] += 1
+                        accepted += 1
+                ref.ln_g[ref.bins[b]] += ref.ln_f
+                ref.histogram[ref.bins[b]] += 1
+                ref.visited[ref.bins[b]] = True
+            ref.slot_steps += 1
+
+        for name in TEAM_ARRAYS:
+            assert np.array_equal(getattr(wl, name), getattr(ref, name)), name
+        assert out_of_grid > 0 and accepted > 0
+        c = wl.counters
+        assert (c.proposals, c.accepted, c.out_of_grid, c.null_proposals) \
+            == (proposals, accepted, out_of_grid, 0)
+        assert wl.n_steps == proposals == n * k == wl.histogram.sum()
+        assert wl.n_accepted == accepted == wl.slot_accepted.sum()
+        assert np.array_equal(wl.energies, ising.energies(wl.configs))
+
+    def test_steps_above_the_cap_split_deterministically(self, ising, grid, monkeypatch):
+        monkeypatch.setattr(batched, "_MAX_BLOCK_STEPS", 7)
+        whole = self._team(ising, grid)
+        parts = self._team(ising, grid)
+        whole.steps(20)
+        for n in (7, 7, 6):
+            parts.steps(n)
+        assert_same_team_state(whole, parts)
+
+    def test_call_lengths_define_the_trajectory(self, ising, grid):
+        """Same seed, same total, different call lengths: another stream order."""
+        a, b = self._team(ising, grid), self._team(ising, grid)
+        a.steps(20)
+        b.steps(10)
+        b.steps(10)
+        assert a.n_steps == b.n_steps
+        assert not np.array_equal(a.ln_g, b.ln_g)
+
+    def test_mixed_campaign_keeps_step_batch_for_unsplit_proposals(self, ising, grid):
+        def mixture():
+            return MixtureProposal([(FlipProposal(), 0.5), (FlipProposal(), 0.5)])
+
+        assert mixture().draw_fields(np.zeros((2, 16), dtype=np.int8), ising,
+                                     np.random.default_rng(0), 5) is None
+        together = [self._team(ising, grid, seed=1),
+                    self._team(ising, grid, mixture(), seed=2),
+                    self._team(ising, grid, seed=3, k=2)]
+        alone = [self._team(ising, grid, seed=1),
+                 self._team(ising, grid, mixture(), seed=2),
+                 self._team(ising, grid, seed=3, k=2)]
+        fused_advance(together, 25, ising)
+        for team in alone:
+            team.steps(25)
+        for a, b in zip(together, alone):
+            assert a.n_steps == 25 * a.n_slots
+            assert_same_team_state(a, b)
+
+    def test_block_path_is_unbiased_over_seeds(self, ising, grid):
+        """E1 over 12 seeds: the mean ln g error of every level must vanish
+        against its seed-to-seed spread (groups of 12 seeds measured
+        max |z| between 0.9 and 3.0 when this was written)."""
+        exact = exact_table(ising)
+        real = np.array([float(e) in exact for e in grid.centers])
+        want = np.array([exact[float(e)] for e in grid.centers[real]])
+        errors = []
+        for seed in range(12):
+            wl = make_wang_landau(
+                hamiltonian=ising, proposal=FlipProposal(), grid=grid,
+                initial_config=np.zeros(16, dtype=np.int8), rng=seed,
+                config=WLConfig(batch_size=4, ln_f_final=1e-3),
+            )
+            res = wl.run(max_steps=5_000_000)
+            assert res.converged and np.array_equal(res.visited, real)
+            got = res.ln_g[real]
+            errors.append((got - got.mean()) - (want - want.mean()))
+        errors = np.array(errors)
+        spread = errors.std(axis=0, ddof=1)
+        z = errors.mean(axis=0) / (spread / np.sqrt(len(errors)))
+        assert np.abs(z).max() < 5.0
+        assert spread.max() < 0.6
+
+    def test_profile_sections_and_step_metric(self, ising, grid):
+        wl = self._team(ising, grid)
+        wl.enable_profiling(SectionProfiler(sample_every=1))
+        wl.steps(30)
+        profile = wl.profiler.as_dict()
+        assert profile["wl.batch_commit"]["calls"] == 30
+        assert profile["proposal.flip.fields"]["calls"] == 1
+        assert profile["hamiltonian.delta_flip_many"]["calls"] == 30
+
+        telemetry = Telemetry()
+        full = make_wang_landau(
+            hamiltonian=ising, proposal=FlipProposal(), grid=grid,
+            initial_config=np.zeros(16, dtype=np.int8), rng=0,
+            config=WLConfig(batch_size=4, ln_f_final=0.2),
+        )
+        res = full.run(telemetry=telemetry)
+        steps = telemetry.metrics.as_dict()["wl.steps"]["value"]
+        assert steps == res.n_steps == res.counters.proposals

@@ -1,11 +1,12 @@
-"""Tests for the fused SPMD campaign super-step (``repro.parallel.fused``).
+"""Tests for the fused SPMD campaign (``repro.parallel.fused``).
 
 The acceptance contract: ``backend="fused"`` (in-process) and
 ``backend="shm"`` (multiprocess, zero-copy shared memory) reproduce the
 per-window batched campaign **bit for bit** on a seeded run — same rounds,
-same steps, same exchange statistics, same ln g arrays — because the
-draw/price split consumes each window's RNG streams in the per-window
-order and the ``*_many`` kernels reduce row-wise.
+same steps, same exchange statistics, same ln g arrays — because every
+backend advances its teams through the one block advance with the same
+call lengths, each team draws its block from its own stream, and the
+``*_many`` kernels reduce row-wise.
 """
 
 import pickle
@@ -16,11 +17,13 @@ import pytest
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.machine.autotune import CampaignPlan, plan_campaign
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, Telemetry
 from repro.obs.profile import SectionProfiler
 from repro.parallel import REWLConfig, REWLDriver, SerialExecutor
+from repro.parallel.checkpoint import load_checkpoint, save_checkpoint
 from repro.parallel.fused import FusedCampaignState, FusedTeam
-from repro.proposals import FlipProposal
+from repro.proposals import FlipProposal, SwapProposal
+from repro.resilience import GuardPolicy, ResilienceConfig
 from repro.sampling import EnergyGrid
 
 
@@ -35,6 +38,22 @@ def _driver(backend="serial", *, seed=11, instrumentation=None, **over):
         hamiltonian=ham, proposal_factory=lambda: FlipProposal(), grid=grid,
         initial_config=np.zeros(16, dtype=np.int8),
         config=REWLConfig(**cfg), instrumentation=instrumentation,
+    )
+
+
+def _swap_driver(backend, **over):
+    """Fixed-magnetisation Ising with swaps on a uniform grid: the alloy
+    path (SwapBlock, inclusive right edge) on a cell small enough to test."""
+    ham = IsingHamiltonian(square_lattice(4))
+    start = np.tile(np.array([0, 0, 1, 1], dtype=np.int8), 4)
+    cfg = dict(n_windows=3, walkers_per_window=3, overlap=0.6,
+               exchange_interval=100, ln_f_final=5e-2, seed=4,
+               batched_walkers=True, backend=backend)
+    cfg.update(over)
+    return REWLDriver(
+        hamiltonian=ham, proposal_factory=lambda: SwapProposal(),
+        grid=EnergyGrid.uniform(-18.0, 34.0, 13), initial_config=start,
+        config=REWLConfig(**cfg),
     )
 
 
@@ -58,6 +77,73 @@ class TestFusedBitIdentity:
         baseline = _driver("serial").run(max_rounds=60)
         fused = _driver("fused").run(max_rounds=60)
         _assert_bit_identical(fused, baseline)
+
+    def test_swap_campaign_matches_on_every_backend(self):
+        baseline = _swap_driver("serial").run(max_rounds=40)
+        assert baseline.total_steps > 0 and baseline.exchange_attempts.sum() > 0
+        _assert_bit_identical(_swap_driver("fused").run(max_rounds=40), baseline)
+        drv = _swap_driver("shm", shm_ranks=2)  # ranks own windows {0, 2} and {1}
+        try:
+            shm = drv.run(max_rounds=40)
+        finally:
+            drv.close()
+        _assert_bit_identical(shm, baseline)
+
+    def test_checkpoint_resume_at_a_round_boundary(self, tmp_path):
+        """run(A+B) == run(A) -> checkpoint -> restore -> run(B), fused."""
+        straight = _driver("fused", ln_f_final=1e-6)
+        straight.run(max_rounds=6)
+        first = _driver("fused", ln_f_final=1e-6)
+        first.run(max_rounds=3)
+        ckpt = save_checkpoint(first, tmp_path / "fused.ckpt")
+        resumed = _driver("fused", ln_f_final=1e-6)
+        load_checkpoint(resumed, ckpt)
+        resumed.run(max_rounds=6)
+        _assert_bit_identical(resumed.result(), straight.result())
+        # the restored teams step the campaign arrays again, not copies
+        state = resumed._engine.state
+        assert np.shares_memory(resumed.walkers[0][0].configs, state.configs)
+
+    def test_supervisor_rollback_rebinds_the_block_path(self):
+        ham = IsingHamiltonian(square_lattice(4))
+        drv = REWLDriver(
+            hamiltonian=ham, proposal_factory=lambda: FlipProposal(),
+            grid=EnergyGrid.from_levels(ham.energy_levels()),
+            initial_config=np.zeros(16, dtype=np.int8),
+            config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
+                              exchange_interval=200, ln_f_final=1e-6, seed=11,
+                              backend="fused"),
+            resilience=ResilienceConfig(guards=GuardPolicy(mode="quarantine")),
+        )
+        state = drv._engine.state
+        advance, rounds = drv._engine.advance, []
+
+        def advance_then_corrupt(driver, active, n_steps):
+            advance(driver, active, n_steps)
+            rounds.append(driver.rounds)
+            if len(rounds) == 3:
+                state.ln_g[1, 2] = np.nan  # silent corruption of window 1
+
+        drv._engine.advance = advance_then_corrupt
+        drv.run(max_rounds=6)
+        assert drv.supervisor.windows[1].rollbacks == 1
+        assert drv.supervisor.windows[1].disposition == "healthy"
+        assert not drv.supervisor.degraded
+        team = drv.walkers[1][0]
+        assert np.shares_memory(team.ln_g, state.ln_g)
+        assert np.isfinite(state.ln_g).all()
+        assert team.n_steps == state.counts[1, 0] > 0
+
+    def test_round_metrics_equal_the_walker_totals(self):
+        telemetry = Telemetry()
+        drv = _driver("fused", instrumentation=Instrumentation(telemetry=telemetry))
+        res = drv.run(max_rounds=20)
+        metrics = telemetry.metrics.as_dict()
+        k = drv.cfg.walkers_per_window
+        assert metrics["rewl.steps"]["value"] * k == res.total_steps
+        assert sum(s.counters.proposals for s in res.walkers) == res.total_steps
+        assert sum(s.counters.accepted for s in res.walkers) \
+            == sum(team[0].n_accepted for team in drv.walkers)
 
     def test_fused_backend_forces_batched_teams(self):
         drv = _driver("fused", batched_walkers=False)
@@ -83,6 +169,11 @@ class TestFusedBitIdentity:
         profile = result.telemetry["profile"]
         assert "rewl.fused_gather" in profile
         assert profile["rewl.fused_gather"]["calls"] > 0
+        # one gather and one commit loop per campaign super-step, one field
+        # draw per team per round
+        assert profile["wl.batch_commit"]["calls"] \
+            == profile["rewl.fused_gather"]["calls"]
+        assert profile["proposal.flip.fields"]["calls"] <= 2 * result.rounds
         cost = result.telemetry["cost"]
         assert "fused_gather" in cost["phases"]
         assert cost["phases"]["fused_gather"]["seconds"] > 0

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from repro.lattice import composition_counts, random_configuration
+from repro.hamiltonians import IsingHamiltonian
+from repro.lattice import composition_counts, random_configuration, square_lattice
+from repro.proposals import local
 from repro.proposals import (
     FlipProposal,
     MixtureProposal,
@@ -168,3 +171,97 @@ class TestMoveObject:
                     delta_energy=0.0)
         move.apply(cfg)
         assert cfg.tolist() == [0, 2, 0, 1, 0]
+
+
+class TestFieldBlocks:
+    """Block-drawn local moves (``draw_fields`` -> ``FieldBlock.resolve``)."""
+
+    # 9 sites, 7 of species 0 and 2 of species 1: 2*7*2 = 28 unlike ordered
+    # pairs, and a candidate pair is acceptable with probability 28/81.
+    LOPSIDED = np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int8)
+
+    def _pair_counts(self, proposal, n_steps=600, n_rows=16, seed=5):
+        ham = IsingHamiltonian(square_lattice(3))
+        rng = np.random.default_rng(seed)
+        configs = np.tile(self.LOPSIDED, (n_rows, 1))
+        block = proposal.draw_fields(configs, ham, rng, n_steps)
+        rows = np.arange(n_rows)
+        counts = np.zeros((9, 9), dtype=np.int64)
+        for step in range(n_steps):  # configs never change: i.i.d. draws
+            move = block.resolve(step, configs, rows, [(rng, 0, n_rows)])
+            np.add.at(counts, (move[:, 0], move[:, 1]), 1)
+        return counts
+
+    @staticmethod
+    def _chi_square_p(observed):
+        expected = observed.sum() / observed.size
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        return chi2.sf(stat, observed.size - 1)
+
+    @pytest.mark.parametrize("candidates", [1, 2, None])
+    def test_swap_is_uniform_over_unlike_ordered_pairs(self, monkeypatch, candidates):
+        """First acceptable of T candidates, else the rejection loop, is the
+        rejection sampler; T=1 sends ~65 % of the row-steps to the loop."""
+        if candidates is not None:
+            monkeypatch.setattr(local, "_SWAP_CANDIDATES", candidates)
+        counts = self._pair_counts(SwapProposal())
+        unlike = self.LOPSIDED[:, None] != self.LOPSIDED[None, :]
+        assert counts[~unlike].sum() == 0
+        assert self._chi_square_p(counts[unlike]) > 1e-3
+
+    @pytest.mark.parametrize("candidates", [1, None])
+    def test_swap_without_distinct_is_uniform_over_all_pairs(self, monkeypatch, candidates):
+        if candidates is not None:
+            monkeypatch.setattr(local, "_SWAP_CANDIDATES", candidates)
+        counts = self._pair_counts(SwapProposal(require_distinct=False))
+        off_diagonal = ~np.eye(9, dtype=bool)
+        assert counts[~off_diagonal].sum() == 0
+        assert self._chi_square_p(counts[off_diagonal]) > 1e-3
+
+    def test_swap_with_no_unlike_pair_falls_back_to_an_identity_move(self):
+        ham = IsingHamiltonian(square_lattice(3))
+        configs = np.zeros((4, 9), dtype=np.int8)
+        batch = SwapProposal().propose_many(configs, ham, np.random.default_rng(0))
+        assert np.all(batch.delta_energies == 0.0)
+        assert np.array_equal(batch.new_values, np.zeros((4, 2), dtype=np.int8))
+
+    @pytest.mark.parametrize("make", [SwapProposal, FlipProposal])
+    def test_one_step_block_prices_and_writes_its_moves(self, hea_small, make):
+        rng = np.random.default_rng(3)
+        configs = np.stack([
+            random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
+            for _ in range(12)
+        ])
+        proposal = make()
+        batch = proposal.propose_many(configs, hea_small, rng)
+        assert batch.valid is None and np.all(batch.log_q_ratios == 0.0)
+        before = hea_small.energies(configs)
+        after = configs.copy()
+        for b in range(len(configs)):
+            batch.apply_row(b, after[b])
+        assert np.all((after != configs).sum(axis=1) == batch.sites.shape[1])
+        np.testing.assert_allclose(hea_small.energies(after) - before,
+                                   batch.delta_energies, atol=1e-9)
+        if proposal.preserves_composition:
+            for a, c in zip(after, configs):
+                assert np.array_equal(composition_counts(a, 4),
+                                      composition_counts(c, 4))
+
+    @pytest.mark.parametrize("make", [SwapProposal, FlipProposal])
+    def test_stacked_blocks_resolve_like_their_parts(self, hea_small, make):
+        """Rows are independent: stacking two teams' blocks changes nothing."""
+        rng = np.random.default_rng(8)
+        teams = [
+            np.stack([random_configuration(hea_small.n_sites, [14, 14, 13, 13],
+                                           rng=rng) for _ in range(k)])
+            for k in (3, 5)
+        ]
+        blocks = [make().draw_fields(c, hea_small, rng, 4) for c in teams]
+        assert blocks[0].key == blocks[1].key
+        both = blocks[0].stacked(blocks[1:])
+        stacked = np.concatenate(teams)
+        for step in range(4):
+            whole = both.resolve(step, stacked, np.arange(8), [])
+            parts = [b.resolve(step, c, np.arange(len(c)), [])
+                     for b, c in zip(blocks, teams)]
+            assert np.array_equal(whole, np.concatenate(parts))

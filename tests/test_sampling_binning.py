@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sampling import EnergyGrid
+from repro.sampling.binning import StackedGrids
 
 
 class TestUniformGrid:
@@ -102,3 +103,61 @@ class TestSubgrid:
     def test_repr(self):
         assert "uniform" in repr(EnergyGrid.uniform(0, 1, 2))
         assert "levels" in repr(EnergyGrid.from_levels([0.0, 1.0]))
+
+
+class TestStackedGrids:
+    """The campaign-wide lookup must equal each window's own index_array."""
+
+    CUTS = [(0, 7), (4, 11), (8, 15), (2, 3)]  # overlapping, out of order
+    ROWS = [3, 1, 4, 2]
+
+    def _check(self, grid, energies):
+        windows = [grid.subgrid(lo, hi) for lo, hi in self.CUTS]
+        stacked = StackedGrids(windows, self.ROWS)
+        n_rows = sum(self.ROWS)
+        owner = np.repeat(np.arange(len(windows)), self.ROWS)
+        for e in energies:
+            flat = stacked.index_rows(np.full(n_rows, e))
+            for r in range(n_rows):
+                w = owner[r]
+                own = int(windows[w].index_array(np.array([e]))[0])
+                want = -1 if own < 0 else stacked.offsets[w] + own
+                assert flat[r] == want, (e, r, w)
+        # every row at once, each with a different energy
+        mixed = np.resize(np.asarray(energies, dtype=np.float64), n_rows)
+        flat = stacked.index_rows(mixed)
+        for r in range(n_rows):
+            own = int(windows[owner[r]].index_array(mixed[r:r + 1])[0])
+            assert flat[r] == (-1 if own < 0 else stacked.offsets[owner[r]] + own)
+
+    def test_uniform_matches_per_window_lookup(self):
+        grid = EnergyGrid.uniform(-1.3, 2.9, 16)
+        edges = np.linspace(-1.3, 2.9, 17)  # every window edge, both global ends
+        nudged = np.concatenate([np.nextafter(edges, -np.inf),
+                                 np.nextafter(edges, np.inf)])
+        inside = 0.5 * (edges[:-1] + edges[1:])
+        outside = [-1.3 - 1e-9, -50.0, 2.9 + 1e-9, 50.0]
+        self._check(grid, np.concatenate([edges, nudged, inside, outside]))
+
+    def test_levels_match_per_window_lookup(self):
+        levels = np.arange(16) * 4.0 - 32.0
+        tol = 1e-6
+        grid = EnergyGrid.from_levels(levels, tol=tol)
+        shifts = [0.0, 0.5 * tol, -0.5 * tol, 2 * tol, -2 * tol, 1.7, -1.7]
+        energies = np.concatenate([levels + s for s in shifts] + [[-99.0, 99.0]])
+        self._check(grid, energies)
+
+    def test_offsets_follow_the_window_widths(self):
+        grid = EnergyGrid.uniform(0.0, 1.0, 16)
+        stacked = StackedGrids([grid.subgrid(lo, hi) for lo, hi in self.CUTS],
+                               self.ROWS)
+        assert stacked.offsets.tolist() == [0, 8, 16, 24, 26]
+
+    def test_windows_of_different_grids_rejected(self):
+        a = EnergyGrid.uniform(0.0, 1.0, 8).subgrid(0, 3)
+        b = EnergyGrid.uniform(0.0, 1.0, 7).subgrid(2, 5)
+        with pytest.raises(ValueError, match="cut from one grid"):
+            StackedGrids([a, b], [1, 1])
+        c = EnergyGrid.from_levels([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="one grid mode"):
+            StackedGrids([a, c], [1, 1])

@@ -189,6 +189,27 @@ class TestDriveIntoRange:
         driven = drive_into_range(ising_4x4, FlipProposal(), grid, cfg, rng=rng)
         assert grid.contains(ising_4x4.energy(driven))
 
+    @pytest.mark.parametrize("seed", [263, 281])
+    def test_edge_level_is_confirmed_by_the_recomputed_energy(self, hea_small, seed):
+        """The alloy's energies are whole meV, so a whole-meV window edge sits
+        on a level.  The running energy sum reaches that level a few ulps on
+        the inside, H(config) a few ulps on the outside: the steered walker
+        must be inside by the energy the samplers recompute and bin."""
+        from repro.lattice import equiatomic_counts, random_configuration
+        from repro.proposals import SwapProposal
+        from repro.sampling import BatchedWangLandauSampler
+
+        counts = equiatomic_counts(hea_small.n_sites, 4)
+        cfg = random_configuration(hea_small.n_sites, counts, rng=seed)
+        top = round(hea_small.energy(cfg) - 0.050, 3)
+        grid = EnergyGrid.uniform(top - 0.2, top, 8)
+        driven = drive_into_range(hea_small, SwapProposal(), grid, cfg, rng=seed)
+        assert grid.contains(hea_small.energy(driven))
+        BatchedWangLandauSampler(  # raised "lies outside the grid" before
+            hamiltonian=hea_small, proposal=SwapProposal(), grid=grid,
+            initial_config=np.tile(driven, (2, 1)), rng=0,
+        )
+
     def test_already_inside_returns_copy(self, ising_4x4):
         grid = EnergyGrid.uniform(-33.0, 33.0, 10)
         cfg = np.zeros(16, dtype=np.int8)
