@@ -19,7 +19,7 @@ from repro.nn.initializers import he_normal, zeros_init
 from repro.nn.layers import Dense, ReLU, Sequential
 from repro.nn.losses import categorical_cross_entropy_from_logits
 from repro.nn.optim import clip_gradients
-from repro.util.numerics import log_softmax, softmax
+from repro.util.numerics import log_softmax
 from repro.util.rng import as_generator
 
 __all__ = ["MADEConfig", "MADE"]
@@ -160,24 +160,30 @@ class MADE:
     # ------------------------------------------------------------- sampling
 
     def sample(self, n: int, rng, return_log_prob: bool = False):
-        """Draw ``n`` exact samples by sequential site-by-site decoding."""
+        """Draw ``n`` exact samples by sequential site-by-site decoding.
+
+        Each site costs one full-network forward whose NumPy fixed cost
+        barely depends on ``n``, so callers should ask for many rows at once
+        (:class:`~repro.proposals.dl_made.MADEProposal` draws a pool).  The
+        sampling probabilities are ``exp`` of the same ``log_softmax`` whose
+        picked entries sum to the returned ``log q``, which therefore equals
+        :meth:`log_prob` of the returned rows.
+        """
         rng = as_generator(rng)
         c = self.config
         x = np.zeros((n, c.n_sites, c.n_species), dtype=np.float64)
         configs = np.zeros((n, c.n_sites), dtype=np.int8)
         total_logp = np.zeros(n, dtype=np.float64)
+        rows = np.arange(n)
         for i in range(c.n_sites):
-            site_logits = self.logits(x)[:, i]
-            probs = softmax(site_logits, axis=-1)
-            cdf = np.cumsum(probs, axis=-1)
+            logp = log_softmax(self.logits(x)[:, i], axis=-1)
+            cdf = np.cumsum(np.exp(logp), axis=-1)
             u = rng.random((n, 1))
             picks = (u > cdf).sum(axis=-1)
             np.clip(picks, 0, c.n_species - 1, out=picks)
             configs[:, i] = picks
-            x[np.arange(n), i, picks] = 1.0
-            if return_log_prob:
-                logp = log_softmax(site_logits, axis=-1)
-                total_logp += logp[np.arange(n), picks]
+            x[rows, i, picks] = 1.0
+            total_logp += logp[rows, picks]
         if return_log_prob:
             return configs, total_logp
         return configs

@@ -70,6 +70,11 @@ class Workspace:
     def clear(self) -> None:
         self._buffers.clear()
 
+    def __getstate__(self):
+        # Scratch only, and keyed by ``id(layer)``: a copy could never find
+        # these buffers again, so it starts empty and allocates on first use.
+        return {"_buffers": {}}
+
     def __repr__(self) -> str:
         return f"Workspace(n_buffers={self.n_buffers}, nbytes={self.nbytes()})"
 

@@ -26,14 +26,20 @@ The batch API (:meth:`lookup_many` / :meth:`store_many`) lets a batched
 super-step in one model forward.
 
 Capacity is bounded FIFO: with B walkers in flight at most B entries are
-live, so the default capacity only matters as a safety net against leaks.
+live, and :meth:`CurrentLogQCache.lookup_many` keeps room for twice the batch
+it is asked about, so a team never evicts its own live entries; the bound
+only stops dead entries from piling up.
+
+:class:`CandidatePool` is the other half of an independence proposal's
+state: candidates drawn ahead of the chain, a block at a time (see
+:mod:`repro.proposals.dl_made`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CurrentLogQCache"]
+__all__ = ["CandidatePool", "CurrentLogQCache"]
 
 
 class CurrentLogQCache:
@@ -86,6 +92,9 @@ class CurrentLogQCache:
         """
         configs = np.atleast_2d(configs)
         B = configs.shape[0]
+        # Every row of this batch is live at once; twice that leaves room
+        # for the entries accepted moves are about to orphan.
+        self.capacity = max(self.capacity, 2 * B)
         keys = [
             self.key(configs[b], extras[b] if extras is not None else b"")
             for b in range(B)
@@ -150,3 +159,46 @@ class CurrentLogQCache:
             f"CurrentLogQCache(n={len(self._store)}, version={self.version}, "
             f"hit_rate={self.hit_rate:.2f})"
         )
+
+
+class CandidatePool:
+    """Rows of an independence proposal drawn ahead of the chain.
+
+    A pool is a tuple of parallel arrays (candidate configurations and
+    whatever was computed for each when it was drawn) with a cursor.
+    :meth:`take` hands out consecutive rows, each exactly once, and calls
+    ``refill`` for the next block whenever the cursor reaches the end.  The
+    rows of ``q`` are i.i.d. and depend on nothing in the chain, so a chain
+    that consumes them in order is the chain that draws them on demand.
+
+    Plain data: it pickles with the proposal that owns it, cursor included.
+    """
+
+    def __init__(self):
+        self.drop()
+
+    def drop(self) -> None:
+        """Forget the rows not yet handed out (the model changed)."""
+        self.columns: tuple = ()
+        self.size = 0
+        self.cursor = 0
+
+    def take(self, n: int, refill) -> tuple:
+        """The next ``n`` rows of every column, refilling as often as needed.
+
+        ``refill()`` returns the columns of a fresh block, equal-length
+        arrays.  Rows that lie in one block come back as views.
+        """
+        parts = []
+        while n or not parts:
+            if self.cursor == self.size:
+                self.columns = tuple(refill())
+                self.size = len(self.columns[0])
+                self.cursor = 0
+            stop = min(self.cursor + n, self.size)
+            parts.append(tuple(col[self.cursor:stop] for col in self.columns))
+            n -= stop - self.cursor
+            self.cursor = stop
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(cols) for cols in zip(*parts))

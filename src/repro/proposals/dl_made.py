@@ -8,15 +8,43 @@ the Boltzmann distribution to statistical tolerance; see
 ``tests/test_dl_proposals.py`` and the batched variant in
 ``tests/test_dl_batched.py``).
 
-Batched inference (:meth:`MADEProposal.propose_many`): a K-walker team
-costs **one** model sampling pass (``model.sample(K·tries)`` draws the whole
-candidate pool), one ``log_prob`` forward for the stale current rows, and
-one batched full-config energy evaluation — instead of K of each.  The
-current-configuration ``log q`` is cached per walker
-(:class:`~repro.proposals.cache.CurrentLogQCache`): rejected steps leave a
-walker's configuration unchanged, so its score is only recomputed after an
-accepted move (content key changes) or model retraining
-(:meth:`invalidate_cache`).
+Pooled candidates.  An independence proposal's candidates depend on nothing
+in the chain, and one ``MADE.sample`` call costs ``n_sites`` full-network
+forwards whose NumPy fixed cost ignores the row count, so candidates are
+drawn ahead, a block at a time: when the
+:class:`~repro.proposals.cache.CandidatePool` runs dry, **one**
+``model.sample(rows, rng, return_log_prob=True)`` call refills it and, in
+``composition="free"`` (every row is a usable candidate), **one**
+``hamiltonian.energies(pool)`` call prices the block.  :meth:`MADEProposal.
+propose` and :meth:`~MADEProposal.propose_many` hand out consecutive rows
+with the ``log q`` (and energy) they already carry; a row is handed out
+once.  Pre-drawn i.i.d. rows of ``q`` *are* the independence sampler, so
+detailed balance is untouched.  What depends on the chain stays at consume
+time:
+
+- ``"reject"`` / ``"repair"``: each proposing row scans its own
+  ``max_reject_tries`` consecutive pool rows for the first one on its
+  composition manifold; ``"repair"`` projects the first of them when none
+  matches and re-scores the projection; the chosen candidates are priced
+  with one ``hamiltonian.energies`` call per batch;
+- ``log q`` of the current configuration, cached per walker
+  (:class:`~repro.proposals.cache.CurrentLogQCache`): rejected steps leave
+  a configuration unchanged, so it is re-scored only after an accepted move
+  (its content key changes).
+
+The pool is ordinary proposal state.  It pickles with the sampler (REWL
+checkpoints, supervisor snapshots, shm ranks) and a restored sampler
+continues with the very next row; :meth:`MADEProposal.invalidate_cache`
+drops it together with the ``log q`` cache, because rows drawn from the old
+weights are not samples of the retrained ``q``.  A refill draws from the
+``rng`` of the call that found the pool dry, so a trajectory is still a pure
+function of seed and call sequence, and ``propose`` is ``propose_many`` on
+one row: B scalar calls and one B-row call hand out the same candidates in
+the same order.  (In ``"repair"`` the projection draws from ``rng`` after
+the call's refills; the two agree there whenever no refill falls inside the
+B-row call, e.g. always when ``B * max_reject_tries`` divides the block.)
+A proposal serves one Hamiltonian: ``"free"`` rows carry the energy the
+refilling call's Hamiltonian gave them.
 """
 
 from __future__ import annotations
@@ -28,17 +56,23 @@ from repro.lattice.configuration import one_hot
 from repro.nn.models.made import MADE
 from repro.nn.workspace import Workspace
 from repro.proposals.base import BatchMove, Move, Proposal
-from repro.proposals.cache import CurrentLogQCache
+from repro.proposals.cache import CandidatePool, CurrentLogQCache
 from repro.proposals.composition import (
     COMPOSITION_MODES,
     composition_counts_rows,
     first_match_per_row,
-    matches_composition,
     repair_composition,
 )
 from repro.util.validation import check_integer
 
 __all__ = ["MADEProposal"]
+
+#: Rows one pool refill draws.  Per-row sampling cost flattens out near a
+#: thousand rows (109 us at 10 rows, 12 us at 1024 on the reference box).
+_POOL_ROWS = 1024
+#: ...capped so that ``MADE.sample``'s float64 one-hot scratch, ``rows x
+#: n_sites x n_species``, stays within this many bytes on large cells.
+_POOL_SCRATCH_BYTES = 8 << 20
 
 
 class MADEProposal(Proposal):
@@ -52,7 +86,8 @@ class MADEProposal(Proposal):
         cancels); ``"repair"`` trades exactness for acceptance like the VAE
         (see :mod:`repro.proposals.composition`).
     max_reject_tries : int
-        Batch size for ``"reject"`` draws (per walker in the batched path).
+        Consecutive pool rows each proposing row scans in ``"reject"`` and
+        ``"repair"``.
     """
 
     is_global = True
@@ -68,6 +103,7 @@ class MADEProposal(Proposal):
         self.preserves_composition = composition != "free"
         self.name = f"made({composition})"
         self._logq_cache = CurrentLogQCache()
+        self._pool = CandidatePool()
         #: Pooled layer intermediates for the model's forwards (sampling,
         #: scoring, and training all reuse the same shape-keyed buffers;
         #: binding is semantics-preserving — see :mod:`repro.nn.workspace`).
@@ -75,86 +111,65 @@ class MADEProposal(Proposal):
         self.model.bind_workspace(self.workspace)
 
     def propose(self, config, hamiltonian: Hamiltonian, rng, current_energy=None):
-        c = np.asarray(config)
-        n_species = self.model.config.n_species
-
-        if self.composition == "free":
-            candidate, logq_new = self.model.sample(1, rng, return_log_prob=True)
-            candidate, logq_new = candidate[0], float(logq_new[0])
-        else:
-            target = np.bincount(c.astype(np.int64), minlength=n_species)
-            batch, logps = self.model.sample(self.max_reject_tries, rng, return_log_prob=True)
-            candidate = logq_new = None
-            for row, lp in zip(batch, logps):
-                if matches_composition(row, target):
-                    candidate, logq_new = row, float(lp)
-                    break
-            if candidate is None:
-                if self.composition == "reject":
-                    return None
-                candidate = repair_composition(batch[0], target, rng)
-                logq_new = float(
-                    self.model.log_prob(one_hot(candidate[None], n_species))[0]
-                )
-
-        logq_old = self._log_q_current(c)
-        if current_energy is None:
-            current_energy = hamiltonian.energy(c)
-        new_energy = float(hamiltonian.energy(candidate))
-        return Move(
-            sites=np.arange(hamiltonian.n_sites),
-            new_values=candidate.astype(c.dtype),
-            delta_energy=new_energy - float(current_energy),
-            log_q_ratio=logq_old - logq_new,
+        """:meth:`propose_many` on the one row."""
+        batch = self.propose_many(
+            np.asarray(config)[None], hamiltonian, rng,
+            current_energies=None if current_energy is None
+            else np.array([current_energy], dtype=np.float64),
         )
-
-    # ------------------------------------------------------------- batched
+        if batch.valid is not None:
+            return None
+        return Move(
+            sites=batch.sites[0],
+            new_values=batch.new_values[0],
+            delta_energy=float(batch.delta_energies[0]),
+            log_q_ratio=float(batch.log_q_ratios[0]),
+        )
 
     def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
                      current_energies=None) -> BatchMove:
-        """One candidate pool, one scoring forward, one energy pass for B rows.
+        """The next pool rows as B candidates, one scoring forward for the
+        stale current rows, and no model sampling unless the pool ran dry.
 
-        Per composition mode the candidate pool is ``model.sample(B)``
-        (``"free"``/the repair base draws) or ``model.sample(B·tries)``
-        chunked ``tries`` per row with first-match assignment (``"reject"``,
-        and the repair fast path) — per-row semantics identical to the
-        scalar kernel, so ``B=1`` draws the very same candidate from the
-        same RNG stream.
+        ``"free"`` hands out B rows with their carried ``log q`` and energy;
+        ``"reject"``/``"repair"`` hand out ``B·tries`` rows, ``tries`` per
+        row with first-match assignment, and price the chosen candidates in
+        one batched energy evaluation.
         """
         configs = np.atleast_2d(np.asarray(configs))
         B = configs.shape[0]
-        n_species = self.model.config.n_species
         valid = None
 
         if self.composition == "free":
-            candidates, logq_new = self.model.sample(B, rng, return_log_prob=True)
+            candidates, logq_new, new_energies = self._take(B, hamiltonian, rng)
         else:
+            n_species = self.model.config.n_species
             tries = self.max_reject_tries
-            pool, pool_lp = self.model.sample(B * tries, rng, return_log_prob=True)
+            pool, pool_lp = self._take(B * tries, hamiltonian, rng)
             pool = pool.reshape(B, tries, -1)
             pool_lp = pool_lp.reshape(B, tries)
             targets = composition_counts_rows(configs, n_species)
             first, has = first_match_per_row(pool, targets)
             rows = np.arange(B)
             candidates = pool[rows, first]
-            logq_new = pool_lp[rows, first].copy()
+            logq_new = pool_lp[rows, first]
             miss = np.nonzero(~has)[0]
             if self.composition == "reject":
                 if len(miss):
                     valid = has
                     candidates[miss] = configs[miss]  # no-op rows, never applied
-                    logq_new[miss] = 0.0
             elif len(miss):
                 repaired = np.stack([
                     repair_composition(pool[b, 0], targets[b], rng) for b in miss
                 ])
                 candidates[miss] = repaired
                 logq_new[miss] = self.model.log_prob(one_hot(repaired, n_species))
+            new_energies = hamiltonian.energies(candidates)
 
         logq_old = self._log_q_current_many(configs)
         if current_energies is None:
             current_energies = hamiltonian.energies(configs)
-        delta = hamiltonian.energies(candidates) - np.asarray(current_energies, dtype=np.float64)
+        delta = new_energies - np.asarray(current_energies, dtype=np.float64)
         log_q = logq_old - logq_new
         if valid is not None:
             delta[~valid] = 0.0
@@ -163,14 +178,19 @@ class MADEProposal(Proposal):
 
     # ----------------------------------------------------------- internals
 
-    def _log_q_current(self, config: np.ndarray) -> float:
-        key = CurrentLogQCache.key(config)
-        value = self._logq_cache.get(key)
-        if value is None:
-            value = float(self.model.log_prob(one_hot(config[None],
-                                                      self.model.config.n_species))[0])
-            self._logq_cache.put(key, value)
-        return value
+    def _take(self, n: int, hamiltonian: Hamiltonian, rng) -> tuple:
+        """The next ``n`` pool rows: ``(configs, log q)``, and in ``"free"``,
+        where every row is a candidate, ``energies``."""
+
+        def refill():
+            c = self.model.config
+            rows = max(1, min(_POOL_ROWS, _POOL_SCRATCH_BYTES // (8 * c.input_dim)))
+            block = self.model.sample(rows, rng, return_log_prob=True)
+            if self.composition == "free":
+                block += (hamiltonian.energies(block[0]),)
+            return block
+
+        return self._pool.take(n, refill)
 
     def _log_q_current_many(self, configs: np.ndarray) -> np.ndarray:
         values, missing, keys = self._logq_cache.lookup_many(configs)
@@ -182,5 +202,7 @@ class MADEProposal(Proposal):
         return values
 
     def invalidate_cache(self) -> None:
-        """Drop cached ``log q`` values (call after retraining the model)."""
+        """Drop cached ``log q`` values and the pooled candidates, both of
+        which belong to the old weights (call after retraining the model)."""
         self._logq_cache.invalidate()
+        self._pool.drop()

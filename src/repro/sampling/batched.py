@@ -25,9 +25,10 @@ Two paths run super-steps.  Local (swap/flip) proposals go through
 whole ``steps(n)`` call at once, and the super-steps of every team that
 advances together run as one array program with team state written back
 once per block.  Proposals without a draw/resolve split — the deep-learning
-proposals, whose ``propose_many`` overrides (DESIGN.md §12) run one model
-sampling pass, one density-scoring forward and one batched full-config
-energy evaluation per walker team, and mixtures of them — go through
+proposals, whose ``propose_many`` overrides (DESIGN.md §12) hand out
+pooled candidates (MADE) or run one model sampling pass (VAE, cMADE), then
+one density-scoring forward and at most one batched full-config energy
+evaluation per walker team, and mixtures of them — go through
 :meth:`BatchedWangLandauSampler.step_batch`, one ``propose_many`` and one
 ``commit_batch`` per super-step (``tests/test_dl_batched.py`` pins that this
 path reproduces exact enumeration).

@@ -6,10 +6,11 @@ same candidate distribution, same (exact) proposal-density corrections,
 same composition semantics — just evaluated one model forward per walker
 team instead of per walker.  Three layers of checks:
 
-1. **Bit-level**: at ``B=1`` the MADE batched path consumes the identical
-   RNG draws as the scalar path (``sample(1·tries) == sample(tries)``), so
-   candidates, ``log_q_ratio`` and ``delta_energy`` must match exactly;
-   the workspace-bound model must be bit-identical to the unbound one.
+1. **Bit-level**: the MADE scalar path is the batched path on one row, and
+   both hand out consecutive rows of one candidate pool, so B scalar calls
+   and one B-row call give the same candidates, ``log_q_ratio`` and
+   ``delta_energy`` exactly; a pickled sampler continues bit for bit; the
+   workspace-bound model must be bit-identical to the unbound one.
 2. **Row-level**: every batched row's ``log_q_ratio`` equals directly
    evaluated model densities (exact for MADE/cMADE, including the
    reverse-conditioning correction), ``delta_energies`` match recomputed
@@ -19,11 +20,14 @@ team instead of per walker.  Three layers of checks:
    enumerated 3x3 Ising density of states.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.dos import exact_ising_dos_bruteforce
 from repro.hamiltonians import IsingHamiltonian, enumerate_density_of_states
-from repro.lattice import composition_counts, one_hot, square_lattice
+from repro.lattice import Lattice, composition_counts, one_hot, square_lattice
 from repro.nn import (
     MADE,
     ConditionalMADE,
@@ -43,12 +47,15 @@ from repro.proposals import (
     Proposal,
     VAEProposal,
 )
+from repro.parallel import REWLConfig, REWLDriver
+from repro.proposals import dl_made
+from repro.proposals.cache import CandidatePool, CurrentLogQCache
 from repro.proposals.composition import (
     composition_counts_rows,
     first_match_per_row,
 )
-from repro.sampling import EnergyGrid, WLConfig, make_wang_landau
-from repro.training import ReplayBuffer
+from repro.sampling import EnergyGrid, MetropolisSampler, WLConfig, make_wang_landau
+from repro.training import ProposalTrainer, ReplayBuffer
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +95,9 @@ def _configs(n_rows, n_sites, seed, n_species=2):
 class TestBatchedEqualsScalar:
     @pytest.mark.parametrize("composition", ["free", "reject"])
     def test_made_b1_identical_to_scalar(self, tiny_ising, made9, composition):
-        """B=1 batched MADE draws the very same candidate as scalar.
-
-        Free mode: ``sample(1)`` either way.  Reject mode: the batched pool
-        is ``sample(1·tries)`` — the same array the scalar scan draws — and
-        first-match-per-row is the same scan.
-        """
+        """B=1 batched MADE hands out the very same candidate as scalar:
+        the first pool row (free) or the first match among the first
+        ``tries`` pool rows (reject) of equally seeded pools."""
         cfg = _configs(1, 9, seed=11)[0]
         e0 = float(tiny_ising.energy(cfg))
 
@@ -274,6 +278,189 @@ class TestCurrentLogQCaching:
         prop.propose_many(cfg[None], tiny_ising, rng,
                           current_energies=np.zeros(1))
         assert prop._logq_cache.misses == before  # batched hit the scalar's entry
+
+    def test_a_team_larger_than_the_cache_keeps_its_own_entries(self):
+        """300 live rows against the 256-entry default: the FIFO used to
+        evict the head of the very batch it was storing, forever."""
+        cache = CurrentLogQCache()
+        configs = (np.arange(300)[:, None] >> np.arange(9)) & 1  # 300 distinct rows
+        values, missing, keys = cache.lookup_many(configs)
+        assert missing.all()
+        cache.store_many(keys, missing, values, np.arange(300.0))
+        values, missing, _ = cache.lookup_many(configs)
+        assert not missing.any()
+        assert np.array_equal(values, np.arange(300.0))
+        assert cache.capacity >= 600
+
+
+# ------------------------------------------------------------ candidate pool
+
+
+def _perturbed(model, seed, scale=0.7):
+    """Give an untrained MADE (zero output layer = uniform q) real weights."""
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        p.value += scale * rng.standard_normal(p.value.shape)
+    return model
+
+
+def _handed_out(prop, model, ham, configs, bmove):
+    """(candidates, log q, energies) a ``propose_many`` call handed out."""
+    logq_old = model.log_prob(one_hot(configs, 2))
+    return (bmove.new_values, logq_old - bmove.log_q_ratios,
+            ham.energies(configs) + bmove.delta_energies)
+
+
+class TestCandidatePool:
+    def test_take_hands_out_each_row_once_across_refills(self):
+        blocks = iter([np.arange(0, 5), np.arange(5, 10), np.arange(10, 15)])
+        pool = CandidatePool()
+        refill = lambda: (block := next(blocks), 10 * block)
+        got = [pool.take(n, refill) for n in (3, 4, 6)]
+        assert [list(rows) for rows, _ in got] == [[0, 1, 2], [3, 4, 5, 6],
+                                                   [7, 8, 9, 10, 11, 12]]
+        assert all(np.array_equal(tens, 10 * rows) for rows, tens in got)
+        assert (pool.cursor, pool.size) == (3, 5)
+        pool.drop()
+        assert (pool.cursor, pool.size) == (0, 0)
+
+    def test_consumed_rows_are_iid_draws_of_q_with_their_log_q_and_energy(self):
+        """4-site ring, all 16 states: chi-square of 3000 consumed candidates
+        (two refills, both falling inside a 7-row call) against exp(log q),
+        and each row carries its own log q and energy."""
+        ham = IsingHamiltonian(Lattice(np.eye(1), (4,), [[0.0]], name="ring"))
+        model = _perturbed(MADE(MADEConfig(n_sites=4, n_species=2, hidden=(16,)), rng=3), 4, 0.25)
+        prop = MADEProposal(model, composition="free")
+        rng = np.random.default_rng(5)
+        configs = _configs(7, 4, seed=6)
+        seen = []
+        while sum(len(c) for c, _, _ in seen) < 3000:
+            bmove = prop.propose_many(configs, ham, rng)
+            seen.append(_handed_out(prop, model, ham, configs, bmove))
+        cands, logq, energies = (np.concatenate(col) for col in zip(*seen))
+
+        assert np.allclose(logq, model.log_prob(one_hot(cands, 2)), rtol=0, atol=1e-10)
+        assert np.allclose(energies, [ham.energy(c) for c in cands], rtol=0, atol=1e-12)
+        # nothing but refills drew from rng: the rows are the model's blocks
+        replay = np.random.default_rng(5)
+        blocks = np.concatenate([model.sample(1024, replay) for _ in range(3)])
+        assert np.array_equal(cands, blocks[:len(cands)])
+
+        states = np.array([[(s >> i) & 1 for i in range(4)] for s in range(16)], dtype=np.int8)
+        expected = len(cands) * np.exp(model.log_prob(one_hot(states, 2)))
+        counts = np.bincount(cands @ (1 << np.arange(4)), minlength=16)
+        assert expected.min() > 5.0
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 44.3  # chi-square, 15 dof, p = 1e-4
+
+    @pytest.mark.parametrize("composition,tries,B,calls", [
+        ("free", 64, 5, 210),    # 1024 % 5 != 0: the refill falls inside a call
+        ("reject", 6, 5, 40),    # 1024 % 6 != 0: and inside one row's chunk
+        ("repair", 4, 4, 70),    # B * tries divides the block (module docstring)
+    ])
+    def test_scalar_calls_and_one_batched_call_hand_out_the_same_rows(
+            self, tiny_ising, made9, composition, tries, B, calls):
+        scalar = MADEProposal(made9, composition=composition, max_reject_tries=tries)
+        batched = MADEProposal(made9, composition=composition, max_reject_tries=tries)
+        rng_s, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+        configs = np.stack([np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)] * B)
+        e0 = tiny_ising.energies(configs)
+        nulls = 0
+        for _ in range(calls):
+            bmove = batched.propose_many(configs, tiny_ising, rng_b, current_energies=e0)
+            for b in range(B):
+                move = scalar.propose(configs[b], tiny_ising, rng_s, current_energy=e0[b])
+                if move is None:
+                    nulls += 1
+                    assert not bmove.valid[b]
+                    continue
+                assert bmove.valid is None or bmove.valid[b]
+                assert np.array_equal(move.new_values, bmove.new_values[b])
+                assert move.log_q_ratio == bmove.log_q_ratios[b]
+                assert move.delta_energy == bmove.delta_energies[b]
+        assert batched._pool.cursor == scalar._pool.cursor
+        assert calls * B * (1 if composition == "free" else tries) > 1024
+        assert (nulls > 0) == (composition == "reject")
+
+    def test_pool_rows_are_capped_by_the_scratch_budget(self, monkeypatch):
+        ham = IsingHamiltonian(Lattice(np.eye(1), (4,), [[0.0]], name="ring"))
+        model = MADE(MADEConfig(n_sites=4, n_species=2, hidden=(8,)), rng=0)
+        prop = MADEProposal(model, composition="free")
+        monkeypatch.setattr(dl_made, "_POOL_SCRATCH_BYTES", 10 * 4 * 2 * 8)
+        prop.propose_many(_configs(3, 4, seed=1), ham, np.random.default_rng(0))
+        assert (prop._pool.cursor, prop._pool.size) == (3, 10)
+
+    def test_pickled_mid_pool_sampler_continues_bit_for_bit(self, tiny_ising, made9):
+        grid = EnergyGrid.from_levels(tiny_ising.energy_levels())
+        mix = MixtureProposal([
+            (FlipProposal(), 0.7),
+            (MADEProposal(_perturbed(MADE(made9.config, rng=1), 2), composition="free"), 0.3),
+        ])
+        wl = make_wang_landau(
+            hamiltonian=tiny_ising, proposal=mix, grid=grid,
+            initial_config=np.zeros(9, dtype=np.int8), rng=3,
+            config=WLConfig(batch_size=8),
+        )
+        for _ in range(60):
+            wl.step_batch()
+        pool = mix.proposals[1]._pool
+        assert 0 < pool.cursor < pool.size
+        blob = pickle.dumps(wl)
+        assert len(blob) < 200_000  # pool and weights, not the forward scratch
+        restored = pickle.loads(blob)
+        assert restored.proposal.proposals[1]._pool.cursor == pool.cursor
+        for sampler in (wl, restored):
+            for _ in range(600):  # through the next refill
+                sampler.step_batch()
+        assert np.array_equal(wl.ln_g, restored.ln_g)
+        assert np.array_equal(wl.configs, restored.configs)
+        assert np.array_equal(wl.histogram, restored.histogram)
+        assert restored.proposal.proposals[1]._pool.cursor == pool.cursor
+
+    def test_mixture_rewl_campaign_is_the_same_on_every_backend(self):
+        ham = IsingHamiltonian(square_lattice(4))
+        model = _perturbed(MADE(MADEConfig(n_sites=16, n_species=2, hidden=(24,)), rng=5), 6, 0.3)
+
+        def run(backend, **over):
+            driver = REWLDriver(
+                hamiltonian=ham, grid=EnergyGrid.from_levels(ham.energy_levels()),
+                proposal_factory=lambda: MixtureProposal([
+                    (FlipProposal(), 0.7),
+                    (MADEProposal(model, composition="free"), 0.3),
+                ]),
+                initial_config=np.zeros(16, dtype=np.int8),
+                config=REWLConfig(n_windows=2, walkers_per_window=3, overlap=0.6,
+                                  exchange_interval=100, ln_f_final=5e-2, seed=9,
+                                  batched_walkers=True, backend=backend, **over),
+            )
+            try:
+                return driver.run(max_rounds=40)
+            finally:
+                driver.close()
+
+        serial = run("serial")
+        assert serial.total_steps > 0
+        for other in (run("fused"), run("shm", shm_ranks=2)):
+            assert other.rounds == serial.rounds
+            assert other.total_steps == serial.total_steps
+            np.testing.assert_array_equal(other.exchange_accepts, serial.exchange_accepts)
+            for x, y in zip(other.window_ln_g, serial.window_ln_g):
+                np.testing.assert_array_equal(x, y)
+
+    def test_invalidate_drops_rows_drawn_from_the_old_weights(self, tiny_ising, made9):
+        model = _perturbed(MADE(made9.config, rng=7), 8)
+        prop = MADEProposal(model, composition="free")
+        rng = np.random.default_rng(9)
+        configs = _configs(4, 9, seed=10)
+        prop.propose_many(configs, tiny_ising, rng)
+        assert prop._pool.cursor < prop._pool.size
+        _perturbed(model, 11, scale=0.3)  # "retraining"
+        prop.invalidate_cache()
+        assert prop._pool.size == 0
+        bmove = prop.propose_many(configs, tiny_ising, rng)
+        _, logq, _ = _handed_out(prop, model, tiny_ising, configs, bmove)
+        assert np.allclose(logq, model.log_prob(one_hot(bmove.new_values, 2)),
+                           rtol=0, atol=1e-10)
 
 
 # ------------------------------------------------------------------- mixture
@@ -481,3 +668,65 @@ class TestBatchedMADEChainExactness:
         est = np.array(est) - est[0]
         ex = np.array(ex) - ex[0]
         assert np.abs(est - ex).max() < 0.5
+
+
+class _NoRatioMADEProposal(MADEProposal):
+    """The bug the exactness checks exist to catch: the MH q-ratio dropped."""
+
+    def propose_many(self, configs, hamiltonian, rng, current_energies=None):
+        batch = super().propose_many(configs, hamiltonian, rng, current_energies)
+        batch.log_q_ratios[:] = 0.0
+        return batch
+
+
+class TestPooledMixtureAgainstEnumeration:
+    """The spine's ``ising_dl_mixed`` campaign in miniature: 4x4 Ising, a MADE
+    trained on a multi-temperature harvest, 70/30 flip/MADE through
+    ``make_wang_landau(batch_size=32)``, against the 2^16-state enumeration."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        ham = IsingHamiltonian(square_lattice(4))
+        start = np.zeros(16, dtype=np.int8)
+        buffer = ReplayBuffer(2048, 16, 2)
+        for i, beta in enumerate((0.1, 0.25, 0.4, 0.55)):
+            chain = MetropolisSampler(ham, FlipProposal(), beta, start, rng=100 + i)
+            chain.run(200)
+            chain.run(128 * 8, callback=lambda s, _k: buffer.add(s.config),
+                      callback_every=8)
+        model = MADE(MADEConfig(n_sites=16, n_species=2, hidden=(96,)), rng=1)
+        ProposalTrainer(model, buffer, lr=3e-3, batch_size=64, rng=2).train_steps(400)
+        levels, degens = exact_ising_dos_bruteforce(4)
+        exact = {float(e): float(np.log(d)) for e, d in zip(levels, degens)}
+        return ham, model, exact
+
+    @staticmethod
+    def _errors(system, proposal_cls, seed):
+        """Per-level error of the mean-centred ln g of one campaign."""
+        ham, model, exact = system
+        grid = EnergyGrid.from_levels(ham.energy_levels())
+        wl = make_wang_landau(
+            hamiltonian=ham, grid=grid, rng=seed,
+            proposal=MixtureProposal([
+                (FlipProposal(), 0.7),
+                (proposal_cls(model, composition="free"), 0.3),
+            ]),
+            initial_config=np.zeros(16, dtype=np.int8),
+            config=WLConfig(batch_size=32, check_interval=500, ln_f_final=3e-3),
+        )
+        res = wl.run(max_steps=5_000_000)
+        real = np.array([float(e) in exact for e in grid.centers])
+        assert res.converged and np.array_equal(res.visited, real)
+        got = res.ln_g[real]
+        want = np.array([exact[float(e)] for e in grid.centers[real]])
+        return (got - got.mean()) - (want - want.mean())
+
+    def test_rms_ln_g_is_unbiased_over_seeds_and_a_dropped_ratio_is_not(self, system):
+        errors = np.array([self._errors(system, MADEProposal, s) for s in range(8)])
+        rms = np.sqrt((errors ** 2).mean(axis=1))
+        assert rms.max() < 1.0  # the spine's tolerance
+        z = errors.mean(axis=0) / (errors.std(axis=0, ddof=1) / np.sqrt(len(errors)))
+        assert np.abs(z).max() < 5.0
+
+        broken = self._errors(system, _NoRatioMADEProposal, 0)
+        assert np.sqrt((broken ** 2).mean()) > 2.0  # reads ~3; honest seeds 0.2-0.4
