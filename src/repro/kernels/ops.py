@@ -2,31 +2,37 @@
 
 These free functions are the single implementation of the pair-model hot
 path; :class:`repro.hamiltonians.pair.PairHamiltonian` delegates every
-energy method here.  Three shapes of batching appear, named consistently:
+energy method here.  Each move kind has two implementations:
 
 - *scalar* (``energy``, ``delta_swap``, ``delta_flip``) — one config, one
   move.  These are kept **operation-for-operation identical** to the
   pre-kernel implementations so single-walker trajectories stay
   bit-identical (tested in ``tests/test_batched_wl.py``).
-- ``*_alternatives`` — one config, many *hypothetical* moves; every ΔE is
-  relative to the same starting configuration (multiple-try MC, DL
-  proposal re-scoring).
-- ``*_many`` — a batch of configs, one move per config; this is the
-  batched multi-walker WL stepping shape (each row is an independent
-  walker).
+- *one gather core* (``_repaint_delta``) behind four thin wrappers:
+  ``*_many`` — a batch of configs, one move per config, the multi-walker WL
+  stepping shape — and ``*_alternatives`` — one config, many *hypothetical*
+  moves (multiple-try MC, DL proposal re-scoring), which is the same call
+  with every row reading the one config.
 
-All batched kernels are pure numpy gathers with no Python per-neighbor or
-per-shell loop: species keys from the fused ``cat_table`` index one
-``diff_rows`` row per move, and swap kernels price shared i–j bonds via the
-column-indexed ``corr_by_col`` stack.
+The core (DESIGN.md §11) works on the raveled config plane with every
+intermediate laid out ``(z, ends, rows)`` so each NumPy call's inner loop
+runs along the long row axis: neighbor sites out of ``cat_table_T``, plus
+``row * n_sites``, one int8 ``take``, shell and species-pair key offsets,
+one ``take`` from ``diff_flat``, one sum.  A swap prices both ends in one
+pass — end ``j`` keyed by the reversed pair, so the halves add — and a
+shared i–j bond reads ``diff_flat``'s all-zero *null key*, which is its
+exact contribution (swapping a bond's two ends leaves its energy alone).
+
+Index safety: a site ``>= n_sites`` raises ``IndexError`` (the table
+``take`` sees the raw site before any address is formed), and so does a
+negative site — the flat address would otherwise read the previous row.
+Species are not range-checked.
 
 Dtype discipline (DESIGN.md §17): configurations are **int8 end to end**.
 The kernels never up-cast them — species gathered from an int8 config stay
-int8 (fancy indexing accepts any integer dtype), and adding the int16
-``shell_offsets`` promotes keys only to int16.  The old per-call
-``astype(int64)`` copies cost ``8 × B × n_sites`` bytes of traffic
-per super-step at campaign scale; a float-dtype config is a caller bug and
-raises instead of being silently truncated.
+int8, adding the int16 ``shell_offsets`` promotes keys only to int16, and
+only flat addresses are index-width.  A float-dtype config is a caller bug
+and raises instead of being silently truncated.
 """
 
 from __future__ import annotations
@@ -121,97 +127,69 @@ def delta_flip(t: PairTables, config: np.ndarray, site: int, new_species: int) -
     return float(delta)
 
 
-# ------------------------------------------- one config, many alternatives
+# ------------------------------------------------- the batched gather core
 
 
-def delta_swap_alternatives(t: PairTables, config: np.ndarray, ii, jj) -> np.ndarray:
-    """ΔE for many independent *alternative* swaps on one config.
+def _repaint_delta(t: PairTables, configs, sites, new=None) -> np.ndarray:
+    """ΔE of repainting ``sites[:, r]`` in row ``r``'s config: ``(H, R) -> (R,)``.
 
-    Every ΔE is relative to the same starting ``config``; shape
-    ``(M,), (M,) -> (M,)``.
+    The one batched ΔE implementation.  ``new`` gives the species each site
+    is repainted to (a flip, ``H = 1``); ``new=None`` is a swap (``H = 2``):
+    each end takes the other's species and positions holding the i–j bond
+    read the null key.  A single 1-D config (or a one-row batch) is read by
+    every move — the ``*_alternatives`` shape.
     """
-    config = _as_int_configs(config)
-    ii = np.asarray(ii)
-    jj = np.asarray(jj)
-    aa = config[ii]
-    bb = config[jj]
-    rows = t.diff_rows[aa, bb]                       # (M, S*n_shells)
-    nbr_i = t.cat_table[ii]                          # (M, Z)
-    keys_i = config[nbr_i] + t.shell_offsets
-    keys_j = config[t.cat_table[jj]] + t.shell_offsets
-    delta = (
-        np.take_along_axis(rows, keys_i, axis=1).sum(axis=1)
-        - np.take_along_axis(rows, keys_j, axis=1).sum(axis=1)
-    )
-    hits = nbr_i == jj[:, None]                      # (M, Z)
-    if hits.any():
-        delta -= (hits * t.corr_by_col[:, aa, bb].T).sum(axis=1)
-    same = (aa == bb) | (ii == jj)
-    delta[same] = 0.0
-    return delta
-
-
-def delta_flip_alternatives(t: PairTables, config: np.ndarray, sites, new_species) -> np.ndarray:
-    """ΔE for many independent *alternative* flips on one config."""
-    config = _as_int_configs(config)
-    sites = np.asarray(sites)
-    new = np.asarray(new_species)
-    old = config[sites]
-    rows = t.diff_rows[old, new]                     # (M, S*n_shells)
-    keys = config[t.cat_table[sites]] + t.shell_offsets
-    delta = np.take_along_axis(rows, keys, axis=1).sum(axis=1)
-    if t.field is not None:
-        delta += t.field[new] - t.field[old]
-    delta[old == new] = 0.0
-    return delta
-
-
-# ------------------------------------------- config batch, one move per row
+    configs = _as_int_configs(configs)
+    if sites.size and sites.min() < 0:
+        raise IndexError("negative site index in a batched ΔE kernel")
+    n_rows = sites.shape[1]
+    if configs.ndim == 2 and configs.shape[0] not in (1, n_rows):
+        raise ValueError(f"{n_rows} moves for {configs.shape[0]} config rows")
+    if n_rows == 1:
+        # NumPy sums a lone column pairwise and two or more term by term;
+        # price it twice so a row's ΔE never depends on its batch.
+        sites = np.repeat(sites, 2, axis=1)
+    nbr = t.cat_table_T.take(sites, axis=1)          # (z, H, R); bad site raises
+    base = np.arange(0, configs.size, configs.shape[-1])
+    nbr = nbr + base                                 # flat addresses, row by row
+    sites = sites + base
+    flat = configs.reshape(-1)
+    old = flat.take(sites)
+    row_of, col_of = t.pair_offsets
+    pair = row_of.take(old)
+    pair += col_of.take(old[::-1] if new is None else new)
+    keys = flat.take(nbr) + t.shell_offsets[:, None, None]
+    if new is None:
+        np.putmask(keys, nbr == sites[::-1], t.diff_rows.shape[2])
+    delta = t.diff_flat.take(keys + pair).sum(axis=(0, 1))
+    if new is not None and t.field is not None:
+        delta += t.field[new] - t.field[old[0]]
+    return delta[:n_rows]
 
 
 def delta_swap_many(t: PairTables, configs: np.ndarray, ii, jj) -> np.ndarray:
     """ΔE of one swap per config row: ``(B, n_sites), (B,), (B,) -> (B,)``.
 
     The multi-walker stepping kernel: row ``b`` prices the swap
-    ``(ii[b], jj[b])`` on walker ``b``'s configuration.  Configs are
-    consumed at their native (int8) dtype — no up-cast copies.
+    ``(ii[b], jj[b])`` on walker ``b``'s configuration.
     """
-    configs = np.atleast_2d(_as_int_configs(configs))
-    ii = np.asarray(ii)
-    jj = np.asarray(jj)
-    rows_idx = np.arange(configs.shape[0])
-    aa = configs[rows_idx, ii]
-    bb = configs[rows_idx, jj]
-    nbr_i = t.cat_table[ii]                          # (B, Z)
-    keys_i = configs[rows_idx[:, None], nbr_i] + t.shell_offsets
-    keys_j = configs[rows_idx[:, None], t.cat_table[jj]] + t.shell_offsets
-    a_col, b_col = aa[:, None], bb[:, None]
-    diff = t.diff_rows                               # (S, S, S*n_shells)
-    delta = (
-        diff[a_col, b_col, keys_i].sum(axis=1)
-        - diff[a_col, b_col, keys_j].sum(axis=1)
-    )
-    hits = nbr_i == jj[:, None]                      # (B, Z)
-    if hits.any():
-        delta -= (hits * t.corr_by_col[:, aa, bb].T).sum(axis=1)
-    same = (aa == bb) | (ii == jj)
-    delta[same] = 0.0
-    return delta
+    return _repaint_delta(t, configs, np.concatenate((ii, jj)).reshape(2, len(ii)))
 
 
 def delta_flip_many(t: PairTables, configs: np.ndarray, sites, new_species) -> np.ndarray:
     """ΔE of one flip per config row: ``(B, n_sites), (B,), (B,) -> (B,)``."""
-    configs = np.atleast_2d(_as_int_configs(configs))
-    sites = np.asarray(sites)
-    new = np.asarray(new_species)
-    rows_idx = np.arange(configs.shape[0])
-    old = configs[rows_idx, sites]
-    keys = configs[rows_idx[:, None], t.cat_table[sites]] + t.shell_offsets
-    delta = t.diff_rows[old[:, None], new[:, None], keys].sum(axis=1)
-    if t.field is not None:
-        delta += t.field[new] - t.field[old]
-    delta[old == new] = 0.0
-    return delta
+    return _repaint_delta(t, configs, np.asarray(sites)[None], np.asarray(new_species))
+
+
+def delta_swap_alternatives(t: PairTables, config: np.ndarray, ii, jj) -> np.ndarray:
+    """ΔE for many independent *alternative* swaps on one config; every ΔE
+    is relative to the same starting ``config``: ``(M,), (M,) -> (M,)``."""
+    return delta_swap_many(t, config, ii, jj)
+
+
+def delta_flip_alternatives(t: PairTables, config: np.ndarray, sites, new_species) -> np.ndarray:
+    """ΔE for many independent *alternative* flips on one config."""
+    return delta_flip_many(t, config, sites, new_species)
 
 
 # -------------------------------------------------- SRO pair-count deltas

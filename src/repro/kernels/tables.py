@@ -5,28 +5,32 @@ per Hamiltonian and frozen here:
 
 - **pair arrays** (``pair_i``/``pair_j``): every undirected bond of every
   shell, for the one-gather full-energy evaluation;
-- **fused neighbor table** (``cat_table``): the per-shell neighbor tables
-  concatenated column-wise, with per-column species-key offsets
-  (``shell_offsets``) so a single row lookup prices a move across all
-  shells at once;
+- **fused neighbor table**: the per-shell neighbor tables stacked into one,
+  stored transposed (``cat_table_T``, ``(z, n_sites)``: the batched kernels
+  ``take`` whole ``(z, rows)`` blocks out of it) with ``cat_table`` its
+  ``(n_sites, z)`` view, and per-column species-key offsets
+  (``shell_offsets``) so a single lookup prices a move across all shells;
 - **difference rows** (``diff_rows``)::
 
       diff_rows[a, b, c + s*n_species] = V_s[b, c] - V_s[a, c]
 
   the per-neighbor ΔE contribution of repainting a site from species ``a``
-  to ``b`` when the neighbor (in shell ``s``) carries species ``c``;
-- **bond corrections** (``bond_corr`` per shell, and the column-indexed
-  stack ``corr_by_col``)::
+  to ``b`` when the neighbor (in shell ``s``) carries species ``c``; and
+  ``diff_flat``, the same rows raveled with one all-zero *null key*
+  appended to each, which the batched kernels address flat
+  (``pair_offsets``) and point shared i–j bonds of a swap at;
+- **bond corrections** (``bond_corr`` per shell)::
 
       bond_corr_s[a, b] = V_s[a, a] + V_s[b, b] - 2 V_s[a, b]
 
-  subtracted once per shared bond when *both* endpoints of a swap are
-  repainted (the two one-site terms double-handle the i–j bond).
+  subtracted by the scalar swap kernel once per shared bond (the two
+  one-site terms double-handle the i–j bond).
 
 Memory model (DESIGN.md §17): the index tables are the dominant footprint
 at ultra-large N, so every derived structure is **lazy** (built and cached
 on first use — a run that only ever prices swaps never materializes the
-pair arrays, and a full-energy-only run never builds the fused table) and
+pair arrays, a full-energy-only run never builds the fused table, and there
+is one stored fused table, not one per orientation) and
 **lean** (site indices are int32, species keys int16; configurations stay
 int8 end to end — the kernels never up-cast them).  For streaming
 evaluation that never materializes any (N, z) table at all, see
@@ -132,14 +136,24 @@ class PairTables:
         return out
 
     @_lazy
-    def cat_table(self):
-        """All shells' neighbor tables concatenated column-wise (lazy).
+    def cat_table_T(self):
+        """All shells' neighbor tables fused, ``(z, n_sites)`` C-contiguous
+        (lazy) — the one stored fused table.
 
-        Fused incremental-update structure: one gather + one ``diff_rows``
-        row lookup prices a move across all shells (profiling showed the
-        per-shell loop dominated the MC step on this interpreter).
+        Column ``site`` lists that site's neighbors across all shells, so
+        ``take(sites, axis=1)`` hands the batched kernels a ``(z, rows)``
+        block whose long axis is the row axis.
         """
-        return np.concatenate(self.tables, axis=1)
+        # out=: a lone transposed shell would otherwise come back F-ordered,
+        # and ``take`` copies a non-contiguous table on every call.
+        out = np.empty((self.n_neighbor_cols, self.tables[0].shape[0]), INDEX_DTYPE)
+        return np.concatenate([t.T for t in self.tables], axis=0, out=out)
+
+    @property
+    def cat_table(self):
+        """``(n_sites, z)`` view of :attr:`cat_table_T` (no second table):
+        one row lookup prices a move across all shells."""
+        return self.cat_table_T.T
 
     @_lazy
     def shell_offsets(self):
@@ -169,16 +183,19 @@ class PairTables:
         return out
 
     @_lazy
-    def corr_by_col(self):
-        """Column-indexed bond-correction stack: ``corr_by_col[col]`` is the
-        ``bond_corr`` matrix of the shell that neighbor-column ``col``
-        belongs to, so batched kernels can price bond hits without a shell
-        loop."""
-        shell_of_col = self.shell_of_col
-        if not len(shell_of_col):
-            return np.zeros((0, self.n_species, self.n_species))
-        bond_corr = self.bond_corr
-        return np.stack([bond_corr[s] for s in shell_of_col], axis=0)
+    def diff_flat(self):
+        """``diff_rows`` raveled, each ``[a, b]`` row extended by one all-zero
+        *null key* (index ``n_species * n_shells``): the batched kernels
+        address it as ``(a * n_species + b) * (K + 1) + key``."""
+        rows = self.diff_rows
+        return np.concatenate(
+            [rows, np.zeros(rows.shape[:2] + (1,))], axis=2).reshape(-1)
+
+    @_lazy
+    def pair_offsets(self):
+        """``diff_flat`` offset of pair ``(a, b)`` as ``rows[a] + cols[b]``."""
+        cols = np.arange(self.n_species, dtype=INDEX_DTYPE) * (self.diff_rows.shape[2] + 1)
+        return cols * self.n_species, cols
 
     # ----------------------------------------------------------------- misc
 
@@ -194,17 +211,12 @@ class PairTables:
         it counts the shell tables plus whatever lazy structures the
         workload actually touched, which is exactly what the process pays.
         """
-        total = sum(t.nbytes for t in self.tables)
-        for value in self._cache.values():
+        def nbytes(value):
             if isinstance(value, np.ndarray):
-                total += value.nbytes
-            elif isinstance(value, tuple):  # pair_arrays: (list, list)
-                for part in value:
-                    total += sum(a.nbytes for a in part)
-            elif isinstance(value, list):
-                total += sum(a.nbytes for a in value
-                             if isinstance(a, np.ndarray))
-        return int(total)
+                return value.nbytes
+            return sum(nbytes(part) for part in value)   # lists / tuples of arrays
+
+        return int(nbytes(self.tables) + nbytes(list(self._cache.values())))
 
     def __getstate__(self):
         return self.__dict__
