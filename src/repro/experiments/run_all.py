@@ -44,6 +44,7 @@ import sys
 import traceback
 
 from repro.experiments.common import EXPERIMENTS, experiment_telemetry, results_dir
+from repro.kernels import native
 from repro.obs import ConsoleSink
 
 __all__ = ["main"]
@@ -83,12 +84,14 @@ def _telemetry_manifest() -> dict:
 def _load_campaign(path, mode: str, seed: int, resume: bool) -> dict:
     """The campaign manifest, or a fresh one when not resumable/compatible."""
     fresh = {"mode": mode, "seed": seed, "completed": [], "failed": [],
-             "degraded": [], "telemetry": _telemetry_manifest()}
+             "degraded": [], "telemetry": _telemetry_manifest(),
+             "superstep": native.describe()}
     if not resume:
         return fresh
     campaign = _read_json(path)
     if campaign.get("mode") != mode or campaign.get("seed") != seed:
         return fresh
+    campaign["superstep"] = fresh["superstep"]  # this process's, not the saved one
     campaign.setdefault("completed", [])
     campaign.setdefault("failed", [])
     campaign.setdefault("degraded", [])

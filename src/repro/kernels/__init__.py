@@ -12,12 +12,16 @@ path.  This package centralizes that hot path:
   loop;
 - :class:`ChunkedPairTables` — the ultra-large-scale streaming evaluator:
   full energies and SRO pair counts in O(chunk · z) memory via integer
-  count contraction, bit-identical across chunk sizes.
+  count contraction, bit-identical across chunk sizes;
+- ``superstep.c`` with :mod:`repro.kernels.native` (build-once loader) and
+  :mod:`repro.kernels.superstep` (its ctypes face) — the step loop of a
+  local-move block compiled, bit-identical to the NumPy block that stays
+  its oracle (DESIGN.md §16).
 
-The Hamiltonians in :mod:`repro.hamiltonians` delegate here; samplers never
-import this package directly — batched stepping reaches it through the
-``Hamiltonian`` batched API (``energies``, ``delta_energy_*_batch``,
-``delta_energy_*_many``).
+The Hamiltonians in :mod:`repro.hamiltonians` delegate here; samplers reach
+the ΔE kernels through the ``Hamiltonian`` batched API (``energies``,
+``delta_energy_*_batch``, ``delta_energy_*_many``) and import this package
+only for the compiled block (:func:`repro.sampling.batched.advance_block`).
 """
 
 from repro.kernels import ops

@@ -1,0 +1,222 @@
+/* The step loop of repro.sampling.batched._run_block as one C function.
+ *
+ * The NumPy block is the oracle: every result here must equal it bit for
+ * bit (DESIGN.md §16, "Native super-step").  That fixes the arithmetic:
+ *
+ *   - dE is the term-by-term sum NumPy performs on the (z, ends, rows) key
+ *     array of kernels.ops._repaint_delta: start from the first term, then
+ *     add k-major, end-minor; a shared i-j bond reads the null key; a flip
+ *     adds field[new] - field[old] last; then energies[r] + dE.
+ *   - the bin lookup mirrors sampling.binning.StackedGrids.index_rows.
+ *   - the commit is Wang-Landau's: rows of a window in order, each seeing
+ *     every earlier deposit.
+ *
+ * A row reads and writes only its own configuration and its window's ln g,
+ * so resolve -> dE -> bin -> commit -> scatter run row by row here where
+ * the oracle runs them phase by phase.
+ *
+ * Build: cc -O2 -fPIC -shared -ffp-contract=off (never -ffast-math or
+ * -march=native: no fused multiply-add, no reassociation).  No Python
+ * headers; repro.kernels.superstep fills the structs below through ctypes
+ * after validating every index these loops read (sites, species, shifts,
+ * bins), so nothing here is bounds-checked again.
+ */
+#include <math.h>
+#include <stdint.h>
+
+typedef struct {                 /* kernels.tables.PairTables (read-only) */
+    int64_t n_sites, n_species, z, null_key;
+    const int32_t *cat_table_T;  /* (z, n_sites) neighbour sites */
+    const int16_t *shell_offsets;/* (z,) species-key offset per column */
+    const double *diff_flat;     /* (S * S * (null_key + 1),) */
+    const int32_t *pair_row;     /* (S,) diff_flat offset of old species */
+    const int32_t *pair_col;     /* (S,) ... plus that of the new one */
+    const double *field;         /* (S,) on-site energies, or NULL */
+} Tables;
+
+typedef struct {                 /* sampling.binning.StackedGrids */
+    int64_t is_levels, n_marks;
+    double tol;
+    const double *marks;         /* (n_marks,) common edges or levels */
+    const int64_t *table;        /* (n_windows, n_marks + 1) flat bins */
+} Grids;
+
+typedef struct {                 /* one walker team = one energy window */
+    int64_t rows, bin_offset, table_base;
+    double e_max, ln_f;
+    int8_t *configs;             /* (rows, n_sites) */
+    double *energies;            /* (rows,) */
+    int64_t *bins;               /* (rows,) window-local */
+    double *ln_g;                /* (width,) */
+    int64_t *histogram;          /* (width,) */
+    uint8_t *visited;            /* (width,) */
+    int64_t *slot_accepted;      /* (rows,) */
+    const int64_t *field0;       /* swap (n, rows, T, 2) pairs; flip (n, rows) sites */
+    const int64_t *field1;       /* flip (n, rows) shifts */
+    const double *ln_u;          /* (n, rows) log-uniform acceptance noise */
+    int64_t *move;               /* (rows, 2) this step's resolved moves */
+    int64_t accepted, out_of_grid;   /* outputs, added to */
+} Team;
+
+enum { SWAP = 0, SWAP_DISTINCT = 1, FLIP = 2 };
+
+/* Fill tm->move for one step; 1 when a swap row ran out of candidates
+ * (its move[0] is set to -1 for the caller to redraw). */
+static int resolve(const Tables *t, const Team *tm, int64_t kind,
+                   int64_t n_cand, int64_t step)
+{
+    const int64_t N = t->n_sites;
+    int exhausted = 0;
+    for (int64_t r = 0; r < tm->rows; r++) {
+        const int8_t *cfg = tm->configs + r * N;
+        int64_t *move = tm->move + 2 * r;
+        if (kind == FLIP) {
+            const int64_t at = step * tm->rows + r, site = tm->field0[at];
+            move[0] = site;
+            move[1] = (cfg[site] + tm->field1[at]) % t->n_species;
+            continue;
+        }
+        const int64_t *cand = tm->field0 + (step * tm->rows + r) * n_cand * 2;
+        int64_t c = 0;
+        for (; c < n_cand; c++) {
+            const int64_t i = cand[2 * c], j = cand[2 * c + 1];
+            if (kind == SWAP_DISTINCT ? cfg[i] != cfg[j] : i != j)
+                break;
+        }
+        if (c == n_cand) {
+            move[0] = -1;
+            exhausted = 1;
+        } else {
+            move[0] = cand[2 * c];
+            move[1] = cand[2 * c + 1];
+        }
+    }
+    return exhausted;
+}
+
+static double delta_swap(const Tables *t, const int8_t *cfg, int64_t i, int64_t j)
+{
+    const int64_t N = t->n_sites, null_key = t->null_key;
+    const int a = cfg[i], b = cfg[j];
+    const int64_t pair_i = t->pair_row[a] + t->pair_col[b];
+    const int64_t pair_j = t->pair_row[b] + t->pair_col[a];
+    double delta = 0.0;
+    for (int64_t k = 0; k < t->z; k++) {
+        const int64_t ni = t->cat_table_T[k * N + i], nj = t->cat_table_T[k * N + j];
+        const int64_t key_i = ni == j ? null_key : cfg[ni] + t->shell_offsets[k];
+        const int64_t key_j = nj == i ? null_key : cfg[nj] + t->shell_offsets[k];
+        const double term = t->diff_flat[key_i + pair_i];
+        delta = k ? delta + term : term;
+        delta += t->diff_flat[key_j + pair_j];
+    }
+    return delta;
+}
+
+static double delta_flip(const Tables *t, const int8_t *cfg, int64_t site, int64_t new_species)
+{
+    const int64_t N = t->n_sites;
+    const int old = cfg[site];
+    const int64_t pair = t->pair_row[old] + t->pair_col[new_species];
+    double delta = 0.0;
+    for (int64_t k = 0; k < t->z; k++) {
+        const int64_t key = cfg[t->cat_table_T[k * N + site]] + t->shell_offsets[k];
+        const double term = t->diff_flat[key + pair];
+        delta = k ? delta + term : term;
+    }
+    if (t->field)
+        delta += t->field[new_species] - t->field[old];
+    return delta;
+}
+
+/* Window-local bin of energy e, -1 outside the window, -2 when two levels
+ * both claim e (the oracle's table take raises there). */
+static int64_t lookup(const Grids *g, const Team *tm, double e)
+{
+    const double *marks = g->marks;
+    const int64_t n = g->n_marks;
+    int64_t lo = 0, hi = n, column;
+    if (g->is_levels) {
+        while (lo < hi) {                      /* lo = #levels < e */
+            const int64_t mid = (lo + hi) / 2;
+            if (marks[mid] < e) lo = mid + 1; else hi = mid;
+        }
+        /* neighbours in the +-inf padded level array: padded[lo] < e <= padded[lo + 1] */
+        const int hit_below = (lo > 0 ? fabs(marks[lo - 1] - e) : INFINITY) <= g->tol;
+        const int hit_above = (lo < n ? fabs(marks[lo] - e) : INFINITY) <= g->tol;
+        if (hit_below && hit_above)
+            return -2;
+        column = hit_below ? lo : hit_above ? lo + 1 : 0;
+    } else {
+        while (lo < hi) {                      /* lo = #edges <= e */
+            const int64_t mid = (lo + hi) / 2;
+            if (marks[mid] <= e) lo = mid + 1; else hi = mid;
+        }
+        column = e != e ? n : lo;              /* searchsorted sorts NaN last */
+    }
+    const int64_t flat = g->table[tm->table_base + column];
+    if (flat < 0 || (!g->is_levels && e > tm->e_max))
+        return -1;
+    return flat - tm->bin_offset;
+}
+
+/* Run super-steps [start, stop).  Returns stop when done; a smaller step
+ * index when that step's resolve left rows without a candidate: nothing of
+ * that step is committed, every team's move array is filled, and the caller
+ * replaces each move[0] == -1 row and calls again with start = that step
+ * and resolved = 1.  Returns -1 on the level-grid clash described above.
+ */
+int64_t repro_superstep(const Tables *t, const Grids *g, Team *teams,
+                        int64_t n_teams, int64_t kind, int64_t n_cand,
+                        int64_t start, int64_t stop, int64_t resolved)
+{
+    const int64_t N = t->n_sites;
+    for (int64_t step = start; step < stop; step++) {
+        if (!resolved) {
+            int exhausted = 0;
+            for (int64_t w = 0; w < n_teams; w++)
+                exhausted |= resolve(t, &teams[w], kind, n_cand, step);
+            if (exhausted)
+                return step;
+        }
+        resolved = 0;
+        for (int64_t w = 0; w < n_teams; w++) {
+            Team *tm = &teams[w];
+            const double *ln_u = tm->ln_u + step * tm->rows;
+            double *ln_g = tm->ln_g;
+            for (int64_t r = 0; r < tm->rows; r++) {
+                int8_t *cfg = tm->configs + r * N;
+                const int64_t m0 = tm->move[2 * r], m1 = tm->move[2 * r + 1];
+                const double delta = kind == FLIP ? delta_flip(t, cfg, m0, m1)
+                                                  : delta_swap(t, cfg, m0, m1);
+                const double energy = tm->energies[r] + delta;
+                const int64_t nb = lookup(g, tm, energy);
+                int64_t cur = tm->bins[r];
+                if (nb == -2)
+                    return -1;
+                if (nb < 0) {
+                    tm->out_of_grid++;
+                } else {
+                    const double log_alpha = ln_g[cur] - ln_g[nb];
+                    if (log_alpha >= 0.0 || ln_u[r] < log_alpha) {
+                        tm->bins[r] = cur = nb;
+                        tm->energies[r] = energy;
+                        tm->slot_accepted[r]++;
+                        tm->accepted++;
+                        if (kind == FLIP) {
+                            cfg[m0] = (int8_t)m1;
+                        } else {
+                            const int8_t a = cfg[m0], b = cfg[m1];
+                            cfg[m0] = b;
+                            cfg[m1] = a;
+                        }
+                    }
+                }
+                /* Update the (possibly unchanged) current bin - mandatory for WL. */
+                ln_g[cur] += tm->ln_f;
+                tm->histogram[cur]++;
+                tm->visited[cur] = 1;
+            }
+        }
+    }
+    return stop;
+}

@@ -1,0 +1,256 @@
+"""ctypes face of ``superstep.c``: one block of super-steps run in C.
+
+:func:`run_block` is the native twin of :func:`repro.sampling.batched.
+_run_block`, which stays the oracle: same teams in, same arrays, counters
+and RNG streams out, bit for bit (DESIGN.md §16).  It works in place on each
+team's own arrays — no stacking, no write-back — and hands C one struct per
+team (mirrors of the ``Tables`` / ``Grids`` / ``Team`` structs in the C
+file; keep the field orders in step).
+
+Nothing crosses unchecked.  Before any pointer is taken — and before any
+random number is drawn — every array is checked for dtype, shape and
+C-contiguity, and every index the C loops will read is range-checked once:
+drawn sites in ``[0, n_sites)``, flip shifts in ``[1, S)``, species in
+``[0, S)``, walker bins inside their window, table entries inside the
+arrays they address.  Whatever fails a check is not an error here: the
+block is declined (:func:`run_block` returns False) and the NumPy path
+handles it exactly as it always has, raising what it always raised.
+"""
+
+from __future__ import annotations
+
+import ctypes
+from weakref import WeakKeyDictionary
+
+import numpy as np
+
+from repro.kernels.tables import PairTables
+
+__all__ = ["declare", "run_block", "self_test"]
+
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+
+def _struct(name: str, *groups):
+    """A ctypes struct from ``(ctype, "field names")`` groups, in order."""
+    fields = [(field, ctype) for ctype, names in groups for field in names.split()]
+    return type(name, (ctypes.Structure,), {"_fields_": fields})
+
+
+_Tables = _struct(
+    "_Tables", (_I64, "n_sites n_species z null_key"),
+    (_PTR, "cat_table_T shell_offsets diff_flat pair_row pair_col field"))
+_Grids = _struct("_Grids", (_I64, "is_levels n_marks"), (_F64, "tol"),
+                 (_PTR, "marks table"))
+_Team = _struct(
+    "_Team", (_I64, "rows bin_offset table_base"), (_F64, "e_max ln_f"),
+    (_PTR, "configs energies bins ln_g histogram visited slot_accepted "
+           "field0 field1 ln_u move"),
+    (_I64, "accepted out_of_grid"))
+
+_KINDS = {"swap": 0, "swap_distinct": 1, "flip": 2}
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def declare(lib):
+    """Set the C function's signature on a freshly loaded library."""
+    fn = lib.repro_superstep
+    fn.restype = _I64
+    fn.argtypes = [ctypes.POINTER(_Tables), ctypes.POINTER(_Grids),
+                   ctypes.POINTER(_Team)] + [_I64] * 6
+    return lib
+
+
+class _Unfit(Exception):
+    """An input the C loop must not be handed; the NumPy path takes it."""
+
+
+def _address(a, dtype, shape, writable: bool = False) -> int:
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+            and a.flags.c_contiguous and (a.flags.writeable or not writable)):
+        raise _Unfit
+    return a.ctypes.data
+
+
+def _check_below(a: np.ndarray, bound: int) -> None:
+    """Every entry of integer array ``a`` in ``[0, bound)``, in one pass:
+    read unsigned, a negative entry is a huge one."""
+    if a.size and int(a.view(_UNSIGNED[a.dtype.itemsize]).max()) >= bound:
+        raise _Unfit
+
+
+#: PairTables -> (_Tables, the arrays it points into); built and validated
+#: on a table set's first native block, dropped with the tables.
+_TABLE_VIEWS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _tables_view(tables: PairTables):
+    view = _TABLE_VIEWS.get(tables)
+    if view is None:
+        cat, shell, diff = tables.cat_table_T, tables.shell_offsets, tables.diff_flat
+        row, col = tables.pair_offsets
+        s, (z, n_sites) = tables.n_species, cat.shape
+        null_key = s * tables.n_shells
+        arrays = (cat, shell, diff, row, col, tables.field)
+        struct = _Tables(
+            n_sites, s, z, null_key,
+            _address(cat, np.int32, (z, n_sites)), _address(shell, np.int16, (z,)),
+            _address(diff, np.float64, (s * s * (null_key + 1),)),
+            _address(row, np.int32, (s,)), _address(col, np.int32, (s,)),
+            None if tables.field is None else _address(tables.field, np.float64, (s,)))
+        _check_below(cat, n_sites)
+        _check_below(shell, null_key - s + 1)
+        _check_below(row, diff.size)
+        _check_below(col, diff.size - int(row.max()) - null_key)
+        view = _TABLE_VIEWS[tables] = (struct, arrays)
+    return view[0]
+
+
+def _marshal(members, n: int, t, grids):
+    """``(kind, n_candidates, team structs, per-team move scratch)`` for one
+    block, or :class:`_Unfit`."""
+    n_sites, s = t.n_sites, t.n_species
+    columns = len(grids.marks) + 1
+    specs = [fields.native_fields() for _, fields in members]
+    if None in specs or len({kind for kind, _ in specs}) != 1:
+        raise _Unfit
+    kind, (first, *_) = specs[0]
+    if kind != "flip" and np.ndim(first) != 4:
+        raise _Unfit
+    # swap candidates per row-step: T of the first team's (n, K, T, 2)
+    n_candidates = 0 if kind == "flip" else first.shape[2]
+    moves = []
+    teams = (_Team * len(members))()
+    for w, ((team, fields), (_, arrays), ct) in enumerate(zip(members, specs, teams)):
+        k = team.n_slots
+        lo, hi = int(grids.offsets[w]), int(grids.offsets[w + 1])
+        ct.rows, ct.bin_offset, ct.table_base = k, lo, w * columns
+        ct.e_max, ct.ln_f = float(grids.e_max[w]), float(team.ln_f)
+        ct.configs = _address(team.configs, np.int8, (k, n_sites), True)
+        ct.energies = _address(team.energies, np.float64, (k,), True)
+        ct.bins = _address(team.bins, np.int64, (k,), True)
+        ct.ln_g = _address(team.ln_g, np.float64, (hi - lo,), True)
+        ct.histogram = _address(team.histogram, np.int64, (hi - lo,), True)
+        ct.visited = _address(team.visited, np.bool_, (hi - lo,), True)
+        ct.slot_accepted = _address(team.slot_accepted, np.int64, (k,), True)
+        _check_below(team.configs, s)
+        _check_below(team.bins, hi - lo)
+        if kind == "flip":
+            sites, shifts = arrays
+            ct.field0 = _address(sites, np.int64, (n, k))
+            ct.field1 = _address(shifts, np.int64, (n, k))
+            _check_below(sites, n_sites)
+            if fields.params["n_species"] != s or shifts.min() < 1 or shifts.max() >= s:
+                raise _Unfit
+        else:
+            (pairs,) = arrays
+            ct.field0 = _address(pairs, np.int64, (n, k, n_candidates, 2))
+            _check_below(pairs, n_sites)
+            if fields.params["n_sites"] != n_sites:
+                raise _Unfit
+        move = np.empty((k, 2), dtype=np.int64)  # lint-api: allow
+        ct.move = move.ctypes.data
+        moves.append(move)
+    return _KINDS[kind], n_candidates, teams, moves
+
+
+def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
+    """``n`` super-steps of every ``(team, fields)`` in ``members`` in C.
+
+    Returns False — having drawn nothing and written nothing — when this
+    block is not one the C loop may run (see the module docstring); the
+    caller then runs the NumPy block.  Otherwise each team's arrays,
+    counters and ``rng`` end exactly where the NumPy block would leave them.
+    """
+    tables = getattr(hamiltonian, "tables", None)
+    if type(tables) is not PairTables or not np.isfinite(grids.tol):
+        return False
+    try:
+        t = _tables_view(tables)
+        kind, n_candidates, teams, moves = _marshal(members, n, t, grids)
+        g = _Grids(grids.is_levels, len(grids.marks), grids.tol,
+                   _address(grids.marks, np.float64, grids.marks.shape),
+                   _address(grids._table, np.int64, grids._table.shape))
+    except _Unfit:
+        return False
+    # acceptance noise: drawn from each team's stream after its fields
+    noise = [np.log(team.rng.random((n, ct.rows))) for (team, _), ct in zip(members, teams)]
+    for ct, ln_u in zip(teams, noise):
+        ct.ln_u = ln_u.ctypes.data
+    step = resolved = 0
+    while True:
+        step = lib.repro_superstep(t, g, teams, len(members), kind,
+                                   n_candidates, step, n, resolved)
+        if step == n:
+            break
+        if step < 0:
+            raise IndexError("an energy lies within tolerance of two levels")
+        # rows whose drawn candidates all failed: the rejection loop on
+        # their team's stream, teams in block order, as the oracle does
+        for (team, fields), move in zip(members, moves):
+            sub = np.flatnonzero(move[:, 0] < 0)
+            if len(sub):
+                move[sub] = fields.redraw(team.configs[sub], team.rng)
+        resolved = 1
+    for (team, _), ct in zip(members, teams):
+        team.slot_steps += n
+        team._tally(n * ct.rows, ct.accepted, ct.out_of_grid)
+    return True
+
+
+def self_test(lib) -> None:
+    """Run small blocks through ``lib`` and through the NumPy block.
+
+    Swaps (the redraw path included) and field flips on a uniform grid,
+    flips on a level grid, two windows each; raises ``RuntimeError`` unless
+    every team array, counter and RNG state agrees bit for bit.  A library
+    is published to the cache only after passing this.
+    """
+    from copy import deepcopy
+
+    from repro.hamiltonians import IsingHamiltonian, PairHamiltonian
+    from repro.lattice import random_configuration, square_lattice
+    from repro.proposals.local import FlipProposal, SwapProposal
+    from repro.sampling import batched
+    from repro.sampling.binning import EnergyGrid
+    from repro.sampling.wang_landau import WLConfig
+
+    rng = np.random.default_rng(20230515)
+    mats = rng.normal(size=(2, 3, 3))
+    alloy = PairHamiltonian(square_lattice(4), mats + mats.transpose(0, 2, 1),
+                            field=rng.normal(size=3))
+    ising = IsingHamiltonian(square_lattice(4))
+    cases = [(alloy, SwapProposal, [13, 2, 1], None),
+             (alloy, FlipProposal, [6, 5, 5], None),
+             (ising, FlipProposal, [8, 8], ising.energy_levels())]
+    for ham, proposal, counts, levels in cases:
+        configs = np.stack([random_configuration(ham.n_sites, counts, rng=rng)
+                            for _ in range(6)])
+        configs = configs[np.argsort(ham.energies(configs), kind="stable")]
+        energies = ham.energies(configs)
+        grid = (EnergyGrid.uniform(energies[0] - 0.5, energies[-1] + 0.5, 12)
+                if levels is None else EnergyGrid.from_levels(levels))
+        bins = grid.index_array(energies)
+        windows = [grid.subgrid(0, int(bins[2])),
+                   grid.subgrid(int(bins[3]), grid.n_bins - 1)]
+        teams = [batched.BatchedWangLandauSampler(
+            hamiltonian=ham, proposal=proposal(), grid=window,
+            initial_config=configs[3 * w:3 * w + 3], rng=w,
+            config=WLConfig(batch_size=3)) for w, window in enumerate(windows)]
+        twins = deepcopy(teams)
+        for side, native in ((teams, True), (twins, False)):
+            members = [(team, team.proposal.draw_fields(team.configs, ham, team.rng, 40))
+                       for team in side]
+            grids = batched.StackedGrids([team.grid for team in side], [3, 3])
+            if not native:
+                batched._run_block(members, 40, ham, grids, None, None)
+            elif not run_block(lib, members, 40, ham, grids):
+                raise RuntimeError("self-test: the native block declined its own test case")
+        for a, b in zip(teams, twins):
+            same = all(np.array_equal(getattr(a, name), getattr(b, name))
+                       for name in ("configs", "energies", "bins", "ln_g", "histogram",
+                                    "visited", "slot_steps", "slot_accepted"))
+            if not (same and a.counters == b.counters and a.n_steps == b.n_steps
+                    and a.rng.bit_generator.state == b.rng.bit_generator.state):
+                raise RuntimeError(
+                    f"self-test: native and NumPy blocks disagree ({proposal.__name__})")

@@ -428,6 +428,16 @@ def _training_lines(records: list[dict]) -> list[str]:
     ]
 
 
+def _engine_lines(records: list[dict]) -> list[str]:
+    """Which implementation ran the local-move blocks (``engine.native``
+    events: the compiled super-step, or the NumPy block and why)."""
+    from repro.kernels.native import describe
+
+    engines = sorted({describe(r) for r in records
+                      if r.get("kind") == "engine.native"})
+    return [f"superstep: {', '.join(engines)}"] if engines else []
+
+
 def render_report(records: list[dict]) -> str:
     """Assemble the full text report for one trace's records."""
     lines: list[str] = []
@@ -438,6 +448,7 @@ def render_report(records: list[dict]) -> str:
         stamps = [r["ts"] for r in recs if isinstance(r.get("ts"), (int, float))]
         span = f"{max(stamps) - min(stamps):.1f}s" if len(stamps) > 1 else "n/a"
         lines.append(f"run {run_id}: {len(recs)} records, wall span {span}")
+    lines.extend(_engine_lines(records))
     lines.append("")
     lines.append(_span_table(records))
     lines.append("")

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.faults import FaultInjector, InjectedCrash, faults_from_env
+from repro.kernels import native
 
 if TYPE_CHECKING:  # avoid a circular import; rewl imports save_checkpoint
     from repro.parallel.rewl import REWLDriver
@@ -88,6 +89,9 @@ def save_checkpoint(driver: "REWLDriver", path, keep_previous: bool = True,
         "walkers_per_window": len(driver.walkers[0]),
         "n_sites": driver.hamiltonian.n_sites,
         "grid_n_bins": driver.grid.n_bins,
+        # Metadata only (results do not depend on it): which implementation
+        # of the super-step the saving process ran.
+        "superstep": native.describe(),
         "walkers": driver.walkers,
         "window_converged": list(driver.window_converged),
         "exchange_attempts": driver.exchange_attempts,

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
+from repro.kernels import native
 from repro.obs import Instrumentation, Telemetry
 from repro.obs.convergence import (
     ConvergenceConfig,
@@ -876,6 +877,8 @@ class REWLDriver:
             ln_f_final=self.cfg.ln_f_final, seed=self.cfg.seed,
             n_bins=self.grid.n_bins, max_rounds=limit,
         )
+        if self.obs.enabled:
+            self.obs.emit("engine.native", **native.status())
         if self.supervisor is not None:
             # Round-0 baseline snapshots: a failure in the very first round
             # still has a guard-clean state to roll back to.

@@ -167,6 +167,13 @@ class FieldBlock:
         ``(len(rows), k)`` as in :class:`BatchMove`, read from ``configs``."""
         raise NotImplementedError
 
+    def native_fields(self):
+        """``(kind, arrays)`` when the compiled super-step
+        (:mod:`repro.kernels.superstep`) can stand in for :meth:`resolve`
+        and :meth:`moves` on these drawn arrays; None (the default) keeps
+        the block on the NumPy path."""
+        return None
+
     def batch_move(self, configs: np.ndarray, hamiltonian: Hamiltonian,
                    rng: np.random.Generator) -> "BatchMove":
         """Resolve and price step 0: ``propose_many`` is the one-step block."""

@@ -65,15 +65,22 @@ class SwapBlock(FieldBlock):
             for rng, lo, hi in streams:
                 sub = lo + np.flatnonzero(~good[lo:hi])
                 if len(sub):
-                    move[sub] = self._redraw(configs[sub], rng)
+                    move[sub] = self.redraw(configs[sub], rng)
         return move
 
     def moves(self, configs, rows, move):
         sites = move[rows]
         return sites, configs[rows[:, None], sites[:, ::-1]]
 
-    def _redraw(self, configs, rng):
-        """Bounded rejection loop (falls back to a possibly-identity pair)."""
+    def native_fields(self):
+        if type(self) is not SwapBlock:  # a subclass may resolve differently
+            return None
+        return ("swap_distinct" if self.params["distinct"] else "swap"), self.arrays
+
+    def redraw(self, configs, rng):
+        """A pair for each row of ``configs`` by the bounded rejection loop
+        (falls back to a possibly-identity pair) — the move of a row-step
+        whose drawn candidates all failed."""
         n, distinct = self.params["n_sites"], self.params["distinct"]
         rows = np.arange(configs.shape[0])[:, None]
         pairs = rng.integers(n, size=(len(rows), 2))
@@ -102,6 +109,9 @@ class FlipBlock(FieldBlock):
     def moves(self, configs, rows, move):
         move = move[rows]
         return move[:, :1], move[:, 1:]
+
+    def native_fields(self):
+        return ("flip", self.arrays) if type(self) is FlipBlock else None
 
 
 class SwapProposal(Proposal):

@@ -40,11 +40,14 @@ runs bit-identical to the pre-kernel implementation.
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 
+from repro.kernels import native, superstep
+from repro.obs.events import worker_log
 from repro.sampling.base import register_sampler
 from repro.sampling.binning import StackedGrids
 from repro.sampling.wang_landau import (
@@ -168,6 +171,10 @@ class BatchedWangLandauSampler:
         self.iteration_steps: list[int] = []
         self.counters = WalkerCounters()
         self.profiler = None
+        # Any one-off build of the compiled super-step happens here, at
+        # construction: not inside a timed run, and before a controller
+        # spawns the ranks that will only load it.
+        native.library()
 
     # ----------------------------------------------------------------- slots
 
@@ -361,6 +368,8 @@ class BatchedWangLandauSampler:
             self.profiler.as_dict() if self.profiler is not None else None
         )
         span = telemetry.span("wl.run") if telemetry is not None else nullcontext()
+        if telemetry is not None:
+            telemetry.emit("engine.native", **native.status())
         steps_before = self.n_steps
         n_rows = self.n_slots
         with span:
@@ -433,7 +442,15 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None,
     (``draw_fields`` → None, drawing nothing: DL, mixture, global moves)
     takes its super-steps through :meth:`step_batch`.  A trajectory is thus
     a pure function of the seed and the sequence of ``n_steps`` values.
+
+    A block runs in C (:func:`repro.kernels.superstep.run_block`) when the
+    compiled super-step is loaded and the block is one it takes; otherwise —
+    and always with a ``profiler`` attached, whose sections describe the
+    NumPy block — in :func:`_run_block`, the reference the C loop must match
+    bit for bit.  Results do not depend on which ran.
     """
+    lib = native.library() if profiler is None else None
+    log = worker_log()
     for start in range(0, n_steps, _MAX_BLOCK_STEPS):
         n = min(_MAX_BLOCK_STEPS, n_steps - start)
         groups: dict[tuple, list] = {}
@@ -447,10 +464,36 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None,
             else:
                 groups.setdefault(fields.key, []).append((team, fields))
         for members in groups.values():
-            _run_block(members, n, hamiltonian, profiler, gather_section)
+            grids = _stacked_grids([team for team, _ in members])
+            t0 = time.perf_counter() if log.enabled else 0.0
+            if lib is None or not superstep.run_block(lib, members, n, hamiltonian, grids):
+                _run_block(members, n, hamiltonian, grids, profiler, gather_section)
+            elif log.enabled:
+                log.emit("span", name="wl.native_block", path="wl.native_block",
+                         dur_s=time.perf_counter() - t0, steps=n,
+                         rows=sum(team.n_slots for team, _ in members))
 
 
-def _run_block(members, n: int, hamiltonian, prof, gather_section) -> None:
+#: team-set key -> (its grids, their StackedGrids).  Windows do not change
+#: during a campaign, so the lookup tables are built once per set of teams
+#: that advances together, not once per block.
+_STACKS: dict[tuple, tuple] = {}
+
+
+def _stacked_grids(teams) -> StackedGrids:
+    grids = [team.grid for team in teams]
+    sizes = [team.n_slots for team in teams]
+    key = (*map(id, grids), *sizes)
+    hit = _STACKS.get(key)
+    if hit is None:
+        if len(_STACKS) >= 64:
+            _STACKS.clear()
+        # holding the grids keeps their ids from being reused under the key
+        hit = _STACKS[key] = (grids, StackedGrids(grids, sizes))
+    return hit[1]
+
+
+def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> None:
     """One block for teams of one field kind: every super-step runs once for
     all rows of all teams — resolve, one ΔE gather, one bin lookup, one
     sequential commit loop, one scatter — and team state is written back
@@ -459,6 +502,10 @@ def _run_block(members, n: int, hamiltonian, prof, gather_section) -> None:
     The commit loop keeps row order inside a window and runs on flat Python
     lists (``ln g`` and bins of all windows end to end) that live for the
     whole block, so each decision still sees every earlier deposit.
+
+    This is the reference implementation of a block (and the path taken
+    without a compiler, and under a profiler): ``superstep.c`` reproduces it
+    bit for bit, so change the two together.
     """
     teams = [team for team, _ in members]
     fields = members[0][1]
@@ -467,7 +514,6 @@ def _run_block(members, n: int, hamiltonian, prof, gather_section) -> None:
     sizes = [team.n_slots for team in teams]
     ends = np.cumsum(sizes).tolist()
     spans = list(zip([0] + ends[:-1], ends))
-    grids = StackedGrids([team.grid for team in teams], sizes)
     offsets = grids.offsets.tolist()
     # One team steps its own arrays in place; several are gathered once per
     # block (their rows need not be contiguous anywhere) and written back.

@@ -180,7 +180,8 @@ class StackedGrids:
                 table[w, lo[w] + 1 + g.n_bins] = self.offsets[w + 1] - 1
         self._table = table.ravel()
         self._row_base = np.repeat(np.arange(len(grids)) * table.shape[1], rows_per_grid)
-        self._e_max = np.repeat([g.e_max for g in grids], rows_per_grid)
+        self.e_max = np.array([g.e_max for g in grids])
+        self._e_max = np.repeat(self.e_max, rows_per_grid)
         # levels: pad with ±inf so both neighbours of any energy exist
         self._padded = np.concatenate([[-np.inf], self.marks, [np.inf]])
         self._sides = np.array([[0], [1]])

@@ -37,3 +37,25 @@ def hea_small():
 def hea_config(hea_small, rng):
     counts = equiatomic_counts(hea_small.n_sites, 4)
     return random_configuration(hea_small.n_sites, counts, rng=rng)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def superstep_path(request, monkeypatch):
+    """Pin which implementation runs local-move blocks — the compiled
+    super-step or the NumPy block — in this process and in every rank it
+    spawns (``REPRO_NO_NATIVE`` travels with the environment)."""
+    from repro.kernels import native
+
+    if request.param == "numpy":
+        monkeypatch.setenv(native.ENV_VAR, "1")
+    else:
+        monkeypatch.delenv(native.ENV_VAR, raising=False)
+    native.reset()
+    active = native.library() is not None
+    try:
+        if request.param == "native" and not active:
+            pytest.skip(f"no native super-step here: {native.describe()}")
+        assert active == (request.param == "native")
+        yield request.param
+    finally:
+        native.reset()
