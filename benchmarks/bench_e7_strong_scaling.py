@@ -1,15 +1,10 @@
 """E7 bench (Fig 7): strong scaling — machine-model curves plus a *real*
 campaign round at fixed total work.
 
-The ``bench_campaign_*`` trio measures one REWL advance super-step over the
-same W windows × K walkers through the three in-process paths: per-walker
-scalar stepping (the baseline all prior BENCH rows priced), per-window
-batched teams, and the fused SPMD super-step where ONE stacked
-``delta_energy_*_many`` gather prices every window's moves
-(``backend="fused"``, :mod:`repro.parallel.fused`).  Same seeds, same
-windows, same step counts — wall time is the only thing that moves, and the
-fused/scalar ratio is the campaign-scale speedup headline (gated in CI via
-``--gate-only bench_e7``).
+``bench_campaign_fused`` measures one REWL advance round over W windows × K
+walkers in process (``backend="fused"``): every window's team advances in
+one block, whose super-steps price all windows' moves with one stacked
+``delta_energy_*_many`` gather (gated in CI via ``--gate-only bench_e7``).
 """
 
 import numpy as np
@@ -31,8 +26,7 @@ CAMPAIGN_WALKERS = 64
 CAMPAIGN_INTERVAL = 100
 
 
-def campaign_driver(backend="serial", batched=False,
-                    n_windows=CAMPAIGN_WINDOWS):
+def campaign_driver(backend="fused", n_windows=CAMPAIGN_WINDOWS):
     ham = IsingHamiltonian(square_lattice(4))
     grid = EnergyGrid.from_levels(ham.energy_levels())
     return REWLDriver(
@@ -41,28 +35,13 @@ def campaign_driver(backend="serial", batched=False,
         config=REWLConfig(
             n_windows=n_windows, walkers_per_window=CAMPAIGN_WALKERS,
             overlap=0.6, exchange_interval=CAMPAIGN_INTERVAL,
-            ln_f_final=1e-12, seed=5, batched_walkers=batched,
-            backend=backend,
+            ln_f_final=1e-12, seed=5, backend=backend,
         ),
     )
 
 
 def _campaign_steps(n_windows=CAMPAIGN_WINDOWS):
     return n_windows * CAMPAIGN_WALKERS * CAMPAIGN_INTERVAL
-
-
-def bench_campaign_classic_scalar(benchmark, throughput):
-    """Baseline: one advance round, per-walker scalar stepping."""
-    drv = campaign_driver()
-    throughput(_campaign_steps())
-    benchmark(drv._advance_phase)
-
-
-def bench_campaign_batched_windows(benchmark, throughput):
-    """Per-window batched teams: W independent K-row super-step dispatches."""
-    drv = campaign_driver(batched=True)
-    throughput(_campaign_steps())
-    benchmark(drv._advance_phase)
 
 
 def bench_campaign_fused(benchmark, throughput):

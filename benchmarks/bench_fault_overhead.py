@@ -1,77 +1,70 @@
-"""Supervision overhead: retry/timeout plumbing must not tax fault-free runs.
+"""Retry-loop overhead: fault tolerance must not tax fault-free runs.
 
-The fault-tolerance contract (DESIGN.md §9) is that a supervised executor
-with no injected faults costs a few percent at most over the bare map on a
-REWL-advance-sized workload — the supervision layer only adds a retry loop
-around each task and the fault wrapper is a passthrough when no task faults
-are configured.  A chaos run (crash+hang injection with retries) is
-benchmarked alongside to show what recovery actually costs, as is the
-crash-consistent checkpoint write/read cycle.
+The fault-tolerance contract (DESIGN.md §9) is that the driver's retry
+loop costs a few percent at most on a REWL-advance-sized workload when
+nothing is injected: armed (``REPRO_FAULTS`` set), it steps each window
+alone instead of all windows in one block, and the fault wrapper is a
+passthrough when no task faults are configured.  A chaos round (crash+hang
+injection with retries) is benchmarked alongside to show what recovery
+actually costs, as is the crash-consistent checkpoint write/read cycle.
 
 Run: ``pytest benchmarks/bench_fault_overhead.py --benchmark-only``.
 """
 
 import numpy as np
 
-from repro.faults import FaultConfig, FaultInjector
-from repro.parallel import REWLConfig, REWLDriver, SerialExecutor, save_checkpoint
+from repro.faults import FAULTS_ENV_VAR
+from repro.parallel import REWLConfig, REWLDriver, save_checkpoint
 from repro.parallel.checkpoint import load_checkpoint
 from repro.proposals import FlipProposal
 from repro.sampling import EnergyGrid
 
-_STEPS = 2_000  # WL steps per task, REWL advance-phase sized
-_TASKS = 8
+_STEPS = 2_000  # super-steps per window per round, REWL advance-phase sized
+_WINDOWS = 4
+_WALKERS = 2
 
 
-def _make_walkers(make_ising_wl, n=_TASKS):
-    # never converges inside the bench
-    return [make_ising_wl(seed=seed, ln_f_final=1e-12) for seed in range(n)]
+def _driver(ising_4x4):
+    grid = EnergyGrid.from_levels(ising_4x4.energy_levels())
+    return REWLDriver(
+        hamiltonian=ising_4x4, proposal_factory=lambda: FlipProposal(),
+        grid=grid, initial_config=np.zeros(16, dtype=np.int8),
+        # never converges inside the bench
+        config=REWLConfig(n_windows=_WINDOWS, walkers_per_window=_WALKERS,
+                          overlap=0.6, exchange_interval=_STEPS,
+                          ln_f_final=1e-12, seed=0),
+    )
 
 
-def _advance(wl):
-    wl.run(max_steps=wl.n_steps + _STEPS)
-    return wl.n_steps
+def _bench_advance(benchmark, driver, throughput):
+    throughput(_WINDOWS * _WALKERS * _STEPS)
+    before = driver.total_steps()
+    benchmark(driver._advance_phase)
+    assert driver.total_steps() > before
 
 
-def bench_advance_bare_loop(benchmark, make_ising_wl, throughput):
-    """Baseline: the advance workload with no executor at all."""
-    walkers = _make_walkers(make_ising_wl)
-    throughput(_TASKS * _STEPS)
-
-    def block():
-        return [_advance(wl) for wl in walkers]
-
-    assert min(benchmark(block)) >= _STEPS
+def bench_advance_bare_loop(benchmark, ising_4x4, throughput, monkeypatch):
+    """Baseline: one advance round, every window in one block."""
+    monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+    _bench_advance(benchmark, _driver(ising_4x4), throughput)
 
 
-def bench_advance_supervised_no_faults(benchmark, make_ising_wl, throughput):
-    """Supervised map, retry budget armed, nothing injected — the overhead
-    target: same work as the bare loop plus only the supervision plumbing."""
-    walkers = _make_walkers(make_ising_wl)
-    throughput(_TASKS * _STEPS)
-    ex = SerialExecutor(max_retries=3, faults=None)
-    assert ex.faults is None or not ex.faults.cfg.any_task_faults
-
-    def block():
-        return ex.map(_advance, walkers)
-
-    assert min(benchmark(block)) >= _STEPS
+def bench_advance_supervised_no_faults(benchmark, ising_4x4, throughput,
+                                       monkeypatch):
+    """Retry loop armed, nothing injected — the overhead target: same work
+    as the bare loop, window by window through the retry loop."""
+    monkeypatch.setenv(FAULTS_ENV_VAR, "corrupt=0.0")
+    driver = _driver(ising_4x4)
+    assert driver._faults is not None
+    assert not driver._faults.cfg.any_task_faults
+    _bench_advance(benchmark, driver, throughput)
 
 
-def bench_map_under_chaos(benchmark, ising_4x4):
-    """Crash+hang injection with retries: the price of actually recovering.
-
-    Uses a cheap task so the benchmark measures the retry machinery, not
-    the (re-run) WL steps.
-    """
-    inj = FaultInjector(FaultConfig(crash=0.2, hang=0.05, hang_s=0.0, seed=3))
-    ex = SerialExecutor(faults=inj, retry_backoff=0.0)
-    items = list(range(64))
-
-    def block():
-        return ex.map(lambda x: x * x, items)
-
-    assert benchmark(block) == [x * x for x in items]
+def bench_advance_under_chaos(benchmark, ising_4x4, throughput, monkeypatch):
+    """Crash+hang injection with retries: the price of actually recovering
+    (failed attempts fire before any step, so retries re-run nothing)."""
+    monkeypatch.setenv(FAULTS_ENV_VAR, "crash=0.2,hang=0.05,hang_s=0.0,seed=3")
+    _bench_advance(benchmark, _driver(ising_4x4), throughput)
 
 
 def bench_checkpoint_save_load_cycle(benchmark, ising_4x4, tmp_path_factory):

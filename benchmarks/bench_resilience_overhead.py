@@ -17,8 +17,8 @@ Run: ``pytest benchmarks/bench_resilience_overhead.py --benchmark-only``.
 
 import numpy as np
 
-from repro.faults import FaultConfig, FaultInjector
-from repro.parallel import REWLConfig, REWLDriver, SerialExecutor
+from repro.faults import FAULTS_ENV_VAR
+from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
 from repro.resilience import GuardPolicy, ResilienceConfig
 from repro.sampling import EnergyGrid
@@ -31,13 +31,13 @@ _CFG = dict(n_windows=2, walkers_per_window=2, overlap=0.6,
             exchange_interval=2_000, ln_f_final=1e-12, seed=0)
 
 
-def _driver(ising_4x4, resilience=None, executor=None, **overrides):
+def _driver(ising_4x4, resilience=None, **overrides):
     grid = EnergyGrid.from_levels(ising_4x4.energy_levels())
     cfg = dict(_CFG, **overrides)
     return REWLDriver(
         hamiltonian=ising_4x4, proposal_factory=lambda: FlipProposal(),
         grid=grid, initial_config=np.zeros(16, dtype=np.int8),
-        config=REWLConfig(**cfg), executor=executor, resilience=resilience,
+        config=REWLConfig(**cfg), resilience=resilience,
     )
 
 
@@ -113,7 +113,7 @@ def bench_snapshot_byte_copy(benchmark, ising_4x4):
     assert benchmark(block) == _CFG["n_windows"]
 
 
-def bench_rewl_under_nan_chaos(benchmark, ising_4x4):
+def bench_rewl_under_nan_chaos(benchmark, ising_4x4, monkeypatch):
     """Degraded campaign end-to-end: persistent nan poisoning of one window
     -> rollback budget burns -> quarantine -> partial harvest.
 
@@ -121,7 +121,7 @@ def bench_rewl_under_nan_chaos(benchmark, ising_4x4):
     re-pairing), not steady-state overhead; a fresh driver per round since a
     quarantine is permanent for the life of the run.
     """
-    injector = FaultInjector(FaultConfig(nan=1.0, window=1, seed=3))
+    monkeypatch.setenv(FAULTS_ENV_VAR, "nan=1.0,window=1,seed=3")
     seeds = iter(range(10_000))
 
     def block():
@@ -129,7 +129,6 @@ def bench_rewl_under_nan_chaos(benchmark, ising_4x4):
             ising_4x4,
             resilience=ResilienceConfig(
                 guards=GuardPolicy(mode="quarantine", max_rollbacks=1)),
-            executor=SerialExecutor(faults=injector, retry_backoff=0.0),
             seed=next(seeds), exchange_interval=100,
         )
         result = driver.run(max_rounds=8)

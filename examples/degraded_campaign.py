@@ -20,12 +20,14 @@ when set (as in the CI degraded-smoke job)::
 and default to exactly those values when unset, so the script stands alone.
 """
 
+import os
+
 import numpy as np
 
-from repro.faults import FaultConfig, FaultInjector, faults_from_env
+from repro.faults import FAULTS_ENV_VAR
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
-from repro.parallel import REWLConfig, REWLDriver, SerialExecutor
+from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
 from repro.resilience import GuardPolicy, ResilienceConfig, resilience_from_env
 from repro.sampling import EnergyGrid
@@ -33,9 +35,8 @@ from repro.util.tables import format_table
 
 
 def run_campaign():
-    injector = faults_from_env()
-    if injector is None:
-        injector = FaultInjector(FaultConfig(nan=1.0, window=1, seed=0))
+    # The driver reads REPRO_FAULTS when it is built.
+    os.environ.setdefault(FAULTS_ENV_VAR, "nan=1.0,window=1,seed=0")
     resilience = resilience_from_env()
     if resilience is None:
         resilience = ResilienceConfig(
@@ -48,7 +49,6 @@ def run_campaign():
         grid=grid, initial_config=np.zeros(16, dtype=np.int8),
         config=REWLConfig(n_windows=4, walkers_per_window=1, overlap=0.4,
                           exchange_interval=400, ln_f_final=5e-3, seed=21),
-        executor=SerialExecutor(faults=injector, retry_backoff=0.0),
         resilience=resilience,
     )
     return driver.run(max_rounds=300)

@@ -5,8 +5,10 @@ Demonstrates the full distributed pipeline at laptop scale:
 1. decompose the HEA energy range into overlapping windows,
 2. run walker teams per window with inter-window configuration exchanges,
 3. stitch the per-window ln g pieces into one global density of states,
-4. verify the serial and thread-pool executors produce bit-identical
-   results (walker RNG state travels with the walker).
+4. rerun the campaign on shared-memory worker ranks (``backend="shm"``)
+   and verify it is bit-identical to the in-process run
+   (``backend="fused"``): a team's trajectory depends only on its seed and
+   the advance-call lengths, not on which process steps it.
 
 Usage: python examples/distributed_rewl.py
 """
@@ -16,13 +18,13 @@ import numpy as np
 from repro.experiments.common import estimate_energy_range
 from repro.hamiltonians import NbMoTaWHamiltonian
 from repro.lattice import bcc, equiatomic_counts, random_configuration
-from repro.parallel import REWLConfig, REWLDriver, ThreadExecutor
+from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import SwapProposal
 from repro.sampling import EnergyGrid
 from repro.util.tables import format_table
 
 
-def run_once(executor=None):
+def run_once(backend="fused"):
     ham = NbMoTaWHamiltonian(bcc(3), n_shells=1)
     counts = equiatomic_counts(ham.n_sites, 4)
     # Annealed estimate of the reachable range (rigid bounds are far too
@@ -34,10 +36,12 @@ def run_once(executor=None):
         initial_config=random_configuration(ham.n_sites, counts, rng=0),
         config=REWLConfig(n_windows=3, walkers_per_window=2, overlap=0.6,
                    exchange_interval=1_500, ln_f_final=5e-3, flatness=0.7,
-                   seed=7),
-        executor=executor,
+                   seed=7, backend=backend, shm_ranks=2),
     )
-    return driver.run(max_rounds=2_000)
+    try:
+        return driver.run(max_rounds=2_000)
+    finally:
+        driver.close()  # stops the shm ranks; a no-op in process
 
 
 def main() -> None:
@@ -59,14 +63,14 @@ def main() -> None:
     print(f"\nstitched ln g: span = {stitched.span:.1f}, "
           f"joint residuals = {np.round(stitched.joint_residuals, 3)}")
 
-    # Executor determinism: same seed, thread pool vs serial.
-    with ThreadExecutor(n_workers=3) as pool:
-        threaded = run_once(executor=pool)
-    identical = all(
+    # Backend determinism: same seed, two shared-memory ranks vs in process.
+    ranked = run_once(backend="shm")
+    identical = ranked.total_steps == result.total_steps and all(
         np.array_equal(a, b)
-        for a, b in zip(result.window_ln_g, threaded.window_ln_g)
+        for a, b in zip(result.window_ln_g, ranked.window_ln_g)
     )
-    print(f"thread-pool run bit-identical to serial: {identical}")
+    print(f"shm run (2 ranks) bit-identical to the in-process run: {identical}")
+    assert identical
 
 
 if __name__ == "__main__":

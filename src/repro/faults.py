@@ -10,18 +10,20 @@ stays fixed.
 
 Faults are injected *before* the wrapped task body runs (a worker that dies
 mid-task never returns a result, so dying before the body is operationally
-equivalent and keeps in-process walkers untouched).  Because a retried
-attempt starts from the same input state, a run that survives its injected
-faults is bit-identical to the fault-free run with the same seed (tested in
+equivalent and keeps walker state untouched).  The task is one window's
+advance in one round (:func:`repro.parallel.rewl.advance_windows`, the same
+loop in process and inside shm worker ranks); because a retried attempt
+starts from the same state, a run that survives its injected faults is
+bit-identical to the fault-free run with the same seed (tested in
 ``tests/test_faults.py``).
 
 Fault kinds
 -----------
 - ``crash`` — raise :class:`InjectedCrash` (a task-level failure),
 - ``hang``  — sleep ``hang_s`` seconds, then raise :class:`InjectedHang`
-  (exercises executor timeouts without ever mutating walker state),
-- ``kill``  — ``os._exit`` inside pool *worker* processes (exercises the
-  ``BrokenProcessPool`` rebuild path); degrades to ``crash`` in-process,
+  (a slow failure, never mutating walker state),
+- ``kill``  — kept for spec compatibility; degrades to ``crash`` everywhere
+  (a dead shm rank is exercised by killing the process itself),
 - ``corrupt`` — checkpoint I/O faults: flip a payload byte (caught by the
   SHA-256 integrity check) or die between the tmp write and the atomic
   rename (the previous snapshot must survive),
@@ -43,7 +45,8 @@ Activation: pass a :class:`FaultInjector` explicitly, or set the
     REPRO_FAULTS="crash=0.1,hang=0.05,hang_s=0.02,seed=3"
     REPRO_FAULTS="nan=1.0,window=1,seed=0"   # poison window 1, every round
 
-and every supervised executor and checkpoint write picks it up.
+and every REWL driver (at construction), shm worker rank (at spawn) and
+checkpoint write picks it up.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ class FaultConfig:
     """Per-site fault probabilities plus the injector seed.
 
     ``crash``/``hang``/``kill``/``nan``/``slow`` apply per task *attempt*
-    (their sum must be <= 1); ``corrupt`` applies per checkpoint write.
+    (their sum must be <= 1; ``kill`` now degrades to ``crash``
+    everywhere); ``corrupt`` applies per checkpoint write.
     ``hang_s``/``slow_s`` are the simulated hang/delay durations in
     seconds.  ``window >= 0`` restricts task faults to walkers of that REWL
     window (checkpoint faults are campaign-wide and unaffected).
@@ -200,24 +204,22 @@ class FaultInjector:
     def wrap(self, fn, key: int, attempt: int):
         """Wrap a task callable with this injector's decision for one attempt.
 
-        The wrapper is picklable as long as ``fn`` is (process executors ship
-        it to workers), and is a no-op passthrough when no task faults are
-        configured.
+        The wrapper is picklable as long as ``fn`` is, and is a no-op
+        passthrough when no task faults are configured.
         """
         if not self.cfg.any_task_faults:
             return fn
-        return _FaultyCall(self.cfg, fn, key, attempt, os.getpid())
+        return _FaultyCall(self.cfg, fn, key, attempt)
 
 
 class _FaultyCall:
     """Picklable task wrapper: consult the decision, maybe fault, else run."""
 
-    def __init__(self, cfg: FaultConfig, fn, key: int, attempt: int, origin_pid: int):
+    def __init__(self, cfg: FaultConfig, fn, key: int, attempt: int):
         self.cfg = cfg
         self.fn = fn
         self.key = int(key)
         self.attempt = int(attempt)
-        self.origin_pid = origin_pid
 
     def __call__(self, *args, **kwargs):
         action = FaultInjector(self.cfg).decide_task(self.key, self.attempt)
@@ -229,9 +231,7 @@ class _FaultyCall:
             if tag is None or tag[0] != self.cfg.window:
                 action = None
         if action == "kill":
-            if os.getpid() != self.origin_pid:
-                os._exit(13)  # real worker death -> BrokenProcessPool upstream
-            action = "crash"  # in-process: degrade to a task failure
+            action = "crash"
         if action == "hang":
             time.sleep(self.cfg.hang_s)
             raise InjectedHang(
@@ -253,21 +253,17 @@ class _FaultyCall:
 
 
 def _poison_walker(cfg: FaultConfig, walker, key: int, attempt: int) -> None:
-    """Silent numerical corruption of a completed task's walker.
+    """Silent numerical corruption of a completed task's window team.
 
     Deterministically (secondary draw on its own site) either drops a NaN
-    into the middle of ``ln g`` or blows up the walker energy — the two
+    into the middle of ``ln g`` or blows up a walker energy — the two
     corruption shapes the resilience guards must catch.  No exception is
     raised; the caller believes the task succeeded.
     """
-    u = _draw(cfg, "nan-mode", key, attempt)
-    ln_g = getattr(walker, "ln_g", None)
-    if u < 0.5 and ln_g is not None and len(ln_g):
-        ln_g[len(ln_g) // 2] = np.nan
-    elif hasattr(walker, "energies"):  # batched team
-        walker.energies[0] = np.inf
+    if _draw(cfg, "nan-mode", key, attempt) < 0.5:
+        walker.ln_g[len(walker.ln_g) // 2] = np.nan
     else:
-        walker.energy = float("inf")
+        walker.energies[0] = np.inf
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(FaultConfig)}

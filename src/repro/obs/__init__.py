@@ -5,7 +5,7 @@ acceptance, walker throughput — so the reproduction carries a telemetry
 layer wired through the sampling stack:
 
 - :mod:`repro.obs.metrics` — picklable, mergeable counters / gauges /
-  histograms (per-walker metrics survive the process executors and reduce
+  histograms (per-walker metrics survive process boundaries and reduce
   across windows),
 - :mod:`repro.obs.tracing` — nestable spans with per-path aggregates; also
   home of ``Timer``/``TimerRegistry``,

@@ -74,21 +74,12 @@ class ConvergenceConfig:
         check_integer("max_samples", self.max_samples, minimum=4)
 
 
-def _team_slots(team) -> int:
-    """Walkers in one window team: K scalar walkers or one K-slot batch."""
-    if len(team) == 1:
-        return int(getattr(team[0], "n_slots", 1))
-    return len(team)
-
-
 def _team_fill(team) -> float:
-    """Fraction of the window's bins visited by at least one walker."""
-    union = None
-    for walker in team:
-        union = walker.visited if union is None else (union | walker.visited)
-    if union is None or union.shape[0] == 0:
-        return 0.0
-    return float(np.count_nonzero(union)) / union.shape[0]
+    """Fraction of the window's bins visited so far (``team`` is a
+    ``driver.walkers[w]`` entry)."""
+    visited = team[0].visited
+    n = visited.shape[0]
+    return float(np.count_nonzero(visited)) / n if n else 0.0
 
 
 class ConvergenceLedger:
@@ -131,7 +122,7 @@ class ConvergenceLedger:
         if self.attached:
             return
         w_count = len(driver.walkers)
-        k_count = _team_slots(driver.walkers[0]) if w_count else 0
+        k_count = driver.walkers[0][0].n_slots if w_count else 0
         self.attached = True
         self.n_windows = w_count
         self.n_slots = k_count
@@ -211,7 +202,7 @@ class ConvergenceLedger:
             series = self.flatness_series[w]
             series.append((driver.rounds, round(ratio, 6), round(fill, 6)))
             self._decimate(series)
-            merged, union = driver._merge_window(team)
+            merged, union = driver._merge_window(team[0])
             prev = self._prev_ln_g[w]
             if prev is not None:
                 both = union & prev[1]

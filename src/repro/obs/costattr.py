@@ -16,7 +16,7 @@ fused_gather  ``rewl.fused_gather`` — the fused backends' stacked cross-
 commit        ``wl.histogram_update``, ``wl.batch_commit``, ``wl.flat_check``
 advance       the *unattributed* remainder of ``rewl.advance`` — driver-side
               advance time not explained by the walker sections above
-              (executor dispatch, pickling, scheduling)
+              (block dispatch, shm round-trips, scheduling)
 exchange      ``rewl.exchange_round``
 sync        ``rewl.sync``
 checkpoint  ``rewl.checkpoint``

@@ -2,8 +2,8 @@
 
 A multi-day flat-histogram campaign can fail *quietly*: a window stops
 making histogram progress, exchange acceptance between two windows
-collapses to zero (the replica ladder is severed), or the executor burns
-its retry budget on a flaky node.  :class:`HealthMonitor` watches a running
+collapses to zero (the replica ladder is severed), or the advance loop
+burns its retry budget on a flaky node.  :class:`HealthMonitor` watches a running
 :class:`repro.parallel.rewl.REWLDriver` from inside the round loop and
 surfaces those conditions as structured telemetry:
 
@@ -22,8 +22,8 @@ surfaces those conditions as structured telemetry:
   ``exchange_collapse`` (a pair's per-heartbeat acceptance stayed below
   ``min_exchange_rate`` over ``stall_heartbeats`` heartbeats with enough
   attempts to judge), and ``retry_burst`` (``retry_alert`` or more task
-  retries — injected faults, timeouts, dead workers — inside one heartbeat
-  window).
+  retries — injected crashes and hangs, in process or on shm ranks —
+  inside one heartbeat window).
 
 Everything here *reads* sampler state and writes only telemetry: no random
 numbers, no float accumulation into walkers — a monitored run is
@@ -169,9 +169,7 @@ class HealthMonitor:
 
         pairs, collapsed = self._exchange_deltas(driver)
         retries_delta = self._retries_delta()
-        total_steps = sum(
-            walker.n_steps for team in driver.walkers for walker in team
-        )
+        total_steps = sum(team[0].n_steps for team in driver.walkers)
         now_mono = time.monotonic()
         interval_s = (
             None if self._last_mono is None else now_mono - self._last_mono

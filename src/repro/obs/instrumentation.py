@@ -7,17 +7,16 @@ into one value::
 
     REWLDriver(..., instrumentation=Instrumentation(telemetry=Telemetry()))
 
-Each field accepts exactly what the old keyword accepted (an instance, a
-config object where the driver supported one, or None for the environment
-default), and the driver resolves environment defaults per field exactly
-as before — an empty bundle is indistinguishable from passing nothing.
-The old per-field keywords keep working for one release behind a
-``DeprecationWarning`` (:func:`repro.util.deprecation.warn_once`).
+Each field accepts an instance, a config object where the driver supports
+one, or None for the environment default, and the driver resolves
+environment defaults per field — an empty bundle is indistinguishable from
+passing nothing.  The bundle is the only way in: the driver takes no
+per-field observability keywords.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Instrumentation"]
@@ -27,7 +26,7 @@ __all__ = ["Instrumentation"]
 class Instrumentation:
     """Observability wiring for a campaign driver, as one bundle.
 
-    Fields mirror the (deprecated) per-field ``REWLDriver`` keywords:
+    Fields:
 
     - ``telemetry`` — :class:`repro.obs.Telemetry`,
     - ``profiler`` — :class:`repro.obs.profile.SectionProfiler`,
@@ -47,7 +46,3 @@ class Instrumentation:
     health: Any = None
     convergence: Any = None
     timeseries: Any = None
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))

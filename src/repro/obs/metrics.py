@@ -1,9 +1,9 @@
 """Process-local metrics: counters, gauges, fixed-bucket histograms.
 
-The REWL advance phase ships walker state through process executors
-(:mod:`repro.parallel.executors`); anything measured inside a worker must
-therefore be (a) picklable and (b) *mergeable*, so per-walker registries can
-be reduced across walkers, windows, and ranks after the fact.  All three
+Walker state crosses process boundaries (shm worker ranks, checkpoints,
+supervisor snapshots); anything measured inside a worker must therefore be
+(a) picklable and (b) *mergeable*, so per-walker registries can be reduced
+across walkers, windows, and ranks after the fact.  All three
 metric kinds here are plain-data and merge associatively:
 
 - :class:`Counter` — monotone integer, merged by addition,
@@ -100,7 +100,7 @@ class Gauge:
 
     def merge(self, other: "Gauge") -> None:
         # Right-biased: the most recently merged writer wins.  Associative
-        # (though not commutative), which is what executor reduction needs.
+        # (though not commutative), which is what per-rank reduction needs.
         if other.updated:
             self.value = other.value
         self.updated = self.updated or other.updated

@@ -2,7 +2,7 @@
 
 :func:`render_openmetrics` turns a :class:`~repro.obs.metrics.MetricsRegistry`
 snapshot (``metrics.as_dict()`` — the picklable plain-data form that already
-travels through checkpoints and executor reductions) into the OpenMetrics
+travels through checkpoints and per-rank reductions) into the OpenMetrics
 text format that Prometheus and its ecosystem scrape:
 
 - dotted metric names are sanitized to the ``[a-zA-Z_:][a-zA-Z0-9_:]*``

@@ -12,13 +12,6 @@ with MPI.  Here the same algorithm runs at laptop scale over two layers:
   pickles.  The distributed parallel-tempering rank program
   (:mod:`repro.parallel.tempering`) is written against it and asserted
   bit-identical to the serial reference.
-- :mod:`repro.parallel.executors` — bulk-synchronous walker executors
-  (serial / thread / process).  Walker state travels with the task, so the
-  serial and multiprocess REWL runs are bit-identical by construction.
-  Every executor supervises its tasks: per-task timeout, bounded retry
-  with backoff, broken-pool rebuild, and deterministic chaos via
-  :mod:`repro.faults` — a run that survives injected faults is
-  bit-identical to the fault-free run.
 - :mod:`repro.parallel.checkpoint` — crash-consistent snapshots (atomic
   tmp+rename writes, SHA-256 integrity framing, ``.prev`` rotation with
   fallback) so interrupted campaigns auto-resume bit-identically.
@@ -26,10 +19,13 @@ with MPI.  Here the same algorithm runs at laptop scale over two layers:
 On top sits the REWL driver:
 
 - :func:`make_windows` — overlapping energy-window decomposition,
-- :class:`REWLDriver` — windows × walkers, synchronized Wang-Landau
-  iterations, inter-window configuration exchanges, within-window ln g
-  merging; returns per-window pieces ready for DoS stitching
-  (:mod:`repro.dos`).
+- :class:`REWLDriver` — one batched walker team per window, synchronized
+  Wang-Landau iterations, inter-window configuration exchanges; returns
+  per-window pieces ready for DoS stitching (:mod:`repro.dos`).  Teams step
+  in process (``backend="fused"``) or on shared-memory worker ranks
+  (``backend="shm"``, :mod:`repro.parallel.fused`), bit-identically; under
+  :mod:`repro.faults` injection each window retries its advance, so a run
+  that survives its faults is bit-identical to the fault-free run.
 """
 
 from repro.parallel.comm import (
@@ -43,13 +39,6 @@ from repro.parallel.comm import (
     register_communicator,
     run_spmd,
 )
-from repro.parallel.executors import (
-    EXECUTORS,
-    SerialExecutor,
-    ThreadExecutor,
-    ProcessExecutor,
-    make_executor,
-)
 from repro.parallel.windows import WindowSpec, make_windows, surviving_pairs
 from repro.parallel.rewl import (
     BACKENDS,
@@ -58,13 +47,7 @@ from repro.parallel.rewl import (
     REWLResult,
     WalkerSnapshot,
 )
-from repro.parallel.fused import (
-    FusedCampaignState,
-    FusedEngine,
-    FusedTeam,
-    ShmEngine,
-    fused_advance,
-)
+from repro.parallel.fused import FusedCampaignState, FusedTeam, ShmEngine
 from repro.parallel.tempering import distributed_parallel_tempering
 from repro.parallel.checkpoint import (
     CHECKPOINT_VERSION,
@@ -85,11 +68,6 @@ __all__ = [
     "get_communicator",
     "register_communicator",
     "run_spmd",
-    "EXECUTORS",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "make_executor",
     "WindowSpec",
     "make_windows",
     "surviving_pairs",
@@ -99,10 +77,8 @@ __all__ = [
     "REWLResult",
     "WalkerSnapshot",
     "FusedCampaignState",
-    "FusedEngine",
     "FusedTeam",
     "ShmEngine",
-    "fused_advance",
     "distributed_parallel_tempering",
     "CHECKPOINT_VERSION",
     "save_checkpoint",

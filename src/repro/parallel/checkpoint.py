@@ -27,14 +27,16 @@ Crash consistency (format version 2):
   that were written; it cannot catch *bad values written before the
   crash* (a NaN ln g poisoned in memory and then faithfully persisted).
   Restores therefore run the :mod:`repro.resilience` numerical guards
-  over every walker before any driver state is touched, and a logically
-  corrupt snapshot falls back to ``.prev`` like a torn one.
+  over every window team before any driver state is touched, and a
+  logically corrupt snapshot falls back to ``.prev`` like a torn one.
 
-Legacy version-1 checkpoints (raw pickles) are still readable.
+A checkpoint holds one batched walker team per window; files written by
+``backend="fused"`` and ``backend="shm"`` runs load into either backend.
+Version-1 raw pickles and files holding scalar walkers are rejected.
 
-The proposal factory and executor are deliberately not serialized (factories
-are often closures over live models); the caller reconstructs the driver
-with the same arguments and then restores into it.
+The proposal factory is deliberately not serialized (factories are often
+closures over live models); the caller reconstructs the driver with the
+same arguments and then restores into it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import numpy as np
 
 from repro.faults import FaultInjector, InjectedCrash, faults_from_env
 from repro.kernels import native
+from repro.sampling.batched import BatchedWangLandauSampler
 
 if TYPE_CHECKING:  # avoid a circular import; rewl imports save_checkpoint
     from repro.parallel.rewl import REWLDriver
@@ -86,7 +89,7 @@ def save_checkpoint(driver: "REWLDriver", path, keep_previous: bool = True,
     state = {
         "version": CHECKPOINT_VERSION,
         "n_windows": len(driver.windows),
-        "walkers_per_window": len(driver.walkers[0]),
+        "walkers_per_window": driver.cfg.walkers_per_window,
         "n_sites": driver.hamiltonian.n_sites,
         "grid_n_bins": driver.grid.n_bins,
         # Metadata only (results do not depend on it): which implementation
@@ -149,32 +152,25 @@ def save_checkpoint(driver: "REWLDriver", path, keep_previous: bool = True,
 def _read_state(path: Path) -> dict:
     """Read + verify one checkpoint file; raise ``ValueError`` on any damage."""
     data = path.read_bytes()
-    if data[: len(_MAGIC)] == _MAGIC:
-        if len(data) < _HEADER.size:
-            raise ValueError(f"checkpoint {path} is truncated (incomplete header)")
-        _magic, version, digest = _HEADER.unpack_from(data)
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"checkpoint version {version} != {CHECKPOINT_VERSION} ({path})"
-            )
-        payload = data[_HEADER.size:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise ValueError(
-                f"checkpoint {path} failed its integrity check "
-                f"(truncated or corrupt payload)"
-            )
-        return pickle.loads(payload)
-    # Legacy version-1 checkpoints: a raw pickle with a version field.
-    try:
-        state = pickle.loads(data)
-    except Exception as exc:
-        raise ValueError(f"checkpoint {path} is not readable: {exc}") from exc
-    if not isinstance(state, dict) or state.get("version") != 1:
-        version = state.get("version") if isinstance(state, dict) else None
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise ValueError(
+            f"checkpoint {path} is not readable: no {_MAGIC.decode()} header "
+            f"(version-1 raw pickles are not supported)"
+        )
+    if len(data) < _HEADER.size:
+        raise ValueError(f"checkpoint {path} is truncated (incomplete header)")
+    _magic, version, digest = _HEADER.unpack_from(data)
+    if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"checkpoint version {version} != {CHECKPOINT_VERSION} ({path})"
         )
-    return state
+    payload = data[_HEADER.size:]
+    if hashlib.sha256(payload).digest() != digest:
+        raise ValueError(
+            f"checkpoint {path} failed its integrity check "
+            f"(truncated or corrupt payload)"
+        )
+    return pickle.loads(payload)
 
 
 def load_checkpoint(driver: "REWLDriver", path) -> "REWLDriver":
@@ -189,7 +185,6 @@ def load_checkpoint(driver: "REWLDriver", path) -> "REWLDriver":
     state = _read_state(path)
     checks = [
         ("n_windows", len(driver.windows)),
-        ("walkers_per_window", len(driver.walkers[0])),
         ("n_sites", driver.hamiltonian.n_sites),
         ("grid_n_bins", driver.grid.n_bins),
     ]
@@ -198,6 +193,21 @@ def load_checkpoint(driver: "REWLDriver", path) -> "REWLDriver":
             raise ValueError(
                 f"checkpoint mismatch: {key} is {state[key]} in the file but "
                 f"{current} in the driver"
+            )
+    # The slot count is read off the teams themselves: the header field
+    # counted team objects (always 1) in files written before it recorded
+    # slots.
+    k = driver.cfg.walkers_per_window
+    for w, team in enumerate(state["walkers"]):
+        if len(team) != 1 or not isinstance(team[0], BatchedWangLandauSampler):
+            raise ValueError(
+                f"checkpoint {path}: window {w} holds {len(team)} scalar "
+                f"walker(s), not one batched team; it cannot be restored"
+            )
+        if team[0].n_slots != k:
+            raise ValueError(
+                f"checkpoint mismatch: walkers_per_window is "
+                f"{team[0].n_slots} in the file but {k} in the driver"
             )
     # Logical validation (the sha256 frame already proved the bytes are
     # what was written — now prove the *values* are sane): every restored
@@ -219,23 +229,18 @@ def load_checkpoint(driver: "REWLDriver", path) -> "REWLDriver":
     attempts = np.asarray(state["exchange_attempts"])
     accepts = np.asarray(state["exchange_accepts"])
     if attempts.shape[0] != n_pairs:
-        if n_pairs == 0 and attempts.shape[0] == 1 and attempts[0] == 0:
-            # Legacy single-window files carried one phantom (unused) pair.
-            attempts, accepts = attempts[:0], accepts[:0]
-        else:
-            raise ValueError(
-                f"checkpoint mismatch: exchange statistics cover "
-                f"{attempts.shape[0]} window pairs but the driver has {n_pairs}"
-            )
+        raise ValueError(
+            f"checkpoint mismatch: exchange statistics cover "
+            f"{attempts.shape[0]} window pairs but the driver has {n_pairs}"
+        )
     driver.walkers = state["walkers"]
     driver.window_converged = list(state["window_converged"])
     driver.exchange_attempts = attempts
     driver.exchange_accepts = accepts
     driver.rounds = state["rounds"]
     driver._exchange_rng = state["exchange_rng"]
-    # Walkers from pre-observability checkpoints lack the (window, walker)
-    # tag worker-side spans rely on; re-derive it either way.  _retag_window
-    # also rebinds the restored teams into a fused engine's campaign arrays.
+    # _retag_window re-derives each team's window tag and, under shm,
+    # rebinds the restored team into the shared campaign arrays.
     for w in range(len(driver.walkers)):
         driver._retag_window(w)
     conv_state = state.get("convergence")

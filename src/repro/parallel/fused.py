@@ -1,67 +1,51 @@
-"""Fused SPMD campaign state and engines (DESIGN.md §16).
+"""Shared-memory campaign backend (``backend="shm"``, DESIGN.md §16).
 
-The whole campaign is one SPMD array program:
+``backend="fused"`` steps every window's team in the driver's process
+(:func:`repro.parallel.rewl.advance_windows`).  ``backend="shm"`` steps the
+same teams, through the same function, on worker ranks that map the
+campaign from shared memory:
 
-- :class:`FusedCampaignState` — all W·K walker configurations live as rows
-  of a single ``(W·K, n_sites)`` array, with per-window ``ln g`` /
-  histogram planes and per-window ``ln f`` scalars packed alongside;
+- :class:`FusedCampaignState` — the storage format: all W·K walker
+  configurations as rows of a single ``(W·K, n_sites)`` array, with
+  per-window ``ln g`` / histogram planes and per-window ``ln f`` scalars
+  packed alongside, allocated in :mod:`multiprocessing.shared_memory`
+  segments (:class:`~repro.parallel.comm.ShmWorld`);
 - :class:`FusedTeam` — a :class:`~repro.sampling.batched.
   BatchedWangLandauSampler` whose arrays are *views* into the campaign
   state and whose scalars live in shared blocks, so every driver phase that
-  reads team state works unchanged;
-- :func:`fused_advance` — the campaign-wide block advance
-  (:func:`repro.sampling.batched.advance_block`): each team draws a whole
-  round's randomness once, then every super-step runs once for all rows of
-  all windows — one ``delta_energy_*_many`` gather, one bin lookup, one
-  commit loop — and team state is written back once per block;
-- :class:`FusedEngine` — in-process driver hook (``backend="fused"``);
-- :class:`ShmEngine` — multiprocess driver hook (``backend="shm"``): the
-  campaign state is allocated in :mod:`multiprocessing.shared_memory`
-  segments (:class:`~repro.parallel.comm.ShmWorld`), worker ranks attach
-  zero-copy and step their windows' rows in place, and the controller
-  drains per-rank completions *without a barrier* — replica-exchange pairs
-  are processed (in strict schedule order, preserving the exchange RNG
-  stream) as soon as both endpoints land, while other ranks keep stepping.
+  reads team state works unchanged on the controller;
+- :class:`ShmEngine` — the driver hook: worker ranks attach zero-copy and
+  step their windows' rows in place, and the controller drains per-rank
+  completions *without a barrier* — replica-exchange pairs are processed
+  (in strict schedule order, preserving the exchange RNG stream) as soon as
+  both endpoints land, while other ranks keep stepping.
 
 Bit-identity: a team's trajectory is a pure function of its seed and the
-sequence of advance-call lengths, whichever teams share its block; every
-backend issues the same lengths (``exchange_interval`` per round), the
+sequence of advance-call lengths, whichever teams share its block; both
+backends issue the same lengths (``exchange_interval`` per round), the
 ``*_many`` kernels reduce row-wise, and the exchange stream is consumed in
-pair-schedule order — so ``backend="fused"`` and ``backend="shm"`` reproduce
-the per-window batched campaign bit for bit (pinned by
-``tests/test_fused_campaign.py``).
+pair-schedule order — so ``backend="shm"`` reproduces ``backend="fused"``
+bit for bit (pinned by ``tests/test_fused_campaign.py``).
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 
 from repro.faults import faults_from_env
 from repro.lattice.configuration import CONFIG_DTYPE
-from repro.obs.events import worker_log
 from repro.parallel.comm import SharedMemoryCommunicator, ShmWorld
-from repro.sampling.batched import BatchedWangLandauSampler, advance_block
+from repro.sampling.batched import BatchedWangLandauSampler
 from repro.sampling.wang_landau import WalkerCounters
 
-__all__ = [
-    "FusedCampaignState",
-    "FusedTeam",
-    "FusedEngine",
-    "ShmEngine",
-    "fused_advance",
-]
+__all__ = ["FusedCampaignState", "FusedTeam", "ShmEngine"]
 
 #: Message-wait slice for the controller drain loop: short enough that a
 #: dead worker is noticed promptly, long enough not to busy-spin.
 _POLL_S = 1.0
-
-#: Worker-side retry budget for injected faults (mirrors the executors'
-#: default under chaos).
-_WORKER_RETRIES = 8
 
 
 # --------------------------------------------------------------------------
@@ -88,10 +72,9 @@ class FusedCampaignState:
     ========== ==================== =========================================
 
     ``make_windows`` gives every window the same integer bin width, which is
-    what makes the rectangular ``(W, width)`` planes possible.  Allocation
-    is pluggable: plain ``np.zeros`` for the in-process fused engine, or
-    :meth:`~repro.parallel.comm.ShmWorld.alloc_array` for named
-    shared-memory segments that worker ranks map zero-copy.
+    what makes the rectangular ``(W, width)`` planes possible.  The arrays
+    come from an allocator — :meth:`~repro.parallel.comm.ShmWorld.alloc_array`
+    for the named shared-memory segments worker ranks map zero-copy.
     """
 
     FIELDS = ("configs", "energies", "bins", "ln_g", "histogram", "visited",
@@ -124,12 +107,11 @@ class FusedCampaignState:
 
     @classmethod
     def allocate(cls, *, n_windows: int, walkers_per_window: int,
-                 n_sites: int, width: int, config_dtype=CONFIG_DTYPE,
-                 alloc=None) -> "FusedCampaignState":
-        """Allocate fresh campaign arrays (``alloc=None`` → host memory)."""
+                 n_sites: int, width: int, alloc,
+                 config_dtype=CONFIG_DTYPE) -> "FusedCampaignState":
+        """Fresh campaign arrays, each from ``alloc(name, shape, dtype)``."""
         arrays = {
-            name: (np.zeros(shape, dtype=dtype) if alloc is None
-                   else alloc(name, shape, dtype))
+            name: alloc(name, shape, dtype)
             for name, (shape, dtype) in
             cls.specs(n_windows, walkers_per_window, n_sites, width,
                       config_dtype).items()
@@ -293,67 +275,6 @@ class FusedTeam(BatchedWangLandauSampler):
 
 
 # --------------------------------------------------------------------------
-# the campaign-wide advance
-# --------------------------------------------------------------------------
-
-
-def fused_advance(teams, n_steps, hamiltonian, profiler=None) -> None:
-    """``n_steps`` campaign-wide super-steps: the block advance that
-    ``team.steps(n)`` is the one-team case of, with its one stacked ΔE gather
-    per super-step timed under ``rewl.fused_gather``."""
-    advance_block(teams, int(n_steps), hamiltonian, profiler,
-                  gather_section="rewl.fused_gather")
-
-
-# --------------------------------------------------------------------------
-# in-process engine (backend="fused")
-# --------------------------------------------------------------------------
-
-
-def _campaign_state(driver, alloc=None) -> FusedCampaignState:
-    """Campaign arrays sized for ``driver``'s windows and walker teams."""
-    widths = {spec.grid.n_bins for spec in driver.windows}
-    if len(widths) != 1:
-        raise ValueError(
-            f"fused campaign needs a common window width, got {sorted(widths)}"
-        )
-    first = driver.walkers[0][0].configs
-    return FusedCampaignState.allocate(
-        n_windows=len(driver.windows),
-        walkers_per_window=driver.cfg.walkers_per_window,
-        n_sites=first.shape[1], width=widths.pop(), config_dtype=first.dtype,
-        alloc=alloc,
-    )
-
-
-class FusedEngine:
-    """In-process fused SPMD engine: one gather serves every window.
-
-    Plugged in by ``REWLConfig(backend="fused")``.  ``overlapped`` is False
-    — the driver's classic round structure (advance barrier, then exchange,
-    then sync) is kept; only the advance phase's *internals* are fused.
-    """
-
-    overlapped = False
-
-    def __init__(self, driver):
-        self.state = _campaign_state(driver)
-
-    def bind_window(self, driver, w: int) -> None:
-        """(Re-)bind window ``w``'s team into the campaign arrays."""
-        FusedTeam.adopt(driver.walkers[w][0], self.state, w, push=True)
-
-    def advance(self, driver, active, n_steps: int) -> None:
-        teams = [driver.walkers[w][0] for w in active]
-        fused_advance(teams, n_steps, driver.hamiltonian,
-                      profiler=driver.profiler)
-
-    def close(self, driver) -> None:
-        for team in (t[0] for t in driver.walkers):
-            FusedTeam.detach(team)
-
-
-# --------------------------------------------------------------------------
 # shared-memory engine (backend="shm")
 # --------------------------------------------------------------------------
 
@@ -373,7 +294,7 @@ def _shm_campaign_worker(handle, rank, blob):
     ``min_epoch``.
     """
     from repro.obs.profile import SectionProfiler
-    from repro.parallel.rewl import _advance_walker
+    from repro.parallel.rewl import advance_windows
 
     comm = SharedMemoryCommunicator(world=handle, rank=rank)
     try:
@@ -396,8 +317,6 @@ def _shm_campaign_worker(handle, rank, blob):
                 )
             teams[spec["w"]] = team
         min_epoch = blob.get("min_epoch", 0)
-        max_retries = _WORKER_RETRIES if injector is not None else 0
-        log = worker_log()
         while True:
             msg = comm.recv(source=0)
             if msg[0] == "stop":
@@ -405,58 +324,30 @@ def _shm_campaign_worker(handle, rank, blob):
             _, epoch, n_steps, jobs = msg
             if epoch < min_epoch:
                 continue  # predecessor's command; controller rolled back
-            t0 = time.perf_counter() if log.enabled else 0.0
-            report = {}
+            live = {}
             for w, rng_state in jobs:
-                team = teams[w]
+                team = live[w] = teams[w]
                 team.rng.bit_generator.state = rng_state
                 team.counters = WalkerCounters()
-            if injector is None:
-                ws = [w for w, _ in jobs]
-                live = [teams[w] for w in ws]
-                prof = live[0].profiler
-                try:
-                    fused_advance(live, n_steps, ham, profiler=prof)
-                except Exception as exc:  # pragma: no cover - defensive
-                    err = f"{type(exc).__name__}: {exc}"
-                    report = {w: {"ok": False, "error": err} for w in ws}
-            else:
-                # Chaos mode steps windows individually so fault targeting
-                # (and the retry-from-same-state contract: faults fire at
-                # attempt entry) stays per window.  RNG draws are identical
-                # either way — window streams are independent.
-                for w, _ in jobs:
-                    team, attempt = teams[w], 0
-                    while True:
-                        fn = injector.wrap(_advance_walker, key=w,
-                                           attempt=attempt)
-                        try:
-                            fn(team, n_steps)
-                            break
-                        except Exception as exc:
-                            attempt += 1
-                            if attempt > max_retries:
-                                report[w] = {
-                                    "ok": False,
-                                    "error": f"{type(exc).__name__}: {exc}",
-                                }
-                                break
-            for w, _ in jobs:
+            prof = next(iter(live.values())).profiler
+            try:
+                failed, retries = advance_windows(live, n_steps, ham, prof,
+                                                  injector)
+            except Exception as exc:  # pragma: no cover - defensive
+                failed, retries = dict.fromkeys(live, exc), []
+            report = {
+                w: {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+                for w, exc in failed.items()
+            }
+            for w, team in live.items():
                 if w not in report:
-                    team = teams[w]
                     report[w] = {
                         "ok": True,
                         "counters": team.counters,
                         "rng": team.rng.bit_generator.state,
                         "profile": team.profiler,
                     }
-            if log.enabled:
-                log.emit(
-                    "worker_span", name="advance",
-                    dur_s=time.perf_counter() - t0, window=None, walker=None,
-                    steps=n_steps * state.walkers_per_window * len(jobs),
-                )
-            comm.send(("done", epoch, rank, report), dest=0)
+            comm.send(("done", epoch, rank, report, retries), dest=0)
     finally:
         comm.close()
 
@@ -466,14 +357,12 @@ class ShmEngine:
 
     The controller (rank 0) owns the round structure; worker ranks own
     static window partitions and step them in place in the shared campaign
-    arrays.  ``overlapped`` is True: the controller drains per-rank
+    arrays.  Rounds are overlapped: the controller drains per-rank
     completions as they land — guarding, snapshotting, exchanging (strict
     pair-schedule order, so the exchange RNG stream is untouched) and
     syncing each window the moment it is ready, while slower ranks keep
     stepping.  Exchange proposals therefore never barrier the stepping.
     """
-
-    overlapped = True
 
     def __init__(self, driver, n_ranks: int | None = None):
         n_windows = len(driver.windows)
@@ -481,8 +370,18 @@ class ShmEngine:
         if n_ranks is None:
             n_ranks = min(n_windows, max(1, (os.cpu_count() or 2) - 1))
         self.n_workers = max(1, min(int(n_ranks), n_windows))
+        widths = {spec.grid.n_bins for spec in driver.windows}
+        if len(widths) != 1:
+            raise ValueError(
+                f"shm campaign needs a common window width, got {sorted(widths)}"
+            )
+        first = driver.walkers[0][0].configs
         self.world = ShmWorld(self.n_workers + 1)
-        self.state = _campaign_state(driver, alloc=self.world.alloc_array)
+        self.state = FusedCampaignState.allocate(
+            n_windows=n_windows, walkers_per_window=k, n_sites=first.shape[1],
+            width=widths.pop(), config_dtype=first.dtype,
+            alloc=self.world.alloc_array,
+        )
         self.rank_of = [1 + (w % self.n_workers) for w in range(n_windows)]
         self.comm = SharedMemoryCommunicator(world=self.world.handle(), rank=0)
         wl_cfg = driver.walkers[0][0].cfg
@@ -624,7 +523,7 @@ class ShmEngine:
                     )
                     with driver.obs.span("exchange", round=driver.rounds,
                                          pair=left):
-                        driver._exchange_pair_batched(left, right)
+                        driver._exchange_pair(left, right)
                     if prof is not None:
                         prof.stop("rewl.exchange_round", te)
                     pair_done[next_pair] = True
@@ -665,13 +564,10 @@ class ShmEngine:
                         if prof is not None:
                             prof.stop("rewl.guard", tg)
                 else:
-                    exc = RuntimeError(payload["error"])
-                    if sup is None:
-                        raise RuntimeError(
-                            f"window {w} advance failed on shm rank {rank}: "
-                            f"{payload['error']}"
-                        ) from exc
-                    sup.on_window_failure(driver, w, exc)
+                    driver._window_failed(w, RuntimeError(
+                        f"window {w} advance failed on shm rank {rank}: "
+                        f"{payload['error']}"
+                    ))
                 ready.add(w)
 
             while pending:
@@ -684,7 +580,8 @@ class ShmEngine:
                     continue
                 if msg[0] != "done" or msg[1] != epoch:
                     continue  # stale reply from a respawned predecessor
-                _, _, rank, report = msg
+                _, _, rank, report, retries = msg
+                driver._note_retries(retries)
                 for w in sorted(report):
                     if w in pending:
                         pending.discard(w)

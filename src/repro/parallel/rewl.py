@@ -2,19 +2,23 @@
 
 The parallel backbone of DeepThermo: the global energy range is cut into
 overlapping windows (:mod:`repro.parallel.windows`), each window is sampled
-by a team of independent Wang-Landau walkers, and the driver alternates
+by a team of K walkers — one :class:`~repro.sampling.batched.
+BatchedWangLandauSampler` stepping K walker slots against a shared ln g —
+and the driver alternates
 
-1. **advance** — every unconverged walker runs ``exchange_interval`` WL
-   steps (parallelized by the executor; walker RNG state travels with the
-   walker, so serial and multiprocess runs are bit-identical),
+1. **advance** — every unconverged window's team runs ``exchange_interval``
+   super-steps, all teams as one block (:func:`advance_windows`), in this
+   process (``backend="fused"``) or on shared-memory worker ranks
+   (``backend="shm"``, :mod:`repro.parallel.fused`); a team's trajectory is
+   a function of its seed and the advance-call lengths only, so both
+   backends are bit-identical,
 2. **exchange** — walkers in adjacent windows swap configurations with the
    exact REWL acceptance rule
    ``ln u < [ln g_A(E_A) − ln g_A(E_B)] + [ln g_B(E_B) − ln g_B(E_A)]``,
    possible only when both energies lie in both windows (the overlap),
-3. **synchronize** — when *all* walkers of a window are flat, their ln g
-   estimates are merged (bin-wise mean over walkers that visited the bin),
-   histograms reset, and the window's modification factor advances jointly
-   (Vogel, Li, Wüst & Landau 2013).
+3. **synchronize** — when a window's shared histogram is flat, its ln g is
+   shifted to a zero minimum, the histogram reset, and the window's
+   modification factor advances (Vogel, Li, Wüst & Landau 2013).
 
 A window is converged when its ``ln f`` reaches ``ln_f_final``; converged
 windows stop advancing and exchanging.  The per-window ln g pieces are
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.hamiltonians.base import Hamiltonian
+from repro.faults import InjectedFault, faults_from_env
 from repro.kernels import native
 from repro.obs import Instrumentation, Telemetry
 from repro.obs.convergence import (
@@ -46,79 +50,101 @@ from repro.obs.timeseries import (
     TimeSeriesRecorder,
     timeseries_from_env,
 )
-from repro.parallel.executors import SerialExecutor, make_executor
 from repro.parallel.windows import WindowSpec, make_windows, surviving_pairs
 from repro.resilience.supervisor import (
     CampaignSupervisor,
     ResilienceConfig,
     resilience_from_env,
 )
-from repro.sampling.batched import BatchedWangLandauSampler
+from repro.sampling.batched import BatchedWangLandauSampler, advance_block
 from repro.sampling.binning import EnergyGrid
-from repro.sampling.wang_landau import (
-    WalkerCounters,
-    WangLandauSampler,
-    WLConfig,
-    drive_into_range,
-)
-from repro.util.deprecation import warn_once
+from repro.sampling.wang_landau import WalkerCounters, WLConfig, drive_into_range
 from repro.util.rng import RngFactory
 from repro.util.validation import check_in_range, check_integer, check_probability
 
 __all__ = ["REWLConfig", "REWLDriver", "REWLResult", "WalkerSnapshot"]
 
 
-def _advance_walker(walker, n_steps: int):
-    """Module-level task so process executors can pickle it.
+#: Profiler section timing the one stacked ΔE gather of a super-step.
+_GATHER_SECTION = "rewl.fused_gather"
 
-    ``n_steps`` is per walker: a scalar walker takes ``n_steps`` WL steps, a
-    batched team takes ``n_steps`` super-steps (one step per slot each).
+#: Attempts a window gets beyond the first in one round under fault
+#: injection (``REPRO_FAULTS``); a window that uses them all up fails.
+_WORKER_RETRIES = 8
 
-    When ``REPRO_TRACE_DIR`` is set, each task emits one ``worker_span``
-    record — tagged (pid, window, walker) via the walker's ``obs_tag`` — to
-    this process's worker JSONL file, so multiprocess campaigns can be
-    merged into one timeline by ``repro obs export-trace``.
+
+def _step_window(team, n_steps: int, hamiltonian, profiler):
+    """One window's advance: the unit a fault wraps (it returns the team)."""
+    advance_block([team], n_steps, hamiltonian, profiler,
+                  gather_section=_GATHER_SECTION)
+    return team
+
+
+def advance_windows(teams: dict, n_steps: int, hamiltonian, profiler=None,
+                    faults=None) -> tuple[dict, list]:
+    """``n_steps`` super-steps of every team in ``teams`` (``{window: team}``).
+
+    The advance phase of both backends: the driver calls it in process, a
+    shm worker rank on the windows it owns.  Without ``faults`` every team
+    advances in one :func:`~repro.sampling.batched.advance_block` call.
+    Under fault injection each window is stepped alone, so a fault hits one
+    window: a failed attempt is retried from the same state (faults fire
+    before the body runs) up to ``_WORKER_RETRIES`` times.  Team streams are
+    independent, so a run whose faults were all retried away is bit-identical
+    to the clean run.
+
+    Returns ``(failed, retries)``: ``{window: exception}`` for windows whose
+    retries ran out, and one ``(window, attempt, error, injected)`` record per
+    retry — plain data, so a rank can send it back in its reply.  With
+    ``REPRO_TRACE_DIR`` set, each call writes one ``worker_span`` record.
     """
     log = worker_log()
     t0 = time.perf_counter() if log.enabled else 0.0
-    batched = getattr(walker, "steps", None)
-    if batched is not None:
-        batched(n_steps)
+    failed: dict[int, Exception] = {}
+    retries: list[tuple] = []
+    if faults is None:
+        advance_block(list(teams.values()), n_steps, hamiltonian, profiler,
+                      gather_section=_GATHER_SECTION)
     else:
-        for _ in range(n_steps):
-            walker.step()
+        for w, team in teams.items():
+            attempt = 0
+            while True:
+                try:
+                    faults.wrap(_step_window, key=w, attempt=attempt)(
+                        team, n_steps, hamiltonian, profiler
+                    )
+                    break
+                except Exception as exc:  # noqa: BLE001 - retried, then reported
+                    attempt += 1
+                    if attempt > _WORKER_RETRIES:
+                        failed[w] = exc
+                        break
+                    retries.append((w, attempt, f"{type(exc).__name__}: {exc}",
+                                    isinstance(exc, InjectedFault)))
     if log.enabled:
-        window, slot = getattr(walker, "obs_tag", (None, None))
         log.emit(
             "worker_span", name="advance", dur_s=time.perf_counter() - t0,
-            window=window, walker=slot,
-            steps=n_steps * int(getattr(walker, "n_slots", 1)),
+            window=None, walker=None,
+            steps=n_steps * sum(team.n_slots for team in teams.values()),
         )
-    return walker
+    return failed, retries
 
 
-#: Advance backends ``REWLConfig.backend`` accepts: executor-driven
-#: per-window stepping ("serial"/"thread"/"process") or the fused SPMD
-#: campaign super-step, in-process ("fused") or multiprocess over
-#: shared-memory segments ("shm"); see :mod:`repro.parallel.fused`.
-BACKENDS = ("serial", "thread", "process", "fused", "shm")
+#: Campaign backends ``REWLConfig.backend`` accepts: every window's team
+#: stepped in this process, or on shared-memory worker ranks
+#: (:mod:`repro.parallel.fused`).
+BACKENDS = ("fused", "shm")
 
 
 @dataclass(frozen=True)
 class REWLConfig:
     """Tuning knobs for :class:`REWLDriver`.
 
-    ``batched_walkers`` switches each window's team from N independent
-    scalar walkers to one :class:`BatchedWangLandauSampler` stepping N
-    walker slots per super-step against a shared ln g (the within-window
-    throughput mode; see :mod:`repro.sampling.batched`).  Default off —
-    scalar teams remain bit-identical to previous releases.
-
-    ``backend`` selects how the campaign advances: ``"serial"`` /
-    ``"thread"`` / ``"process"`` build the matching executor
-    (:data:`repro.parallel.executors.EXECUTORS`), while ``"fused"`` and
-    ``"shm"`` step all windows as one SPMD array program
-    (:mod:`repro.parallel.fused`; both imply ``batched_walkers``).
+    Each window is sampled by one :class:`BatchedWangLandauSampler` team of
+    ``walkers_per_window`` slots sharing the window's ln g.  ``backend``
+    selects where the teams step: ``"fused"`` advances them all in this
+    process, ``"shm"`` on worker ranks that map the campaign arrays from
+    shared memory (:mod:`repro.parallel.fused`); the two are bit-identical.
     ``shm_ranks`` caps the worker ranks of the shm backend (default: one
     per window, bounded by the CPU count).
 
@@ -139,8 +165,7 @@ class REWLConfig:
     max_rounds: int = 100_000
     drive_max_steps: int = 2_000_000
     checkpoint_interval: int = 0  # rounds between snapshots (0 = off)
-    batched_walkers: bool = False
-    backend: str = "serial"
+    backend: str = "fused"
     shm_ranks: int | None = None
 
     def __post_init__(self):
@@ -274,13 +299,8 @@ class REWLDriver:
         A valid configuration; each walker gets an independently shuffled
         copy driven into its window.
     config : REWLConfig
-        Campaign shape and backend (``backend="serial"|"thread"|"process"``
-        builds the matching executor; ``"fused"``/``"shm"`` step the whole
-        campaign as one SPMD super-step — :mod:`repro.parallel.fused`).
-    executor : executor, optional
-        Explicit advance-phase executor; overrides the ``config.backend``
-        executor choice.  Rejected for the fused/shm backends, which manage
-        their own stepping.
+        Campaign shape and backend (``"fused"`` in process, ``"shm"`` on
+        shared-memory worker ranks).
     instrumentation : repro.obs.Instrumentation, optional
         Observability bundle — ``telemetry`` (metrics/spans/events handle),
         ``profiler`` (sampling section profiler), ``health`` (heartbeats +
@@ -290,9 +310,6 @@ class REWLDriver:
         (``REPRO_PROFILE``, ``REPRO_HEALTH``, ``REPRO_CONVERGENCE``,
         ``REPRO_TIMESERIES`` — and ``REPRO_OBS_PORT`` implies a recorder);
         none of them draw RNG, so an instrumented run stays bit-identical.
-        The pre-bundle per-field keywords (``telemetry=``, ``profiler=``,
-        ``health=``, ``convergence=``, ``timeseries=``) keep working for
-        one release behind a ``DeprecationWarning``.
     checkpoint_path : path-like, optional
         Where periodic snapshots land when ``config.checkpoint_interval``
         is set; resume with :func:`repro.parallel.checkpoint.maybe_resume`.
@@ -303,36 +320,20 @@ class REWLDriver:
         wall-clock/round/step budgets with clean terminate-and-harvest
         (DESIGN.md §14).  Defaults to the ``REPRO_RESILIENCE`` environment
         knob; guards draw no random numbers, so a guarded run that never
-        trips is bit-identical to an unguarded one.  Under the fused/shm
-        backends, guard trips mask *rows* of the campaign arrays (rollback
-        rebinds the window's slots in place; quarantine drops the window
-        from the schedule) — worker processes are never killed.
+        trips is bit-identical to an unguarded one.  Guard trips act on
+        window *teams* (rollback restores the window's team in place;
+        quarantine drops the window from the schedule) — shm worker
+        processes are never killed for them.
+
+    Under fault injection (``REPRO_FAULTS``, read at construction) each
+    window advances alone with up to ``_WORKER_RETRIES`` retries per round
+    (:func:`advance_windows`); a window that exhausts them goes to the
+    supervisor, or raises when there is none.
     """
 
     def __init__(self, *, hamiltonian=None, proposal_factory=None, grid=None,
-                 initial_config=None, config=None, executor=None,
-                 instrumentation=None, checkpoint_path=None, resilience=None,
-                 **legacy):
-        inst_fields = Instrumentation.field_names()
-        unknown = set(legacy) - set(inst_fields)
-        if unknown:
-            raise TypeError(
-                f"REWLDriver() got unexpected keyword arguments {sorted(unknown)}"
-            )
-        if legacy:
-            if instrumentation is not None:
-                raise TypeError(
-                    "REWLDriver() got both instrumentation= and deprecated "
-                    f"per-field keywords {sorted(legacy)}; pass everything "
-                    "through Instrumentation(...)"
-                )
-            warn_once(
-                "REWLDriver.instrumentation",
-                "the per-field REWLDriver observability keywords (telemetry=, "
-                "profiler=, health=, convergence=, timeseries=) are "
-                "deprecated; pass instrumentation=Instrumentation(...) instead",
-            )
-            instrumentation = Instrumentation(**legacy)
+                 initial_config=None, config=None, instrumentation=None,
+                 checkpoint_path=None, resilience=None):
         inst = instrumentation if instrumentation is not None else Instrumentation()
         missing = [
             k for k, v in (
@@ -378,19 +379,9 @@ class REWLDriver:
                 ),
                 overlap=plan.overlap if cfg.overlap is None else cfg.overlap,
             )
-        if cfg.backend in ("fused", "shm") and not cfg.batched_walkers:
-            # The fused super-step is defined on batched window teams.
-            cfg = replace(cfg, batched_walkers=True)
         self.cfg = cfg
-        if executor is not None and cfg.backend in ("fused", "shm"):
-            raise TypeError(
-                f"backend={cfg.backend!r} manages its own stepping; "
-                "drop the executor= argument"
-            )
-        if executor is None and cfg.backend in ("thread", "process"):
-            executor = make_executor(cfg.backend)
-        self.executor = executor or SerialExecutor()
         self._engine = None
+        self._faults = faults_from_env()
         self.obs = telemetry if telemetry is not None else Telemetry()
         self.checkpoint_path = checkpoint_path
         self.profiler = profiler if profiler is not None else profile_from_env()
@@ -443,11 +434,6 @@ class REWLDriver:
             trace = os.environ.get(TRACE_ENV_VAR, "").strip()
             if trace and trace not in ("stderr", "-"):
                 get_board().publish_trace(trace)
-        # Executors constructed without their own telemetry adopt ours, so
-        # retry/fault/rebuild events land in this run's trace.
-        bind = getattr(self.executor, "bind_telemetry", None)
-        if bind is not None:
-            bind(self.obs)
         self.windows = make_windows(grid, self.cfg.n_windows, self.cfg.overlap)
         self._rngs = RngFactory(self.cfg.seed)
         self._exchange_rng = self._rngs.make("rewl-exchange")
@@ -458,65 +444,34 @@ class REWLDriver:
             flatness=self.cfg.flatness, check_interval=self.cfg.check_interval,
             batch_size=self.cfg.walkers_per_window,
         )
-        self.walkers: list[list] = []
+        # driver.walkers[w] is a one-element list holding window w's team.
+        self.walkers: list[list[BatchedWangLandauSampler]] = []
         for w, spec in enumerate(self.windows):
-            driven_rows = []
+            rows = []
             for k in range(self.cfg.walkers_per_window):
-                rng = self._rngs.make("rewl-walker", w * 10_000 + k)
                 cfg0 = initial_config.copy()
-                rng.shuffle(cfg0)
-                driven = drive_into_range(
+                self._rngs.make("rewl-walker", w * 10_000 + k).shuffle(cfg0)
+                rows.append(drive_into_range(
                     hamiltonian, proposal_factory(), spec.grid, cfg0,
                     rng=self._rngs.make("rewl-drive", w * 10_000 + k),
                     max_steps=self.cfg.drive_max_steps,
+                ))
+            team = BatchedWangLandauSampler(
+                hamiltonian=hamiltonian, proposal=proposal_factory(),
+                grid=spec.grid, initial_config=np.stack(rows),
+                rng=self._rngs.make("rewl-team", w), config=wl_cfg,
+            )
+            if self.profiler is not None and self.cfg.backend != "shm":
+                # One profiler per team, merged in merged_profile(); shm
+                # ranks build their own and return them with each reply.
+                team.enable_profiling(
+                    SectionProfiler(sample_every=self.profiler.sample_every)
                 )
-                driven_rows.append((driven, rng))
-            if self.cfg.batched_walkers:
-                # One stepping object per window: the walkers become slots of
-                # a shared-ln g batched team (same drive/shuffle streams as
-                # scalar mode, so the starting states match walker-for-walker).
-                team = [
-                    BatchedWangLandauSampler(
-                        hamiltonian=hamiltonian, proposal=proposal_factory(),
-                        grid=spec.grid,
-                        initial_config=np.stack([d for d, _ in driven_rows]),
-                        rng=self._rngs.make("rewl-team", w), config=wl_cfg,
-                    )
-                ]
-            else:
-                team = [
-                    WangLandauSampler(
-                        hamiltonian=hamiltonian, proposal=proposal_factory(),
-                        grid=spec.grid, initial_config=driven, rng=rng,
-                        config=wl_cfg,
-                    )
-                    for driven, rng in driven_rows
-                ]
-            self.walkers.append(team)
-        if self.profiler is not None and self.cfg.backend != "shm":
-            # One independent profiler per walker (picklable; ships through
-            # the executors and merges back in result()).  shm workers build
-            # their own profilers rank-side (the engine ships the stride) and
-            # return samples with each round's reply.
-            for team in self.walkers:
-                for walker in team:
-                    walker.enable_profiling(
-                        SectionProfiler(sample_every=self.profiler.sample_every)
-                    )
-        if self.cfg.backend == "fused":
-            from repro.parallel.fused import FusedEngine
-
-            self._engine = FusedEngine(self)
-        elif self.cfg.backend == "shm":
+            self.walkers.append([team])
+        if self.cfg.backend == "shm":
             from repro.parallel.fused import ShmEngine
 
             self._engine = ShmEngine(self, n_ranks=self.cfg.shm_ranks)
-        # (window, walker) identity rides on the walker objects themselves:
-        # executors pass the same extra args to every task, so this is how
-        # worker-side spans know which lane they belong to.  A batched team
-        # is one object covering all of its window's slots.  With a fused
-        # engine the same loop also binds each team's rows into the campaign
-        # arrays (see _retag_window).
         for w in range(len(self.walkers)):
             self._retag_window(w)
         self.window_converged = [False] * len(self.windows)
@@ -534,18 +489,15 @@ class REWLDriver:
     # ------------------------------------------------------------- helpers
 
     def _retag_window(self, w: int) -> None:
-        """(Re-)stamp ``obs_tag`` identities onto window ``w``'s walkers
-        (needed after walker objects are replaced, e.g. a rollback).
+        """(Re-)stamp window ``w``'s team after it was replaced (a rollback
+        restores a pickled snapshot, a checkpoint load swaps teams in).
 
-        This is also the fused backends' rebind hook: whenever a window's
-        team object is replaced (rollback restores a pickled snapshot, a
-        checkpoint load swaps teams in), the engine re-adopts it so its rows
-        of the campaign arrays track the new state — masked-row recovery
-        instead of process restarts.
+        Sets the team's ``obs_tag`` (window identity for worker spans and
+        window-targeted faults) and, under ``backend="shm"``, re-adopts it
+        into the shared campaign arrays so its rows track the new state —
+        row recovery instead of process restarts.
         """
-        team = self.walkers[w]
-        for k, walker in enumerate(team):
-            walker.obs_tag = (w, k if len(team) > 1 else None)
+        self.walkers[w][0].obs_tag = (w, None)
         if self._engine is not None:
             self._engine.bind_window(self, w)
 
@@ -555,7 +507,7 @@ class REWLDriver:
         Required after a ``backend="shm"`` run: worker ranks are stopped and
         joined, and the shared-memory segments unlinked.  Teams are detached
         back onto private arrays first, so ``result()`` and checkpoints
-        taken after ``close()`` stay valid.  A no-op for executor backends.
+        taken after ``close()`` stay valid.  A no-op for ``backend="fused"``.
         """
         if self._engine is not None:
             self._engine.close(self)
@@ -570,15 +522,7 @@ class REWLDriver:
 
     def total_steps(self) -> int:
         """WL steps taken so far across all walkers (budget accounting)."""
-        total = 0
-        for team in self.walkers:
-            for walker in team:
-                slot_steps = getattr(walker, "slot_steps", None)
-                total += (
-                    int(slot_steps.sum()) if slot_steps is not None
-                    else int(walker.n_steps)
-                )
-        return total
+        return sum(int(team.slot_steps.sum()) for (team,) in self.walkers)
 
     def _exchange_pairs(self) -> list[tuple[int, int]]:
         """The round's exchange pair schedule.
@@ -598,141 +542,69 @@ class REWLDriver:
     # ------------------------------------------------------------- phases
 
     def _advance_phase(self) -> None:
-        if self._engine is not None:
-            # Fused SPMD super-step: all active windows advance as rows of
-            # one campaign array program (one stacked ΔE gather per step).
-            active = [
-                w for w in range(len(self.walkers))
-                if not self.window_converged[w]
-                and not self.window_quarantined[w]
-            ]
-            steps = len(active) * self.cfg.exchange_interval
-            prof = self.profiler
-            t0 = prof.start_always("rewl.advance") if prof is not None else None
-            with self.obs.span("advance", round=self.rounds,
-                               walkers=len(active), steps=steps):
-                self._engine.advance(self, active, self.cfg.exchange_interval)
-            if prof is not None:
-                prof.stop("rewl.advance", t0)
-            self.obs.metrics.inc("rewl.steps", steps)
-            return
-        tasks: list[tuple[int, int]] = [
-            (w, k)
-            for w, team in enumerate(self.walkers)
-            for k in range(len(team))
+        """In-process advance: every live window's team, one block."""
+        active = [
+            w for w in range(len(self.walkers))
             if not self.window_converged[w] and not self.window_quarantined[w]
         ]
-        steps = len(tasks) * self.cfg.exchange_interval
+        steps = len(active) * self.cfg.exchange_interval
         prof = self.profiler
         t0 = prof.start_always("rewl.advance") if prof is not None else None
-        with self.obs.span("advance", round=self.rounds, walkers=len(tasks),
+        with self.obs.span("advance", round=self.rounds, walkers=len(active),
                            steps=steps):
-            payload = [self.walkers[w][k] for w, k in tasks]
-            if self.supervisor is not None:
-                # Partial completion: a window whose tasks exhaust their
-                # retry budget is handed to the supervisor (rollback /
-                # quarantine) instead of aborting the whole campaign.
-                moved, failures = self.executor.map_partial(
-                    _advance_walker, payload, self.cfg.exchange_interval
-                )
-                for (w, k), walker in zip(tasks, moved):
-                    if walker is not None:
-                        self.walkers[w][k] = walker
-                failed: dict[int, Exception] = {}
-                for idx, exc in failures.items():
-                    failed.setdefault(tasks[idx][0], exc)
-                for w in sorted(failed):
-                    self.supervisor.on_window_failure(self, w, failed[w])
-            else:
-                moved = self.executor.map(
-                    _advance_walker, payload, self.cfg.exchange_interval
-                )
-                for (w, k), walker in zip(tasks, moved):
-                    self.walkers[w][k] = walker
+            failed, retries = advance_windows(
+                {w: self.walkers[w][0] for w in active},
+                self.cfg.exchange_interval, self.hamiltonian, prof,
+                self._faults,
+            )
+            self._note_retries(retries)
+            for w, exc in failed.items():
+                self._window_failed(w, exc)
         if prof is not None:
             prof.stop("rewl.advance", t0)
         self.obs.metrics.inc("rewl.steps", steps)
 
+    def _note_retries(self, retries) -> None:
+        """Count :func:`advance_windows`' retry records (both backends)."""
+        metrics = self.obs.metrics
+        for window, attempt, error, injected in retries:
+            metrics.inc("task.retries")
+            if injected:
+                metrics.inc("fault.injected")
+            if self.obs.enabled:
+                self.obs.emit("task_retry", window=window, attempt=attempt,
+                              reason="error", error=error)
+
+    def _window_failed(self, w: int, exc: Exception) -> None:
+        """Window ``w`` used up its retries: the supervisor decides, or the
+        campaign stops."""
+        if self.supervisor is None:
+            raise exc
+        self.supervisor.on_window_failure(self, w, exc)
+
     def _exchange_phase(self) -> None:
-        if self.cfg.batched_walkers:
-            self._exchange_phase_batched()
-            return
+        """Replica exchange between *slots* of adjacent window teams."""
         prof = self.profiler
         t0 = prof.start_always("rewl.exchange_round") if prof is not None else None
         with self.obs.span("exchange", round=self.rounds):
+            # pairs[start::2] over adjacent pairs gives the classic odd/even
+            # alternation; with quarantined windows the schedule is the
+            # surviving re-paired topology instead.
             start = self.rounds % 2
-            # pairs[start::2] over adjacent pairs reproduces the classic
-            # odd/even alternation exactly; with quarantined windows the
-            # schedule is the surviving re-paired topology instead.
             for left, right in self._exchange_pairs()[start::2]:
-                if self.window_converged[left] or self.window_converged[right]:
-                    continue
-                ia = int(self._exchange_rng.integers(len(self.walkers[left])))
-                ib = int(self._exchange_rng.integers(len(self.walkers[right])))
-                a = self.walkers[left][ia]
-                b = self.walkers[right][ib]
-                self.exchange_attempts[left] += 1
-                a.counters.exchange_attempts += 1
-                b.counters.exchange_attempts += 1
-                self.obs.metrics.inc("rewl.exchange.attempts")
-                accepted = False
-                in_overlap = True
-                bin_a_in_b = b.grid.index(a.energy)
-                bin_b_in_a = a.grid.index(b.energy)
-                if bin_a_in_b < 0 or bin_b_in_a < 0:
-                    in_overlap = False  # not both in the overlap
-                else:
-                    log_alpha = (
-                        a.ln_g[a.current_bin]
-                        - a.ln_g[bin_b_in_a]
-                        + b.ln_g[b.current_bin]
-                        - b.ln_g[bin_a_in_b]
-                    )
-                    if log_alpha >= 0.0 or np.log(self._exchange_rng.random()) < log_alpha:
-                        a.config, b.config = b.config, a.config
-                        a.energy, b.energy = b.energy, a.energy
-                        a.current_bin = bin_b_in_a
-                        b.current_bin = bin_a_in_b
-                        self.exchange_accepts[left] += 1
-                        a.counters.exchange_accepts += 1
-                        b.counters.exchange_accepts += 1
-                        self.obs.metrics.inc("rewl.exchange.accepts")
-                        accepted = True
-                if self.convergence is not None:
-                    self.convergence.note_exchange(
-                        left, ia, right, ib, accepted, in_overlap
-                    )
-                if self.obs.enabled:
-                    self.obs.emit("exchange_attempt", round=self.rounds, pair=left,
-                                  accepted=accepted, in_overlap=in_overlap)
+                self._exchange_pair(left, right)
         if prof is not None:
             prof.stop("rewl.exchange_round", t0)
 
-    def _exchange_phase_batched(self) -> None:
-        """Replica exchange between *slots* of batched window teams.
-
-        Same pairing schedule, acceptance rule, and RNG draw pattern as the
-        scalar phase (one slot pick per side, one uniform for acceptance);
-        only the state swap differs — slots are exchanged through the teams'
-        ``slot_*`` accessors instead of swapping walker attributes.
-        """
-        prof = self.profiler
-        t0 = prof.start_always("rewl.exchange_round") if prof is not None else None
-        with self.obs.span("exchange", round=self.rounds):
-            start = self.rounds % 2
-            for left, right in self._exchange_pairs()[start::2]:
-                self._exchange_pair_batched(left, right)
-        if prof is not None:
-            prof.stop("rewl.exchange_round", t0)
-
-    def _exchange_pair_batched(self, left: int, right: int) -> None:
-        """One batched exchange attempt between windows ``left``/``right``.
+    def _exchange_pair(self, left: int, right: int) -> None:
+        """One exchange attempt between windows ``left``/``right``: one slot
+        pick per side, one uniform for acceptance.
 
         The unit the overlapped shm round drives directly (pairs settle as
         their windows finish stepping, in strict schedule order, so the
         exchange RNG stream matches the phase-at-a-time loop draw-for-draw).
-        Converged or quarantined endpoints make the attempt a silent no-op —
-        same draw-skipping as the classic phase's ``continue``.
+        Converged or quarantined endpoints make the attempt a silent no-op
+        that draws nothing.
         """
         if self.window_converged[left] or self.window_converged[right]:
             return
@@ -799,55 +671,40 @@ class REWLDriver:
         exactly the state the phase-at-a-time loop would."""
         if self.window_converged[w] or self.window_quarantined[w]:
             return
-        team = self.walkers[w]
-        if not all(walker.is_flat() for walker in team):
+        team = self.walkers[w][0]
+        if not team.is_flat():
             return
-        merged, union = self._merge_window(team)
-        for walker in team:
-            walker.ln_g[...] = merged
-            walker.visited[...] = union
-            walker.advance_modification_factor()
-        if team[0].ln_f <= self.cfg.ln_f_final:
+        team.ln_g[...] = self._merge_window(team)[0]
+        team.advance_modification_factor()
+        if team.ln_f <= self.cfg.ln_f_final:
             self.window_converged[w] = True
         if self.convergence is not None:
             self.convergence.note_sync(
-                w, self.rounds, team[0].ln_f, team[0].n_iterations,
+                w, self.rounds, team.ln_f, team.n_iterations,
                 self.window_converged[w],
             )
         self.obs.metrics.inc("rewl.syncs")
         if self.obs.enabled:
             self.obs.emit(
                 "sync", round=self.rounds, window=w,
-                ln_f=team[0].ln_f, iteration=team[0].n_iterations,
+                ln_f=team.ln_f, iteration=team.n_iterations,
                 converged=self.window_converged[w],
             )
 
     @staticmethod
-    def _merge_window(team: list) -> tuple[np.ndarray, np.ndarray]:
-        """Bin-wise mean of ln g over the walkers that visited each bin.
+    def _merge_window(team) -> tuple[np.ndarray, np.ndarray]:
+        """A team's ln g shifted to a zero minimum over its visited bins
+        (0 elsewhere), and a copy of its visited mask.
 
-        A batched team is a single shared-ln g object, so the "merge" is the
-        identity (modulo the min-shift every sync applies in scalar mode
-        too).
-
-        Pure function of the team state (callers decide whether to write the
-        merge back — ``result()`` must *not* mutate walkers, or checkpoints
-        taken after a run would diverge from uninterrupted runs).
+        Pure function of the team state (callers decide whether to write it
+        back — ``result()`` must *not* mutate walkers, or checkpoints taken
+        after a run would diverge from uninterrupted runs).
         """
-        n_bins = team[0].ln_g.shape[0]
-        acc = np.zeros(n_bins)
-        cnt = np.zeros(n_bins)
-        for walker in team:
-            mask = walker.visited
-            ln_g = walker.ln_g.copy()
-            if mask.any():
-                ln_g -= ln_g[mask].min()
-            acc[mask] += ln_g[mask]
-            cnt[mask] += 1
-        union = cnt > 0
-        merged = np.zeros(n_bins)
-        merged[union] = acc[union] / cnt[union]
-        return merged, union
+        visited = team.visited.copy()
+        if not visited.any():
+            return np.zeros(visited.shape[0]), visited
+        ln_g = team.ln_g
+        return np.where(visited, ln_g - ln_g[visited].min(), 0.0), visited
 
     def _maybe_checkpoint(self) -> None:
         """Periodic crash-consistent snapshot (``cfg.checkpoint_interval``)."""
@@ -890,7 +747,7 @@ class REWLDriver:
                     # whatever converged, instead of dying to the job
                     # scheduler's SIGKILL with nothing.
                     break
-                if self._engine is not None and self._engine.overlapped:
+                if self._engine is not None:
                     # Non-blocking replica exchange: the engine drains
                     # worker replies as windows finish stepping, settling
                     # exchange pairs and syncs per window instead of
@@ -953,27 +810,22 @@ class REWLDriver:
         return result
 
     def merged_profile(self) -> SectionProfiler:
-        """Round-phase sections merged with every walker's hot-path profile.
+        """Round-phase sections merged with every team's hot-path profile.
 
-        Walker profilers travel with the walkers through the executors, so
-        this reduction works identically for serial, thread, and process
-        backends.  Returns a fresh profiler; nothing is mutated.
+        In process each team carries its own profiler; under
+        ``backend="shm"`` the rank-side profile ships back with each round's
+        reply (the team's own ``.profiler`` stays None there).  Returns a
+        fresh profiler; nothing is mutated.
         """
         merged = SectionProfiler(
             sample_every=self.profiler.sample_every if self.profiler else 1
         )
         if self.profiler is not None:
             merged.merge(self.profiler)
-        for team in self.walkers:
-            for walker in team:
-                if walker.profiler is not None:
-                    merged.merge(walker.profiler)
-                shm_prof = getattr(walker, "_shm_profiler", None)
-                if shm_prof is not None:
-                    # Rank-side profile shipped back with the last shm round
-                    # reply (the walker's own .profiler stays None under
-                    # backend="shm").
-                    merged.merge(shm_prof)
+        for (team,) in self.walkers:
+            for prof in (team.profiler, getattr(team, "_shm_profiler", None)):
+                if prof is not None:
+                    merged.merge(prof)
         return merged
 
     def result(self) -> REWLResult:
@@ -981,55 +833,33 @@ class REWLDriver:
         window_visited = []
         window_iterations = []
         snapshots = []
-        for w, team in enumerate(self.walkers):
-            # Merge for reporting only — walker state is left untouched so a
-            # checkpoint taken after result() still resumes bit-identically.
-            merged, union = self._merge_window(team)
-            ln_g = merged.copy()
-            if union.any():
-                ln_g -= ln_g[union].min()
-            ln_g[~union] = 0.0
+        for w, (team,) in enumerate(self.walkers):
+            # Reporting only — team state is left untouched so a checkpoint
+            # taken after result() still resumes bit-identically.
+            ln_g, visited = self._merge_window(team)
             window_ln_g.append(ln_g)
-            window_visited.append(union)
-            window_iterations.append(team[0].n_iterations)
-            if self.cfg.batched_walkers:
-                # One snapshot per slot.  Event counters are accumulated
-                # team-wide in batched mode, so they ride on slot 0 only
-                # (summing snapshots then stays double-count-free).
-                team_obj = team[0]
-                for k in range(team_obj.n_slots):
-                    slot_steps = int(team_obj.slot_steps[k])
-                    snapshots.append(
-                        WalkerSnapshot(
-                            window=w,
-                            walker=k,
-                            n_steps=slot_steps,
-                            acceptance_rate=(
-                                int(team_obj.slot_accepted[k]) / slot_steps
-                                if slot_steps else 0.0
-                            ),
-                            final_energy=team_obj.slot_energy(k),
-                            counters=(
-                                replace(team_obj.counters) if k == 0
-                                else WalkerCounters()
-                            ),
-                        )
+            window_visited.append(visited)
+            window_iterations.append(team.n_iterations)
+            # One snapshot per slot; the team's event counters ride on slot
+            # 0 only, so summing snapshots does not double-count.
+            for k in range(team.n_slots):
+                slot_steps = int(team.slot_steps[k])
+                snapshots.append(
+                    WalkerSnapshot(
+                        window=w,
+                        walker=k,
+                        n_steps=slot_steps,
+                        acceptance_rate=(
+                            int(team.slot_accepted[k]) / slot_steps
+                            if slot_steps else 0.0
+                        ),
+                        final_energy=team.slot_energy(k),
+                        counters=(
+                            replace(team.counters) if k == 0
+                            else WalkerCounters()
+                        ),
                     )
-            else:
-                for k, walker in enumerate(team):
-                    snapshots.append(
-                        WalkerSnapshot(
-                            window=w,
-                            walker=k,
-                            n_steps=walker.n_steps,
-                            acceptance_rate=(
-                                walker.n_accepted / walker.n_steps
-                                if walker.n_steps else 0.0
-                            ),
-                            final_energy=walker.energy,
-                            counters=replace(walker.counters),
-                        )
-                    )
+                )
         telemetry = self.obs.summary()
         if self.profiler is not None:
             telemetry["profile"] = self.merged_profile().as_dict()

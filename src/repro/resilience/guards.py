@@ -79,12 +79,11 @@ def _finite(arr: np.ndarray) -> bool:
 
 
 def check_walker(walker, last_ln_f: float | None = None) -> list[str]:
-    """Violation strings for one walker-shaped object (empty = healthy).
+    """Violation strings for one window team (empty = healthy).
 
-    Accepts both the scalar :class:`~repro.sampling.wang_landau.
-    WangLandauSampler` (``energy``/``current_bin``) and a batched window
-    team (``energies``/``bins`` arrays); both expose 1-D ``ln_g``,
-    ``histogram``, and ``visited`` over the window grid.
+    ``walker`` is a :class:`~repro.sampling.batched.BatchedWangLandauSampler`
+    or anything shaped like one: 1-D ``ln_g``, ``histogram`` and ``visited``
+    over the window grid, per-slot ``energies`` and ``bins`` arrays.
 
     ``last_ln_f`` enables the monotone-sanity check: the modification
     factor can only shrink between checks (halving / 1-over-t schedules),
@@ -113,30 +112,16 @@ def check_walker(walker, last_ln_f: float | None = None) -> list[str]:
         out.append(f"ln_f {ln_f!r} is not a positive finite number")
     elif last_ln_f is not None and ln_f > last_ln_f * (1.0 + 1e-12):
         out.append(f"ln_f grew from {last_ln_f:.6g} to {ln_f:.6g}")
-    # Energies and bins: scalar walkers carry floats, batched teams arrays.
-    energies = np.atleast_1d(
-        np.asarray(getattr(walker, "energies", getattr(walker, "energy", 0.0)),
-                   dtype=np.float64)
-    )
-    if not _finite(energies):
+    if not _finite(np.asarray(walker.energies, dtype=np.float64)):
         out.append("non-finite walker energy")
-    bins = np.atleast_1d(
-        np.asarray(getattr(walker, "bins", getattr(walker, "current_bin", 0)))
-    )
+    bins = np.asarray(walker.bins)
     if (bins < 0).any() or (bins >= n_bins).any():
         out.append(f"walker bin outside [0, {n_bins})")
     return out
 
 
 def check_team(team, last_ln_f: float | None = None) -> list[str]:
-    """Violations across one window's walker team, tagged per walker.
-
-    ``team`` is a list of walkers (scalar mode) or a single-element list
-    holding a batched team object — the shapes the REWL driver keeps in
-    ``driver.walkers[w]``.
-    """
-    out: list[str] = []
-    for k, walker in enumerate(team):
-        for violation in check_walker(walker, last_ln_f=last_ln_f):
-            out.append(f"walker {k}: {violation}" if len(team) > 1 else violation)
-    return out
+    """Violations of one ``driver.walkers[w]`` entry: a one-element list
+    holding the window's team."""
+    (walker,) = team
+    return check_walker(walker, last_ln_f=last_ln_f)

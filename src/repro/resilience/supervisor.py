@@ -8,8 +8,8 @@ machine per window::
     healthy -> retrying -> rolled-back -> quarantined
 
 - **healthy**: last guarded round was clean.
-- **retrying**: the executor burned retries on this window's tasks this
-  round (transient crashes/hangs absorbed below the supervisor).
+- **retrying**: the advance loop burned retries on this window this round
+  (transient crashes/hangs absorbed below the supervisor).
 - **rolled-back**: a guard trip or exhausted task failure restored the
   window's last guard-clean in-memory snapshot.
 - **quarantined**: the rollback budget is spent; the window is removed from
@@ -218,7 +218,7 @@ class CampaignSupervisor:
     # -------------------------------------------------------- escalation
 
     def on_window_failure(self, driver, w: int, exc: Exception) -> None:
-        """An advance task for window ``w`` exhausted executor retries."""
+        """Window ``w``'s advance exhausted its retries (or its rank died)."""
         state = self.windows[w]
         state.task_failures += 1
         reason = f"{type(exc).__name__}: {exc}"

@@ -319,8 +319,8 @@ class WangLandauSampler:
         self.n_iterations = 0
         self.iteration_steps: list[int] = []
         self._steps_this_iteration = 0
-        # Plain-int telemetry (picklable; travels with the walker through
-        # process executors).  The REWL driver fills the exchange fields.
+        # Plain-int telemetry (picklable; travels with the walker across
+        # processes).  The REWL driver fills the exchange fields.
         self.counters = WalkerCounters()
         # Optional section profiler (repro.obs.profile); None keeps the hot
         # loop at a single attribute check.  Enable via enable_profiling().
@@ -337,7 +337,7 @@ class WangLandauSampler:
         ΔE and proposal generation) and hooks the histogram update and
         flatness checks.  Profiling draws no random numbers and writes only
         into the profiler, so the sampled trajectory is bit-identical; the
-        profiler pickles with the walker through process executors.
+        profiler pickles with the walker.
         """
         if self.profiler is not None:
             raise RuntimeError("profiling is already enabled on this walker")
@@ -455,7 +455,7 @@ class WangLandauSampler:
         ``max_steps`` defaults to ``self.cfg.max_steps``.  ``telemetry`` (a
         :class:`repro.obs.Telemetry`) is used per *WL iteration*, never per
         step, and is deliberately not stored on the sampler: walkers must
-        stay cheaply picklable for process executors.  Enabling it changes
+        stay cheaply picklable.  Enabling it changes
         no sampler state (bit-identity is tested).
         """
         from repro.obs.profile import contribute_profile, profile_from_env

@@ -53,7 +53,7 @@ class BufferedDraws:
       realistic site count.  Other call signatures are delegated.
     - Draw *order* differs from an unbuffered Generator with the same seed
       (blocks are pre-consumed); runs remain fully deterministic per seed.
-    - Picklable, so REWL walkers can ship across process executors.
+    - Picklable, so REWL walkers can ship across processes.
     """
 
     __slots__ = ("generator", "_block", "_buf", "_pos")
@@ -109,7 +109,7 @@ class RngFactory:
     (component, index) pair in the system — e.g. ``factory.make("walker", 3)``
     always yields the same stream for a given root seed, regardless of the
     order in which components ask for their streams.  This is what makes the
-    serial and multiprocessing REWL backends bit-identical.
+    in-process and multiprocess REWL backends bit-identical.
     """
 
     def __init__(self, root_seed: int | None = 0):

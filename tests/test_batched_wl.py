@@ -8,8 +8,8 @@ Three contracts from the kernels redesign:
 2. ``batch_size=K>1`` is a *different but correct* sampler: K walkers
    sharing one ln g recover the exact 4x4 Ising density of states within
    the same tolerance the scalar E1 validation uses.
-3. The REWL driver's ``batched_walkers`` mode converges, exchanges between
-   slots, stitches windows within tolerance, and round-trips through
+3. The REWL driver's batched window teams converge, exchange between
+   slots, stitch windows within tolerance, and round-trip through
    checkpoints bit-identically.
 4. Local proposals advance in *blocks* (``advance_block``): a block equals
    an independent step-by-step replay of the same draws, splits
@@ -26,7 +26,6 @@ from repro.parallel import REWLConfig, REWLDriver
 from repro.parallel.checkpoint import load_checkpoint, save_checkpoint
 from repro.obs import Telemetry
 from repro.obs.profile import SectionProfiler
-from repro.parallel.fused import fused_advance
 from repro.proposals import FlipProposal, MixtureProposal
 from repro.sampling import batched
 from repro.sampling import (
@@ -205,8 +204,7 @@ class TestBatchedREWL:
             hamiltonian=ham, proposal_factory=lambda: FlipProposal(),
             grid=grid, initial_config=np.zeros(16, dtype=np.int8),
             config=REWLConfig(n_windows=3, walkers_per_window=2, overlap=0.6,
-                              exchange_interval=1500, ln_f_final=3e-4, seed=1,
-                              batched_walkers=True),
+                              exchange_interval=1500, ln_f_final=3e-4, seed=1),
         )
         return driver.run()
 
@@ -245,8 +243,7 @@ class TestBatchedREWL:
                 grid=grid, initial_config=np.zeros(16, dtype=np.int8),
                 config=REWLConfig(n_windows=2, walkers_per_window=2,
                                   overlap=0.6, exchange_interval=300,
-                                  ln_f_final=1e-6, seed=5,
-                                  batched_walkers=True),
+                                  ln_f_final=1e-6, seed=5),
             )
 
         straight = make_driver()
@@ -364,7 +361,7 @@ class TestBlockAdvance:
         alone = [self._team(ising, grid, seed=1),
                  self._team(ising, grid, mixture(), seed=2),
                  self._team(ising, grid, seed=3, k=2)]
-        fused_advance(together, 25, ising)
+        batched.advance_block(together, 25, ising)
         for team in alone:
             team.steps(25)
         for a, b in zip(together, alone):

@@ -1,5 +1,6 @@
 """Checkpoint/restore round-trip and crash-consistency tests for REWL."""
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -17,12 +18,13 @@ from repro.parallel import (
     previous_checkpoint_path,
     save_checkpoint,
 )
+from repro.parallel.checkpoint import _HEADER, _MAGIC, CHECKPOINT_VERSION, _read_state
 from repro.proposals import FlipProposal
-from repro.sampling import EnergyGrid
+from repro.sampling import EnergyGrid, WangLandauSampler, WLConfig
 
 
 def make_driver(seed=3, n_windows=2, walkers=2, checkpoint_path=None,
-                checkpoint_interval=0):
+                checkpoint_interval=0, backend="fused"):
     ham = IsingHamiltonian(square_lattice(4))
     grid = EnergyGrid.from_levels(ham.energy_levels())
     return REWLDriver(
@@ -30,9 +32,21 @@ def make_driver(seed=3, n_windows=2, walkers=2, checkpoint_path=None,
         initial_config=np.zeros(16, dtype=np.int8),
         config=REWLConfig(n_windows=n_windows, walkers_per_window=walkers,
                    exchange_interval=300, ln_f_final=1e-6, seed=seed,
-                   checkpoint_interval=checkpoint_interval),
+                   checkpoint_interval=checkpoint_interval,
+                   backend=backend, shm_ranks=1),
         checkpoint_path=checkpoint_path,
     )
+
+
+def _rewrite(src, dst, **changes):
+    """A framed checkpoint at ``dst``: ``src``'s state with ``changes``."""
+    state = dict(_read_state(src), **changes)
+    payload = pickle.dumps(state)
+    dst.write_bytes(
+        _HEADER.pack(_MAGIC, CHECKPOINT_VERSION, hashlib.sha256(payload).digest())
+        + payload
+    )
+    return dst
 
 
 def _checkpoint_fault(kind: str, rounds: int) -> FaultInjector:
@@ -122,37 +136,72 @@ class TestCheckpointValidation:
             load_checkpoint(other, ckpt)
 
     def test_exchange_stats_shape_mismatch(self, tmp_path):
-        """A doctored legacy file with the wrong pair count is rejected
-        before any driver state is touched."""
+        """A doctored file with the wrong pair count is rejected before any
+        driver state is touched."""
         driver = make_driver()
         ckpt = save_checkpoint(driver, tmp_path / "c.ckpt")
-        from repro.parallel.checkpoint import _read_state
-
-        state = _read_state(ckpt)
-        state["version"] = 1
-        state["exchange_attempts"] = np.zeros(5, dtype=np.int64)
-        state["exchange_accepts"] = np.zeros(5, dtype=np.int64)
-        bad = tmp_path / "legacy.ckpt"
-        bad.write_bytes(pickle.dumps(state))
+        bad = _rewrite(ckpt, tmp_path / "bad.ckpt",
+                       exchange_attempts=np.zeros(5, dtype=np.int64),
+                       exchange_accepts=np.zeros(5, dtype=np.int64))
         fresh = make_driver()
         before = fresh.rounds
         with pytest.raises(ValueError, match="exchange statistics"):
             load_checkpoint(fresh, bad)
         assert fresh.rounds == before  # untouched on failure
 
-    def test_legacy_v1_raw_pickle_loads(self, tmp_path):
-        """Pre-framing checkpoints (raw pickles, version 1) stay readable."""
-        driver = make_driver()
+    def test_slot_count_mismatch_leaves_the_driver_untouched(self, tmp_path):
+        """A K=2 file into a K=3 driver fails validation, before any state
+        is replaced (teams always count 1 per window, slots do not)."""
+        driver = make_driver(walkers=2)
         driver.run(max_rounds=2)
-        from repro.parallel.checkpoint import _read_state
+        ckpt = save_checkpoint(driver, tmp_path / "c.ckpt")
+        fresh = make_driver(walkers=3)
+        teams = [team[0] for team in fresh.walkers]
+        with pytest.raises(ValueError, match="walkers_per_window is 2"):
+            load_checkpoint(fresh, ckpt)
+        assert [team[0] for team in fresh.walkers] == teams
+        assert fresh.rounds == 0
 
-        state = _read_state(save_checkpoint(driver, tmp_path / "new.ckpt"))
-        state["version"] = 1
-        legacy = tmp_path / "legacy.ckpt"
-        legacy.write_bytes(pickle.dumps(state))
-        fresh = make_driver()
-        load_checkpoint(fresh, legacy)
-        assert fresh.rounds == 2
+    def test_scalar_walker_file_rejected(self, tmp_path):
+        """Files from scalar-walker campaigns cannot be restored."""
+        driver = make_driver()
+        ckpt = save_checkpoint(driver, tmp_path / "c.ckpt")
+        ham, team = driver.hamiltonian, driver.walkers[0][0]
+        scalar = [
+            WangLandauSampler(hamiltonian=ham, proposal=FlipProposal(),
+                              grid=team.grid, initial_config=team.configs[k],
+                              rng=k, config=WLConfig())
+            for k in range(2)
+        ]
+        bad = _rewrite(ckpt, tmp_path / "scalar.ckpt",
+                       walkers=[scalar, driver.walkers[1]])
+        with pytest.raises(ValueError, match="scalar walker"):
+            load_checkpoint(make_driver(), bad)
+
+    @pytest.mark.parametrize("backend", ["fused", "shm"])
+    def test_file_with_team_count_header_loads(self, tmp_path, backend):
+        """Files whose header counted team objects (walkers_per_window 1)
+        load into a matching driver of either backend, bit-identically."""
+        straight = make_driver()
+        straight.run(max_rounds=4)
+        first = make_driver(backend="shm")
+        try:
+            first.run(max_rounds=2)
+            ckpt = save_checkpoint(first, tmp_path / "c.ckpt")
+        finally:
+            first.close()
+        old = _rewrite(ckpt, tmp_path / "old.ckpt", walkers_per_window=1)
+        resumed = make_driver(backend=backend)
+        try:
+            load_checkpoint(resumed, old)
+            resumed.run(max_rounds=4)
+            res = resumed.result()
+        finally:
+            resumed.close()
+        ref = straight.result()
+        for a, b in zip(ref.window_ln_g, res.window_ln_g):
+            assert np.array_equal(a, b)
+        assert res.total_steps == ref.total_steps
 
 
 class TestCrashConsistency:

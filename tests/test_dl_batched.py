@@ -431,21 +431,21 @@ class TestCandidatePool:
                 initial_config=np.zeros(16, dtype=np.int8),
                 config=REWLConfig(n_windows=2, walkers_per_window=3, overlap=0.6,
                                   exchange_interval=100, ln_f_final=5e-2, seed=9,
-                                  batched_walkers=True, backend=backend, **over),
+                                  backend=backend, **over),
             )
             try:
                 return driver.run(max_rounds=40)
             finally:
                 driver.close()
 
-        serial = run("serial")
-        assert serial.total_steps > 0
-        for other in (run("fused"), run("shm", shm_ranks=2)):
-            assert other.rounds == serial.rounds
-            assert other.total_steps == serial.total_steps
-            np.testing.assert_array_equal(other.exchange_accepts, serial.exchange_accepts)
-            for x, y in zip(other.window_ln_g, serial.window_ln_g):
-                np.testing.assert_array_equal(x, y)
+        fused = run("fused")
+        assert fused.total_steps > 0
+        shm = run("shm", shm_ranks=2)
+        assert shm.rounds == fused.rounds
+        assert shm.total_steps == fused.total_steps
+        np.testing.assert_array_equal(shm.exchange_accepts, fused.exchange_accepts)
+        for x, y in zip(shm.window_ln_g, fused.window_ln_g):
+            np.testing.assert_array_equal(x, y)
 
     def test_invalidate_drops_rows_drawn_from_the_old_weights(self, tiny_ising, made9):
         model = _perturbed(MADE(made9.config, rng=7), 8)

@@ -1,184 +1,6 @@
-"""Tests for walker executors and the experiment DoS cache format."""
-
-import os
-import time
+"""Tests for the experiment DoS cache format."""
 
 import numpy as np
-import pytest
-
-from repro.obs import EventLog, MemorySink, Telemetry
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor
-
-
-def _square(x, k=2):
-    return x**k
-
-
-class _FlakyTask:
-    """Fail (or sleep) until a marker file says enough attempts happened.
-
-    Attempt state lives on disk so the task is picklable and works across
-    process-pool workers; each call appends one byte to the marker.
-    """
-
-    def __init__(self, marker, fail_times=1, mode="raise", sleep_s=1.0):
-        self.marker = os.fspath(marker)
-        self.fail_times = fail_times
-        self.mode = mode
-        self.sleep_s = sleep_s
-
-    def _attempt(self) -> int:
-        with open(self.marker, "ab") as f:
-            f.write(b".")
-            f.flush()
-        return os.path.getsize(self.marker)
-
-    def __call__(self, x):
-        if self._attempt() <= self.fail_times:
-            if self.mode == "raise":
-                raise RuntimeError(f"flaky failure for {x}")
-            if self.mode == "kill":
-                os._exit(13)
-            time.sleep(self.sleep_s)  # mode == "sleep": trip the timeout
-        return x**2
-
-
-class TestSerialExecutor:
-    def test_map(self):
-        out = SerialExecutor().map(_square, [1, 2, 3])
-        assert out == [1, 4, 9]
-
-    def test_extra_args(self):
-        out = SerialExecutor().map(_square, [2, 3], 3)
-        assert out == [8, 27]
-
-    def test_context_manager(self):
-        with SerialExecutor() as ex:
-            assert ex.map(_square, [4]) == [16]
-
-
-class TestThreadExecutor:
-    def test_map_order_preserved(self):
-        with ThreadExecutor(n_workers=3) as ex:
-            out = ex.map(_square, list(range(10)))
-        assert out == [x**2 for x in range(10)]
-
-    def test_worker_validation(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(n_workers=0)
-
-
-class TestProcessExecutor:
-    def test_map_ships_state_and_returns(self):
-        """Spawned workers receive pickled args and return results in order
-        (the REWL advance-phase contract)."""
-        with ProcessExecutor(n_workers=2) as ex:
-            out = ex.map(_square, [1, 2, 3, 4])
-        assert out == [1, 4, 9, 16]
-
-    def test_worker_validation(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(n_workers=0)
-
-
-class TestSupervision:
-    """Per-task retry/timeout plus broken-pool recovery."""
-
-    @pytest.mark.parametrize("executor_cls", [SerialExecutor, ThreadExecutor])
-    def test_retry_recovers_flaky_task(self, tmp_path, executor_cls):
-        task = _FlakyTask(tmp_path / "m", fail_times=2)
-        kwargs = {} if executor_cls is SerialExecutor else {"n_workers": 2}
-        with executor_cls(max_retries=3, retry_backoff=0.0, **kwargs) as ex:
-            assert ex.map(task, [5]) == [25]
-
-    def test_retries_exhausted_reraises_original_error(self, tmp_path):
-        task = _FlakyTask(tmp_path / "m", fail_times=100)
-        with pytest.raises(RuntimeError, match="flaky failure"):
-            SerialExecutor(max_retries=2, retry_backoff=0.0).map(task, [5])
-
-    def test_default_is_no_retry(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        task = _FlakyTask(tmp_path / "m", fail_times=1)
-        with pytest.raises(RuntimeError, match="flaky failure"):
-            SerialExecutor().map(task, [5])
-
-    def test_thread_timeout_retries_hung_task(self, tmp_path):
-        task = _FlakyTask(tmp_path / "m", fail_times=1, mode="sleep", sleep_s=1.0)
-        with ThreadExecutor(n_workers=2, timeout=0.2, max_retries=2,
-                            retry_backoff=0.0) as ex:
-            assert ex.map(task, [6]) == [36]
-
-    def test_thread_timeout_exhausted_raises(self, tmp_path):
-        task = _FlakyTask(tmp_path / "m", fail_times=100, mode="sleep", sleep_s=0.4)
-        ex = ThreadExecutor(n_workers=2, timeout=0.05, max_retries=1,
-                            retry_backoff=0.0)
-        with pytest.raises(TimeoutError, match="timed out"):
-            ex.map(task, [6])
-
-    def test_process_pool_rebuilds_after_worker_death(self, tmp_path):
-        """A worker hard-exit poisons the pool; map must rebuild and finish."""
-        sink = MemorySink()
-        tel = Telemetry(events=EventLog(run_id="t", sinks=[sink]))
-        task = _FlakyTask(tmp_path / "m", fail_times=1, mode="kill")
-        with ProcessExecutor(n_workers=2, max_retries=3, retry_backoff=0.0,
-                             telemetry=tel) as ex:
-            out = ex.map(task, [1, 2, 3, 4])
-        assert out == [1, 4, 9, 16]
-        assert tel.metrics.as_dict()["executor.pool_rebuilds"]["value"] >= 1
-        assert any(r["kind"] == "pool_rebuild" for r in sink.records)
-
-    def test_retry_telemetry(self, tmp_path):
-        tel = Telemetry()
-        task = _FlakyTask(tmp_path / "m", fail_times=2)
-        SerialExecutor(max_retries=3, retry_backoff=0.0, telemetry=tel).map(task, [5])
-        assert tel.metrics.as_dict()["task.retries"]["value"] == 2
-
-    def test_invalid_supervision_args(self):
-        with pytest.raises(ValueError, match="timeout"):
-            SerialExecutor(timeout=0)
-        with pytest.raises(ValueError, match="max_retries"):
-            SerialExecutor(max_retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            SerialExecutor(retry_backoff=-0.1)
-
-
-class TestLifecycle:
-    """close() is idempotent and pools are released even on task failure."""
-
-    @pytest.mark.parametrize("executor_cls", [SerialExecutor, ThreadExecutor,
-                                              ProcessExecutor])
-    def test_close_is_idempotent(self, executor_cls):
-        ex = executor_cls()
-        ex.close()
-        ex.close()  # second close must be a no-op, not an error
-
-    @pytest.mark.parametrize("executor_cls", [ThreadExecutor, ProcessExecutor])
-    def test_map_after_close_raises(self, executor_cls):
-        ex = executor_cls()
-        ex.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            ex.map(_square, [1])
-
-    @pytest.mark.parametrize("executor_cls", [ThreadExecutor, ProcessExecutor])
-    def test_context_exit_releases_pool_when_task_raises(self, executor_cls,
-                                                         tmp_path):
-        task = _FlakyTask(tmp_path / "m", fail_times=100)
-        with pytest.raises(RuntimeError, match="flaky failure"):
-            with executor_cls(n_workers=2) as ex:
-                ex.map(task, [1])
-        assert ex._pool is None  # the pool was shut down on the error path
-
-    def test_bind_telemetry_does_not_clobber_explicit_handle(self):
-        tel = Telemetry()
-        ex = SerialExecutor(telemetry=tel)
-        ex.bind_telemetry(Telemetry())
-        assert ex.obs is tel
-
-    def test_bind_telemetry_adopts_driver_handle(self):
-        ex = SerialExecutor()
-        tel = Telemetry()
-        ex.bind_telemetry(tel)
-        assert ex.obs is tel
 
 
 class TestHeaDosCache:

@@ -17,8 +17,8 @@ from repro.faults import (
 )
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
-from repro.obs import Instrumentation, Telemetry
-from repro.parallel import REWLConfig, REWLDriver, SerialExecutor, ThreadExecutor
+from repro.obs import EventLog, Instrumentation, MemorySink, Telemetry
+from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
 from repro.sampling import EnergyGrid
 
@@ -133,7 +133,7 @@ class TestWrapping:
             inj.wrap(_double, 0, 0)(3)
 
     def test_kill_degrades_in_process(self):
-        """In the origin process a kill must not take the test suite down."""
+        """A kill degrades to a crash: it must not take the process down."""
         inj = FaultInjector(FaultConfig(kill=1.0, seed=0))
         with pytest.raises(InjectedCrash):
             inj.wrap(_double, 0, 0)(3)
@@ -149,89 +149,86 @@ class TestWrapping:
         assert inj.wrap(_double, key, 0)(21) == 42
 
 
-class TestExecutorIntegration:
-    def test_serial_map_survives_faults_bit_identically(self):
-        inj = FaultInjector(FaultConfig(crash=0.3, hang=0.05, hang_s=0.0, seed=8))
-        clean = SerialExecutor().map(_double, list(range(50)))
-        chaotic = SerialExecutor(faults=inj, retry_backoff=0.0).map(
-            _double, list(range(50))
-        )
-        assert chaotic == clean
+def _driver(backend="fused", *, telemetry=None, **over):
+    ham = IsingHamiltonian(square_lattice(4))
+    cfg = dict(n_windows=3, walkers_per_window=2, overlap=0.6,
+               exchange_interval=800, ln_f_final=5e-3, seed=21,
+               backend=backend)
+    cfg.update(over)
+    return REWLDriver(
+        hamiltonian=ham, proposal_factory=lambda: FlipProposal(),
+        grid=EnergyGrid.from_levels(ham.energy_levels()),
+        initial_config=np.zeros(16, dtype=np.int8), config=REWLConfig(**cfg),
+        instrumentation=Instrumentation(telemetry=telemetry),
+    )
 
-    def test_thread_map_survives_faults(self):
-        inj = FaultInjector(FaultConfig(crash=0.3, hang_s=0.0, seed=8))
-        with ThreadExecutor(2, faults=inj, retry_backoff=0.0) as ex:
-            assert ex.map(_double, list(range(30))) == [2 * x for x in range(30)]
 
-    def test_fault_metrics_and_events_recorded(self):
-        from repro.obs import EventLog, MemorySink
+def _run(backend="fused", max_rounds=None, **kwargs):
+    driver = _driver(backend, **kwargs)
+    try:
+        return driver.run(max_rounds=max_rounds)
+    finally:
+        driver.close()
 
+
+class TestRetryLoop:
+    """The one retry loop (``repro.parallel.rewl.advance_windows``): armed
+    from ``REPRO_FAULTS``, reported through the driver's telemetry."""
+
+    def test_fault_metrics_and_events_recorded(self, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=0.4,seed=8")
         sink = MemorySink()
         tel = Telemetry(events=EventLog(run_id="t", sinks=[sink]))
-        inj = FaultInjector(FaultConfig(crash=0.4, seed=8))
-        SerialExecutor(faults=inj, retry_backoff=0.0, telemetry=tel).map(
-            _double, list(range(50))
-        )
+        _run(max_rounds=3, telemetry=tel)
         metrics = tel.metrics.as_dict()
         assert metrics["task.retries"]["value"] > 0
-        assert metrics["fault.injected"]["value"] > 0
+        assert metrics["fault.injected"]["value"] \
+            == metrics["task.retries"]["value"]
         retries = [r for r in sink.records if r["kind"] == "task_retry"]
-        assert retries and all("InjectedCrash" in r["error"] for r in retries)
+        assert len(retries) == metrics["task.retries"]["value"]
+        assert all("InjectedCrash" in r["error"] for r in retries)
+        assert {r["window"] for r in retries} <= {0, 1, 2}
 
-    def test_retries_exhausted_raises_the_fault(self):
-        inj = FaultInjector(FaultConfig(crash=1.0, seed=0))
+    def test_retries_exhausted_raises_the_fault(self, monkeypatch):
+        """Without a supervisor, a window that burns its retries stops the
+        campaign with the fault itself."""
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=1.0,seed=0")
         with pytest.raises(InjectedFault):
-            SerialExecutor(faults=inj, max_retries=2, retry_backoff=0.0).map(
-                _double, [1]
-            )
+            _run(max_rounds=1)
 
     def test_env_activation(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=1.0,seed=0")
-        ex = SerialExecutor(max_retries=1, retry_backoff=0.0)
-        assert ex.faults is not None
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=1.0,window=2,seed=0")
+        driver = _driver()
+        assert driver._faults is not None and driver._faults.cfg.window == 2
         with pytest.raises(InjectedCrash):
-            ex.map(_double, [1])
+            driver.run(max_rounds=1)
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        assert _driver()._faults is None
 
     def test_env_default_retry_budget(self, monkeypatch):
         """Chaos from the environment implies a usable retry budget."""
-        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=0.3,seed=8")
-        ex = SerialExecutor(retry_backoff=0.0)
-        assert ex.max_retries > 0
-        assert ex.map(_double, list(range(30))) == [2 * x for x in range(30)]
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=0.3,seed=1")
+        tel = Telemetry()
+        res = _run(max_rounds=4, telemetry=tel)
+        assert res.rounds == 4
+        assert tel.metrics.as_dict()["task.retries"]["value"] > 0
 
 
 class TestREWLUnderChaos:
     """The acceptance criterion: injected worker crashes/hangs must not
-    change a single bit of the stitched result."""
+    change a single bit of the stitched result, on either backend."""
 
-    @pytest.fixture(scope="class")
-    def ising(self):
-        return IsingHamiltonian(square_lattice(4))
-
-    @pytest.fixture(scope="class")
-    def grid(self, ising):
-        return EnergyGrid.from_levels(ising.energy_levels())
-
-    def _run(self, ising, grid, executor=None):
-        driver = REWLDriver(
-            hamiltonian=ising, proposal_factory=lambda: FlipProposal(),
-            grid=grid, initial_config=np.zeros(16, dtype=np.int8),
-            config=REWLConfig(n_windows=3, walkers_per_window=2, overlap=0.6,
-                              exchange_interval=800, ln_f_final=5e-3, seed=21),
-            executor=executor,
-        )
-        return driver.run()
-
-    @pytest.fixture(scope="class")
-    def clean(self, ising, grid):
-        return self._run(ising, grid)
-
-    def test_serial_chaos_bit_identical(self, ising, grid, clean):
-        inj = FaultInjector(FaultConfig(crash=0.15, hang=0.05, hang_s=0.001, seed=5))
-        chaotic = self._run(
-            ising, grid, executor=SerialExecutor(faults=inj, retry_backoff=0.0)
-        )
+    @pytest.mark.parametrize("backend", ["fused", "shm"])
+    def test_chaos_bit_identical(self, backend, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        clean = _run(backend, shm_ranks=2)
+        monkeypatch.setenv(FAULTS_ENV_VAR,
+                           "crash=0.15,hang=0.05,hang_s=0.001,seed=5")
+        tel = Telemetry()
+        chaotic = _run(backend, shm_ranks=2, telemetry=tel)
+        assert tel.metrics.as_dict()["task.retries"]["value"] > 0
         assert chaotic.rounds == clean.rounds
+        assert chaotic.total_steps == clean.total_steps
         for a, b in zip(clean.window_ln_g, chaotic.window_ln_g):
             assert np.array_equal(a, b)
         assert np.array_equal(clean.exchange_accepts, chaotic.exchange_accepts)
@@ -239,35 +236,25 @@ class TestREWLUnderChaos:
             clean.stitched().ln_g, chaotic.stitched().ln_g
         )
 
-    def test_thread_chaos_bit_identical(self, ising, grid, clean):
-        inj = FaultInjector(FaultConfig(crash=0.15, hang_s=0.0, seed=6))
-        with ThreadExecutor(2, faults=inj, retry_backoff=0.0) as pool:
-            chaotic = self._run(ising, grid, executor=pool)
-        for a, b in zip(clean.window_ln_g, chaotic.window_ln_g):
-            assert np.array_equal(a, b)
-
-    def test_driver_telemetry_reaches_executor(self, ising, grid):
-        """Retry metrics land in the driver's telemetry via bind_telemetry."""
+    @pytest.mark.parametrize("backend", ["fused", "shm"])
+    def test_retry_telemetry_reaches_driver(self, backend, monkeypatch):
+        """Retries land in the driver's telemetry on both backends: counted
+        in process, or shipped back in each shm rank's reply."""
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=0.3,seed=1")
         tel = Telemetry()
-        inj = FaultInjector(FaultConfig(crash=0.3, seed=1))
-        driver = REWLDriver(
-            hamiltonian=ising, proposal_factory=lambda: FlipProposal(),
-            grid=grid, initial_config=np.zeros(16, dtype=np.int8),
-            config=REWLConfig(n_windows=2, walkers_per_window=1,
-                              exchange_interval=200, ln_f_final=5e-3, seed=3),
-            executor=SerialExecutor(faults=inj, retry_backoff=0.0),
-            instrumentation=Instrumentation(telemetry=tel),
-        )
-        driver.run(max_rounds=5)
-        assert tel.metrics.as_dict()["task.retries"]["value"] > 0
+        _run(backend, max_rounds=5, telemetry=tel, n_windows=2,
+             walkers_per_window=1, exchange_interval=200, seed=3)
+        metrics = tel.metrics.as_dict()
+        assert metrics["task.retries"]["value"] > 0
+        assert metrics["fault.injected"]["value"] > 0
 
 
 class _PoisonTarget:
-    """Walker-shaped object for nan-poisoning tests."""
+    """Team-shaped object for nan-poisoning tests."""
 
     def __init__(self):
         self.ln_g = np.zeros(8)
-        self.energy = 0.0
+        self.energies = np.zeros(2)
         self.obs_tag = (0, None)
 
 
@@ -307,7 +294,7 @@ class TestSilentAndSlowFaults:
         inj = FaultInjector(FaultConfig(slow=1.0, slow_s=0.0, seed=0))
         target = _PoisonTarget()
         assert inj.wrap(_identity, 0, 0)(target) is target
-        assert np.isfinite(target.ln_g).all() and target.energy == 0.0
+        assert np.isfinite(target.ln_g).all() and not target.energies.any()
 
     def test_nan_poisons_after_the_body_runs(self):
         """The task succeeds and returns — the corruption is silent."""
@@ -315,12 +302,12 @@ class TestSilentAndSlowFaults:
         poisoned = [inj.wrap(_identity, key, 0)(_PoisonTarget())
                     for key in range(20)]
         assert all(
-            not np.isfinite(w.ln_g).all() or not np.isfinite(w.energy)
+            not np.isfinite(w.ln_g).all() or not np.isfinite(w.energies).all()
             for w in poisoned
         )
         # The secondary mode draw exercises both corruption shapes.
         assert any(not np.isfinite(w.ln_g).all() for w in poisoned)
-        assert any(not np.isfinite(w.energy) for w in poisoned)
+        assert any(not np.isfinite(w.energies).all() for w in poisoned)
 
     def test_nan_poison_is_deterministic(self):
         for key in range(10):
@@ -329,9 +316,7 @@ class TestSilentAndSlowFaults:
             b = FaultInjector(FaultConfig(nan=1.0, seed=3)).wrap(
                 _identity, key, 0)(_PoisonTarget())
             assert np.array_equal(a.ln_g, b.ln_g, equal_nan=True)
-            assert a.energy == b.energy or (
-                np.isnan(a.energy) and np.isnan(b.energy)
-            )
+            assert np.array_equal(a.energies, b.energies)
 
     def test_window_targeting(self):
         """Faults gated to window 1 leave other windows' walkers clean."""

@@ -1,12 +1,14 @@
-"""Tests for the fused SPMD campaign (``repro.parallel.fused``).
+"""Tests for the campaign backends (``repro.parallel.rewl`` /
+``repro.parallel.fused``).
 
 The acceptance contract: ``backend="fused"`` (in-process) and
 ``backend="shm"`` (multiprocess, zero-copy shared memory) reproduce the
-per-window batched campaign **bit for bit** on a seeded run — same rounds,
-same steps, same exchange statistics, same ln g arrays — because every
-backend advances its teams through the one block advance with the same
-call lengths, each team draws its block from its own stream, and the
-``*_many`` kernels reduce row-wise.
+per-window batched campaign — each window's team stepped alone, the path
+the retry loop takes — **bit for bit** on a seeded run: same rounds, same
+steps, same exchange statistics, same ln g arrays.  Every backend advances
+its teams through the one block advance with the same call lengths, each
+team draws its block from its own stream, and the ``*_many`` kernels
+reduce row-wise.
 """
 
 import pickle
@@ -14,25 +16,26 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.faults import FaultConfig, FaultInjector
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.machine.autotune import CampaignPlan, plan_campaign
 from repro.obs import Instrumentation, Telemetry
 from repro.obs.profile import SectionProfiler
-from repro.parallel import REWLConfig, REWLDriver, SerialExecutor
+from repro.parallel import REWLConfig, REWLDriver
 from repro.parallel.checkpoint import load_checkpoint, save_checkpoint
 from repro.parallel.fused import FusedCampaignState, FusedTeam
 from repro.proposals import FlipProposal, SwapProposal
 from repro.resilience import GuardPolicy, ResilienceConfig
-from repro.sampling import EnergyGrid
+from repro.sampling import BatchedWangLandauSampler, EnergyGrid
 
 
-def _driver(backend="serial", *, seed=11, instrumentation=None, **over):
+def _driver(backend="fused", *, seed=11, instrumentation=None, **over):
     ham = IsingHamiltonian(square_lattice(4))
     grid = EnergyGrid.from_levels(ham.energy_levels())
     cfg = dict(n_windows=2, walkers_per_window=2, overlap=0.6,
                exchange_interval=200, ln_f_final=5e-2, seed=seed,
-               batched_walkers=True, backend=backend)
+               backend=backend)
     cfg.update(over)
     return REWLDriver(
         hamiltonian=ham, proposal_factory=lambda: FlipProposal(), grid=grid,
@@ -48,13 +51,20 @@ def _swap_driver(backend, **over):
     start = np.tile(np.array([0, 0, 1, 1], dtype=np.int8), 4)
     cfg = dict(n_windows=3, walkers_per_window=3, overlap=0.6,
                exchange_interval=100, ln_f_final=5e-2, seed=4,
-               batched_walkers=True, backend=backend)
+               backend=backend)
     cfg.update(over)
     return REWLDriver(
         hamiltonian=ham, proposal_factory=lambda: SwapProposal(),
         grid=EnergyGrid.uniform(-18.0, 34.0, 13), initial_config=start,
         config=REWLConfig(**cfg),
     )
+
+
+def _window_by_window(driver):
+    """Step each window's team alone: the retry loop's path, armed with an
+    injector that injects nothing."""
+    driver._faults = FaultInjector(FaultConfig())
+    return driver
 
 
 def _assert_bit_identical(a, b):
@@ -74,12 +84,12 @@ def _assert_bit_identical(a, b):
 
 class TestFusedBitIdentity:
     def test_fused_matches_batched_serial(self):
-        baseline = _driver("serial").run(max_rounds=60)
+        baseline = _window_by_window(_driver()).run(max_rounds=60)
         fused = _driver("fused").run(max_rounds=60)
         _assert_bit_identical(fused, baseline)
 
     def test_swap_campaign_matches_on_every_backend(self):
-        baseline = _swap_driver("serial").run(max_rounds=40)
+        baseline = _window_by_window(_swap_driver("fused")).run(max_rounds=40)
         assert baseline.total_steps > 0 and baseline.exchange_attempts.sum() > 0
         _assert_bit_identical(_swap_driver("fused").run(max_rounds=40), baseline)
         drv = _swap_driver("shm", shm_ranks=2)  # ranks own windows {0, 2} and {1}
@@ -100,11 +110,10 @@ class TestFusedBitIdentity:
         load_checkpoint(resumed, ckpt)
         resumed.run(max_rounds=6)
         _assert_bit_identical(resumed.result(), straight.result())
-        # the restored teams step the campaign arrays again, not copies
-        state = resumed._engine.state
-        assert np.shares_memory(resumed.walkers[0][0].configs, state.configs)
 
     def test_supervisor_rollback_rebinds_the_block_path(self):
+        """shm: a rollback rebinds the restored team into the shared
+        campaign arrays the ranks step."""
         ham = IsingHamiltonian(square_lattice(4))
         drv = REWLDriver(
             hamiltonian=ham, proposal_factory=lambda: FlipProposal(),
@@ -112,27 +121,29 @@ class TestFusedBitIdentity:
             initial_config=np.zeros(16, dtype=np.int8),
             config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
                               exchange_interval=200, ln_f_final=1e-6, seed=11,
-                              backend="fused"),
+                              backend="shm", shm_ranks=1),
             resilience=ResilienceConfig(guards=GuardPolicy(mode="quarantine")),
         )
         state = drv._engine.state
-        advance, rounds = drv._engine.advance, []
+        guard = drv.supervisor.guard_window
 
-        def advance_then_corrupt(driver, active, n_steps):
-            advance(driver, active, n_steps)
-            rounds.append(driver.rounds)
-            if len(rounds) == 3:
+        def corrupt_then_guard(driver, w):
+            if driver.rounds == 3 and w == 1:
                 state.ln_g[1, 2] = np.nan  # silent corruption of window 1
+            guard(driver, w)
 
-        drv._engine.advance = advance_then_corrupt
-        drv.run(max_rounds=6)
-        assert drv.supervisor.windows[1].rollbacks == 1
-        assert drv.supervisor.windows[1].disposition == "healthy"
-        assert not drv.supervisor.degraded
-        team = drv.walkers[1][0]
-        assert np.shares_memory(team.ln_g, state.ln_g)
-        assert np.isfinite(state.ln_g).all()
-        assert team.n_steps == state.counts[1, 0] > 0
+        drv.supervisor.guard_window = corrupt_then_guard
+        try:
+            drv.run(max_rounds=6)
+            assert drv.supervisor.windows[1].rollbacks == 1
+            assert drv.supervisor.windows[1].disposition == "healthy"
+            assert not drv.supervisor.degraded
+            team = drv.walkers[1][0]
+            assert np.shares_memory(team.ln_g, state.ln_g)
+            assert np.isfinite(state.ln_g).all()
+            assert team.n_steps == state.counts[1, 0] > 0
+        finally:
+            drv.close()
 
     def test_round_metrics_equal_the_walker_totals(self):
         telemetry = Telemetry()
@@ -146,21 +157,25 @@ class TestFusedBitIdentity:
             == sum(team[0].n_accepted for team in drv.walkers)
 
     def test_fused_backend_forces_batched_teams(self):
-        drv = _driver("fused", batched_walkers=False)
-        assert drv.cfg.batched_walkers is True
+        drv = _driver("fused")
         assert len(drv.walkers[0]) == 1  # one team object per window
+        assert isinstance(drv.walkers[0][0], BatchedWangLandauSampler)
+        assert drv.walkers[0][0].n_slots == drv.cfg.walkers_per_window
 
     def test_explicit_executor_rejected(self):
         ham = IsingHamiltonian(square_lattice(4))
         grid = EnergyGrid.from_levels(ham.energy_levels())
-        with pytest.raises(TypeError, match="manages its own stepping"):
+        with pytest.raises(TypeError, match="executor"):
             REWLDriver(
                 hamiltonian=ham, proposal_factory=lambda: FlipProposal(),
                 grid=grid, initial_config=np.zeros(16, dtype=np.int8),
                 config=REWLConfig(n_windows=2, walkers_per_window=2,
                                   overlap=0.6, backend="fused"),
-                executor=SerialExecutor(),
+                executor=object(),
             )
+        for retired in ("serial", "thread", "process"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                REWLConfig(backend=retired)
 
     def test_fused_gather_is_profiled_and_attributed(self):
         prof = SectionProfiler(sample_every=1)
@@ -181,7 +196,7 @@ class TestFusedBitIdentity:
 
 class TestShmBitIdentity:
     def test_shm_matches_batched_serial(self):
-        baseline = _driver("serial").run(max_rounds=60)
+        baseline = _window_by_window(_driver()).run(max_rounds=60)
         drv = _driver("shm", shm_ranks=2)
         try:
             shm = drv.run(max_rounds=60)
@@ -201,20 +216,20 @@ class TestShmBitIdentity:
 
 class TestMaskedRows:
     """Converged/quarantined windows are masked out of the super-step —
-    their campaign-array rows must not move."""
+    their teams' rows must not move."""
 
     def _frozen_rows_unchanged(self, flag_list):
         drv = _driver("fused")
         drv.run(max_rounds=3)
-        state = drv._engine.state
         flag_list(drv)[0] = True
-        frozen = np.array(state.configs[state.rows(0)], copy=True)
-        frozen_steps = np.array(state.slot_steps[0], copy=True)
-        live_steps = np.array(state.slot_steps[1], copy=True)
+        frozen_team, live_team = drv.walkers[0][0], drv.walkers[1][0]
+        frozen = frozen_team.configs.copy()
+        frozen_steps = frozen_team.slot_steps.copy()
+        live_steps = live_team.slot_steps.copy()
         drv._advance_phase()
-        np.testing.assert_array_equal(state.configs[state.rows(0)], frozen)
-        np.testing.assert_array_equal(state.slot_steps[0], frozen_steps)
-        assert (state.slot_steps[1] > live_steps).all()
+        np.testing.assert_array_equal(frozen_team.configs, frozen)
+        np.testing.assert_array_equal(frozen_team.slot_steps, frozen_steps)
+        assert (live_team.slot_steps > live_steps).all()
 
     def test_converged_window_rows_frozen(self):
         self._frozen_rows_unchanged(lambda d: d.window_converged)
@@ -233,27 +248,34 @@ class TestCampaignState:
         state = FusedCampaignState.allocate(
             n_windows=3, walkers_per_window=2, n_sites=16, width=5,
             config_dtype=np.int8,
+            alloc=lambda name, shape, dtype: np.zeros(shape, dtype=dtype),
         )
         assert state.rows(1) == slice(2, 4)
 
     def test_team_views_alias_campaign_arrays(self):
-        drv = _driver("fused")
-        state = drv._engine.state
-        team = drv.walkers[1][0]
-        assert np.shares_memory(team.configs, state.configs)
-        assert np.shares_memory(team.ln_g, state.ln_g)
-        team.ln_f = 0.125
-        assert state.ln_f[1] == 0.125
+        drv = _driver("shm", shm_ranks=1)
+        try:
+            state = drv._engine.state
+            team = drv.walkers[1][0]
+            assert np.shares_memory(team.configs, state.configs)
+            assert np.shares_memory(team.ln_g, state.ln_g)
+            team.ln_f = 0.125
+            assert state.ln_f[1] == 0.125
+        finally:
+            drv.close()
 
     def test_pickled_team_owns_its_arrays(self):
-        drv = _driver("fused")
-        team = drv.walkers[0][0]
-        clone = pickle.loads(pickle.dumps(team))
-        assert isinstance(clone, FusedTeam)
-        assert "_fused" not in clone.__dict__
-        assert not np.shares_memory(clone.configs, team.configs)
-        np.testing.assert_array_equal(clone.ln_g, team.ln_g)
-        assert clone.ln_f == team.ln_f
+        drv = _driver("shm", shm_ranks=1)
+        try:
+            team = drv.walkers[0][0]
+            clone = pickle.loads(pickle.dumps(team))
+            assert isinstance(clone, FusedTeam)
+            assert "_fused" not in clone.__dict__
+            assert not np.shares_memory(clone.configs, team.configs)
+            np.testing.assert_array_equal(clone.ln_g, team.ln_g)
+            assert clone.ln_f == team.ln_f
+        finally:
+            drv.close()
 
 
 class TestAutotune:
@@ -273,7 +295,7 @@ class TestAutotune:
         assert len(drv.windows) == drv.cfg.n_windows
 
     def test_explicit_fields_win_over_the_plan(self):
-        drv = _driver("serial", n_windows=2, walkers_per_window=None,
+        drv = _driver("fused", n_windows=2, walkers_per_window=None,
                       overlap=0.6)
         assert drv.cfg.n_windows == 2
         assert drv.cfg.overlap == 0.6

@@ -8,7 +8,7 @@ import pytest
 
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
-from repro.obs import EventLog, MemorySink, Telemetry
+from repro.obs import EventLog, Instrumentation, MemorySink, Telemetry
 from repro.obs.convergence import (
     CONVERGENCE_ENV_VAR,
     ConvergenceConfig,
@@ -22,8 +22,6 @@ from repro.sampling import EnergyGrid
 
 
 def _driver(telemetry=None, **kwargs):
-    from repro.obs import Instrumentation
-
     ham = IsingHamiltonian(square_lattice(4))
     grid = EnergyGrid.from_levels(ham.energy_levels())
     inst = Instrumentation(telemetry=telemetry, **{
@@ -41,6 +39,8 @@ def _driver(telemetry=None, **kwargs):
 
 
 class _FakeWalker:
+    n_slots = 1
+
     def __init__(self, histogram, ln_f=0.5):
         self.histogram = np.asarray(histogram, dtype=np.int64)
         self.visited = self.histogram > 0
@@ -209,8 +209,8 @@ class TestLedgerOnRewl:
             for wa, wb in zip(team_a, team_b):
                 assert np.array_equal(wa.histogram, wb.histogram)
                 assert np.array_equal(wa.ln_g, wb.ln_g)
-                assert (wa.rng.generator.bit_generator.state
-                        == wb.rng.generator.bit_generator.state)
+                assert (wa.rng.bit_generator.state
+                        == wb.rng.bit_generator.state)
         # And the ledger actually measured something.
         summ = inst_res.telemetry["convergence"]
         assert summ["samples"] > 0
@@ -228,14 +228,14 @@ class TestLedgerOnRewl:
                 grid=grid, initial_config=np.zeros(16, dtype=np.int8),
                 config=REWLConfig(n_windows=2, walkers_per_window=2,
                            overlap=0.6, exchange_interval=200,
-                           ln_f_final=5e-2, seed=11, batched_walkers=True),
+                           ln_f_final=5e-2, seed=11),
                 **kwargs,
             )
 
         plain = build()
         plain_res = plain.run(max_rounds=40)
-        inst = build(convergence=ConvergenceLedger(
-            ConvergenceConfig(sample_every=3)))
+        inst = build(instrumentation=Instrumentation(
+            convergence=ConvergenceLedger(ConvergenceConfig(sample_every=3))))
         inst_res = inst.run(max_rounds=40)
 
         assert inst_res.total_steps == plain_res.total_steps
@@ -284,7 +284,9 @@ class TestLedgerCheckpoint:
             grid=grid, initial_config=np.zeros(16, dtype=np.int8),
             config=REWLConfig(n_windows=2, walkers_per_window=2,
                        exchange_interval=300, ln_f_final=1e-6, seed=3),
-            convergence=ConvergenceLedger(ConvergenceConfig(sample_every=2)),
+            instrumentation=Instrumentation(
+                convergence=ConvergenceLedger(ConvergenceConfig(sample_every=2))
+            ),
         )
 
     def test_ledger_round_trips_through_checkpoint(self, tmp_path):

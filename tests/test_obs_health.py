@@ -4,7 +4,7 @@ contract of a profiled + monitored REWL run."""
 import numpy as np
 import pytest
 
-from repro.faults import FaultConfig, FaultInjector
+from repro.faults import FAULTS_ENV_VAR
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.obs import EventLog, Instrumentation, MemorySink, Telemetry
@@ -19,7 +19,7 @@ from repro.obs.health import (
 )
 from repro.obs.profile import SectionProfiler
 from repro.obs.report import render_report
-from repro.parallel import REWLConfig, REWLDriver, SerialExecutor
+from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
 from repro.sampling import EnergyGrid
 
@@ -293,22 +293,21 @@ class TestMonitoredRewl:
             for wa, wb in zip(team_a, team_b):
                 assert np.array_equal(wa.histogram, wb.histogram)
                 assert np.array_equal(wa.ln_g, wb.ln_g)
-                assert (wa.rng.generator.bit_generator.state
-                        == wb.rng.generator.bit_generator.state)
+                assert (wa.rng.bit_generator.state
+                        == wb.rng.bit_generator.state)
         # And the instrumented run actually measured something.
         profile = inst_res.telemetry["profile"]
-        assert profile["proposal.flip"]["calls"] > 0
+        assert profile["proposal.flip.fields"]["calls"] > 0
         assert inst_res.telemetry["health"]["heartbeats"] > 0
 
-    def test_injected_hang_raises_health_alert_in_trace_and_report(self):
+    def test_injected_hang_raises_health_alert_in_trace_and_report(
+            self, monkeypatch):
         """Acceptance: a run with injected hangs from repro.faults surfaces
         a health alert, visible in the trace and the obs report digest."""
+        monkeypatch.setenv(FAULTS_ENV_VAR, "hang=0.4,hang_s=0.0,seed=5")
         tel, sink = _memory_telemetry()
-        injector = FaultInjector(
-            FaultConfig(hang=0.4, hang_s=0.0, seed=5))
-        executor = SerialExecutor(faults=injector, retry_backoff=0.0)
         driver = _driver(
-            telemetry=tel, executor=executor,
+            telemetry=tel,
             health=HealthConfig(heartbeat_rounds=1, retry_alert=1))
         res = driver.run(max_rounds=30)
 

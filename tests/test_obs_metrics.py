@@ -1,6 +1,8 @@
 """Tests for repro.obs.metrics: counters, gauges, histograms, merging."""
 
 import pickle
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import pytest
 
@@ -11,12 +13,12 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_registries,
 )
-from repro.parallel import ProcessExecutor, SerialExecutor, run_spmd
+from repro.parallel import run_spmd
 from repro.obs import Telemetry
 
 
 def _fill_registry(i, scale=1):
-    """Module-level task so process executors can pickle it."""
+    """Module-level task so a process pool can pickle it."""
     reg = MetricsRegistry()
     reg.inc("walker.steps", (i + 1) * 100 * scale)
     reg.inc("walker.accepted", (i + 1) * 10 * scale)
@@ -177,12 +179,12 @@ class TestLabels:
 
 
 class TestExecutorReduction:
-    """Per-walker registries survive executor round trips and reduce equal."""
+    """Per-walker registries survive a process round trip and reduce equal."""
 
     def test_serial_vs_process_merge_identical(self):
-        serial = SerialExecutor().map(_fill_registry, [0, 1, 2, 3])
-        with ProcessExecutor(n_workers=2) as ex:
-            process = ex.map(_fill_registry, [0, 1, 2, 3])
+        serial = [_fill_registry(i) for i in range(4)]
+        with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as ex:
+            process = list(ex.map(_fill_registry, range(4)))
         merged_serial = merge_registries(serial)
         merged_process = merge_registries(process)
         assert merged_serial.as_dict() == merged_process.as_dict()

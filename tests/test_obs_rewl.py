@@ -76,16 +76,19 @@ class TestWalkerCounters:
         assert total_attempts == 2 * int(res.exchange_attempts.sum())
         total_accepts = sum(s.counters.exchange_accepts for s in res.walkers)
         assert total_accepts == 2 * int(res.exchange_accepts.sum())
-        for snap in res.walkers:
-            assert snap.counters.proposals + snap.counters.null_proposals \
-                == snap.n_steps
+        # A team's counters ride on its slot-0 snapshot: they sum to the
+        # walker steps of all its slots.
+        assert sum(
+            s.counters.proposals + s.counters.null_proposals for s in res.walkers
+        ) == res.total_steps == sum(s.n_steps for s in res.walkers)
 
     def test_result_telemetry_block(self):
         tel = Telemetry()
         res = _rewl_driver(telemetry=tel).run(max_rounds=400)
         metrics = res.telemetry["metrics"]
         assert metrics["rewl.rounds"]["value"] == res.rounds
-        assert metrics["rewl.steps"]["value"] == res.total_steps
+        # super-steps per team: each one moves every walker of the team
+        assert metrics["rewl.steps"]["value"] * 2 == res.total_steps
         assert metrics["rewl.exchange.attempts"]["value"] \
             == int(res.exchange_attempts.sum())
         spans = res.telemetry["spans"]

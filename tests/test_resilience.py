@@ -3,15 +3,17 @@ guards, rollback/quarantine escalation, budgets, and the end-to-end chaos
 acceptance — a permanently failing window degrades the campaign gracefully
 and bit-identically reproducibly."""
 
+import os
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.faults import FaultConfig, FaultInjector
+from repro.faults import FAULTS_ENV_VAR
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
-from repro.parallel import REWLConfig, REWLDriver, SerialExecutor
+from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
 from repro.resilience import (
     RESILIENCE_ENV_VAR,
@@ -31,16 +33,16 @@ N_BINS = 8
 
 
 class FakeWalker:
-    """Minimal walker-shaped object the guards accept (picklable)."""
+    """Minimal team-shaped object the guards accept (picklable)."""
 
-    def __init__(self, n_bins=N_BINS):
+    def __init__(self, n_bins=N_BINS, n_slots=3):
         self.grid = types.SimpleNamespace(n_bins=n_bins)
         self.ln_g = np.zeros(n_bins)
         self.histogram = np.zeros(n_bins, dtype=np.int64)
         self.visited = np.zeros(n_bins, dtype=bool)
         self.ln_f = 1.0
-        self.energy = 0.0
-        self.current_bin = 0
+        self.energies = np.zeros(n_slots)
+        self.bins = np.zeros(n_slots, dtype=np.int64)
         self.obs_tag = (0, None)
 
 
@@ -103,30 +105,30 @@ class TestGuards:
 
     def test_non_finite_energy(self):
         w = FakeWalker()
-        w.energy = float("inf")
+        w.energies[2] = float("inf")
         assert any("energy" in v for v in check_walker(w))
 
     def test_bin_out_of_range(self):
         w = FakeWalker()
-        w.current_bin = N_BINS
+        w.bins[1] = N_BINS
         assert any("bin" in v for v in check_walker(w))
 
     def test_batched_team_arrays_accepted(self):
         w = FakeWalker()
-        w.energies = np.zeros(3)
         w.bins = np.array([0, 1, N_BINS - 1])
-        del w.energy, w.current_bin
         assert check_walker(w) == []
         w.energies[1] = np.nan
         assert any("energy" in v for v in check_walker(w))
 
-    def test_check_team_tags_walkers(self):
-        a, b = FakeWalker(), FakeWalker()
-        b.ln_g[0] = np.nan
-        violations = check_team([a, b])
-        assert len(violations) == 1 and violations[0].startswith("walker 1:")
-        # Single-member teams stay untagged.
-        assert not check_team([b])[0].startswith("walker")
+    def test_check_team_reads_the_window_team(self):
+        """``check_team`` takes a ``driver.walkers[w]`` entry: a one-element
+        list holding the window's team."""
+        team = FakeWalker()
+        assert check_team([team]) == []
+        team.ln_g[0] = np.nan
+        assert check_team([team]) == check_walker(team)
+        with pytest.raises(ValueError):
+            check_team([team, FakeWalker()])
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="mode"):
@@ -327,25 +329,22 @@ def grid(ising):
     return EnergyGrid.from_levels(ising.energy_levels())
 
 
-def chaos_run(ising, grid, faults=None, resilience=None, executor=None,
+def chaos_run(ising, grid, faults=None, resilience=None,
               seed=21, n_windows=4, overlap=0.4, max_rounds=300, **cfg_kwargs):
-    if executor is None:
-        injector = FaultInjector(faults) if faults is not None else None
-        executor = SerialExecutor(
-            faults=injector, max_retries=1, retry_backoff=0.0
-        )
+    """One campaign, with ``faults`` (a ``REPRO_FAULTS`` spec) armed."""
     defaults = dict(
         n_windows=n_windows, walkers_per_window=1, overlap=overlap,
         exchange_interval=400, ln_f_final=5e-3, seed=seed,
     )
     defaults.update(cfg_kwargs)
-    driver = REWLDriver(
-        hamiltonian=ising, proposal_factory=lambda: FlipProposal(), grid=grid,
-        initial_config=np.zeros(16, dtype=np.int8),
-        config=REWLConfig(**defaults), executor=executor,
-        resilience=resilience,
-    )
-    return driver.run(max_rounds=max_rounds)
+    env = {FAULTS_ENV_VAR: faults} if faults is not None else {}
+    with mock.patch.dict(os.environ, env):
+        driver = REWLDriver(
+            hamiltonian=ising, proposal_factory=lambda: FlipProposal(),
+            grid=grid, initial_config=np.zeros(16, dtype=np.int8),
+            config=REWLConfig(**defaults), resilience=resilience,
+        )
+        return driver.run(max_rounds=max_rounds)
 
 
 class TestREWLGracefulDegradation:
@@ -357,7 +356,7 @@ class TestREWLGracefulDegradation:
         # Window 1's advance tasks crash on every attempt, forever.
         return chaos_run(
             ising, grid,
-            faults=FaultConfig(crash=1.0, window=1, seed=0),
+            faults="crash=1.0,window=1,seed=0",
             resilience=ResilienceConfig(
                 guards=GuardPolicy(mode="quarantine", max_rollbacks=1)
             ),
@@ -393,7 +392,7 @@ class TestREWLGracefulDegradation:
     def test_degraded_run_is_bit_identical(self, ising, grid, dead_window):
         rerun = chaos_run(
             ising, grid,
-            faults=FaultConfig(crash=1.0, window=1, seed=0),
+            faults="crash=1.0,window=1,seed=0",
             resilience=ResilienceConfig(
                 guards=GuardPolicy(mode="quarantine", max_rollbacks=1)
             ),
@@ -416,7 +415,7 @@ class TestREWLGracefulDegradation:
         and escalates to quarantine; survivors re-pair around the hole."""
         res = chaos_run(
             ising, grid,
-            faults=FaultConfig(nan=1.0, window=1, seed=0),
+            faults="nan=1.0,window=1,seed=0",
             resilience=ResilienceConfig(
                 guards=GuardPolicy(mode="quarantine", max_rollbacks=1)
             ),
@@ -437,7 +436,7 @@ class TestREWLGracefulDegradation:
         with pytest.raises(GuardViolation, match="strict"):
             chaos_run(
                 ising, grid,
-                faults=FaultConfig(nan=1.0, window=0, seed=0),
+                faults="nan=1.0,window=0,seed=0",
                 resilience=ResilienceConfig(guards=GuardPolicy(mode="strict")),
                 n_windows=2, overlap=0.5, max_rounds=10,
             )

@@ -6,16 +6,13 @@ Covers the api_redesign migration contract:
 - the retired positional and ``config=<ndarray>`` shims (one deprecation
   release has elapsed) now raise ``TypeError`` with a pointer to the
   keyword spelling;
-- the driver's retired per-field observability keywords still work for one
-  release behind a ``DeprecationWarning`` that routes them through
-  :class:`~repro.obs.Instrumentation`;
+- the driver takes its observability wiring only through
+  :class:`~repro.obs.Instrumentation` (the per-field keywords are gone);
 - every sampler satisfies the structural :class:`Sampler` protocol and is
   reachable through the :data:`SAMPLERS` registry;
 - the repo itself is clean of deprecated-path uses (``repro tools
   lint-api``).
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +36,6 @@ from repro.sampling import (
     make_sampler,
     register_sampler,
 )
-from repro.util.deprecation import reset_deprecation_warnings
 
 
 @pytest.fixture
@@ -134,40 +130,19 @@ class TestRetiredConstruction:
 
 
 class TestInstrumentationBundle:
-    def test_legacy_keywords_warn_once_and_fold(self, ham, grid):
-        from repro.obs import Telemetry
-
-        reset_deprecation_warnings()
-        cfg = REWLConfig(n_windows=2, walkers_per_window=1,
-                         exchange_interval=100, seed=0)
-        obs = Telemetry()
-        with pytest.warns(DeprecationWarning, match="Instrumentation"):
-            drv = REWLDriver(
-                hamiltonian=ham, proposal_factory=FlipProposal, grid=grid,
-                initial_config=np.zeros(16, dtype=np.int8), config=cfg,
-                telemetry=obs,  # deprecated spelling under test
-            )
-        assert drv.obs is obs
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            REWLDriver(
-                hamiltonian=ham, proposal_factory=FlipProposal, grid=grid,
-                initial_config=np.zeros(16, dtype=np.int8), config=cfg,
-                telemetry=obs,
-            )
-
     def test_bundle_and_legacy_together_raise(self, ham, grid):
+        """The retired per-field keywords raise, with or without a bundle."""
         from repro.obs import Instrumentation, Telemetry
 
         cfg = REWLConfig(n_windows=2, walkers_per_window=1,
                          exchange_interval=100, seed=0)
-        with pytest.raises(TypeError, match="both"):
-            REWLDriver(
-                hamiltonian=ham, proposal_factory=FlipProposal, grid=grid,
-                initial_config=np.zeros(16, dtype=np.int8), config=cfg,
-                instrumentation=Instrumentation(telemetry=Telemetry()),
-                telemetry=Telemetry(),
-            )
+        for bundle in (Instrumentation(telemetry=Telemetry()), None):
+            with pytest.raises(TypeError, match="telemetry"):
+                REWLDriver(
+                    hamiltonian=ham, proposal_factory=FlipProposal, grid=grid,
+                    initial_config=np.zeros(16, dtype=np.int8), config=cfg,
+                    instrumentation=bundle, telemetry=Telemetry(),
+                )
 
     def test_bundle_fields_reach_driver(self, ham, grid):
         from repro.obs import Instrumentation, Telemetry
