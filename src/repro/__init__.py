@@ -12,7 +12,7 @@ Subpackages
 ``repro.nn``            pure-numpy neural-network substrate (VAE, MADE, ...)
 ``repro.proposals``     MC proposals: local, cluster, deep-learning global
 ``repro.sampling``      Metropolis, Wang-Landau, multicanonical, tempering
-``repro.parallel``      MPI-like communicator + replica-exchange Wang-Landau
+``repro.parallel``      replica-exchange Wang-Landau, in process or on shm ranks
 ``repro.obs``           run telemetry: metrics, spans, JSONL event traces
 ``repro.dos``           density-of-states stitching and thermodynamics
 ``repro.analysis``      short-range order, transitions, diagnostics

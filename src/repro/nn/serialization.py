@@ -39,7 +39,7 @@ def load_params(params: list[Parameter], path) -> None:
 
 
 def params_to_bytes(params: list[Parameter]) -> bytes:
-    """Serialize parameters to bytes (for communicator broadcast)."""
+    """Serialize parameters to bytes."""
     buf = io.BytesIO()
     np.savez(buf, **_named(params))
     return buf.getvalue()

@@ -1,22 +1,8 @@
 """Parallel MC framework (S6).
 
 The paper runs replica-exchange Wang-Landau (REWL) across thousands of GPUs
-with MPI.  Here the same algorithm runs at laptop scale over two layers:
-
-- :mod:`repro.parallel.comm` — an MPI-like communicator (mpi4py-shaped API:
-  ``send/recv/sendrecv``, ``barrier``, ``bcast``, ``gather``, ``allgather``,
-  ``allreduce``) behind a runtime-checkable protocol and a backend registry
-  (``comm.get("serial"|"thread"|"shm")``): a serial single-rank backend, a
-  threaded SPMD backend, and a zero-copy ``multiprocessing.shared_memory``
-  backend whose ndarray messages move through shared segments instead of
-  pickles.  The distributed parallel-tempering rank program
-  (:mod:`repro.parallel.tempering`) is written against it and asserted
-  bit-identical to the serial reference.
-- :mod:`repro.parallel.checkpoint` — crash-consistent snapshots (atomic
-  tmp+rename writes, SHA-256 integrity framing, ``.prev`` rotation with
-  fallback) so interrupted campaigns auto-resume bit-identically.
-
-On top sits the REWL driver:
+with MPI, one energy window per unit of parallel work.  Here the same
+algorithm runs at laptop scale:
 
 - :func:`make_windows` — overlapping energy-window decomposition,
 - :class:`REWLDriver` — one batched walker team per window, synchronized
@@ -26,19 +12,16 @@ On top sits the REWL driver:
   (``backend="shm"``, :mod:`repro.parallel.fused`), bit-identically; under
   :mod:`repro.faults` injection each window retries its advance, so a run
   that survives its faults is bit-identical to the fault-free run.
+- :mod:`repro.parallel.comm` — the shared-memory transport under
+  ``backend="shm"``: a :class:`ShmWorld` of named shared arrays and rank
+  processes, and a :class:`ShmRank` endpoint that maps those arrays and
+  sends/receives pickled commands.
+- :mod:`repro.parallel.checkpoint` — crash-consistent snapshots (atomic
+  tmp+rename writes, SHA-256 integrity framing, ``.prev`` rotation with
+  fallback) so interrupted campaigns auto-resume bit-identically.
 """
 
-from repro.parallel.comm import (
-    COMMUNICATORS,
-    Communicator,
-    SerialCommunicator,
-    SharedMemoryCommunicator,
-    ShmWorld,
-    ThreadCommunicator,
-    get as get_communicator,
-    register_communicator,
-    run_spmd,
-)
+from repro.parallel.comm import ShmRank, ShmWorld
 from repro.parallel.windows import WindowSpec, make_windows, surviving_pairs
 from repro.parallel.rewl import (
     BACKENDS,
@@ -48,7 +31,6 @@ from repro.parallel.rewl import (
     WalkerSnapshot,
 )
 from repro.parallel.fused import FusedCampaignState, FusedTeam, ShmEngine
-from repro.parallel.tempering import distributed_parallel_tempering
 from repro.parallel.checkpoint import (
     CHECKPOINT_VERSION,
     load_checkpoint,
@@ -59,15 +41,8 @@ from repro.parallel.checkpoint import (
 )
 
 __all__ = [
-    "COMMUNICATORS",
-    "Communicator",
-    "SerialCommunicator",
-    "SharedMemoryCommunicator",
+    "ShmRank",
     "ShmWorld",
-    "ThreadCommunicator",
-    "get_communicator",
-    "register_communicator",
-    "run_spmd",
     "WindowSpec",
     "make_windows",
     "surviving_pairs",
@@ -79,7 +54,6 @@ __all__ = [
     "FusedCampaignState",
     "FusedTeam",
     "ShmEngine",
-    "distributed_parallel_tempering",
     "CHECKPOINT_VERSION",
     "save_checkpoint",
     "load_checkpoint",

@@ -37,15 +37,11 @@ import numpy as np
 
 from repro.faults import faults_from_env
 from repro.lattice.configuration import CONFIG_DTYPE
-from repro.parallel.comm import SharedMemoryCommunicator, ShmWorld
+from repro.parallel.comm import _POLL_S, ShmRank, ShmWorld
 from repro.sampling.batched import BatchedWangLandauSampler
 from repro.sampling.wang_landau import WalkerCounters
 
 __all__ = ["FusedCampaignState", "FusedTeam", "ShmEngine"]
-
-#: Message-wait slice for the controller drain loop: short enough that a
-#: dead worker is noticed promptly, long enough not to busy-spin.
-_POLL_S = 1.0
 
 
 # --------------------------------------------------------------------------
@@ -119,7 +115,7 @@ class FusedCampaignState:
         return cls(n_windows, walkers_per_window, arrays)
 
     @classmethod
-    def attach(cls, comm: SharedMemoryCommunicator, n_windows: int,
+    def attach(cls, comm: ShmRank, n_windows: int,
                walkers_per_window: int) -> "FusedCampaignState":
         """Map the campaign arrays of an :class:`ShmWorld` (worker side)."""
         arrays = {name: comm.shared_array(name) for name in cls.FIELDS}
@@ -296,7 +292,7 @@ def _shm_campaign_worker(handle, rank, blob):
     from repro.obs.profile import SectionProfiler
     from repro.parallel.rewl import advance_windows
 
-    comm = SharedMemoryCommunicator(world=handle, rank=rank)
+    comm = ShmRank(handle, rank)
     try:
         state = FusedCampaignState.attach(
             comm, blob["n_windows"], blob["walkers_per_window"]
@@ -318,7 +314,7 @@ def _shm_campaign_worker(handle, rank, blob):
             teams[spec["w"]] = team
         min_epoch = blob.get("min_epoch", 0)
         while True:
-            msg = comm.recv(source=0)
+            _, msg = comm.recv()
             if msg[0] == "stop":
                 break
             _, epoch, n_steps, jobs = msg
@@ -347,7 +343,7 @@ def _shm_campaign_worker(handle, rank, blob):
                         "rng": team.rng.bit_generator.state,
                         "profile": team.profiler,
                     }
-            comm.send(("done", epoch, rank, report, retries), dest=0)
+            comm.send(("done", epoch, report, retries), dest=0)
     finally:
         comm.close()
 
@@ -383,7 +379,7 @@ class ShmEngine:
             alloc=self.world.alloc_array,
         )
         self.rank_of = [1 + (w % self.n_workers) for w in range(n_windows)]
-        self.comm = SharedMemoryCommunicator(world=self.world.handle(), rank=0)
+        self.comm = ShmRank(self.world.handle(), 0)
         wl_cfg = driver.walkers[0][0].cfg
         profile_every = (
             driver.profiler.sample_every if driver.profiler is not None else 0
@@ -415,21 +411,13 @@ class ShmEngine:
         """(Re-)bind window ``w``'s team into the shared campaign arrays."""
         FusedTeam.adopt(driver.walkers[w][0], self.state, w, push=True)
 
-    def _spawn(self, rank: int, blob: dict) -> None:
-        p = self.world.ctx.Process(
-            target=_shm_campaign_worker,
-            args=(self.world.handle(), rank, blob), daemon=True,
-        )
-        p.start()
-        self.world.procs.append(p)
-        self._proc[rank] = p
-
     def start(self) -> None:
         """Spawn the worker ranks (lazy: first ``run_round`` call)."""
         if self._started:
             return
         for rank, blob in self._blobs.items():
-            self._spawn(rank, blob)
+            self._proc[rank] = self.world.spawn(_shm_campaign_worker, rank,
+                                                blob)
         self._started = True
 
     def close(self, driver=None) -> None:
@@ -572,7 +560,7 @@ class ShmEngine:
 
             while pending:
                 try:
-                    src, msg = self.comm.recv_any(timeout=_POLL_S)
+                    rank, msg = self.comm.recv(timeout=_POLL_S)
                 except TimeoutError:
                     self._reap_dead_ranks(driver, pending, ready, epoch)
                     settle_pairs()
@@ -580,7 +568,7 @@ class ShmEngine:
                     continue
                 if msg[0] != "done" or msg[1] != epoch:
                     continue  # stale reply from a respawned predecessor
-                _, _, rank, report, retries = msg
+                _, _, report, retries = msg
                 driver._note_retries(retries)
                 for w in sorted(report):
                     if w in pending:
@@ -611,7 +599,10 @@ class ShmEngine:
                 )
             # Fence the respawned rank past any command the dead one left
             # unconsumed, then hand the lost windows to the supervisor.
-            self._spawn(rank, dict(self._blobs[rank], min_epoch=epoch + 1))
+            self._proc[rank] = self.world.spawn(
+                _shm_campaign_worker, rank,
+                dict(self._blobs[rank], min_epoch=epoch + 1),
+            )
             for w in dead:
                 pending.discard(w)
                 sup.on_window_failure(

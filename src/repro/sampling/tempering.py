@@ -7,9 +7,7 @@ exact replica-exchange rule::
     ln u < (β_i − β_j)(E_i − E_j)
 
 Even/odd pair alternation avoids exchange deadlock.  This serial version is
-the reference implementation; :mod:`repro.parallel.tempering` runs the same
-algorithm over the communicator (and the two are asserted bit-identical in
-the integration tests, rank-for-rank).
+the reference implementation.
 """
 
 from __future__ import annotations
@@ -86,9 +84,8 @@ class ParallelTempering:
             )
             for k in range(len(self.betas))
         ]
-        # Exchange randomness is keyed by (round, lower replica) so the
-        # distributed rank program (repro.parallel.tempering) can reproduce
-        # the exact same decisions without extra messages.
+        # Exchange randomness is keyed by (round, lower replica), so a
+        # decision does not depend on which other pairs were attempted.
         self._rng_factory = factory
         self.exchange_attempts = np.zeros(len(self.betas) - 1, dtype=np.int64)
         self.exchange_accepts = np.zeros(len(self.betas) - 1, dtype=np.int64)

@@ -3,7 +3,7 @@
 Parallel Monte Carlo demands *independent* streams per walker: correlated
 streams silently bias replica-exchange statistics.  We build on numpy's
 ``SeedSequence`` spawning, which guarantees independence by construction, and
-expose a tiny factory so samplers, proposals, and communicator ranks all draw
+expose a tiny factory so samplers, proposals, and walker teams all draw
 from the same seeding discipline.
 """
 

@@ -13,8 +13,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_registries,
 )
-from repro.parallel import run_spmd
-from repro.obs import Telemetry
 
 
 def _fill_registry(i, scale=1):
@@ -190,26 +188,3 @@ class TestExecutorReduction:
         assert merged_serial.as_dict() == merged_process.as_dict()
         assert merged_serial.counter("walker.steps").value == 1000
 
-
-class TestCommMetrics:
-    def test_spmd_merges_rank_comm_metrics(self):
-        def program(comm):
-            comm.barrier()
-            return comm.allreduce(comm.rank)
-
-        tel = Telemetry()
-        results = run_spmd(program, 3, telemetry=tel)
-        assert results == [3, 3, 3]
-        # 3 explicit barriers + the barriers inside allgather-backed allreduce.
-        assert tel.metrics.counter("comm.barrier.calls").value >= 3
-        assert tel.metrics.counter("comm.allreduce.calls").value == 3
-        hist = tel.metrics["comm.allreduce.seconds"]
-        assert hist.count == 3
-
-    def test_single_rank_serial_comm_metrics(self):
-        def program(comm):
-            return comm.bcast("x")
-
-        tel = Telemetry()
-        assert run_spmd(program, 1, telemetry=tel) == ["x"]
-        assert tel.metrics.counter("comm.bcast.calls").value == 1

@@ -1,190 +1,213 @@
-"""Tests for the MPI-like communicator substrate."""
+"""Tests for the shared-memory transport (``repro.parallel.comm``) and the
+liveness contract of the ranks built on it: an idle rank waits without a
+deadline, and an orphaned one exits."""
+
+import gc
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    COMMUNICATORS,
-    SerialCommunicator,
-    SharedMemoryCommunicator,
-    get_communicator,
-    register_communicator,
-    run_spmd,
+import repro
+from repro.hamiltonians import IsingHamiltonian
+from repro.lattice import square_lattice
+from repro.parallel import REWLConfig, REWLDriver, ShmRank, ShmWorld
+from repro.parallel.comm import _POLL_S
+from repro.proposals import FlipProposal
+from repro.sampling import EnergyGrid
+
+
+def _echo_rank(handle, rank):
+    """Module-level so a spawned rank can unpickle it: add the payload into
+    the shared array, then echo the message back to rank 0."""
+    comm = ShmRank(handle, rank)
+    try:
+        _, msg = comm.recv()
+        comm.shared_array("table")[...] += msg
+        comm.send(("echo", msg), dest=0)
+    finally:
+        comm.close()
+
+
+class TestShmRank:
+    def test_send_and_receive_through_a_spawned_rank(self):
+        world = ShmWorld(2)
+        try:
+            table = world.alloc_array("table", (3,), np.int64)
+            table[...] = [1, 2, 3]
+            proc = world.spawn(_echo_rank, 1)
+            host = ShmRank(world.handle(), 0)
+            host.send(10, dest=1)
+            assert host.recv(timeout=60.0) == (1, ("echo", 10))
+            np.testing.assert_array_equal(table, [11, 12, 13])
+            proc.join(timeout=10.0)
+            assert proc.exitcode == 0
+        finally:
+            world.close()
+
+    def test_receive_returns_the_senders_rank(self):
+        world = ShmWorld(3)
+        try:
+            handle = world.handle()
+            host = ShmRank(handle, 0)
+            ShmRank(handle, 2).send("from two", dest=0)
+            ShmRank(handle, 1).send("from one", dest=0)
+            got = [host.recv(timeout=5.0), host.recv(timeout=5.0)]
+            assert got == [(2, "from two"), (1, "from one")]
+        finally:
+            world.close()
+
+    def test_receive_with_a_timeout_raises_timeout_error(self):
+        world = ShmWorld(1)
+        try:
+            with pytest.raises(TimeoutError, match="rank 0"):
+                ShmRank(world.handle(), 0).recv(timeout=0.05)
+        finally:
+            world.close()
+
+    def test_unknown_shared_array_is_a_key_error(self):
+        world = ShmWorld(1)
+        try:
+            world.alloc_array("ln_g", (2,), np.float64)
+            comm = ShmRank(world.handle(), 0)
+            with pytest.raises(KeyError, match=r"unknown shared array .*'ln_g'"):
+                comm.shared_array("lng")
+        finally:
+            world.close()
+
+
+def _driver(backend, shm_ranks=None):
+    ham = IsingHamiltonian(square_lattice(4))
+    return REWLDriver(
+        hamiltonian=ham, proposal_factory=lambda: FlipProposal(),
+        grid=EnergyGrid.from_levels(ham.energy_levels()),
+        initial_config=np.zeros(16, dtype=np.int8),
+        config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
+                          exchange_interval=200, ln_f_final=5e-2, seed=11,
+                          backend=backend, shm_ranks=shm_ranks),
+    )
+
+
+#: Runs in a child interpreter: a 2-rank shm campaign, then the rank pids
+#: and segment names on stdout, then an idle wait to be killed in.
+_ORPHAN_SCRIPT = """
+import json, sys, time
+import numpy as np
+from repro.hamiltonians import IsingHamiltonian
+from repro.lattice import square_lattice
+from repro.parallel import REWLConfig, REWLDriver
+from repro.proposals import FlipProposal
+from repro.sampling import EnergyGrid
+
+ham = IsingHamiltonian(square_lattice(4))
+drv = REWLDriver(
+    hamiltonian=ham, proposal_factory=lambda: FlipProposal(),
+    grid=EnergyGrid.from_levels(ham.energy_levels()),
+    initial_config=np.zeros(16, dtype=np.int8),
+    config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
+                      exchange_interval=200, ln_f_final=5e-2, seed=11,
+                      backend="shm", shm_ranks=2),
 )
+drv.run(max_rounds=2)
+print(json.dumps({
+    "pids": [p.pid for p in drv._engine._proc.values()],
+    "segments": drv._engine.world.segment_names,
+}), flush=True)
+time.sleep(120)
+"""
 
 
-def _rank_allgather(comm):
-    """Module-level so the shm backend can pickle it into spawned ranks."""
-    return comm.allgather(comm.rank)
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (an orphan's reaper
+    may be slow, or absent in a container)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def _ring_pass(comm):
-    comm.send(comm.rank * 10, dest=(comm.rank + 1) % comm.size, tag=3)
-    return comm.recv(source=(comm.rank - 1) % comm.size, tag=3)
+class TestIdleRanks:
+    def test_idle_ranks_serve_the_next_run(self):
+        """A pause between run() calls longer than several poll slices — at
+        any length, since a waiting rank has no deadline — leaves the same
+        ranks serving, and the campaign equals one that never paused."""
+        ref = _driver("fused")
+        ref.run(max_rounds=2)
+        want = ref.run(max_rounds=4)
 
+        drv = _driver("shm", shm_ranks=2)
+        try:
+            drv.run(max_rounds=2)
+            procs = dict(drv._engine._proc)
+            time.sleep(3 * _POLL_S)
+            assert all(p.is_alive() for p in procs.values())
+            got = drv.run(max_rounds=4)
+            assert drv._engine._proc == procs
+        finally:
+            drv.close()
+        assert got.total_steps == want.total_steps
+        for a, b in zip(got.window_ln_g, want.window_ln_g):
+            np.testing.assert_array_equal(a, b)
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert set(COMMUNICATORS) >= {"serial", "thread", "shm"}
-        assert get_communicator("shm") is SharedMemoryCommunicator
-        assert SharedMemoryCommunicator.backend_name == "shm"
+    def test_a_dropped_driver_releases_its_ranks_and_segments(self):
+        """Ranks that wait with no deadline must not outlive a world its
+        owner dropped without close()."""
+        drv = _driver("shm", shm_ranks=2)
+        drv.run(max_rounds=1)
+        procs = list(drv._engine._proc.values())
+        names = drv._engine.world.segment_names
+        assert procs and all(p.is_alive() for p in procs)
+        del drv
+        gc.collect()
+        for p in procs:
+            p.join(timeout=5.0)
+        assert not any(p.is_alive() for p in procs)
+        assert not any(Path("/dev/shm", n).exists() for n in names)
 
-    def test_unknown_backend_is_an_error(self):
-        with pytest.raises(KeyError, match="serial"):
-            get_communicator("smoke-signals")
-
-    def test_conflicting_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_communicator("serial")(SharedMemoryCommunicator)
-
-    def test_reregistering_same_class_is_a_noop(self):
-        assert register_communicator("serial")(SerialCommunicator) \
-            is SerialCommunicator
-
-
-class TestShmSpmd:
-    def test_allgather_across_processes(self):
-        results = run_spmd(_rank_allgather, 2, backend="shm", timeout=60.0)
-        assert results == [[0, 1], [0, 1]]
-
-    def test_point_to_point_ring(self):
-        assert run_spmd(_ring_pass, 2, backend="shm", timeout=60.0) == [10, 0]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            run_spmd(_rank_allgather, 2, backend="carrier-pigeon")
-
-
-class TestSerialCommunicator:
-    def test_identity_collectives(self):
-        comm = SerialCommunicator()
-        assert comm.bcast(42) == 42
-        assert comm.gather("x") == ["x"]
-        assert comm.allgather(1) == [1]
-        assert comm.allreduce(3) == 3
-        assert comm.scatter([7]) == 7
-        comm.barrier()
-
-    def test_point_to_point_invalid(self):
-        comm = SerialCommunicator()
-        with pytest.raises(RuntimeError):
-            comm.send(1, dest=0)
-        with pytest.raises(RuntimeError):
-            comm.recv(source=0)
-        with pytest.raises(RuntimeError):
-            comm.sendrecv(1, partner=0)
-
-    def test_bad_reduce_op(self):
-        with pytest.raises(ValueError):
-            SerialCommunicator().allreduce(1, op="mean")
-
-
-class TestThreadedWorld:
-    def test_allgather(self):
-        results = run_spmd(lambda c: c.allgather(c.rank), 4)
-        for r in results:
-            assert r == [0, 1, 2, 3]
-
-    def test_bcast_from_nonzero_root(self):
-        def prog(c):
-            value = f"hello-{c.rank}" if c.rank == 2 else None
-            return c.bcast(value, root=2)
-
-        assert run_spmd(prog, 4) == ["hello-2"] * 4
-
-    def test_gather_only_at_root(self):
-        def prog(c):
-            return c.gather(c.rank * 10, root=1)
-
-        results = run_spmd(prog, 3)
-        assert results[1] == [0, 10, 20]
-        assert results[0] is None and results[2] is None
-
-    def test_scatter(self):
-        def prog(c):
-            objs = [100, 200, 300] if c.rank == 0 else None
-            return c.scatter(objs, root=0)
-
-        assert run_spmd(prog, 3) == [100, 200, 300]
-
-    def test_allreduce_sum_max_min(self):
-        assert run_spmd(lambda c: c.allreduce(c.rank + 1, op="sum"), 4) == [10] * 4
-        assert run_spmd(lambda c: c.allreduce(c.rank, op="max"), 4) == [3] * 4
-        assert run_spmd(lambda c: c.allreduce(c.rank, op="min"), 4) == [0] * 4
-
-    def test_reduce_at_root(self):
-        results = run_spmd(lambda c: c.reduce(c.rank, op="sum", root=0), 3)
-        assert results[0] == 3
-        assert results[1] is None
-
-    def test_allreduce_numpy_arrays(self):
-        def prog(c):
-            return c.allreduce(np.full(3, float(c.rank)))
-
-        for r in run_spmd(prog, 3):
-            assert np.allclose(r, 3.0)
-
-    def test_send_recv_ring(self):
-        def prog(c):
-            right = (c.rank + 1) % c.size
-            left = (c.rank - 1) % c.size
-            c.send(c.rank, dest=right, tag=7)
-            return c.recv(source=left, tag=7)
-
-        assert run_spmd(prog, 4) == [3, 0, 1, 2]
-
-    def test_sendrecv_pairs(self):
-        def prog(c):
-            partner = c.rank ^ 1
-            return c.sendrecv(c.rank * 11, partner)
-
-        assert run_spmd(prog, 4) == [11, 0, 33, 22]
-
-    def test_tag_mismatch_detected(self):
-        def prog(c):
-            if c.rank == 0:
-                c.send("x", dest=1, tag=1)
-                c.recv(source=1, tag=1)
-            else:
-                c.send("y", dest=0, tag=1)
-                c.recv(source=0, tag=2)  # wrong tag
-
-        with pytest.raises(RuntimeError):
-            run_spmd(prog, 2, timeout=5.0)
-
-    def test_self_send_rejected(self):
-        def prog(c):
-            if c.size > 1:
-                c.send(1, dest=c.rank)
-
-        with pytest.raises(RuntimeError):
-            run_spmd(prog, 2, timeout=5.0)
-
-    def test_exception_propagates(self):
-        def prog(c):
-            if c.rank == 1:
-                raise ValueError("boom")
-            c.barrier()
-
-        with pytest.raises(RuntimeError, match="rank 1"):
-            run_spmd(prog, 2, timeout=5.0)
-
-    def test_single_rank_uses_serial(self):
-        results = run_spmd(lambda c: type(c).__name__, 1)
-        assert results == ["SerialCommunicator"]
-
-    def test_n_ranks_validation(self):
-        with pytest.raises(ValueError):
-            run_spmd(lambda c: None, 0)
-
-    def test_barrier_synchronizes_phases(self):
-        """Values written before the barrier are visible after it."""
-        box = [None] * 3
-
-        def prog(c):
-            box[c.rank] = c.rank
-            c.barrier()
-            return sorted(x for x in box if x is not None)
-
-        for r in run_spmd(prog, 3):
-            assert r == [0, 1, 2]
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process state from /proc")
+    def test_ranks_exit_when_their_controller_is_killed(self):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        pids = []
+        try:
+            line = child.stdout.readline()
+            assert line, "controller process produced no output"
+            info = json.loads(line)
+            pids = info["pids"]
+            assert len(pids) == 2 and all(_running(p) for p in pids)
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=10.0)
+            deadline = time.monotonic() + 5.0
+            while any(_running(p) for p in pids) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(_running(p) for p in pids)
+            # With its last holder gone, the controller's resource tracker
+            # unlinks the segments the controller never got to close.
+            segments = [Path("/dev/shm", n) for n in info["segments"]]
+            deadline = time.monotonic() + 5.0
+            while any(s.exists() for s in segments) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(s.exists() for s in segments)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            child.stdout.close()

@@ -12,12 +12,7 @@ import pytest
 from repro.faults import FAULTS_ENV_VAR
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
-from repro.parallel import (
-    REWLConfig,
-    REWLDriver,
-    SharedMemoryCommunicator,
-    ShmWorld,
-)
+from repro.parallel import REWLConfig, REWLDriver, ShmRank, ShmWorld
 from repro.proposals import FlipProposal
 from repro.resilience import GuardPolicy, ResilienceConfig
 from repro.sampling import EnergyGrid
@@ -54,11 +49,11 @@ class TestShmWorld:
         world = ShmWorld(2)
         host_view = world.alloc_array("table", (4, 3), np.float64)
         names = world.segment_names
-        assert len(names) == 2  # mailbox + the array
+        assert len(names) == 1  # the array
         assert all(_segment_exists(n) for n in names)
 
-        # A communicator on the handle maps the same bytes, zero-copy.
-        comm = SharedMemoryCommunicator(world=world.handle(), rank=0)
+        # A rank endpoint on the handle maps the same bytes, zero-copy.
+        comm = ShmRank(world.handle(), 0)
         rank_view = comm.shared_array("table")
         host_view[2, 1] = 7.5
         assert rank_view[2, 1] == 7.5
@@ -88,7 +83,7 @@ class TestShmWorld:
     def test_unknown_array_name_rejected(self):
         world = ShmWorld(1)
         try:
-            comm = SharedMemoryCommunicator(world=world.handle(), rank=0)
+            comm = ShmRank(world.handle(), 0)
             with pytest.raises(KeyError, match="unknown shared array"):
                 comm.shared_array("nope")
         finally:

@@ -1,11 +1,10 @@
-"""Tests for serial parallel tempering and its distributed twin."""
+"""Tests for serial parallel tempering."""
 
 import numpy as np
 import pytest
 
 from repro.hamiltonians import enumerate_density_of_states
 from repro.lattice import random_configuration
-from repro.parallel import distributed_parallel_tempering
 from repro.proposals import FlipProposal, SwapProposal
 from repro.sampling import ParallelTempering
 
@@ -65,28 +64,3 @@ class TestSerialPT:
             ParallelTempering(ising_4x4, lambda k: FlipProposal(), [0.1, 0.2],
                               np.zeros((2, 9), dtype=np.int8))
 
-
-class TestDistributedPT:
-    def test_bit_identical_to_serial(self, ising_4x4):
-        """The communicator rank program reproduces the serial reference
-        trace exactly (same seeds, same exchange decisions)."""
-        betas = [0.1, 0.25, 0.5, 1.0]
-        configs = np.stack([
-            random_configuration(16, [8, 8], rng=200 + k) for k in range(4)
-        ])
-        serial = ParallelTempering(
-            ising_4x4, lambda k: FlipProposal(), betas, configs, seed=9
-        ).run(n_rounds=25, steps_per_round=30)
-        dist = distributed_parallel_tempering(
-            ising_4x4, lambda k: FlipProposal(), betas, configs,
-            n_rounds=25, steps_per_round=30, seed=9,
-        )
-        assert np.array_equal(serial.energies, dist["energies"])
-        assert np.array_equal(serial.exchange_accepts, dist["exchange_accepts"])
-
-    def test_shape_validation(self, ising_4x4):
-        with pytest.raises(ValueError):
-            distributed_parallel_tempering(
-                ising_4x4, lambda k: FlipProposal(), [0.1, 0.2],
-                np.zeros((3, 16), dtype=np.int8), n_rounds=1, steps_per_round=1,
-            )
