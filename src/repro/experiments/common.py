@@ -13,7 +13,7 @@ from repro.hamiltonians import NbMoTaWHamiltonian
 from repro.lattice import bcc, equiatomic_counts, random_configuration
 from repro.obs import Telemetry
 from repro.proposals import SwapProposal
-from repro.sampling import EnergyGrid
+from repro.sampling import CanonicalTeam, EnergyGrid
 from repro.util.rng import as_generator
 
 __all__ = [
@@ -175,30 +175,22 @@ def hea_system(length: int = 3, n_shells: int = 2):
     return ham, counts
 
 
-def anneal_extreme(ham, config, rng, minimize: bool = True, sweeps: int = 400) -> float:
-    """Estimate an extreme energy by simulated annealing with swaps."""
-    rng = as_generator(rng)
-    sign = 1.0 if minimize else -1.0
-    cfg = np.array(config, copy=True)
-    energy = ham.energy(cfg)
-    prop = SwapProposal()
-    n = ham.n_sites
-    betas = np.geomspace(0.5, 200.0, sweeps)
-    for beta in betas:
-        for _ in range(n):
-            move = prop.propose(cfg, ham, rng, current_energy=energy)
-            if move is None:
-                continue
-            if sign * move.delta_energy <= 0 or rng.random() < np.exp(
-                -beta * sign * move.delta_energy
-            ):
-                move.apply(cfg)
-                energy += move.delta_energy
-    return float(energy)
+#: The pilot's annealing ramp: one sweep (``n_sites`` steps per row) at
+#: each inverse temperature, in order.
+_PILOT_BETAS = np.geomspace(0.5, 200.0, 400)
 
 
 def estimate_energy_range(ham, counts, rng=0, margin: float = 0.02) -> tuple[float, float]:
     """Annealed estimate of the reachable energy range at fixed composition.
+
+    The estimator: one simulated-annealing chain per direction, both started
+    from the same random configuration at ``counts`` and run for 400 sweeps
+    of swap moves on the ramp β_s = geomspace(0.5, 200) — one chain at +β_s
+    (descending to ``e_lo``), one at −β_s (climbing to ``e_hi``).  The two
+    chains are the rows of one 2-row
+    :class:`~repro.sampling.metropolis.CanonicalTeam`, advanced by the
+    block engine one ``n_sites``-step block per sweep; the extremes are the
+    rows' final energies, recomputed from their configurations.
 
     Returns ``(e_lo, e_hi)`` *shrunk inward* by ``margin`` of the span: the
     annealed extremes are exponentially rare states, and a flat-histogram
@@ -209,9 +201,12 @@ def estimate_energy_range(ham, counts, rng=0, margin: float = 0.02) -> tuple[flo
     loose for window construction.
     """
     rng = as_generator(rng)
-    cfg = random_configuration(ham.n_sites, counts, rng=rng)
-    e_lo = anneal_extreme(ham, cfg, rng, minimize=True)
-    e_hi = anneal_extreme(ham, cfg, rng, minimize=False)
+    start = random_configuration(ham.n_sites, counts, rng=rng)
+    pilot = CanonicalTeam(ham, SwapProposal(), np.stack([start, start]), 0.0, rng)
+    for beta in _PILOT_BETAS:
+        pilot.beta[:] = beta, -beta
+        pilot.steps(ham.n_sites)
+    e_lo, e_hi = ham.energies(pilot.configs).tolist()
     span = e_hi - e_lo
     if span <= 0:
         raise RuntimeError("degenerate energy range estimate")

@@ -9,7 +9,8 @@
  *     adds field[new] - field[old] last; then energies[r] + dE.
  *   - the bin lookup mirrors sampling.binning.StackedGrids.index_rows.
  *   - the commit is Wang-Landau's: rows of a window in order, each seeing
- *     every earlier deposit.
+ *     every earlier deposit.  A team with a beta array is canonical instead:
+ *     row r accepts on ln u < -beta[r] * dE, and nothing is binned.
  *
  * A row reads and writes only its own configuration and its window's ln g,
  * so resolve -> dE -> bin -> commit -> scatter run row by row here where
@@ -41,7 +42,7 @@ typedef struct {                 /* sampling.binning.StackedGrids */
     const int64_t *table;        /* (n_windows, n_marks + 1) flat bins */
 } Grids;
 
-typedef struct {                 /* one walker team = one energy window */
+typedef struct {                 /* one walker team: an energy window, or canonical */
     int64_t rows, bin_offset, table_base;
     double e_max, ln_f;
     int8_t *configs;             /* (rows, n_sites) */
@@ -55,6 +56,9 @@ typedef struct {                 /* one walker team = one energy window */
     const int64_t *field1;       /* flip (n, rows) shifts */
     const double *ln_u;          /* (n, rows) log-uniform acceptance noise */
     int64_t *move;               /* (rows, 2) this step's resolved moves */
+    const double *beta;          /* (rows,) inverse temperatures; NULL: Wang-Landau.
+                                    A canonical team has no window: bins, ln_g,
+                                    histogram, visited and the Grids are unused. */
     int64_t accepted, out_of_grid;   /* outputs, added to */
 } Team;
 
@@ -159,11 +163,28 @@ static int64_t lookup(const Grids *g, const Team *tm, double e)
     return flat - tm->bin_offset;
 }
 
+/* Take row r's resolved move (m0, m1) to energy e. */
+static void accept(Team *tm, int64_t kind, int64_t r, int8_t *cfg,
+                   int64_t m0, int64_t m1, double e)
+{
+    tm->energies[r] = e;
+    tm->slot_accepted[r]++;
+    tm->accepted++;
+    if (kind == FLIP) {
+        cfg[m0] = (int8_t)m1;
+    } else {
+        const int8_t a = cfg[m0], b = cfg[m1];
+        cfg[m0] = b;
+        cfg[m1] = a;
+    }
+}
+
 /* Run super-steps [start, stop).  Returns stop when done; a smaller step
  * index when that step's resolve left rows without a candidate: nothing of
  * that step is committed, every team's move array is filled, and the caller
  * replaces each move[0] == -1 row and calls again with start = that step
  * and resolved = 1.  Returns -1 on the level-grid clash described above.
+ * g may be NULL when every team is canonical.
  */
 int64_t repro_superstep(const Tables *t, const Grids *g, Team *teams,
                         int64_t n_teams, int64_t kind, int64_t n_cand,
@@ -189,6 +210,12 @@ int64_t repro_superstep(const Tables *t, const Grids *g, Team *teams,
                 const double delta = kind == FLIP ? delta_flip(t, cfg, m0, m1)
                                                   : delta_swap(t, cfg, m0, m1);
                 const double energy = tm->energies[r] + delta;
+                if (tm->beta) {                /* canonical: MetropolisSampler's rule */
+                    const double log_alpha = -tm->beta[r] * delta;
+                    if (log_alpha >= 0.0 || ln_u[r] < log_alpha)
+                        accept(tm, kind, r, cfg, m0, m1, energy);
+                    continue;
+                }
                 const int64_t nb = lookup(g, tm, energy);
                 int64_t cur = tm->bins[r];
                 if (nb == -2)
@@ -199,16 +226,7 @@ int64_t repro_superstep(const Tables *t, const Grids *g, Team *teams,
                     const double log_alpha = ln_g[cur] - ln_g[nb];
                     if (log_alpha >= 0.0 || ln_u[r] < log_alpha) {
                         tm->bins[r] = cur = nb;
-                        tm->energies[r] = energy;
-                        tm->slot_accepted[r]++;
-                        tm->accepted++;
-                        if (kind == FLIP) {
-                            cfg[m0] = (int8_t)m1;
-                        } else {
-                            const int8_t a = cfg[m0], b = cfg[m1];
-                            cfg[m0] = b;
-                            cfg[m1] = a;
-                        }
+                        accept(tm, kind, r, cfg, m0, m1, energy);
                     }
                 }
                 /* Update the (possibly unchanged) current bin - mandatory for WL. */

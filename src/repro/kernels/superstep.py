@@ -45,7 +45,7 @@ _Grids = _struct("_Grids", (_I64, "is_levels n_marks"), (_F64, "tol"),
 _Team = _struct(
     "_Team", (_I64, "rows bin_offset table_base"), (_F64, "e_max ln_f"),
     (_PTR, "configs energies bins ln_g histogram visited slot_accepted "
-           "field0 field1 ln_u move"),
+           "field0 field1 ln_u move beta"),
     (_I64, "accepted out_of_grid"))
 
 _KINDS = {"swap": 0, "swap_distinct": 1, "flip": 2}
@@ -108,9 +108,9 @@ def _tables_view(tables: PairTables):
 
 def _marshal(members, n: int, t, grids):
     """``(kind, n_candidates, team structs, per-team move scratch)`` for one
-    block, or :class:`_Unfit`."""
+    block, or :class:`_Unfit`.  ``grids`` is None for a canonical group:
+    each team hands C its ``beta`` and no window."""
     n_sites, s = t.n_sites, t.n_species
-    columns = len(grids.marks) + 1
     specs = [fields.native_fields() for _, fields in members]
     if None in specs or len({kind for kind, _ in specs}) != 1:
         raise _Unfit
@@ -122,19 +122,22 @@ def _marshal(members, n: int, t, grids):
     moves = []
     teams = (_Team * len(members))()
     for w, ((team, fields), (_, arrays), ct) in enumerate(zip(members, specs, teams)):
-        k = team.n_slots
-        lo, hi = int(grids.offsets[w]), int(grids.offsets[w + 1])
-        ct.rows, ct.bin_offset, ct.table_base = k, lo, w * columns
-        ct.e_max, ct.ln_f = float(grids.e_max[w]), float(team.ln_f)
+        k = ct.rows = team.n_slots
         ct.configs = _address(team.configs, np.int8, (k, n_sites), True)
         ct.energies = _address(team.energies, np.float64, (k,), True)
-        ct.bins = _address(team.bins, np.int64, (k,), True)
-        ct.ln_g = _address(team.ln_g, np.float64, (hi - lo,), True)
-        ct.histogram = _address(team.histogram, np.int64, (hi - lo,), True)
-        ct.visited = _address(team.visited, np.bool_, (hi - lo,), True)
         ct.slot_accepted = _address(team.slot_accepted, np.int64, (k,), True)
         _check_below(team.configs, s)
-        _check_below(team.bins, hi - lo)
+        if grids is None:
+            ct.beta = _address(team.beta, np.float64, (k,))
+        else:
+            lo, hi = int(grids.offsets[w]), int(grids.offsets[w + 1])
+            ct.bin_offset, ct.table_base = lo, w * (len(grids.marks) + 1)
+            ct.e_max, ct.ln_f = float(grids.e_max[w]), float(team.ln_f)
+            ct.bins = _address(team.bins, np.int64, (k,), True)
+            ct.ln_g = _address(team.ln_g, np.float64, (hi - lo,), True)
+            ct.histogram = _address(team.histogram, np.int64, (hi - lo,), True)
+            ct.visited = _address(team.visited, np.bool_, (hi - lo,), True)
+            _check_below(team.bins, hi - lo)
         if kind == "flip":
             sites, shifts = arrays
             ct.field0 = _address(sites, np.int64, (n, k))
@@ -161,16 +164,19 @@ def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
     block is not one the C loop may run (see the module docstring); the
     caller then runs the NumPy block.  Otherwise each team's arrays,
     counters and ``rng`` end exactly where the NumPy block would leave them.
+    ``grids`` is None for a group of canonical teams (the C ``Grids`` is
+    then NULL).
     """
     tables = getattr(hamiltonian, "tables", None)
-    if type(tables) is not PairTables or not np.isfinite(grids.tol):
+    if type(tables) is not PairTables or (grids is not None and not np.isfinite(grids.tol)):
         return False
     try:
         t = _tables_view(tables)
         kind, n_candidates, teams, moves = _marshal(members, n, t, grids)
-        g = _Grids(grids.is_levels, len(grids.marks), grids.tol,
-                   _address(grids.marks, np.float64, grids.marks.shape),
-                   _address(grids._table, np.int64, grids._table.shape))
+        g = None if grids is None else _Grids(
+            grids.is_levels, len(grids.marks), grids.tol,
+            _address(grids.marks, np.float64, grids.marks.shape),
+            _address(grids._table, np.int64, grids._table.shape))
     except _Unfit:
         return False
     # acceptance noise: drawn from each team's stream after its fields
@@ -193,7 +199,6 @@ def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
                 move[sub] = fields.redraw(team.configs[sub], team.rng)
         resolved = 1
     for (team, _), ct in zip(members, teams):
-        team.slot_steps += n
         team._tally(n * ct.rows, ct.accepted, ct.out_of_grid)
     return True
 
@@ -201,10 +206,12 @@ def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
 def self_test(lib) -> None:
     """Run small blocks through ``lib`` and through the NumPy block.
 
-    Swaps (the redraw path included) and field flips on a uniform grid,
-    flips on a level grid, two windows each; raises ``RuntimeError`` unless
-    every team array, counter and RNG state agrees bit for bit.  A library
-    is published to the cache only after passing this.
+    Wang-Landau swaps (the redraw path included) and field flips on a
+    uniform grid, flips on a level grid, and canonical swaps (redraws again)
+    and field flips at signed inverse temperatures including 0 — two teams
+    each; raises ``RuntimeError`` unless every team array, counter and RNG
+    state agrees bit for bit.  A library is published to the cache only
+    after passing this.
     """
     from copy import deepcopy
 
@@ -213,6 +220,7 @@ def self_test(lib) -> None:
     from repro.proposals.local import FlipProposal, SwapProposal
     from repro.sampling import batched
     from repro.sampling.binning import EnergyGrid
+    from repro.sampling.metropolis import CanonicalTeam
     from repro.sampling.wang_landau import WLConfig
 
     rng = np.random.default_rng(20230515)
@@ -220,37 +228,46 @@ def self_test(lib) -> None:
     alloy = PairHamiltonian(square_lattice(4), mats + mats.transpose(0, 2, 1),
                             field=rng.normal(size=3))
     ising = IsingHamiltonian(square_lattice(4))
-    cases = [(alloy, SwapProposal, [13, 2, 1], None),
-             (alloy, FlipProposal, [6, 5, 5], None),
-             (ising, FlipProposal, [8, 8], ising.energy_levels())]
-    for ham, proposal, counts, levels in cases:
+    signed = [(1.5, 0.0, -0.7), (-3.0, 0.4, 0.0)]  # per team, per row
+    cases = [(alloy, SwapProposal, [13, 2, 1], None, None),
+             (alloy, FlipProposal, [6, 5, 5], None, None),
+             (ising, FlipProposal, [8, 8], ising.energy_levels(), None),
+             (alloy, SwapProposal, [13, 2, 1], None, signed),
+             (alloy, FlipProposal, [6, 5, 5], None, signed)]
+    for ham, proposal, counts, levels, betas in cases:
         configs = np.stack([random_configuration(ham.n_sites, counts, rng=rng)
                             for _ in range(6)])
         configs = configs[np.argsort(ham.energies(configs), kind="stable")]
-        energies = ham.energies(configs)
-        grid = (EnergyGrid.uniform(energies[0] - 0.5, energies[-1] + 0.5, 12)
-                if levels is None else EnergyGrid.from_levels(levels))
-        bins = grid.index_array(energies)
-        windows = [grid.subgrid(0, int(bins[2])),
-                   grid.subgrid(int(bins[3]), grid.n_bins - 1)]
-        teams = [batched.BatchedWangLandauSampler(
-            hamiltonian=ham, proposal=proposal(), grid=window,
-            initial_config=configs[3 * w:3 * w + 3], rng=w,
-            config=WLConfig(batch_size=3)) for w, window in enumerate(windows)]
+        if betas is None:
+            energies = ham.energies(configs)
+            grid = (EnergyGrid.uniform(energies[0] - 0.5, energies[-1] + 0.5, 12)
+                    if levels is None else EnergyGrid.from_levels(levels))
+            bins = grid.index_array(energies)
+            windows = [grid.subgrid(0, int(bins[2])),
+                       grid.subgrid(int(bins[3]), grid.n_bins - 1)]
+            teams = [batched.BatchedWangLandauSampler(
+                hamiltonian=ham, proposal=proposal(), grid=window,
+                initial_config=configs[3 * w:3 * w + 3], rng=w,
+                config=WLConfig(batch_size=3)) for w, window in enumerate(windows)]
+        else:
+            teams = [CanonicalTeam(ham, proposal(), configs[3 * w:3 * w + 3], beta, rng=w)
+                     for w, beta in enumerate(betas)]
         twins = deepcopy(teams)
         for side, native in ((teams, True), (twins, False)):
             members = [(team, team.proposal.draw_fields(team.configs, ham, team.rng, 40))
                        for team in side]
-            grids = batched.StackedGrids([team.grid for team in side], [3, 3])
+            grids = None if betas else batched.StackedGrids(
+                [team.grid for team in side], [3, 3])
             if not native:
                 batched._run_block(members, 40, ham, grids, None, None)
             elif not run_block(lib, members, 40, ham, grids):
                 raise RuntimeError("self-test: the native block declined its own test case")
         for a, b in zip(teams, twins):
-            same = all(np.array_equal(getattr(a, name), getattr(b, name))
-                       for name in ("configs", "energies", "bins", "ln_g", "histogram",
-                                    "visited", "slot_steps", "slot_accepted"))
-            if not (same and a.counters == b.counters and a.n_steps == b.n_steps
+            arrays = [name for name, value in vars(a).items() if isinstance(value, np.ndarray)]
+            same = all(np.array_equal(getattr(a, name), getattr(b, name)) for name in arrays)
+            if not (same and getattr(a, "counters", None) == getattr(b, "counters", None)
+                    and (a.n_steps, a.n_accepted) == (b.n_steps, b.n_accepted)
                     and a.rng.bit_generator.state == b.rng.bit_generator.state):
+                mode = "canonical" if betas else "Wang-Landau"
                 raise RuntimeError(
-                    f"self-test: native and NumPy blocks disagree ({proposal.__name__})")
+                    f"self-test: native and NumPy blocks disagree ({mode} {proposal.__name__})")

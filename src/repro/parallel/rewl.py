@@ -288,11 +288,12 @@ class REWLDriver:
     ----------
     hamiltonian : Hamiltonian
     proposal_factory : callable
-        ``proposal_factory() -> Proposal``; called once per walker so
-        stateful proposals (DL caches) are never shared.  Must be
-        picklable for ``backend="shm"`` (worker ranks build their own
-        proposals from it — module-level factories qualify, lambdas don't;
-        the driver calls it in-process and ships the instances).
+        ``proposal_factory() -> Proposal``; called twice per window (the
+        drive into it, then its team) so stateful proposals (DL caches) are
+        never shared.  Must be picklable for ``backend="shm"`` (worker
+        ranks build their own proposals from it — module-level factories
+        qualify, lambdas don't; the driver calls it in-process and ships
+        the instances).
     grid : EnergyGrid
         The global energy grid.
     initial_config : numpy.ndarray
@@ -447,18 +448,17 @@ class REWLDriver:
         # driver.walkers[w] is a one-element list holding window w's team.
         self.walkers: list[list[BatchedWangLandauSampler]] = []
         for w, spec in enumerate(self.windows):
-            rows = []
-            for k in range(self.cfg.walkers_per_window):
-                cfg0 = initial_config.copy()
-                self._rngs.make("rewl-walker", w * 10_000 + k).shuffle(cfg0)
-                rows.append(drive_into_range(
-                    hamiltonian, proposal_factory(), spec.grid, cfg0,
-                    rng=self._rngs.make("rewl-drive", w * 10_000 + k),
-                    max_steps=self.cfg.drive_max_steps,
-                ))
+            starts = np.tile(initial_config, (self.cfg.walkers_per_window, 1))
+            for k, row in enumerate(starts):
+                self._rngs.make("rewl-walker", w * 10_000 + k).shuffle(row)
+            rows = drive_into_range(
+                hamiltonian, proposal_factory(), spec.grid, starts,
+                rng=self._rngs.make("rewl-drive", w),
+                max_steps=self.cfg.drive_max_steps,
+            )
             team = BatchedWangLandauSampler(
                 hamiltonian=hamiltonian, proposal=proposal_factory(),
-                grid=spec.grid, initial_config=np.stack(rows),
+                grid=spec.grid, initial_config=rows,
                 rng=self._rngs.make("rewl-team", w), config=wl_cfg,
             )
             if self.profiler is not None and self.cfg.backend != "shm":

@@ -8,6 +8,9 @@ exact.  Every sampler satisfies the :class:`Sampler` protocol
 :data:`SAMPLERS` — import from this package, not from the submodules.
 
 - :class:`MetropolisSampler` — canonical sampling at fixed β,
+- :class:`CanonicalTeam` — K Metropolis chains at per-row signed β on the
+  block engine (not a registered sampler; the energy-range pilot and the
+  walker drive run on it),
 - :class:`WangLandauSampler` — flat-histogram estimation of ln g(E)
   (standard halving and 1/t modification-factor schedules), tuned through
   :class:`WLConfig`,
@@ -20,8 +23,8 @@ exact.  Every sampler satisfies the :class:`Sampler` protocol
   (the distributed version lives in :mod:`repro.parallel`),
 - :class:`WolffSampler` — cluster updates for the Ising validation model,
 - :class:`EnergyGrid` — uniform or level-based energy binning,
-- :func:`drive_into_range` — steers a configuration into an energy window
-  (REWL walker initialization).
+- :func:`drive_into_range` — steers one configuration or a batch into an
+  energy window (REWL walker initialization).
 """
 
 from repro.sampling.base import (
@@ -32,7 +35,7 @@ from repro.sampling.base import (
     register_sampler,
 )
 from repro.sampling.binning import EnergyGrid
-from repro.sampling.metropolis import MetropolisSampler, RunStats
+from repro.sampling.metropolis import CanonicalTeam, MetropolisSampler, RunStats
 from repro.sampling.wang_landau import (
     WalkerCounters,
     WangLandauSampler,
@@ -52,6 +55,7 @@ __all__ = [
     "make_sampler",
     "register_sampler",
     "EnergyGrid",
+    "CanonicalTeam",
     "MetropolisSampler",
     "RunStats",
     "WalkerCounters",

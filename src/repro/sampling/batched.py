@@ -112,6 +112,10 @@ class BatchedWangLandauSampler:
     steps — one super-step adds B.
     """
 
+    #: Wang-Landau mode of the block engine: a team with per-row inverse
+    #: temperatures instead is a :class:`repro.sampling.metropolis.CanonicalTeam`.
+    beta = None
+
     def __init__(self, *args, **kwargs):
         kwargs, cfg = _resolve_wl_args(type(self).__name__, args, kwargs)
         hamiltonian = kwargs["hamiltonian"]
@@ -276,11 +280,11 @@ class BatchedWangLandauSampler:
         if prof is not None:
             prof.stop("wl.batch_commit", t0)
         self._tally(n_rows, accepted, n_out, n_null)
-        self.slot_steps += 1
         return accepted
 
     def _tally(self, steps: int, accepted: int, out_of_grid: int, null: int = 0) -> None:
-        """Add ``steps`` walker steps and their outcomes to the counters."""
+        """Add ``steps`` walker steps (whole super-steps) and their outcomes
+        to the counters."""
         counters = self.counters
         counters.null_proposals += null
         counters.proposals += steps - null
@@ -289,6 +293,7 @@ class BatchedWangLandauSampler:
         self.n_accepted += accepted
         self.n_steps += steps
         self._steps_this_iteration += steps
+        self.slot_steps += steps // self.n_slots
 
     def steps(self, n_steps_per_walker: int) -> None:
         """Run ``n_steps_per_walker`` super-steps (the REWL advance phase):
@@ -443,6 +448,10 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None,
     takes its super-steps through :meth:`step_batch`.  A trajectory is thus
     a pure function of the seed and the sequence of ``n_steps`` values.
 
+    Teams are Wang-Landau windows (``team.beta is None``) or canonical
+    (:class:`~repro.sampling.metropolis.CanonicalTeam`, per-row ``beta``);
+    the two modes never share a block, and a canonical block has no grids.
+
     A block runs in C (:func:`repro.kernels.superstep.run_block`) when the
     compiled super-step is loaded and the block is one it takes; otherwise —
     and always with a ``profiler`` attached, whose sections describe the
@@ -462,9 +471,9 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None,
                 for _ in range(n):
                     team.step_batch()
             else:
-                groups.setdefault(fields.key, []).append((team, fields))
-        for members in groups.values():
-            grids = _stacked_grids([team for team, _ in members])
+                groups.setdefault((fields.key, team.beta is None), []).append((team, fields))
+        for (_, wang_landau), members in groups.items():
+            grids = _stacked_grids([team for team, _ in members]) if wang_landau else None
             t0 = time.perf_counter() if log.enabled else 0.0
             if lib is None or not superstep.run_block(lib, members, n, hamiltonian, grids):
                 _run_block(members, n, hamiltonian, grids, profiler, gather_section)
@@ -501,7 +510,10 @@ def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> Non
 
     The commit loop keeps row order inside a window and runs on flat Python
     lists (``ln g`` and bins of all windows end to end) that live for the
-    whole block, so each decision still sees every earlier deposit.
+    whole block, so each decision still sees every earlier deposit.  With
+    ``grids`` None the teams are canonical: row ``r`` accepts on
+    ``ln u < −β_r·ΔE`` (MetropolisSampler's rule), and nothing is binned
+    or deposited.
 
     This is the reference implementation of a block (and the path taken
     without a compiler, and under a profiler): ``superstep.c`` reproduces it
@@ -514,7 +526,6 @@ def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> Non
     sizes = [team.n_slots for team in teams]
     ends = np.cumsum(sizes).tolist()
     spans = list(zip([0] + ends[:-1], ends))
-    offsets = grids.offsets.tolist()
     # One team steps its own arrays in place; several are gathered once per
     # block (their rows need not be contiguous anywhere) and written back.
     in_place = len(teams) == 1
@@ -525,11 +536,16 @@ def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> Non
     ln_u = np.log(np.concatenate(
         [team.rng.random((n, k)) for team, k in zip(teams, sizes)], axis=1
     )).tolist()
-    ln_g = np.concatenate([team.ln_g for team in teams]).tolist()
-    bins = np.concatenate(
-        [team.bins + off for team, off in zip(teams, offsets)]).tolist()
-    hist = [0] * len(ln_g)
-    ln_f = [team.ln_f for team in teams]
+    canonical = grids is None
+    if canonical:
+        beta = np.concatenate([team.beta for team in teams]).tolist()
+    else:
+        offsets = grids.offsets.tolist()
+        ln_g = np.concatenate([team.ln_g for team in teams]).tolist()
+        bins = np.concatenate(
+            [team.bins + off for team, off in zip(teams, offsets)]).tolist()
+        hist = [0] * len(ln_g)
+        ln_f = [team.ln_f for team in teams]
     n_out = [0] * len(teams)
     slot_accepted = [0] * ends[-1]
     rows = np.arange(ends[-1])
@@ -544,25 +560,33 @@ def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> Non
         if timed:
             prof.stop(gather_section, t0)
         new_energies = energies + delta
-        new_bins = grids.index_rows(new_energies).tolist()
+        if not canonical:
+            new_bins = grids.index_rows(new_energies).tolist()
         t0 = prof.start("wl.batch_commit") if prof is not None else None
         u = ln_u[step]
         accepted: list[int] = []
-        for w, (lo, hi) in enumerate(spans):
-            f = ln_f[w]
-            for r, nb, u_r in zip(range(lo, hi), new_bins[lo:hi], u[lo:hi]):
-                cur = bins[r]
-                if nb < 0:
-                    n_out[w] += 1
-                else:
-                    log_alpha = ln_g[cur] - ln_g[nb]
-                    if log_alpha >= 0.0 or u_r < log_alpha:
-                        bins[r] = cur = nb
-                        accepted.append(r)
-                        slot_accepted[r] += 1
-                # Update the (possibly unchanged) current bin — mandatory for WL.
-                ln_g[cur] += f
-                hist[cur] += 1
+        if canonical:
+            for r, d, u_r in zip(range(ends[-1]), delta.tolist(), u):
+                log_alpha = -beta[r] * d
+                if log_alpha >= 0.0 or u_r < log_alpha:
+                    accepted.append(r)
+                    slot_accepted[r] += 1
+        else:
+            for w, (lo, hi) in enumerate(spans):
+                f = ln_f[w]
+                for r, nb, u_r in zip(range(lo, hi), new_bins[lo:hi], u[lo:hi]):
+                    cur = bins[r]
+                    if nb < 0:
+                        n_out[w] += 1
+                    else:
+                        log_alpha = ln_g[cur] - ln_g[nb]
+                        if log_alpha >= 0.0 or u_r < log_alpha:
+                            bins[r] = cur = nb
+                            accepted.append(r)
+                            slot_accepted[r] += 1
+                    # Update the (possibly unchanged) current bin — mandatory for WL.
+                    ln_g[cur] += f
+                    hist[cur] += 1
         if accepted:
             acc = np.asarray(accepted)
             sites, values = fields.moves(configs, acc, move)
@@ -572,15 +596,15 @@ def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> Non
             prof.stop("wl.batch_commit", t0)
 
     for w, (team, (lo, hi)) in enumerate(zip(teams, spans)):
-        g_lo, g_hi = offsets[w], offsets[w + 1]
         if not in_place:
             team.configs[:] = configs[lo:hi]
             team.energies[:] = energies[lo:hi]
-        team.ln_g[:] = ln_g[g_lo:g_hi]
-        team.bins[:] = np.asarray(bins[lo:hi]) - g_lo
-        deposits = np.asarray(hist[g_lo:g_hi])
-        team.histogram += deposits
-        team.visited |= deposits > 0
-        team.slot_steps += n
+        if not canonical:
+            g_lo, g_hi = offsets[w], offsets[w + 1]
+            team.ln_g[:] = ln_g[g_lo:g_hi]
+            team.bins[:] = np.asarray(bins[lo:hi]) - g_lo
+            deposits = np.asarray(hist[g_lo:g_hi])
+            team.histogram += deposits
+            team.visited |= deposits > 0
         team.slot_accepted += np.asarray(slot_accepted[lo:hi])
         team._tally(n * (hi - lo), sum(slot_accepted[lo:hi]), n_out[w])

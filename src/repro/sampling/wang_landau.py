@@ -33,6 +33,7 @@ from repro.hamiltonians.base import Hamiltonian
 from repro.proposals.base import Proposal
 from repro.sampling.base import register_sampler
 from repro.sampling.binning import EnergyGrid
+from repro.sampling.metropolis import CanonicalTeam
 from repro.util.rng import BufferedDraws, as_generator
 
 __all__ = [
@@ -103,47 +104,59 @@ class WLConfig:
         return replace(self, **overrides) if overrides else self
 
 
+#: Inverse temperature of :func:`drive_into_range` (1/energy units): large,
+#: so a move away from the window is all but never taken; finite, so a move
+#: with ΔE = 0 has log α = 0 and is taken, and the walk diffuses on plateaus.
+_DRIVE_BETA = 1e6
+
+#: Super-steps between two containment checks of :func:`drive_into_range`.
+_DRIVE_BLOCK = 16
+
+
 def drive_into_range(hamiltonian: Hamiltonian, proposal: Proposal, grid: EnergyGrid,
                      config: np.ndarray, rng=None, max_steps: int = 1_000_000) -> np.ndarray:
-    """Steer ``config`` until its energy lies inside ``grid``.
+    """Steer configurations until their energies lie inside ``grid``.
 
-    Greedy drift: accept any move that does not increase the distance to the
-    window (ties accepted, so the walk keeps diffusing on plateaus).  Used to
-    initialize REWL walkers whose window excludes the typical energy of a
-    random configuration.
+    ``config`` is one configuration ``(n_sites,)`` or a batch ``(B,
+    n_sites)``; a steered copy of the same shape is returned.  The rows
+    outside the window are one
+    :class:`~repro.sampling.metropolis.CanonicalTeam` on the block engine:
+    a near-zero-temperature quench toward the window, at ``+_DRIVE_BETA``
+    for a row above it and ``−_DRIVE_BETA`` for a row below (ties
+    accepted).  The team advances ``_DRIVE_BLOCK`` steps at a time; between
+    blocks each row's energy is recomputed from its configuration — the
+    energy the samplers bin, which can sit ulps across an edge placed on a
+    level from the running sum — rows inside are dropped and the rest
+    re-signed.  Used to initialize REWL walkers whose window excludes the
+    typical energy of a random configuration.
 
-    Returns the steered configuration (a copy); raises ``RuntimeError`` when
-    the window cannot be reached within ``max_steps``.
+    Raises ``RuntimeError`` when a row is still outside after ``max_steps``
+    steps — e.g. a quench stalled in a metastable state, such as a striped
+    Ising domain.
     """
     rng = as_generator(rng)
-    config = np.array(config, copy=True)
-    energy = float(hamiltonian.energy(config))
-
-    def distance(e: float) -> float:
-        if e < grid.e_min:
-            return grid.e_min - e
-        if e > grid.e_max:
-            return e - grid.e_max
-        return 0.0
-
-    for _ in range(max_steps):
-        if grid.contains(energy):
-            # The running sum drifts from H(config) by ulps, which decides
-            # containment when an edge sits on an energy level; the samplers
-            # bin the recomputed energy, so that is the one that counts.
-            energy = float(hamiltonian.energy(config))
-            if grid.contains(energy):
-                return config
-        move = proposal.propose(config, hamiltonian, rng, current_energy=energy)
-        if move is None:
-            continue
-        if distance(energy + move.delta_energy) <= distance(energy):
-            move.apply(config)
-            energy += move.delta_energy
-    raise RuntimeError(
-        f"could not reach energy window [{grid.e_min}, {grid.e_max}] in "
-        f"{max_steps} steps (last energy {energy:.6g})"
-    )
+    out = np.array(config, copy=True)
+    rows = np.atleast_2d(out)  # a view: steering rows steers out
+    live = np.arange(rows.shape[0])
+    done = 0
+    while True:
+        energies = hamiltonian.energies(rows[live])
+        outside = grid.index_array(energies) < 0
+        live, energies = live[outside], energies[outside]
+        if not len(live):
+            return out
+        if done >= max_steps:
+            raise RuntimeError(
+                f"could not reach energy window [{grid.e_min}, {grid.e_max}] in "
+                f"{max_steps} steps ({len(live)} row(s) outside, one at "
+                f"energy {energies[0]:.6g})"
+            )
+        beta = np.where(energies > grid.e_max, _DRIVE_BETA, -_DRIVE_BETA)
+        team = CanonicalTeam(hamiltonian, proposal, rows[live], beta, rng)
+        n = min(_DRIVE_BLOCK, max_steps - done)
+        team.steps(n)
+        rows[live] = team.configs
+        done += n
 
 
 @dataclass

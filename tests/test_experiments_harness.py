@@ -16,8 +16,36 @@ from repro.experiments.common import (
     hea_system,
     results_dir,
 )
-from repro.hamiltonians import IsingHamiltonian
-from repro.lattice import square_lattice
+from repro.hamiltonians import IsingHamiltonian, PairHamiltonian
+from repro.lattice import random_configuration, square_lattice
+from repro.proposals import SwapProposal
+from repro.util.rng import as_generator
+
+
+def anneal_extreme(ham, config, rng, minimize: bool = True, sweeps: int = 400) -> float:
+    """One scalar simulated anneal with swaps, one proposal at a time: the
+    reference law of :func:`estimate_energy_range`'s pilot rows."""
+    rng = as_generator(rng)
+    sign = 1.0 if minimize else -1.0
+    cfg = np.array(config, copy=True)
+    energy = ham.energy(cfg)
+    prop = SwapProposal()
+    for beta in np.geomspace(0.5, 200.0, sweeps):
+        for _ in range(ham.n_sites):
+            move = prop.propose(cfg, ham, rng, current_energy=energy)
+            if sign * move.delta_energy <= 0 or rng.random() < np.exp(
+                -beta * sign * move.delta_energy
+            ):
+                move.apply(cfg)
+                energy += move.delta_energy
+    return float(energy)
+
+
+def reference_range(ham, counts, rng) -> tuple[float, float]:
+    """Unshrunk range of two scalar anneals from one random start."""
+    rng = as_generator(rng)
+    cfg = random_configuration(ham.n_sites, counts, rng=rng)
+    return anneal_extreme(ham, cfg, rng, True), anneal_extreme(ham, cfg, rng, False)
 
 
 class TestExperimentResult:
@@ -68,6 +96,23 @@ class TestCommonHelpers:
             for _ in range(10)
         ]
         assert e_lo < np.mean(typical) < e_hi
+
+    def test_pilot_follows_the_scalar_anneals_law(self):
+        """The block-engine pilot's e_lo and e_hi against two scalar anneals
+        from one start, 8 independent seeds each: equal means by a
+        two-sample z-test.  Both laws often find the same extreme on every
+        seed, where the spread (and so the allowance) is 0."""
+        rng = np.random.default_rng(5)
+        mats = rng.normal(scale=0.02, size=(2, 3, 3))
+        ham = PairHamiltonian(square_lattice(4), mats + mats.transpose(0, 2, 1))
+        counts = [6, 5, 5]
+        pilot = np.array([estimate_energy_range(ham, counts, rng=seed, margin=0.0)
+                          for seed in range(8)])
+        scalar = np.array([reference_range(ham, counts, rng=100 + seed)
+                           for seed in range(8)])
+        diff = pilot.mean(axis=0) - scalar.mean(axis=0)
+        se = np.sqrt((pilot.var(axis=0, ddof=1) + scalar.var(axis=0, ddof=1)) / 8)
+        assert np.all(np.abs(diff) <= 5 * se + 1e-9)
 
 
 @pytest.mark.parametrize("module_name", [

@@ -36,7 +36,7 @@ from repro.obs.report import render_report
 from repro.parallel.checkpoint import _read_state, save_checkpoint
 from repro.proposals import FlipProposal, SwapProposal
 from repro.proposals.local import FlipBlock, SwapBlock
-from repro.sampling import EnergyGrid, WLConfig, batched
+from repro.sampling import CanonicalTeam, EnergyGrid, WLConfig, batched
 from repro.sampling.batched import BatchedWangLandauSampler, advance_block
 from tests import test_batched_wl, test_fused_campaign
 from tests.test_batched_wl import assert_same_team_state
@@ -85,10 +85,12 @@ def pinned(library):
 MOVES = ("swap", "swap_any", "flip", "flip_field")
 
 
-def random_system(seed, move, levels, n_windows, rows):
+def random_system(seed, move, levels, n_windows, rows, canonical=False):
     """Teams of ``rows`` walkers on ``n_windows`` windows cut from one grid,
     on a random small pair model; every window holds its walkers, and its
-    neighbours' energies lie outside it."""
+    neighbours' energies lie outside it.  ``canonical``: the same walkers as
+    canonical teams instead, at signed inverse temperatures, a fifth of them
+    0."""
     rng = np.random.default_rng(seed)
     lattice = [square_lattice(3), square_lattice(4), bcc(3)][rng.integers(3)]
     s, n_shells = int(rng.integers(2, 5)), int(rng.integers(1, 3))
@@ -107,6 +109,11 @@ def random_system(seed, move, levels, n_windows, rows):
         configs = rng.integers(s, size=(total, n_sites)).astype(np.int8)
         proposal = FlipProposal
     configs = configs[np.argsort(ham.energies(configs), kind="stable")]
+    if canonical:
+        shape = (n_windows, rows)
+        beta = rng.normal(scale=2.0, size=shape) * (rng.random(shape) > 0.2)
+        return ham, [CanonicalTeam(ham, proposal(), configs[w * rows:(w + 1) * rows],
+                                   beta[w], rng=seed + w) for w in range(n_windows)]
     energies = ham.energies(configs)
     if levels:  # integer couplings: every integer in range is a level
         lo, hi = ham.energy_bounds()
@@ -128,6 +135,17 @@ def random_system(seed, move, levels, n_windows, rows):
     return ham, teams
 
 
+def assert_same_state(a, b):
+    """Team state bit for bit, either mode."""
+    if a.beta is None:
+        assert_same_team_state(a, b)
+        return
+    for name in ("configs", "energies", "beta", "slot_accepted"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.n_steps, a.n_accepted) == (b.n_steps, b.n_accepted)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
 def run_both(lib, ham, teams, n):
     """``n`` super-steps in C on ``teams`` and in NumPy on a deep copy."""
     twins = deepcopy(teams)
@@ -144,14 +162,15 @@ class TestDifferential:
                                      HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**31 - 1), move=st.sampled_from(MOVES),
            levels=st.booleans(), n_windows=st.sampled_from([1, 4]),
-           rows=st.sampled_from([1, 2, 33]), n=st.sampled_from([1, 7, 530]))
+           rows=st.sampled_from([1, 2, 33]), n=st.sampled_from([1, 7, 530]),
+           canonical=st.booleans())
     def test_native_block_equals_numpy_block(self, lib, seed, move, levels,
-                                             n_windows, rows, n):
-        ham, teams = random_system(seed, move, levels, n_windows, rows)
+                                             n_windows, rows, n, canonical):
+        ham, teams = random_system(seed, move, levels, n_windows, rows, canonical)
         twins, took = run_both(lib, ham, teams, n)
         assert took and all(took)  # every sub-block ran in C
         for a, b in zip(teams, twins):
-            assert_same_team_state(a, b)
+            assert_same_state(a, b)
             assert a.n_steps == n * rows
             assert np.array_equal(a.energies, ham.energies(a.configs)) or not levels
 
@@ -167,6 +186,36 @@ class TestDifferential:
             assert_same_team_state(a, b)
         assert sum(t.counters.out_of_grid for t in teams) > 0
         assert sum(t.counters.accepted for t in teams) > 0
+
+    @pytest.mark.parametrize("move", MOVES)
+    def test_canonical_teams_accept_and_reject(self, lib, move):
+        """Canonical teams, pinned: 4 teams x 33 rows at signed inverse
+        temperatures (0 included) over two sub-blocks."""
+        ham, teams = random_system(7, move, False, 4, 33, canonical=True)
+        assert (np.stack([t.beta for t in teams]) == 0).any()
+        twins, took = run_both(lib, ham, teams, 530)
+        assert took == [True, True]
+        for a, b in zip(teams, twins):
+            assert_same_state(a, b)
+        accepted = sum(t.n_accepted for t in teams)
+        assert 0 < accepted < sum(t.n_steps for t in teams)
+
+    def test_the_two_modes_never_share_a_block(self, lib):
+        """A Wang-Landau and a canonical team advanced together end where
+        each ends advanced alone (the stream contract), on both paths."""
+        ham, (wl,) = random_system(5, "swap", False, 1, 3)
+        _, (canon,) = random_system(5, "swap", False, 1, 3, canonical=True)
+        for library in (lib, None):
+            together = deepcopy([wl, canon])
+            alone = deepcopy([wl, canon])
+            with pinned(library) as took:
+                advance_block(together, 40, ham)
+            assert took == ([True, True] if library else [])
+            with pinned(library):
+                for team in alone:
+                    advance_block([team], 40, ham)
+            for a, b in zip(together, alone):
+                assert_same_state(a, b)
 
     def test_lopsided_composition_redraws_on_most_steps(self, lib):
         """One B atom in 53 A: a candidate pair is unlike with p = 0.036, so
@@ -422,6 +471,18 @@ class TestLoader:
                                       "ln_g[cur] += tm->ln_f * 1.0000000000000002;"))
         monkeypatch.setattr(native, "SOURCE", wrong)
         self.falls_back(empty_cache, reference, "self-test")
+        assert list((empty_cache / "cache" / "repro-native").iterdir()) == []
+
+    def test_wrong_canonical_branch_is_never_published(self, empty_cache, reference,
+                                                       monkeypatch):
+        wrong = empty_cache / "superstep.c"
+        text = native.SOURCE.read_text()
+        assert "log_alpha = -tm->beta[r] * delta;" in text
+        wrong.write_text(text.replace("log_alpha = -tm->beta[r] * delta;",
+                                      "log_alpha = tm->beta[r] * delta;"))
+        monkeypatch.setattr(native, "SOURCE", wrong)
+        self.falls_back(empty_cache, reference, "self-test: native and NumPy blocks "
+                        "disagree (canonical")
         assert list((empty_cache / "cache" / "repro-native").iterdir()) == []
 
     def test_unusable_cache_falls_back(self, empty_cache, reference, monkeypatch):

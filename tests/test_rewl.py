@@ -142,6 +142,25 @@ class TestREWLMechanics:
         assert not res.converged
         assert res.rounds == 3
 
+    def test_one_drive_per_window_with_all_its_walkers(self, ising, grid, monkeypatch):
+        from repro.parallel import rewl
+
+        shapes, real = [], rewl.drive_into_range
+
+        def spy(hamiltonian, proposal, window, configs, **kwargs):
+            shapes.append(configs.shape)
+            return real(hamiltonian, proposal, window, configs, **kwargs)
+
+        monkeypatch.setattr(rewl, "drive_into_range", spy)
+        driver = REWLDriver(
+            hamiltonian=ising, proposal_factory=lambda: FlipProposal(),
+            grid=grid, initial_config=np.tile(np.int8([0, 1]), 8),
+            config=REWLConfig(n_windows=3, walkers_per_window=4, seed=0),
+        )
+        assert shapes == [(4, 16)] * 3
+        for (team,), spec in zip(driver.walkers, driver.windows):
+            assert all(spec.grid.contains(e) for e in ising.energies(team.configs))
+
     def test_merge_respects_visited(self, ising, grid):
         """A window's ln g is shifted to a zero minimum over its visited
         bins; unvisited bins read 0 and the team is left untouched."""

@@ -174,20 +174,41 @@ class TestWangLandauMechanics:
         assert res.n_steps == 5_000
 
 
+def random_spins(seed, rows, n_sites=16):
+    """``rows`` random Ising configurations, 1-D for one row."""
+    cfgs = np.random.default_rng(seed).integers(0, 2, (rows, n_sites)).astype(np.int8)
+    return cfgs[0] if rows == 1 else cfgs
+
+
+def assert_inside(ham, grid, driven, start):
+    assert driven.shape == start.shape and driven is not start
+    assert all(grid.contains(e) for e in ham.energies(np.atleast_2d(driven)))
+
+
 class TestDriveIntoRange:
+    """Each case drives one configuration (1-D) and a batch of B = 5;
+    :meth:`test_every_case_on_both_paths` re-runs them all with the
+    super-step implementation pinned.
+
+    The drive is a near-zero-temperature quench, which on the 4x4 torus
+    stalls in a striped state (E = -16) about one row in ten, as the greedy
+    scalar walk it replaced did; the seeds below do not."""
+
+    SHAPES = (1, 5)
+
     def test_drives_to_low_window(self, ising_4x4):
         grid = EnergyGrid.uniform(-32.0, -24.0, 5)
-        rng = np.random.default_rng(0)
-        cfg = rng.integers(0, 2, 16).astype(np.int8)
-        driven = drive_into_range(ising_4x4, FlipProposal(), grid, cfg, rng=rng)
-        assert grid.contains(ising_4x4.energy(driven))
+        for rows in self.SHAPES:
+            cfg = random_spins(1, rows)
+            driven = drive_into_range(ising_4x4, FlipProposal(), grid, cfg, rng=1)
+            assert_inside(ising_4x4, grid, driven, cfg)
 
     def test_drives_to_high_window(self, ising_4x4):
         grid = EnergyGrid.uniform(24.0, 32.0, 5)
-        rng = np.random.default_rng(1)
-        cfg = rng.integers(0, 2, 16).astype(np.int8)
-        driven = drive_into_range(ising_4x4, FlipProposal(), grid, cfg, rng=rng)
-        assert grid.contains(ising_4x4.energy(driven))
+        for rows in self.SHAPES:
+            cfg = random_spins(2, rows)
+            driven = drive_into_range(ising_4x4, FlipProposal(), grid, cfg, rng=2)
+            assert_inside(ising_4x4, grid, driven, cfg)
 
     @pytest.mark.parametrize("seed", [263, 281])
     def test_edge_level_is_confirmed_by_the_recomputed_energy(self, hea_small, seed):
@@ -211,19 +232,43 @@ class TestDriveIntoRange:
         )
 
     def test_already_inside_returns_copy(self, ising_4x4):
-        grid = EnergyGrid.uniform(-33.0, 33.0, 10)
-        cfg = np.zeros(16, dtype=np.int8)
-        driven = drive_into_range(ising_4x4, FlipProposal(), grid, cfg, rng=0)
-        assert grid.contains(ising_4x4.energy(driven))
-        assert driven is not cfg
+        """A row already inside comes back untouched, as a copy."""
+        grid = EnergyGrid.uniform(-33.0, -28.0, 2)
+        for rows in self.SHAPES:
+            cfg = np.zeros((rows, 16), dtype=np.int8)
+            cfg[1:, 5] = 1  # rows after the first start one flip up, at E = -24
+            cfg = cfg[0] if rows == 1 else cfg
+            driven = drive_into_range(ising_4x4, FlipProposal(), grid, cfg, rng=0)
+            assert_inside(ising_4x4, grid, driven, cfg)
+            assert np.array_equal(np.atleast_2d(driven)[0], np.zeros(16))
+
+    def test_a_walk_entering_on_its_last_allowed_step_is_returned(self, ising_4x4):
+        """From the ground state every flip costs +8: one step reaches the
+        window, and that one step is all ``max_steps`` allows."""
+        grid = EnergyGrid.uniform(-25.0, -23.0, 1)
+        for rows in self.SHAPES:
+            cfg = random_spins(0, rows) * 0
+            driven = drive_into_range(ising_4x4, FlipProposal(), grid, cfg, rng=0,
+                                      max_steps=1)
+            assert_inside(ising_4x4, grid, driven, cfg)
 
     def test_unreachable_raises(self, ising_4x4):
         grid = EnergyGrid.uniform(-100.0, -90.0, 4)  # below the ground state
-        with pytest.raises(RuntimeError):
-            drive_into_range(
-                ising_4x4, FlipProposal(), grid, np.zeros(16, dtype=np.int8),
-                rng=0, max_steps=5_000,
-            )
+        for rows in self.SHAPES:
+            with pytest.raises(RuntimeError, match="could not reach"):
+                drive_into_range(
+                    ising_4x4, FlipProposal(), grid, random_spins(2, rows),
+                    rng=0, max_steps=5_000,
+                )
+
+    def test_every_case_on_both_paths(self, superstep_path, ising_4x4, hea_small):
+        self.test_drives_to_low_window(ising_4x4)
+        self.test_drives_to_high_window(ising_4x4)
+        for seed in (263, 281):
+            self.test_edge_level_is_confirmed_by_the_recomputed_energy(hea_small, seed)
+        self.test_already_inside_returns_copy(ising_4x4)
+        self.test_a_walk_entering_on_its_last_allowed_step_is_returned(ising_4x4)
+        self.test_unreachable_raises(ising_4x4)
 
 
 class TestMulticanonical:
