@@ -41,28 +41,6 @@ def bench_delta_energy_swap(benchmark, hea, hea_config, throughput):
     benchmark(one)
 
 
-def bench_delta_energy_swap_batch(benchmark, hea, hea_config, throughput):
-    """Vectorized alternative-swap ΔE (multiple-try / DL-proposal scoring)."""
-    rng = np.random.default_rng(1)
-    ii = rng.integers(0, hea.n_sites, 4_096)
-    jj = rng.integers(0, hea.n_sites, 4_096)
-    throughput(4_096)
-
-    out = benchmark(hea.delta_energy_swap_batch, hea_config, ii, jj)
-    assert out.shape == (4_096,)
-
-
-def bench_delta_energy_flip_batch(benchmark, hea, hea_config, throughput):
-    """Vectorized alternative-flip ΔE."""
-    rng = np.random.default_rng(2)
-    sites = rng.integers(0, hea.n_sites, 4_096)
-    news = rng.integers(0, hea.n_species, 4_096)
-    throughput(4_096)
-
-    out = benchmark(hea.delta_energy_flip_batch, hea_config, sites, news)
-    assert out.shape == (4_096,)
-
-
 def bench_delta_energy_swap_many(benchmark, hea, hea_config, throughput):
     """Multi-walker ΔE: one swap per row of a (B, n_sites) config batch."""
     B = 512

@@ -44,7 +44,7 @@ def hea_config(hea, hea_counts):
 def make_ising_wl(ising_4x4):
     """Factory for the 4x4 Ising Wang-Landau sampler the step benches share."""
     from repro.proposals import FlipProposal
-    from repro.sampling import EnergyGrid, WangLandauSampler
+    from repro.sampling import EnergyGrid, WangLandauSampler, WLConfig
 
     grid = EnergyGrid.from_levels(ising_4x4.energy_levels())
 
@@ -53,7 +53,7 @@ def make_ising_wl(ising_4x4):
             hamiltonian=ising_4x4,
             proposal=proposal if proposal is not None else FlipProposal(),
             grid=grid, initial_config=np.zeros(16, dtype=np.int8),
-            rng=seed, ln_f_final=ln_f_final,
+            rng=seed, config=WLConfig(ln_f_final=ln_f_final),
         )
 
     return _make

@@ -26,7 +26,7 @@ from repro.dos import (
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.proposals import FlipProposal
-from repro.sampling import EnergyGrid, WangLandauSampler
+from repro.sampling import EnergyGrid, WangLandauSampler, WLConfig
 from repro.util.tables import format_table
 
 
@@ -36,7 +36,8 @@ def main(length: int = 6) -> None:
     wl4 = WangLandauSampler(
         hamiltonian=ham4, proposal=FlipProposal(),
         grid=EnergyGrid.from_levels(ham4.energy_levels()),
-        initial_config=np.zeros(16, dtype=np.int8), rng=0, ln_f_final=1e-5,
+        initial_config=np.zeros(16, dtype=np.int8), rng=0,
+        config=WLConfig(ln_f_final=1e-5),
     )
     res4 = wl4.run()
     levels, degens = exact_ising_dos_bruteforce(4)
@@ -56,7 +57,7 @@ def main(length: int = 6) -> None:
         hamiltonian=ham, proposal=FlipProposal(),
         grid=EnergyGrid.from_levels(ham.energy_levels()),
         initial_config=np.zeros(length * length, dtype=np.int8),
-        rng=1, ln_f_final=1e-5,
+        rng=1, config=WLConfig(ln_f_final=1e-5),
     )
     res = wl.run(max_steps=80_000_000)
     temps = np.linspace(1.8, 3.2, 8)

@@ -23,7 +23,13 @@ from repro.hamiltonians import KB_EV_PER_K, NbMoTaWHamiltonian
 from repro.lattice import NBMOTAW, bcc, equiatomic_counts, random_configuration
 from repro.obs import Telemetry
 from repro.proposals import SwapProposal
-from repro.sampling import EnergyGrid, MetropolisSampler, WangLandauSampler, drive_into_range
+from repro.sampling import (
+    EnergyGrid,
+    MetropolisSampler,
+    WangLandauSampler,
+    WLConfig,
+    drive_into_range,
+)
 from repro.util.tables import format_table
 
 
@@ -58,7 +64,7 @@ def main() -> None:
         start = drive_into_range(ham, SwapProposal(), grid, config, rng=2)
         wl = WangLandauSampler(hamiltonian=ham, proposal=SwapProposal(),
                                grid=grid, initial_config=start, rng=3,
-                               ln_f_final=5e-3, flatness=0.7)
+                               config=WLConfig(ln_f_final=5e-3, flatness=0.7))
         result = wl.run(max_steps=3_000_000, telemetry=tel)
     print(f"Wang-Landau: converged={result.converged} after {result.n_steps:,} steps, "
           f"{result.n_iterations} iterations "

@@ -24,7 +24,7 @@ from repro.experiments.common import ExperimentResult, timed
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.proposals import FlipProposal
-from repro.sampling import EnergyGrid, WangLandauSampler
+from repro.sampling import EnergyGrid, WangLandauSampler, WLConfig
 from repro.util.tables import format_table
 
 __all__ = ["run"]
@@ -41,7 +41,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     wl4 = WangLandauSampler(
         hamiltonian=ham4, proposal=FlipProposal(), grid=grid4,
         initial_config=np.zeros(16, dtype=np.int8),
-        rng=seed, ln_f_final=ln_f_final,
+        rng=seed, config=WLConfig(ln_f_final=ln_f_final),
     )
     res4 = wl4.run()
     levels, degens = exact_ising_dos_bruteforce(4)
@@ -65,7 +65,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     wl_l = WangLandauSampler(
         hamiltonian=ham_l, proposal=FlipProposal(), grid=grid_l,
         initial_config=np.zeros(large * large, dtype=np.int8),
-        rng=seed + 1, ln_f_final=max(ln_f_final, 1e-5),
+        rng=seed + 1, config=WLConfig(ln_f_final=max(ln_f_final, 1e-5)),
     )
     res_l = wl_l.run(max_steps=60_000_000)
     temps = np.linspace(1.6, 3.4, 13)

@@ -18,7 +18,7 @@ from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import one_hot, square_lattice
 from repro.nn import MADE, Adam, MADEConfig
 from repro.proposals import FlipProposal, MADEProposal, MixtureProposal
-from repro.sampling import EnergyGrid, MetropolisSampler, WangLandauSampler
+from repro.sampling import CanonicalTeam, EnergyGrid, WangLandauSampler, WLConfig
 from repro.util.rng import RngFactory
 from repro.util.tables import format_table
 
@@ -39,24 +39,18 @@ def _train_broad_made(ham, rngs, quick: bool):
         MADEConfig(ham.n_sites, ham.n_species, hidden=(96,)), rng=rngs.make("made")
     )
     opt = Adam(model.parameters(), lr=3e-3)
+    # One canonical team, a row per β.  Negative β is a valid Boltzmann
+    # measure for a bounded spectrum and concentrates on the high-energy
+    # (antiferromagnetic) edge.
+    betas = np.array([-0.6, -0.3, 0.0, 0.3, 0.6])
+    starts = np.zeros((betas.size, ham.n_sites), dtype=np.int8)
+    team = CanonicalTeam(ham, FlipProposal(), starts, betas, rng=rngs.make("harvest"))
+    team.steps(2_000)
     data = []
-    for k, beta in enumerate([-0.6, -0.3, 0.0, 0.3, 0.6]):
-        sampler = MetropolisSampler(
-            ham, FlipProposal(), abs(beta),
-            np.zeros(ham.n_sites, dtype=np.int8), rng=rngs.make("harvest", k),
-        )
-        # Negative beta is a perfectly valid Boltzmann measure for a bounded
-        # spectrum and concentrates on the high-energy (antiferromagnetic)
-        # edge; the constructor validates beta >= 0 for physical runs, so
-        # the harvesting hack assigns it directly.
-        sampler.beta = beta
-        sampler.run(2_000)
-
-        def collect(s, _k):
-            data.append(one_hot(s.config, ham.n_species))
-
-        sampler.run(4_000, callback=collect, callback_every=20)
-    data = np.stack(data)
+    for _ in range(4_000 // 20):
+        team.steps(20)
+        data.append(one_hot(team.configs, ham.n_species))
+    data = np.concatenate(data)
     rng = rngs.make("made-batches")
     for _ in range(400 if quick else 1_500):
         idx = rng.integers(0, len(data), 64)
@@ -86,8 +80,8 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         wl = WangLandauSampler(
             hamiltonian=ham, proposal=proposal, grid=grid,
             initial_config=np.zeros(16, dtype=np.int8),
-            rng=rngs.make("wl", int(frac * 100)), ln_f_final=1e-8,
-            check_interval=500,
+            rng=rngs.make("wl", int(frac * 100)),
+            config=WLConfig(ln_f_final=1e-8, check_interval=500),
         )
         bin_trace = []
         max_steps = 3_000_000

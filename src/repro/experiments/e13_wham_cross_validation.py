@@ -6,7 +6,8 @@ classical per-temperature route is canonical runs + WHAM reweighting.  Here
 both routes run on the same NbMoTaW system and must agree:
 
 1. the cached REWL/Wang-Landau ln g (E2),
-2. WHAM over K independent canonical Metropolis runs.
+2. WHAM over K independent canonical Metropolis chains (one block-engine
+   team, a row per temperature).
 
 Agreement is checked on ln g shape (where the canonical runs overlap) and on
 U(T); the table also shows WHAM's structural weakness — the canonical runs
@@ -24,7 +25,7 @@ from repro.experiments.e02_hea_dos import load_or_run_hea_dos
 from repro.hamiltonians import KB_EV_PER_K
 from repro.lattice import random_configuration
 from repro.proposals import SwapProposal
-from repro.sampling import MetropolisSampler
+from repro.sampling import CanonicalTeam
 from repro.util.rng import RngFactory
 from repro.util.tables import format_table
 
@@ -43,19 +44,20 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     temps_k = [1500.0, 2500.0, 3500.0, 5000.0, 8000.0]
     betas = np.array([1.0 / (KB_EV_PER_K * t) for t in temps_k])
     n_steps = 60_000 if quick else 400_000
+    # One canonical team, a row per temperature, observed after every step.
+    starts = np.stack([
+        random_configuration(ham.n_sites, counts, rng=rngs.make("wham-cfg", k))
+        for k in range(len(betas))
+    ])
+    team = CanonicalTeam(ham, SwapProposal(), starts, betas, rng=rngs.make("wham-chain"))
+    team.steps(5_000)
     hists = np.zeros((len(betas), grid.n_bins), dtype=np.int64)
-    for k, beta in enumerate(betas):
-        sampler = MetropolisSampler(
-            ham, SwapProposal(), float(beta),
-            random_configuration(ham.n_sites, counts, rng=rngs.make("wham-cfg", k)),
-            rng=rngs.make("wham-chain", k),
-        )
-        sampler.run(5_000)
-        for _ in range(n_steps):
-            sampler.step()
-            b = grid.index(sampler.energy)
-            if b >= 0:
-                hists[k, b] += 1
+    rows = np.arange(len(betas))
+    for _ in range(n_steps):
+        team.steps(1)
+        b = grid.index_array(team.energies)
+        inside = b >= 0
+        hists[rows[inside], b[inside]] += 1
     wham_res = wham(grid.centers, hists, betas)
 
     # ---- agreement where both routes have support ------------------------

@@ -24,9 +24,11 @@ class Hamiltonian(abc.ABC):
     """Energy model over fixed-lattice multi-species configurations.
 
     Concrete classes must set :attr:`n_sites` and :attr:`n_species` and
-    implement :meth:`energy`, :meth:`delta_energy_swap`, and
-    :meth:`delta_energy_flip`.  Batched/utility methods have generic (slower)
-    default implementations that subclasses may override.
+    implement the scalar :meth:`energy`, :meth:`delta_energy_swap` and
+    :meth:`delta_energy_flip` and their batched forms :meth:`energies` and
+    ``delta_energy_*_many``.  Every model in the package is a
+    :class:`~repro.hamiltonians.pair.PairHamiltonian`, which implements all
+    of them on the shared kernels of :mod:`repro.kernels`.
     """
 
     #: Number of lattice sites the model is defined over.
@@ -58,70 +60,22 @@ class Hamiltonian(abc.ABC):
 
     # -------------------------------------------------------------- batched
 
+    @abc.abstractmethod
     def energies(self, configs: np.ndarray) -> np.ndarray:
-        """Energies of a batch of configurations, shape ``(B, n_sites) -> (B,)``.
+        """Energies of a batch of configurations, shape ``(B, n_sites) -> (B,)``."""
 
-        Default: loop over :meth:`energy`; pair models override with a fully
-        vectorized kernel (deep-learning proposals evaluate whole batches).
-        """
-        configs = np.atleast_2d(configs)
-        return np.array([self.energy(c) for c in configs], dtype=np.float64)
-
-    def delta_energy_swap_batch(self, config: np.ndarray, ii, jj) -> np.ndarray:
-        """ΔE for many *independent alternative* swaps on the same config.
-
-        The swaps are hypothetical alternatives (e.g. multiple-try MC), not a
-        sequence: each ΔE is relative to the same starting ``config``.
-        """
-        ii = np.asarray(ii)
-        jj = np.asarray(jj)
-        return np.array(
-            [self.delta_energy_swap(config, int(i), int(j)) for i, j in zip(ii, jj)],
-            dtype=np.float64,
-        )
-
-    def delta_energy_flip_batch(self, config: np.ndarray, sites, new_species) -> np.ndarray:
-        """ΔE for many *independent alternative* flips on the same config."""
-        sites = np.asarray(sites)
-        new_species = np.asarray(new_species)
-        return np.array(
-            [
-                self.delta_energy_flip(config, int(s), int(v))
-                for s, v in zip(sites, new_species)
-            ],
-            dtype=np.float64,
-        )
-
+    @abc.abstractmethod
     def delta_energy_swap_many(self, configs: np.ndarray, ii, jj) -> np.ndarray:
         """ΔE of one swap per configuration row, ``(B, n_sites) -> (B,)``.
 
-        Unlike :meth:`delta_energy_swap_batch`, each row of ``configs`` is an
-        *independent* configuration (a walker in batched multi-walker WL) and
-        the move ``(ii[b], jj[b])`` is priced against row ``b`` only.
+        Each row of ``configs`` is an independent configuration (a walker
+        of a batched team) and the move ``(ii[b], jj[b])`` is priced
+        against row ``b`` only.
         """
-        configs = np.atleast_2d(configs)
-        ii = np.asarray(ii)
-        jj = np.asarray(jj)
-        return np.array(
-            [
-                self.delta_energy_swap(c, int(i), int(j))
-                for c, i, j in zip(configs, ii, jj)
-            ],
-            dtype=np.float64,
-        )
 
+    @abc.abstractmethod
     def delta_energy_flip_many(self, configs: np.ndarray, sites, new_species) -> np.ndarray:
         """ΔE of one flip per configuration row, ``(B, n_sites) -> (B,)``."""
-        configs = np.atleast_2d(configs)
-        sites = np.asarray(sites)
-        new_species = np.asarray(new_species)
-        return np.array(
-            [
-                self.delta_energy_flip(c, int(s), int(v))
-                for c, s, v in zip(configs, sites, new_species)
-            ],
-            dtype=np.float64,
-        )
 
     # ------------------------------------------------------------- metadata
 

@@ -14,8 +14,8 @@ builds a :class:`~repro.kernels.tables.PairTables` (fused neighbor tables,
 difference-row ΔE lookups, bond-correction stacks) and every method below is
 a thin call into :mod:`repro.kernels.ops`.  The scalar ΔE path there is
 operation-for-operation the pre-kernel implementation, so single-walker
-trajectories are bit-identical; the ``*_alternatives`` / ``*_many`` kernels
-are the fully vectorized batched shapes (see the kernels module docs).
+trajectories are bit-identical; the ``*_many`` kernels are the fully
+vectorized batched shape (see the kernels module docs).
 """
 
 from __future__ import annotations
@@ -90,14 +90,6 @@ class PairHamiltonian(Hamiltonian):
 
     def delta_energy_flip(self, config: np.ndarray, site: int, new_species: int) -> float:
         return ops.delta_flip(self.tables, config, site, new_species)
-
-    def delta_energy_swap_batch(self, config: np.ndarray, ii, jj) -> np.ndarray:
-        """Vectorized ΔE for a batch of independent alternative swaps."""
-        return ops.delta_swap_alternatives(self.tables, config, ii, jj)
-
-    def delta_energy_flip_batch(self, config: np.ndarray, sites, new_species) -> np.ndarray:
-        """Vectorized ΔE for a batch of independent alternative flips."""
-        return ops.delta_flip_alternatives(self.tables, config, sites, new_species)
 
     def delta_energy_swap_many(self, configs: np.ndarray, ii, jj) -> np.ndarray:
         """Vectorized per-walker swap ΔE (batched multi-walker stepping)."""

@@ -6,10 +6,9 @@ path.  This package centralizes that hot path:
 
 - :class:`PairTables` — per-model precomputed neighbor index tables,
   difference-row ΔE lookup tables, and bond-correction stacks;
-- :mod:`repro.kernels.ops` — scalar, ``*_alternatives`` (one config, many
-  hypothetical moves) and ``*_many`` (many configs, one move each)
-  energy/ΔE kernels, all O(z) numpy gathers with no Python per-neighbor
-  loop;
+- :mod:`repro.kernels.ops` — scalar and ``*_many`` (many configs, one
+  move each) energy/ΔE kernels, all O(z) numpy gathers with no Python
+  per-neighbor loop;
 - :class:`ChunkedPairTables` — the ultra-large-scale streaming evaluator:
   full energies and SRO pair counts in O(chunk · z) memory via integer
   count contraction, bit-identical across chunk sizes;
@@ -20,7 +19,7 @@ path.  This package centralizes that hot path:
 
 The Hamiltonians in :mod:`repro.hamiltonians` delegate here; samplers reach
 the ΔE kernels through the ``Hamiltonian`` batched API (``energies``,
-``delta_energy_*_batch``, ``delta_energy_*_many``) and import this package
+``delta_energy_*_many``) and import this package
 only for the compiled block (:func:`repro.sampling.batched.advance_block`).
 """
 

@@ -8,11 +8,9 @@ energy method here.  Each move kind has two implementations:
   move.  These are kept **operation-for-operation identical** to the
   pre-kernel implementations so single-walker trajectories stay
   bit-identical (tested in ``tests/test_batched_wl.py``).
-- *one gather core* (``_repaint_delta``) behind four thin wrappers:
-  ``*_many`` — a batch of configs, one move per config, the multi-walker WL
-  stepping shape — and ``*_alternatives`` — one config, many *hypothetical*
-  moves (multiple-try MC, DL proposal re-scoring), which is the same call
-  with every row reading the one config.
+- *one gather core* (``_repaint_delta``) behind two thin wrappers,
+  ``*_many`` — a batch of configs, one move per config, the multi-walker
+  stepping shape.  A single config is read by every move.
 
 The core (DESIGN.md §11) works on the raveled config plane with every
 intermediate laid out ``(z, ends, rows)`` so each NumPy call's inner loop
@@ -46,8 +44,6 @@ __all__ = [
     "energies",
     "delta_swap",
     "delta_flip",
-    "delta_swap_alternatives",
-    "delta_flip_alternatives",
     "delta_swap_many",
     "delta_flip_many",
     "pair_count_deltas_swap",
@@ -137,7 +133,7 @@ def _repaint_delta(t: PairTables, configs, sites, new=None) -> np.ndarray:
     is repainted to (a flip, ``H = 1``); ``new=None`` is a swap (``H = 2``):
     each end takes the other's species and positions holding the i–j bond
     read the null key.  A single 1-D config (or a one-row batch) is read by
-    every move — the ``*_alternatives`` shape.
+    every move.
     """
     configs = _as_int_configs(configs)
     if sites.size and sites.min() < 0:
@@ -179,17 +175,6 @@ def delta_swap_many(t: PairTables, configs: np.ndarray, ii, jj) -> np.ndarray:
 def delta_flip_many(t: PairTables, configs: np.ndarray, sites, new_species) -> np.ndarray:
     """ΔE of one flip per config row: ``(B, n_sites), (B,), (B,) -> (B,)``."""
     return _repaint_delta(t, configs, np.asarray(sites)[None], np.asarray(new_species))
-
-
-def delta_swap_alternatives(t: PairTables, config: np.ndarray, ii, jj) -> np.ndarray:
-    """ΔE for many independent *alternative* swaps on one config; every ΔE
-    is relative to the same starting ``config``: ``(M,), (M,) -> (M,)``."""
-    return delta_swap_many(t, config, ii, jj)
-
-
-def delta_flip_alternatives(t: PairTables, config: np.ndarray, sites, new_species) -> np.ndarray:
-    """ΔE for many independent *alternative* flips on one config."""
-    return delta_flip_many(t, config, sites, new_species)
 
 
 # -------------------------------------------------- SRO pair-count deltas

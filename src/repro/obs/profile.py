@@ -291,20 +291,6 @@ class ProfiledHamiltonian:
         prof.stop("hamiltonian.energies", t0)
         return out
 
-    def delta_energy_swap_batch(self, config, sites_i, sites_j):
-        prof = self.profiler
-        t0 = prof.start("hamiltonian.delta_swap_batch")
-        out = self.inner.delta_energy_swap_batch(config, sites_i, sites_j)
-        prof.stop("hamiltonian.delta_swap_batch", t0)
-        return out
-
-    def delta_energy_flip_batch(self, config, sites, new_species):
-        prof = self.profiler
-        t0 = prof.start("hamiltonian.delta_flip_batch")
-        out = self.inner.delta_energy_flip_batch(config, sites, new_species)
-        prof.stop("hamiltonian.delta_flip_batch", t0)
-        return out
-
     def delta_energy_swap_many(self, configs, sites_i, sites_j):
         prof = self.profiler
         t0 = prof.start("hamiltonian.delta_swap_many")

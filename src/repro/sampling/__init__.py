@@ -7,10 +7,11 @@ exact.  Every sampler satisfies the :class:`Sampler` protocol
 (``run(...) -> Result``) and is registered by stable name in
 :data:`SAMPLERS` — import from this package, not from the submodules.
 
-- :class:`MetropolisSampler` — canonical sampling at fixed β,
+- :class:`MetropolisSampler` — canonical sampling at fixed β (a one-row
+  :class:`CanonicalTeam`),
 - :class:`CanonicalTeam` — K Metropolis chains at per-row signed β on the
-  block engine (not a registered sampler; the energy-range pilot and the
-  walker drive run on it),
+  block engine (not a registered sampler; the Metropolis and tempering
+  drivers, the energy-range pilot and the walker drive run on it),
 - :class:`WangLandauSampler` — flat-histogram estimation of ln g(E)
   (standard halving and 1/t modification-factor schedules), tuned through
   :class:`WLConfig`,
@@ -18,9 +19,10 @@ exact.  Every sampler satisfies the :class:`Sampler` protocol
   multi-walker WL stepping against a shared ln g
   (``WLConfig(batch_size=K)``),
 - :class:`MulticanonicalSampler` — production run with fixed 1/g(E) weights
-  (microcanonical observable accumulation),
-- :class:`ParallelTempering` — serial reference replica-exchange Metropolis
-  (the distributed version lives in :mod:`repro.parallel`),
+  (microcanonical observable accumulation): a one-row batched WL team
+  with a frozen ln g and ``ln_f = 0``,
+- :class:`ParallelTempering` — replica-exchange Metropolis, one
+  :class:`CanonicalTeam` whose rows are the β ladder,
 - :class:`WolffSampler` — cluster updates for the Ising validation model,
 - :class:`EnergyGrid` — uniform or level-based energy binning,
 - :func:`drive_into_range` — steers one configuration or a batch into an

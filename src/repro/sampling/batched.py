@@ -33,9 +33,11 @@ evaluation per walker team, and mixtures of them — go through
 ``commit_batch`` per super-step (``tests/test_dl_batched.py`` pins that this
 path reproduces exact enumeration).
 
-``batch_size=1`` does not use this class at all — :func:`make_wang_landau`
-returns the plain scalar :class:`WangLandauSampler`, keeping single-walker
-runs bit-identical to the pre-kernel implementation.
+For ``batch_size=1`` :func:`make_wang_landau` returns the plain scalar
+:class:`WangLandauSampler`, keeping single-walker runs bit-identical to the
+pre-kernel implementation.  A one-row team of this class with ``ln_f = 0``
+and a frozen ``ln g`` is the multicanonical sampler
+(:class:`repro.sampling.multicanonical.MulticanonicalSampler`).
 """
 
 from __future__ import annotations
@@ -55,23 +57,24 @@ from repro.sampling.wang_landau import (
     WangLandauResult,
     WangLandauSampler,
     WLConfig,
-    _resolve_wl_args,
+    _check_wl_config,
 )
 from repro.util.rng import as_generator
 
 __all__ = ["BatchedWangLandauSampler", "advance_block", "make_wang_landau"]
 
 
-def make_wang_landau(*args, **kwargs):
+def make_wang_landau(*, hamiltonian, proposal, grid, initial_config, rng=None,
+                     config: WLConfig = WLConfig()):
     """Construct the right WL sampler for ``config.batch_size``.
 
     ``batch_size <= 1`` returns the scalar :class:`WangLandauSampler`
     (bit-identical trajectories); ``batch_size = K > 1`` returns a
     :class:`BatchedWangLandauSampler` stepping K walkers per super-step.
-    Accepts the same keyword arguments as the samplers themselves.
+    Takes the same keyword arguments as the samplers themselves.
     """
-    resolved, cfg = _resolve_wl_args("make_wang_landau", args, dict(kwargs))
-    initial = np.asarray(resolved["initial_config"])
+    cfg = _check_wl_config("make_wang_landau", config)
+    initial = np.asarray(initial_config)
     cls = BatchedWangLandauSampler
     if cfg.batch_size <= 1:
         cls = WangLandauSampler
@@ -81,11 +84,8 @@ def make_wang_landau(*args, **kwargs):
                     f"batch_size=1 but initial_config has {initial.shape[0]} rows"
                 )
             initial = initial[0]
-    return cls(
-        hamiltonian=resolved["hamiltonian"], proposal=resolved["proposal"],
-        grid=resolved["grid"], initial_config=initial,
-        rng=resolved.get("rng"), config=cfg,
-    )
+    return cls(hamiltonian=hamiltonian, proposal=proposal, grid=grid,
+               initial_config=initial, rng=rng, config=cfg)
 
 
 @register_sampler("batched_wang_landau")
@@ -116,18 +116,17 @@ class BatchedWangLandauSampler:
     #: temperatures instead is a :class:`repro.sampling.metropolis.CanonicalTeam`.
     beta = None
 
-    def __init__(self, *args, **kwargs):
-        kwargs, cfg = _resolve_wl_args(type(self).__name__, args, kwargs)
-        hamiltonian = kwargs["hamiltonian"]
-        grid = kwargs["grid"]
-        initial = np.asarray(kwargs["initial_config"])
+    def __init__(self, *, hamiltonian, proposal, grid, initial_config, rng=None,
+                 config: WLConfig = WLConfig()):
+        cfg = _check_wl_config(type(self).__name__, config)
+        initial = np.asarray(initial_config)
         if initial.ndim == 1:
             configs = np.tile(initial, (max(1, cfg.batch_size), 1))
         else:
             configs = np.array(initial, copy=True)
         if cfg.batch_size != configs.shape[0]:
             cfg = replace(cfg, batch_size=configs.shape[0])
-        self._configure(cfg, hamiltonian, kwargs["proposal"], grid, kwargs.get("rng"))
+        self._configure(cfg, hamiltonian, proposal, grid, rng)
         for row in configs:
             hamiltonian.validate_config(row)
         self.configs = configs
@@ -150,10 +149,6 @@ class BatchedWangLandauSampler:
         self._steps_this_iteration = 0
         self.slot_accepted = np.zeros(self.n_slots, dtype=np.int64)
         self.slot_steps = np.zeros(self.n_slots, dtype=np.int64)
-        if cfg.profile_sample_every:
-            from repro.obs.profile import SectionProfiler
-
-            self.enable_profiling(SectionProfiler(sample_every=cfg.profile_sample_every))
 
     def _configure(self, cfg, hamiltonian, proposal, grid, rng) -> None:
         """Everything but the walker state (shared with ``FusedTeam.attach``,

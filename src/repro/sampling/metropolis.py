@@ -6,25 +6,28 @@ Acceptance rule (log domain)::
 
 The second term is the proposal's ``log_q_ratio``; for the classical
 symmetric kernels it is identically 0 and the rule reduces to textbook
-Metropolis.  Proposals returning ``None`` (e.g. a rejection-mode DL proposal
-that missed the composition manifold) count as rejected steps.
+Metropolis.  Proposals that produce no move (e.g. a rejection-mode DL
+proposal that missed the composition manifold) count as rejected steps.
 
-:class:`CanonicalTeam` is the same rule as a mode of the block engine
+:class:`CanonicalTeam` is this rule as a mode of the block engine
 (:func:`repro.sampling.batched.advance_block`, DESIGN.md §16): K chains,
 one signed inverse temperature per row, advanced a block of super-steps at
 a time — in C when the compiled super-step is loaded.
+:class:`MetropolisSampler` is a one-row team, and
+:class:`~repro.sampling.tempering.ParallelTempering` a team whose rows are
+its β ladder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
 from repro.proposals.base import Proposal
 from repro.sampling.base import register_sampler
-from repro.util.rng import BufferedDraws, as_generator
+from repro.util.rng import as_generator
 
 __all__ = ["CanonicalTeam", "MetropolisSampler", "RunStats"]
 
@@ -35,7 +38,6 @@ class RunStats:
 
     n_steps: int = 0
     n_accepted: int = 0
-    n_null: int = 0  # proposal produced no move
     energies: np.ndarray | None = None
 
     @property
@@ -45,20 +47,25 @@ class RunStats:
 
 @register_sampler("metropolis")
 class MetropolisSampler:
-    """Single-chain Metropolis–Hastings sampler.
+    """Single-chain Metropolis–Hastings sampler: a driver over a one-row
+    :class:`CanonicalTeam`, so its steps run on the block engine.
 
     Parameters
     ----------
     hamiltonian : Hamiltonian
     proposal : Proposal
     beta : float
-        Inverse temperature (1/energy units of the Hamiltonian).
+        Inverse temperature (1/energy units of the Hamiltonian), >= 0.
     config : numpy.ndarray
         Initial configuration (copied).
     rng : seed or Generator
     require_canonical : bool
-        When True (default for multi-species models), reject proposals that
-        change composition at construction time.
+        When True, reject at construction a proposal that changes
+        composition.  Default False.
+
+    ``config`` and ``energy`` read the team's row.  A trajectory is a
+    function of the seed and of the lengths of the advance calls, which
+    :meth:`run` cuts at its record and callback marks.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, proposal: Proposal, beta: float,
@@ -72,30 +79,38 @@ class MetropolisSampler:
             )
         self.hamiltonian = hamiltonian
         self.proposal = proposal
-        self.beta = float(beta)
-        self.config = hamiltonian.validate_config(np.array(config, copy=True))
-        self.rng = BufferedDraws(as_generator(rng))
-        self.energy = float(hamiltonian.energy(self.config))
-        self.total_steps = 0
-        self.total_accepted = 0
+        self.team = CanonicalTeam(hamiltonian, proposal,
+                                  hamiltonian.validate_config(np.asarray(config)),
+                                  float(beta), rng)
+
+    @property
+    def beta(self) -> float:
+        return float(self.team.beta[0])
+
+    @property
+    def config(self) -> np.ndarray:
+        """The chain's configuration (a view — copy before mutating)."""
+        return self.team.configs[0]
+
+    @property
+    def energy(self) -> float:
+        return float(self.team.energies[0])
+
+    @property
+    def total_steps(self) -> int:
+        return self.team.n_steps
+
+    @property
+    def total_accepted(self) -> int:
+        return self.team.n_accepted
 
     # ----------------------------------------------------------------- step
 
     def step(self) -> bool:
         """One MH step; returns True when the move was accepted."""
-        move = self.proposal.propose(
-            self.config, self.hamiltonian, self.rng, current_energy=self.energy
-        )
-        self.total_steps += 1
-        if move is None:
-            return False
-        log_alpha = -self.beta * move.delta_energy + move.log_q_ratio
-        if log_alpha >= 0.0 or np.log(self.rng.random()) < log_alpha:
-            move.apply(self.config)
-            self.energy += move.delta_energy
-            self.total_accepted += 1
-            return True
-        return False
+        before = self.team.n_accepted
+        self.team.steps(1)
+        return self.team.n_accepted > before
 
     # ------------------------------------------------------------------ run
 
@@ -111,21 +126,33 @@ class MetropolisSampler:
             ``stats.energies``.
         callback : callable, optional
             ``callback(sampler, step_index)`` invoked every
-            ``callback_every`` steps (configuration harvesting, tracing).
+            ``callback_every`` steps (configuration harvesting, tracing);
+            ``step_index`` counts from 0 within this call.
+
+        The team advances in chunks that end at the next record or callback
+        mark, so a run without either is one advance call.
         """
-        stats = RunStats()
-        trace = [] if record_energy_every > 0 else None
-        for k in range(n_steps):
-            accepted = self.step()
-            stats.n_steps += 1
-            stats.n_accepted += int(accepted)
-            if trace is not None and (k + 1) % record_energy_every == 0:
+        accepted_before = self.team.n_accepted
+        marks = []
+        if record_energy_every > 0:
+            marks.append(record_energy_every)
+        if callback is not None:
+            marks.append(callback_every)
+        trace = []
+        done = 0
+        while done < n_steps:
+            end = min([n_steps] + [(done // m + 1) * m for m in marks])
+            self.team.steps(end - done)
+            done = end
+            if record_energy_every > 0 and done % record_energy_every == 0:
                 trace.append(self.energy)
-            if callback is not None and (k + 1) % callback_every == 0:
-                callback(self, k)
-        if trace is not None:
-            stats.energies = np.asarray(trace)
-        return stats
+            if callback is not None and done % callback_every == 0:
+                callback(self, done - 1)
+        return RunStats(
+            n_steps=n_steps,
+            n_accepted=self.team.n_accepted - accepted_before,
+            energies=np.asarray(trace) if record_energy_every > 0 else None,
+        )
 
     def run_sweeps(self, n_sweeps: int, **kwargs) -> RunStats:
         """Run ``n_sweeps`` sweeps (one sweep = ``n_sites`` steps)."""
@@ -146,7 +173,7 @@ class MetropolisSampler:
         """
         fresh = float(self.hamiltonian.energy(self.config))
         drift = abs(fresh - self.energy)
-        self.energy = fresh
+        self.team.energies[0] = fresh
         return drift
 
 
@@ -154,12 +181,13 @@ class CanonicalTeam:
     """K independent Metropolis chains, row ``r`` at its own signed inverse
     temperature ``beta[r]``, stepped together by the block engine.
 
-    Acceptance is :class:`MetropolisSampler`'s rule, ``ln u < −β_r·ΔE``
-    (plus the proposal's log q-ratio on the :meth:`step_batch` path), so a
-    row at β < 0 climbs in energy and a row at β = 0 takes every move.  The
-    team has no grid, no ln g and no histogram; ``beta`` may be rewritten
-    between advance calls (an annealing ramp, a re-signed drive).  Not a
-    registered sampler: the energy-range pilot
+    Acceptance is ``ln u < −β_r·ΔE`` (plus the proposal's log q-ratio on
+    the :meth:`step_batch` path), so a row at β < 0 climbs in energy and a
+    row at β = 0 takes every move.  The team has no grid, no ln g and no
+    histogram; ``beta`` may be rewritten between advance calls (an
+    annealing ramp, a re-signed drive).  Not a registered sampler:
+    :class:`MetropolisSampler`, :class:`~repro.sampling.tempering.
+    ParallelTempering`, the energy-range pilot
     (:func:`repro.experiments.common.estimate_energy_range`) and
     :func:`repro.sampling.wang_landau.drive_into_range` drive it.
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
 from repro.proposals.base import Proposal
-from repro.sampling.binning import EnergyGrid
 from repro.sampling.base import register_sampler
-from repro.util.rng import BufferedDraws, as_generator
+from repro.sampling.batched import BatchedWangLandauSampler
+from repro.sampling.binning import EnergyGrid
 
 __all__ = ["MulticanonicalSampler", "MulticanonicalResult"]
 
@@ -56,10 +56,18 @@ class MulticanonicalResult:
 class MulticanonicalSampler:
     """Fixed-weight flat-energy-walk sampler.
 
+    A driver over a one-row
+    :class:`~repro.sampling.batched.BatchedWangLandauSampler` whose ``ln g``
+    is the frozen estimate and whose ``ln f`` is 0: the Wang–Landau rule
+    with a zero increment is the multicanonical rule bit for bit
+    (``x + 0.0 == x``), so the block engine runs it unchanged.
+
     Parameters
     ----------
     hamiltonian, proposal, grid, config, rng
-        As for :class:`~repro.sampling.wang_landau.WangLandauSampler`.
+        As for :class:`~repro.sampling.wang_landau.WangLandauSampler`
+        (``config`` is the initial configuration; it must lie inside
+        ``grid``).
     ln_g : numpy.ndarray
         Converged Wang–Landau estimate over ``grid`` (not modified).
     observables : dict[str, callable], optional
@@ -76,49 +84,50 @@ class MulticanonicalSampler:
         self.proposal = proposal
         self.grid = grid
         self.ln_g = ln_g
-        self.rng = BufferedDraws(as_generator(rng))
-        self.config = hamiltonian.validate_config(np.array(config, copy=True))
-        self.energy = float(hamiltonian.energy(self.config))
-        self.current_bin = grid.index(self.energy)
-        if self.current_bin < 0:
-            raise ValueError(
-                f"initial energy {self.energy:.6g} outside the grid; "
-                "use drive_into_range"
-            )
+        # raises ValueError when the start lies outside the grid
+        self.team = BatchedWangLandauSampler(
+            hamiltonian=hamiltonian, proposal=proposal, grid=grid,
+            initial_config=hamiltonian.validate_config(np.asarray(config)), rng=rng,
+        )
+        self.team.ln_g[:] = ln_g
+        self.team.ln_f = 0.0
         self.observables = dict(observables or {})
         self.histogram = np.zeros(grid.n_bins, dtype=np.int64)
         self._obs_sums = {name: np.zeros(grid.n_bins) for name in self.observables}
-        self.n_steps = 0
-        self.n_accepted = 0
 
-    def step(self, measure: bool = True) -> bool:
-        """One multicanonical step (optionally recording observables)."""
-        self.n_steps += 1
-        move = self.proposal.propose(
-            self.config, self.hamiltonian, self.rng, current_energy=self.energy
-        )
-        if move is not None:
-            new_energy = self.energy + move.delta_energy
-            new_bin = self.grid.index(new_energy)
-            if new_bin >= 0:
-                log_alpha = (
-                    self.ln_g[self.current_bin] - self.ln_g[new_bin] + move.log_q_ratio
-                )
-                if log_alpha >= 0.0 or np.log(self.rng.random()) < log_alpha:
-                    move.apply(self.config)
-                    self.energy = new_energy
-                    self.current_bin = new_bin
-                    self.n_accepted += 1
-        if measure:
-            self.histogram[self.current_bin] += 1
-            for name, fn in self.observables.items():
-                self._obs_sums[name][self.current_bin] += float(fn(self.config, self.energy))
-        return move is not None
+    @property
+    def config(self) -> np.ndarray:
+        """The walker's configuration (a view — copy before mutating)."""
+        return self.team.configs[0]
+
+    @property
+    def energy(self) -> float:
+        return float(self.team.energies[0])
+
+    @property
+    def current_bin(self) -> int:
+        return int(self.team.bins[0])
+
+    @property
+    def n_steps(self) -> int:
+        return self.team.n_steps
+
+    @property
+    def n_accepted(self) -> int:
+        return self.team.n_accepted
 
     def run(self, n_steps: int, measure_every: int = 1) -> MulticanonicalResult:
-        """Run ``n_steps`` steps, measuring every ``measure_every`` steps."""
-        for k in range(n_steps):
-            self.step(measure=((k + 1) % measure_every == 0))
+        """Run ``n_steps`` steps, measuring every ``measure_every`` steps: the
+        team advances ``measure_every`` steps per call and the histogram and
+        observables are recorded at each call's end."""
+        for _ in range(n_steps // measure_every):
+            self.team.steps(measure_every)
+            b = self.current_bin
+            self.histogram[b] += 1
+            for name, fn in self.observables.items():
+                self._obs_sums[name][b] += float(fn(self.config, self.energy))
+        if n_steps % measure_every:
+            self.team.steps(n_steps % measure_every)
         return self.result()
 
     def result(self) -> MulticanonicalResult:

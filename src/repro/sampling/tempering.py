@@ -1,13 +1,12 @@
-"""Parallel tempering (replica-exchange Metropolis) — serial reference.
+"""Parallel tempering (replica-exchange Metropolis).
 
-Maintains one Metropolis chain per inverse temperature and periodically
-attempts configuration exchanges between adjacent temperatures with the
-exact replica-exchange rule::
+Runs one Metropolis chain per inverse temperature — the rows of one
+block-engine team — and periodically attempts configuration exchanges
+between adjacent temperatures with the exact replica-exchange rule::
 
     ln u < (β_i − β_j)(E_i − E_j)
 
-Even/odd pair alternation avoids exchange deadlock.  This serial version is
-the reference implementation.
+Even/odd pair alternation avoids exchange deadlock.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
 from repro.proposals.base import Proposal
-from repro.sampling.metropolis import MetropolisSampler
+from repro.sampling.metropolis import CanonicalTeam
 from repro.sampling.base import register_sampler
 from repro.util.rng import RngFactory
 
@@ -49,24 +48,31 @@ class TemperingResult:
 class ParallelTempering:
     """Replica-exchange Metropolis over a β ladder.
 
+    The replicas are the rows of one
+    :class:`~repro.sampling.metropolis.CanonicalTeam`, row ``r`` at
+    ``betas[r]``; an exchange swaps two rows' configurations and energies
+    while each β stays with its row.
+
     Parameters
     ----------
     hamiltonian : Hamiltonian
-    proposal_factory : callable
-        ``proposal_factory(replica_index) -> Proposal`` (a fresh proposal
-        per replica; stateful proposals must not be shared).
+    proposal : Proposal
+        One proposal for the whole ladder (it proposes for every row).
     betas : array_like
-        Inverse-temperature ladder (any order; stored as given).
+        Inverse-temperature ladder, each >= 0 (any order; stored as given).
     configs : array_like, shape (n_replicas, n_sites)
         Initial configurations.
     seed : int
-        Root seed; replicas get independent child streams.
+        Root seed of the team's stream and of the exchange noise.
     """
 
-    def __init__(self, hamiltonian: Hamiltonian, proposal_factory, betas, configs, seed=0):
+    def __init__(self, hamiltonian: Hamiltonian, proposal: Proposal, betas, configs,
+                 seed=0):
         self.betas = np.asarray(betas, dtype=np.float64)
         if self.betas.ndim != 1 or len(self.betas) < 2:
             raise ValueError("betas must be a 1-D ladder with at least 2 entries")
+        if (self.betas < 0).any():
+            raise ValueError(f"betas must be >= 0, got {self.betas}")
         configs = np.asarray(configs)
         if configs.shape != (len(self.betas), hamiltonian.n_sites):
             raise ValueError(
@@ -74,16 +80,8 @@ class ParallelTempering:
                 f"got {configs.shape}"
             )
         factory = RngFactory(seed)
-        self.chains = [
-            MetropolisSampler(
-                hamiltonian,
-                proposal_factory(k),
-                float(self.betas[k]),
-                configs[k],
-                rng=factory.make("pt-chain", k),
-            )
-            for k in range(len(self.betas))
-        ]
+        self.team = CanonicalTeam(hamiltonian, proposal, configs, self.betas,
+                                  rng=factory.make("pt-team"))
         # Exchange randomness is keyed by (round, lower replica), so a
         # decision does not depend on which other pairs were attempted.
         self._rng_factory = factory
@@ -93,37 +91,38 @@ class ParallelTempering:
 
     @property
     def n_replicas(self) -> int:
-        return len(self.chains)
+        return self.team.n_slots
 
     def exchange_sweep(self) -> None:
         """Attempt exchanges on alternating even/odd adjacent pairs."""
         start = self._round % 2
         round_k = self._round
         self._round += 1
+        configs, energies = self.team.configs, self.team.energies
         for left in range(start, self.n_replicas - 1, 2):
-            right = left + 1
+            pair = [left, left + 1]
             self.exchange_attempts[left] += 1
-            ci, cj = self.chains[left], self.chains[right]
-            log_alpha = (ci.beta - cj.beta) * (ci.energy - cj.energy)
+            log_alpha = (self.betas[left] - self.betas[left + 1]) * (
+                energies[left] - energies[left + 1])
             u = self._rng_factory.make("pt-pair", round_k * 1_000_003 + left).random()
             if log_alpha >= 0.0 or np.log(u) < log_alpha:
-                ci.config, cj.config = cj.config, ci.config
-                ci.energy, cj.energy = cj.energy, ci.energy
+                configs[pair] = configs[pair[::-1]]
+                energies[pair] = energies[pair[::-1]]
                 self.exchange_accepts[left] += 1
 
     def run(self, n_rounds: int, steps_per_round: int, record: bool = True) -> TemperingResult:
         """Alternate ``steps_per_round`` MH steps per replica with exchanges."""
         records = []
         for _ in range(n_rounds):
-            for chain in self.chains:
-                chain.run(steps_per_round)
+            self.team.steps(steps_per_round)
             self.exchange_sweep()
             if record:
-                records.append([chain.energy for chain in self.chains])
+                records.append(self.team.energies.copy())
+        steps_per_rung = self.team.n_steps // self.n_replicas
         return TemperingResult(
             betas=self.betas.copy(),
             energies=np.asarray(records) if records else np.empty((0, self.n_replicas)),
             exchange_attempts=self.exchange_attempts.copy(),
             exchange_accepts=self.exchange_accepts.copy(),
-            acceptance_rates=np.array([c.acceptance_rate for c in self.chains]),
+            acceptance_rates=self.team.slot_accepted / max(1, steps_per_rung),
         )

@@ -50,17 +50,13 @@ class WLConfig:
     """Tuning knobs for Wang-Landau sampling (mirrors ``REWLConfig``).
 
     Passed as the keyword-only ``config=`` of :class:`WangLandauSampler`
-    (and of the batched stepper in :mod:`repro.sampling.batched`); loose
-    tuning keywords on the constructors are merged into this via
-    ``dataclasses.replace``, so a config object and ad-hoc overrides
-    compose.
+    (and of the batched stepper in :mod:`repro.sampling.batched`) — the one
+    way to tune either; derive variants with ``dataclasses.replace``.
 
     ``batch_size`` selects batched multi-walker stepping through the
     :func:`repro.sampling.batched.make_wang_landau` factory: 1 (default)
     is the scalar sampler, K > 1 steps K walkers per super-step against a
-    shared ln g.  ``profile_sample_every`` > 0 attaches a
-    :class:`repro.obs.profile.SectionProfiler` with that sampling stride at
-    construction time.
+    shared ln g.
     """
 
     ln_f_init: float = 1.0
@@ -70,7 +66,6 @@ class WLConfig:
     schedule: str = "halving"
     max_steps: int = 50_000_000
     batch_size: int = 1
-    profile_sample_every: int = 0
 
     def __post_init__(self):
         if self.schedule not in ("halving", "one_over_t"):
@@ -88,20 +83,17 @@ class WLConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if int(self.max_steps) < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if int(self.profile_sample_every) < 0:
-            raise ValueError(
-                f"profile_sample_every must be >= 0, got {self.profile_sample_every}"
-            )
 
-    def with_overrides(self, **overrides) -> "WLConfig":
-        """``dataclasses.replace`` with ``None`` values dropped.
 
-        The constructors funnel loose legacy tuning keywords through here;
-        an explicit ``check_interval=None`` is the field's default anyway,
-        so dropping Nones loses nothing.
-        """
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **overrides) if overrides else self
+def _check_wl_config(owner: str, config) -> WLConfig:
+    """``config`` itself when it is a :class:`WLConfig`, else ``TypeError``."""
+    if not isinstance(config, WLConfig):
+        # Pre-redesign name: ``config`` was the initial configuration array.
+        raise TypeError(
+            f"{owner}(config=...) takes a WLConfig; pass the initial "
+            "configuration array as initial_config="
+        )
+    return config
 
 
 #: Inverse temperature of :func:`drive_into_range` (1/energy units): large,
@@ -221,53 +213,11 @@ class WangLandauResult:
         return out
 
 
-#: Legacy loose tuning keywords, merged into :class:`WLConfig`.
-_WL_TUNING = ("ln_f_init", "ln_f_final", "flatness", "check_interval", "schedule")
-
-
-def _resolve_wl_args(cls_name: str, args: tuple, kwargs: dict):
-    """Shared constructor-argument resolution for WL samplers.
-
-    Construction is keyword-only (the pre-redesign positional and
-    ``config=<ndarray>`` shims completed their deprecation cycle and now
-    raise ``TypeError``); loose tuning keywords are folded into the
-    :class:`WLConfig`.  Returns ``(kwargs, cfg)`` with ``kwargs`` holding
-    only hamiltonian/proposal/grid/initial_config/rng.
-    """
-    if args:
-        raise TypeError(
-            f"{cls_name}() takes keyword arguments only; pass hamiltonian=, "
-            "proposal=, grid=, initial_config=, rng= and config=WLConfig(...)"
-        )
-    cfg = kwargs.pop("config", None)
-    if cfg is not None and not isinstance(cfg, WLConfig):
-        # Pre-redesign name: ``config`` was the initial configuration array.
-        raise TypeError(
-            f"{cls_name}(config=...) takes a WLConfig; pass the initial "
-            "configuration array as initial_config="
-        )
-    cfg = cfg if cfg is not None else WLConfig()
-    tuning = {k: kwargs.pop(k) for k in _WL_TUNING if k in kwargs}
-    cfg = cfg.with_overrides(**tuning)
-    unknown = set(kwargs) - {"hamiltonian", "proposal", "grid", "initial_config", "rng"}
-    if unknown:
-        raise TypeError(
-            f"{cls_name}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    missing = [
-        k for k in ("hamiltonian", "proposal", "grid", "initial_config")
-        if kwargs.get(k) is None
-    ]
-    if missing:
-        raise TypeError(f"{cls_name}() missing required arguments {missing}")
-    return kwargs, cfg
-
-
 @register_sampler("wang_landau")
 class WangLandauSampler:
     """Single-walker Wang–Landau sampler.
 
-    Keyword-only construction (see DESIGN.md §11 for migration notes)::
+    Keyword-only construction (DESIGN.md §11)::
 
         WangLandauSampler(
             hamiltonian=ham, proposal=prop, grid=grid,
@@ -285,27 +235,22 @@ class WangLandauSampler:
         :func:`drive_into_range` first otherwise).
     rng : seed or Generator
     config : WLConfig
-        Schedule/flatness/step tuning; loose ``ln_f_init=...``-style
-        keywords are still accepted and merged into it.
+        Schedule/flatness/step tuning.
 
-    Construction is keyword-only.  Note the attribute ``self.config``
-    remains the *configuration array* (REWL exchange and checkpoints rely
-    on it); the tuning object is ``self.cfg``.
+    Note the attribute ``self.config`` remains the *configuration array*
+    (REWL exchange and checkpoints rely on it); the tuning object is
+    ``self.cfg``.
     """
 
-    def __init__(self, *args, **kwargs):
-        kwargs, cfg = _resolve_wl_args(type(self).__name__, args, kwargs)
-        hamiltonian = kwargs["hamiltonian"]
-        proposal = kwargs["proposal"]
-        grid = kwargs["grid"]
+    def __init__(self, *, hamiltonian: Hamiltonian, proposal: Proposal, grid: EnergyGrid,
+                 initial_config: np.ndarray, rng=None, config: WLConfig = WLConfig()):
+        cfg = _check_wl_config(type(self).__name__, config)
         self.cfg = cfg
         self.hamiltonian = hamiltonian
         self.proposal = proposal
         self.grid = grid
-        self.rng = BufferedDraws(as_generator(kwargs.get("rng")))
-        self.config = hamiltonian.validate_config(
-            np.array(kwargs["initial_config"], copy=True)
-        )
+        self.rng = BufferedDraws(as_generator(rng))
+        self.config = hamiltonian.validate_config(np.array(initial_config, copy=True))
         self.energy = float(hamiltonian.energy(self.config))
         self.current_bin = grid.index(self.energy)
         if self.current_bin < 0:
@@ -338,10 +283,6 @@ class WangLandauSampler:
         # Optional section profiler (repro.obs.profile); None keeps the hot
         # loop at a single attribute check.  Enable via enable_profiling().
         self.profiler = None
-        if cfg.profile_sample_every:
-            from repro.obs.profile import SectionProfiler
-
-            self.enable_profiling(SectionProfiler(sample_every=cfg.profile_sample_every))
 
     def enable_profiling(self, profiler) -> None:
         """Attach a :class:`repro.obs.profile.SectionProfiler` to this walker.

@@ -91,7 +91,7 @@ class TestIncrementalConsistency:
         cfg = random_cfg(ham, 3)
         ii = rng.integers(0, ham.n_sites, 40)
         jj = rng.integers(0, ham.n_sites, 40)
-        batch = ham.delta_energy_swap_batch(cfg, ii, jj)
+        batch = ham.delta_energy_swap_many(cfg, ii, jj)  # one config, 40 moves
         for k in range(40):
             assert batch[k] == pytest.approx(
                 ham.delta_energy_swap(cfg, int(ii[k]), int(jj[k])), abs=1e-9

@@ -1,9 +1,10 @@
 """Property tests for repro.kernels: batched kernels == scalar kernels.
 
-The vectorized ``*_alternatives`` / ``*_many`` shapes must agree with the
-scalar ΔE/energy paths on every Hamiltonian — any divergence silently
-corrupts batched Wang-Landau sampling, so the agreement is property-tested
-over random configurations and move sets.
+The vectorized ``*_many`` shapes (one config per move, or one config read
+by every move) must agree with the scalar ΔE/energy paths on every
+Hamiltonian — any divergence silently corrupts batched Wang-Landau
+sampling, so the agreement is property-tested over random configurations
+and move sets.
 """
 
 import numpy as np
@@ -107,6 +108,9 @@ class TestEnergies:
 
 
 class TestAlternativesKernels:
+    """Many hypothetical moves on one config: the ``*_many`` kernels with a
+    single config read by every move."""
+
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -116,7 +120,7 @@ class TestAlternativesKernels:
         cfg = random_cfg(ham, seed)
         ii = rng.integers(0, ham.n_sites, 25)
         jj = rng.integers(0, ham.n_sites, 25)
-        batch = ham.delta_energy_swap_batch(cfg, ii, jj)
+        batch = ham.delta_energy_swap_many(cfg, ii, jj)  # one config, 25 moves
         for k in range(25):
             assert batch[k] == pytest.approx(
                 ham.delta_energy_swap(cfg, int(ii[k]), int(jj[k])), abs=1e-9
@@ -131,7 +135,7 @@ class TestAlternativesKernels:
         cfg = random_cfg(ham, seed)
         sites = rng.integers(0, ham.n_sites, 25)
         news = rng.integers(0, ham.n_species, 25)
-        batch = ham.delta_energy_flip_batch(cfg, sites, news)
+        batch = ham.delta_energy_flip_many(cfg, sites, news)
         for k in range(25):
             assert batch[k] == pytest.approx(
                 ham.delta_energy_flip(cfg, int(sites[k]), int(news[k])), abs=1e-9
@@ -307,10 +311,10 @@ class TestGatherCoreEdges:
         news = rng.integers(0, ham.n_species, M)
         tiled = np.tile(cfg, (M, 1))
         np.testing.assert_array_equal(
-            ops.delta_swap_alternatives(t, cfg, ii, jj),
+            ops.delta_swap_many(t, cfg, ii, jj),
             ops.delta_swap_many(t, tiled, ii, jj))
         np.testing.assert_array_equal(
-            ops.delta_flip_alternatives(t, cfg, ii, news),
+            ops.delta_flip_many(t, cfg, ii, news),
             ops.delta_flip_many(t, tiled, ii, news))
 
     def test_a_rows_delta_does_not_depend_on_its_batch(self, any_ham):
@@ -356,9 +360,9 @@ class TestIndexSafety:
             with pytest.raises(IndexError):
                 ops.delta_flip_many(t, cfgs, sites, np.zeros(3, dtype=int))
             with pytest.raises(IndexError):
-                ops.delta_swap_alternatives(t, cfgs[0], sites, ok)
+                ops.delta_swap_many(t, cfgs[0], sites, ok)
             with pytest.raises(IndexError):
-                ops.delta_flip_alternatives(t, cfgs[0], sites, np.zeros(3, dtype=int))
+                ops.delta_flip_many(t, cfgs[0], sites, np.zeros(3, dtype=int))
 
     def test_move_count_must_match_rows(self, hea_small):
         cfgs = np.stack([random_cfg(hea_small, b) for b in range(3)])
@@ -368,29 +372,12 @@ class TestIndexSafety:
             ops.delta_swap_many(hea_small.tables, cfgs, [0, 1, 2], [2, 3, 4, 5, 6])
 
 
-class TestBaseClassDefaults:
-    """The Hamiltonian base-class loops must agree with the fast overrides."""
-
-    def test_default_many_loops_match_overrides(self, any_ham):
-        ham = any_ham
-        rng = np.random.default_rng(5)
-        B = 8
-        cfgs = np.stack([random_cfg(ham, 200 + k) for k in range(B)])
-        ii = rng.integers(0, ham.n_sites, B)
-        jj = rng.integers(0, ham.n_sites, B)
-        sites = rng.integers(0, ham.n_sites, B)
-        news = rng.integers(0, ham.n_species, B)
-        np.testing.assert_allclose(
-            Hamiltonian.delta_energy_swap_many(ham, cfgs, ii, jj),
-            ham.delta_energy_swap_many(cfgs, ii, jj), atol=1e-9,
-        )
-        np.testing.assert_allclose(
-            Hamiltonian.delta_energy_flip_many(ham, cfgs, sites, news),
-            ham.delta_energy_flip_many(cfgs, sites, news), atol=1e-9,
-        )
-        np.testing.assert_allclose(
-            Hamiltonian.energies(ham, cfgs), ham.energies(cfgs), atol=1e-9,
-        )
+class TestBaseClassContract:
+    def test_batched_methods_are_abstract(self):
+        """The base class has no Python-loop fallbacks: a model must
+        implement the batched shapes itself."""
+        assert {"energies", "delta_energy_swap_many",
+                "delta_energy_flip_many"} <= Hamiltonian.__abstractmethods__
 
 
 class TestRemovedAlias:

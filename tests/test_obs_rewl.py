@@ -12,7 +12,7 @@ from repro.obs.events import EventLog
 from repro.obs.report import main as report_main
 from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
-from repro.sampling import EnergyGrid, WangLandauSampler
+from repro.sampling import EnergyGrid, WangLandauSampler, WLConfig
 from repro.training import ProposalTrainer, ReplayBuffer
 from repro.nn.models.made import MADE, MADEConfig
 
@@ -57,7 +57,7 @@ class TestWalkerCounters:
         wl = WangLandauSampler(hamiltonian=ham, proposal=FlipProposal(),
                                grid=grid,
                                initial_config=np.zeros(16, dtype=np.int8),
-                               rng=0, ln_f_final=0.25)
+                               rng=0, config=WLConfig(ln_f_final=0.25))
         result = wl.run(max_steps=50_000)
         c = result.counters
         assert c.proposals + c.null_proposals == result.n_steps

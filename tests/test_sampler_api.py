@@ -2,10 +2,10 @@
 
 Covers the api_redesign migration contract:
 
-- :class:`WLConfig` validates its fields and merges overrides;
-- the retired positional and ``config=<ndarray>`` shims (one deprecation
-  release has elapsed) now raise ``TypeError`` with a pointer to the
-  keyword spelling;
+- :class:`WLConfig` validates its fields and is the only way to tune a WL
+  sampler (the loose tuning keywords are gone);
+- positional construction and the pre-redesign ``config=<ndarray>``
+  spelling raise ``TypeError``;
 - the driver takes its observability wiring only through
   :class:`~repro.obs.Instrumentation` (the per-field keywords are gone);
 - every sampler satisfies the structural :class:`Sampler` protocol and is
@@ -34,6 +34,7 @@ from repro.sampling import (
     WolffSampler,
     get_sampler,
     make_sampler,
+    make_wang_landau,
     register_sampler,
 )
 
@@ -80,13 +81,6 @@ class TestWLConfig:
         with pytest.raises(ValueError):
             WLConfig(**bad)
 
-    def test_with_overrides_drops_nones(self):
-        cfg = WLConfig(ln_f_final=1e-4)
-        out = cfg.with_overrides(flatness=0.7, check_interval=None)
-        assert out.flatness == 0.7
-        assert out.ln_f_final == 1e-4
-        assert out.check_interval is cfg.check_interval
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             WLConfig().flatness = 0.5
@@ -94,16 +88,14 @@ class TestWLConfig:
 
 class TestRetiredConstruction:
     def test_positional_raises(self, ham, grid):
-        with pytest.raises(TypeError, match="keyword arguments only"):
+        with pytest.raises(TypeError, match="positional argument"):
             WangLandauSampler(ham, FlipProposal(), grid,
                               np.zeros(16, dtype=np.int8), 0)
 
     def test_config_array_kwarg_raises(self, ham, grid):
-        with pytest.raises(TypeError, match="initial_config"):
-            WangLandauSampler(
-                hamiltonian=ham, proposal=FlipProposal(), grid=grid,
-                config=np.zeros(16, dtype=np.int8), rng=0,
-            )
+        for cls in (WangLandauSampler, BatchedWangLandauSampler, make_wang_landau):
+            with pytest.raises(TypeError, match="takes a WLConfig"):
+                cls(**wl_kwargs(ham, grid), config=np.zeros(16, dtype=np.int8))
 
     def test_unknown_kwarg_raises(self, ham, grid):
         with pytest.raises(TypeError, match="unexpected"):
@@ -112,14 +104,6 @@ class TestRetiredConstruction:
     def test_missing_required_raises(self, ham):
         with pytest.raises(TypeError, match="missing"):
             WangLandauSampler(hamiltonian=ham)
-
-    def test_loose_tuning_kwargs_fold_into_config(self, ham, grid):
-        wl = WangLandauSampler(**wl_kwargs(
-            ham, grid, ln_f_final=1e-3, flatness=0.65, schedule="one_over_t",
-        ))
-        assert wl.cfg.ln_f_final == 1e-3
-        assert wl.cfg.flatness == 0.65
-        assert wl.cfg.schedule == "one_over_t"
 
     def test_rewl_positional_raises(self, ham, grid):
         cfg = REWLConfig(n_windows=2, walkers_per_window=1,

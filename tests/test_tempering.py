@@ -13,9 +13,7 @@ def make_pt(ising_4x4, betas, seed=0):
     configs = np.stack([
         random_configuration(16, [8, 8], rng=100 + k) for k in range(len(betas))
     ])
-    return ParallelTempering(
-        ising_4x4, lambda k: FlipProposal(), betas, configs, seed=seed
-    ), configs
+    return ParallelTempering(ising_4x4, FlipProposal(), betas, configs, seed=seed), configs
 
 
 class TestSerialPT:
@@ -28,8 +26,8 @@ class TestSerialPT:
     def test_exchange_preserves_energy_bookkeeping(self, ising_4x4):
         pt, _ = make_pt(ising_4x4, [0.1, 0.5])
         pt.run(n_rounds=30, steps_per_round=20)
-        for chain in pt.chains:
-            assert chain.resync_energy() < 1e-8
+        np.testing.assert_allclose(pt.team.energies, ising_4x4.energies(pt.team.configs),
+                                   atol=1e-8)
 
     def test_cold_replica_has_lower_energy(self, ising_4x4):
         pt, _ = make_pt(ising_4x4, [0.05, 1.0])
@@ -58,9 +56,12 @@ class TestSerialPT:
 
     def test_validation(self, ising_4x4):
         with pytest.raises(ValueError):
-            ParallelTempering(ising_4x4, lambda k: FlipProposal(), [0.1],
+            ParallelTempering(ising_4x4, FlipProposal(), [0.1],
                               np.zeros((1, 16), dtype=np.int8))
         with pytest.raises(ValueError):
-            ParallelTempering(ising_4x4, lambda k: FlipProposal(), [0.1, 0.2],
+            ParallelTempering(ising_4x4, FlipProposal(), [0.1, 0.2],
                               np.zeros((2, 9), dtype=np.int8))
+        with pytest.raises(ValueError):
+            ParallelTempering(ising_4x4, FlipProposal(), [0.1, -0.2],
+                              np.zeros((2, 16), dtype=np.int8))
 

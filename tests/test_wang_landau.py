@@ -10,6 +10,7 @@ from repro.sampling import (
     EnergyGrid,
     MulticanonicalSampler,
     WangLandauSampler,
+    WLConfig,
     drive_into_range,
 )
 
@@ -43,7 +44,7 @@ class TestWangLandauIsing:
         wl = WangLandauSampler(
             hamiltonian=ham, proposal=FlipProposal(), grid=grid,
             initial_config=np.zeros(16, dtype=np.int8),
-            rng=0, ln_f_final=1e-5,
+            rng=0, config=WLConfig(ln_f_final=1e-5),
         )
         return ham, wl.run(max_steps=5_000_000)
 
@@ -81,7 +82,7 @@ class TestWangLandauCanonical:
         cfg = random_configuration(16, counts, rng=1)
         wl = WangLandauSampler(hamiltonian=ising_4x4, proposal=SwapProposal(),
                                grid=grid, initial_config=cfg, rng=2,
-                               ln_f_final=1e-5)
+                               config=WLConfig(ln_f_final=1e-5))
         res = wl.run(max_steps=5_000_000)
         assert res.converged
         compare_to_exact(res, levels, degen_counts, atol=0.4)
@@ -90,11 +91,12 @@ class TestWangLandauCanonical:
 class TestWangLandauMechanics:
     def make_wl(self, ising_4x4, **kwargs):
         grid = EnergyGrid.from_levels(ising_4x4.energy_levels())
-        defaults = dict(rng=0, ln_f_final=1e-3)
-        defaults.update(kwargs)
+        tuning = dict(ln_f_final=1e-3)
+        tuning.update(kwargs)
         return WangLandauSampler(
             hamiltonian=ising_4x4, proposal=FlipProposal(), grid=grid,
-            initial_config=np.zeros(16, dtype=np.int8), **defaults
+            initial_config=np.zeros(16, dtype=np.int8), rng=0,
+            config=WLConfig(**tuning),
         )
 
     def test_out_of_range_initial_raises(self, ising_4x4):
@@ -144,7 +146,7 @@ class TestWangLandauMechanics:
         wl = WangLandauSampler(
             hamiltonian=ising_4x4, proposal=FlipProposal(), grid=grid,
             initial_config=np.zeros(16, dtype=np.int8),
-            rng=3, ln_f_final=5e-4, schedule="one_over_t",
+            rng=3, config=WLConfig(ln_f_final=5e-4, schedule="one_over_t"),
         )
         res = wl.run(max_steps=2_000_000)
         assert res.converged

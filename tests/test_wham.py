@@ -7,7 +7,7 @@ from repro.dos import exact_ising_dos_bruteforce, thermodynamics, wham
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.proposals import FlipProposal
-from repro.sampling import EnergyGrid, MetropolisSampler
+from repro.sampling import CanonicalTeam, EnergyGrid
 
 
 def synthetic_histograms(levels, degens, betas, n_samples, seed=0):
@@ -73,20 +73,20 @@ class TestWhamExactInputs:
 
 class TestWhamFromRealChains:
     def test_wham_agrees_with_enumeration_from_mc_runs(self):
-        """End-to-end: Metropolis runs -> histograms -> WHAM -> exact DoS."""
+        """End-to-end: Metropolis chains -> histograms -> WHAM -> exact DoS."""
         ham = IsingHamiltonian(square_lattice(4))
         levels, degens = exact_ising_dos_bruteforce(4)
         grid = EnergyGrid.from_levels(levels)
         betas = [0.15, 0.3, 0.5]
         hists = np.zeros((len(betas), grid.n_bins), dtype=np.int64)
-        for k, beta in enumerate(betas):
-            sampler = MetropolisSampler(
-                ham, FlipProposal(), beta, np.zeros(16, dtype=np.int8), rng=k
-            )
-            sampler.run(3_000)
-            for _ in range(60_000):
-                sampler.step()
-                hists[k, grid.index(sampler.energy)] += 1
+        # one chain per beta: the rows of one team, observed after every step
+        team = CanonicalTeam(ham, FlipProposal(), np.zeros((len(betas), 16), dtype=np.int8),
+                             betas, rng=0)
+        team.steps(3_000)
+        rows = np.arange(len(betas))
+        for _ in range(60_000):
+            team.steps(1)
+            hists[rows, grid.index_array(team.energies)] += 1
         result = wham(grid.centers, hists, betas)
         assert result.converged
         good = result.supported & (hists.sum(axis=0) > 300)
