@@ -29,7 +29,7 @@ from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
-from repro.resilience import GuardPolicy, ResilienceConfig, resilience_from_env
+from repro.resilience import GuardPolicy, ResilienceConfig
 from repro.sampling import EnergyGrid
 from repro.util.tables import format_table
 
@@ -37,7 +37,7 @@ from repro.util.tables import format_table
 def run_campaign():
     # The driver reads REPRO_FAULTS when it is built.
     os.environ.setdefault(FAULTS_ENV_VAR, "nan=1.0,window=1,seed=0")
-    resilience = resilience_from_env()
+    resilience = ResilienceConfig.from_env()
     if resilience is None:
         resilience = ResilienceConfig(
             guards=GuardPolicy(mode="quarantine", max_rollbacks=1))

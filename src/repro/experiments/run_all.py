@@ -136,10 +136,10 @@ def main(argv=None) -> int:
             get_board().publish_trace(trace)
 
     if args.resilience:
-        from repro.resilience import RESILIENCE_ENV_VAR, parse_resilience
+        from repro.resilience import RESILIENCE_ENV_VAR, ResilienceConfig
 
         try:
-            parse_resilience(args.resilience)  # fail fast on a bad spec
+            ResilienceConfig.from_spec(args.resilience)  # fail fast on a bad spec
         except ValueError as exc:
             parser.error(str(exc))
         os.environ[RESILIENCE_ENV_VAR] = args.resilience

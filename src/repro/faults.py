@@ -51,14 +51,14 @@ checkpoint write picks it up.
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from repro.util.validation import check_probability
+from repro.util.validation import EnvSpec, check_probability
 
 __all__ = [
     "FAULTS_ENV_VAR",
@@ -68,7 +68,6 @@ __all__ = [
     "InjectedFault",
     "InjectedHang",
     "faults_from_env",
-    "parse_faults",
 ]
 
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -87,7 +86,7 @@ class InjectedHang(InjectedFault):
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(EnvSpec):
     """Per-site fault probabilities plus the injector seed.
 
     ``crash``/``hang``/``kill``/``nan``/``slow`` apply per task *attempt*
@@ -96,7 +95,15 @@ class FaultConfig:
     ``hang_s``/``slow_s`` are the simulated hang/delay durations in
     seconds.  ``window >= 0`` restricts task faults to walkers of that REWL
     window (checkpoint faults are campaign-wide and unaffected).
+    ``REPRO_FAULTS`` spells them ``"crash=0.1,hang=0.05,seed=3"``.
     """
+
+    ENV_VAR: ClassVar[str] = FAULTS_ENV_VAR
+    SPEC_KEYS: ClassVar[dict[str, str]] = {
+        key: key for key in ("crash", "hang", "kill", "nan", "slow", "corrupt",
+                             "hang_s", "slow_s", "seed", "window")
+    }
+    SHORTHAND: ClassVar[bool] = False  # "1" would inject nothing: reject it
 
     crash: float = 0.0
     hang: float = 0.0
@@ -266,37 +273,10 @@ def _poison_walker(cfg: FaultConfig, walker, key: int, attempt: int) -> None:
         walker.energies[0] = np.inf
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(FaultConfig)}
-
-
-def parse_faults(spec: str) -> FaultConfig:
-    """Parse a ``REPRO_FAULTS`` value like ``"crash=0.1,hang=0.05,seed=3"``."""
-    kwargs = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in _FIELD_TYPES:
-            known = ", ".join(_FIELD_TYPES)
-            raise ValueError(
-                f"bad {FAULTS_ENV_VAR} entry {part!r}; expected key=value with "
-                f"key in {{{known}}}"
-            )
-        try:
-            kwargs[key] = int(value) if key in ("seed", "window") else float(value)
-        except ValueError as exc:
-            raise ValueError(f"bad {FAULTS_ENV_VAR} value for {key!r}: {value!r}") from exc
-    return FaultConfig(**kwargs)
-
-
-def faults_from_env(env_var: str = FAULTS_ENV_VAR) -> FaultInjector | None:
+def faults_from_env() -> FaultInjector | None:
     """Build a :class:`FaultInjector` from the environment (or None).
 
     Unset, empty, ``"0"``, and ``"off"`` all mean "no injection".
     """
-    value = os.environ.get(env_var, "").strip()
-    if value in ("", "0", "off", "false"):
-        return None
-    return FaultInjector(parse_faults(value))
+    config = FaultConfig.from_env()
+    return None if config is None else FaultInjector(config)

@@ -15,6 +15,11 @@ layer wired through the sampling stack:
   renders per-phase time/throughput breakdowns from a trace,
 - :mod:`repro.obs.profile` — deterministic counter-sampled section profiler
   hooked into the ΔE / proposal / histogram-update / exchange hot paths,
+- :mod:`repro.obs.sample` — :class:`RoundSample`, the one record of a REWL
+  round boundary that the driver builds (at most once per round, on the
+  union of the observers' strides) and that the health monitor, the
+  convergence ledger and the time series consume; none of them reads a
+  walker team or the clock,
 - :mod:`repro.obs.health` — heartbeats and stall/anomaly detection for long
   REWL campaigns (``REPRO_HEALTH``),
 - :mod:`repro.obs.bench` — BENCH_<n>.json benchmark snapshots and
@@ -52,7 +57,6 @@ from repro.obs.convergence import (
     CONVERGENCE_ENV_VAR,
     ConvergenceConfig,
     ConvergenceLedger,
-    convergence_from_env,
 )
 from repro.obs.events import (
     ConsoleSink,
@@ -75,7 +79,6 @@ from repro.obs.health import (
     HEALTH_ENV_VAR,
     HealthConfig,
     HealthMonitor,
-    health_from_env,
 )
 from repro.obs.metrics import (
     Counter,
@@ -93,6 +96,7 @@ from repro.obs.profile import (
     profile_from_env,
 )
 from repro.obs.promexport import render_openmetrics
+from repro.obs.sample import RoundSample, WindowSample
 from repro.obs.server import (
     OBS_PORT_ENV_VAR,
     StatusBoard,
@@ -108,7 +112,6 @@ from repro.obs.timeseries import (
     TimeSeriesConfig,
     TimeSeriesRecorder,
     aggregate_worker_series,
-    timeseries_from_env,
 )
 from repro.obs.tracing import Span, Timer, TimerRegistry, Tracer
 
@@ -141,13 +144,13 @@ __all__ = [
     "CONVERGENCE_ENV_VAR",
     "ConvergenceConfig",
     "ConvergenceLedger",
-    "convergence_from_env",
     "Instrumentation",
+    "RoundSample",
+    "WindowSample",
     "Telemetry",
     "HEALTH_ENV_VAR",
     "HealthConfig",
     "HealthMonitor",
-    "health_from_env",
     "PROFILE_ENV_VAR",
     "ProfiledHamiltonian",
     "ProfiledProposal",
@@ -159,7 +162,6 @@ __all__ = [
     "TimeSeriesConfig",
     "TimeSeriesRecorder",
     "aggregate_worker_series",
-    "timeseries_from_env",
     "render_openmetrics",
     "OBS_PORT_ENV_VAR",
     "StatusBoard",

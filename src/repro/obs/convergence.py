@@ -7,8 +7,8 @@ literature tunes window overlap and walkers-per-window against:
 
 - the per-window **ln f trajectory** (one sample per sync, with the WL
   iteration count and round number),
-- the per-window **flatness fraction** (min/mean of the visit histogram
-  over visited bins, worst walker) and **histogram fill** over time,
+- the per-window **flatness fraction** (min/mean of the window's shared
+  visit histogram over visited bins) and **histogram fill** over time,
 - the per-window **ln g drift** between sampled snapshots (mean |Δ ln g|
   over bins visited in both snapshots — a direct stationarity measure),
 - a per-adjacent-pair **exchange-acceptance matrix**,
@@ -18,15 +18,14 @@ literature tunes window overlap and walkers-per-window against:
   one tunnel (one-way traversal); two traversals make a round trip,
 - an **ETA estimate** projecting rounds-to-convergence per window from the
   ln f halving schedule and the observed flatness rate, converted to wall
-  seconds via sampled round timestamps.
+  seconds via the records' monotonic timestamps.
 
-Determinism contract (same as :class:`repro.obs.profile.SectionProfiler`):
-the ledger samples on a plain round-counter stride, draws no random
-numbers, and writes nothing into sampler state — a run with the ledger
-enabled is bit-identical to a bare run (tested in
-``tests/test_obs_convergence.py``).  Snapshots ride the REWL checkpoint
-framing (:mod:`repro.parallel.checkpoint`), so ``--resume`` restores the
-diagnostics losslessly.
+The stride-sampled series come from the driver's per-round
+:class:`~repro.obs.sample.RoundSample`; exchanges and syncs arrive as
+events (``note_exchange`` / ``note_sync``).  The ledger writes nothing into
+sampler state, so a ledgered run is bit-identical to a bare one (tested in
+``tests/test_obs_convergence.py``), and its state rides the REWL checkpoint
+(:mod:`repro.parallel.checkpoint`), so ``--resume`` restores it.
 
 Environment wiring: ``REPRO_CONVERGENCE=1`` (or ``"every=20,max=256"``)
 attaches a ledger to any REWL entry point without new flags.
@@ -34,29 +33,27 @@ attaches a ledger to any REWL entry point without new flags.
 
 from __future__ import annotations
 
+import copy
 import math
-import os
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from repro.obs.health import team_flatness_ratio
-from repro.util.validation import check_integer
+from repro.obs.sample import RoundSample
+from repro.util.validation import EnvSpec, check_integer
 
 __all__ = [
     "CONVERGENCE_ENV_VAR",
     "ConvergenceConfig",
     "ConvergenceLedger",
-    "convergence_from_env",
-    "parse_convergence",
 ]
 
 CONVERGENCE_ENV_VAR = "REPRO_CONVERGENCE"
 
 
 @dataclass(frozen=True)
-class ConvergenceConfig:
+class ConvergenceConfig(EnvSpec):
     """Sampling cadence and retention for :class:`ConvergenceLedger`.
 
     ``sample_every`` is a *round* stride (flatness/fill/drift and wall-clock
@@ -66,6 +63,12 @@ class ConvergenceConfig:
     long campaigns keep a coarse full-history view at fixed memory.
     """
 
+    ENV_VAR: ClassVar[str] = CONVERGENCE_ENV_VAR
+    SPEC_KEYS: ClassVar[dict[str, str]] = {
+        "every": "sample_every", "sample_every": "sample_every",
+        "max": "max_samples", "max_samples": "max_samples",
+    }
+
     sample_every: int = 10
     max_samples: int = 512
 
@@ -74,23 +77,15 @@ class ConvergenceConfig:
         check_integer("max_samples", self.max_samples, minimum=4)
 
 
-def _team_fill(team) -> float:
-    """Fraction of the window's bins visited so far (``team`` is a
-    ``driver.walkers[w]`` entry)."""
-    visited = team[0].visited
-    n = visited.shape[0]
-    return float(np.count_nonzero(visited)) / n if n else 0.0
-
-
 class ConvergenceLedger:
     """Per-window/per-walker scientific diagnostics for one REWL run.
 
     The driver owns the hookup: :meth:`attach` at construction,
     :meth:`note_exchange` / :meth:`note_sync` from the exchange and sync
-    phases, :meth:`observe_round` once per round.  Everything is a pure
-    read of sampler state plus plain-Python bookkeeping, so it pickles
-    through checkpoints (:meth:`state_dict` / :meth:`load_state`) and
-    perturbs nothing.
+    phases, :meth:`observe_round` once per round, and :meth:`eta` when it
+    builds a round record.  Everything is plain-Python bookkeeping over
+    those inputs, so it pickles through checkpoints (:meth:`state_dict` /
+    :meth:`load_state`) and perturbs nothing.
     """
 
     def __init__(self, config: ConvergenceConfig | None = None):
@@ -109,20 +104,25 @@ class ConvergenceLedger:
         self.drift_series: list[list] = []
         self._prev_ln_g: list = []
         self.wall_samples: list[tuple[int, float]] = []
+        self._ln_f_final = 0.0
+        self._flatness = 1.0
 
     # ------------------------------------------------------------- wiring
 
     def attach(self, driver) -> None:
-        """Size the per-window structures against a constructed driver.
+        """Size the per-window structures from a driver's resolved config.
 
         Walker labels start at their home windows; labels already sitting
         at an end of the ladder seed the traversal tracker so the first
         arrival at the *opposite* end counts as a tunnel.
         """
+        cfg = driver.cfg
+        self._ln_f_final = float(cfg.ln_f_final)
+        self._flatness = float(cfg.flatness)
         if self.attached:
             return
-        w_count = len(driver.walkers)
-        k_count = driver.walkers[0][0].n_slots if w_count else 0
+        w_count = cfg.n_windows
+        k_count = cfg.walkers_per_window
         self.attached = True
         self.n_windows = w_count
         self.n_slots = k_count
@@ -190,30 +190,32 @@ class ConvergenceLedger:
         self._decimate(series)
 
     def observe_round(self, driver) -> None:
-        """Stride-sampled per-window snapshot (flatness, fill, ln g drift)."""
-        if not self.attached or driver.rounds % self.cfg.sample_every != 0:
-            return
+        """Take the driver's round record on the ledger's stride."""
+        if self.attached and driver.rounds % self.cfg.sample_every == 0:
+            self.consume(driver.round_sample())
+
+    def consume(self, sample: RoundSample) -> None:
+        """Per-window flatness, fill and ln g drift from a round record."""
         self.samples += 1
-        self.wall_samples.append((driver.rounds, time.perf_counter()))
+        self.wall_samples.append((sample.round, sample.mono))
         self._decimate(self.wall_samples)
-        for w, team in enumerate(driver.walkers):
-            ratio = team_flatness_ratio(team)
-            fill = _team_fill(team)
+        for win in sample.windows:
+            w = win.window
             series = self.flatness_series[w]
-            series.append((driver.rounds, round(ratio, 6), round(fill, 6)))
+            series.append((sample.round, round(win.flatness, 6),
+                           round(win.fill, 6)))
             self._decimate(series)
-            merged, union = driver._merge_window(team[0])
             prev = self._prev_ln_g[w]
             if prev is not None:
-                both = union & prev[1]
+                both = win.visited & prev[1]
                 drift = (
-                    float(np.abs(merged - prev[0])[both].mean())
+                    float(np.abs(win.ln_g - prev[0])[both].mean())
                     if both.any() else 0.0
                 )
                 dseries = self.drift_series[w]
-                dseries.append((driver.rounds, drift))
+                dseries.append((sample.round, drift))
                 self._decimate(dseries)
-            self._prev_ln_g[w] = (merged, union)
+            self._prev_ln_g[w] = (win.ln_g, win.visited)
 
     def _decimate(self, series: list) -> None:
         if len(series) > self.cfg.max_samples:
@@ -233,51 +235,51 @@ class ConvergenceLedger:
         """Completed bottom→top→bottom (or inverse) label cycles."""
         return sum(v // 2 for v in self._traversals.values())
 
-    def seconds_per_round(self) -> float | None:
-        """Observed mean wall seconds per round, or None before 2 samples."""
-        if len(self.wall_samples) < 2:
+    def seconds_per_round(self, sample: RoundSample) -> float | None:
+        """Mean wall seconds per round from the first retained sample to
+        ``sample``, or None without an earlier sample."""
+        if not self.wall_samples:
             return None
-        (r0, t0), (r1, t1) = self.wall_samples[0], self.wall_samples[-1]
-        if r1 <= r0:
+        r0, t0 = self.wall_samples[0]
+        if sample.round <= r0:
             return None
-        return (t1 - t0) / (r1 - r0)
+        return (sample.mono - t0) / (sample.round - r0)
 
-    def eta(self, driver) -> dict | None:
+    def eta(self, sample: RoundSample) -> dict | None:
         """Projected rounds/seconds until every window converges.
 
         Per unconverged window: remaining ln f halvings from the schedule,
         times the observed rounds-per-iteration (ln f trajectory), with the
-        current iteration's remainder projected from the flatness slope.
-        Campaign ETA is the slowest window.  Returns None while there is
-        not enough history to project anything.
+        current iteration's remainder projected from the flatness slope
+        between the newest earlier sample and ``sample``.  Campaign ETA is
+        the slowest window.  Returns None while there is not enough history
+        to project anything.  Pure: the same record gives the same ETA
+        whether or not the ledger has taken it yet.
         """
+        if all(w.converged for w in sample.windows):
+            return {"rounds": 0, "seconds": 0.0, "windows": []}
         per_window = []
-        for w, team in enumerate(driver.walkers):
-            if driver.window_converged[w]:
+        for win in sample.windows:
+            ln_f = float(win.ln_f)
+            if win.converged or ln_f <= self._ln_f_final:
                 continue
-            ln_f = float(team[0].ln_f)
-            final = float(driver.cfg.ln_f_final)
-            if ln_f <= final:
-                continue
-            halvings = max(1, math.ceil(math.log2(ln_f / final)))
-            rounds_per_iter = self._rounds_per_iteration(w)
-            rounds_to_flat = self._rounds_to_flat(w, driver)
+            halvings = max(1, math.ceil(math.log2(ln_f / self._ln_f_final)))
+            rounds_per_iter = self._rounds_per_iteration(win.window)
+            rounds_to_flat = self._rounds_to_flat(win, sample.round)
             if rounds_per_iter is None and rounds_to_flat is None:
                 continue
             rpi = rounds_per_iter if rounds_per_iter is not None else rounds_to_flat
             rtf = rounds_to_flat if rounds_to_flat is not None else rpi
             eta_rounds = rtf + (halvings - 1) * rpi
             per_window.append({
-                "window": w,
+                "window": win.window,
                 "ln_f": ln_f,
                 "halvings_left": halvings,
                 "eta_rounds": round(float(eta_rounds), 1),
             })
-        if all(driver.window_converged):
-            return {"rounds": 0, "seconds": 0.0, "windows": []}
         if not per_window:
             return None
-        sec = self.seconds_per_round()
+        sec = self.seconds_per_round(sample)
         eta_rounds = max(e["eta_rounds"] for e in per_window)
         if sec is not None:
             for entry in per_window:
@@ -298,18 +300,17 @@ class ConvergenceLedger:
             return None
         return d_rounds / d_iters
 
-    def _rounds_to_flat(self, window: int, driver) -> float | None:
-        series = self.flatness_series[window]
-        if len(series) < 2:
+    def _rounds_to_flat(self, win, rounds: int) -> float | None:
+        series = self.flatness_series[win.window]
+        earlier = next((p for p in reversed(series) if p[0] < rounds), None)
+        if earlier is None:
             return None
-        (r0, f0, _), (r1, f1, _) = series[-2], series[-1]
-        if r1 <= r0:
-            return None
-        rate = (f1 - f0) / (r1 - r0)
+        r0, f0, _ = earlier
+        f1 = round(win.flatness, 6)
+        rate = (f1 - f0) / (rounds - r0)
         if rate <= 0:
             return None
-        threshold = float(driver.cfg.flatness)
-        return max(0.0, (threshold - f1) / rate)
+        return max(0.0, (self._flatness - f1) / rate)
 
     # ------------------------------------------------------------- digest
 
@@ -324,8 +325,9 @@ class ConvergenceLedger:
             matrix[pair + 1][pair] = round(rate, 4)
         return matrix
 
-    def summary(self, driver=None) -> dict:
-        """JSON-ready digest for ``REWLResult.telemetry["convergence"]``."""
+    def summary(self, sample: RoundSample | None = None) -> dict:
+        """JSON-ready digest for ``REWLResult.telemetry["convergence"]``,
+        with ``sample``'s ETA when a round record is given."""
         windows = []
         for w in range(self.n_windows):
             traj = self.lnf_trajectory[w]
@@ -350,108 +352,32 @@ class ConvergenceLedger:
             "acceptance_matrix": self.acceptance_matrix(),
             "windows": windows,
         }
-        if driver is not None:
-            out["eta"] = self.eta(driver)
+        if sample is not None:
+            out["eta"] = sample.eta
         return out
 
     # --------------------------------------------------------- checkpoint
 
+    #: Checkpointed attributes; the payload key drops the leading underscore.
+    _STATE = ("attached", "n_windows", "n_slots", "samples", "labels",
+              "_last_extreme", "_traversals", "pair_attempts", "pair_accepts",
+              "lnf_trajectory", "flatness_series", "drift_series",
+              "_prev_ln_g")
+
     def state_dict(self) -> dict:
         """Everything that evolves, for the REWL checkpoint payload."""
-        return {
-            "cfg": {"sample_every": self.cfg.sample_every,
-                    "max_samples": self.cfg.max_samples},
-            "attached": self.attached,
-            "n_windows": self.n_windows,
-            "n_slots": self.n_slots,
-            "samples": self.samples,
-            "labels": [list(row) for row in self.labels],
-            "last_extreme": dict(self._last_extreme),
-            "traversals": dict(self._traversals),
-            "pair_attempts": list(self.pair_attempts),
-            "pair_accepts": list(self.pair_accepts),
-            "lnf_trajectory": [list(s) for s in self.lnf_trajectory],
-            "flatness_series": [list(s) for s in self.flatness_series],
-            "drift_series": [list(s) for s in self.drift_series],
-            "prev_ln_g": [
-                None if p is None else (p[0].copy(), p[1].copy())
-                for p in self._prev_ln_g
-            ],
-        }
+        state = {name.lstrip("_"): getattr(self, name) for name in self._STATE}
+        state["cfg"] = asdict(self.cfg)
+        return copy.deepcopy(state)
 
     def load_state(self, state: dict) -> None:
         """Restore from :meth:`state_dict` (checkpoint resume).
 
         Wall-clock samples are deliberately *not* restored — the resumed
-        process has a fresh ``perf_counter`` epoch, so stale samples would
+        process has a fresh ``time.monotonic`` epoch, so stale samples would
         poison the seconds-per-round estimate.
         """
         self.cfg = ConvergenceConfig(**state["cfg"])
-        self.attached = bool(state["attached"])
-        self.n_windows = int(state["n_windows"])
-        self.n_slots = int(state["n_slots"])
-        self.samples = int(state["samples"])
-        self.labels = [list(row) for row in state["labels"]]
-        self._last_extreme = dict(state["last_extreme"])
-        self._traversals = dict(state["traversals"])
-        self.pair_attempts = list(state["pair_attempts"])
-        self.pair_accepts = list(state["pair_accepts"])
-        self.lnf_trajectory = [
-            [tuple(t) for t in s] for s in state["lnf_trajectory"]
-        ]
-        self.flatness_series = [
-            [tuple(t) for t in s] for s in state["flatness_series"]
-        ]
-        self.drift_series = [
-            [tuple(t) for t in s] for s in state["drift_series"]
-        ]
-        self._prev_ln_g = [
-            None if p is None else (np.asarray(p[0]), np.asarray(p[1]))
-            for p in state["prev_ln_g"]
-        ]
+        for name in self._STATE:
+            setattr(self, name, copy.deepcopy(state[name.lstrip("_")]))
         self.wall_samples = []
-
-
-# ------------------------------------------------------------- env activation
-
-_CONV_KEYS = {
-    "every": "sample_every",
-    "sample_every": "sample_every",
-    "max": "max_samples",
-    "max_samples": "max_samples",
-}
-
-
-def parse_convergence(spec: str) -> ConvergenceConfig:
-    """Parse a ``REPRO_CONVERGENCE`` value: ``"1"`` or ``"every=20,max=256"``."""
-    value = spec.strip().lower()
-    if value in ("1", "on", "true"):
-        return ConvergenceConfig()
-    kwargs = {}
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, raw = part.partition("=")
-        field = _CONV_KEYS.get(key.strip())
-        if not sep or field is None:
-            known = ", ".join(sorted(set(_CONV_KEYS)))
-            raise ValueError(
-                f"bad {CONVERGENCE_ENV_VAR} entry {part!r}; expected 1/on or "
-                f"key=value with key in {{{known}}}"
-            )
-        try:
-            kwargs[field] = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"bad {CONVERGENCE_ENV_VAR} value for {key!r}: {raw!r}"
-            ) from exc
-    return ConvergenceConfig(**kwargs)
-
-
-def convergence_from_env(env_var: str = CONVERGENCE_ENV_VAR) -> ConvergenceConfig | None:
-    """A :class:`ConvergenceConfig` from the environment, or None when off."""
-    value = os.environ.get(env_var, "").strip()
-    if value.lower() in ("", "0", "off", "false"):
-        return None
-    return parse_convergence(value)

@@ -1,17 +1,16 @@
 """The driver-facing instrumentation bundle.
 
-:class:`~repro.parallel.rewl.REWLDriver` grew one observability keyword per
-subsystem (telemetry, profiler, health, convergence, timeseries) — five
-knobs that always travel together.  :class:`Instrumentation` folds them
-into one value::
+:class:`~repro.parallel.rewl.REWLDriver` takes its observability wiring as
+one value::
 
     REWLDriver(..., instrumentation=Instrumentation(telemetry=Telemetry()))
 
 Each field accepts an instance, a config object where the driver supports
-one, or None for the environment default, and the driver resolves
-environment defaults per field — an empty bundle is indistinguishable from
-passing nothing.  The bundle is the only way in: the driver takes no
-per-field observability keywords.
+one, or None for the environment default, and the driver resolves every
+field the same way — an empty bundle is indistinguishable from passing
+nothing.  The bundle is the only way in: the driver takes no per-field
+observability keywords.  The round observers among the fields are pure
+consumers of the driver's :class:`~repro.obs.sample.RoundSample`.
 """
 
 from __future__ import annotations

@@ -3,25 +3,19 @@
 Everything observability built before this module is either *cumulative*
 (metrics registry, profiler) or *post-hoc* (JSONL traces digested after the
 run).  :class:`TimeSeriesRecorder` is the live middle: at round boundaries
-it samples the quantities an operator of a long unattended campaign watches
-— per-window ln f / flatness / fill, campaign step counters, the
-:class:`~repro.obs.convergence.ConvergenceLedger` ETA, HealthMonitor
-heartbeat rates, and resilience dispositions — into fixed-capacity
-:class:`SeriesBuffer` rings, and republishes the latest values as *labeled*
-gauges in the metrics registry so the OpenMetrics exposition
-(:mod:`repro.obs.promexport`) and the HTTP status server
-(:mod:`repro.obs.server`) can serve them without touching sampler state.
+it takes the driver's :class:`~repro.obs.sample.RoundSample` — per-window
+ln f / flatness / fill, campaign step counters, the
+:class:`~repro.obs.convergence.ConvergenceLedger` ETA and resilience
+dispositions — into fixed-capacity :class:`SeriesBuffer` rings, and
+republishes the latest values as *labeled* gauges in the metrics registry so
+the OpenMetrics exposition (:mod:`repro.obs.promexport`) and the HTTP status
+server (:mod:`repro.obs.server`) can serve them without touching sampler
+state.
 
-Determinism contract (same as the ledger and profiler): sampling is chosen
-by a plain round-counter stride, draws no random numbers, and writes only
-into the recorder and the metrics registry — a recorded (or served) run is
-bit-identical to a bare one (tested in ``tests/test_obs_server.py``).
-
-Ring buffers use the ConvergenceLedger's every-other decimation: past
-``max_samples`` every other *old* sample is dropped, keeping the newest, so
-long campaigns retain a coarse full-history view at fixed memory, and the
-decimation points are a pure function of the append count (resumed runs
-decimate identically).
+Each round is taken at most once, and the recorder writes only into itself
+and the metrics registry, so a recorded (or served) run is bit-identical to
+a bare one (tested in ``tests/test_obs_server.py``).  Ring buffers decimate
+like the ConvergenceLedger (:class:`SeriesBuffer`).
 
 Cross-process aggregation: when ``REPRO_TRACE_DIR`` is set, worker
 processes append ``worker_span`` records to per-pid JSONL files
@@ -40,11 +34,12 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.obs.events import TRACE_DIR_ENV_VAR, JsonlFollower, event_field
-from repro.util.validation import check_integer
+from repro.obs.sample import RoundSample
+from repro.util.validation import EnvSpec, check_integer
 
 __all__ = [
     "TIMESERIES_ENV_VAR",
@@ -52,20 +47,24 @@ __all__ = [
     "TimeSeriesConfig",
     "TimeSeriesRecorder",
     "aggregate_worker_series",
-    "parse_timeseries",
-    "timeseries_from_env",
 ]
 
 TIMESERIES_ENV_VAR = "REPRO_TIMESERIES"
 
 
 @dataclass(frozen=True)
-class TimeSeriesConfig:
+class TimeSeriesConfig(EnvSpec):
     """Sampling cadence and retention for :class:`TimeSeriesRecorder`.
 
     ``sample_every`` is a round stride; ``max_samples`` bounds every series
     (every-other decimation on overflow, the ConvergenceLedger scheme).
     """
+
+    ENV_VAR: ClassVar[str] = TIMESERIES_ENV_VAR
+    SPEC_KEYS: ClassVar[dict[str, str]] = {
+        "every": "sample_every", "sample_every": "sample_every",
+        "max": "max_samples", "max_samples": "max_samples",
+    }
 
     sample_every: int = 5
     max_samples: int = 512
@@ -128,8 +127,9 @@ class TimeSeriesRecorder:
     """Round-boundary sampler feeding the live-telemetry surface.
 
     The driver owns the hookup (like the ledger): construction, then
-    :meth:`observe_round` once per round; :meth:`note_cost` lands the
-    end-of-run cost attribution.  All mutable state is guarded by a lock so
+    :meth:`observe_round` once per round and once more, forced, at the end
+    of each ``run()``; :meth:`note_cost` lands the end-of-run cost
+    attribution.  All mutable state is guarded by a lock so
     the HTTP server thread can render a consistent view while the campaign
     is mid-round — the server only ever reads the recorder's own plain-data
     copies, never live sampler state.
@@ -145,7 +145,8 @@ class TimeSeriesRecorder:
         self.cost: dict | None = None
         self.workers: dict[tuple, dict] = {}
         self._followers: dict[str, JsonlFollower] = {}
-        self._mono_samples: list[tuple[int, float, int]] = []
+        self._first: RoundSample | None = None  # the steps/s baseline
+        self._round: int | None = None
 
     # ------------------------------------------------------------- series
 
@@ -162,123 +163,78 @@ class TimeSeriesRecorder:
     # ------------------------------------------------------------ observe
 
     def observe_round(self, driver, force: bool = False) -> None:
-        """Stride-sampled snapshot of one REWL driver round.
+        """Take the driver's round record on the stride (or when forced)."""
+        if force or driver.rounds % self.cfg.sample_every == 0:
+            self.consume(driver.round_sample(), driver.obs, driver.health)
 
-        Reads driver state (driver thread only), publishes labeled gauges
-        into ``driver.obs.metrics``, appends ring-buffer samples, folds any
-        worker trace files, and refreshes the plain-data view the status
-        server renders from.  Pure reads + own-state writes: no RNG, no
-        float accumulation into walkers.
+    def consume(self, sample: RoundSample, telemetry, health=None) -> None:
+        """Append a round record to the series and refresh the served view.
+
+        Series points and gauges are taken at most once per round; a repeat
+        of the last round (the forced end-of-run call) only refreshes the
+        view and the metrics snapshot, which by then holds the cost gauges.
+        Writes go to the recorder and ``telemetry.metrics`` only.
         """
-        if not force and driver.rounds % self.cfg.sample_every != 0:
-            return
-        from repro.obs.convergence import _team_fill
-        from repro.obs.health import team_flatness_ratio
-
-        metrics = driver.obs.metrics
-        rounds = driver.rounds
-        windows = []
-        quarantined = list(getattr(
-            driver, "window_quarantined", [False] * len(driver.walkers)
-        ))
-        for w, team in enumerate(driver.walkers):
-            ln_f = float(team[0].ln_f)
-            iteration = int(team[0].n_iterations)
-            flatness = team_flatness_ratio(team)
-            fill = _team_fill(team)
-            windows.append({
-                "window": w,
-                "ln_f": ln_f,
-                "iteration": iteration,
-                "flatness": round(flatness, 6),
-                "fill": round(fill, 6),
-                "converged": bool(driver.window_converged[w]),
-                "quarantined": bool(quarantined[w]),
-            })
-        total_steps = driver.total_steps()
-        eta = None
-        if driver.convergence is not None:
-            eta = driver.convergence.eta(driver)
-        budget = None
-        degraded = bool(any(quarantined))
-        dispositions: list[dict] = []
-        supervisor = getattr(driver, "supervisor", None)
-        if supervisor is not None:
-            budget = dict(supervisor.budget_status)
-            degraded = bool(supervisor.degraded)
-            dispositions = supervisor.dispositions()
-        health = getattr(driver, "health", None)
-
-        now_mono = time.monotonic()
-        self._mono_samples.append((rounds, now_mono, total_steps))
-        if len(self._mono_samples) > self.cfg.max_samples:
-            del self._mono_samples[-2::-2]
-        steps_per_s = None
-        if len(self._mono_samples) >= 2:
-            (r0, t0, s0), (r1, t1, s1) = (
-                self._mono_samples[0], self._mono_samples[-1]
-            )
-            if t1 > t0 and s1 > s0:
-                steps_per_s = (s1 - s0) / (t1 - t0)
-
-        worker_lanes = self._fold_workers()
-
+        metrics = telemetry.metrics
+        windows = [w.row() for w in sample.windows]
+        fresh = sample.round != self._round
+        lanes = self._fold_workers() if fresh else []
         with self._lock:
-            self.samples += 1
-            for entry in windows:
-                labels = {"window": entry["window"]}
-                self._record("rewl.window.ln_f", rounds, entry["ln_f"], labels)
-                self._record("rewl.window.flatness", rounds,
-                             entry["flatness"], labels)
-                self._record("rewl.window.fill", rounds, entry["fill"], labels)
-                self._record("rewl.window.iteration", rounds,
-                             entry["iteration"], labels)
-                metrics.set("rewl.window.ln_f", entry["ln_f"], labels=labels)
-                metrics.set("rewl.window.flatness", entry["flatness"],
-                            labels=labels)
-                metrics.set("rewl.window.fill", entry["fill"], labels=labels)
-                metrics.set("rewl.window.iteration", entry["iteration"],
-                            labels=labels)
-            self._record("rewl.steps_total", rounds, total_steps)
-            self._record("rewl.converged_windows", rounds,
-                         sum(bool(c) for c in driver.window_converged))
-            self._record("rewl.quarantined_windows", rounds,
-                         sum(bool(q) for q in quarantined))
-            if steps_per_s is not None:
-                self._record("rewl.steps_per_s", rounds, round(steps_per_s, 3))
-                metrics.set("rewl.steps_per_s", steps_per_s)
-            if isinstance(eta, dict):
-                self._record("rewl.eta_rounds", rounds, eta.get("rounds"))
-                metrics.set("rewl.eta_rounds", float(eta.get("rounds") or 0))
-                if eta.get("seconds") is not None:
-                    self._record("rewl.eta_seconds", rounds, eta["seconds"])
-                    metrics.set("rewl.eta_seconds", float(eta["seconds"]))
-            for (w, k), lane in worker_lanes:
-                labels = {"window": w, "walker": "-" if k is None else k}
-                self._record("rewl.worker.advance_s", rounds,
-                             round(lane["seconds"], 6), labels)
-                metrics.set("rewl.worker.advance_s", lane["seconds"],
-                            labels=labels)
-                if lane["seconds"] > 0 and lane["steps"]:
-                    metrics.set("rewl.worker.steps_per_s",
-                                lane["steps"] / lane["seconds"], labels=labels)
+            if fresh:
+                self._round = sample.round
+                self.samples += 1
+                self._record_round(sample, windows, lanes, metrics)
             self.latest = {
-                "run": driver.obs.events.run_id,
-                "round": rounds,
-                "updated_ts": time.time(),
-                "updated_mono": now_mono,
-                "steps": total_steps,
-                "converged": bool(all(driver.window_converged)),
-                "degraded": degraded,
-                "budget": budget,
-                "eta": eta,
+                "run": telemetry.events.run_id,
+                "round": sample.round,
+                "updated_ts": sample.wall,
+                "updated_mono": sample.mono,
+                "steps": sample.steps,
+                "converged": all(w.converged for w in sample.windows),
+                "degraded": sample.degraded,
+                "budget": sample.budget,
+                "eta": sample.eta,
                 "windows": windows,
-                "dispositions": dispositions,
-                "quarantined": [w for w, q in enumerate(quarantined) if q],
-                "heartbeats": getattr(health, "heartbeats", 0),
-                "alerts": len(getattr(health, "alerts", ())),
+                "dispositions": list(sample.dispositions),
+                "quarantined": [w.window for w in sample.windows
+                                if w.quarantined],
+                "heartbeats": health.heartbeats if health is not None else 0,
+                "alerts": len(health.alerts) if health is not None else 0,
             }
             self.metrics_snapshot = metrics.as_dict()
+
+    def _record_round(self, sample, windows, lanes, metrics) -> None:
+        rounds = sample.round
+        self._first = self._first or sample
+        steps_per_s = sample.steps_per_s(self._first)
+        for entry in windows:
+            labels = {"window": entry["window"]}
+            for key in ("ln_f", "flatness", "fill", "iteration"):
+                self._record(f"rewl.window.{key}", rounds, entry[key], labels)
+                metrics.set(f"rewl.window.{key}", entry[key], labels=labels)
+        self._record("rewl.steps_total", rounds, sample.steps)
+        self._record("rewl.converged_windows", rounds,
+                     sample.converged_windows)
+        self._record("rewl.quarantined_windows", rounds,
+                     sample.quarantined_windows)
+        if steps_per_s is not None:
+            self._record("rewl.steps_per_s", rounds, round(steps_per_s, 3))
+            metrics.set("rewl.steps_per_s", steps_per_s)
+        eta = sample.eta
+        if isinstance(eta, dict):
+            self._record("rewl.eta_rounds", rounds, eta.get("rounds"))
+            metrics.set("rewl.eta_rounds", float(eta.get("rounds") or 0))
+            if eta.get("seconds") is not None:
+                self._record("rewl.eta_seconds", rounds, eta["seconds"])
+                metrics.set("rewl.eta_seconds", float(eta["seconds"]))
+        for (w, k), lane in lanes:
+            labels = {"window": w, "walker": "-" if k is None else k}
+            self._record("rewl.worker.advance_s", rounds,
+                         round(lane["seconds"], 6), labels)
+            metrics.set("rewl.worker.advance_s", lane["seconds"], labels=labels)
+            if lane["seconds"] > 0 and lane["steps"]:
+                metrics.set("rewl.worker.steps_per_s",
+                            lane["steps"] / lane["seconds"], labels=labels)
 
     # ---------------------------------------------------- worker traces
 
@@ -303,10 +259,7 @@ class TimeSeriesRecorder:
                 lane = _fold_worker_record(self.workers, record)
                 if lane is not None:
                     changed[lane] = self.workers[lane]
-        return sorted(changed.items(), key=lambda item: (
-            -1 if item[0][0] is None else item[0][0],
-            -1 if item[0][1] is None else item[0][1],
-        ))
+        return sorted(changed.items(), key=_lane_order)
 
     # ----------------------------------------------------------- cost hook
 
@@ -331,13 +284,8 @@ class TimeSeriesRecorder:
             if self.workers:
                 out["workers"] = {
                     f"{w}:{'-' if k is None else k}": dict(lane)
-                    for (w, k), lane in sorted(
-                        self.workers.items(),
-                        key=lambda item: (
-                            -1 if item[0][0] is None else item[0][0],
-                            -1 if item[0][1] is None else item[0][1],
-                        ),
-                    )
+                    for (w, k), lane in sorted(self.workers.items(),
+                                               key=_lane_order)
                 }
             return out
 
@@ -358,6 +306,12 @@ class TimeSeriesRecorder:
                 "points": sum(len(buf) for buf in self.series.values()),
                 "workers": len(self.workers),
             }
+
+
+def _lane_order(item) -> tuple:
+    """Sort key of a ``((window, walker), lane)`` item; None sorts first."""
+    (w, k), _ = item
+    return (-1 if w is None else w, -1 if k is None else k)
 
 
 def _fold_worker_record(lanes: dict[tuple, dict], record: dict):
@@ -400,48 +354,3 @@ def aggregate_worker_series(paths, run: str | None = None) -> dict[tuple, dict]:
         for record in load_trace(path, run=run):
             _fold_worker_record(lanes, record)
     return lanes
-
-
-# ------------------------------------------------------------- env activation
-
-_TS_KEYS = {
-    "every": "sample_every",
-    "sample_every": "sample_every",
-    "max": "max_samples",
-    "max_samples": "max_samples",
-}
-
-
-def parse_timeseries(spec: str) -> TimeSeriesConfig:
-    """Parse a ``REPRO_TIMESERIES`` value: ``"1"`` or ``"every=5,max=512"``."""
-    value = spec.strip().lower()
-    if value in ("1", "on", "true"):
-        return TimeSeriesConfig()
-    kwargs = {}
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, raw = part.partition("=")
-        field = _TS_KEYS.get(key.strip())
-        if not sep or field is None:
-            known = ", ".join(sorted(set(_TS_KEYS)))
-            raise ValueError(
-                f"bad {TIMESERIES_ENV_VAR} entry {part!r}; expected 1/on or "
-                f"key=value with key in {{{known}}}"
-            )
-        try:
-            kwargs[field] = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"bad {TIMESERIES_ENV_VAR} value for {key!r}: {raw!r}"
-            ) from exc
-    return TimeSeriesConfig(**kwargs)
-
-
-def timeseries_from_env(env_var: str = TIMESERIES_ENV_VAR) -> TimeSeriesConfig | None:
-    """A :class:`TimeSeriesConfig` from the environment, or None when off."""
-    value = os.environ.get(env_var, "").strip()
-    if value.lower() in ("", "0", "off", "false"):
-        return None
-    return parse_timeseries(value)

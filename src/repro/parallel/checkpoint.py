@@ -101,20 +101,23 @@ def save_checkpoint(driver: "REWLDriver", path, keep_previous: bool = True,
         "exchange_accepts": driver.exchange_accepts,
         "rounds": driver.rounds,
         "exchange_rng": driver._exchange_rng,
-        # Convergence-ledger diagnostics ride along so --resume restores
-        # them losslessly; None when the ledger is disabled.
+        "task_retries": driver.task_retries,
+        # Convergence-ledger diagnostics and the health monitor's heartbeat
+        # baseline ride along so --resume continues them where a straight
+        # run would be; None when the observer is disabled.
         "convergence": (
             driver.convergence.state_dict()
-            if getattr(driver, "convergence", None) is not None else None
+            if driver.convergence is not None else None
+        ),
+        "health": (
+            driver.health.state_dict() if driver.health is not None else None
         ),
         # Quarantine flags + supervisor ledger: a resumed degraded campaign
         # keeps its dispositions (rollback snapshots are re-taken live).
-        "window_quarantined": list(getattr(
-            driver, "window_quarantined", [False] * len(driver.windows)
-        )),
+        "window_quarantined": list(driver.window_quarantined),
         "resilience": (
             driver.supervisor.state_dict()
-            if getattr(driver, "supervisor", None) is not None else None
+            if driver.supervisor is not None else None
         ),
     }
     payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
@@ -239,21 +242,22 @@ def load_checkpoint(driver: "REWLDriver", path) -> "REWLDriver":
     driver.exchange_accepts = accepts
     driver.rounds = state["rounds"]
     driver._exchange_rng = state["exchange_rng"]
+    driver.task_retries = state.get("task_retries", 0)
     # _retag_window re-derives each team's window tag and, under shm,
     # rebinds the restored team into the shared campaign arrays.
     for w in range(len(driver.walkers)):
         driver._retag_window(w)
-    conv_state = state.get("convergence")
-    ledger = getattr(driver, "convergence", None)
-    if conv_state is not None and ledger is not None:
-        ledger.load_state(conv_state)
+    # Observer and supervisor state is optional on both sides: files that
+    # predate an observer, or runs that do not attach it, skip it.
+    for observer, key in ((driver.convergence, "convergence"),
+                          (driver.health, "health")):
+        if observer is not None and state.get(key) is not None:
+            observer.load_state(state[key])
     driver.window_quarantined = list(
         state.get("window_quarantined", [False] * len(driver.windows))
     )
-    res_state = state.get("resilience")
-    supervisor = getattr(driver, "supervisor", None)
-    if res_state is not None and supervisor is not None:
-        supervisor.load_state_dict(res_state)
+    if driver.supervisor is not None and state.get("resilience") is not None:
+        driver.supervisor.load_state_dict(state["resilience"])
     driver.obs.metrics.inc("checkpoint.restored")
     if driver.obs.enabled:
         driver.obs.emit("checkpoint_restored", path=str(path), rounds=driver.rounds)

@@ -36,26 +36,16 @@ import numpy as np
 from repro.faults import InjectedFault, faults_from_env
 from repro.kernels import native
 from repro.obs import Instrumentation, Telemetry
-from repro.obs.convergence import (
-    ConvergenceConfig,
-    ConvergenceLedger,
-    convergence_from_env,
-)
+from repro.obs.convergence import ConvergenceConfig, ConvergenceLedger
 from repro.obs.costattr import COST_KIND, attribute_cost, publish_cost
 from repro.obs.events import TRACE_ENV_VAR, worker_log
-from repro.obs.health import HealthConfig, HealthMonitor, health_from_env
+from repro.obs.health import HealthConfig, HealthMonitor
 from repro.obs.profile import SectionProfiler, contribute_profile, profile_from_env
-from repro.obs.timeseries import (
-    TimeSeriesConfig,
-    TimeSeriesRecorder,
-    timeseries_from_env,
-)
+from repro.obs.sample import RoundSample, WindowSample
+from repro.obs.server import OBS_PORT_ENV_VAR
+from repro.obs.timeseries import TimeSeriesConfig, TimeSeriesRecorder
 from repro.parallel.windows import WindowSpec, make_windows, surviving_pairs
-from repro.resilience.supervisor import (
-    CampaignSupervisor,
-    ResilienceConfig,
-    resilience_from_env,
-)
+from repro.resilience.supervisor import CampaignSupervisor, ResilienceConfig
 from repro.sampling.batched import BatchedWangLandauSampler, advance_block
 from repro.sampling.binning import EnergyGrid
 from repro.sampling.wang_landau import WalkerCounters, WLConfig, drive_into_range
@@ -71,6 +61,14 @@ _GATHER_SECTION = "rewl.fused_gather"
 #: Attempts a window gets beyond the first in one round under fault
 #: injection (``REPRO_FAULTS``); a window that uses them all up fails.
 _WORKER_RETRIES = 8
+
+
+def _resolve(given, config_type, from_env, build):
+    """An observer from an instance, a config (``build(config)``), or None
+    (the environment's config, else no observer)."""
+    if given is None:
+        given = from_env()
+    return build(given) if isinstance(given, config_type) else given
 
 
 def _step_window(team, n_steps: int, hamiltonian, profiler):
@@ -347,12 +345,6 @@ class REWLDriver:
         ]
         if missing:
             raise TypeError(f"REWLDriver() missing required arguments {missing}")
-        telemetry: Telemetry | None = inst.telemetry
-        profiler: SectionProfiler | None = inst.profiler
-        health = inst.health
-        convergence = inst.convergence
-        timeseries = inst.timeseries
-
         self.hamiltonian = hamiltonian
         self.grid = grid
         self.proposal_factory = proposal_factory
@@ -383,50 +375,28 @@ class REWLDriver:
         self.cfg = cfg
         self._engine = None
         self._faults = faults_from_env()
-        self.obs = telemetry if telemetry is not None else Telemetry()
+        self.obs = inst.telemetry if inst.telemetry is not None else Telemetry()
         self.checkpoint_path = checkpoint_path
-        self.profiler = profiler if profiler is not None else profile_from_env()
-        if health is None:
-            health_cfg = health_from_env()
-            self.health = (
-                HealthMonitor(self.obs, health_cfg) if health_cfg is not None else None
-            )
-        elif isinstance(health, HealthConfig):
-            self.health = HealthMonitor(self.obs, health)
-        else:
-            self.health = health
-        if convergence is None:
-            conv_cfg = convergence_from_env()
-            self.convergence = (
-                ConvergenceLedger(conv_cfg) if conv_cfg is not None else None
-            )
-        elif isinstance(convergence, ConvergenceConfig):
-            self.convergence = ConvergenceLedger(convergence)
-        else:
-            self.convergence = convergence
-        if resilience is None:
-            res_cfg = resilience_from_env()
-            self.supervisor = (
-                CampaignSupervisor(res_cfg, self.obs)
-                if res_cfg is not None else None
-            )
-        elif isinstance(resilience, ResilienceConfig):
-            self.supervisor = CampaignSupervisor(resilience, self.obs)
-        else:
-            self.supervisor = resilience
-        if timeseries is None:
-            ts_cfg = timeseries_from_env()
-            if ts_cfg is None and os.environ.get("REPRO_OBS_PORT", "").strip():
-                # Serving implies sampling: a live /metrics endpoint with
-                # nothing behind it would only report an idle board.
-                ts_cfg = TimeSeriesConfig()
-            self.timeseries = (
-                TimeSeriesRecorder(ts_cfg) if ts_cfg is not None else None
-            )
-        elif isinstance(timeseries, TimeSeriesConfig):
-            self.timeseries = TimeSeriesRecorder(timeseries)
-        else:
-            self.timeseries = timeseries
+        self.profiler = (
+            inst.profiler if inst.profiler is not None else profile_from_env()
+        )
+        self.health = _resolve(inst.health, HealthConfig, HealthConfig.from_env,
+                               lambda c: HealthMonitor(self.obs, c))
+        self.convergence = _resolve(inst.convergence, ConvergenceConfig,
+                                    ConvergenceConfig.from_env,
+                                    ConvergenceLedger)
+        # Serving (REPRO_OBS_PORT) implies a recorder: a live /metrics
+        # endpoint with nothing behind it would only report an idle board.
+        serving = bool(os.environ.get(OBS_PORT_ENV_VAR, "").strip())
+        self.timeseries = _resolve(
+            inst.timeseries, TimeSeriesConfig,
+            lambda: TimeSeriesConfig.from_env()
+            or (TimeSeriesConfig() if serving else None),
+            TimeSeriesRecorder,
+        )
+        self.supervisor = _resolve(resilience, ResilienceConfig,
+                                   ResilienceConfig.from_env,
+                                   lambda c: CampaignSupervisor(c, self.obs))
         if self.timeseries is not None:
             from repro.obs.server import get_board, server_from_env
 
@@ -480,7 +450,9 @@ class REWLDriver:
         # window (no phantom pair with a NaN rate in the result).
         self.exchange_attempts = np.zeros(len(self.windows) - 1, dtype=np.int64)
         self.exchange_accepts = np.zeros_like(self.exchange_attempts)
+        self.task_retries = 0  # campaign total, carried by checkpoints
         self.rounds = 0
+        self._sample: RoundSample | None = None
         if self.convergence is not None:
             self.convergence.attach(self)
         if self.supervisor is not None:
@@ -498,6 +470,7 @@ class REWLDriver:
         row recovery instead of process restarts.
         """
         self.walkers[w][0].obs_tag = (w, None)
+        self._sample = None  # the cached round record no longer describes it
         if self._engine is not None:
             self._engine.bind_window(self, w)
 
@@ -568,6 +541,7 @@ class REWLDriver:
         """Count :func:`advance_windows`' retry records (both backends)."""
         metrics = self.obs.metrics
         for window, attempt, error, injected in retries:
+            self.task_retries += 1
             metrics.inc("task.retries")
             if injected:
                 metrics.inc("fault.injected")
@@ -706,6 +680,49 @@ class REWLDriver:
         ln_g = team.ln_g
         return np.where(visited, ln_g - ln_g[visited].min(), 0.0), visited
 
+    def round_sample(self) -> RoundSample:
+        """This round's :class:`~repro.obs.sample.RoundSample`, built by
+        the first call in a round and shared with every later one.
+
+        Observers ask on the rounds their strides select (and ``run()`` on
+        its last round), so records are built on the union of those rounds.
+        """
+        if self._sample is None or self._sample.round != self.rounds:
+            self._sample = self._build_round_sample()
+        return self._sample
+
+    def _build_round_sample(self) -> RoundSample:
+        windows = []
+        for w, (team,) in enumerate(self.walkers):
+            ln_g, visited = self._merge_window(team)
+            ln_g.flags.writeable = False
+            visited.flags.writeable = False
+            windows.append(WindowSample(
+                window=w, ln_f=float(team.ln_f),
+                iteration=int(team.n_iterations),
+                flatness=team.flatness_fraction(),
+                fill=team.fill_fraction(),
+                converged=bool(self.window_converged[w]),
+                quarantined=bool(self.window_quarantined[w]),
+                ln_g=ln_g, visited=visited,
+            ))
+        sup = self.supervisor
+        sample = RoundSample(
+            round=self.rounds, mono=time.monotonic(), wall=time.time(),
+            steps=self.total_steps(), windows=tuple(windows),
+            exchange_attempts=tuple(self.exchange_attempts.tolist()),
+            exchange_accepts=tuple(self.exchange_accepts.tolist()),
+            retries=self.task_retries,
+            budget=None if sup is None else dict(sup.budget_status),
+            dispositions=() if sup is None else tuple(sup.dispositions()),
+            degraded=(
+                any(self.window_quarantined) if sup is None else sup.degraded
+            ),
+        )
+        if self.convergence is None:
+            return sample
+        return replace(sample, eta=self.convergence.eta(sample))
+
     def _maybe_checkpoint(self) -> None:
         """Periodic crash-consistent snapshot (``cfg.checkpoint_interval``)."""
         if (
@@ -745,7 +762,10 @@ class REWLDriver:
                 if self.supervisor is not None and self.supervisor.budget_exceeded(self):
                     # Clean terminate-and-harvest: break out and report
                     # whatever converged, instead of dying to the job
-                    # scheduler's SIGKILL with nothing.
+                    # scheduler's SIGKILL with nothing.  The budget (and
+                    # with it ``degraded``) changed after this round's record
+                    # was built, so the end-of-run views need a fresh one.
+                    self._sample = None
                     break
                 if self._engine is not None:
                     # Non-blocking replica exchange: the engine drains
@@ -771,14 +791,10 @@ class REWLDriver:
                             prof.stop("rewl.guard", tg)
                     self._exchange_phase()
                     self._sync_phase()
-                if self.convergence is not None:
-                    # Before the health monitor, whose heartbeats read the
-                    # ledger's ETA projection.
-                    self.convergence.observe_round(self)
-                if self.health is not None:
-                    self.health.observe_round(self)
-                if self.timeseries is not None:
-                    self.timeseries.observe_round(self)
+                for observer in (self.convergence, self.health,
+                                 self.timeseries):
+                    if observer is not None:
+                        observer.observe_round(self)
                 self._maybe_checkpoint()
         if self.profiler is not None:
             merged = self.merged_profile()
@@ -792,14 +808,15 @@ class REWLDriver:
                 self.obs.emit("profile", sections=merged.as_dict())
                 self.obs.emit(COST_KIND, **cost)
         if self.timeseries is not None:
-            # Final forced sample so the served view reflects the end state
-            # (converged flags, final cost gauges) even off-stride.
+            # The served view reflects the end state (converged flags, final
+            # cost gauges) even off-stride; a round already taken adds no
+            # series point.
             self.timeseries.observe_round(self, force=True)
-        if self.convergence is not None and self.obs.enabled:
-            self.obs.emit("convergence", **self.convergence.summary(self))
-        if self.supervisor is not None and self.obs.enabled:
-            self.obs.emit("resilience", **self.supervisor.summary())
         result = self.result()
+        if self.obs.enabled:
+            for digest in ("convergence", "resilience"):
+                if digest in result.telemetry:
+                    self.obs.emit(digest, **result.telemetry[digest])
         self.obs.emit(
             "run_end", scope="rewl", rounds=self.rounds,
             converged=result.converged, total_steps=result.total_steps,
@@ -867,7 +884,9 @@ class REWLDriver:
         if self.health is not None:
             telemetry["health"] = self.health.summary()
         if self.convergence is not None:
-            telemetry["convergence"] = self.convergence.summary(self)
+            telemetry["convergence"] = self.convergence.summary(
+                self.round_sample()
+            )
         if self.supervisor is not None:
             telemetry["resilience"] = self.supervisor.summary()
         if self.timeseries is not None:

@@ -19,8 +19,6 @@ from repro.resilience.supervisor import (
     CampaignSupervisor,
     ResilienceConfig,
     WindowState,
-    parse_resilience,
-    resilience_from_env,
 )
 
 __all__ = [
@@ -34,6 +32,4 @@ __all__ = [
     "WindowState",
     "check_team",
     "check_walker",
-    "parse_resilience",
-    "resilience_from_env",
 ]

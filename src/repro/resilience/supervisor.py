@@ -30,18 +30,17 @@ rollbacks, same quarantine round, same stitched result.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar
 
 from repro.resilience.guards import (
-    GUARD_MODES,
     GuardPolicy,
     GuardViolation,
     check_team,
 )
-from repro.util.validation import check_integer
+from repro.util.validation import EnvSpec, check_integer
 
 __all__ = [
     "RESILIENCE_ENV_VAR",
@@ -49,8 +48,6 @@ __all__ = [
     "CampaignSupervisor",
     "ResilienceConfig",
     "WindowState",
-    "parse_resilience",
-    "resilience_from_env",
 ]
 
 RESILIENCE_ENV_VAR = "REPRO_RESILIENCE"
@@ -86,12 +83,43 @@ class BudgetPolicy:
         return self.wall_s is None and self.rounds is None and self.steps is None
 
 
+def _count(raw: str) -> int:
+    return int(float(raw))  # accepts "5e8"
+
+
 @dataclass(frozen=True)
-class ResilienceConfig:
-    """Everything the campaign supervisor needs: guards + budgets."""
+class ResilienceConfig(EnvSpec):
+    """Everything the campaign supervisor needs: guards + budgets.
+
+    ``REPRO_RESILIENCE`` is ``"1"``/``"on"`` for the defaults (quarantine
+    mode, no budgets), or ``key=value`` pairs such as
+    ``"mode=rollback,rollbacks=3,wall_s=3600,steps=5e8"``.
+    """
+
+    ENV_VAR: ClassVar[str] = RESILIENCE_ENV_VAR
+    SPEC_KEYS: ClassVar[dict[str, str]] = {
+        "mode": "mode", "snapshot_interval": "snapshot_interval",
+        "max_rollbacks": "max_rollbacks", "rollbacks": "max_rollbacks",
+        "wall_s": "wall_s", "wall": "wall_s",
+        "rounds": "rounds", "steps": "steps",
+    }
+    SPEC_TYPES: ClassVar[dict[str, Callable]] = {
+        "mode": str, "max_rollbacks": _count, "snapshot_interval": _count,
+        "wall_s": float, "rounds": _count, "steps": _count,
+    }
 
     guards: GuardPolicy = field(default_factory=GuardPolicy)
     budget: BudgetPolicy = field(default_factory=BudgetPolicy)
+
+    @classmethod
+    def from_fields(cls, values: dict) -> "ResilienceConfig":
+        guard_keys = {f.name for f in fields(GuardPolicy)}
+        return cls(
+            guards=GuardPolicy(**{k: v for k, v in values.items()
+                                  if k in guard_keys}),
+            budget=BudgetPolicy(**{k: v for k, v in values.items()
+                                   if k not in guard_keys}),
+        )
 
 
 @dataclass
@@ -356,72 +384,3 @@ class CampaignSupervisor:
         self.budget_status = dict(state["budget_status"])
         self._rounds_guarded = int(state["rounds_guarded"])
         self._started = time.monotonic()
-
-
-# ------------------------------------------------------------ env plumbing
-
-_KEY_ALIASES = {
-    "mode": "mode",
-    "max_rollbacks": "max_rollbacks",
-    "rollbacks": "max_rollbacks",
-    "snapshot_interval": "snapshot_interval",
-    "wall_s": "wall_s",
-    "wall": "wall_s",
-    "rounds": "rounds",
-    "steps": "steps",
-}
-
-_GUARD_FIELDS = {"mode", "max_rollbacks", "snapshot_interval"}
-_INT_FIELDS = {"max_rollbacks", "snapshot_interval", "rounds", "steps"}
-
-
-def parse_resilience(spec: str) -> ResilienceConfig:
-    """Parse a ``REPRO_RESILIENCE`` value.
-
-    ``"1"``/``"on"`` enable the defaults (quarantine mode, no budgets);
-    otherwise ``key=value`` pairs, e.g.
-    ``"mode=rollback,rollbacks=3,wall_s=3600,steps=5e8"``.
-    """
-    value = spec.strip()
-    if value.lower() in ("1", "on", "true"):
-        return ResilienceConfig()
-    guard_kwargs: dict = {}
-    budget_kwargs: dict = {}
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, raw = part.partition("=")
-        name = _KEY_ALIASES.get(key.strip().lower())
-        if not sep or name is None:
-            known = ", ".join(sorted(set(_KEY_ALIASES)))
-            raise ValueError(
-                f"bad {RESILIENCE_ENV_VAR} entry {part!r}; expected 1/on or "
-                f"key=value with key in {{{known}}}"
-            )
-        raw = raw.strip()
-        try:
-            if name == "mode":
-                parsed: object = raw.lower()
-                if parsed not in GUARD_MODES:
-                    raise ValueError(f"expected one of {GUARD_MODES}")
-            elif name in _INT_FIELDS:
-                parsed = int(float(raw))  # accept "5e8"
-            else:
-                parsed = float(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"bad {RESILIENCE_ENV_VAR} value for {key!r}: {raw!r}"
-            ) from exc
-        (guard_kwargs if name in _GUARD_FIELDS else budget_kwargs)[name] = parsed
-    return ResilienceConfig(
-        guards=GuardPolicy(**guard_kwargs), budget=BudgetPolicy(**budget_kwargs)
-    )
-
-
-def resilience_from_env(env_var: str = RESILIENCE_ENV_VAR) -> ResilienceConfig | None:
-    """A :class:`ResilienceConfig` from the environment, or None if off."""
-    value = os.environ.get(env_var, "").strip()
-    if value.lower() in ("", "0", "off", "false"):
-        return None
-    return parse_resilience(value)

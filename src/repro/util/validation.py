@@ -1,14 +1,19 @@
 """Argument-checking helpers used at public API boundaries.
 
 Fail fast with messages that name the offending argument; internal hot paths
-skip these checks (they validate once at construction).
+skip these checks (they validate once at construction).  :class:`EnvSpec`
+turns a ``REPRO_*`` environment knob into a validated config.
 """
 
 from __future__ import annotations
 
+import os
+from typing import Callable, ClassVar
+
 import numpy as np
 
 __all__ = [
+    "EnvSpec",
     "check_positive",
     "check_probability",
     "check_in_range",
@@ -62,3 +67,58 @@ def check_array_shape(name: str, array, shape):
     ):
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     return array
+
+
+class EnvSpec:
+    """``REPRO_*`` knob parsing for a config dataclass.
+
+    A subclass names its variable (``ENV_VAR``) and its keys (``SPEC_KEYS``:
+    accepted spelling -> field name).  ``"1"``/``"on"``/``"true"`` give the
+    defaults unless ``SHORTHAND`` is False; otherwise the spec is
+    comma-separated ``key=value`` pairs.
+    Each value is converted by ``SPEC_TYPES[field]``, else by the type of
+    the field's default, and the config is built by :meth:`from_fields`.
+    """
+
+    ENV_VAR: ClassVar[str]
+    SPEC_KEYS: ClassVar[dict[str, str]]
+    SPEC_TYPES: ClassVar[dict[str, Callable]] = {}
+    SHORTHAND: ClassVar[bool] = True
+
+    @classmethod
+    def from_fields(cls, values: dict):
+        return cls(**values)
+
+    @classmethod
+    def from_spec(cls, spec: str):
+        """Parse a knob value such as ``"1"`` or ``"every=20,max=256"``."""
+        value = spec.strip().lower()
+        if cls.SHORTHAND and value in ("1", "on", "true"):
+            return cls()
+        values = {}
+        for part in filter(None, map(str.strip, value.split(","))):
+            key, sep, raw = part.partition("=")
+            name = cls.SPEC_KEYS.get(key.strip())
+            if not sep or name is None:
+                known = ", ".join(sorted(cls.SPEC_KEYS))
+                raise ValueError(
+                    f"bad {cls.ENV_VAR} entry {part!r}; expected "
+                    f"{'1/on or ' if cls.SHORTHAND else ''}"
+                    f"key=value with key in {{{known}}}"
+                )
+            convert = cls.SPEC_TYPES.get(name) or type(getattr(cls, name))
+            try:
+                values[name] = convert(raw.strip())
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad {cls.ENV_VAR} value for {key!r}: {raw!r}"
+                ) from exc
+        return cls.from_fields(values)
+
+    @classmethod
+    def from_env(cls):
+        """The config the environment asks for, or None when it is off."""
+        value = os.environ.get(cls.ENV_VAR, "").strip()
+        if value.lower() in ("", "0", "off", "false"):
+            return None
+        return cls.from_spec(value)

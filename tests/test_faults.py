@@ -13,7 +13,6 @@ from repro.faults import (
     InjectedFault,
     InjectedHang,
     faults_from_env,
-    parse_faults,
 )
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
@@ -51,17 +50,24 @@ class TestFaultConfig:
 
 class TestParsing:
     def test_parse_all_fields(self):
-        cfg = parse_faults("crash=0.1,hang=0.05,kill=0.02,corrupt=0.2,hang_s=0.5,seed=7")
+        cfg = FaultConfig.from_spec(
+            "crash=0.1,hang=0.05,kill=0.02,corrupt=0.2,hang_s=0.5,seed=7")
         assert cfg == FaultConfig(crash=0.1, hang=0.05, kill=0.02,
                                   corrupt=0.2, hang_s=0.5, seed=7)
 
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="explode"):
-            parse_faults("explode=1")
+            FaultConfig.from_spec("explode=1")
+
+    @pytest.mark.parametrize("spec", ["1", "on", "true"])
+    def test_parse_rejects_enable_shorthand(self, spec):
+        # An enable-only spec would build an injector that injects nothing.
+        with pytest.raises(ValueError, match="key=value"):
+            FaultConfig.from_spec(spec)
 
     def test_parse_rejects_bad_values(self):
         with pytest.raises(ValueError, match="crash"):
-            parse_faults("crash=lots")
+            FaultConfig.from_spec("crash=lots")
 
     @pytest.mark.parametrize("value", ["", "0", "off", "false"])
     def test_env_disabled(self, monkeypatch, value):
@@ -266,7 +272,7 @@ class TestSilentAndSlowFaults:
     """The PR-7 fault kinds: nan (silent corruption) and slow (delay)."""
 
     def test_parse_new_fields(self):
-        cfg = parse_faults("nan=0.2,slow=0.1,slow_s=0.5,window=1")
+        cfg = FaultConfig.from_spec("nan=0.2,slow=0.1,slow_s=0.5,window=1")
         assert cfg.nan == 0.2 and cfg.slow == 0.1
         assert cfg.slow_s == 0.5 and cfg.window == 1
 

@@ -13,15 +13,14 @@ from repro.obs.convergence import (
     CONVERGENCE_ENV_VAR,
     ConvergenceConfig,
     ConvergenceLedger,
-    convergence_from_env,
-    parse_convergence,
 )
+from repro.obs.sample import RoundSample, WindowSample
 from repro.parallel import REWLConfig, REWLDriver, load_checkpoint, save_checkpoint
 from repro.proposals import FlipProposal
 from repro.sampling import EnergyGrid
 
 
-def _driver(telemetry=None, **kwargs):
+def _driver(telemetry=None, backend="fused", **kwargs):
     ham = IsingHamiltonian(square_lattice(4))
     grid = EnergyGrid.from_levels(ham.energy_levels())
     inst = Instrumentation(telemetry=telemetry, **{
@@ -33,32 +32,40 @@ def _driver(telemetry=None, **kwargs):
         hamiltonian=ham, proposal_factory=lambda: FlipProposal(), grid=grid,
         initial_config=np.zeros(16, dtype=np.int8),
         config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
-                   exchange_interval=200, ln_f_final=5e-2, seed=11),
+                   exchange_interval=200, ln_f_final=5e-2, seed=11,
+                   backend=backend),
         instrumentation=inst, **kwargs,
     )
-
-
-class _FakeWalker:
-    n_slots = 1
-
-    def __init__(self, histogram, ln_f=0.5):
-        self.histogram = np.asarray(histogram, dtype=np.int64)
-        self.visited = self.histogram > 0
-        self.ln_f = ln_f
-        self.n_iterations = 0
 
 
 class _FakeCfg:
     ln_f_final = 5e-2
     flatness = 0.8
+    walkers_per_window = 1
+
+    def __init__(self, n_windows):
+        self.n_windows = n_windows
 
 
 class _FakeDriver:
+    """The driver surface the ledger reads at attach time: its config."""
+
     def __init__(self, n_windows=3):
-        self.rounds = 0
-        self.cfg = _FakeCfg()
-        self.walkers = [[_FakeWalker([5, 5, 5])] for _ in range(n_windows)]
-        self.window_converged = [False] * n_windows
+        self.cfg = _FakeCfg(n_windows)
+
+
+def _sample(rounds=0, ln_f=(0.5,), converged=(False,), flatness=(1.0,),
+            mono=0.0):
+    """A round record of fully visited three-bin windows."""
+    windows = tuple(
+        WindowSample(window=w, ln_f=f, iteration=0, flatness=flat, fill=1.0,
+                     converged=c, quarantined=False, ln_g=np.zeros(3),
+                     visited=np.ones(3, dtype=bool))
+        for w, (f, c, flat) in enumerate(zip(ln_f, converged, flatness))
+    )
+    return RoundSample(round=rounds, mono=mono, wall=0.0, steps=0,
+                       windows=windows, exchange_attempts=(),
+                       exchange_accepts=())
 
 
 class TestConfigParsing:
@@ -74,22 +81,22 @@ class TestConfigParsing:
             ConvergenceConfig(**{field: value})
 
     def test_parse_enabled_and_keys(self):
-        assert parse_convergence("1") == ConvergenceConfig()
-        cfg = parse_convergence("every=3,max=8")
+        assert ConvergenceConfig.from_spec("1") == ConvergenceConfig()
+        cfg = ConvergenceConfig.from_spec("every=3,max=8")
         assert cfg.sample_every == 3
         assert cfg.max_samples == 8
 
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ValueError, match=CONVERGENCE_ENV_VAR):
-            parse_convergence("bogus=1")
+            ConvergenceConfig.from_spec("bogus=1")
 
     def test_convergence_from_env(self, monkeypatch):
         monkeypatch.delenv(CONVERGENCE_ENV_VAR, raising=False)
-        assert convergence_from_env() is None
+        assert ConvergenceConfig.from_env() is None
         monkeypatch.setenv(CONVERGENCE_ENV_VAR, "off")
-        assert convergence_from_env() is None
+        assert ConvergenceConfig.from_env() is None
         monkeypatch.setenv(CONVERGENCE_ENV_VAR, "every=7")
-        assert convergence_from_env().sample_every == 7
+        assert ConvergenceConfig.from_env().sample_every == 7
 
     def test_env_attaches_ledger_to_driver(self, monkeypatch):
         monkeypatch.setenv(CONVERGENCE_ENV_VAR, "1")
@@ -162,14 +169,13 @@ class TestSeriesAndEta:
 
     def test_eta_projection(self):
         ledger = ConvergenceLedger(ConvergenceConfig())
-        fake = _FakeDriver(n_windows=1)
-        fake.walkers[0][0].ln_f = 0.25
-        ledger.attach(fake)
+        ledger.attach(_FakeDriver(n_windows=1))
         # 10 rounds per WL iteration; flatness climbing 0.01/round from 0.6.
         ledger.lnf_trajectory[0] = [(10, 1.0, 1), (20, 0.5, 2)]
-        ledger.flatness_series[0] = [(10, 0.5, 0.5), (20, 0.6, 0.6)]
-        ledger.wall_samples = [(0, 0.0), (10, 5.0)]
-        eta = ledger.eta(fake)
+        ledger.flatness_series[0] = [(10, 0.5, 0.5)]
+        ledger.wall_samples = [(0, 0.0)]
+        eta = ledger.eta(
+            _sample(rounds=20, ln_f=(0.25,), flatness=(0.6,), mono=10.0))
         # ceil(log2(0.25/0.05)) = 3 halvings: 20 rounds to flat now,
         # then 2 more iterations at 10 rounds each.
         assert eta["rounds"] == pytest.approx(40.0)
@@ -178,28 +184,50 @@ class TestSeriesAndEta:
 
     def test_eta_none_without_history(self):
         ledger = ConvergenceLedger(ConvergenceConfig())
-        fake = _FakeDriver(n_windows=1)
-        ledger.attach(fake)
-        assert ledger.eta(fake) is None
+        ledger.attach(_FakeDriver(n_windows=1))
+        assert ledger.eta(_sample()) is None
 
     def test_eta_zero_when_all_converged(self):
         ledger = ConvergenceLedger(ConvergenceConfig())
-        fake = _FakeDriver(n_windows=1)
-        fake.window_converged = [True]
-        ledger.attach(fake)
-        assert ledger.eta(fake) == {"rounds": 0, "seconds": 0.0, "windows": []}
+        ledger.attach(_FakeDriver(n_windows=1))
+        assert ledger.eta(_sample(converged=(True,))) == {
+            "rounds": 0, "seconds": 0.0, "windows": []}
+
+    def test_eta_is_the_same_before_and_after_the_ledger_takes_a_sample(self):
+        """The driver asks for the ETA while building a record, before any
+        observer has taken it; a later ask (the run-end digest) must agree."""
+        ledger = ConvergenceLedger(ConvergenceConfig())
+        ledger.attach(_FakeDriver(n_windows=1))
+        ledger.lnf_trajectory[0] = [(10, 1.0, 1), (20, 0.5, 2)]
+        ledger.consume(_sample(rounds=10, ln_f=(0.5,), mono=1.0))
+        sample = _sample(rounds=20, ln_f=(0.25,), mono=3.0)
+        before = ledger.eta(sample)
+        ledger.consume(sample)
+        assert ledger.eta(sample) == before
+        assert before["seconds"] == pytest.approx(before["rounds"] * 0.2)
 
 
 class TestLedgerOnRewl:
-    def test_ledger_run_is_bit_identical(self):
-        """Acceptance: the ledger leaves the DoS, the histograms, and every
-        walker RNG stream bit-for-bit unchanged."""
+    @pytest.mark.parametrize("backend", ["fused", "shm"])
+    def test_ledger_run_is_bit_identical(self, backend):
+        """Acceptance: the ledger, next to the other round observers and on
+        either backend, leaves the DoS, the histograms, and every walker RNG
+        stream bit-for-bit equal to a bare in-process run."""
+        from repro.obs.health import HealthConfig
+        from repro.obs.timeseries import TimeSeriesConfig
+
         plain = _driver()
         plain_res = plain.run(max_rounds=60)
 
-        inst = _driver(convergence=ConvergenceLedger(
-            ConvergenceConfig(sample_every=3)))
-        inst_res = inst.run(max_rounds=60)
+        inst = _driver(backend=backend,
+                       convergence=ConvergenceLedger(
+                           ConvergenceConfig(sample_every=3)),
+                       health=HealthConfig(heartbeat_rounds=4),
+                       timeseries=TimeSeriesConfig(sample_every=5))
+        try:
+            inst_res = inst.run(max_rounds=60)
+        finally:
+            inst.close()
 
         assert inst_res.rounds == plain_res.rounds
         assert inst_res.total_steps == plain_res.total_steps

@@ -13,18 +13,18 @@ from repro.obs.health import (
     HEARTBEAT_KIND,
     HealthConfig,
     HealthMonitor,
-    health_from_env,
-    parse_health,
-    team_flatness_ratio,
 )
+from repro.obs.convergence import ConvergenceConfig
 from repro.obs.profile import SectionProfiler
+from repro.obs.timeseries import TimeSeriesConfig
+from repro.obs.sample import RoundSample, WindowSample
 from repro.obs.report import render_report
 from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
 from repro.sampling import EnergyGrid
 
 
-def _driver(telemetry=None, **kwargs):
+def _driver(telemetry=None, backend="fused", **kwargs):
     ham = IsingHamiltonian(square_lattice(4))
     grid = EnergyGrid.from_levels(ham.energy_levels())
     inst = Instrumentation(telemetry=telemetry, **{
@@ -36,7 +36,8 @@ def _driver(telemetry=None, **kwargs):
         hamiltonian=ham, proposal_factory=lambda: FlipProposal(), grid=grid,
         initial_config=np.zeros(16, dtype=np.int8),
         config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
-                   exchange_interval=200, ln_f_final=5e-2, seed=11),
+                   exchange_interval=200, ln_f_final=5e-2, seed=11,
+                   backend=backend),
         instrumentation=inst, **kwargs,
     )
 
@@ -47,24 +48,33 @@ def _memory_telemetry():
     return tel, sink
 
 
-class _FakeWalker:
-    def __init__(self, histogram, ln_f=0.5, n_iterations=0, n_steps=0):
-        self.histogram = np.asarray(histogram, dtype=np.int64)
-        self.visited = self.histogram > 0
-        self.ln_f = ln_f
-        self.n_iterations = n_iterations
-        self.n_steps = n_steps
+def _sample(rounds, *, iterations=(0, 0), flatness=(1.0, 1.0),
+            converged=(False, False), attempts=(0,), accepts=(0,),
+            retries=0, steps=0, mono=0.0):
+    """A constructed round record: nothing progresses unless told to."""
+    windows = tuple(
+        WindowSample(window=w, ln_f=0.5, iteration=it, flatness=flat,
+                     fill=1.0, converged=conv, quarantined=False,
+                     ln_g=np.zeros(3), visited=np.ones(3, dtype=bool))
+        for w, (it, flat, conv) in enumerate(
+            zip(iterations, flatness, converged))
+    )
+    return RoundSample(round=rounds, mono=mono, wall=0.0, steps=steps,
+                       windows=windows, exchange_attempts=tuple(attempts),
+                       exchange_accepts=tuple(accepts), retries=retries)
 
 
-class _FakeDriver:
-    """Minimal driver surface the monitor reads; nothing ever progresses."""
+class _Rounds:
+    """The whole driver surface an observer may touch: the round counter
+    and the round record."""
 
-    def __init__(self, n_windows=2, pairs=1):
+    def __init__(self):
         self.rounds = 0
-        self.walkers = [[_FakeWalker([5, 5, 5])] for _ in range(n_windows)]
-        self.window_converged = [False] * n_windows
-        self.exchange_attempts = np.zeros(pairs, dtype=np.int64)
-        self.exchange_accepts = np.zeros(pairs, dtype=np.int64)
+        self.built = []
+
+    def round_sample(self):
+        self.built.append(self.rounds)
+        return _sample(self.rounds)
 
 
 class TestConfigParsing:
@@ -81,8 +91,8 @@ class TestConfigParsing:
             HealthConfig(**{field: value})
 
     def test_parse_enabled_and_keys(self):
-        assert parse_health("1") == HealthConfig()
-        cfg = parse_health("rounds=20,stall=5,min_rate=0.02,retries=3")
+        assert HealthConfig.from_spec("1") == HealthConfig()
+        cfg = HealthConfig.from_spec("rounds=20,stall=5,min_rate=0.02,retries=3")
         assert cfg.heartbeat_rounds == 20
         assert cfg.stall_heartbeats == 5
         assert cfg.min_exchange_rate == pytest.approx(0.02)
@@ -90,68 +100,70 @@ class TestConfigParsing:
 
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="REPRO_HEALTH"):
-            parse_health("bogus=1")
+            HealthConfig.from_spec("bogus=1")
 
     def test_health_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_HEALTH", raising=False)
-        assert health_from_env() is None
+        assert HealthConfig.from_env() is None
         monkeypatch.setenv("REPRO_HEALTH", "rounds=7")
-        assert health_from_env().heartbeat_rounds == 7
+        assert HealthConfig.from_env().heartbeat_rounds == 7
+
+
+def _team(batch_size=3):
+    from repro.sampling import BatchedWangLandauSampler, WLConfig
+
+    ham = IsingHamiltonian(square_lattice(4))
+    grid = EnergyGrid.from_levels(ham.energy_levels())
+    return BatchedWangLandauSampler(
+        hamiltonian=ham, proposal=FlipProposal(), grid=grid,
+        initial_config=np.zeros(16, dtype=np.int8), rng=2,
+        config=WLConfig(batch_size=batch_size))
 
 
 class TestFlatnessRatio:
+    """The flatness a round record carries is the window team's
+    ``flatness_fraction``: min/mean of its one shared visit histogram over
+    visited bins."""
+
     def test_unvisited_team_is_zero(self):
-        assert team_flatness_ratio([_FakeWalker([0, 0])]) == 0.0
+        team = _team()
+        team.visited[:] = False
+        assert team.flatness_fraction() == 0.0
 
     def test_flat_histogram_is_one(self):
-        assert team_flatness_ratio([_FakeWalker([4, 4, 4])]) == pytest.approx(1.0)
-
-    def test_worst_walker_wins(self):
-        team = [_FakeWalker([4, 4]), _FakeWalker([1, 7])]
-        assert team_flatness_ratio(team) == pytest.approx(1 / 4)
-
-    def test_lone_walker_object_accepted(self):
-        # A bare walker (not wrapped in a list) is treated as a 1-team.
-        assert team_flatness_ratio(_FakeWalker([4, 4])) == pytest.approx(1.0)
-
-    def test_batched_team_slot_arrays(self):
-        # One BatchedWangLandauSampler-style object holding K walker slots
-        # as 2-D (K, n_bins) arrays: the worst slot wins.
-        batched = _FakeWalker([4, 4])
-        batched.histogram = np.array([[4, 4], [1, 7]], dtype=np.int64)
-        batched.visited = batched.histogram > 0
-        assert team_flatness_ratio([batched]) == pytest.approx(1 / 4)
+        team = _team()
+        team.histogram[:] = 4
+        team.visited[:] = True
+        assert team.flatness_fraction() == pytest.approx(1.0)
 
     def test_batched_team_on_real_sampler(self):
-        from repro.hamiltonians import IsingHamiltonian as _Ham
-        from repro.sampling import BatchedWangLandauSampler, WLConfig
-
-        ham = _Ham(square_lattice(4))
-        grid = EnergyGrid.from_levels(ham.energy_levels())
-        team = BatchedWangLandauSampler(
-            hamiltonian=ham, proposal=FlipProposal(), grid=grid,
-            initial_config=np.zeros(16, dtype=np.int8), rng=2,
-            config=WLConfig(batch_size=3))
+        team = _team()
         team.run(max_steps=400)
-        ratio = team_flatness_ratio([team])
-        assert 0.0 <= ratio <= 1.0
-        # Matches the worst equivalent per-slot scalar computation.
-        per_slot = []
-        for hist, vis in zip(np.atleast_2d(team.histogram),
-                             np.atleast_2d(team.visited)):
-            counts = hist[vis]
-            per_slot.append(counts.min() / counts.mean() if counts.size else 0.0)
-        assert ratio == pytest.approx(min(per_slot))
+        counts = team.histogram[team.visited]
+        assert team.flatness_fraction() == pytest.approx(
+            counts.min() / counts.mean())
+
+    def test_round_record_carries_team_flatness_and_fill(self):
+        driver = _driver()
+        driver.run(max_rounds=3)
+        sample = driver.round_sample()
+        for (team,), win in zip(driver.walkers, sample.windows):
+            assert win.flatness == team.flatness_fraction()
+            assert win.fill == team.fill_fraction()
+            assert win.ln_f == team.ln_f
+            assert win.iteration == team.n_iterations
 
 
 class TestDetectors:
     def test_heartbeat_cadence_and_fields(self):
         tel, sink = _memory_telemetry()
         mon = HealthMonitor(tel, HealthConfig(heartbeat_rounds=2))
-        fake = _FakeDriver()
+        fake = _Rounds()
         for r in range(1, 7):
             fake.rounds = r
             mon.observe_round(fake)
+        # Off-stride rounds build no record at all.
+        assert fake.built == [2, 4, 6]
         beats = [r for r in sink.records if r["kind"] == HEARTBEAT_KIND]
         assert len(beats) == 3  # rounds 2, 4, 6
         hb = beats[-1]
@@ -163,10 +175,8 @@ class TestDetectors:
         tel, sink = _memory_telemetry()
         mon = HealthMonitor(
             tel, HealthConfig(heartbeat_rounds=1, stall_heartbeats=3))
-        fake = _FakeDriver()
         for r in range(1, 6):
-            fake.rounds = r
-            mon.observe_round(fake)
+            mon.consume(_sample(r))
         stalls = [a for a in mon.alerts if a["alert"] == "stall"]
         # Baseline beat + 3 stalled beats -> first alert at heartbeat 4,
         # repeated while the stall persists.
@@ -177,22 +187,16 @@ class TestDetectors:
         tel, _ = _memory_telemetry()
         mon = HealthMonitor(
             tel, HealthConfig(heartbeat_rounds=1, stall_heartbeats=2))
-        fake = _FakeDriver()
         for r in range(1, 6):
-            fake.rounds = r
-            fake.walkers[0][0].n_iterations = r  # advances every beat
-            mon.observe_round(fake)
+            mon.consume(_sample(r, iterations=(r, 0)))  # advances every beat
         assert not mon.alerts
 
     def test_converged_run_never_stalls(self):
         tel, _ = _memory_telemetry()
         mon = HealthMonitor(
             tel, HealthConfig(heartbeat_rounds=1, stall_heartbeats=1))
-        fake = _FakeDriver()
-        fake.window_converged = [True, True]
         for r in range(1, 5):
-            fake.rounds = r
-            mon.observe_round(fake)
+            mon.consume(_sample(r, converged=(True, True)))
         assert not mon.alerts
 
     def test_exchange_collapse_needs_attempts_and_persistence(self):
@@ -200,12 +204,10 @@ class TestDetectors:
         mon = HealthMonitor(tel, HealthConfig(
             heartbeat_rounds=1, stall_heartbeats=2,
             min_exchange_rate=0.05, min_exchange_attempts=4))
-        fake = _FakeDriver()
         for r in range(1, 4):
-            fake.rounds = r
-            fake.walkers[0][0].n_iterations = r  # keep the stall detector quiet
-            fake.exchange_attempts += 10        # attempts grow, accepts do not
-            mon.observe_round(fake)
+            # Iterations advance (the stall detector stays quiet); attempts
+            # grow, accepts do not.
+            mon.consume(_sample(r, iterations=(r, 0), attempts=(10 * r,)))
         collapses = [a for a in mon.alerts if a["alert"] == "exchange_collapse"]
         assert collapses and collapses[0]["pair"] == 0
 
@@ -213,38 +215,27 @@ class TestDetectors:
         tel, _ = _memory_telemetry()
         mon = HealthMonitor(
             tel, HealthConfig(heartbeat_rounds=1, retry_alert=2))
-        fake = _FakeDriver()
-        fake.rounds = 1
-        tel.metrics.inc("task.retries", 3)
-        mon.observe_round(fake)
+        mon.consume(_sample(1, retries=3))
         bursts = [a for a in mon.alerts if a["alert"] == "retry_burst"]
         assert bursts and bursts[0]["retries"] == 3
         # Delta resets: no new retries -> no new alert.
-        fake.rounds = 2
-        fake.walkers[0][0].n_iterations = 1
-        mon.observe_round(fake)
+        mon.consume(_sample(2, iterations=(1, 0), retries=3))
         assert len([a for a in mon.alerts if a["alert"] == "retry_burst"]) == 1
 
     def test_heartbeat_interval_uses_monotonic_clock(self, monkeypatch):
-        """Interval/throughput math reads time.monotonic, never time.time:
-        a wall-clock jump between heartbeats must not distort them."""
+        """Interval/throughput math reads the records' monotonic stamps,
+        never the wall clock: a wall-clock jump between heartbeats must not
+        distort them."""
         import time as time_mod
 
-        mono = iter([100.0, 102.0])
-        monkeypatch.setattr(time_mod, "monotonic", lambda: next(mono))
         # Wall clock jumps a day backwards between the two heartbeats (NTP
         # step); reading it would give a negative interval.
         wall = iter([1e9, 1e9 - 86400.0] + [1e9] * 50)
         monkeypatch.setattr(time_mod, "time", lambda: next(wall))
         tel, sink = _memory_telemetry()
         mon = HealthMonitor(tel, HealthConfig(heartbeat_rounds=1))
-        fake = _FakeDriver()
-        fake.rounds = 1
-        mon.observe_round(fake)
-        fake.rounds = 2
-        fake.walkers[0][0].n_steps = 500
-        fake.walkers[0][0].n_iterations = 1
-        mon.observe_round(fake)
+        mon.consume(_sample(1, mono=100.0))
+        mon.consume(_sample(2, iterations=(1, 0), steps=500, mono=102.0))
         beats = [r for r in sink.records if r["kind"] == HEARTBEAT_KIND]
         assert beats[0]["interval_s"] is None  # no baseline yet
         assert beats[1]["interval_s"] == pytest.approx(2.0)
@@ -253,14 +244,19 @@ class TestDetectors:
         assert beats[0]["ts"] == 1e9
         assert beats[1]["ts"] == 1e9 - 86400.0
 
+    def test_records_are_stamped_on_the_monotonic_clock(self, monkeypatch):
+        import time as time_mod
+
+        driver = _driver()
+        monkeypatch.setattr(time_mod, "monotonic", lambda: 123.0)
+        assert driver.round_sample().mono == 123.0
+
     def test_summary_is_json_ready(self):
         import json
 
         tel, _ = _memory_telemetry()
         mon = HealthMonitor(tel, HealthConfig(heartbeat_rounds=1))
-        fake = _FakeDriver()
-        fake.rounds = 1
-        mon.observe_round(fake)
+        mon.consume(_sample(1))
         json.dumps(mon.summary())
 
 
@@ -273,17 +269,24 @@ class TestMonitoredRewl:
         assert res.telemetry["health"]["heartbeats"] >= 1
         assert any(r["kind"] == HEARTBEAT_KIND for r in sink.records)
 
-    def test_profiled_monitored_run_is_bit_identical(self):
-        """Acceptance: profiling + health monitoring leave the DoS, the
-        histograms, and every walker RNG stream bit-for-bit unchanged."""
+    @pytest.mark.parametrize("backend", ["fused", "shm"])
+    def test_profiled_monitored_run_is_bit_identical(self, backend):
+        """Acceptance: profiling plus every round observer, on either
+        backend, leave the DoS, the histograms, and every walker RNG stream
+        bit-for-bit equal to a bare in-process run."""
         plain = _driver()
         plain_res = plain.run(max_rounds=60)
 
         tel, _ = _memory_telemetry()
-        inst = _driver(telemetry=tel,
+        inst = _driver(telemetry=tel, backend=backend,
                        profiler=SectionProfiler(sample_every=4),
-                       health=HealthConfig(heartbeat_rounds=3))
-        inst_res = inst.run(max_rounds=60)
+                       health=HealthConfig(heartbeat_rounds=3),
+                       convergence=ConvergenceConfig(sample_every=2),
+                       timeseries=TimeSeriesConfig(sample_every=5))
+        try:
+            inst_res = inst.run(max_rounds=60)
+        finally:
+            inst.close()
 
         assert inst_res.rounds == plain_res.rounds
         assert inst_res.total_steps == plain_res.total_steps
@@ -299,6 +302,60 @@ class TestMonitoredRewl:
         profile = inst_res.telemetry["profile"]
         assert profile["proposal.flip.fields"]["calls"] > 0
         assert inst_res.telemetry["health"]["heartbeats"] > 0
+
+    def _resumable(self, sink):
+        ham = IsingHamiltonian(square_lattice(4))
+        grid = EnergyGrid.from_levels(ham.energy_levels())
+        return REWLDriver(
+            hamiltonian=ham, proposal_factory=lambda: FlipProposal(),
+            grid=grid, initial_config=np.zeros(16, dtype=np.int8),
+            config=REWLConfig(n_windows=3, walkers_per_window=2,
+                              exchange_interval=100, ln_f_final=1e-6, seed=4),
+            instrumentation=Instrumentation(
+                telemetry=Telemetry(events=EventLog(run_id="t", sinks=[sink])),
+                health=HealthConfig(heartbeat_rounds=10)),
+        )
+
+    @staticmethod
+    def _beats(sink):
+        timing = {"ts", "seq", "interval_s", "steps_per_s"}
+        return [{k: v for k, v in r.items() if k not in timing}
+                for r in sink.records if r["kind"] == HEARTBEAT_KIND]
+
+    def test_resumed_heartbeats_match_a_straight_run(self, tmp_path):
+        """The monitor's baseline rides the checkpoint: the first heartbeat
+        after a resume reports one interval, not the pre-crash history."""
+        from repro.parallel import load_checkpoint, save_checkpoint
+
+        straight_sink = MemorySink()
+        straight = self._resumable(straight_sink)
+        straight.run(max_rounds=40)
+
+        first = self._resumable(MemorySink())
+        first.run(max_rounds=25)
+        ckpt = save_checkpoint(first, tmp_path / "rewl.ckpt")
+        resumed_sink = MemorySink()
+        resumed = self._resumable(resumed_sink)
+        load_checkpoint(resumed, ckpt)
+        resumed.run(max_rounds=40)
+
+        expected = [b for b in self._beats(straight_sink) if b["round"] > 25]
+        assert [b["round"] for b in expected] == [30, 40]
+        assert self._beats(resumed_sink) == expected
+        assert resumed.health.summary() == straight.health.summary()
+
+    def test_checkpoint_without_health_state_loads(self, tmp_path):
+        from repro.parallel import load_checkpoint, save_checkpoint
+
+        bare = self._resumable(MemorySink())
+        bare.health = None  # the saving side predates the monitor's state
+        bare.run(max_rounds=12)
+        ckpt = save_checkpoint(bare, tmp_path / "old.ckpt")
+        sink = MemorySink()
+        fresh = self._resumable(sink)
+        load_checkpoint(fresh, ckpt)
+        fresh.run(max_rounds=20)
+        assert [b["round"] for b in self._beats(sink)] == [20]
 
     def test_injected_hang_raises_health_alert_in_trace_and_report(
             self, monkeypatch):

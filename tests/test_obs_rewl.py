@@ -50,6 +50,123 @@ class TestBitIdentity:
         assert trace.exists() and trace.stat().st_size > 0
 
 
+def _observed_driver(telemetry=None, limit=30):
+    from repro.obs.convergence import ConvergenceConfig
+    from repro.obs.health import HealthConfig
+    from repro.obs.timeseries import TimeSeriesConfig
+
+    ham = IsingHamiltonian(square_lattice(4))
+    grid = EnergyGrid.from_levels(ham.energy_levels())
+    return REWLDriver(
+        hamiltonian=ham, proposal_factory=lambda: FlipProposal(), grid=grid,
+        initial_config=np.zeros(16, dtype=np.int8),
+        config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
+                          exchange_interval=100, ln_f_final=1e-8, seed=5),
+        instrumentation=Instrumentation(
+            telemetry=telemetry,
+            health=HealthConfig(heartbeat_rounds=2),
+            convergence=ConvergenceConfig(sample_every=3),
+            timeseries=TimeSeriesConfig(sample_every=5),
+        ),
+    )
+
+
+class _Sealed(list):
+    """``driver.walkers`` that refuses to be read while an observer runs
+    outside the record builder."""
+
+    def __init__(self, items, stack):
+        super().__init__(items)
+        self._stack = stack
+
+    def _check(self):
+        assert self._stack[-1:] != ["observer"], "an observer read walkers"
+
+    def __iter__(self):
+        self._check()
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        self._check()
+        return super().__getitem__(index)
+
+    def __len__(self):
+        self._check()
+        return super().__len__()
+
+
+class TestRoundRecord:
+    """One record per sampled round, built by the driver and consumed by
+    the health monitor, the convergence ledger and the time series."""
+
+    @pytest.mark.parametrize("limit", [30, 31])
+    def test_one_build_per_sampled_round(self, monkeypatch, limit):
+        import time
+
+        driver = _observed_driver()
+        stack: list[str] = []
+        built: list[int] = []
+        build = driver._build_round_sample
+
+        def spy_build():
+            built.append(driver.rounds)
+            stack.append("build")
+            try:
+                return build()
+            finally:
+                stack.pop()
+
+        def sealed(observe):
+            def observe_round(drv, *args, **kwargs):
+                stack.append("observer")
+                try:
+                    return observe(drv, *args, **kwargs)
+                finally:
+                    stack.pop()
+            return observe_round
+
+        def clock(read):
+            def guarded():
+                assert stack[-1:] != ["observer"], "an observer read the clock"
+                return read()
+            return guarded
+
+        monkeypatch.setattr(driver, "_build_round_sample", spy_build)
+        for observer in (driver.health, driver.convergence, driver.timeseries):
+            monkeypatch.setattr(observer, "observe_round",
+                                sealed(observer.observe_round))
+        monkeypatch.setattr(time, "monotonic", clock(time.monotonic))
+        monkeypatch.setattr(time, "time", clock(time.time))
+        driver.walkers = _Sealed(driver.walkers, stack)
+
+        driver.run(max_rounds=limit)
+        strides = [r for r in range(1, limit + 1)
+                   if r % 2 == 0 or r % 3 == 0 or r % 5 == 0]
+        # The union of the strides, each round once; an off-stride last
+        # round adds one record for the run-end views.
+        assert built == strides + ([limit] if limit not in strides else [])
+        assert driver.health.heartbeats == limit // 2
+        assert driver.convergence.samples == limit // 3
+        assert driver.timeseries.samples == limit // 5 + (limit % 5 != 0)
+
+    def test_heartbeat_windows_equal_campaign_windows(self):
+        from repro.obs.health import HEARTBEAT_KIND
+        from repro.obs.server import StatusBoard
+
+        sink = MemorySink()
+        driver = _observed_driver(
+            telemetry=Telemetry(events=EventLog(run_id="rr", sinks=[sink])))
+        driver.run(max_rounds=10)  # round 10: a heartbeat and a sample
+        board = StatusBoard()
+        board.publish_recorder(driver.timeseries)
+        live = board.campaign_view()["live"]
+        beat = [r for r in sink.records if r["kind"] == HEARTBEAT_KIND][-1]
+        assert beat["round"] == live["round"] == 10
+        assert beat["windows"] == live["windows"]
+        assert {"ln_f", "iteration", "flatness", "converged",
+                "quarantined"} <= set(beat["windows"][0])
+
+
 class TestWalkerCounters:
     def test_wl_result_counters(self):
         ham = IsingHamiltonian(square_lattice(4))

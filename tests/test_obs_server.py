@@ -23,18 +23,20 @@ from repro.obs.server import (
 from repro.obs.timeseries import TimeSeriesConfig, TimeSeriesRecorder
 from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
+from repro.resilience import BudgetPolicy, ResilienceConfig
 from repro.sampling import EnergyGrid
 
 
-def _driver(**kwargs):
+def _driver(backend="fused", resilience=None, **kwargs):
     ham = IsingHamiltonian(square_lattice(4))
     grid = EnergyGrid.from_levels(ham.energy_levels())
     return REWLDriver(
         hamiltonian=ham, proposal_factory=lambda: FlipProposal(), grid=grid,
         initial_config=np.zeros(16, dtype=np.int8),
         config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
-                          exchange_interval=200, ln_f_final=5e-2, seed=11),
-        instrumentation=Instrumentation(**kwargs),
+                          exchange_interval=200, ln_f_final=5e-2, seed=11,
+                          backend=backend),
+        instrumentation=Instrumentation(**kwargs), resilience=resilience,
     )
 
 
@@ -104,6 +106,28 @@ class TestStatusBoard:
         assert code == 503
         assert payload["status"] == "budget_exhausted"
         assert "rounds" in payload["trigger"]
+
+    @pytest.mark.parametrize("chunks", [(10,), (3, 10)])
+    def test_budget_terminated_run_serves_503(self, chunks):
+        """The budget trips after the last round's record was built; the
+        end-of-run view must still report it (in the run that trips it and
+        in a later run() that stops on it at once)."""
+        board = StatusBoard()
+        recorder = TimeSeriesRecorder(TimeSeriesConfig(sample_every=1))
+        driver = _driver(
+            telemetry=Telemetry(), timeseries=recorder,
+            resilience=ResilienceConfig(budget=BudgetPolicy(rounds=3)),
+        )
+        for limit in chunks:
+            driver.run(max_rounds=limit)
+        assert driver.rounds == 3
+        assert recorder.latest["budget"]["exhausted"] is True
+        assert recorder.latest["degraded"] is True
+        board.publish_recorder(recorder)
+        code, payload = board.health()
+        assert code == 503
+        assert payload["status"] == "budget_exhausted"
+        assert recorder.samples == 3
 
     def test_campaign_manifest_snapshot_detached(self):
         board = StatusBoard()
@@ -189,19 +213,28 @@ class TestServedRunBitIdentity:
     """The ISSUE acceptance criterion: the same seeded campaign run with and
     without serving produces bit-identical sampler output."""
 
-    def test_serving_changes_no_sampled_number(self, monkeypatch):
+    @pytest.mark.parametrize("backend", ["fused", "shm"])
+    def test_serving_changes_no_sampled_number(self, monkeypatch, backend):
+        from repro.obs.convergence import ConvergenceConfig
+        from repro.obs.health import HealthConfig
+
         monkeypatch.delenv(OBS_PORT_ENV_VAR, raising=False)
         bare = _driver().run(max_rounds=60)
 
         monkeypatch.setenv(OBS_PORT_ENV_VAR, "0")
-        driver = _driver(telemetry=Telemetry())
+        driver = _driver(backend=backend, telemetry=Telemetry(),
+                         health=HealthConfig(heartbeat_rounds=3),
+                         convergence=ConvergenceConfig(sample_every=2))
         # Serving implied a recorder and started the singleton server.
         assert driver.timeseries is not None
         from repro.obs import server as server_mod
 
         live = server_mod._server
         assert live is not None
-        served = driver.run(max_rounds=60)
+        try:
+            served = driver.run(max_rounds=60)
+        finally:
+            driver.close()
         # Scrape mid-teardown-free: the served view renders fine afterwards.
         assert _get_code(live.url + "/metrics") == 200
 

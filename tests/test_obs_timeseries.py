@@ -14,8 +14,6 @@ from repro.obs.timeseries import (
     TimeSeriesConfig,
     TimeSeriesRecorder,
     aggregate_worker_series,
-    parse_timeseries,
-    timeseries_from_env,
 )
 from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
@@ -91,26 +89,26 @@ class TestConfigParsing:
             TimeSeriesConfig(**{field: value})
 
     def test_parse_enabled(self):
-        assert parse_timeseries("1") == TimeSeriesConfig()
-        assert parse_timeseries("on") == TimeSeriesConfig()
+        assert TimeSeriesConfig.from_spec("1") == TimeSeriesConfig()
+        assert TimeSeriesConfig.from_spec("on") == TimeSeriesConfig()
 
     def test_parse_keys(self):
-        cfg = parse_timeseries("every=3,max=64")
+        cfg = TimeSeriesConfig.from_spec("every=3,max=64")
         assert cfg.sample_every == 3 and cfg.max_samples == 64
 
     def test_parse_bad_spec(self):
         with pytest.raises(ValueError, match=TIMESERIES_ENV_VAR):
-            parse_timeseries("cadence=3")
+            TimeSeriesConfig.from_spec("cadence=3")
         with pytest.raises(ValueError):
-            parse_timeseries("every=fast")
+            TimeSeriesConfig.from_spec("every=fast")
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv(TIMESERIES_ENV_VAR, raising=False)
-        assert timeseries_from_env() is None
+        assert TimeSeriesConfig.from_env() is None
         monkeypatch.setenv(TIMESERIES_ENV_VAR, "0")
-        assert timeseries_from_env() is None
+        assert TimeSeriesConfig.from_env() is None
         monkeypatch.setenv(TIMESERIES_ENV_VAR, "every=2,max=32")
-        assert timeseries_from_env() == TimeSeriesConfig(2, 32)
+        assert TimeSeriesConfig.from_env() == TimeSeriesConfig(2, 32)
 
 
 class TestRecorderOnRealDriver:
@@ -165,6 +163,18 @@ class TestRecorderOnRealDriver:
         assert recorder.cost is not None
         assert recorder.cost["total_s"] >= 0
         assert recorder.status()["cost"] == recorder.cost
+
+    @pytest.mark.parametrize("chunks", [(15,), (5, 10, 15)])
+    def test_each_round_is_sampled_once(self, chunks):
+        """The end-of-run forced sample must not repeat a round the stride
+        already took, in one run() or across chunked run() calls."""
+        recorder = TimeSeriesRecorder(TimeSeriesConfig(sample_every=5))
+        driver = _driver(telemetry=Telemetry(), timeseries=recorder)
+        for limit in chunks:
+            driver.run(max_rounds=limit)
+        xs = [x for x, _ in recorder.series_buffer("rewl.steps_total").samples]
+        assert xs == [5, 10, 15]
+        assert recorder.samples == 3
 
     def test_config_kwarg_wraps_into_recorder(self):
         driver = _driver(timeseries=TimeSeriesConfig(sample_every=7))

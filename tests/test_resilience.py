@@ -24,8 +24,6 @@ from repro.resilience import (
     ResilienceConfig,
     check_team,
     check_walker,
-    parse_resilience,
-    resilience_from_env,
 )
 from repro.sampling import EnergyGrid
 
@@ -141,12 +139,12 @@ class TestGuards:
 
 class TestParsing:
     def test_on_gives_defaults(self):
-        cfg = parse_resilience("1")
+        cfg = ResilienceConfig.from_spec("1")
         assert cfg == ResilienceConfig()
         assert cfg.guards.mode == "quarantine" and cfg.budget.unlimited
 
     def test_key_value_spec(self):
-        cfg = parse_resilience("mode=rollback,rollbacks=3,wall=60,steps=5e8")
+        cfg = ResilienceConfig.from_spec("mode=rollback,rollbacks=3,wall=60,steps=5e8")
         assert cfg.guards.mode == "rollback"
         assert cfg.guards.max_rollbacks == 3
         assert cfg.budget.wall_s == 60.0
@@ -154,24 +152,24 @@ class TestParsing:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="explode"):
-            parse_resilience("explode=1")
+            ResilienceConfig.from_spec("explode=1")
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            parse_resilience("mode=panic")
+            ResilienceConfig.from_spec("mode=panic")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="rounds"):
-            parse_resilience("rounds=lots")
+            ResilienceConfig.from_spec("rounds=lots")
 
     @pytest.mark.parametrize("value", ["", "0", "off", "false"])
     def test_env_disabled(self, monkeypatch, value):
         monkeypatch.setenv(RESILIENCE_ENV_VAR, value)
-        assert resilience_from_env() is None
+        assert ResilienceConfig.from_env() is None
 
     def test_env_enabled(self, monkeypatch):
         monkeypatch.setenv(RESILIENCE_ENV_VAR, "mode=strict,rounds=7")
-        cfg = resilience_from_env()
+        cfg = ResilienceConfig.from_env()
         assert cfg.guards.mode == "strict" and cfg.budget.rounds == 7
 
     def test_budget_validation(self):
