@@ -135,7 +135,8 @@ def bench_dl_propose_batched(benchmark, hea, hea_config, throughput):
 
 
 def bench_wl_steps_scalar(benchmark, ising_4x4, throughput):
-    """Scalar Wang-Landau stepping (the batch_size=1 reference)."""
+    """Single-walker Wang-Landau stepping (the batch_size=1 reference): a
+    one-row team advancing 1,000 steps per call."""
     grid = EnergyGrid.from_levels(ising_4x4.energy_levels())
     wl = make_wang_landau(
         hamiltonian=ising_4x4, proposal=FlipProposal(), grid=grid,
@@ -144,8 +145,7 @@ def bench_wl_steps_scalar(benchmark, ising_4x4, throughput):
     throughput(1_000)
 
     def block():
-        for _ in range(1_000):
-            wl.step()
+        wl.steps(1_000)
         return wl.n_steps
 
     assert benchmark(block) >= 1_000

@@ -42,7 +42,8 @@ def hea_config(hea, hea_counts):
 
 @pytest.fixture()
 def make_ising_wl(ising_4x4):
-    """Factory for the 4x4 Ising Wang-Landau sampler the step benches share."""
+    """Factory for the 4x4 Ising single-walker Wang-Landau sampler (a
+    one-row team) the step benches share."""
     from repro.proposals import FlipProposal
     from repro.sampling import EnergyGrid, WangLandauSampler, WLConfig
 

@@ -90,18 +90,6 @@ class Hamiltonian(abc.ABC):
             "pass an explicit energy range to the sampler"
         )
 
-    def profiled(self, profiler) -> "Hamiltonian":
-        """Profiled view of this model: ΔE/energy calls are section-timed.
-
-        Returns a delegating wrapper (:class:`repro.obs.profile.
-        ProfiledHamiltonian`), never mutates ``self`` — walkers sharing one
-        Hamiltonian each get an independent view, and profiling is zero-RNG
-        so results stay bit-identical.
-        """
-        from repro.obs.profile import ProfiledHamiltonian
-
-        return ProfiledHamiltonian(self, profiler)
-
     def validate_config(self, config: np.ndarray) -> np.ndarray:
         """Shape/range-check a configuration (returns it unchanged)."""
         config = np.asarray(config)

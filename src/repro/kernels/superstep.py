@@ -259,7 +259,7 @@ def self_test(lib) -> None:
             grids = None if betas else batched.StackedGrids(
                 [team.grid for team in side], [3, 3])
             if not native:
-                batched._run_block(members, 40, ham, grids, None, None)
+                batched._run_block(members, 40, ham, grids)
             elif not run_block(lib, members, 40, ham, grids):
                 raise RuntimeError("self-test: the native block declined its own test case")
         for a, b in zip(teams, twins):

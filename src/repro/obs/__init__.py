@@ -89,8 +89,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     PROFILE_ENV_VAR,
-    ProfiledHamiltonian,
-    ProfiledProposal,
     SectionProfiler,
     SectionStat,
     profile_from_env,
@@ -152,8 +150,6 @@ __all__ = [
     "HealthConfig",
     "HealthMonitor",
     "PROFILE_ENV_VAR",
-    "ProfiledHamiltonian",
-    "ProfiledProposal",
     "SectionProfiler",
     "SectionStat",
     "profile_from_env",

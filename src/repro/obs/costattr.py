@@ -1,35 +1,33 @@
 """Wall-clock cost attribution: profiler sections folded into phases.
 
 The :class:`~repro.obs.profile.SectionProfiler` answers "how long does one
-ΔE call take"; this module answers the operator question "where did the
+block take"; this module answers the operator question "where did the
 campaign's wall-clock go".  :func:`attribute_cost` folds a merged profile
 (``SectionProfiler.as_dict()``) into a fixed phase tree:
 
 ==========  ==================================================================
 phase       profiler sections
 ==========  ==================================================================
-propose       ``proposal.*`` (move generation, incl. DL proposal inference)
-delta_e       ``hamiltonian.*`` (energy / ΔE kernels)
-fused_gather  ``rewl.fused_gather`` — the fused backends' stacked cross-
-              window ΔE gather (campaign-wide kernel time that per-window
-              ``hamiltonian.*`` sections can't see)
-commit        ``wl.histogram_update``, ``wl.batch_commit``, ``wl.flat_check``
-advance       the *unattributed* remainder of ``rewl.advance`` — driver-side
-              advance time not explained by the walker sections above
-              (block dispatch, shm round-trips, scheduling)
-exchange      ``rewl.exchange_round``
+propose     ``proposal.*`` (field draws, ``propose_many`` incl. DL inference)
+block       ``wl.block`` — one block of super-steps for a group of teams,
+            compiled or NumPy: resolve, ΔE gather, bin lookup and commit
+commit      ``wl.batch_commit`` (the ``propose_many`` path), ``wl.flat_check``
+advance     the *unattributed* remainder of ``rewl.advance`` — driver-side
+            advance time not explained by the sections above (dispatch,
+            shm round-trips, scheduling)
+exchange    ``rewl.exchange_round``
 sync        ``rewl.sync``
 checkpoint  ``rewl.checkpoint``
 guard       ``rewl.guard``
 stitch      ``rewl.stitch``
 ==========  ==================================================================
 
-Walker sections (propose / delta_e / commit) happen *inside* the advance
-phase, so naive addition would double count: the ``advance`` row reports
-only the remainder ``rewl.advance − (propose + delta_e + commit)``, clamped
-at zero (the subtraction mixes exact phase timings with strided estimates,
-which can land slightly negative).  Shares are fractions of the attributed
-total, so the table reads as "X% of the accounted wall-clock".
+The propose, block and commit sections happen *inside* the advance phase,
+so naive addition would double count: the ``advance`` row reports only the
+remainder ``rewl.advance − (propose + block + commit)``, clamped at zero
+(the subtraction mixes exact timings with strided estimates, which can land
+slightly negative).  Shares are fractions of the attributed total, so the
+table reads as "X% of the accounted wall-clock".
 
 All numbers are ``est_total_s`` estimates (mean of timed calls × call
 count — the profiler's own reconstruction); the attribution is a pure
@@ -47,15 +45,14 @@ __all__ = ["COST_KIND", "PHASES", "attribute_cost", "publish_cost",
 COST_KIND = "cost"
 
 #: Phase order for rendering (biggest conceptual pipeline order, not size).
-PHASES = ("propose", "delta_e", "fused_gather", "commit", "advance",
+PHASES = ("propose", "block", "commit", "advance",
           "exchange", "sync", "checkpoint", "guard", "stitch")
 
-#: Exact-section → phase mapping (prefix rules handled in _phase_of).
+#: Exact-section → phase mapping (the ``proposal.`` prefix in _phase_of).
 _EXACT = {
-    "wl.histogram_update": "commit",
+    "wl.block": "block",
     "wl.batch_commit": "commit",
     "wl.flat_check": "commit",
-    "rewl.fused_gather": "fused_gather",
     "rewl.exchange_round": "exchange",
     "rewl.sync": "sync",
     "rewl.checkpoint": "checkpoint",
@@ -73,8 +70,6 @@ def _phase_of(section: str) -> str | None:
         return _EXACT[section]
     if section.startswith("proposal."):
         return "propose"
-    if section.startswith("hamiltonian."):
-        return "delta_e"
     return None
 
 
@@ -104,7 +99,7 @@ def attribute_cost(profile: dict) -> dict:
         bucket = phases.setdefault(phase, {"seconds": 0.0, "sections": {}})
         bucket["seconds"] += seconds
         bucket["sections"][section] = round(seconds, 6)
-        if phase in ("propose", "delta_e", "fused_gather", "commit"):
+        if phase in ("propose", "block", "commit"):
             inside_advance += seconds
     remainder = max(0.0, advance_total - inside_advance)
     if remainder > 0.0:

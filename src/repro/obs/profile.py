@@ -1,6 +1,6 @@
 """Deterministic sampling profiler for the Monte Carlo hot paths.
 
-Python-level timing of every ΔE evaluation would swamp the kernels it
+Python-level timing of every fine-grained call would swamp the work it
 measures, so :class:`SectionProfiler` times only every ``sample_every``-th
 entry into a section — chosen by a plain call counter, **never** by a random
 draw — and counts every entry.  The estimate ``mean(timed) × calls`` then
@@ -16,11 +16,16 @@ make it safe to leave in the hot loops:
   :class:`repro.obs.metrics.MetricsRegistry`,
 - **cheap when off**: every hook is ``if profiler is None`` on a local.
 
-Hook sites (see DESIGN.md §10): energy-delta evaluation
-(:meth:`repro.hamiltonians.base.Hamiltonian.profiled`), proposal generation
-(:meth:`repro.proposals.base.Proposal.profiled`), the Wang-Landau histogram
-update (:meth:`repro.sampling.wang_landau.WangLandauSampler.enable_profiling`),
-and the REWL round phases (:class:`repro.parallel.rewl.REWLDriver`).
+Hook sites (see DESIGN.md §10).  A profiler *observes* the program that
+runs and never selects another: attaching one
+(:meth:`repro.sampling.batched.BatchedWangLandauSampler.enable_profiling`)
+only stores it.  The block advance
+(:func:`repro.sampling.batched.advance_block`) times each team's field draw
+(``proposal.<name>.fields``) and each block, compiled or NumPy
+(``wl.block``, every call); a team times its ``propose_many`` fallback
+(``proposal.<name>.many``), its commit (``wl.batch_commit``) and its
+flatness checks (``wl.flat_check``); the REWL driver times its round phases
+(``rewl.*``, :class:`repro.parallel.rewl.REWLDriver`).
 
 Environment wiring: ``REPRO_PROFILE=1`` (or ``every=<N>`` / a bare integer)
 activates profiling in any entry point without new flags; the process-wide
@@ -43,8 +48,6 @@ __all__ = [
     "PROFILE_OUT_ENV_VAR",
     "SectionStat",
     "SectionProfiler",
-    "ProfiledHamiltonian",
-    "ProfiledProposal",
     "profile_from_env",
     "global_collector",
     "reset_global_collector",
@@ -101,9 +104,9 @@ class SectionProfiler:
 
     Hot-path usage::
 
-        t0 = prof.start("hamiltonian.delta_swap")
+        t0 = prof.start("wl.batch_commit")
         ...                      # the measured work
-        prof.stop("hamiltonian.delta_swap", t0)
+        prof.stop("wl.batch_commit", t0)
 
     ``start`` increments the call count unconditionally and returns a clock
     token only on sampled calls; ``stop`` with a ``None`` token is free.
@@ -243,141 +246,6 @@ class _SectionContext:
 
     def __exit__(self, *exc) -> None:
         self.profiler.stop(self.name, self.token)
-
-
-# --------------------------------------------------------------- hot-path views
-
-
-class ProfiledHamiltonian:
-    """Delegating view of a Hamiltonian that times its ΔE/energy kernels.
-
-    Not a :class:`repro.hamiltonians.base.Hamiltonian` subclass — a plain
-    forwarding wrapper, so the wrapped instance keeps sole ownership of its
-    state and several walkers can hold independent profiled views of one
-    shared Hamiltonian.  Picklable as long as the inner model is.
-    """
-
-    __slots__ = ("inner", "profiler")
-
-    def __init__(self, inner, profiler: SectionProfiler):
-        self.inner = inner
-        self.profiler = profiler
-
-    def energy(self, config):
-        prof = self.profiler
-        t0 = prof.start("hamiltonian.energy")
-        out = self.inner.energy(config)
-        prof.stop("hamiltonian.energy", t0)
-        return out
-
-    def delta_energy_swap(self, config, i, j):
-        prof = self.profiler
-        t0 = prof.start("hamiltonian.delta_swap")
-        out = self.inner.delta_energy_swap(config, i, j)
-        prof.stop("hamiltonian.delta_swap", t0)
-        return out
-
-    def delta_energy_flip(self, config, site, new_species):
-        prof = self.profiler
-        t0 = prof.start("hamiltonian.delta_flip")
-        out = self.inner.delta_energy_flip(config, site, new_species)
-        prof.stop("hamiltonian.delta_flip", t0)
-        return out
-
-    def energies(self, configs):
-        prof = self.profiler
-        t0 = prof.start("hamiltonian.energies")
-        out = self.inner.energies(configs)
-        prof.stop("hamiltonian.energies", t0)
-        return out
-
-    def delta_energy_swap_many(self, configs, sites_i, sites_j):
-        prof = self.profiler
-        t0 = prof.start("hamiltonian.delta_swap_many")
-        out = self.inner.delta_energy_swap_many(configs, sites_i, sites_j)
-        prof.stop("hamiltonian.delta_swap_many", t0)
-        return out
-
-    def delta_energy_flip_many(self, configs, sites, new_species):
-        prof = self.profiler
-        t0 = prof.start("hamiltonian.delta_flip_many")
-        out = self.inner.delta_energy_flip_many(configs, sites, new_species)
-        prof.stop("hamiltonian.delta_flip_many", t0)
-        return out
-
-    def __getattr__(self, name):
-        if name in ("inner", "profiler"):  # slot not yet set (unpickling)
-            raise AttributeError(name)
-        return getattr(self.inner, name)
-
-    def __getstate__(self):
-        return (self.inner, self.profiler)
-
-    def __setstate__(self, state):
-        inner, profiler = state
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "profiler", profiler)
-
-    def __repr__(self) -> str:
-        return f"ProfiledHamiltonian({self.inner!r})"
-
-
-class ProfiledProposal:
-    """Delegating view of a Proposal that times ``propose``.
-
-    The section name carries the kernel (``proposal.swap``,
-    ``proposal.flip``, ...), so mixtures profile their components apart.
-    """
-
-    __slots__ = ("inner", "profiler", "_section")
-
-    def __init__(self, inner, profiler: SectionProfiler):
-        self.inner = inner
-        self.profiler = profiler
-        self._section = f"proposal.{getattr(inner, 'name', 'proposal')}"
-
-    def propose(self, config, hamiltonian, rng, current_energy=None):
-        prof = self.profiler
-        t0 = prof.start(self._section)
-        out = self.inner.propose(config, hamiltonian, rng,
-                                 current_energy=current_energy)
-        prof.stop(self._section, t0)
-        return out
-
-    def propose_many(self, configs, hamiltonian, rng, current_energies=None):
-        prof = self.profiler
-        section = self._section + ".many"
-        t0 = prof.start(section)
-        out = self.inner.propose_many(configs, hamiltonian, rng,
-                                      current_energies=current_energies)
-        prof.stop(section, t0)
-        return out
-
-    def draw_fields(self, configs, hamiltonian, rng, n_steps=1):
-        prof = self.profiler
-        section = self._section + ".fields"
-        t0 = prof.start(section)
-        out = self.inner.draw_fields(configs, hamiltonian, rng, n_steps)
-        prof.stop(section, t0)
-        return out
-
-    def __getattr__(self, name):
-        if name in ("inner", "profiler", "_section"):  # unpickling guard
-            raise AttributeError(name)
-        return getattr(self.inner, name)
-
-    def __getstate__(self):
-        return (self.inner, self.profiler)
-
-    def __setstate__(self, state):
-        inner, profiler = state
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "profiler", profiler)
-        object.__setattr__(self, "_section",
-                           f"proposal.{getattr(inner, 'name', 'proposal')}")
-
-    def __repr__(self) -> str:
-        return f"ProfiledProposal({self.inner!r})"
 
 
 # ------------------------------------------------------------- env activation

@@ -26,7 +26,7 @@ records written by :class:`repro.obs.events.JsonlSink` and prints
 
 This is the consumer side of the schema described in DESIGN.md §8/§10; the
 producer side is wired through :class:`repro.parallel.rewl.REWLDriver`,
-:class:`repro.sampling.wang_landau.WangLandauSampler`,
+:class:`repro.sampling.batched.BatchedWangLandauSampler`,
 :class:`repro.training.trainer.ProposalTrainer`, and the experiment harness.
 """
 

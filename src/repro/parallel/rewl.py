@@ -55,9 +55,6 @@ from repro.util.validation import check_in_range, check_integer, check_probabili
 __all__ = ["REWLConfig", "REWLDriver", "REWLResult", "WalkerSnapshot"]
 
 
-#: Profiler section timing the one stacked ΔE gather of a super-step.
-_GATHER_SECTION = "rewl.fused_gather"
-
 #: Attempts a window gets beyond the first in one round under fault
 #: injection (``REPRO_FAULTS``); a window that uses them all up fails.
 _WORKER_RETRIES = 8
@@ -73,8 +70,7 @@ def _resolve(given, config_type, from_env, build):
 
 def _step_window(team, n_steps: int, hamiltonian, profiler):
     """One window's advance: the unit a fault wraps (it returns the team)."""
-    advance_block([team], n_steps, hamiltonian, profiler,
-                  gather_section=_GATHER_SECTION)
+    advance_block([team], n_steps, hamiltonian, profiler)
     return team
 
 
@@ -101,8 +97,7 @@ def advance_windows(teams: dict, n_steps: int, hamiltonian, profiler=None,
     failed: dict[int, Exception] = {}
     retries: list[tuple] = []
     if faults is None:
-        advance_block(list(teams.values()), n_steps, hamiltonian, profiler,
-                      gather_section=_GATHER_SECTION)
+        advance_block(list(teams.values()), n_steps, hamiltonian, profiler)
     else:
         for w, team in teams.items():
             attempt = 0

@@ -293,14 +293,5 @@ class Proposal(abc.ABC):
         """
         return None
 
-    def profiled(self, profiler) -> "Proposal":
-        """Profiled view of this kernel: ``propose`` calls are section-timed
-        under ``proposal.<name>`` (see :mod:`repro.obs.profile`).  Returns a
-        delegating wrapper; ``self`` is untouched.
-        """
-        from repro.obs.profile import ProfiledProposal
-
-        return ProfiledProposal(self, profiler)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

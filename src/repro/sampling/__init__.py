@@ -12,12 +12,12 @@ exact.  Every sampler satisfies the :class:`Sampler` protocol
 - :class:`CanonicalTeam` — K Metropolis chains at per-row signed β on the
   block engine (not a registered sampler; the Metropolis and tempering
   drivers, the energy-range pilot and the walker drive run on it),
-- :class:`WangLandauSampler` — flat-histogram estimation of ln g(E)
-  (standard halving and 1/t modification-factor schedules), tuned through
-  :class:`WLConfig`,
-- :class:`BatchedWangLandauSampler` / :func:`make_wang_landau` — batched
-  multi-walker WL stepping against a shared ln g
-  (``WLConfig(batch_size=K)``),
+- :class:`BatchedWangLandauSampler` / :func:`make_wang_landau` —
+  flat-histogram estimation of ln g(E) (standard halving and 1/t
+  modification-factor schedules) by a team of walkers sharing one ln g,
+  tuned through :class:`WLConfig` (``batch_size=K`` walkers) — the
+  block-engine mode every Wang–Landau step runs in,
+- :class:`WangLandauSampler` — a single walker: a one-row team,
 - :class:`MulticanonicalSampler` — production run with fixed 1/g(E) weights
   (microcanonical observable accumulation): a one-row batched WL team
   with a frozen ln g and ``ln_f = 0``,
@@ -40,12 +40,15 @@ from repro.sampling.binning import EnergyGrid
 from repro.sampling.metropolis import CanonicalTeam, MetropolisSampler, RunStats
 from repro.sampling.wang_landau import (
     WalkerCounters,
-    WangLandauSampler,
     WangLandauResult,
     WLConfig,
     drive_into_range,
 )
-from repro.sampling.batched import BatchedWangLandauSampler, make_wang_landau
+from repro.sampling.batched import (
+    BatchedWangLandauSampler,
+    WangLandauSampler,
+    make_wang_landau,
+)
 from repro.sampling.multicanonical import MulticanonicalSampler, MulticanonicalResult
 from repro.sampling.tempering import ParallelTempering, TemperingResult
 from repro.sampling.wolff import WolffSampler, WolffStats

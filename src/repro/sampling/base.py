@@ -1,7 +1,7 @@
 """The unified Sampler protocol and sampler registry.
 
-Every sampler in :mod:`repro.sampling` — Metropolis, Wang-Landau (scalar
-and batched), multicanonical, parallel tempering, Wolff — exposes the same
+Every sampler in :mod:`repro.sampling` — Metropolis, Wang-Landau (one
+walker or a team), multicanonical, parallel tempering, Wolff — exposes the same
 entry point::
 
     sampler.run(...) -> Result

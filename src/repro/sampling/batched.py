@@ -33,11 +33,11 @@ evaluation per walker team, and mixtures of them — go through
 ``commit_batch`` per super-step (``tests/test_dl_batched.py`` pins that this
 path reproduces exact enumeration).
 
-For ``batch_size=1`` :func:`make_wang_landau` returns the plain scalar
-:class:`WangLandauSampler`, keeping single-walker runs bit-identical to the
-pre-kernel implementation.  A one-row team of this class with ``ln_f = 0``
-and a frozen ``ln g`` is the multicanonical sampler
-(:class:`repro.sampling.multicanonical.MulticanonicalSampler`).
+These are the only Wang–Landau steps there are.  A single walker is a
+one-row team: :class:`WangLandauSampler` adds that row's read views
+(``config``, ``energy``, ``current_bin``) and ``step()`` = ``steps(1)``.  A
+one-row team with ``ln_f = 0`` and a frozen ``ln g`` is the multicanonical
+sampler (:class:`repro.sampling.multicanonical.MulticanonicalSampler`).
 """
 
 from __future__ import annotations
@@ -55,44 +55,30 @@ from repro.sampling.binning import StackedGrids
 from repro.sampling.wang_landau import (
     WalkerCounters,
     WangLandauResult,
-    WangLandauSampler,
     WLConfig,
     _check_wl_config,
 )
 from repro.util.rng import as_generator
 
-__all__ = ["BatchedWangLandauSampler", "advance_block", "make_wang_landau"]
+__all__ = ["BatchedWangLandauSampler", "WangLandauSampler", "advance_block",
+           "make_wang_landau"]
 
 
 def make_wang_landau(*, hamiltonian, proposal, grid, initial_config, rng=None,
                      config: WLConfig = WLConfig()):
-    """Construct the right WL sampler for ``config.batch_size``.
-
-    ``batch_size <= 1`` returns the scalar :class:`WangLandauSampler`
-    (bit-identical trajectories); ``batch_size = K > 1`` returns a
-    :class:`BatchedWangLandauSampler` stepping K walkers per super-step.
-    Takes the same keyword arguments as the samplers themselves.
-    """
-    cfg = _check_wl_config("make_wang_landau", config)
-    initial = np.asarray(initial_config)
-    cls = BatchedWangLandauSampler
-    if cfg.batch_size <= 1:
-        cls = WangLandauSampler
-        if initial.ndim == 2:
-            if initial.shape[0] != 1:
-                raise ValueError(
-                    f"batch_size=1 but initial_config has {initial.shape[0]} rows"
-                )
-            initial = initial[0]
-    return cls(hamiltonian=hamiltonian, proposal=proposal, grid=grid,
-               initial_config=initial, rng=rng, config=cfg)
+    """A :class:`BatchedWangLandauSampler` of ``config.batch_size`` walkers
+    (a 2-D ``initial_config`` fixes the count instead); takes the sampler's
+    own keyword arguments."""
+    return BatchedWangLandauSampler(hamiltonian=hamiltonian, proposal=proposal,
+                                    grid=grid, initial_config=initial_config,
+                                    rng=rng, config=config)
 
 
 @register_sampler("batched_wang_landau")
 class BatchedWangLandauSampler:
     """B walkers of one window sharing a single ``ln g`` estimate.
 
-    Keyword-only construction, mirroring :class:`WangLandauSampler`::
+    Keyword-only construction::
 
         BatchedWangLandauSampler(
             hamiltonian=ham, proposal=prop, grid=window_grid,
@@ -105,11 +91,11 @@ class BatchedWangLandauSampler:
 
     The flatness/schedule surface (``is_flat``, ``advance_modification_
     factor``, ``ln_f``, ``n_iterations``, ``histogram``, ``visited``,
-    ``counters``) matches the scalar sampler, so the REWL driver, health
-    monitor, and checkpoints treat a batched team as one walker-shaped
-    object; per-walker state is reached through the ``slot_*`` accessors
-    (replica exchange swaps individual slots).  ``n_steps`` counts *walker*
-    steps — one super-step adds B.
+    ``counters``) is the window's, so the REWL driver, health monitor, and
+    checkpoints treat a team as one walker-shaped object; per-walker state
+    is reached through the ``slot_*`` accessors (replica exchange swaps
+    individual slots).  ``n_steps`` counts *walker* steps — one super-step
+    adds B.
     """
 
     #: Wang-Landau mode of the block engine: a team with per-row inverse
@@ -199,12 +185,17 @@ class BatchedWangLandauSampler:
         self.bins[k] = bin_index
 
     def enable_profiling(self, profiler) -> None:
-        """Attach a section profiler (same contract as the scalar sampler)."""
+        """Attach a :class:`repro.obs.profile.SectionProfiler`.
+
+        It observes the steps this team takes: :meth:`steps` hands it to
+        :func:`advance_block`, and :meth:`step_batch`, :meth:`commit_batch`
+        and :meth:`is_flat` time their own sections.  Profiling draws no
+        random numbers and changes no path, so the trajectory is
+        bit-identical; the profiler pickles with the team.
+        """
         if self.profiler is not None:
             raise RuntimeError("profiling is already enabled on this walker")
         self.profiler = profiler
-        self.hamiltonian = self.hamiltonian.profiled(profiler)
-        self.proposal = self.proposal.profiled(profiler)
 
     # ----------------------------------------------------------------- step
 
@@ -216,9 +207,15 @@ class BatchedWangLandauSampler:
         walker-by-walker so each decision sees every earlier commit (see
         the module docstring for why that ordering is load-bearing).
         """
+        prof = self.profiler
+        if prof is not None:
+            section = f"proposal.{self.proposal.name}.many"
+            t0 = prof.start(section)
         batch = self.proposal.propose_many(
             self.configs, self.hamiltonian, self.rng, current_energies=self.energies
         )
+        if prof is not None:
+            prof.stop(section, t0)
         return self.commit_batch(batch)
 
     def commit_batch(self, batch) -> int:
@@ -318,8 +315,9 @@ class BatchedWangLandauSampler:
     def flatness_fraction(self) -> float:
         """min/mean of the shared visit histogram over visited bins.
 
-        Same continuous diagnostic as the scalar sampler's
-        :meth:`WangLandauSampler.flatness_fraction`; pure read, no counters.
+        The quantity the flatness criterion thresholds, exposed as a
+        continuous diagnostic for :mod:`repro.obs.convergence`; unlike
+        :meth:`is_flat` this touches no counters.
         """
         mask = self.visited
         if not np.any(mask):
@@ -355,7 +353,14 @@ class BatchedWangLandauSampler:
     # ------------------------------------------------------------------ run
 
     def run(self, max_steps: int | None = None, telemetry=None) -> WangLandauResult:
-        """Iterate until ``ln f ≤ ln_f_final`` or ``max_steps`` walker steps."""
+        """Iterate until ``ln f ≤ ln_f_final`` or ``max_steps`` walker steps.
+
+        ``max_steps`` defaults to ``self.cfg.max_steps`` and is never
+        exceeded: a remainder shorter than one super-step ends the run.
+        ``telemetry`` (a :class:`repro.obs.Telemetry`) is used per *WL
+        iteration*, never per step, and is not stored on the sampler;
+        enabling it changes no sampler state.
+        """
         from repro.obs.profile import contribute_profile, profile_from_env
 
         if max_steps is None:
@@ -372,10 +377,13 @@ class BatchedWangLandauSampler:
             telemetry.emit("engine.native", **native.status())
         steps_before = self.n_steps
         n_rows = self.n_slots
+        per_check = max(1, self.check_interval // n_rows)
         with span:
             while self.n_steps < max_steps and self.ln_f > self.ln_f_final:
-                budget = min(self.check_interval, max_steps - self.n_steps)
-                self.steps(max(1, budget // n_rows))
+                n = min(per_check, (max_steps - self.n_steps) // n_rows)
+                if n == 0:
+                    break
+                self.steps(n)
                 if self.is_flat():
                     self.advance_modification_factor()
                     if telemetry is not None:
@@ -419,9 +427,62 @@ class BatchedWangLandauSampler:
 
     def __repr__(self) -> str:
         return (
-            f"BatchedWangLandauSampler(n_slots={self.n_slots}, "
+            f"{type(self).__name__}(n_slots={self.n_slots}, "
             f"n_bins={self.grid.n_bins}, ln_f={self.ln_f:.3g})"
         )
+
+
+@register_sampler("wang_landau")
+class WangLandauSampler(BatchedWangLandauSampler):
+    """Single-walker Wang–Landau sampler: a one-row team.
+
+    Keyword-only construction (DESIGN.md §11)::
+
+        WangLandauSampler(
+            hamiltonian=ham, proposal=prop, grid=grid,
+            initial_config=cfg0, rng=seed, config=WLConfig(...),
+        )
+
+    ``initial_config`` is the walker's configuration, ``(n_sites,)`` (or
+    one row); its energy must lie inside ``grid`` (use
+    :func:`~repro.sampling.wang_landau.drive_into_range` first otherwise).
+    ``config.batch_size`` is ignored: there is one row.
+
+    Everything but the read views below is the team's, so a walker steps
+    through :func:`advance_block` like any window of a campaign.  Note
+    ``self.config`` is the *configuration array*; the tuning object is
+    ``self.cfg``.
+    """
+
+    def __init__(self, *, hamiltonian, proposal, grid, initial_config, rng=None,
+                 config: WLConfig = WLConfig()):
+        initial = np.atleast_2d(initial_config)
+        if initial.shape[0] != 1:
+            raise ValueError(
+                f"a {type(self).__name__} is one walker, but initial_config "
+                f"has {initial.shape[0]} rows"
+            )
+        super().__init__(hamiltonian=hamiltonian, proposal=proposal, grid=grid,
+                         initial_config=initial, rng=rng, config=config)
+
+    @property
+    def config(self) -> np.ndarray:
+        """The walker's configuration (a view — copy before mutating)."""
+        return self.configs[0]
+
+    @property
+    def energy(self) -> float:
+        return float(self.energies[0])
+
+    @property
+    def current_bin(self) -> int:
+        return int(self.bins[0])
+
+    def step(self) -> bool:
+        """One WL step (``steps(1)``); returns True when the move was accepted."""
+        before = self.n_accepted
+        self.steps(1)
+        return self.n_accepted > before
 
 
 #: Longest block drawn at once.  A block holds its drawn fields and its
@@ -430,8 +491,7 @@ class BatchedWangLandauSampler:
 _MAX_BLOCK_STEPS = 512
 
 
-def advance_block(teams, n_steps: int, hamiltonian, profiler=None,
-                  gather_section: str | None = None) -> None:
+def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
     """``n_steps`` super-steps of every team in ``teams`` (DESIGN.md §16).
 
     Per sub-block of at most ``_MAX_BLOCK_STEPS`` steps, each team draws the
@@ -448,20 +508,27 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None,
     the two modes never share a block, and a canonical block has no grids.
 
     A block runs in C (:func:`repro.kernels.superstep.run_block`) when the
-    compiled super-step is loaded and the block is one it takes; otherwise —
-    and always with a ``profiler`` attached, whose sections describe the
-    NumPy block — in :func:`_run_block`, the reference the C loop must match
-    bit for bit.  Results do not depend on which ran.
+    compiled super-step is loaded and the block is one it takes; otherwise
+    in :func:`_run_block`, the reference the C loop must match bit for bit.
+    Results do not depend on which ran.  A ``profiler`` observes without
+    choosing the path: it times each team's field draw as
+    ``proposal.<name>.fields`` and each group's block, on either path, as
+    ``wl.block``.
     """
-    lib = native.library() if profiler is None else None
+    lib = native.library()
     log = worker_log()
     for start in range(0, n_steps, _MAX_BLOCK_STEPS):
         n = min(_MAX_BLOCK_STEPS, n_steps - start)
         groups: dict[tuple, list] = {}
         for team in teams:
+            if profiler is not None:
+                section = f"proposal.{team.proposal.name}.fields"
+                t0 = profiler.start(section)
             fields = team.proposal.draw_fields(
                 team.configs, team.hamiltonian, team.rng, n
             )
+            if profiler is not None:
+                profiler.stop(section, t0)
             if fields is None:
                 for _ in range(n):
                     team.step_batch()
@@ -469,13 +536,16 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None,
                 groups.setdefault((fields.key, team.beta is None), []).append((team, fields))
         for (_, wang_landau), members in groups.items():
             grids = _stacked_grids([team for team, _ in members]) if wang_landau else None
+            t_block = profiler.start_always("wl.block") if profiler is not None else None
             t0 = time.perf_counter() if log.enabled else 0.0
             if lib is None or not superstep.run_block(lib, members, n, hamiltonian, grids):
-                _run_block(members, n, hamiltonian, grids, profiler, gather_section)
+                _run_block(members, n, hamiltonian, grids)
             elif log.enabled:
                 log.emit("span", name="wl.native_block", path="wl.native_block",
                          dur_s=time.perf_counter() - t0, steps=n,
                          rows=sum(team.n_slots for team, _ in members))
+            if profiler is not None:
+                profiler.stop("wl.block", t_block)
 
 
 #: team-set key -> (its grids, their StackedGrids).  Windows do not change
@@ -497,7 +567,7 @@ def _stacked_grids(teams) -> StackedGrids:
     return hit[1]
 
 
-def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> None:
+def _run_block(members, n: int, hamiltonian, grids) -> None:
     """One block for teams of one field kind: every super-step runs once for
     all rows of all teams — resolve, one ΔE gather, one bin lookup, one
     sequential commit loop, one scatter — and team state is written back
@@ -511,8 +581,8 @@ def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> Non
     or deposited.
 
     This is the reference implementation of a block (and the path taken
-    without a compiler, and under a profiler): ``superstep.c`` reproduces it
-    bit for bit, so change the two together.
+    without a compiler, or under ``REPRO_NO_NATIVE=1``): ``superstep.c``
+    reproduces it bit for bit, so change the two together.
     """
     teams = [team for team, _ in members]
     fields = members[0][1]
@@ -546,18 +616,13 @@ def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> Non
     rows = np.arange(ends[-1])
     streams = [(team.rng, lo, hi) for team, (lo, hi) in zip(teams, spans)]
     price = getattr(hamiltonian, fields.many)
-    timed = prof is not None and gather_section is not None
 
     for step in range(n):
         move = fields.resolve(step, configs, rows, streams)
-        t0 = prof.start(gather_section) if timed else None
         delta = price(configs, move[:, 0], move[:, 1])
-        if timed:
-            prof.stop(gather_section, t0)
         new_energies = energies + delta
         if not canonical:
             new_bins = grids.index_rows(new_energies).tolist()
-        t0 = prof.start("wl.batch_commit") if prof is not None else None
         u = ln_u[step]
         accepted: list[int] = []
         if canonical:
@@ -587,8 +652,6 @@ def _run_block(members, n: int, hamiltonian, grids, prof, gather_section) -> Non
             sites, values = fields.moves(configs, acc, move)
             configs[acc[:, None], sites] = values
             energies[acc] = new_energies[acc]
-        if prof is not None:
-            prof.stop("wl.batch_commit", t0)
 
     for w, (team, (lo, hi)) in enumerate(zip(teams, spans)):
         if not in_place:

@@ -20,25 +20,27 @@ Reachability: bins never visited (gaps in a discrete spectrum, or windows
 overlapping forbidden energies) are excluded from the flatness test once the
 run has seen at least one flat check; a bin discovered later simply joins
 the reachable set.
+
+This module holds the tuning, the results and the walker drive; the
+samplers — :class:`~repro.sampling.batched.WangLandauSampler` (one walker)
+and :class:`~repro.sampling.batched.BatchedWangLandauSampler` (a team) —
+step on the block engine in :mod:`repro.sampling.batched`.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
 from repro.proposals.base import Proposal
-from repro.sampling.base import register_sampler
 from repro.sampling.binning import EnergyGrid
 from repro.sampling.metropolis import CanonicalTeam
-from repro.util.rng import BufferedDraws, as_generator
+from repro.util.rng import as_generator
 
 __all__ = [
     "WLConfig",
-    "WangLandauSampler",
     "WangLandauResult",
     "WalkerCounters",
     "drive_into_range",
@@ -49,14 +51,13 @@ __all__ = [
 class WLConfig:
     """Tuning knobs for Wang-Landau sampling (mirrors ``REWLConfig``).
 
-    Passed as the keyword-only ``config=`` of :class:`WangLandauSampler`
-    (and of the batched stepper in :mod:`repro.sampling.batched`) — the one
-    way to tune either; derive variants with ``dataclasses.replace``.
+    Passed as the keyword-only ``config=`` of the Wang–Landau samplers in
+    :mod:`repro.sampling.batched` — the one way to tune them; derive
+    variants with ``dataclasses.replace``.
 
-    ``batch_size`` selects batched multi-walker stepping through the
-    :func:`repro.sampling.batched.make_wang_landau` factory: 1 (default)
-    is the scalar sampler, K > 1 steps K walkers per super-step against a
-    shared ln g.
+    ``batch_size`` is the number of walkers a team steps per super-step
+    against a shared ln g, when its start is one configuration: 1 (default)
+    is a single walker.
     """
 
     ln_f_init: float = 1.0
@@ -211,263 +212,3 @@ class WangLandauResult:
         if np.any(self.visited):
             out = out - out[self.visited].min()
         return out
-
-
-@register_sampler("wang_landau")
-class WangLandauSampler:
-    """Single-walker Wang–Landau sampler.
-
-    Keyword-only construction (DESIGN.md §11)::
-
-        WangLandauSampler(
-            hamiltonian=ham, proposal=prop, grid=grid,
-            initial_config=cfg0, rng=seed, config=WLConfig(...),
-        )
-
-    Parameters
-    ----------
-    hamiltonian : Hamiltonian
-    proposal : Proposal
-    grid : EnergyGrid
-        Energy window (global range, or one REWL window).
-    initial_config : numpy.ndarray
-        Initial configuration; its energy must lie inside ``grid`` (use
-        :func:`drive_into_range` first otherwise).
-    rng : seed or Generator
-    config : WLConfig
-        Schedule/flatness/step tuning.
-
-    Note the attribute ``self.config`` remains the *configuration array*
-    (REWL exchange and checkpoints rely on it); the tuning object is
-    ``self.cfg``.
-    """
-
-    def __init__(self, *, hamiltonian: Hamiltonian, proposal: Proposal, grid: EnergyGrid,
-                 initial_config: np.ndarray, rng=None, config: WLConfig = WLConfig()):
-        cfg = _check_wl_config(type(self).__name__, config)
-        self.cfg = cfg
-        self.hamiltonian = hamiltonian
-        self.proposal = proposal
-        self.grid = grid
-        self.rng = BufferedDraws(as_generator(rng))
-        self.config = hamiltonian.validate_config(np.array(initial_config, copy=True))
-        self.energy = float(hamiltonian.energy(self.config))
-        self.current_bin = grid.index(self.energy)
-        if self.current_bin < 0:
-            raise ValueError(
-                f"initial energy {self.energy:.6g} lies outside the grid "
-                f"[{grid.e_min:.6g}, {grid.e_max:.6g}]; use drive_into_range"
-            )
-        self.ln_f = float(cfg.ln_f_init)
-        self.ln_f_final = float(cfg.ln_f_final)
-        self.flatness = float(cfg.flatness)
-        self.schedule = cfg.schedule
-        self.check_interval = (
-            max(1000, 100 * grid.n_bins)
-            if cfg.check_interval is None
-            else int(cfg.check_interval)
-        )
-
-        n = grid.n_bins
-        self.ln_g = np.zeros(n)
-        self.histogram = np.zeros(n, dtype=np.int64)
-        self.visited = np.zeros(n, dtype=bool)
-        self.n_steps = 0
-        self.n_accepted = 0
-        self.n_iterations = 0
-        self.iteration_steps: list[int] = []
-        self._steps_this_iteration = 0
-        # Plain-int telemetry (picklable; travels with the walker across
-        # processes).  The REWL driver fills the exchange fields.
-        self.counters = WalkerCounters()
-        # Optional section profiler (repro.obs.profile); None keeps the hot
-        # loop at a single attribute check.  Enable via enable_profiling().
-        self.profiler = None
-
-    def enable_profiling(self, profiler) -> None:
-        """Attach a :class:`repro.obs.profile.SectionProfiler` to this walker.
-
-        Wraps the proposal and Hamiltonian in profiled views (section-timed
-        ΔE and proposal generation) and hooks the histogram update and
-        flatness checks.  Profiling draws no random numbers and writes only
-        into the profiler, so the sampled trajectory is bit-identical; the
-        profiler pickles with the walker.
-        """
-        if self.profiler is not None:
-            raise RuntimeError("profiling is already enabled on this walker")
-        self.profiler = profiler
-        self.hamiltonian = self.hamiltonian.profiled(profiler)
-        self.proposal = self.proposal.profiled(profiler)
-
-    # ----------------------------------------------------------------- step
-
-    def step(self) -> bool:
-        """One WL step; returns True when the move was accepted."""
-        self.n_steps += 1
-        self._steps_this_iteration += 1
-        move = self.proposal.propose(
-            self.config, self.hamiltonian, self.rng, current_energy=self.energy
-        )
-        accepted = False
-        if move is None:
-            self.counters.null_proposals += 1
-        else:
-            self.counters.proposals += 1
-            new_energy = self.energy + move.delta_energy
-            new_bin = self.grid.index(new_energy)
-            if new_bin < 0:
-                self.counters.out_of_grid += 1
-            else:
-                log_alpha = (
-                    self.ln_g[self.current_bin] - self.ln_g[new_bin] + move.log_q_ratio
-                )
-                if log_alpha >= 0.0 or np.log(self.rng.random()) < log_alpha:
-                    move.apply(self.config)
-                    self.energy = new_energy
-                    self.current_bin = new_bin
-                    accepted = True
-                    self.n_accepted += 1
-                    self.counters.accepted += 1
-        # Update the (possibly unchanged) current bin — mandatory for WL.
-        prof = self.profiler
-        if prof is None:
-            self.ln_g[self.current_bin] += self.ln_f
-            self.histogram[self.current_bin] += 1
-            self.visited[self.current_bin] = True
-        else:
-            t0 = prof.start("wl.histogram_update")
-            self.ln_g[self.current_bin] += self.ln_f
-            self.histogram[self.current_bin] += 1
-            self.visited[self.current_bin] = True
-            prof.stop("wl.histogram_update", t0)
-        return accepted
-
-    # ----------------------------------------------------------- iteration
-
-    def is_flat(self) -> bool:
-        """Histogram flatness over the reachable-bin set.
-
-        Every call counts as one flatness check in ``self.counters`` —
-        whether issued by :meth:`run` or by the REWL driver's sync phase.
-        """
-        prof = self.profiler
-        t0 = prof.start("wl.flat_check") if prof is not None else None
-        flat = self._flatness_test()
-        if prof is not None:
-            prof.stop("wl.flat_check", t0)
-        if flat:
-            self.counters.flat_checks_passed += 1
-        else:
-            self.counters.flat_checks_failed += 1
-        return flat
-
-    def _flatness_test(self) -> bool:
-        mask = self.visited
-        if not np.any(mask):
-            return False
-        h = self.histogram[mask]
-        if np.any(h == 0):
-            return False
-        return float(h.min()) >= self.flatness * float(h.mean())
-
-    def flatness_fraction(self) -> float:
-        """min/mean of the visit histogram over visited bins (pure read).
-
-        The quantity the flatness criterion thresholds, exposed as a
-        continuous diagnostic for :mod:`repro.obs.convergence`; unlike
-        :meth:`is_flat` this touches no counters.
-        """
-        mask = self.visited
-        if not np.any(mask):
-            return 0.0
-        h = self.histogram[mask]
-        mean = float(h.mean())
-        return float(h.min()) / mean if mean > 0 else 0.0
-
-    def fill_fraction(self) -> float:
-        """Fraction of this window's bins visited so far (pure read)."""
-        n = self.visited.shape[0]
-        return float(np.count_nonzero(self.visited)) / n if n else 0.0
-
-    def advance_modification_factor(self) -> None:
-        """Halve ln f (respecting the 1/t floor) and reset the histogram."""
-        self.n_iterations += 1
-        self.iteration_steps.append(self._steps_this_iteration)
-        self._steps_this_iteration = 0
-        new_ln_f = self.ln_f / 2.0
-        if self.schedule == "one_over_t":
-            sweeps = max(1.0, self.n_steps / max(1, self.hamiltonian.n_sites))
-            new_ln_f = max(new_ln_f, 1.0 / sweeps)
-            if new_ln_f >= self.ln_f:  # floor reached: 1/t decays on its own
-                new_ln_f = 1.0 / sweeps
-        self.ln_f = new_ln_f
-        self.histogram[:] = 0
-
-    def run(self, max_steps: int | None = None, telemetry=None) -> WangLandauResult:
-        """Iterate until ``ln f ≤ ln_f_final`` or ``max_steps`` is exhausted.
-
-        ``max_steps`` defaults to ``self.cfg.max_steps``.  ``telemetry`` (a
-        :class:`repro.obs.Telemetry`) is used per *WL iteration*, never per
-        step, and is deliberately not stored on the sampler: walkers must
-        stay cheaply picklable.  Enabling it changes
-        no sampler state (bit-identity is tested).
-        """
-        from repro.obs.profile import contribute_profile, profile_from_env
-
-        if max_steps is None:
-            max_steps = self.cfg.max_steps
-        if self.profiler is None:
-            env_profiler = profile_from_env()
-            if env_profiler is not None:
-                self.enable_profiling(env_profiler)
-        profile_before = (
-            self.profiler.as_dict() if self.profiler is not None else None
-        )
-        span = telemetry.span("wl.run") if telemetry is not None else nullcontext()
-        steps_before = self.n_steps
-        with span:
-            while self.n_steps < max_steps and self.ln_f > self.ln_f_final:
-                budget = min(self.check_interval, max_steps - self.n_steps)
-                for _ in range(budget):
-                    self.step()
-                if self.is_flat():
-                    self.advance_modification_factor()
-                    if telemetry is not None:
-                        telemetry.emit(
-                            "wl_iteration",
-                            iteration=self.n_iterations,
-                            ln_f=self.ln_f,
-                            steps=self.n_steps,
-                            iteration_steps=self.iteration_steps[-1],
-                        )
-                elif self.schedule == "one_over_t" and self.ln_f <= 1.0 / max(
-                    1.0, self.n_steps / max(1, self.hamiltonian.n_sites)
-                ):
-                    # In the 1/t regime ln f decays with time, not with flatness.
-                    sweeps = max(1.0, self.n_steps / max(1, self.hamiltonian.n_sites))
-                    self.ln_f = 1.0 / sweeps
-        if telemetry is not None:
-            telemetry.metrics.inc("wl.steps", self.n_steps - steps_before)
-        if profile_before is not None:
-            contribute_profile(self.profiler.delta_since(profile_before))
-            if telemetry is not None:
-                self.profiler.publish(telemetry.metrics)
-        return self.result()
-
-    def result(self) -> WangLandauResult:
-        ln_g = self.ln_g.copy()
-        if np.any(self.visited):
-            ln_g -= ln_g[self.visited].min()
-        return WangLandauResult(
-            grid=self.grid,
-            ln_g=ln_g,
-            histogram=self.histogram.copy(),
-            visited=self.visited.copy(),
-            converged=self.ln_f <= self.ln_f_final,
-            n_steps=self.n_steps,
-            n_iterations=self.n_iterations,
-            final_ln_f=self.ln_f,
-            acceptance_rate=self.n_accepted / self.n_steps if self.n_steps else 0.0,
-            iteration_steps=list(self.iteration_steps),
-            counters=replace(self.counters),
-        )

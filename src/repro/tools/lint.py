@@ -1,8 +1,9 @@
 """API-deprecation lint: fail CI when the repo uses its own shims.
 
-Retired spellings (``Hamiltonian.energy_batch``, ``repro.util.timers``)
-must not creep back in, and live shims exist for *downstream* callers only;
-in-repo code must use the canonical spellings or shims can never retire.  This
+Retired spellings (``Hamiltonian.energy_batch``, ``repro.util.timers``,
+``.profiled(``) must not creep back in, and live shims exist for
+*downstream* callers only; in-repo code must use the canonical spellings or
+shims can never retire.  This
 lint is a plain line-grep — fast, zero imports of the checked code — over
 ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``.
 
@@ -37,6 +38,13 @@ DEPRECATED_PATTERNS: list[tuple[re.Pattern[str], str, str, tuple[str, ...]]] = [
         re.compile(r"\.energy_batch\("),
         "Hamiltonian.energy_batch() was removed; call .energies()",
         "",
+        (),
+    ),
+    (
+        re.compile(r"\.profiled\("),
+        "Hamiltonian/Proposal.profiled() was removed; a profiler observes the "
+        "block engine instead (team.enable_profiling(...), DESIGN §10)",
+        "src/",
         (),
     ),
     (

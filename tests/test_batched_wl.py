@@ -2,9 +2,12 @@
 
 Three contracts from the kernels redesign:
 
-1. ``batch_size=1`` changes nothing — :func:`make_wang_landau` returns the
-   plain scalar sampler, so single-walker trajectories stay bit-identical
-   to the pre-kernel implementation (same RNG draw sequence and all).
+1. A single walker is a one-row team: ``batch_size=1`` through
+   :func:`make_wang_landau` and :class:`WangLandauSampler` (which refuses a
+   start of several rows) step the same rows on the same engine, bit for
+   bit.  Its correctness rests on exact enumeration
+   (``tests/test_drivers.py``, ``tests/test_wang_landau.py``), not on a
+   replay of an older loop.
 2. ``batch_size=K>1`` is a *different but correct* sampler: K walkers
    sharing one ln g recover the exact 4x4 Ising density of states within
    the same tolerance the scalar E1 validation uses.
@@ -69,24 +72,26 @@ def max_rel_error(result, exact):
 
 class TestBatchSizeOneIsScalar:
     def test_factory_returns_scalar_sampler(self, ising, grid):
+        """The scalar sampler is a one-row team."""
         wl = make_wang_landau(
             hamiltonian=ising, proposal=FlipProposal(), grid=grid,
             initial_config=np.zeros(16, dtype=np.int8), rng=0,
             config=WLConfig(batch_size=1),
         )
-        assert type(wl) is WangLandauSampler
+        assert type(wl) is BatchedWangLandauSampler
+        assert wl.n_slots == 1
 
     def test_single_row_2d_initial_is_squeezed(self, ising, grid):
-        wl = make_wang_landau(
+        wl = WangLandauSampler(
             hamiltonian=ising, proposal=FlipProposal(), grid=grid,
             initial_config=np.zeros((1, 16), dtype=np.int8), rng=0,
         )
-        assert type(wl) is WangLandauSampler
+        assert wl.n_slots == 1
         assert wl.config.shape == (16,)
 
     def test_multirow_initial_with_batch_one_raises(self, ising, grid):
         with pytest.raises(ValueError, match="rows"):
-            make_wang_landau(
+            WangLandauSampler(
                 hamiltonian=ising, proposal=FlipProposal(), grid=grid,
                 initial_config=np.zeros((3, 16), dtype=np.int8), rng=0,
                 config=WLConfig(batch_size=1),
@@ -109,7 +114,7 @@ class TestBatchSizeOneIsScalar:
         assert res_a.n_steps == res_b.n_steps
         assert np.array_equal(res_a.ln_g, res_b.ln_g)
         assert np.array_equal(res_a.histogram, res_b.histogram)
-        assert np.array_equal(a.config, b.config)
+        assert np.array_equal(a.configs[0], b.config)
 
 
 class TestBatchedSampler:
@@ -182,6 +187,24 @@ class TestBatchedSampler:
         assert np.array_equal(wl.slot_config(1), cfg)
         # slot 0 untouched
         assert wl.slot_energy(0) == ising.energy(np.zeros(16, dtype=np.int8))
+
+    @pytest.mark.parametrize("cap, config", [
+        (1_000, WLConfig(batch_size=32, ln_f_final=1e-8)),
+        (None, WLConfig(batch_size=32, ln_f_final=1e-8, max_steps=100)),
+    ])
+    def test_run_never_passes_max_steps(self, ising, grid, cap, config):
+        """A remainder shorter than one super-step ends the run: 32 rows
+        stop at 992 of 1,000 steps and at 96 of 100."""
+        wl = make_wang_landau(
+            hamiltonian=ising, proposal=FlipProposal(), grid=grid,
+            initial_config=np.zeros(16, dtype=np.int8), rng=0, config=config,
+        )
+        limit = config.max_steps if cap is None else cap
+        res = wl.run(max_steps=cap)
+        assert limit - 32 < res.n_steps <= limit
+        assert res.n_steps % 32 == 0
+        wl.run(max_steps=cap)  # nothing left to run
+        assert wl.n_steps == res.n_steps
 
     def test_k4_recovers_exact_dos(self, ising, grid):
         """E1 validation at batch_size=4: same tolerance as the scalar test."""
@@ -396,10 +419,13 @@ class TestBlockAdvance:
         wl = self._team(ising, grid)
         wl.enable_profiling(SectionProfiler(sample_every=1))
         wl.steps(30)
+        wl.steps(20)
         profile = wl.profiler.as_dict()
-        assert profile["wl.batch_commit"]["calls"] == 30
-        assert profile["proposal.flip.fields"]["calls"] == 1
-        assert profile["hamiltonian.delta_flip_many"]["calls"] == 30
+        # one field draw and one block per advance call, on either path
+        assert profile["proposal.flip.fields"]["calls"] == 2
+        assert profile["wl.block"]["calls"] == 2
+        assert profile["wl.block"]["timed"] == 2
+        assert "wl.batch_commit" not in profile
 
         telemetry = Telemetry()
         full = make_wang_landau(

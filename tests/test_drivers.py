@@ -1,13 +1,14 @@
 """The sampler drivers over the block engine against exact enumeration.
 
 ``MetropolisSampler`` (a one-row ``CanonicalTeam``), ``ParallelTempering``
-(a team whose rows are the β ladder) and ``MulticanonicalSampler`` (a
-one-row Wang–Landau team with a frozen ``ln g`` and ``ln f = 0``) are
-checked against the 4×4 Ising model, whose 65,536 states are enumerated.
-Each quantity is averaged over independent seeds and must agree with the
-exact value by a z-test on the seed-to-seed spread (max |z| < 5), on both
-super-step paths.  The mixture case steps through ``step_batch``, which no
-super-step path takes, so it runs once.
+(a team whose rows are the β ladder), ``WangLandauSampler`` (a one-row
+Wang–Landau team) and ``MulticanonicalSampler`` (a one-row Wang–Landau team
+with a frozen ``ln g`` and ``ln f = 0``) are checked against the 4×4 Ising
+model, whose 65,536 states are enumerated.  Each quantity is averaged over
+independent seeds and must agree with the exact value by a z-test on the
+seed-to-seed spread (max |z| < 5), on both super-step paths.  The mixture
+cases step through ``step_batch``, which no super-step path takes, so they
+run once.
 """
 
 import numpy as np
@@ -17,7 +18,14 @@ from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.nn import MADE, MADEConfig
 from repro.proposals import FlipProposal, MADEProposal, MixtureProposal
-from repro.sampling import EnergyGrid, MetropolisSampler, MulticanonicalSampler, ParallelTempering
+from repro.sampling import (
+    EnergyGrid,
+    MetropolisSampler,
+    MulticanonicalSampler,
+    ParallelTempering,
+    WangLandauSampler,
+    WLConfig,
+)
 
 MAX_Z = 5.0
 BETAS = np.array([0.2, 0.44, 0.7])
@@ -71,24 +79,72 @@ def test_metropolis_matches_enumeration(ising, exact, superstep_path):
     assert_within(samples, [mean_energy(exact, b) for b in BETAS])
 
 
-def test_metropolis_mixture_keeps_the_q_ratio(ising, exact):
-    """A flip/MADE mixture steps through ``step_batch``; a strongly
-    perturbed MADE proposes far from Boltzmann, so the answer is right only
-    with its log q-ratio in the acceptance (with the ratio zeroed, this
-    test reads |z| ≈ 18)."""
+def perturbed_mixture():
+    """A factory of flip/MADE mixtures whose MADE is strongly perturbed: it
+    proposes far from any target, so an answer is right only with its log
+    q-ratio in the acceptance."""
     model = MADE(MADEConfig(n_sites=16, n_species=2, hidden=(24,)), rng=5)
     rng = np.random.default_rng(6)
     for p in model.parameters():
         p.value += 2.0 * rng.standard_normal(p.value.shape)
+    return lambda: MixtureProposal([
+        (FlipProposal(), 0.5), (MADEProposal(model, composition="free"), 0.5),
+    ])
 
-    def mixture():
-        return MixtureProposal([
-            (FlipProposal(), 0.5), (MADEProposal(model, composition="free"), 0.5),
-        ])
 
+def test_metropolis_mixture_keeps_the_q_ratio(ising, exact):
+    """A flip/MADE mixture steps through ``step_batch`` (with the q-ratio
+    zeroed, this test reads |z| ≈ 18)."""
+    mixture = perturbed_mixture()
     samples = [metropolis_means(ising, mixture, [0.2], seed, burn=200, steps=1_500)
                for seed in range(8)]
     assert_within(samples, [mean_energy(exact, 0.2)])
+
+
+def centred(ln_g):
+    return ln_g - ln_g.mean()
+
+
+def single_walker(ham, levels, proposal, seed, config):
+    start = np.random.default_rng(seed).integers(0, 2, 16).astype(np.int8)
+    return WangLandauSampler(hamiltonian=ham, proposal=proposal,
+                             grid=EnergyGrid.from_levels(levels),
+                             initial_config=start, rng=seed, config=config)
+
+
+def test_wang_landau_matches_enumeration(ising, exact, superstep_path):
+    """A single walker's ln g from scratch to ln f = 2e-3.  A finite ln f
+    leaves a bias of about a quarter of the seed spread at the end levels,
+    so ln f is small enough for the z-test (groups of 8 seeds measured max
+    |z| between 1.2 and 4.1 when this was written)."""
+    levels, ln_g, _ = exact
+    samples = []
+    for seed in range(8):
+        res = single_walker(ising, levels, FlipProposal(), seed,
+                            WLConfig(ln_f_final=2e-3)).run()
+        assert res.converged and res.visited.all()
+        samples.append(centred(res.ln_g))
+    assert_within(samples, centred(ln_g))
+
+
+def test_wang_landau_mixture_keeps_the_q_ratio(ising, exact):
+    """The exact table is a fixed point of the walk: started on it, after a
+    burn-in at ln f = 0, 4,000 steps at ln f = 2e-3 move ln g by noise
+    only.  The mixture steps through ``step_batch``; with the q-ratio
+    zeroed the walk is not flat and this test reads |z| ≈ 26."""
+    levels, ln_g, _ = exact
+    mixture = perturbed_mixture()
+    samples = []
+    for seed in range(8):
+        wl = single_walker(ising, levels, mixture(), seed, WLConfig())
+        wl.ln_g[:] = ln_g
+        wl.ln_f = 0.0
+        wl.steps(1_000)
+        wl.ln_f = 2e-3
+        wl.steps(4_000)
+        assert wl.n_steps == wl.histogram.sum() == 5_000
+        samples.append(centred(wl.ln_g))
+    assert_within(samples, centred(ln_g))
 
 
 def test_every_tempering_rung_matches_enumeration(ising, exact, superstep_path):

@@ -178,20 +178,23 @@ class TestFusedBitIdentity:
                 REWLConfig(backend=retired)
 
     def test_fused_gather_is_profiled_and_attributed(self):
+        """The fused campaign's one block per round (every window's gather
+        and commit) is the ``wl.block`` section, timed on every call, and
+        the ``block`` phase of the cost attribution, inside advance."""
         prof = SectionProfiler(sample_every=1)
         drv = _driver("fused", instrumentation=Instrumentation(profiler=prof))
         result = drv.run(max_rounds=60)
         profile = result.telemetry["profile"]
-        assert "rewl.fused_gather" in profile
-        assert profile["rewl.fused_gather"]["calls"] > 0
-        # one gather and one commit loop per campaign super-step, one field
-        # draw per team per round
-        assert profile["wl.batch_commit"]["calls"] \
-            == profile["rewl.fused_gather"]["calls"]
+        # one block and one field draw per team per round (interval 200 fits
+        # in one sub-block); no team steps through the propose_many path
+        assert profile["wl.block"]["calls"] == profile["wl.block"]["timed"]
+        assert 0 < profile["wl.block"]["calls"] <= result.rounds
         assert profile["proposal.flip.fields"]["calls"] <= 2 * result.rounds
+        assert "wl.batch_commit" not in profile
         cost = result.telemetry["cost"]
-        assert "fused_gather" in cost["phases"]
-        assert cost["phases"]["fused_gather"]["seconds"] > 0
+        assert "block" in cost["phases"]
+        assert cost["phases"]["block"]["seconds"] > 0
+        assert cost["phases"]["block"]["seconds"] <= profile["rewl.advance"]["est_total_s"]
 
 
 class TestShmBitIdentity:

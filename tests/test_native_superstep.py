@@ -36,7 +36,7 @@ from repro.obs.report import render_report
 from repro.parallel.checkpoint import _read_state, save_checkpoint
 from repro.proposals import FlipProposal, SwapProposal
 from repro.proposals.local import FlipBlock, SwapBlock
-from repro.sampling import CanonicalTeam, EnergyGrid, WLConfig, batched
+from repro.sampling import CanonicalTeam, EnergyGrid, WangLandauSampler, WLConfig, batched
 from repro.sampling.batched import BatchedWangLandauSampler, advance_block
 from tests import test_batched_wl, test_fused_campaign
 from tests.test_batched_wl import assert_same_team_state
@@ -294,7 +294,7 @@ class TestDeclinedBlocks:
         members[0][1].arrays[0][2, :, :, 0] = bad_site  # (bad, j) pairs at step 2
         self.declined(lib, ham, team, members, grids)
         with pytest.raises(IndexError):
-            batched._run_block(members, 5, ham, grids, None, None)
+            batched._run_block(members, 5, ham, grids)
 
     def test_flip_site_out_of_range_raises_index_error(self, lib):
         ham, team = self.system("flip")
@@ -302,7 +302,7 @@ class TestDeclinedBlocks:
         members[0][1].arrays[0][1, 0] = ham.n_sites
         self.declined(lib, ham, team, members, grids)
         with pytest.raises(IndexError):
-            batched._run_block(members, 5, ham, grids, None, None)
+            batched._run_block(members, 5, ham, grids)
 
     def test_flip_shift_out_of_range_is_priced_by_numpy(self, lib):
         """NumPy reduces any shift modulo S; the C loop is not handed one."""
@@ -310,7 +310,7 @@ class TestDeclinedBlocks:
         members, grids = one_block(team)
         members[0][1].arrays[1][0, 0] = ham.n_species + 1
         self.declined(lib, ham, team, members, grids)
-        batched._run_block(members, 5, ham, grids, None, None)
+        batched._run_block(members, 5, ham, grids)
         assert team.n_steps == 5 * team.n_slots
 
     def test_species_out_of_range_raises_index_error(self, lib):
@@ -319,7 +319,7 @@ class TestDeclinedBlocks:
         members, grids = one_block(team)
         self.declined(lib, ham, team, members, grids)
         with pytest.raises(IndexError):
-            batched._run_block(members, 5, ham, grids, None, None)
+            batched._run_block(members, 5, ham, grids)
 
     def test_walker_bin_outside_its_window_raises_index_error(self, lib):
         ham, team = self.system()
@@ -327,7 +327,7 @@ class TestDeclinedBlocks:
         members, grids = one_block(team)
         self.declined(lib, ham, team, members, grids)
         with pytest.raises(IndexError):
-            batched._run_block(members, 5, ham, grids, None, None)
+            batched._run_block(members, 5, ham, grids)
 
     def test_float_configs_raise_type_error(self, lib):
         ham, team = self.system()
@@ -335,7 +335,7 @@ class TestDeclinedBlocks:
         members, grids = one_block(team)
         self.declined(lib, ham, team, members, grids)
         with pytest.raises(TypeError):
-            batched._run_block(members, 5, ham, grids, None, None)
+            batched._run_block(members, 5, ham, grids)
 
     @pytest.mark.parametrize("recast", [
         lambda c: c.astype(np.int64),                      # not int8
@@ -375,14 +375,6 @@ class TestDeclinedBlocks:
         assert custom[0][1].native_fields() is None
         assert MyFlips(n_species=2).native_fields() is None
         self.declined(lib, ham, team, custom, grids)
-
-    def test_a_profiler_selects_the_numpy_block(self, lib):
-        ham, team = self.system("flip")
-        team.enable_profiling(SectionProfiler(sample_every=1))
-        with pinned(lib) as took:
-            team.steps(4)
-        assert took == []  # never offered to the C loop
-        assert team.profiler.as_dict()["wl.batch_commit"]["calls"] == 4
 
 
 # ------------------------------------------------------------ the loader
@@ -572,6 +564,46 @@ class TestEngineIsReported:
         else:
             assert [(s["steps"], s["rows"]) for s in spans] == [(512, 8), (18, 8)]
             assert all(s["dur_s"] > 0 for s in spans)
+
+
+    def test_a_profiler_keeps_every_block_in_c(self, lib, tmp_path, monkeypatch):
+        """A profiler observes the compiled block instead of replacing it: a
+        profiled one-row team and a profiled fused campaign hand every block
+        to the C loop, which takes it; the worker log has one span per block;
+        and the profiled team ends bit for bit where a bare one does."""
+        monkeypatch.setenv(events_mod.TRACE_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(events_mod, "_worker_log", None)
+        monkeypatch.setattr(events_mod, "_worker_log_pid", None)
+
+        def native_spans():
+            lines = (tmp_path / f"worker-{os.getpid()}.jsonl").read_text().splitlines()
+            return [r for r in map(json.loads, lines)
+                    if r["kind"] == "span" and r["name"] == "wl.native_block"]
+
+        ham = IsingHamiltonian(square_lattice(4))
+        bare, profiled = (WangLandauSampler(
+            hamiltonian=ham, proposal=FlipProposal(),
+            grid=EnergyGrid.from_levels(ham.energy_levels()),
+            initial_config=np.zeros(16, dtype=np.int8), rng=3,
+            config=WLConfig(ln_f_final=1e-2)) for _ in range(2))
+        profiled.enable_profiling(SectionProfiler(sample_every=1))
+        with pinned(lib) as took:
+            profiled.run(max_steps=20_000)
+        assert took and all(took)
+        assert profiled.profiler["wl.block"].calls == len(took) == len(native_spans())
+        with pinned(lib):
+            bare.run(max_steps=20_000)
+        test_batched_wl.assert_same_team_state(profiled, bare)
+
+        before = len(native_spans())
+        prof = SectionProfiler(sample_every=1)
+        with pinned(lib) as took:
+            test_fused_campaign._driver(
+                "fused", instrumentation=Instrumentation(profiler=prof)
+            ).run(max_rounds=20)
+        assert took and all(took)
+        assert prof["wl.block"].calls > 0
+        assert len(native_spans()) - before == len(took)
 
 
 # --------------------------- the existing bit-identity contracts, on both paths

@@ -168,7 +168,7 @@ class TestRunner:
         assert bench["steps_per_s"] > 0
         # wl.run() under REPRO_PROFILE contributes to the child's collector,
         # which the runner recovers via REPRO_PROFILE_OUT.
-        assert snapshot["profile"].get("proposal.flip", {}).get("calls", 0) > 0
+        assert snapshot["profile"].get("proposal.flip.fields", {}).get("calls", 0) > 0
         # And the on-disk snapshot round-trips through load_snapshot.
         assert load_snapshot(out) == snapshot
 

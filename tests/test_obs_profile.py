@@ -1,4 +1,4 @@
-"""Tests for repro.obs.profile: sampling semantics, merging, hot-path views."""
+"""Tests for repro.obs.profile: sampling semantics, merging, hot-path hooks."""
 
 import pickle
 
@@ -10,8 +10,6 @@ from repro.lattice import square_lattice
 from repro.obs import MetricsRegistry
 from repro.obs.profile import (
     DEFAULT_SAMPLE_EVERY,
-    ProfiledHamiltonian,
-    ProfiledProposal,
     SectionProfiler,
     SectionStat,
     contribute_profile,
@@ -20,7 +18,7 @@ from repro.obs.profile import (
     profile_from_env,
     reset_global_collector,
 )
-from repro.proposals import FlipProposal
+from repro.proposals import FlipProposal, MixtureProposal
 from repro.sampling import EnergyGrid, WangLandauSampler
 
 
@@ -160,49 +158,36 @@ class TestEnvActivation:
         contribute_profile(SectionProfiler())  # must be a no-op, not an error
 
 
-class TestProfiledViews:
-    def test_hamiltonian_view_delegates_and_counts(self):
-        ham = _ising()
-        prof = SectionProfiler(sample_every=1)
-        view = ham.profiled(prof)
-        assert isinstance(view, ProfiledHamiltonian)
-        cfg = np.zeros(16, dtype=np.int8)
-        assert view.energy(cfg) == ham.energy(cfg)
-        assert view.n_sites == ham.n_sites  # attribute passthrough
-        assert prof["hamiltonian.energy"].calls == 1
-
-    def test_proposal_view_names_section_after_kernel(self):
-        prop = FlipProposal()
-        prof = SectionProfiler(sample_every=1)
-        view = prop.profiled(prof)
-        assert isinstance(view, ProfiledProposal)
-        ham = _ising()
-        rng = np.random.default_rng(0)
-        cfg = np.zeros(16, dtype=np.int8)
-        move = view.propose(cfg, ham, rng, current_energy=ham.energy(cfg))
-        assert move is not None
-        assert prof[f"proposal.{prop.name}"].calls == 1
-
-    def test_views_pickle_roundtrip(self):
-        prof = SectionProfiler(sample_every=1)
-        hview = _ising().profiled(prof)
-        pview = FlipProposal().profiled(prof)
-        hback = pickle.loads(pickle.dumps(hview))
-        pback = pickle.loads(pickle.dumps(pview))
-        assert hback.n_sites == hview.n_sites
-        assert pback._section == pview._section
-
-
 class TestSamplerIntegration:
     def test_enable_profiling_wraps_hot_paths(self):
+        """Attaching a profiler only stores it: the team's own steps then
+        time the field draw and the block, and its flatness checks."""
         wl = _wl()
         prof = SectionProfiler(sample_every=1)
         wl.enable_profiling(prof)
+        assert wl.profiler is prof and isinstance(wl.proposal, FlipProposal)
         for _ in range(50):
             wl.step()
-        for section in ("hamiltonian.delta_flip", "proposal.flip",
-                        "wl.histogram_update"):
-            assert prof[section].calls >= 50
+        wl.is_flat()
+        assert prof["proposal.flip.fields"].calls == 50
+        assert prof["wl.block"].calls == 50
+        assert prof["wl.flat_check"].calls == 1
+
+    def test_fallback_steps_time_their_own_sections(self):
+        """A proposal without a field block steps through ``step_batch``,
+        which times ``propose_many`` and the commit."""
+        ham = _ising()
+        wl = WangLandauSampler(
+            hamiltonian=ham, proposal=MixtureProposal([(FlipProposal(), 1.0)]),
+            grid=EnergyGrid.from_levels(ham.energy_levels()),
+            initial_config=np.zeros(16, dtype=np.int8), rng=0,
+        )
+        prof = SectionProfiler(sample_every=1)
+        wl.enable_profiling(prof)
+        wl.steps(20)
+        assert prof[f"proposal.{wl.proposal.name}.many"].calls == 20
+        assert prof["wl.batch_commit"].calls == 20
+        assert "wl.block" not in prof
 
     def test_enable_profiling_twice_rejected(self):
         wl = _wl()
@@ -216,8 +201,11 @@ class TestSamplerIntegration:
         for _ in range(500):
             bare.step()
             profiled.step()
+        bare.run(max_steps=20_000)
+        profiled.run(max_steps=20_000)
         assert np.array_equal(bare.ln_g, profiled.ln_g)
         assert np.array_equal(bare.histogram, profiled.histogram)
         assert np.array_equal(bare.config, profiled.config)
-        assert (bare.rng.generator.bit_generator.state
-                == profiled.rng.generator.bit_generator.state)
+        assert bare.rng.bit_generator.state == profiled.rng.bit_generator.state
+        assert pickle.loads(pickle.dumps(profiled)).profiler.names() \
+            == profiled.profiler.names()

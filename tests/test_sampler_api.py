@@ -211,3 +211,12 @@ class TestLintApi:
         hits = lint_api(tmp_path)
         assert len(hits) == 2
         assert {h[1] for h in hits} == {1, 2}  # line 3 opted out
+
+    def test_lint_flags_profiled_views_under_src(self, tmp_path):
+        from repro.tools.lint import lint_api
+
+        for base in ("src", "tests"):
+            (tmp_path / base).mkdir()
+            (tmp_path / base / "views.py").write_text(
+                "prop = proposal.profiled(prof)\n")  # lint-api: allow
+        assert [h[0] for h in lint_api(tmp_path)] == ["src/views.py"]
