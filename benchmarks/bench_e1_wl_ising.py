@@ -1,8 +1,8 @@
 """E1 bench (Fig 1): Wang-Landau kernel on the exact-checkable Ising model.
 
 Benchmarks the WL step loop and a full small-scale convergence; asserts the
-converged ln g still matches enumeration (the benchmark doubles as a
-regression test of the figure's content).
+converged ln g, averaged over ten seeds, still matches enumeration (the
+benchmark doubles as a regression test of the figure's content).
 """
 
 import numpy as np
@@ -26,22 +26,33 @@ def bench_wl_steps(benchmark, make_ising_wl, throughput):
     assert total >= _BLOCK
 
 
+#: Seeds of the convergence check (the timed run is the first).  One run's
+#: max ln g error at ln f = 5e-3 is itself noisy — over seeds 0-399 it
+#: exceeds 1.0 for 32 % of them (median 0.78, worst 2.26) — so the check is
+#: on the ln g averaged over these runs, whose max error at that ln f is a
+#: median 0.25 and exceeded 1.0 in no resample of 10 (20,000 resamples).
+_CONVERGENCE_SEEDS = tuple(range(1, 11))
+
+
 def bench_wl_convergence_small(benchmark, make_ising_wl):
     """Full WL convergence at relaxed ln f (regenerates Fig 1a's data)."""
     levels, degens = exact_ising_dos_bruteforce(4)
     exact = {float(e): float(np.log(d)) for e, d in zip(levels, degens)}
 
-    def converge():
-        wl = make_ising_wl(seed=1, ln_f_final=5e-3)
+    def converge(seed=_CONVERGENCE_SEEDS[0]):
+        wl = make_ising_wl(seed=seed, ln_f_final=5e-3)
         return wl.run(max_steps=3_000_000)
 
     res = benchmark.pedantic(converge, iterations=1, rounds=1)
-    assert res.converged
+    runs = [res] + [converge(seed) for seed in _CONVERGENCE_SEEDS[1:]]
+    assert all(r.converged for r in runs)
     centers = res.grid.centers
-    mg = res.masked_ln_g()
-    errs = [
-        abs((mg[k] - mg[res.visited][0]) - (exact[float(centers[k])] - exact[-32.0]))
-        for k in np.nonzero(res.visited)[0]
-        if float(centers[k]) in exact
-    ]
-    assert max(errs) < 1.0
+    bins = [k for k in np.nonzero(res.visited)[0] if float(centers[k]) in exact]
+    assert all(np.array_equal(r.visited, res.visited) for r in runs)
+    want = np.array([exact[float(centers[k])] - exact[-32.0] for k in bins])
+    # ln g relative to the ground level, averaged over the runs
+    got = np.mean(
+        [r.masked_ln_g()[bins] - r.masked_ln_g()[r.visited][0] for r in runs],
+        axis=0,
+    )
+    assert np.max(np.abs(got - want)) < 1.0

@@ -5,7 +5,7 @@ boundary, and this module holds exactly those:
 
 - :class:`ShmWorld` — the controller-owned world: named shared arrays
   (:meth:`ShmWorld.alloc_array`) that every rank maps zero-copy, one inbox
-  queue per rank, and the spawned rank processes (:meth:`ShmWorld.spawn`).
+  queue per rank, and the rank processes (:meth:`ShmWorld.spawn`).
   :meth:`ShmWorld.close` terminates the ranks and unlinks every segment; a
   ``weakref`` finalizer does the same for a world dropped unclosed or
   still open at interpreter exit, so a crashed campaign leaks no
@@ -14,6 +14,15 @@ boundary, and this module holds exactly those:
   maps a world array, :meth:`~ShmRank.send` puts a pickled object in
   another rank's inbox, and :meth:`~ShmRank.recv` takes the next message
   from this rank's own inbox as ``(source, obj)``.
+
+Ranks are **forked** from the controller wherever the platform has the
+``fork`` start method (``spawn`` elsewhere), so a rank starts warm: it
+inherits the imported modules, the loaded native super-step library and
+the tables instead of starting an interpreter and importing them again.
+The rank body (:func:`_rank_main`) is the same under both start methods
+and keeps a spawned rank's contract: the arguments cross as pickled bytes
+and are unpickled inside the rank, and the rank runs only the exit handlers
+registered inside it — never the controller's.
 
 Bulk data never crosses a pickle: walker state lives in the shared arrays,
 and messages carry only commands and small replies.  A receive without a
@@ -25,7 +34,10 @@ no orphaned rank behind.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing as mp
+import os
+import pickle
 import queue
 import weakref
 from typing import Any
@@ -66,6 +78,21 @@ def _release_world(procs: list, names: list[str]) -> None:
     _unlink_segments(names)
 
 
+def _rank_main(target, handle, rank: int, payload: bytes) -> None:
+    """Body of every rank process, the same under ``fork`` and ``spawn``.
+
+    A forked rank inherits the controller's exit handlers (its caller's
+    clean-up, the world's unlink finalizer) and leaves through
+    ``os._exit``, which runs none.  So the rank drops the inherited
+    handlers first, unpickles its arguments (objects that register a
+    handler when they wake up in another process do so here), and runs the
+    handlers registered inside it when ``target`` returns cleanly.
+    """
+    atexit._clear()
+    target(handle, rank, *pickle.loads(payload))
+    atexit._run_exitfuncs()
+
+
 def _attach_segment(name: str):
     """Attach an existing segment without adopting unlink responsibility.
 
@@ -94,7 +121,7 @@ def _attach_segment(name: str):
 class _ShmWorldHandle:
     """Picklable-through-``Process`` descriptor of a :class:`ShmWorld`.
 
-    Carries the inbox queues (inherited through process spawn) plus the
+    Carries the inbox queues (inherited through process start) plus the
     segment name, shape and dtype of every shared array; ranks attach by
     name.
     """
@@ -117,12 +144,14 @@ class ShmWorld:
     def __init__(self, size: int):
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
-        self.ctx = mp.get_context("spawn")
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        self.ctx = mp.get_context(method)
         self.inboxes = [self.ctx.Queue() for _ in range(size)]
         self._segments: list = []
         self._segment_names: list[str] = []
         self._arrays: dict[str, tuple[str, tuple, str]] = {}
         self.procs: list = []
+        self._spawned: set[int] = set()
         self._closed = False
         self._finalizer = weakref.finalize(
             self, _release_world, self.procs, self._segment_names
@@ -158,9 +187,25 @@ class ShmWorld:
     # ---------------------------------------------------------- lifecycle
 
     def spawn(self, target, rank: int, *args):
-        """Start ``target(handle, rank, *args)`` as a daemon rank process."""
-        p = self.ctx.Process(target=target, args=(self.handle(), rank, *args),
-                             daemon=True)
+        """Start ``target(handle, rank, *args)`` as a daemon rank process.
+
+        The rank is a direct child of the caller.  ``args`` are pickled
+        here and unpickled inside the rank under either start method (see
+        :func:`_rank_main`).  Starting a rank again (a respawn) gives it a
+        fresh inbox: a predecessor that died waiting held the old inbox's
+        read lock for good, and may have left commands queued in it.
+        """
+        if rank in self._spawned:
+            old = self.inboxes[rank]
+            old.cancel_join_thread()
+            old.close()
+            self.inboxes[rank] = self.ctx.Queue()
+        self._spawned.add(rank)
+        p = self.ctx.Process(
+            target=_rank_main,
+            args=(target, self.handle(), rank, pickle.dumps(args)),
+            daemon=True,
+        )
         p.start()
         self.procs.append(p)
         return p
@@ -233,7 +278,9 @@ class ShmRank:
         With ``timeout``, raises :class:`TimeoutError` when nothing arrives
         within it.  Without one the wait has no deadline: it wakes every
         :data:`_POLL_S` and raises :class:`SystemExit` once the parent
-        process has died.
+        process has died, i.e. this process was re-parented.  (The parent's
+        liveness pipe is no witness under ``fork``: a sibling rank forked
+        later holds a copy of its write end.)
         """
         inbox = self._world.inboxes[self.rank]
         if timeout is not None:
@@ -248,7 +295,7 @@ class ShmRank:
             try:
                 return inbox.get(timeout=_POLL_S)
             except queue.Empty:
-                if parent is not None and not parent.is_alive():
+                if parent is not None and os.getppid() != parent.pid:
                     # Nobody will read what is still buffered for the
                     # parent: exit without flushing it.
                     for q in self._world.inboxes:

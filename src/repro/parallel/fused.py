@@ -20,6 +20,13 @@ campaign from shared memory:
   (in strict schedule order, preserving the exchange RNG stream) as soon as
   both endpoints land, while other ranks keep stepping.
 
+The ranks are forked from the controller on the first ``run_round`` (see
+:class:`~repro.parallel.comm.ShmWorld`), so they start warm — NumPy, the
+package and the native library already loaded — and stay direct children
+of the controller.  Each rank still rebuilds its teams from a plain-data
+blob that crosses as pickled bytes, so a respawned rank starts exactly as
+the first one did.
+
 Bit-identity: a team's trajectory is a pure function of its seed and the
 sequence of advance-call lengths, whichever teams share its block; both
 backends issue the same lengths (``exchange_interval`` per round), the
@@ -169,9 +176,9 @@ class FusedTeam(BatchedWangLandauSampler):
     controller halving ``ln_f`` is immediately visible to the worker rank
     stepping that window.
 
-    Pickling (:meth:`__getstate__`) materializes every view into an owned
-    copy and drops the binding: supervisor snapshots and checkpoints stay
-    plain data, and an unpickled team behaves as an ordinary batched
+    Pickling (:meth:`__getstate__`) drops the binding and writes the views'
+    bytes: supervisor snapshots and checkpoints stay plain data, and an
+    unpickled team owns its arrays and behaves as an ordinary batched
     sampler until :meth:`adopt` rebinds it (the driver's ``_retag_window``
     hook does this after any rollback/restore).
     """
@@ -259,9 +266,9 @@ class FusedTeam(BatchedWangLandauSampler):
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self):
+        # The array views stay: pickling writes their bytes, so an
+        # unpickled team owns its arrays without a copy made here first.
         d = {k: v for k, v in self.__dict__.items() if k != "_fused"}
-        for n in self._ARRAYS:
-            d[n] = np.array(getattr(self, n), copy=True)
         for n in self._SCALARS:
             d[n] = getattr(self, n)
         return d
@@ -286,8 +293,8 @@ def _shm_campaign_worker(handle, rank, blob):
     Stateless between commands by construction — walker arrays live in the
     shared segments and the RNG stream arrives with every command — so a
     crashed rank can be respawned with the same blob and simply resume.
-    Stale commands left queued by a crashed predecessor are fenced off by
-    ``min_epoch``.
+    A respawned rank reads a fresh inbox (:meth:`ShmWorld.spawn`), so no
+    command queued for its predecessor reaches it.
     """
     from repro.obs.profile import SectionProfiler
     from repro.parallel.rewl import advance_windows
@@ -312,14 +319,11 @@ def _shm_campaign_worker(handle, rank, blob):
                     SectionProfiler(sample_every=blob["profile_every"])
                 )
             teams[spec["w"]] = team
-        min_epoch = blob.get("min_epoch", 0)
         while True:
             _, msg = comm.recv()
             if msg[0] == "stop":
                 break
             _, epoch, n_steps, jobs = msg
-            if epoch < min_epoch:
-                continue  # predecessor's command; controller rolled back
             live = {}
             for w, rng_state in jobs:
                 team = live[w] = teams[w]
@@ -398,7 +402,6 @@ class ShmEngine:
                 "n_windows": n_windows, "walkers_per_window": k,
                 "hamiltonian": driver.hamiltonian, "wl_cfg": wl_cfg,
                 "windows": wins, "profile_every": profile_every,
-                "min_epoch": 0,
             }
         self._proc: dict[int, object] = {}
         self._epoch = 0
@@ -412,7 +415,7 @@ class ShmEngine:
         FusedTeam.adopt(driver.walkers[w][0], self.state, w, push=True)
 
     def start(self) -> None:
-        """Spawn the worker ranks (lazy: first ``run_round`` call)."""
+        """Start the worker ranks (lazy: first ``run_round`` call)."""
         if self._started:
             return
         for rank, blob in self._blobs.items():
@@ -562,7 +565,7 @@ class ShmEngine:
                 try:
                     rank, msg = self.comm.recv(timeout=_POLL_S)
                 except TimeoutError:
-                    self._reap_dead_ranks(driver, pending, ready, epoch)
+                    self._reap_dead_ranks(driver, pending, ready)
                     settle_pairs()
                     sync_ready()
                     continue
@@ -583,7 +586,7 @@ class ShmEngine:
         if prof is not None:
             prof.stop("rewl.advance", t_adv)
 
-    def _reap_dead_ranks(self, driver, pending, ready, epoch) -> None:
+    def _reap_dead_ranks(self, driver, pending, ready) -> None:
         """Fail windows whose rank died; respawn the rank for next round."""
         sup = driver.supervisor
         for rank, proc in list(self._proc.items()):
@@ -597,11 +600,13 @@ class ShmEngine:
                     f"shm worker rank {rank} died while advancing windows "
                     f"{dead} (exitcode {proc.exitcode})"
                 )
-            # Fence the respawned rank past any command the dead one left
-            # unconsumed, then hand the lost windows to the supervisor.
+            # Respawn (on a fresh inbox), then hand the lost windows to the
+            # supervisor.  The fork happens while this process's queue
+            # feeder threads run; the rank touches only queues and segments
+            # whose locks are process-shared or rebuilt after a fork
+            # (DESIGN.md §16).
             self._proc[rank] = self.world.spawn(
-                _shm_campaign_worker, rank,
-                dict(self._blobs[rank], min_epoch=epoch + 1),
+                _shm_campaign_worker, rank, self._blobs[rank],
             )
             for w in dead:
                 pending.discard(w)

@@ -25,11 +25,15 @@ to a job-scheduler SIGKILL with nothing to show.
 Determinism: the supervisor draws no random numbers, and snapshots are
 byte-copies of walker state.  A degraded run driven by seeded faults is
 therefore bit-identically reproducible — same seed, same trips, same
-rollbacks, same quarantine round, same stitched result.
+rollbacks, same quarantine round, same stitched result.  The driver's
+Hamiltonian is immutable and shared by every team, so a snapshot refers to
+it instead of copying it (:func:`_dump_team`): a restored team shares
+``driver.hamiltonian``.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import time
 from dataclasses import dataclass, field, fields
@@ -54,6 +58,44 @@ RESILIENCE_ENV_VAR = "REPRO_RESILIENCE"
 
 #: Disposition names, in escalation order (report/dash render these).
 DISPOSITIONS = ("healthy", "retrying", "rolled-back", "quarantined")
+
+
+#: Persistent id of the driver's Hamiltonian inside a snapshot.
+_HAMILTONIAN = "hamiltonian"
+
+
+def _dump_team(driver, w: int) -> bytes:
+    """Snapshot bytes of window ``w``'s team.
+
+    The driver's Hamiltonian (immutable, shared by every team) goes in as a
+    persistent reference, not a copy; a driver without a ``hamiltonian``
+    attribute gets a plain pickle.
+    """
+    ham = getattr(driver, "hamiltonian", None)
+    if ham is None:
+        return pickle.dumps(driver.walkers[w])
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+    # A closure, not a method: it runs once per pickled object.
+    pickler.persistent_id = lambda obj: _HAMILTONIAN if obj is ham else None
+    pickler.dump(driver.walkers[w])
+    return buf.getvalue()
+
+
+def _load_team(driver, blob: bytes):
+    """Inverse of :func:`_dump_team`: the team shares ``driver.hamiltonian``."""
+    ham = getattr(driver, "hamiltonian", None)
+    if ham is None:
+        return pickle.loads(blob)
+
+    def persistent_load(pid):
+        if pid != _HAMILTONIAN:
+            raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+        return ham
+
+    unpickler = pickle.Unpickler(io.BytesIO(blob))
+    unpickler.persistent_load = persistent_load
+    return unpickler.load()
 
 
 @dataclass(frozen=True)
@@ -212,14 +254,15 @@ class CampaignSupervisor:
 
         Taken *after* :meth:`guard_round`, so a snapshot is always of
         validated state; pickling keeps walker RNG state with the walkers,
-        preserving bit-identity across a restore.
+        preserving bit-identity across a restore.  Only the Hamiltonian is
+        not copied: the snapshot refers to ``driver.hamiltonian``.
         """
         if self._rounds_guarded % self.cfg.guards.snapshot_interval != 0:
             return
         for w, state in enumerate(self.windows):
             if state.disposition == "quarantined":
                 continue
-            self._snapshots[w] = pickle.dumps(driver.walkers[w])
+            self._snapshots[w] = _dump_team(driver, w)
 
     def snapshot_window(self, driver, w: int) -> None:
         """Per-window snapshot for the overlapped (shm) drain loop.
@@ -233,13 +276,13 @@ class CampaignSupervisor:
             return
         if self.windows[w].disposition == "quarantined":
             return
-        self._snapshots[w] = pickle.dumps(driver.walkers[w])
+        self._snapshots[w] = _dump_team(driver, w)
 
     def _restore(self, driver, w: int) -> bool:
         blob = self._snapshots[w]
         if blob is None:
             return False
-        driver.walkers[w] = pickle.loads(blob)
+        driver.walkers[w] = _load_team(driver, blob)
         driver._retag_window(w)
         return True
 

@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.faults import FaultConfig, FaultInjector
+from repro.faults import FAULTS_ENV_VAR, FaultConfig, FaultInjector
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.machine.autotune import CampaignPlan, plan_campaign
@@ -177,10 +177,13 @@ class TestFusedBitIdentity:
             with pytest.raises(ValueError, match="unknown backend"):
                 REWLConfig(backend=retired)
 
-    def test_fused_gather_is_profiled_and_attributed(self):
+    def test_fused_gather_is_profiled_and_attributed(self, monkeypatch):
         """The fused campaign's one block per round (every window's gather
         and commit) is the ``wl.block`` section, timed on every call, and
         the ``block`` phase of the cost attribution, inside advance."""
+        # Injected faults step every window alone, one block per attempt:
+        # the one-block-per-round shape is the fault-free path's.
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         prof = SectionProfiler(sample_every=1)
         drv = _driver("fused", instrumentation=Instrumentation(profiler=prof))
         result = drv.run(max_rounds=60)

@@ -1,7 +1,9 @@
 """Tests for the shared-memory transport (``repro.parallel.comm``) and the
-liveness contract of the ranks built on it: an idle rank waits without a
-deadline, and an orphaned one exits."""
+contract of the ranks built on it: an idle rank waits without a deadline,
+an orphaned one exits, and a rank — forked or spawned — runs the exit
+handlers registered inside it and none of its controller's."""
 
+import atexit
 import gc
 import json
 import os
@@ -20,6 +22,7 @@ from repro.lattice import square_lattice
 from repro.parallel import REWLConfig, REWLDriver, ShmRank, ShmWorld
 from repro.parallel.comm import _POLL_S
 from repro.proposals import FlipProposal
+from repro.resilience import GuardPolicy, ResilienceConfig
 from repro.sampling import EnergyGrid
 
 
@@ -123,6 +126,16 @@ time.sleep(120)
 """
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def _running(pid: int) -> bool:
     """True while ``pid`` exists and is not a zombie (an orphan's reaper
     may be slow, or absent in a container)."""
@@ -174,13 +187,8 @@ class TestIdleRanks:
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                         reason="reads process state from /proc")
     def test_ranks_exit_when_their_controller_is_killed(self):
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         child = subprocess.Popen(
-            [sys.executable, "-c", _ORPHAN_SCRIPT], env=env,
+            [sys.executable, "-c", _ORPHAN_SCRIPT], env=_child_env(),
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
         pids = []
@@ -211,3 +219,109 @@ class TestIdleRanks:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
             child.stdout.close()
+
+
+# --------------------------------------------------------------------------
+# the forked-rank contract
+# --------------------------------------------------------------------------
+
+
+class _ExitProbe:
+    """Registers an exit handler that writes ``<directory>/rank-<pid>`` when
+    it is unpickled in a process other than the one that built it — the
+    mechanism a rank-side statistics dump relies on."""
+
+    def __init__(self, directory):
+        self.directory = str(directory)
+        self.owner = os.getpid()
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if os.getpid() != self.owner:
+            atexit.register(self._mark)
+
+    def _mark(self):
+        Path(self.directory, f"rank-{os.getpid()}").touch()
+
+
+def _contract_driver(proposal_factory, respawn: bool):
+    """A 2-rank shm campaign; with ``respawn`` a supervisor is armed and
+    rank 1 is killed before the first round, so it runs respawned."""
+    ham = IsingHamiltonian(square_lattice(4))
+    drv = REWLDriver(
+        hamiltonian=ham, proposal_factory=proposal_factory,
+        grid=EnergyGrid.from_levels(ham.energy_levels()),
+        initial_config=np.zeros(16, dtype=np.int8),
+        config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
+                          exchange_interval=200, ln_f_final=5e-2, seed=11,
+                          backend="shm", shm_ranks=2),
+        resilience=(
+            ResilienceConfig(guards=GuardPolicy(mode="quarantine",
+                                                max_rollbacks=1))
+            if respawn else None
+        ),
+    )
+    victim = None
+    if respawn:
+        drv._engine.start()
+        victim = drv._engine._proc[1]
+        victim.kill()
+        victim.join(timeout=5.0)
+    return drv, victim
+
+
+#: Runs in a child interpreter: registers an exit handler of its own, then
+#: drives a 2-rank campaign (argv[2] == "1": with rank 1 killed first).
+_CONTROLLER_SCRIPT = """
+import atexit, os, sys
+from pathlib import Path
+from tests.test_parallel_comm import _contract_driver
+from repro.proposals import FlipProposal
+
+out, respawn = sys.argv[1], sys.argv[2] == "1"
+atexit.register(lambda: Path(out, f"controller-{os.getpid()}").touch())
+drv, victim = _contract_driver(FlipProposal, respawn)
+try:
+    drv.run(max_rounds=3)
+    assert victim is None or drv._engine._proc[1] is not victim
+finally:
+    drv.close()
+"""
+
+
+@pytest.mark.parametrize("respawn", [False, True], ids=["clean", "respawn"])
+class TestForkedRankContract:
+    def test_a_rank_runs_the_exit_handlers_registered_inside_it(
+            self, tmp_path, respawn):
+        probe = _ExitProbe(tmp_path)
+
+        def probed_flips():
+            proposal = FlipProposal()
+            proposal.exit_probe = probe
+            return proposal
+
+        drv, victim = _contract_driver(probed_flips, respawn)
+        try:
+            drv.run(max_rounds=3)
+            ranks = [p.pid for p in drv._engine._proc.values()]
+        finally:
+            drv.close()
+        assert len(ranks) == 2
+        if victim is not None:
+            assert victim.pid not in ranks  # killed: its handler never ran
+        marks = sorted(p.name for p in tmp_path.iterdir())
+        assert marks == sorted(f"rank-{pid}" for pid in ranks)
+
+    def test_a_rank_runs_none_of_its_controllers_handlers(
+            self, tmp_path, respawn):
+        repo = Path(__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-c", _CONTROLLER_SCRIPT, str(tmp_path),
+             "1" if respawn else "0"],
+            env=_child_env(), cwd=repo, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        marks = [p.name for p in tmp_path.iterdir()]
+        assert marks == [f"controller-{child.pid}"]

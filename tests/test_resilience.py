@@ -3,18 +3,22 @@ guards, rollback/quarantine escalation, budgets, and the end-to-end chaos
 acceptance — a permanently failing window degrades the campaign gracefully
 and bit-identically reproducibly."""
 
+import io
 import os
+import pickle
 import types
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.experiments.common import estimate_energy_range, hea_system
 from repro.faults import FAULTS_ENV_VAR
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
+from repro.lattice.configuration import random_configuration
 from repro.parallel import REWLConfig, REWLDriver
-from repro.proposals import FlipProposal
+from repro.proposals import FlipProposal, SwapProposal
 from repro.resilience import (
     RESILIENCE_ENV_VAR,
     BudgetPolicy,
@@ -480,3 +484,67 @@ class TestREWLGracefulDegradation:
         res = chaos_run(ising, grid, n_windows=2, overlap=0.5,
                         ln_f_final=1e-12)
         assert res.rounds == 2 and res.degraded
+
+
+class TestSlimSnapshots:
+    """Rollback snapshots copy walker state, not the driver's Hamiltonian."""
+
+    @pytest.fixture(scope="class", params=["fused", "shm"])
+    def alloy_rollback(self, request):
+        """An NbMoTaW campaign whose window 1 is poisoned every round: it is
+        rolled back once, then quarantined (restored again)."""
+        ham, counts = hea_system(3)
+        e_lo, e_hi = estimate_energy_range(ham, counts, rng=0, margin=0.10)
+        # whole-meV levels, half-meV bin edges: no level on a window edge
+        lo = np.floor(e_lo * 1000) - 0.5
+        width = np.ceil((e_hi * 1000 - lo) / 16)
+        grid = EnergyGrid.uniform(lo / 1000, (lo + 16 * width) / 1000, 16)
+        with mock.patch.dict(os.environ,
+                             {FAULTS_ENV_VAR: "nan=1.0,window=1,seed=0"}):
+            driver = REWLDriver(
+                hamiltonian=ham, proposal_factory=SwapProposal, grid=grid,
+                initial_config=random_configuration(ham.n_sites, counts, rng=0),
+                config=REWLConfig(n_windows=2, walkers_per_window=4,
+                                  overlap=0.6, exchange_interval=100, seed=3,
+                                  backend=request.param),
+                resilience=ResilienceConfig(
+                    guards=GuardPolicy(mode="quarantine", max_rollbacks=1)
+                ),
+            )
+            try:
+                result = driver.run(max_rounds=4)
+            except BaseException:
+                driver.close()
+                raise
+        try:
+            yield driver, result
+        finally:
+            driver.close()
+
+    def test_a_restored_team_shares_the_drivers_hamiltonian(
+            self, alloy_rollback):
+        driver, result = alloy_rollback
+        assert driver.supervisor.summary()["rollbacks"] >= 1
+        assert result.quarantined == [1]
+        assert driver.walkers[1][0].hamiltonian is driver.hamiltonian
+
+    def test_a_snapshot_holds_no_copy_of_the_hamiltonian(self, alloy_rollback):
+        driver, _ = alloy_rollback
+        slim = driver.supervisor._snapshots[1]  # what window 1 was restored to
+        refs = []
+
+        def persistent_load(pid):
+            refs.append(pid)
+            return driver.hamiltonian
+
+        unpickler = pickle.Unpickler(io.BytesIO(slim))
+        unpickler.persistent_load = persistent_load
+        unpickler.load()
+        assert refs == ["hamiltonian"]
+        full = pickle.dumps(driver.walkers[1], pickle.HIGHEST_PROTOCOL)
+        ham = pickle.dumps(driver.hamiltonian, pickle.HIGHEST_PROTOCOL)
+        # The full pickle names a few module globals (numpy's array
+        # constructors) once for the team and the Hamiltonian together; a
+        # standalone Hamiltonian pickle names them again.
+        assert len(full) - len(slim) >= len(ham) - 256
+        assert len(slim) < len(ham) / 4
