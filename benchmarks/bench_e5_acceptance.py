@@ -2,7 +2,8 @@
 
 The per-proposal costs that set the local-vs-DL trade-off: swap ΔE
 evaluation, VAE global proposal (decode + IWAE marginals), MADE global
-proposal (exact densities).
+proposal (exact densities) — each one walker's move, a one-row
+``propose_many`` call.
 """
 
 import numpy as np
@@ -14,11 +15,12 @@ from repro.proposals import MADEProposal, SwapProposal, VAEProposal
 def bench_swap_proposal(benchmark, hea, hea_config, throughput):
     prop = SwapProposal()
     rng = np.random.default_rng(0)
-    energy = hea.energy(hea_config)
+    config = hea_config[None]
+    energy = hea.energies(config)
     throughput(1)  # one proposal per round
 
-    move = benchmark(prop.propose, hea_config, hea, rng, energy)
-    assert move is not None
+    move = benchmark(prop.propose_many, config, hea, rng, energy)
+    assert move.valid is None
 
 
 def bench_vae_proposal(benchmark, hea, hea_config):
@@ -27,21 +29,23 @@ def bench_vae_proposal(benchmark, hea, hea_config):
     )
     prop = VAEProposal(model, n_marginal_samples=16, composition="repair")
     rng = np.random.default_rng(1)
-    energy = hea.energy(hea_config)
+    config = hea_config[None]
+    energy = hea.energies(config)
 
-    def propose():
+    def one_row():
         prop.invalidate_cache()  # price the un-cached (worst) case
-        return prop.propose(hea_config, hea, rng, current_energy=energy)
+        return prop.propose_many(config, hea, rng, current_energies=energy)
 
-    move = benchmark(propose)
-    assert move is not None and move.n_sites_changed == hea.n_sites
+    move = benchmark(one_row)
+    assert move.valid is None and move.sites.shape == (1, hea.n_sites)
 
 
 def bench_made_proposal(benchmark, hea, hea_config):
     model = MADE(MADEConfig(hea.n_sites, 4, hidden=(128,)), rng=0)
     prop = MADEProposal(model, composition="repair", max_reject_tries=8)
     rng = np.random.default_rng(2)
-    energy = hea.energy(hea_config)
+    config = hea_config[None]
+    energy = hea.energies(config)
 
-    move = benchmark(prop.propose, hea_config, hea, rng, energy)
-    assert move is not None
+    move = benchmark(prop.propose_many, config, hea, rng, energy)
+    assert move.valid is None

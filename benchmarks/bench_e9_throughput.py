@@ -81,7 +81,8 @@ _DL_ROWS_PER_ROUND = 1024
 
 
 def bench_dl_propose_scalar(benchmark, hea, hea_config, throughput):
-    """Per-walker DL proposal calls: 1024 ``propose`` calls, one pool row each.
+    """Per-walker DL proposal calls: 1024 one-row ``propose_many`` calls,
+    one pool row each.
 
     Times **amortised pool draws**: candidates come from the proposal's
     1024-row pool, so a round is 1024 hand-outs plus the one refill they
@@ -91,14 +92,15 @@ def bench_dl_propose_scalar(benchmark, hea, hea_config, throughput):
     """
     prop = _made_proposal(hea)
     rng = np.random.default_rng(7)
-    e0 = float(hea.energy(hea_config))
+    config = hea_config[None]
+    e0 = hea.energies(config)
     # first refill (buffer allocation, lazy tables) outside the clock
-    prop.propose(hea_config, hea, rng, current_energy=e0)
+    prop.propose_many(config, hea, rng, current_energies=e0)
     throughput(_DL_ROWS_PER_ROUND)
 
     def block():
         moves = [
-            prop.propose(hea_config, hea, rng, current_energy=e0)
+            prop.propose_many(config, hea, rng, current_energies=e0)
             for _ in range(_DL_ROWS_PER_ROUND)
         ]
         return len(moves)

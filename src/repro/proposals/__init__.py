@@ -4,7 +4,8 @@ The paper's central idea is that the *proposal* is pluggable and may be a
 deep generative model performing global configuration updates.  Exactness is
 preserved because every proposal reports, alongside the move itself, the
 log proposal-density ratio ``log q(x|x') − log q(x'|x)`` that enters the
-Metropolis–Hastings acceptance rule.
+Metropolis–Hastings acceptance rule.  Every move is proposed as a batch,
+one row per walker (:meth:`Proposal.propose_many` → :class:`BatchMove`).
 
 Local proposals (``log q`` ratio = 0 by symmetry):
 
@@ -29,7 +30,6 @@ Composition:
 from repro.proposals.base import (
     BatchMove,
     FieldBlock,
-    Move,
     Proposal,
 )
 from repro.proposals.cache import CurrentLogQCache
@@ -47,7 +47,6 @@ from repro.proposals.mixture import MixtureProposal
 __all__ = [
     "BatchMove",
     "FieldBlock",
-    "Move",
     "Proposal",
     "CurrentLogQCache",
     "SwapProposal",

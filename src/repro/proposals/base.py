@@ -1,61 +1,34 @@
-"""Proposal interface and the Move value object.
+"""Proposal interface: every move is proposed as a batch.
 
-A proposal inspects the current configuration and returns a :class:`Move`:
-the set of sites to change, their new species, the energy change, and the
-log proposal-density ratio.  Samplers decide acceptance and call
-:meth:`Move.apply` — proposals never mutate the configuration themselves.
+A proposal inspects a ``(B, n_sites)`` batch of configurations and returns a
+:class:`BatchMove`: per row, the sites to change, their new species, the
+energy change, and the log proposal-density ratio.  Samplers decide
+acceptance and write accepted rows — proposals never mutate the
+configurations themselves.  Local kernels draw the randomness of many
+super-steps at once as a :class:`FieldBlock` (:meth:`Proposal.draw_fields`)
+and their :meth:`Proposal.propose_many` is the one-step block; global (DL)
+proposals and mixtures override :meth:`Proposal.propose_many`.
 
-Contracts (property-tested in ``tests/test_proposals.py``):
+Contracts, per row (property-tested in ``tests/test_proposals.py``):
 
-- ``delta_energy`` equals ``H(x') − H(x)`` to roundoff,
-- ``log_q_ratio = log q(x|x') − log q(x'|x)`` (0 for symmetric kernels),
+- ``delta_energies`` equals ``H(x') − H(x)`` to roundoff,
+- ``log_q_ratios = log q(x|x') − log q(x'|x)`` (0 for symmetric kernels),
 - composition-preserving proposals never change species counts,
-- proposals may return ``None`` to signal "no valid move produced" (e.g. a
-  rejection-mode DL proposal that failed to hit the composition manifold);
-  samplers count this as a rejected step, which keeps the kernel reversible
+- a row may come back invalid (``valid[b]`` False: "no move produced", e.g.
+  a rejection-mode DL proposal that failed to hit the composition manifold);
+  samplers count it as a rejected step, which keeps the kernel reversible
   (the failure probability is configuration-independent).
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
 
-__all__ = ["Move", "BatchMove", "FieldBlock", "Proposal"]
-
-
-@dataclass
-class Move:
-    """A proposed transition ``x → x'``.
-
-    Attributes
-    ----------
-    sites : numpy.ndarray
-        Indices of sites whose species change.
-    new_values : numpy.ndarray
-        New species at those sites (same length as ``sites``).
-    delta_energy : float
-        ``H(x') − H(x)``.
-    log_q_ratio : float
-        ``log q(x|x') − log q(x'|x)`` — added to the MH log acceptance.
-    """
-
-    sites: np.ndarray
-    new_values: np.ndarray
-    delta_energy: float
-    log_q_ratio: float = 0.0
-
-    def apply(self, config: np.ndarray) -> None:
-        """Write the move into ``config`` in place."""
-        config[self.sites] = self.new_values
-
-    @property
-    def n_sites_changed(self) -> int:
-        return int(len(self.sites))
+__all__ = ["BatchMove", "FieldBlock", "Proposal"]
 
 
 @dataclass
@@ -85,8 +58,7 @@ class BatchMove:
     log_q_ratios : numpy.ndarray of shape (B,)
         Per-row ``log q(x|x') − log q(x'|x)``.
     valid : numpy.ndarray of shape (B,), bool, or None
-        False where the proposal produced no move for that row (the batched
-        analogue of :meth:`Proposal.propose` returning ``None``); ``None``
+        False where the proposal produced no move for that row; ``None``
         means every row is valid.
     """
 
@@ -133,8 +105,10 @@ class FieldBlock:
     step-major, one row per walker) from the team's stream in a few array
     calls; nothing in them depends on the configurations.  Each super-step
     then *resolves* its slice against the current configurations.  Blocks
-    with equal :attr:`key` are stacked along the row axis, so one resolve
-    and one ``delta_energy_*_many`` gather serve every window of a campaign.
+    with equal :attr:`key` (type, params and the per-row shape of each
+    array, e.g. a swap block's candidate count) are stacked along the row
+    axis, so one resolve and one ``delta_energy_*_many`` gather serve every
+    window of a campaign.
     """
 
     many = ""  # name of the Hamiltonian's ``*_many`` kernel pricing a move
@@ -144,7 +118,8 @@ class FieldBlock:
 
     @property
     def key(self) -> tuple:
-        return (type(self), *sorted(self.params.items()))
+        return (type(self), *(a.shape[2:] for a in self.arrays),
+                *sorted(self.params.items()))
 
     def stacked(self, blocks) -> "FieldBlock":
         """This block followed by ``blocks`` (same key) along the row axis."""
@@ -189,7 +164,7 @@ class FieldBlock:
         )
 
 
-class Proposal(abc.ABC):
+class Proposal:
     """Transition-kernel factory.
 
     Attributes
@@ -206,20 +181,6 @@ class Proposal(abc.ABC):
     is_global: bool = False
     name: str = "proposal"
 
-    @abc.abstractmethod
-    def propose(
-        self,
-        config: np.ndarray,
-        hamiltonian: Hamiltonian,
-        rng: np.random.Generator,
-        current_energy: float | None = None,
-    ) -> Move | None:
-        """Produce a move from ``config`` (or ``None`` — see module docs).
-
-        ``current_energy`` lets global proposals compute ``delta_energy``
-        without re-evaluating ``H(x)``; samplers always pass it.
-        """
-
     def propose_many(
         self,
         configs: np.ndarray,
@@ -231,52 +192,19 @@ class Proposal(abc.ABC):
 
         A proposal with a draw/resolve split (:meth:`draw_fields`) is
         proposed as its one-step block: array draws, one
-        ``delta_energy_*_many`` gather.  Otherwise: loop over
-        :meth:`propose` row by row with the shared ``rng`` (DL and mixture
-        proposals override this with their own batched kernels).
+        ``delta_energy_*_many`` gather.  Proposals without one (DL,
+        mixtures, multi-swap) override this.  ``current_energies`` lets
+        global proposals compute ΔE without re-evaluating ``H(x)``;
+        samplers always pass it.
         """
         configs = np.atleast_2d(configs)
         block = self.draw_fields(configs, hamiltonian, rng)
-        if block is not None:
-            return block.batch_move(configs, hamiltonian, rng)
-        n_rows = configs.shape[0]
-        # Single pass: each move is packed as it is proposed.  The padded
-        # width starts at 1 and grows when a wider move appears; grown
-        # columns are back-filled with each earlier row's first (site,
-        # value) pair, which is exactly that row's pad value (see the
-        # :class:`BatchMove` pad semantics), so no second pass is needed.
-        k = 1
-        sites = np.zeros((n_rows, k), dtype=np.int64)
-        new_values = np.zeros((n_rows, k), dtype=configs.dtype)
-        delta = np.zeros(n_rows, dtype=np.float64)
-        log_q = np.zeros(n_rows, dtype=np.float64)
-        valid = np.zeros(n_rows, dtype=bool)
-        for b in range(n_rows):
-            e = None if current_energies is None else float(current_energies[b])
-            m = self.propose(configs[b], hamiltonian, rng, current_energy=e)
-            if m is None:
-                continue
-            valid[b] = True
-            width = m.sites.shape[0]
-            if width > k:
-                grow = width - k
-                sites = np.concatenate(
-                    [sites, np.repeat(sites[:, :1], grow, axis=1)], axis=1
-                )
-                new_values = np.concatenate(
-                    [new_values, np.repeat(new_values[:, :1], grow, axis=1)], axis=1
-                )
-                k = width
-            sites[b, :width] = m.sites
-            sites[b, width:] = m.sites[0]
-            new_values[b, :width] = m.new_values
-            new_values[b, width:] = m.new_values[0]
-            delta[b] = m.delta_energy
-            log_q[b] = m.log_q_ratio
-        return BatchMove(
-            sites=sites, new_values=new_values, delta_energies=delta,
-            log_q_ratios=log_q, valid=None if valid.all() else valid,
-        )
+        if block is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} draws no field block and does not "
+                "override propose_many"
+            )
+        return block.batch_move(configs, hamiltonian, rng)
 
     def draw_fields(
         self,

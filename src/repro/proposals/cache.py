@@ -6,8 +6,8 @@ accepted — at the low acceptance rates global proposals run at, the same
 value would otherwise be recomputed (a full model forward, or an IWAE
 estimate) for every rejected step.
 
-:class:`CurrentLogQCache` is the shared cache all four DL proposals use,
-scalar and batched.  Versioning is two-level:
+:class:`CurrentLogQCache` is the shared cache all four DL proposals use.
+Versioning is two-level:
 
 - an **epoch counter** bumped by :meth:`invalidate` — the proposal's
   ``invalidate_cache()`` calls it after the model retrains, which makes
@@ -21,7 +21,7 @@ scalar and batched.  Versioning is two-level:
   sampler-maintained "bumped on accept" counter would silently serve stale
   values after a swap; content keys cannot.
 
-The batch API (:meth:`lookup_many` / :meth:`store_many`) lets a batched
+The batch API (:meth:`lookup_many` / :meth:`store_many`) lets
 ``propose_many`` score only the rows that actually changed since the last
 super-step in one model forward.
 
@@ -60,7 +60,7 @@ class CurrentLogQCache:
         self.hits = 0
         self.misses = 0
 
-    # -------------------------------------------------------------- scalar
+    # --------------------------------------------------------- one entry
 
     @staticmethod
     def key(config: np.ndarray, extra: bytes = b"") -> bytes:

@@ -31,19 +31,12 @@ import numpy as np
 
 __all__ = [
     "repair_composition",
-    "matches_composition",
     "composition_counts_rows",
     "first_match_per_row",
     "COMPOSITION_MODES",
 ]
 
 COMPOSITION_MODES = ("free", "reject", "repair")
-
-
-def matches_composition(config: np.ndarray, target_counts: np.ndarray) -> bool:
-    """True when ``config`` has exactly the target species counts."""
-    counts = np.bincount(np.asarray(config, dtype=np.int64), minlength=len(target_counts))
-    return bool(np.array_equal(counts, np.asarray(target_counts, dtype=np.int64)))
 
 
 def composition_counts_rows(configs: np.ndarray, n_species: int) -> np.ndarray:
@@ -67,8 +60,8 @@ def first_match_per_row(pool: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
 
     ``targets`` is the ``(B, n_species)`` per-row target counts.  Returns
     ``(first_index, has_match)``: the column of row ``b``'s first match in
-    its T-candidate pool (0 where none), and whether one exists — the
-    batched analogue of the scalar reject-mode scan.
+    its T-candidate pool (0 where none), and whether one exists: the
+    reject-mode scan of every row at once.
     """
     n_species = targets.shape[-1]
     pool_counts = composition_counts_rows(pool, n_species)  # (B, T, S)

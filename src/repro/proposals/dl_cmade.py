@@ -26,13 +26,12 @@ from repro.hamiltonians.base import Hamiltonian
 from repro.lattice.configuration import one_hot
 from repro.nn.models.cmade import ConditionalMADE
 from repro.nn.workspace import Workspace
-from repro.proposals.base import BatchMove, Move, Proposal
+from repro.proposals.base import BatchMove, Proposal
 from repro.proposals.cache import CurrentLogQCache
 from repro.proposals.composition import (
     COMPOSITION_MODES,
     composition_counts_rows,
     first_match_per_row,
-    matches_composition,
     repair_composition,
 )
 from repro.util.validation import check_integer
@@ -79,32 +78,6 @@ class ConditionalMADEProposal(Proposal):
         #: (semantics-preserving — see :mod:`repro.nn.workspace`).
         self.workspace = Workspace()
         self.model.bind_workspace(self.workspace)
-
-    def propose(self, config, hamiltonian: Hamiltonian, rng, current_energy=None):
-        c = np.asarray(config)
-        n_species = self.model.config.n_species
-        if current_energy is None:
-            current_energy = float(hamiltonian.energy(c))
-        cond_fwd = np.asarray(self.conditioner(c, float(current_energy)), dtype=np.float64)
-
-        candidate, logq_new = self._draw(c, cond_fwd, rng, n_species)
-        if candidate is None:
-            return None
-        new_energy = float(hamiltonian.energy(candidate))
-        # Reverse move: drawn from the kernel conditioned on the *proposed*
-        # state (identical to cond_fwd when the conditioner ignores state).
-        cond_rev = np.asarray(self.conditioner(candidate, new_energy), dtype=np.float64)
-        key = CurrentLogQCache.key(c, CurrentLogQCache.key(cond_rev))
-        logq_old = self._logq_cache.get(key)
-        if logq_old is None:
-            logq_old = float(self.model.log_prob(one_hot(c[None], n_species), cond_rev)[0])
-            self._logq_cache.put(key, logq_old)
-        return Move(
-            sites=np.arange(hamiltonian.n_sites),
-            new_values=candidate.astype(c.dtype),
-            delta_energy=new_energy - float(current_energy),
-            log_q_ratio=logq_old - logq_new,
-        )
 
     def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
                      current_energies=None) -> BatchMove:
@@ -184,20 +157,3 @@ class ConditionalMADEProposal(Proposal):
     def invalidate_cache(self) -> None:
         """Drop cached ``log q`` values (call after retraining the model)."""
         self._logq_cache.invalidate()
-
-    def _draw(self, config, cond, rng, n_species):
-        if self.composition == "free":
-            cand, lp = self.model.sample(1, cond, rng, return_log_prob=True)
-            return cand[0], float(lp[0])
-        target = np.bincount(config.astype(np.int64), minlength=n_species)
-        batch, lps = self.model.sample(
-            self.max_reject_tries, cond, rng, return_log_prob=True
-        )
-        for row, lp in zip(batch, lps):
-            if matches_composition(row, target):
-                return row, float(lp)
-        if self.composition == "reject":
-            return None, None
-        repaired = repair_composition(batch[0], target, rng)
-        lp = float(self.model.log_prob(one_hot(repaired[None], n_species), cond)[0])
-        return repaired, lp

@@ -15,12 +15,11 @@ drawn ahead, a block at a time: when the
 :class:`~repro.proposals.cache.CandidatePool` runs dry, **one**
 ``model.sample(rows, rng, return_log_prob=True)`` call refills it and, in
 ``composition="free"`` (every row is a usable candidate), **one**
-``hamiltonian.energies(pool)`` call prices the block.  :meth:`MADEProposal.
-propose` and :meth:`~MADEProposal.propose_many` hand out consecutive rows
-with the ``log q`` (and energy) they already carry; a row is handed out
-once.  Pre-drawn i.i.d. rows of ``q`` *are* the independence sampler, so
-detailed balance is untouched.  What depends on the chain stays at consume
-time:
+``hamiltonian.energies(pool)`` call prices the block.
+:meth:`~MADEProposal.propose_many` hands out consecutive rows with the
+``log q`` (and energy) they already carry; a row is handed out once.
+Pre-drawn i.i.d. rows of ``q`` *are* the independence sampler, so detailed
+balance is untouched.  What depends on the chain stays at consume time:
 
 - ``"reject"`` / ``"repair"``: each proposing row scans its own
   ``max_reject_tries`` consecutive pool rows for the first one on its
@@ -38,11 +37,11 @@ continues with the very next row; :meth:`MADEProposal.invalidate_cache`
 drops it together with the ``log q`` cache, because rows drawn from the old
 weights are not samples of the retrained ``q``.  A refill draws from the
 ``rng`` of the call that found the pool dry, so a trajectory is still a pure
-function of seed and call sequence, and ``propose`` is ``propose_many`` on
-one row: B scalar calls and one B-row call hand out the same candidates in
-the same order.  (In ``"repair"`` the projection draws from ``rng`` after
-the call's refills; the two agree there whenever no refill falls inside the
-B-row call, e.g. always when ``B * max_reject_tries`` divides the block.)
+function of seed and call sequence, and B one-row calls and one B-row call
+hand out the same candidates in the same order.  (In ``"repair"`` the
+projection draws from ``rng`` after the call's refills; the two agree there
+whenever no refill falls inside the B-row call, e.g. always when
+``B * max_reject_tries`` divides the block.)
 A proposal serves one Hamiltonian: ``"free"`` rows carry the energy the
 refilling call's Hamiltonian gave them.
 """
@@ -55,7 +54,7 @@ from repro.hamiltonians.base import Hamiltonian
 from repro.lattice.configuration import one_hot
 from repro.nn.models.made import MADE
 from repro.nn.workspace import Workspace
-from repro.proposals.base import BatchMove, Move, Proposal
+from repro.proposals.base import BatchMove, Proposal
 from repro.proposals.cache import CandidatePool, CurrentLogQCache
 from repro.proposals.composition import (
     COMPOSITION_MODES,
@@ -109,22 +108,6 @@ class MADEProposal(Proposal):
         #: binding is semantics-preserving — see :mod:`repro.nn.workspace`).
         self.workspace = Workspace()
         self.model.bind_workspace(self.workspace)
-
-    def propose(self, config, hamiltonian: Hamiltonian, rng, current_energy=None):
-        """:meth:`propose_many` on the one row."""
-        batch = self.propose_many(
-            np.asarray(config)[None], hamiltonian, rng,
-            current_energies=None if current_energy is None
-            else np.array([current_energy], dtype=np.float64),
-        )
-        if batch.valid is not None:
-            return None
-        return Move(
-            sites=batch.sites[0],
-            new_values=batch.new_values[0],
-            delta_energy=float(batch.delta_energies[0]),
-            log_q_ratio=float(batch.log_q_ratios[0]),
-        )
 
     def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
                      current_energies=None) -> BatchMove:

@@ -24,13 +24,12 @@ from repro.hamiltonians.base import Hamiltonian
 from repro.lattice.configuration import one_hot
 from repro.nn.models.vae import CategoricalVAE
 from repro.nn.workspace import Workspace
-from repro.proposals.base import BatchMove, Move, Proposal
+from repro.proposals.base import BatchMove, Proposal
 from repro.proposals.cache import CurrentLogQCache
 from repro.proposals.composition import (
     COMPOSITION_MODES,
     composition_counts_rows,
     first_match_per_row,
-    matches_composition,
     repair_composition,
 )
 from repro.util.validation import check_integer
@@ -49,8 +48,8 @@ class VAEProposal(Proposal):
     composition : {"free", "reject", "repair"}
         See :mod:`repro.proposals.composition`.
     max_reject_tries : int
-        Decoded batch size for ``"reject"`` mode; if no draw matches the
-        composition, :meth:`propose` returns ``None`` (a rejected step).
+        Decoded candidates per row in ``"reject"`` mode; a row none of whose
+        draws matches the composition comes back invalid (a rejected step).
     """
 
     is_global = True
@@ -75,33 +74,13 @@ class VAEProposal(Proposal):
         self.preserves_composition = composition != "free"
         self.name = f"vae({composition})"
         # log q(x_current) cache: the current configuration only changes on
-        # acceptance, so consecutive proposals reuse the same value (note
-        # the IWAE estimate is frozen per configuration until then — the
-        # same value the scalar per-bytes cache has always reused).
+        # acceptance, so consecutive proposals reuse the same value (the
+        # IWAE estimate is frozen per configuration until then).
         self._logq_cache = CurrentLogQCache()
         #: Pooled layer intermediates for encoder/decoder forwards
         #: (semantics-preserving — see :mod:`repro.nn.workspace`).
         self.workspace = Workspace()
         self.model.bind_workspace(self.workspace)
-
-    # ------------------------------------------------------------------ api
-
-    def propose(self, config, hamiltonian: Hamiltonian, rng, current_energy=None):
-        c = np.asarray(config)
-        candidate = self._draw(c, rng)
-        if candidate is None:
-            return None
-        logq_old = self._log_q(c, rng)
-        logq_new = self._log_q(candidate, rng, cache=False)
-        if current_energy is None:
-            current_energy = hamiltonian.energy(c)
-        new_energy = float(hamiltonian.energy(candidate))
-        return Move(
-            sites=np.arange(hamiltonian.n_sites),
-            new_values=candidate.astype(c.dtype),
-            delta_energy=new_energy - float(current_energy),
-            log_q_ratio=logq_old - logq_new,
-        )
 
     def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
                      current_energies=None) -> BatchMove:
@@ -109,11 +88,9 @@ class VAEProposal(Proposal):
 
         The candidate pool is ``model.sample(B)`` (``"free"``/``"repair"``)
         or ``model.sample(B·tries)`` chunked ``tries`` per row with
-        first-match assignment (``"reject"``) — per-row composition
-        semantics identical to the scalar kernel.  ``log q`` draws its IWAE
-        noise from ``rng`` batch-wise, so trajectories are reproducible per
-        entry point (the documented ``propose_many`` RNG contract), not
-        across scalar/batched.
+        first-match assignment (``"reject"``).  ``log q`` draws its IWAE
+        noise from ``rng`` batch-wise, so a trajectory depends on how rows
+        are batched, not only on the seed.
         """
         configs = np.atleast_2d(np.asarray(configs))
         B = configs.shape[0]
@@ -155,20 +132,6 @@ class VAEProposal(Proposal):
 
     # ------------------------------------------------------------- internals
 
-    def _draw(self, config: np.ndarray, rng) -> np.ndarray | None:
-        tau = self.logit_temperature
-        if self.composition == "free":
-            return self.model.sample(1, rng, logit_temperature=tau)[0]
-        target = np.bincount(config.astype(np.int64), minlength=self.model.config.n_species)
-        if self.composition == "reject":
-            batch = self.model.sample(self.max_reject_tries, rng, logit_temperature=tau)
-            for row in batch:
-                if matches_composition(row, target):
-                    return row
-            return None
-        raw = self.model.sample(1, rng, logit_temperature=tau)[0]
-        return repair_composition(raw, target, rng)
-
     def _log_q_batch(self, configs: np.ndarray, rng) -> np.ndarray:
         """IWAE ``log q`` of a (R, n_sites) batch in one estimator call."""
         encoded = one_hot(np.atleast_2d(configs), self.model.config.n_species)
@@ -176,17 +139,6 @@ class VAEProposal(Proposal):
             encoded, n_samples=self.n_marginal_samples, rng=rng,
             logit_temperature=self.logit_temperature,
         ), dtype=np.float64)
-
-    def _log_q(self, config: np.ndarray, rng, cache: bool = True) -> float:
-        key = CurrentLogQCache.key(config) if cache else None
-        if key is not None:
-            cached = self._logq_cache.get(key)
-            if cached is not None:
-                return cached
-        value = float(self._log_q_batch(config[None], rng)[0])
-        if key is not None:
-            self._logq_cache.put(key, value)
-        return value
 
     def _log_q_current_many(self, configs: np.ndarray, rng) -> np.ndarray:
         values, missing, keys = self._logq_cache.lookup_many(configs)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
-from repro.proposals.base import FieldBlock, Move, Proposal
+from repro.proposals.base import BatchMove, FieldBlock, Proposal
 from repro.util.validation import check_integer
 
 __all__ = ["SwapProposal", "NeighborSwapProposal", "FlipProposal", "MultiSwapProposal"]
@@ -80,7 +80,8 @@ class SwapBlock(FieldBlock):
     def redraw(self, configs, rng):
         """A pair for each row of ``configs`` by the bounded rejection loop
         (falls back to a possibly-identity pair) — the move of a row-step
-        whose drawn candidates all failed."""
+        whose drawn candidates all failed.  A bond-list block never gets
+        here: its pairs are distinct sites."""
         n, distinct = self.params["n_sites"], self.params["distinct"]
         rows = np.arange(configs.shape[0])[:, None]
         pairs = rng.integers(n, size=(len(rows), 2))
@@ -133,23 +134,6 @@ class SwapProposal(Proposal):
         self.require_distinct = bool(require_distinct)
         self.name = "swap"
 
-    def propose(self, config, hamiltonian: Hamiltonian, rng, current_energy=None):
-        n = hamiltonian.n_sites
-        i = j = 0
-        for _ in range(_MAX_DISTINCT_TRIES):
-            i, j = int(rng.integers(n)), int(rng.integers(n))
-            if i == j:
-                continue
-            if not self.require_distinct or config[i] != config[j]:
-                break
-        delta = hamiltonian.delta_energy_swap(config, i, j)
-        return Move(
-            sites=np.array([i, j]),
-            new_values=np.array([config[j], config[i]], dtype=config.dtype),
-            delta_energy=delta,
-            log_q_ratio=0.0,
-        )
-
     def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1):
         """Candidate site pairs for ``n_steps`` super-steps (one array draw)."""
         n = hamiltonian.n_sites
@@ -162,7 +146,9 @@ class NeighborSwapProposal(Proposal):
     """Kawasaki dynamics: swap a random nearest-neighbor pair.
 
     Physically the local diffusion move for alloys; much slower mixing than
-    :class:`SwapProposal`, included as the conservative baseline.
+    :class:`SwapProposal`, included as the conservative baseline.  Its field
+    block is a :class:`SwapBlock` of one bond-list pair per row-step
+    (``distinct=False``), so it runs in the compiled block unchanged.
     """
 
     preserves_composition = True
@@ -171,25 +157,28 @@ class NeighborSwapProposal(Proposal):
     def __init__(self, shell: int = 0):
         self.shell = check_integer("shell", shell, minimum=0)
         self.name = f"nbr-swap(shell={shell})"
-        self._pairs_cache: tuple[int, np.ndarray] | None = None
+        self._bonds: tuple | None = None  # (lattice, shell, bond pairs)
 
     def _pairs(self, hamiltonian) -> np.ndarray:
-        key = id(hamiltonian)
-        if self._pairs_cache is None or self._pairs_cache[0] != key:
-            shells = hamiltonian.lattice.neighbor_shells(self.shell + 1)
-            self._pairs_cache = (key, shells[self.shell].pairs())
-        return self._pairs_cache[1]
+        """The bond list of ``hamiltonian``'s lattice, int64 ``(n_bonds, 2)``.
 
-    def propose(self, config, hamiltonian: Hamiltonian, rng, current_energy=None):
+        Keyed on the lattice object itself, held by the cache, so a later
+        lattice can never be served an earlier one's bonds."""
+        lattice = hamiltonian.lattice
+        bonds = self._bonds
+        if bonds is None or bonds[0] is not lattice or bonds[1] != self.shell:
+            shells = lattice.neighbor_shells(self.shell + 1)
+            pairs = shells[self.shell].pairs().astype(np.int64)
+            bonds = self._bonds = (lattice, self.shell, pairs)
+        return bonds[2]
+
+    def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1):
+        """One bond per row-step for ``n_steps`` super-steps."""
         pairs = self._pairs(hamiltonian)
-        i, j = pairs[int(rng.integers(pairs.shape[0]))]
-        delta = hamiltonian.delta_energy_swap(config, int(i), int(j))
-        return Move(
-            sites=np.array([i, j]),
-            new_values=np.array([config[j], config[i]], dtype=config.dtype),
-            delta_energy=delta,
-            log_q_ratio=0.0,
-        )
+        n_rows = np.atleast_2d(configs).shape[0]
+        picks = rng.integers(len(pairs), size=(n_steps, n_rows))
+        return SwapBlock(pairs[picks].reshape(n_steps, n_rows, 1, 2),
+                         distinct=False, n_sites=hamiltonian.n_sites)
 
 
 class FlipProposal(Proposal):
@@ -206,19 +195,6 @@ class FlipProposal(Proposal):
     def __init__(self):
         self.name = "flip"
 
-    def propose(self, config, hamiltonian: Hamiltonian, rng, current_energy=None):
-        site = int(rng.integers(hamiltonian.n_sites))
-        old = int(config[site])
-        shift = 1 + int(rng.integers(hamiltonian.n_species - 1))
-        new = (old + shift) % hamiltonian.n_species
-        delta = hamiltonian.delta_energy_flip(config, site, new)
-        return Move(
-            sites=np.array([site]),
-            new_values=np.array([new], dtype=config.dtype),
-            delta_energy=delta,
-            log_q_ratio=0.0,
-        )
-
     def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1):
         """Sites and species shifts for ``n_steps`` super-steps."""
         shape = (n_steps, np.atleast_2d(configs).shape[0])
@@ -231,9 +207,11 @@ class MultiSwapProposal(Proposal):
     """k simultaneous swaps — a tunable-range interpolation between local
     and global updates (used in the E5/E6 proposal-quality ablations).
 
-    The energy change is computed by applying the swaps sequentially with
-    incremental updates on a scratch copy, so arbitrary overlaps between the
-    k pairs are handled exactly.
+    The k swaps are applied one after another to a scratch copy of the
+    batch, each priced on the scratch state it meets, so arbitrary overlaps
+    between the k pairs are handled exactly.  A row reports all ``2k``
+    touched sites with their final species: a site touched twice carries
+    one value, so writing the row stays correct.
     """
 
     preserves_composition = True
@@ -244,26 +222,23 @@ class MultiSwapProposal(Proposal):
         self.require_distinct = bool(require_distinct)
         self.name = f"multi-swap(k={k})"
 
-    def propose(self, config, hamiltonian: Hamiltonian, rng, current_energy=None):
-        n = hamiltonian.n_sites
-        scratch = config.copy()
-        delta = 0.0
-        touched: list[int] = []
-        for _ in range(self.k):
-            i = j = 0
-            for _try in range(_MAX_DISTINCT_TRIES):
-                i, j = int(rng.integers(n)), int(rng.integers(n))
-                if i == j:
-                    continue
-                if not self.require_distinct or scratch[i] != scratch[j]:
-                    break
-            delta += hamiltonian.delta_energy_swap(scratch, i, j)
-            scratch[i], scratch[j] = scratch[j], scratch[i]
-            touched += [i, j]
-        sites = np.unique(np.array(touched, dtype=np.int64))
-        return Move(
-            sites=sites,
-            new_values=scratch[sites],
-            delta_energy=delta,
-            log_q_ratio=0.0,
-        )
+    def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
+                     current_energies=None) -> BatchMove:
+        """The k swaps are the k super-steps of a :class:`SwapProposal`
+        block, each resolved against the scratch state it meets."""
+        scratch = np.array(np.atleast_2d(configs), copy=True)
+        rows = np.arange(scratch.shape[0])
+        block = SwapProposal(self.require_distinct).draw_fields(
+            scratch, hamiltonian, rng, self.k)
+        streams = [(rng, 0, len(rows))]
+        delta = np.zeros(len(rows))
+        touched = []
+        for step in range(self.k):
+            pairs = block.resolve(step, scratch, rows, streams)
+            i, j = pairs[:, 0], pairs[:, 1]
+            delta += hamiltonian.delta_energy_swap_many(scratch, i, j)
+            scratch[rows, i], scratch[rows, j] = scratch[rows, j], scratch[rows, i]
+            touched.append(pairs)
+        sites = np.concatenate(touched, axis=1)
+        return BatchMove(sites=sites, new_values=scratch[rows[:, None], sites],
+                         delta_energies=delta, log_q_ratios=np.zeros(len(rows)))

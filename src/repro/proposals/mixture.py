@@ -6,7 +6,7 @@ mixture of kernels that each satisfy detailed balance w.r.t. the target is
 itself reversible, so the per-component acceptance rule (each component's
 own ``log_q_ratio``) is exact — no cross-component density evaluation is
 needed.  This requires the component choice to be made *independently of the
-current state*, which is what :meth:`propose` does.
+current state*, which is what :meth:`MixtureProposal.propose_many` does.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
-from repro.proposals.base import BatchMove, Move, Proposal
+from repro.proposals.base import BatchMove, Proposal
 
 __all__ = ["MixtureProposal"]
 
@@ -44,11 +44,6 @@ class MixtureProposal(Proposal):
         ) + "]"
         self.counts = np.zeros(len(self.proposals), dtype=np.int64)
 
-    def propose(self, config, hamiltonian: Hamiltonian, rng, current_energy=None) -> Move | None:
-        k = int(rng.choice(len(self.proposals), p=self.weights))
-        self.counts[k] += 1
-        return self.proposals[k].propose(config, hamiltonian, rng, current_energy=current_energy)
-
     def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
                      current_energies=None) -> BatchMove:
         """Draw a component per row, dispatch each group to its batched path.
@@ -58,7 +53,7 @@ class MixtureProposal(Proposal):
         assigned the same component are proposed in **one** ``propose_many``
         call on that component — a team of B walkers costs at most
         ``len(self.proposals)`` batched sub-calls (and typically one DL
-        forward-pass group per DL component), not B scalar proposals.
+        forward-pass group per DL component).
         """
         configs = np.atleast_2d(np.asarray(configs))
         B = configs.shape[0]

@@ -1,10 +1,10 @@
 """API-deprecation lint: fail CI when the repo uses its own shims.
 
 Retired spellings (``Hamiltonian.energy_batch``, ``repro.util.timers``,
-``.profiled(``) must not creep back in, and live shims exist for
-*downstream* callers only; in-repo code must use the canonical spellings or
-shims can never retire.  This
-lint is a plain line-grep — fast, zero imports of the checked code — over
+``.profiled(``, the scalar ``propose``/``Move``) must not creep back in,
+and live shims exist for *downstream* callers only; in-repo code must use
+the canonical spellings or shims can never retire.  This lint is a plain
+line-grep — fast, zero imports of the checked code — over
 ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``.
 
 A line may opt out with a trailing ``# lint-api: allow`` marker (used by
@@ -45,6 +45,13 @@ DEPRECATED_PATTERNS: list[tuple[re.Pattern[str], str, str, tuple[str, ...]]] = [
         "Hamiltonian/Proposal.profiled() was removed; a profiler observes the "
         "block engine instead (team.enable_profiling(...), DESIGN §10)",
         "src/",
+        (),
+    ),
+    (
+        re.compile(r"\bdef propose\(|\.propose\(|(?<![\w.])Move\("),
+        "the scalar Proposal.propose()/Move API was removed; every move is "
+        "proposed as a batch: propose_many(configs[None], ...) for one row",
+        "",
         (),
     ),
     (

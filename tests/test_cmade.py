@@ -157,11 +157,11 @@ class TestConditionalProposal:
             composition="reject", max_reject_tries=64,
         )
         for _ in range(5):
-            move = prop.propose(cfg, tiny_ising, rng)
-            if move is None:
+            move = prop.propose_many(cfg[None], tiny_ising, rng)
+            if move.valid is not None:
                 continue
             after = cfg.copy()
-            move.apply(after)
+            move.apply_row(0, after)
             assert np.bincount(after, minlength=2).tolist() == [4, 5]
 
     def test_bad_composition_mode(self, trained_cmade):

@@ -1,16 +1,16 @@
-"""Batched DL-proposal inference: batched==scalar properties and exactness.
+"""Batched DL-proposal inference: per-row contracts and exactness.
 
-The tentpole contract of the batched inference path (DESIGN.md §12): for
-every DL proposal, ``propose_many`` is the *same kernel* as ``propose`` —
-same candidate distribution, same (exact) proposal-density corrections,
-same composition semantics — just evaluated one model forward per walker
-team instead of per walker.  Three layers of checks:
+The contract of the batched inference path (DESIGN.md §12): every DL
+proposal's ``propose_many`` proposes one walker's move per row — the same
+candidate distribution, (exact) proposal-density corrections and
+composition semantics whatever the team size — with one model forward per
+walker team instead of per walker.  Three layers of checks:
 
-1. **Bit-level**: the MADE scalar path is the batched path on one row, and
-   both hand out consecutive rows of one candidate pool, so B scalar calls
-   and one B-row call give the same candidates, ``log_q_ratio`` and
-   ``delta_energy`` exactly; a pickled sampler continues bit for bit; the
-   workspace-bound model must be bit-identical to the unbound one.
+1. **Bit-level**: MADE calls hand out consecutive rows of one candidate
+   pool, so B one-row calls and one B-row call give the same candidates,
+   ``log_q_ratios`` and ``delta_energies`` exactly; a pickled sampler
+   continues bit for bit; the workspace-bound model must be bit-identical
+   to the unbound one.
 2. **Row-level**: every batched row's ``log_q_ratio`` equals directly
    evaluated model densities (exact for MADE/cMADE, including the
    reverse-conditioning correction), ``delta_energies`` match recomputed
@@ -43,8 +43,6 @@ from repro.proposals import (
     FlipProposal,
     MADEProposal,
     MixtureProposal,
-    Move,
-    Proposal,
     VAEProposal,
 )
 from repro.parallel import REWLConfig, REWLDriver
@@ -93,28 +91,6 @@ def _configs(n_rows, n_sites, seed, n_species=2):
 
 
 class TestBatchedEqualsScalar:
-    @pytest.mark.parametrize("composition", ["free", "reject"])
-    def test_made_b1_identical_to_scalar(self, tiny_ising, made9, composition):
-        """B=1 batched MADE hands out the very same candidate as scalar:
-        the first pool row (free) or the first match among the first
-        ``tries`` pool rows (reject) of equally seeded pools."""
-        cfg = _configs(1, 9, seed=11)[0]
-        e0 = float(tiny_ising.energy(cfg))
-
-        scalar = MADEProposal(made9, composition=composition)
-        batched = MADEProposal(made9, composition=composition)
-        move = scalar.propose(cfg, tiny_ising, np.random.default_rng(42),
-                              current_energy=e0)
-        bmove = batched.propose_many(cfg[None], tiny_ising,
-                                     np.random.default_rng(42),
-                                     current_energies=np.array([e0]))
-        assert move is not None and bmove.valid is None
-        after = cfg.copy()
-        move.apply(after)
-        assert np.array_equal(bmove.new_values[0], after)
-        assert bmove.log_q_ratios[0] == move.log_q_ratio
-        assert bmove.delta_energies[0] == move.delta_energy
-
     def test_workspace_binding_is_bit_identical(self):
         """The same architecture with and without a bound workspace."""
         plain = MADE(MADEConfig(n_sites=9, n_species=2, hidden=(32,)), rng=5)
@@ -270,14 +246,15 @@ class TestCurrentLogQCaching:
         assert prop._logq_cache.misses == before + 3
 
     def test_scalar_and_batched_share_one_cache(self, tiny_ising, made9):
-        cfg = _configs(1, 9, seed=19)[0]
+        """A one-row call and a team call holding the same row share its
+        entry."""
+        configs = _configs(3, 9, seed=19)
         prop = MADEProposal(made9, composition="free")
         rng = np.random.default_rng(16)
-        prop.propose(cfg, tiny_ising, rng, current_energy=0.0)
+        prop.propose_many(configs[:1], tiny_ising, rng, current_energies=np.zeros(1))
         before = prop._logq_cache.misses
-        prop.propose_many(cfg[None], tiny_ising, rng,
-                          current_energies=np.zeros(1))
-        assert prop._logq_cache.misses == before  # batched hit the scalar's entry
+        prop.propose_many(configs, tiny_ising, rng, current_energies=np.zeros(3))
+        assert prop._logq_cache.misses == before + 2  # row 0 hit the one-row entry
 
     def test_a_team_larger_than_the_cache_keeps_its_own_entries(self):
         """300 live rows against the 256-entry default: the FIFO used to
@@ -360,25 +337,27 @@ class TestCandidatePool:
     ])
     def test_scalar_calls_and_one_batched_call_hand_out_the_same_rows(
             self, tiny_ising, made9, composition, tries, B, calls):
-        scalar = MADEProposal(made9, composition=composition, max_reject_tries=tries)
-        batched = MADEProposal(made9, composition=composition, max_reject_tries=tries)
+        """B one-row calls and one B-row call hand out the same rows."""
+        single = MADEProposal(made9, composition=composition, max_reject_tries=tries)
+        team = MADEProposal(made9, composition=composition, max_reject_tries=tries)
         rng_s, rng_b = np.random.default_rng(42), np.random.default_rng(42)
         configs = np.stack([np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)] * B)
         e0 = tiny_ising.energies(configs)
         nulls = 0
         for _ in range(calls):
-            bmove = batched.propose_many(configs, tiny_ising, rng_b, current_energies=e0)
+            bmove = team.propose_many(configs, tiny_ising, rng_b, current_energies=e0)
             for b in range(B):
-                move = scalar.propose(configs[b], tiny_ising, rng_s, current_energy=e0[b])
-                if move is None:
+                row = single.propose_many(configs[b:b + 1], tiny_ising, rng_s,
+                                          current_energies=e0[b:b + 1])
+                if row.valid is not None:
                     nulls += 1
                     assert not bmove.valid[b]
                     continue
                 assert bmove.valid is None or bmove.valid[b]
-                assert np.array_equal(move.new_values, bmove.new_values[b])
-                assert move.log_q_ratio == bmove.log_q_ratios[b]
-                assert move.delta_energy == bmove.delta_energies[b]
-        assert batched._pool.cursor == scalar._pool.cursor
+                assert np.array_equal(row.new_values[0], bmove.new_values[b])
+                assert row.log_q_ratios[0] == bmove.log_q_ratios[b]
+                assert row.delta_energies[0] == bmove.delta_energies[b]
+        assert team._pool.cursor == single._pool.cursor
         assert calls * B * (1 if composition == "free" else tries) > 1024
         assert (nulls > 0) == (composition == "reject")
 
@@ -517,59 +496,6 @@ def _applied(bmove, b, configs):
     out = configs[b].copy()
     bmove.apply_row(b, out)
     return out
-
-
-# -------------------------------------------------- default packing (no DL)
-
-
-class _WidthToggling(Proposal):
-    """Test double: widths 1, 2, and None in a fixed cycle."""
-
-    preserves_composition = False
-    name = "toggle"
-
-    def __init__(self):
-        self._i = -1
-
-    def propose(self, config, hamiltonian, rng, current_energy=None):
-        self._i += 1
-        if self._i % 3 == 2:
-            return None
-        width = 1 + self._i % 3
-        sites = np.arange(width)
-        return Move(sites=sites, new_values=(config[sites] + 1) % 2,
-                    delta_energy=float(self._i), log_q_ratio=float(-self._i))
-
-
-class TestDefaultProposeManyPacking:
-    def test_single_pass_pads_and_flags(self, tiny_ising):
-        configs = _configs(6, 9, seed=22)
-        bmove = _WidthToggling().propose_many(
-            configs, tiny_ising, np.random.default_rng(0)
-        )
-        # Cycle: rows 0,3 width 1; rows 1,4 width 2; rows 2,5 None.
-        assert bmove.sites.shape == (6, 2)
-        assert list(bmove.valid) == [True, True, False, True, True, False]
-        for b in (0, 3):  # narrow rows: grown column back-filled with pad
-            assert bmove.sites[b, 1] == bmove.sites[b, 0]
-            assert bmove.new_values[b, 1] == bmove.new_values[b, 0]
-        for b in (1, 4):
-            assert list(bmove.sites[b]) == [0, 1]
-        assert bmove.delta_energies[2] == 0.0 and bmove.log_q_ratios[2] == 0.0
-
-    def test_padded_apply_is_idempotent(self, tiny_ising):
-        configs = _configs(6, 9, seed=23)
-        prop = _WidthToggling()
-        bmove = prop.propose_many(configs, tiny_ising, np.random.default_rng(0))
-        scalar = _WidthToggling()
-        for b in range(6):
-            move = scalar.propose(configs[b], tiny_ising, np.random.default_rng(0))
-            if move is None:
-                continue
-            via_batch = _applied(bmove, b, configs)
-            via_scalar = configs[b].copy()
-            move.apply(via_scalar)
-            assert np.array_equal(via_batch, via_scalar)
 
 
 # ----------------------------------------------------- encoders / workspace

@@ -12,7 +12,7 @@ from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import composition_counts, one_hot, square_lattice
 from repro.nn import MADE, Adam, CategoricalVAE, MADEConfig, VAEConfig
 from repro.proposals import FlipProposal, MADEProposal, SwapProposal, VAEProposal
-from repro.proposals.composition import matches_composition, repair_composition
+from repro.proposals.composition import repair_composition
 from repro.sampling import CanonicalTeam, MetropolisSampler
 
 
@@ -111,36 +111,36 @@ class TestMADEProposalExactness:
         cfg = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)
         prop = MADEProposal(trained_made, composition="reject", max_reject_tries=128)
         for _ in range(10):
-            move = prop.propose(cfg, tiny_ising, rng)
-            if move is None:
+            move = prop.propose_many(cfg[None], tiny_ising, rng)
+            if move.valid is not None:
                 continue
             after = cfg.copy()
-            move.apply(after)
+            move.apply_row(0, after)
             assert np.array_equal(composition_counts(after, 2), [4, 5])
 
     def test_delta_energy_correct(self, tiny_ising, trained_made):
         rng = np.random.default_rng(6)
         cfg = rng.integers(0, 2, 9).astype(np.int8)
         e0 = tiny_ising.energy(cfg)
-        move = MADEProposal(trained_made, composition="free").propose(
-            cfg, tiny_ising, rng, current_energy=e0
+        move = MADEProposal(trained_made, composition="free").propose_many(
+            cfg[None], tiny_ising, rng, current_energies=np.array([e0])
         )
         after = cfg.copy()
-        move.apply(after)
-        assert tiny_ising.energy(after) == pytest.approx(e0 + move.delta_energy)
+        move.apply_row(0, after)
+        assert tiny_ising.energy(after) == pytest.approx(e0 + move.delta_energies[0])
 
     def test_log_q_ratio_exact(self, tiny_ising, trained_made):
         """MADE's reported ratio equals directly evaluated log probs."""
         rng = np.random.default_rng(7)
         cfg = rng.integers(0, 2, 9).astype(np.int8)
-        move = MADEProposal(trained_made, composition="free").propose(
-            cfg, tiny_ising, rng, current_energy=0.0
+        move = MADEProposal(trained_made, composition="free").propose_many(
+            cfg[None], tiny_ising, rng, current_energies=np.zeros(1)
         )
         after = cfg.copy()
-        move.apply(after)
+        move.apply_row(0, after)
         lq_old = trained_made.log_prob(one_hot(cfg, 2)[None])[0]
         lq_new = trained_made.log_prob(one_hot(after, 2)[None])[0]
-        assert move.log_q_ratio == pytest.approx(lq_old - lq_new, abs=1e-10)
+        assert move.log_q_ratios[0] == pytest.approx(lq_old - lq_new, abs=1e-10)
 
 
 class TestVAEProposal:
@@ -166,9 +166,10 @@ class TestVAEProposal:
         cfg = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)
         prop = VAEProposal(trained_vae, composition="repair")
         for _ in range(10):
-            move = prop.propose(cfg, tiny_ising, rng)
+            move = prop.propose_many(cfg[None], tiny_ising, rng)
+            assert move.valid is None
             after = cfg.copy()
-            move.apply(after)
+            move.apply_row(0, after)
             assert np.array_equal(composition_counts(after, 2), [4, 5])
 
     def test_cache_invalidate(self, trained_vae):
@@ -183,10 +184,6 @@ class TestVAEProposal:
 
 
 class TestCompositionHelpers:
-    def test_matches(self):
-        assert matches_composition(np.array([0, 1, 1]), np.array([1, 2]))
-        assert not matches_composition(np.array([0, 0, 1]), np.array([1, 2]))
-
     def test_repair_reaches_target(self):
         rng = np.random.default_rng(0)
         for seed in range(20):

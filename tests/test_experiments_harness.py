@@ -23,7 +23,7 @@ from repro.util.rng import as_generator
 
 
 def anneal_extreme(ham, config, rng, minimize: bool = True, sweeps: int = 400) -> float:
-    """One scalar simulated anneal with swaps, one proposal at a time: the
+    """One simulated anneal with swaps, one one-row proposal at a time: the
     reference law of :func:`estimate_energy_range`'s pilot rows."""
     rng = as_generator(rng)
     sign = 1.0 if minimize else -1.0
@@ -32,12 +32,11 @@ def anneal_extreme(ham, config, rng, minimize: bool = True, sweeps: int = 400) -
     prop = SwapProposal()
     for beta in np.geomspace(0.5, 200.0, sweeps):
         for _ in range(ham.n_sites):
-            move = prop.propose(cfg, ham, rng, current_energy=energy)
-            if sign * move.delta_energy <= 0 or rng.random() < np.exp(
-                -beta * sign * move.delta_energy
-            ):
-                move.apply(cfg)
-                energy += move.delta_energy
+            move = prop.propose_many(cfg[None], ham, rng, current_energies=[energy])
+            delta = float(move.delta_energies[0])
+            if sign * delta <= 0 or rng.random() < np.exp(-beta * sign * delta):
+                move.apply_row(0, cfg)
+                energy += delta
     return float(energy)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from repro.hamiltonians import IsingHamiltonian, enumerate_density_of_states, enumerate_energies
 from repro.lattice import random_configuration, square_lattice
-from repro.proposals import FlipProposal, MultiSwapProposal, SwapProposal
-from repro.sampling import MetropolisSampler
+from repro.proposals import FlipProposal, MultiSwapProposal, NeighborSwapProposal, SwapProposal
+from repro.sampling import CanonicalTeam, MetropolisSampler
 
 
 def exact_mean_energy(levels, degens, beta):
@@ -29,8 +29,13 @@ class TestCanonicalMeans:
         sem = stats.energies.std() / np.sqrt(len(stats.energies) / 20)
         assert stats.energies.mean() == pytest.approx(exact, abs=max(5 * sem, 0.3))
 
-    def test_swap_chain_fixed_composition_mean(self, ising_4x4):
-        """Canonical (fixed-M) sampling matches fixed-composition enumeration."""
+    @pytest.mark.parametrize("make", [
+        SwapProposal, NeighborSwapProposal, lambda: MultiSwapProposal(k=2),
+    ], ids=["swap", "nbr_swap", "multi_swap"])
+    def test_swap_chain_fixed_composition_mean(self, ising_4x4, make):
+        """Canonical (fixed-M) sampling matches fixed-composition
+        enumeration: six seeds, each a team of 8 chains, agree with the
+        exact mean within 5 standard errors of their spread."""
         beta = 0.3
         counts = [8, 8]
         energies = enumerate_energies(ising_4x4, counts=counts)
@@ -38,11 +43,19 @@ class TestCanonicalMeans:
         w -= w.max()
         p = np.exp(w) / np.exp(w).sum()
         exact = float(np.dot(p, energies))
-        cfg = random_configuration(16, counts, rng=1)
-        sampler = MetropolisSampler(ising_4x4, SwapProposal(), beta, cfg, rng=2)
-        sampler.run(5_000)
-        stats = sampler.run(120_000, record_energy_every=10)
-        assert stats.energies.mean() == pytest.approx(exact, abs=0.4)
+        means = []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            configs = np.stack([random_configuration(16, counts, rng=rng) for _ in range(8)])
+            team = CanonicalTeam(ising_4x4, make(), configs, beta, rng=seed)
+            team.steps(500)
+            total = 0.0
+            for _ in range(400):
+                team.steps(10)
+                total += team.energies.mean()
+            means.append(total / 400)
+        sem = np.std(means, ddof=1) / np.sqrt(len(means))
+        assert np.mean(means) == pytest.approx(exact, abs=5 * sem)
 
     def test_multiswap_agrees_with_swap(self, ising_4x4):
         beta = 0.25

@@ -34,7 +34,7 @@ from repro.obs.events import EventLog
 from repro.obs.profile import SectionProfiler
 from repro.obs.report import render_report
 from repro.parallel.checkpoint import _read_state, save_checkpoint
-from repro.proposals import FlipProposal, SwapProposal
+from repro.proposals import FlipProposal, NeighborSwapProposal, SwapProposal
 from repro.proposals.local import FlipBlock, SwapBlock
 from repro.sampling import CanonicalTeam, EnergyGrid, WangLandauSampler, WLConfig, batched
 from repro.sampling.batched import BatchedWangLandauSampler, advance_block
@@ -82,7 +82,7 @@ def pinned(library):
 
 # ------------------------------------------------------------- random systems
 
-MOVES = ("swap", "swap_any", "flip", "flip_field")
+MOVES = ("swap", "swap_any", "nbr_swap", "flip", "flip_field")
 
 
 def random_system(seed, move, levels, n_windows, rows, canonical=False):
@@ -100,11 +100,12 @@ def random_system(seed, move, levels, n_windows, rows, canonical=False):
     field = draw(s) if move == "flip_field" else None
     ham = PairHamiltonian(lattice, mats + mats.transpose(0, 2, 1), field=field)
     n_sites, total = ham.n_sites, n_windows * rows
-    if move.startswith("swap"):
+    if "swap" in move:
         counts = 1 + rng.multinomial(n_sites - s, np.full(s, 1 / s))
         configs = np.stack([random_configuration(n_sites, counts, rng=rng)
                             for _ in range(total)])
-        proposal = lambda: SwapProposal(require_distinct=move == "swap")  # noqa: E731
+        proposal = NeighborSwapProposal if move == "nbr_swap" else \
+            lambda: SwapProposal(require_distinct=move == "swap")  # noqa: E731
     else:
         configs = rng.integers(s, size=(total, n_sites)).astype(np.int8)
         proposal = FlipProposal

@@ -16,7 +16,7 @@ from repro.proposals import (
     NeighborSwapProposal,
     SwapProposal,
 )
-from repro.proposals.base import Move
+from repro.proposals.base import BatchMove, Proposal
 
 SUPPRESS = [HealthCheck.function_scoped_fixture]
 
@@ -31,54 +31,72 @@ def proposal(request):
     }[request.param]
 
 
+def alloy_batch(hamiltonian, n_rows, rng):
+    """``n_rows`` random 54-site configurations at the 14/14/13/13 alloy
+    composition."""
+    return np.stack([
+        random_configuration(hamiltonian.n_sites, [14, 14, 13, 13], rng=rng)
+        for _ in range(n_rows)
+    ])
+
+
+def applied(batch, configs):
+    """``configs`` with every row's move written (a copy)."""
+    after = configs.copy()
+    for b in range(len(after)):
+        batch.apply_row(b, after[b])
+    return after
+
+
 class TestMoveContract:
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None, suppress_health_check=SUPPRESS)
-    def test_delta_energy_matches_hamiltonian(self, proposal, hea_small, seed):
-        rng = np.random.default_rng(seed)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
-        e0 = hea_small.energy(cfg)
-        move = proposal.propose(cfg, hea_small, rng, current_energy=e0)
-        assert move is not None
-        after = cfg.copy()
-        move.apply(after)
-        assert hea_small.energy(after) == pytest.approx(e0 + move.delta_energy, abs=1e-8)
+    """Every local kernel, through ``propose_many`` on one row and on several."""
 
-    @given(seed=st.integers(0, 10**6))
+    @given(seed=st.integers(0, 10**6), n_rows=st.sampled_from([1, 5]))
     @settings(max_examples=20, deadline=None, suppress_health_check=SUPPRESS)
-    def test_local_kernels_are_symmetric(self, proposal, hea_small, seed):
+    def test_delta_energy_matches_hamiltonian(self, proposal, hea_small, seed, n_rows):
         rng = np.random.default_rng(seed)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
-        move = proposal.propose(cfg, hea_small, rng)
-        assert move.log_q_ratio == 0.0
+        configs = alloy_batch(hea_small, n_rows, rng)
+        e0 = hea_small.energies(configs)
+        batch = proposal.propose_many(configs, hea_small, rng, current_energies=e0)
+        assert batch.valid is None and batch.batch_size == n_rows
+        np.testing.assert_allclose(hea_small.energies(applied(batch, configs)),
+                                   e0 + batch.delta_energies, rtol=0, atol=1e-8)
 
-    @given(seed=st.integers(0, 10**6))
+    @given(seed=st.integers(0, 10**6), n_rows=st.sampled_from([1, 5]))
     @settings(max_examples=20, deadline=None, suppress_health_check=SUPPRESS)
-    def test_composition_preserved(self, proposal, hea_small, seed):
+    def test_local_kernels_are_symmetric(self, proposal, hea_small, seed, n_rows):
+        rng = np.random.default_rng(seed)
+        configs = alloy_batch(hea_small, n_rows, rng)
+        batch = proposal.propose_many(configs, hea_small, rng)
+        assert np.all(batch.log_q_ratios == 0.0)
+
+    @given(seed=st.integers(0, 10**6), n_rows=st.sampled_from([1, 5]))
+    @settings(max_examples=20, deadline=None, suppress_health_check=SUPPRESS)
+    def test_composition_preserved(self, proposal, hea_small, seed, n_rows):
         if not proposal.preserves_composition:
             pytest.skip("non-conserving kernel")
         rng = np.random.default_rng(seed)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
-        before = composition_counts(cfg, 4)
-        move = proposal.propose(cfg, hea_small, rng)
-        move.apply(cfg)
-        assert np.array_equal(composition_counts(cfg, 4), before)
+        configs = alloy_batch(hea_small, n_rows, rng)
+        after = applied(proposal.propose_many(configs, hea_small, rng), configs)
+        for a, c in zip(after, configs):
+            assert np.array_equal(composition_counts(a, 4), composition_counts(c, 4))
 
     def test_proposal_does_not_mutate_input(self, proposal, hea_small):
         rng = np.random.default_rng(0)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
-        snapshot = cfg.copy()
-        proposal.propose(cfg, hea_small, rng)
-        assert np.array_equal(cfg, snapshot)
+        for n_rows in (1, 5):
+            configs = alloy_batch(hea_small, n_rows, rng)
+            snapshot = configs.copy()
+            proposal.propose_many(configs, hea_small, rng)
+            assert np.array_equal(configs, snapshot)
 
 
 class TestSwapProposal:
     def test_require_distinct_avoids_identity(self, hea_small):
         rng = np.random.default_rng(0)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
-        for _ in range(50):
-            move = SwapProposal(require_distinct=True).propose(cfg, hea_small, rng)
-            assert cfg[move.sites[0]] != cfg[move.sites[1]]
+        configs = alloy_batch(hea_small, 50, rng)
+        batch = SwapProposal(require_distinct=True).propose_many(configs, hea_small, rng)
+        rows = np.arange(50)
+        assert np.all(configs[rows, batch.sites[:, 0]] != configs[rows, batch.sites[:, 1]])
 
     def test_flags(self):
         p = SwapProposal()
@@ -88,32 +106,44 @@ class TestSwapProposal:
 class TestNeighborSwap:
     def test_swaps_are_neighbors(self, hea_small):
         rng = np.random.default_rng(1)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
+        configs = alloy_batch(hea_small, 30, rng)
         table = hea_small.lattice.neighbor_shells(1)[0].table
-        p = NeighborSwapProposal()
-        for _ in range(30):
-            move = p.propose(cfg, hea_small, rng)
-            i, j = move.sites
+        batch = NeighborSwapProposal().propose_many(configs, hea_small, rng)
+        for i, j in batch.sites:
             assert j in table[i]
 
     def test_second_shell(self, hea_small):
         rng = np.random.default_rng(2)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
+        configs = alloy_batch(hea_small, 4, rng)
         table = hea_small.lattice.neighbor_shells(2)[1].table
-        p = NeighborSwapProposal(shell=1)
-        move = p.propose(cfg, hea_small, rng)
-        i, j = move.sites
-        assert j in table[i]
+        batch = NeighborSwapProposal(shell=1).propose_many(configs, hea_small, rng)
+        for i, j in batch.sites:
+            assert j in table[i]
+
+    def test_bond_cache_follows_the_lattice(self):
+        """One proposal over Hamiltonians alternating between a 6x6 and a 3x3
+        lattice: every drawn pair is a bond of the current lattice, although
+        a new Hamiltonian often reuses a dead one's ``id``."""
+        lattices = [square_lattice(3), square_lattice(6)]
+        bonds = [{tuple(b) for b in lat.neighbor_shells(1)[0].pairs().tolist()}
+                 for lat in lattices]
+        proposal = NeighborSwapProposal()
+        rng = np.random.default_rng(7)
+        for k in range(200):
+            ham = IsingHamiltonian(lattices[k % 2])
+            configs = rng.integers(0, 2, size=(4, ham.n_sites)).astype(np.int8)
+            batch = proposal.propose_many(configs, ham, rng)
+            assert {tuple(sorted(pair)) for pair in batch.sites.tolist()} <= bonds[k % 2]
+            del ham
 
 
 class TestFlipProposal:
     def test_always_changes_species(self, ising_4x4):
         rng = np.random.default_rng(3)
-        cfg = rng.integers(0, 2, 16).astype(np.int8)
-        p = FlipProposal()
-        for _ in range(30):
-            move = p.propose(cfg, ising_4x4, rng)
-            assert move.new_values[0] != cfg[move.sites[0]]
+        configs = rng.integers(0, 2, (30, 16)).astype(np.int8)
+        batch = FlipProposal().propose_many(configs, ising_4x4, rng)
+        rows = np.arange(30)
+        assert np.all(batch.new_values[:, 0] != configs[rows, batch.sites[:, 0]])
 
     def test_not_composition_preserving(self):
         assert not FlipProposal().preserves_composition
@@ -122,9 +152,10 @@ class TestFlipProposal:
 class TestMultiSwap:
     def test_changes_at_most_2k_sites(self, hea_small):
         rng = np.random.default_rng(4)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
-        move = MultiSwapProposal(k=4).propose(cfg, hea_small, rng)
-        assert move.n_sites_changed <= 8
+        configs = alloy_batch(hea_small, 6, rng)
+        batch = MultiSwapProposal(k=4).propose_many(configs, hea_small, rng)
+        assert batch.sites.shape == (6, 8)
+        assert np.all((applied(batch, configs) != configs).sum(axis=1) <= 8)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
@@ -134,10 +165,10 @@ class TestMultiSwap:
 class TestMixture:
     def test_empirical_fractions_match_weights(self, hea_small):
         rng = np.random.default_rng(5)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
+        configs = alloy_batch(hea_small, 200, rng)
         mix = MixtureProposal([(SwapProposal(), 0.8), (MultiSwapProposal(2), 0.2)])
-        for _ in range(2000):
-            mix.propose(cfg, hea_small, rng)
+        for _ in range(10):
+            mix.propose_many(configs, hea_small, rng)
         fractions = mix.component_fractions()
         assert fractions[0] == pytest.approx(0.8, abs=0.05)
 
@@ -155,22 +186,31 @@ class TestMixture:
 
     def test_move_is_valid(self, hea_small):
         rng = np.random.default_rng(6)
-        cfg = random_configuration(hea_small.n_sites, [14, 14, 13, 13], rng=rng)
+        configs = alloy_batch(hea_small, 8, rng)
         mix = MixtureProposal([(SwapProposal(), 0.5), (NeighborSwapProposal(), 0.5)])
-        e0 = hea_small.energy(cfg)
-        move = mix.propose(cfg, hea_small, rng, current_energy=e0)
-        after = cfg.copy()
-        move.apply(after)
-        assert hea_small.energy(after) == pytest.approx(e0 + move.delta_energy, abs=1e-9)
+        e0 = hea_small.energies(configs)
+        batch = mix.propose_many(configs, hea_small, rng, current_energies=e0)
+        np.testing.assert_allclose(hea_small.energies(applied(batch, configs)),
+                                   e0 + batch.delta_energies, rtol=0, atol=1e-9)
 
 
 class TestMoveObject:
     def test_apply_writes_sites(self):
+        """A row padded by repeating its first (site, value) pair writes
+        exactly its move."""
         cfg = np.zeros(5, dtype=np.int8)
-        move = Move(sites=np.array([1, 3]), new_values=np.array([2, 1], dtype=np.int8),
-                    delta_energy=0.0)
-        move.apply(cfg)
+        move = BatchMove(sites=np.array([[1, 3, 1]]),
+                         new_values=np.array([[2, 1, 2]], dtype=np.int8),
+                         delta_energies=np.zeros(1), log_q_ratios=np.zeros(1))
+        move.apply_row(0, cfg)
         assert cfg.tolist() == [0, 2, 0, 1, 0]
+
+
+class TestProposalBase:
+    def test_propose_many_needs_a_field_block_or_an_override(self, ising_4x4):
+        configs = np.zeros((2, 16), dtype=np.int8)
+        with pytest.raises(NotImplementedError, match="Proposal draws no field block"):
+            Proposal().propose_many(configs, ising_4x4, np.random.default_rng(0))
 
 
 class TestFieldBlocks:
@@ -246,6 +286,17 @@ class TestFieldBlocks:
             for a, c in zip(after, configs):
                 assert np.array_equal(composition_counts(a, 4),
                                       composition_counts(c, 4))
+
+    def test_block_key_carries_the_candidate_count(self, hea_small):
+        """A bond-list block (one pair per row-step) never stacks with a
+        swap block of six candidates, though both are ``SwapBlock``s."""
+        configs = alloy_batch(hea_small, 3, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        nbr = NeighborSwapProposal().draw_fields(configs, hea_small, rng, 4)
+        swap = SwapProposal(require_distinct=False).draw_fields(configs, hea_small, rng, 4)
+        assert type(nbr) is type(swap) and nbr.params == swap.params
+        assert nbr.arrays[0].shape == (4, 3, 1, 2)
+        assert nbr.key != swap.key
 
     @pytest.mark.parametrize("make", [SwapProposal, FlipProposal])
     def test_stacked_blocks_resolve_like_their_parts(self, hea_small, make):

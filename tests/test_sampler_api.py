@@ -212,6 +212,20 @@ class TestLintApi:
         assert len(hits) == 2
         assert {h[1] for h in hits} == {1, 2}  # line 3 opted out
 
+    def test_lint_flags_the_scalar_proposal_api(self, tmp_path):
+        from repro.tools.lint import lint_api
+
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "moves.py").write_text(
+            "def propose(self, config):\n"                # lint-api: allow
+            "move = prop.propose(cfg, ham, rng)\n"        # lint-api: allow
+            "m = Move(sites=s, new_values=v)\n"           # lint-api: allow
+            "b = BatchMove(sites=s, new_values=v)\n"
+            "b = prop.propose_many(cfg[None], ham, rng)\n"
+            "row = {\"propose\": 0.1}\n"
+        )
+        assert [h[1] for h in lint_api(tmp_path)] == [1, 2, 3]
+
     def test_lint_flags_profiled_views_under_src(self, tmp_path):
         from repro.tools.lint import lint_api
 
