@@ -11,6 +11,8 @@
  *   - the commit is Wang-Landau's: rows of a window in order, each seeing
  *     every earlier deposit.  A team with a beta array is canonical instead:
  *     row r accepts on ln u < -beta[r] * dE, and nothing is binned.
+ *   - a pooled row-step (pick >= 0) takes candidate i: its energy, dE =
+ *     E_i - E, and log q_cur - log q_i added to log alpha last.
  *
  * A row reads and writes only its own configuration and its window's ln g,
  * so resolve -> dE -> bin -> commit -> scatter run row by row here where
@@ -24,6 +26,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef struct {                 /* kernels.tables.PairTables (read-only) */
     int64_t n_sites, n_species, z, null_key;
@@ -59,13 +62,22 @@ typedef struct {                 /* one walker team: an energy window, or canoni
     const double *beta;          /* (rows,) inverse temperatures; NULL: Wang-Landau.
                                     A canonical team has no window: bins, ln_g,
                                     histogram, visited and the Grids are unused. */
+    /* A pooled team (proposals.base.PooledBlock); pick NULL: none. */
+    const int64_t *pick;         /* (n, rows) candidate index, -1: the local move */
+    const int8_t *cand_configs;  /* (m, n_sites) */
+    const double *cand_energy;   /* (m,) */
+    const double *cand_log_q;    /* (m,) */
+    const int64_t *cand_slot;    /* (m,) pooled component */
+    double *log_q;               /* (rows,) log q of the current configuration ... */
+    int64_t *held;               /* (rows,) ... under this component; -1: none */
     int64_t accepted, out_of_grid;   /* outputs, added to */
 } Team;
 
-enum { SWAP = 0, SWAP_DISTINCT = 1, FLIP = 2 };
+enum { SWAP = 0, SWAP_DISTINCT = 1, FLIP = 2, GLOBAL = 3 /* candidates only */ };
 
-/* Fill tm->move for one step; 1 when a swap row ran out of candidates
- * (its move[0] is set to -1 for the caller to redraw). */
+/* Fill tm->move for one step; nonzero when a swap row ran out of candidates
+ * (its move[0] is set to -1 for the caller to redraw) or a candidate meets
+ * a row that holds no log q for its component (the caller scores it). */
 static int resolve(const Tables *t, const Team *tm, int64_t kind,
                    int64_t n_cand, int64_t step)
 {
@@ -74,6 +86,14 @@ static int resolve(const Tables *t, const Team *tm, int64_t kind,
     for (int64_t r = 0; r < tm->rows; r++) {
         const int8_t *cfg = tm->configs + r * N;
         int64_t *move = tm->move + 2 * r;
+        if (tm->pick) {
+            const int64_t i = tm->pick[step * tm->rows + r];
+            if (i >= 0) {
+                move[0] = move[1] = 0;
+                exhausted |= tm->held[r] != tm->cand_slot[i];
+                continue;
+            }
+        }
         if (kind == FLIP) {
             const int64_t at = step * tm->rows + r, site = tm->field0[at];
             move[0] = site;
@@ -163,14 +183,20 @@ static int64_t lookup(const Grids *g, const Team *tm, double e)
     return flat - tm->bin_offset;
 }
 
-/* Take row r's resolved move (m0, m1) to energy e. */
-static void accept(Team *tm, int64_t kind, int64_t r, int8_t *cfg,
-                   int64_t m0, int64_t m1, double e)
+/* Take row r's move to energy e: candidate i when i >= 0, else the
+ * resolved local move (m0, m1). */
+static void accept(const Tables *t, Team *tm, int64_t kind, int64_t r, int8_t *cfg,
+                   int64_t i, int64_t m0, int64_t m1, double e)
 {
     tm->energies[r] = e;
     tm->slot_accepted[r]++;
     tm->accepted++;
-    if (kind == FLIP) {
+    if (tm->pick)
+        tm->held[r] = i >= 0 ? tm->cand_slot[i] : -1;
+    if (i >= 0) {
+        memcpy(cfg, tm->cand_configs + i * t->n_sites, (size_t)t->n_sites);
+        tm->log_q[r] = tm->cand_log_q[i];
+    } else if (kind == FLIP) {
         cfg[m0] = (int8_t)m1;
     } else {
         const int8_t a = cfg[m0], b = cfg[m1];
@@ -180,10 +206,11 @@ static void accept(Team *tm, int64_t kind, int64_t r, int8_t *cfg,
 }
 
 /* Run super-steps [start, stop).  Returns stop when done; a smaller step
- * index when that step's resolve left rows without a candidate: nothing of
- * that step is committed, every team's move array is filled, and the caller
- * replaces each move[0] == -1 row and calls again with start = that step
- * and resolved = 1.  Returns -1 on the level-grid clash described above.
+ * index when that step's resolve left rows without a swap candidate or a
+ * current log q: nothing of that step is committed, every team's move array
+ * is filled, and the caller replaces each move[0] == -1 row, scores the
+ * stale candidate rows and calls again with start = that step and
+ * resolved = 1.  Returns -1 on the level-grid clash described above.
  * g may be NULL when every team is canonical.
  */
 int64_t repro_superstep(const Tables *t, const Grids *g, Team *teams,
@@ -207,13 +234,23 @@ int64_t repro_superstep(const Tables *t, const Grids *g, Team *teams,
             for (int64_t r = 0; r < tm->rows; r++) {
                 int8_t *cfg = tm->configs + r * N;
                 const int64_t m0 = tm->move[2 * r], m1 = tm->move[2 * r + 1];
-                const double delta = kind == FLIP ? delta_flip(t, cfg, m0, m1)
-                                                  : delta_swap(t, cfg, m0, m1);
-                const double energy = tm->energies[r] + delta;
+                const int64_t i = tm->pick ? tm->pick[step * tm->rows + r] : -1;
+                double delta, energy, dq = 0.0;
+                if (i >= 0) {                  /* a pooled candidate */
+                    energy = tm->cand_energy[i];
+                    delta = energy - tm->energies[r];
+                    dq = tm->log_q[r] - tm->cand_log_q[i];
+                } else {
+                    delta = kind == FLIP ? delta_flip(t, cfg, m0, m1)
+                                         : delta_swap(t, cfg, m0, m1);
+                    energy = tm->energies[r] + delta;
+                }
                 if (tm->beta) {                /* canonical: MetropolisSampler's rule */
-                    const double log_alpha = -tm->beta[r] * delta;
+                    double log_alpha = -tm->beta[r] * delta;
+                    if (i >= 0)
+                        log_alpha += dq;
                     if (log_alpha >= 0.0 || ln_u[r] < log_alpha)
-                        accept(tm, kind, r, cfg, m0, m1, energy);
+                        accept(t, tm, kind, r, cfg, i, m0, m1, energy);
                     continue;
                 }
                 const int64_t nb = lookup(g, tm, energy);
@@ -223,10 +260,12 @@ int64_t repro_superstep(const Tables *t, const Grids *g, Team *teams,
                 if (nb < 0) {
                     tm->out_of_grid++;
                 } else {
-                    const double log_alpha = ln_g[cur] - ln_g[nb];
+                    double log_alpha = ln_g[cur] - ln_g[nb];
+                    if (i >= 0)
+                        log_alpha += dq;
                     if (log_alpha >= 0.0 || ln_u[r] < log_alpha) {
                         tm->bins[r] = cur = nb;
-                        accept(tm, kind, r, cfg, m0, m1, energy);
+                        accept(t, tm, kind, r, cfg, i, m0, m1, energy);
                     }
                 }
                 /* Update the (possibly unchanged) current bin - mandatory for WL. */

@@ -45,10 +45,11 @@ _Grids = _struct("_Grids", (_I64, "is_levels n_marks"), (_F64, "tol"),
 _Team = _struct(
     "_Team", (_I64, "rows bin_offset table_base"), (_F64, "e_max ln_f"),
     (_PTR, "configs energies bins ln_g histogram visited slot_accepted "
-           "field0 field1 ln_u move beta"),
+           "field0 field1 ln_u move beta "
+           "pick cand_configs cand_energy cand_log_q cand_slot log_q held"),
     (_I64, "accepted out_of_grid"))
 
-_KINDS = {"swap": 0, "swap_distinct": 1, "flip": 2}
+_KINDS = {"swap": 0, "swap_distinct": 1, "flip": 2, "global": 3}
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
@@ -107,19 +108,23 @@ def _tables_view(tables: PairTables):
 
 
 def _marshal(members, n: int, t, grids):
-    """``(kind, n_candidates, team structs, per-team move scratch)`` for one
+    """``(kind, n_candidates, team structs, per-team scratch)`` for one
     block, or :class:`_Unfit`.  ``grids`` is None for a canonical group:
-    each team hands C its ``beta`` and no window."""
+    each team hands C its ``beta`` and no window.  A team's scratch is its
+    ``(move, log_q, held)``; the last two are None unless it is pooled."""
     n_sites, s = t.n_sites, t.n_species
     specs = [fields.native_fields() for _, fields in members]
     if None in specs or len({kind for kind, _ in specs}) != 1:
         raise _Unfit
-    kind, (first, *_) = specs[0]
-    if kind != "flip" and np.ndim(first) != 4:
-        raise _Unfit
-    # swap candidates per row-step: T of the first team's (n, K, T, 2)
-    n_candidates = 0 if kind == "flip" else first.shape[2]
-    moves = []
+    kind, arrays = specs[0]
+    if kind == "swap" or kind == "swap_distinct":
+        if np.ndim(arrays[0]) != 4:
+            raise _Unfit
+        # swap candidates per row-step: T of the first team's (n, K, T, 2)
+        n_candidates = arrays[0].shape[2]
+    else:
+        n_candidates = 0
+    scratch = []
     teams = (_Team * len(members))()
     for w, ((team, fields), (_, arrays), ct) in enumerate(zip(members, specs, teams)):
         k = ct.rows = team.n_slots
@@ -138,26 +143,43 @@ def _marshal(members, n: int, t, grids):
             ct.histogram = _address(team.histogram, np.int64, (hi - lo,), True)
             ct.visited = _address(team.visited, np.bool_, (hi - lo,), True)
             _check_below(team.bins, hi - lo)
+        local = fields if fields.candidates is None else fields.local
         if kind == "flip":
             sites, shifts = arrays
             ct.field0 = _address(sites, np.int64, (n, k))
             ct.field1 = _address(shifts, np.int64, (n, k))
             _check_below(sites, n_sites)
-            if fields.params["n_species"] != s or shifts.min() < 1 or shifts.max() >= s:
+            if local.params["n_species"] != s or shifts.min() < 1 or shifts.max() >= s:
                 raise _Unfit
-        else:
+        elif kind != "global":
             (pairs,) = arrays
             ct.field0 = _address(pairs, np.int64, (n, k, n_candidates, 2))
             _check_below(pairs, n_sites)
-            if fields.params["n_sites"] != n_sites:
+            if local.params["n_sites"] != n_sites:
                 raise _Unfit
         move = np.empty((k, 2), dtype=np.int64)  # lint-api: allow
         ct.move = move.ctypes.data
-        moves.append(move)
-    return _KINDS[kind], n_candidates, teams, moves
+        log_q = held = None
+        if fields.candidates is not None:
+            (pick,), (configs, energies, log_q_cand, slot) = fields.arrays, fields.candidates
+            m = len(configs)
+            ct.pick = _address(pick, np.int64, (n, k))
+            ct.cand_configs = _address(configs, np.int8, (m, n_sites))
+            ct.cand_energy = _address(energies, np.float64, (m,))
+            ct.cand_log_q = _address(log_q_cand, np.float64, (m,))
+            ct.cand_slot = _address(slot, np.int64, (m,))
+            lowest = 0 if kind == "global" else -1  # -1: the local move
+            if pick.size and (pick.min() < lowest or pick.max() >= m):
+                raise _Unfit
+            _check_below(configs, s)
+            log_q = np.zeros(k)
+            held = np.full(k, -1, dtype=np.int64)  # lint-api: allow
+            ct.log_q, ct.held = log_q.ctypes.data, held.ctypes.data
+        scratch.append((move, log_q, held))
+    return _KINDS[kind], n_candidates, teams, scratch
 
 
-def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
+def run_block(lib, members, n: int, hamiltonian, grids, profiler=None) -> bool:
     """``n`` super-steps of every ``(team, fields)`` in ``members`` in C.
 
     Returns False — having drawn nothing and written nothing — when this
@@ -165,14 +187,16 @@ def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
     caller then runs the NumPy block.  Otherwise each team's arrays,
     counters and ``rng`` end exactly where the NumPy block would leave them.
     ``grids`` is None for a group of canonical teams (the C ``Grids`` is
-    then NULL).
+    then NULL).  Pooled teams' stale rows are scored between C calls
+    (:meth:`~repro.proposals.base.PooledBlock.score`, timed into
+    ``profiler``).
     """
     tables = getattr(hamiltonian, "tables", None)
     if type(tables) is not PairTables or (grids is not None and not np.isfinite(grids.tol)):
         return False
     try:
         t = _tables_view(tables)
-        kind, n_candidates, teams, moves = _marshal(members, n, t, grids)
+        kind, n_candidates, teams, scratch = _marshal(members, n, t, grids)
         g = None if grids is None else _Grids(
             grids.is_levels, len(grids.marks), grids.tol,
             _address(grids.marks, np.float64, grids.marks.shape),
@@ -192,15 +216,34 @@ def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
         if step < 0:
             raise IndexError("an energy lies within tolerance of two levels")
         # rows whose drawn candidates all failed: the rejection loop on
-        # their team's stream, teams in block order, as the oracle does
-        for (team, fields), move in zip(members, moves):
+        # their team's stream, teams in block order, as the oracle does;
+        # then the log q of each pooled team's stale rows (no draws)
+        for (team, fields), (move, log_q, held) in zip(members, scratch):
             sub = np.flatnonzero(move[:, 0] < 0)
             if len(sub):
                 move[sub] = fields.redraw(team.configs[sub], team.rng)
+            if held is not None:
+                fields.score(step, team.configs, log_q, held, profiler)
         resolved = 1
     for (team, _), ct in zip(members, teams):
         team._tally(n * ct.rows, ct.accepted, ct.out_of_grid)
     return True
+
+
+class _SyntheticPool:
+    """A pooled component without a model (the self-test's): uniform random
+    candidates, and log q a fixed linear function of the configuration."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def take_candidates(self, n, hamiltonian, rng):
+        configs = rng.integers(hamiltonian.n_species, size=(n, hamiltonian.n_sites))
+        configs = configs.astype(np.int8)
+        return configs, self.log_q_current(configs), hamiltonian.energies(configs)
+
+    def log_q_current(self, configs):
+        return configs @ self.weights
 
 
 def self_test(lib) -> None:
@@ -208,15 +251,19 @@ def self_test(lib) -> None:
 
     Wang-Landau swaps (the redraw path included) and field flips on a
     uniform grid, flips on a level grid, and canonical swaps (redraws again)
-    and field flips at signed inverse temperatures including 0 — two teams
-    each; raises ``RuntimeError`` unless every team array, counter and RNG
-    state agrees bit for bit.  A library is published to the cache only
-    after passing this.
+    and field flips at signed inverse temperatures including 0; then pooled
+    blocks — flips mixed with candidates of two synthetic pooled components
+    (:class:`_SyntheticPool`, no model), whose stale rows make the C loop
+    return for scoring — in both modes.  Two teams each; raises
+    ``RuntimeError`` unless every team array, counter and RNG state agrees
+    bit for bit.  A library is published to the cache only after passing
+    this.
     """
     from copy import deepcopy
 
     from repro.hamiltonians import IsingHamiltonian, PairHamiltonian
     from repro.lattice import random_configuration, square_lattice
+    from repro.proposals.base import draw_pooled
     from repro.proposals.local import FlipProposal, SwapProposal
     from repro.sampling import batched
     from repro.sampling.binning import EnergyGrid
@@ -229,12 +276,25 @@ def self_test(lib) -> None:
                             field=rng.normal(size=3))
     ising = IsingHamiltonian(square_lattice(4))
     signed = [(1.5, 0.0, -0.7), (-3.0, 0.4, 0.0)]  # per team, per row
-    cases = [(alloy, SwapProposal, [13, 2, 1], None, None),
-             (alloy, FlipProposal, [6, 5, 5], None, None),
-             (ising, FlipProposal, [8, 8], ising.energy_levels(), None),
-             (alloy, SwapProposal, [13, 2, 1], None, signed),
-             (alloy, FlipProposal, [6, 5, 5], None, signed)]
-    for ham, proposal, counts, levels, betas in cases:
+    # log q weights large enough that a stale log q flips canonical
+    # decisions (a loop that keeps it across a local accept fails here)
+    synthetic = [_SyntheticPool(rng.normal(scale=2.0, size=16)) for _ in range(2)]
+    cases = [(alloy, SwapProposal, [13, 2, 1], None, None, False),
+             (alloy, FlipProposal, [6, 5, 5], None, None, False),
+             (ising, FlipProposal, [8, 8], ising.energy_levels(), None, False),
+             (alloy, SwapProposal, [13, 2, 1], None, signed, False),
+             (alloy, FlipProposal, [6, 5, 5], None, signed, False),
+             (alloy, FlipProposal, [6, 5, 5], None, None, True),
+             (alloy, FlipProposal, [6, 5, 5], None, signed, True)]
+
+    def draw(team, ham, pooled):
+        fields = team.proposal.draw_fields(team.configs, ham, team.rng, 40)
+        if not pooled:
+            return fields
+        choice = team.rng.integers(-1, len(synthetic), size=(40, team.n_slots))
+        return draw_pooled(choice, synthetic, ham, team.rng, fields)
+
+    for ham, proposal, counts, levels, betas, pooled in cases:
         configs = np.stack([random_configuration(ham.n_sites, counts, rng=rng)
                             for _ in range(6)])
         configs = configs[np.argsort(ham.energies(configs), kind="stable")]
@@ -254,8 +314,7 @@ def self_test(lib) -> None:
                      for w, beta in enumerate(betas)]
         twins = deepcopy(teams)
         for side, native in ((teams, True), (twins, False)):
-            members = [(team, team.proposal.draw_fields(team.configs, ham, team.rng, 40))
-                       for team in side]
+            members = [(team, draw(team, ham, pooled)) for team in side]
             grids = None if betas else batched.StackedGrids(
                 [team.grid for team in side], [3, 3])
             if not native:
@@ -268,6 +327,6 @@ def self_test(lib) -> None:
             if not (same and getattr(a, "counters", None) == getattr(b, "counters", None)
                     and (a.n_steps, a.n_accepted) == (b.n_steps, b.n_accepted)
                     and a.rng.bit_generator.state == b.rng.bit_generator.state):
-                mode = "canonical" if betas else "Wang-Landau"
+                mode = ("canonical" if betas else "Wang-Landau") + (" pooled" if pooled else "")
                 raise RuntimeError(
                     f"self-test: native and NumPy blocks disagree ({mode} {proposal.__name__})")

@@ -7,7 +7,10 @@ acceptance and write accepted rows — proposals never mutate the
 configurations themselves.  Local kernels draw the randomness of many
 super-steps at once as a :class:`FieldBlock` (:meth:`Proposal.draw_fields`)
 and their :meth:`Proposal.propose_many` is the one-step block; global (DL)
-proposals and mixtures override :meth:`Proposal.propose_many`.
+proposals and mixtures override :meth:`Proposal.propose_many`.  Pooled
+independence proposals (free-mode MADE) and mixtures of them with at most
+one local kernel also draw whole blocks, as a :class:`PooledBlock` of
+pre-drawn candidates.
 
 Contracts, per row (property-tested in ``tests/test_proposals.py``):
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
 
-__all__ = ["BatchMove", "FieldBlock", "Proposal"]
+__all__ = ["BatchMove", "FieldBlock", "PooledBlock", "Proposal", "draw_pooled"]
 
 
 @dataclass
@@ -149,6 +152,9 @@ class FieldBlock:
         the block on the NumPy path."""
         return None
 
+    #: A :class:`PooledBlock`'s candidate rows; None for a local block.
+    candidates = None
+
     def batch_move(self, configs: np.ndarray, hamiltonian: Hamiltonian,
                    rng: np.random.Generator) -> "BatchMove":
         """Resolve and price step 0: ``propose_many`` is the one-step block."""
@@ -162,6 +168,118 @@ class FieldBlock:
             delta_energies=price(configs, move[:, 0], move[:, 1]),
             log_q_ratios=np.zeros(n_rows),
         )
+
+
+class PooledBlock(FieldBlock):
+    """``n`` super-steps of a team whose row-steps each take either a local
+    move or a pooled independence candidate (DESIGN.md §16).
+
+    ``arrays`` is ``(pick,)``, ``(n, B)`` int64: −1 where the row-step takes
+    the move of the ``local`` block (drawn for every row-step, read where
+    ``pick < 0``), else the index of its candidate in ``candidates`` =
+    ``(configs (m, n_sites) int8, energies (m,), log q (m,), component
+    (m,) int64)``.  ``scorers[d](configs)`` is log q of current
+    configurations under pooled component ``d``.
+
+    Everything drawn is state-independent except log q of a row's current
+    configuration.  A block runner keeps per row the log q it holds and the
+    component it holds it for (``held``, −1 for none): an accepted
+    candidate hands the row its pooled log q, an accepted local move clears
+    it, and :meth:`score` fills it, at the step where a candidate meets a
+    row that holds none for its component.
+    """
+
+    def __init__(self, pick, candidates, local=None, scorers=()):
+        super().__init__(pick)
+        self.candidates = candidates
+        self.local = local
+        self.scorers = list(scorers)
+        self.many = "" if local is None else local.many
+
+    @property
+    def key(self) -> tuple:
+        return (PooledBlock, None if self.local is None else self.local.key)
+
+    def stacked(self, blocks) -> "PooledBlock":
+        """Rows end to end; candidate indices and component slots are
+        offset, so a slot names one team's component."""
+        blocks = [self, *blocks]
+        starts = np.cumsum([0] + [len(b.candidates[0]) for b in blocks])
+        slots = np.cumsum([0] + [len(b.scorers) for b in blocks])
+        pick = np.concatenate([np.where(b.arrays[0] < 0, -1, b.arrays[0] + start)
+                               for b, start in zip(blocks, starts)], axis=1)
+        columns = [np.concatenate(c) for c in zip(*(b.candidates for b in blocks))]
+        columns[3] = np.concatenate([b.candidates[3] + s for b, s in zip(blocks, slots)])
+        local = None if self.local is None else self.local.stacked(
+            [b.local for b in blocks[1:]])
+        return PooledBlock(pick, tuple(columns), local,
+                           [scorer for b in blocks for scorer in b.scorers])
+
+    def resolve(self, step, configs, rows, streams):
+        """The local block's moves on the local row-steps (its redraws on
+        their streams only); candidate row-steps read ``(0, 0)``."""
+        move = np.zeros((len(rows), 2), dtype=np.int64)
+        local = np.flatnonzero(self.arrays[0][step] < 0)
+        if len(local):
+            sub = type(self.local)(*(a[step:step + 1, local] for a in self.local.arrays),
+                                   **self.local.params)
+            move[local] = sub.resolve(
+                0, configs[local], np.arange(len(local)),
+                [(rng, *np.searchsorted(local, (lo, hi))) for rng, lo, hi in streams])
+        return move
+
+    def moves(self, configs, rows, move):
+        return self.local.moves(configs, rows, move)
+
+    def redraw(self, configs, rng):
+        return self.local.redraw(configs, rng)
+
+    def native_fields(self):
+        if type(self) is not PooledBlock:  # a subclass may resolve differently
+            return None
+        return ("global", ()) if self.local is None else self.local.native_fields()
+
+    def score(self, step, configs, log_q, held, profiler=None) -> None:
+        """Fill ``log_q``/``held`` of the rows whose candidate at ``step``
+        meets them holding no log q for its component: one scoring call per
+        component, in slot order.  Draws nothing."""
+        pick = self.arrays[0][step]
+        rows = np.flatnonzero(pick >= 0)
+        want = self.candidates[3][pick[rows]]
+        stale = want != held[rows]
+        if not stale.any():
+            return
+        t0 = profiler.start("wl.block.score") if profiler is not None else None
+        rows, want = rows[stale], want[stale]
+        groups = [(0, rows)] if len(self.scorers) == 1 else [
+            (slot, rows[want == slot]) for slot in np.unique(want)]
+        for slot, sub in groups:
+            log_q[sub] = self.scorers[slot](configs[sub])
+            held[sub] = slot
+        if profiler is not None:
+            profiler.stop("wl.block.score", t0)
+
+
+def draw_pooled(choice, pooled, hamiltonian, rng, local=None) -> PooledBlock:
+    """A :class:`PooledBlock` for the row-steps of ``choice`` (``(n, B)``:
+    −1 for the ``local`` block's move, ``d`` for a candidate of
+    ``pooled[d]``).  Each pooled proposal hands out its candidates in
+    row-step order (its ``take_candidates``), in component order."""
+    flat = choice.ravel()
+    pick = np.full(flat.shape, -1, dtype=np.int64)
+    columns = [(np.empty((0, hamiltonian.n_sites), dtype=np.int8), np.empty(0),
+                np.empty(0), np.empty(0, dtype=np.int64))]
+    start = 0
+    for d, proposal in enumerate(pooled):
+        at = np.flatnonzero(flat == d)
+        if len(at):
+            configs, log_q, energies = proposal.take_candidates(len(at), hamiltonian, rng)
+            columns.append((configs, energies, log_q, np.full(len(at), d, dtype=np.int64)))
+            pick[at] = np.arange(start, start + len(at))
+            start += len(at)
+    candidates = tuple(np.concatenate(c) for c in zip(*columns))
+    return PooledBlock(pick.reshape(choice.shape), candidates, local,
+                       [proposal.log_q_current for proposal in pooled])
 
 
 class Proposal:
@@ -180,6 +298,11 @@ class Proposal:
     preserves_composition: bool = True
     is_global: bool = False
     name: str = "proposal"
+    #: True for an independence proposal whose candidates are drawn ahead
+    #: of the chain: it has ``take_candidates(n, hamiltonian, rng)`` →
+    #: ``(configs, log q, energies)`` and ``log_q_current(configs)``, and
+    #: a mixture may put its row-steps in a :class:`PooledBlock`.
+    pooled: bool = False
 
     def propose_many(
         self,

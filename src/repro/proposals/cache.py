@@ -90,15 +90,15 @@ class CurrentLogQCache:
         where missing); ``missing_mask[b]`` is True for rows the caller must
         score and then :meth:`store_many`.
         """
-        configs = np.atleast_2d(configs)
+        configs = np.ascontiguousarray(np.atleast_2d(configs))
         B = configs.shape[0]
         # Every row of this batch is live at once; twice that leaves room
         # for the entries accepted moves are about to orphan.
         self.capacity = max(self.capacity, 2 * B)
-        keys = [
-            self.key(configs[b], extras[b] if extras is not None else b"")
-            for b in range(B)
-        ]
+        flat, width = configs.tobytes(), configs[0].nbytes if B else 0
+        keys = [flat[b * width:(b + 1) * width] for b in range(B)]  # == key(row)
+        if extras is not None:
+            keys = [k + e for k, e in zip(keys, extras)]
         values = np.zeros(B, dtype=np.float64)
         missing = np.zeros(B, dtype=bool)
         for b, k in enumerate(keys):
@@ -182,6 +182,8 @@ class CandidatePool:
         self.columns: tuple = ()
         self.size = 0
         self.cursor = 0
+        #: the Hamiltonian that priced an energy column, when there is one
+        self.priced_by = None
 
     def take(self, n: int, refill) -> tuple:
         """The next ``n`` rows of every column, refilling as often as needed.

@@ -42,8 +42,16 @@ hand out the same candidates in the same order.  (In ``"repair"`` the
 projection draws from ``rng`` after the call's refills; the two agree there
 whenever no refill falls inside the B-row call, e.g. always when
 ``B * max_reject_tries`` divides the block.)
-A proposal serves one Hamiltonian: ``"free"`` rows carry the energy the
-refilling call's Hamiltonian gave them.
+``"free"`` rows carry the energy of the Hamiltonian that priced them; the
+pool keeps a reference to it and re-prices its energy column when a call
+brings another one (no draw, so the candidate stream is unchanged).
+
+In ``"free"`` mode the proposal is *pooled* (:attr:`MADEProposal.pooled`):
+:meth:`~MADEProposal.draw_fields` hands a whole block's candidates, one per
+row-step, to the block engine as a :class:`~repro.proposals.base.PooledBlock`
+(a mixture does the same for its row-steps), and the engine asks
+:meth:`~MADEProposal.log_q_current` only for the rows whose current log q it
+does not already hold (DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from repro.hamiltonians.base import Hamiltonian
 from repro.lattice.configuration import one_hot
 from repro.nn.models.made import MADE
 from repro.nn.workspace import Workspace
-from repro.proposals.base import BatchMove, Proposal
+from repro.proposals.base import BatchMove, Proposal, draw_pooled
 from repro.proposals.cache import CandidatePool, CurrentLogQCache
 from repro.proposals.composition import (
     COMPOSITION_MODES,
@@ -124,11 +132,11 @@ class MADEProposal(Proposal):
         valid = None
 
         if self.composition == "free":
-            candidates, logq_new, new_energies = self._take(B, hamiltonian, rng)
+            candidates, logq_new, new_energies = self.take_candidates(B, hamiltonian, rng)
         else:
             n_species = self.model.config.n_species
             tries = self.max_reject_tries
-            pool, pool_lp = self._take(B * tries, hamiltonian, rng)
+            pool, pool_lp = self.take_candidates(B * tries, hamiltonian, rng)
             pool = pool.reshape(B, tries, -1)
             pool_lp = pool_lp.reshape(B, tries)
             targets = composition_counts_rows(configs, n_species)
@@ -149,7 +157,7 @@ class MADEProposal(Proposal):
                 logq_new[miss] = self.model.log_prob(one_hot(repaired, n_species))
             new_energies = hamiltonian.energies(candidates)
 
-        logq_old = self._log_q_current_many(configs)
+        logq_old = self.log_q_current(configs)
         if current_energies is None:
             current_energies = hamiltonian.energies(configs)
         delta = new_energies - np.asarray(current_energies, dtype=np.float64)
@@ -159,11 +167,38 @@ class MADEProposal(Proposal):
             log_q[~valid] = 0.0
         return BatchMove.global_update(configs, candidates, delta, log_q, valid=valid)
 
-    # ----------------------------------------------------------- internals
+    @property
+    def pooled(self) -> bool:
+        """``"free"`` mode, where every pool row is a candidate, of this
+        class itself: a subclass may override :meth:`propose_many`, and the
+        block path would silently bypass it."""
+        return type(self) is MADEProposal and self.composition == "free"
 
-    def _take(self, n: int, hamiltonian: Hamiltonian, rng) -> tuple:
+    def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1):
+        """A :class:`~repro.proposals.base.PooledBlock` of the next
+        ``n_steps × B`` pool rows, one per row-step; None, drawing nothing,
+        unless :attr:`pooled`."""
+        if not self.pooled:
+            return None
+        choice = np.zeros((n_steps, np.atleast_2d(configs).shape[0]), dtype=np.int64)
+        return draw_pooled(choice, [self], hamiltonian, rng)
+
+    def log_q_current(self, configs: np.ndarray) -> np.ndarray:
+        """log q of current configurations: cached ones from the
+        content-keyed cache, the rest in one scoring forward."""
+        values, missing, keys = self._logq_cache.lookup_many(configs)
+        if missing.any():
+            fresh = self.model.log_prob(
+                one_hot(configs[missing], self.model.config.n_species)
+            )
+            self._logq_cache.store_many(keys, missing, values, fresh)
+        return values
+
+    def take_candidates(self, n: int, hamiltonian: Hamiltonian, rng) -> tuple:
         """The next ``n`` pool rows: ``(configs, log q)``, and in ``"free"``,
-        where every row is a candidate, ``energies``."""
+        where every row is a candidate, ``energies`` — priced by
+        ``hamiltonian`` (a pool priced by another is re-priced first)."""
+        pool = self._pool
 
         def refill():
             c = self.model.config
@@ -173,16 +208,12 @@ class MADEProposal(Proposal):
                 block += (hamiltonian.energies(block[0]),)
             return block
 
-        return self._pool.take(n, refill)
-
-    def _log_q_current_many(self, configs: np.ndarray) -> np.ndarray:
-        values, missing, keys = self._logq_cache.lookup_many(configs)
-        if missing.any():
-            fresh = self.model.log_prob(
-                one_hot(configs[missing], self.model.config.n_species)
-            )
-            self._logq_cache.store_many(keys, missing, values, fresh)
-        return values
+        if self.composition == "free":
+            if pool.cursor < pool.size and pool.priced_by is not hamiltonian:
+                candidates, log_q, _ = pool.columns
+                pool.columns = (candidates, log_q, hamiltonian.energies(candidates))
+            pool.priced_by = hamiltonian
+        return pool.take(n, refill)
 
     def invalidate_cache(self) -> None:
         """Drop cached ``log q`` values and the pooled candidates, both of

@@ -7,6 +7,11 @@ itself reversible, so the per-component acceptance rule (each component's
 own ``log_q_ratio``) is exact — no cross-component density evaluation is
 needed.  This requires the component choice to be made *independently of the
 current state*, which is what :meth:`MixtureProposal.propose_many` does.
+
+A mixture of pooled independence proposals (free-mode MADE) and at most one
+local kernel draws the choice for a whole block of super-steps at once
+(:meth:`MixtureProposal.draw_fields`), so its teams step in the block engine
+with the local ones; any other mixture steps through ``propose_many``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
-from repro.proposals.base import BatchMove, Proposal
+from repro.proposals.base import BatchMove, Proposal, draw_pooled
 
 __all__ = ["MixtureProposal"]
 
@@ -97,6 +102,34 @@ class MixtureProposal(Proposal):
             sites=sites, new_values=new_values, delta_energies=delta,
             log_q_ratios=log_q, valid=None if valid.all() else valid,
         )
+
+    def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1):
+        """A :class:`~repro.proposals.base.PooledBlock` when at least one
+        component is pooled (:attr:`Proposal.pooled`) and the others are at
+        most one local kernel that draws a field block; None, drawing
+        nothing, otherwise.
+
+        Draws, in order: the local component's fields for every row-step,
+        the component choice per row-step (counted in :attr:`counts`), then
+        each pooled component's candidates in row-step order.
+        """
+        pooled = [p.pooled for p in self.proposals]
+        local = [k for k, is_pooled in enumerate(pooled) if not is_pooled]
+        if len(local) > 1 or not any(pooled) or any(
+                self.proposals[k].is_global for k in local):
+            return None
+        fields = None
+        if local:
+            fields = self.proposals[local[0]].draw_fields(configs, hamiltonian, rng, n_steps)
+            if fields is None:
+                return None
+        ks = rng.choice(len(self.proposals), size=(n_steps, np.atleast_2d(configs).shape[0]),
+                        p=self.weights)
+        self.counts += np.bincount(ks.ravel(), minlength=len(self.proposals))
+        slot = np.cumsum(pooled) - 1  # component -> pooled slot; the local one -> -1
+        slot[local] = -1
+        return draw_pooled(slot[ks], [p for p, is_pooled in zip(self.proposals, pooled)
+                                      if is_pooled], hamiltonian, rng, fields)
 
     def invalidate_cache(self) -> None:
         """Forward cache invalidation to components that keep one."""

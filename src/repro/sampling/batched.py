@@ -20,18 +20,20 @@ established multiple-walkers-per-window REWL scheme (Vogel et al. 2013), so
 the convergence guarantees carry over unchanged (E1-tested in
 ``tests/test_batched_wl.py``).
 
-Two paths run super-steps.  Local (swap/flip) proposals go through
+Two paths run super-steps.  Local (swap/flip) proposals, free-mode MADE
+and mixtures of MADE with at most one local kernel go through
 :func:`advance_block` (DESIGN.md §16): a team draws the randomness of a
-whole ``steps(n)`` call at once, and the super-steps of every team that
-advances together run as one array program with team state written back
-once per block.  Proposals without a draw/resolve split — the deep-learning
-proposals, whose ``propose_many`` overrides (DESIGN.md §12) hand out
-pooled candidates (MADE) or run one model sampling pass (VAE, cMADE), then
-one density-scoring forward and at most one batched full-config energy
-evaluation per walker team, and mixtures of them — go through
-:meth:`BatchedWangLandauSampler.step_batch`, one ``propose_many`` and one
-``commit_batch`` per super-step (``tests/test_dl_batched.py`` pins that this
-path reproduces exact enumeration).
+whole ``steps(n)`` call at once — local fields, or a
+:class:`~repro.proposals.base.PooledBlock` of per-row-step component
+choices, local fields and pre-drawn MADE candidates with their energies and
+log q — and the super-steps of every team that advances together run as one
+array program with team state written back once per block; the only model
+work left inside a block is scoring the current log q of rows that do not
+hold it.  The other proposals — VAE, cMADE, MADE in ``"reject"`` /
+``"repair"`` mode, multi-swap, and mixtures holding one of them — go through
+:meth:`BatchedWangLandauSampler.step_batch`, one ``propose_many`` (DESIGN.md
+§12) and one ``commit_batch`` per super-step.  ``tests/test_dl_batched.py``
+pins that both paths reproduce exact enumeration with a MADE mixture.
 
 These are the only Wang–Landau steps there are.  A single walker is a
 one-row team: :class:`WangLandauSampler` adds that row's read views
@@ -221,8 +223,8 @@ class BatchedWangLandauSampler:
     def commit_batch(self, batch) -> int:
         """Decide and commit a prepared :class:`BatchMove`.  Returns accepts.
 
-        The back half of :meth:`step_batch` (DL, mixture and global
-        proposals); local proposals commit inside :func:`advance_block`.
+        The back half of :meth:`step_batch` (proposals that draw no block);
+        the others commit inside :func:`advance_block`.
         Draws the acceptance noise from ``self.rng``, after the proposal's
         own draws.
         """
@@ -498,10 +500,11 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
     whole block's randomness from its own stream — its proposal's
     :meth:`~repro.proposals.base.Proposal.draw_fields`, then the acceptance
     noise — and teams whose blocks share a key run as one array program
-    (:func:`_run_block`).  A team whose proposal has no draw/resolve split
-    (``draw_fields`` → None, drawing nothing: DL, mixture, global moves)
-    takes its super-steps through :meth:`step_batch`.  A trajectory is thus
-    a pure function of the seed and the sequence of ``n_steps`` values.
+    (:func:`_run_block`).  A team whose proposal draws no block
+    (``draw_fields`` → None, drawing nothing: VAE, cMADE, non-free MADE,
+    multi-swap and mixtures holding one) takes its super-steps through
+    :meth:`step_batch`.  A trajectory is thus a pure function of the seed
+    and the sequence of ``n_steps`` values.
 
     Teams are Wang-Landau windows (``team.beta is None``) or canonical
     (:class:`~repro.sampling.metropolis.CanonicalTeam`, per-row ``beta``);
@@ -513,7 +516,8 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
     Results do not depend on which ran.  A ``profiler`` observes without
     choosing the path: it times each team's field draw as
     ``proposal.<name>.fields`` and each group's block, on either path, as
-    ``wl.block``.
+    ``wl.block`` (and, inside it, the pooled rows' log q scoring as
+    ``wl.block.score``).
     """
     lib = native.library()
     log = worker_log()
@@ -538,8 +542,9 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
             grids = _stacked_grids([team for team, _ in members]) if wang_landau else None
             t_block = profiler.start_always("wl.block") if profiler is not None else None
             t0 = time.perf_counter() if log.enabled else 0.0
-            if lib is None or not superstep.run_block(lib, members, n, hamiltonian, grids):
-                _run_block(members, n, hamiltonian, grids)
+            if lib is None or not superstep.run_block(lib, members, n, hamiltonian,
+                                                      grids, profiler):
+                _run_block(members, n, hamiltonian, grids, profiler)
             elif log.enabled:
                 log.emit("span", name="wl.native_block", path="wl.native_block",
                          dur_s=time.perf_counter() - t0, steps=n,
@@ -567,7 +572,7 @@ def _stacked_grids(teams) -> StackedGrids:
     return hit[1]
 
 
-def _run_block(members, n: int, hamiltonian, grids) -> None:
+def _run_block(members, n: int, hamiltonian, grids, profiler=None) -> None:
     """One block for teams of one field kind: every super-step runs once for
     all rows of all teams — resolve, one ΔE gather, one bin lookup, one
     sequential commit loop, one scatter — and team state is written back
@@ -579,6 +584,13 @@ def _run_block(members, n: int, hamiltonian, grids) -> None:
     ``grids`` None the teams are canonical: row ``r`` accepts on
     ``ln u < −β_r·ΔE`` (MetropolisSampler's rule), and nothing is binned
     or deposited.
+
+    A :class:`~repro.proposals.base.PooledBlock` adds candidate row-steps:
+    first, rows whose candidate meets them holding no current log q are
+    scored (:meth:`~repro.proposals.base.PooledBlock.score`, timed as
+    ``wl.block.score``); a candidate row then has the candidate's energy
+    and ``ΔE = E_cand − E``, adds ``log q_cur − log q_cand`` to its
+    ``log α``, and on acceptance takes the candidate row and its log q.
 
     This is the reference implementation of a block (and the path taken
     without a compiler, or under ``REPRO_NO_NATIVE=1``): ``superstep.c``
@@ -615,12 +627,33 @@ def _run_block(members, n: int, hamiltonian, grids) -> None:
     slot_accepted = [0] * ends[-1]
     rows = np.arange(ends[-1])
     streams = [(team.rng, lo, hi) for team, (lo, hi) in zip(teams, spans)]
-    price = getattr(hamiltonian, fields.many)
+    price = getattr(hamiltonian, fields.many) if fields.many else None
+    pooled = fields.candidates is not None
+    dq = None  # per row-step log q term of the pooled rows' log α
+    if pooled:
+        cand_configs, cand_energies, cand_log_q, cand_slot = fields.candidates
+        log_q = np.zeros(ends[-1])
+        held = np.full(ends[-1], -1, dtype=np.int64)
 
     for step in range(n):
+        if pooled:
+            fields.score(step, configs, log_q, held, profiler)
         move = fields.resolve(step, configs, rows, streams)
-        delta = price(configs, move[:, 0], move[:, 1])
-        new_energies = energies + delta
+        if pooled:
+            pick = fields.arrays[0][step]
+            local, taken = pick < 0, np.flatnonzero(pick >= 0)
+            delta = np.zeros(ends[-1])
+            if price is not None and local.any():
+                delta[local] = price(configs[local], move[local, 0], move[local, 1])
+            new_energies = energies + delta
+            new_energies[taken] = cand_energies[pick[taken]]
+            delta[taken] = new_energies[taken] - energies[taken]
+            dq = np.zeros(ends[-1])  # log q_cur − log q_cand; 0 adds nothing
+            dq[taken] = log_q[taken] - cand_log_q[pick[taken]]
+            dq = dq.tolist()
+        else:
+            delta = price(configs, move[:, 0], move[:, 1])
+            new_energies = energies + delta
         if not canonical:
             new_bins = grids.index_rows(new_energies).tolist()
         u = ln_u[step]
@@ -628,6 +661,8 @@ def _run_block(members, n: int, hamiltonian, grids) -> None:
         if canonical:
             for r, d, u_r in zip(range(ends[-1]), delta.tolist(), u):
                 log_alpha = -beta[r] * d
+                if dq:
+                    log_alpha += dq[r]
                 if log_alpha >= 0.0 or u_r < log_alpha:
                     accepted.append(r)
                     slot_accepted[r] += 1
@@ -640,6 +675,8 @@ def _run_block(members, n: int, hamiltonian, grids) -> None:
                         n_out[w] += 1
                     else:
                         log_alpha = ln_g[cur] - ln_g[nb]
+                        if dq:
+                            log_alpha += dq[r]
                         if log_alpha >= 0.0 or u_r < log_alpha:
                             bins[r] = cur = nb
                             accepted.append(r)
@@ -649,9 +686,17 @@ def _run_block(members, n: int, hamiltonian, grids) -> None:
                     hist[cur] += 1
         if accepted:
             acc = np.asarray(accepted)
-            sites, values = fields.moves(configs, acc, move)
-            configs[acc[:, None], sites] = values
             energies[acc] = new_energies[acc]
+            if pooled:
+                acc, took = acc[local[acc]], acc[~local[acc]]
+                held[acc] = -1
+                if len(took):
+                    configs[took] = cand_configs[pick[took]]
+                    held[took] = cand_slot[pick[took]]
+                    log_q[took] = cand_log_q[pick[took]]
+            if len(acc):
+                sites, values = fields.moves(configs, acc, move)
+                configs[acc[:, None], sites] = values
 
     for w, (team, (lo, hi)) in enumerate(zip(teams, spans)):
         if not in_place:

@@ -181,8 +181,8 @@ class CanonicalTeam:
     """K independent Metropolis chains, row ``r`` at its own signed inverse
     temperature ``beta[r]``, stepped together by the block engine.
 
-    Acceptance is ``ln u < −β_r·ΔE`` (plus the proposal's log q-ratio on
-    the :meth:`step_batch` path), so a row at β < 0 climbs in energy and a
+    Acceptance is ``ln u < −β_r·ΔE`` (plus the proposal's log q-ratio for
+    global moves), so a row at β < 0 climbs in energy and a
     row at β = 0 takes every move.  The team has no grid, no ln g and no
     histogram; ``beta`` may be rewritten between advance calls (an
     annealing ramp, a re-signed drive).  Not a registered sampler:
@@ -191,10 +191,13 @@ class CanonicalTeam:
     (:func:`repro.experiments.common.estimate_energy_range`) and
     :func:`repro.sampling.wang_landau.drive_into_range` drive it.
 
-    Local proposals step through :func:`~repro.sampling.batched.advance_block`
-    (in C when the compiled super-step is loaded), proposals without a
-    field block (DL, mixtures) through :meth:`step_batch`; a trajectory is a
-    function of the seed and the sequence of :meth:`steps` lengths.
+    Local proposals, free-mode MADE and its mixtures with one local kernel
+    step through :func:`~repro.sampling.batched.advance_block` (in C when
+    the compiled super-step is loaded; a pooled MADE row accepts on
+    ``ln u < −β_r·ΔE + Δlog q``), proposals that draw no block (VAE, cMADE,
+    other MADE modes, multi-swap, mixtures holding one) through
+    :meth:`step_batch`; a trajectory is a function of the seed and the
+    sequence of :meth:`steps` lengths.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, proposal: Proposal, configs,

@@ -21,6 +21,7 @@ walker team instead of per walker.  Three layers of checks:
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,7 +53,10 @@ from repro.proposals.composition import (
     composition_counts_rows,
     first_match_per_row,
 )
+from repro.obs.costattr import attribute_cost
+from repro.obs.profile import SectionProfiler
 from repro.sampling import EnergyGrid, MetropolisSampler, WLConfig, make_wang_landau
+from repro.sampling.wang_landau import drive_into_range
 from repro.training import ProposalTrainer, ReplayBuffer
 
 
@@ -391,9 +395,12 @@ class TestCandidatePool:
         for sampler in (wl, restored):
             for _ in range(600):  # through the next refill
                 sampler.step_batch()
+            for _ in range(12):  # and on, in blocks, through the next
+                sampler.steps(50)
         assert np.array_equal(wl.ln_g, restored.ln_g)
         assert np.array_equal(wl.configs, restored.configs)
         assert np.array_equal(wl.histogram, restored.histogram)
+        assert wl.rng.bit_generator.state == restored.rng.bit_generator.state
         assert restored.proposal.proposals[1]._pool.cursor == pool.cursor
 
     def test_mixture_rewl_campaign_is_the_same_on_every_backend(self):
@@ -425,6 +432,30 @@ class TestCandidatePool:
         np.testing.assert_array_equal(shm.exchange_accepts, fused.exchange_accepts)
         for x, y in zip(shm.window_ln_g, fused.window_ln_g):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("via_block", [False, True])
+    def test_rows_priced_by_another_hamiltonian_are_re_priced(self, via_block):
+        """A pool filled under one Hamiltonian hands out candidates priced
+        by the Hamiltonian of the call, on ``propose_many`` and in a
+        block, drawing nothing and keeping the candidate stream."""
+        lattice = square_lattice(4)
+        weak, strong = IsingHamiltonian(lattice, coupling=1.0), IsingHamiltonian(lattice, coupling=2.0)
+        model = _perturbed(MADE(MADEConfig(n_sites=16, n_species=2, hidden=(8,)), rng=0), 1)
+        configs = _configs(4, 16, seed=3)
+        prop, twin = (MADEProposal(model, composition="free") for _ in range(2))
+        rng, rng_twin = np.random.default_rng(4), np.random.default_rng(4)
+        prop.propose_many(configs, weak, rng)  # fills the pool, priced by `weak`
+        twin.propose_many(configs, strong, rng_twin)
+        state = rng.bit_generator.state
+        current = strong.energies(configs)
+        if via_block:
+            cands, energies = prop.draw_fields(configs, strong, rng, 1).candidates[:2]
+        else:
+            bmove = prop.propose_many(configs, strong, rng, current_energies=current)
+            cands, energies = bmove.new_values, current + bmove.delta_energies
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(energies, strong.energies(cands))
+        np.testing.assert_array_equal(cands, twin.take_candidates(4, strong, rng_twin)[0])
 
     def test_invalidate_drops_rows_drawn_from_the_old_weights(self, tiny_ising, made9):
         model = _perturbed(MADE(made9.config, rng=7), 8)
@@ -597,7 +628,10 @@ class TestBatchedMADEChainExactness:
 
 
 class _NoRatioMADEProposal(MADEProposal):
-    """The bug the exactness checks exist to catch: the MH q-ratio dropped."""
+    """The bug the exactness checks exist to catch: the MH q-ratio dropped.
+
+    It overrides ``propose_many`` only, so it is not pooled: its teams step
+    through ``step_batch``."""
 
     def propose_many(self, configs, hamiltonian, rng, current_energies=None):
         batch = super().propose_many(configs, hamiltonian, rng, current_energies)
@@ -605,10 +639,75 @@ class _NoRatioMADEProposal(MADEProposal):
         return batch
 
 
+class _NoRatioPooledMADEProposal(MADEProposal):
+    """The same bug on the block path: a pooled row's log q_cur and log
+    q_cand both read 0, so its Δlog q is 0."""
+
+    pooled = True
+
+    def take_candidates(self, n, hamiltonian, rng):
+        configs, _, energies = super().take_candidates(n, hamiltonian, rng)
+        return configs, np.zeros(len(configs)), energies
+
+    def log_q_current(self, configs):
+        return np.zeros(len(configs))
+
+
+class TestPooledBlockPath:
+    """Free-mode MADE teams, alone or mixed with flips, step in blocks."""
+
+    @pytest.mark.parametrize("mixed", [True, False])
+    def test_pooled_rows_count_like_the_commit_they_replace(
+            self, superstep_path, tiny_ising, made9, mixed):
+        """On the lower half of the spectrum: ``step_batch`` never runs,
+        pooled rows leave the window, are accepted and counted per slot,
+        the mixture counts each row-step's component, energies stay exact,
+        and the in-block scoring has its own profiler section."""
+        window = EnergyGrid.from_levels(tiny_ising.energy_levels()).subgrid(0, 8)
+        start = drive_into_range(tiny_ising, FlipProposal(), window,
+                                 np.zeros((4, 9), dtype=np.int8), rng=0)
+        made = MADEProposal(_perturbed(MADE(made9.config, rng=1), 2), composition="free")
+        proposal = MixtureProposal([(FlipProposal(), 0.5), (made, 0.5)]) if mixed else made
+        wl = make_wang_landau(hamiltonian=tiny_ising, proposal=proposal, grid=window,
+                              initial_config=start, rng=5)
+        prof = SectionProfiler(sample_every=1)
+        wl.enable_profiling(prof)
+        with mock.patch.object(type(wl), "step_batch", side_effect=AssertionError):
+            wl.steps(300)
+        c = wl.counters
+        assert wl.n_steps == c.proposals == 1200 and c.null_proposals == 0
+        assert c.out_of_grid > 0
+        assert 0 < c.accepted == wl.n_accepted == wl.slot_accepted.sum()
+        np.testing.assert_array_equal(wl.energies, tiny_ising.energies(wl.configs))
+        if mixed:
+            assert proposal.counts.sum() == 1200 and (proposal.counts > 0).all()
+        assert prof["wl.block.score"].calls > 0
+        assert prof["wl.block"].calls == 1
+        assert f"proposal.{proposal.name}.many" not in prof
+        assert attribute_cost(prof.as_dict())["phases"]["block"]["sections"] == {
+            "wl.block": pytest.approx(prof["wl.block"].est_total_s, abs=1e-6)}
+
+    def test_only_pooled_proposals_draw_blocks(self, tiny_ising, made9):
+        """A subclass that overrides ``propose_many``, a reject-mode MADE, or
+        a mixture holding either, draws no block and nothing from the
+        stream."""
+        configs = _configs(3, 9, seed=30)
+        assert MADEProposal(made9, composition="free").pooled
+        for made in (_NoRatioMADEProposal(made9, composition="free"),
+                     MADEProposal(made9, composition="reject")):
+            assert not made.pooled
+            for proposal in (made, MixtureProposal([(FlipProposal(), 0.7), (made, 0.3)])):
+                rng = np.random.default_rng(0)
+                state = rng.bit_generator.state
+                assert proposal.draw_fields(configs, tiny_ising, rng, 5) is None
+                assert rng.bit_generator.state == state
+
+
 class TestPooledMixtureAgainstEnumeration:
     """The spine's ``ising_dl_mixed`` campaign in miniature: 4x4 Ising, a MADE
     trained on a multi-temperature harvest, 70/30 flip/MADE through
-    ``make_wang_landau(batch_size=32)``, against the 2^16-state enumeration."""
+    ``make_wang_landau(batch_size=32)``, against the 2^16-state enumeration,
+    on both block implementations."""
 
     @pytest.fixture(scope="class")
     def system(self):
@@ -647,12 +746,15 @@ class TestPooledMixtureAgainstEnumeration:
         want = np.array([exact[float(e)] for e in grid.centers[real]])
         return (got - got.mean()) - (want - want.mean())
 
-    def test_rms_ln_g_is_unbiased_over_seeds_and_a_dropped_ratio_is_not(self, system):
+    def test_rms_ln_g_is_unbiased_over_seeds_and_a_dropped_ratio_is_not(
+            self, system, superstep_path):
         errors = np.array([self._errors(system, MADEProposal, s) for s in range(8)])
         rms = np.sqrt((errors ** 2).mean(axis=1))
         assert rms.max() < 1.0  # the spine's tolerance
         z = errors.mean(axis=0) / (errors.std(axis=0, ddof=1) / np.sqrt(len(errors)))
         assert np.abs(z).max() < 5.0
 
-        broken = self._errors(system, _NoRatioMADEProposal, 0)
-        assert np.sqrt((broken ** 2).mean()) > 2.0  # reads ~3; honest seeds 0.2-0.4
+        # the dropped ratio on the step_batch path, and on the block path
+        for broken_cls in (_NoRatioMADEProposal, _NoRatioPooledMADEProposal):
+            broken = self._errors(system, broken_cls, 0)
+            assert np.sqrt((broken ** 2).mean()) > 2.0  # honest seeds 0.2-0.4

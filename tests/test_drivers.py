@@ -6,9 +6,8 @@ Wang–Landau team) and ``MulticanonicalSampler`` (a one-row Wang–Landau team
 with a frozen ``ln g`` and ``ln f = 0``) are checked against the 4×4 Ising
 model, whose 65,536 states are enumerated.  Each quantity is averaged over
 independent seeds and must agree with the exact value by a z-test on the
-seed-to-seed spread (max |z| < 5), on both super-step paths.  The mixture
-cases step through ``step_batch``, which no super-step path takes, so they
-run once.
+seed-to-seed spread (max |z| < 5), on both super-step paths — the flip/MADE
+mixture cases included: their teams step in pooled blocks.
 """
 
 import numpy as np
@@ -92,9 +91,9 @@ def perturbed_mixture():
     ])
 
 
-def test_metropolis_mixture_keeps_the_q_ratio(ising, exact):
-    """A flip/MADE mixture steps through ``step_batch`` (with the q-ratio
-    zeroed, this test reads |z| ≈ 18)."""
+def test_metropolis_mixture_keeps_the_q_ratio(ising, exact, superstep_path):
+    """A flip/MADE mixture steps in pooled blocks (with the q-ratio zeroed,
+    this test reads |z| ≈ 18)."""
     mixture = perturbed_mixture()
     samples = [metropolis_means(ising, mixture, [0.2], seed, burn=200, steps=1_500)
                for seed in range(8)]
@@ -127,11 +126,11 @@ def test_wang_landau_matches_enumeration(ising, exact, superstep_path):
     assert_within(samples, centred(ln_g))
 
 
-def test_wang_landau_mixture_keeps_the_q_ratio(ising, exact):
+def test_wang_landau_mixture_keeps_the_q_ratio(ising, exact, superstep_path):
     """The exact table is a fixed point of the walk: started on it, after a
     burn-in at ln f = 0, 4,000 steps at ln f = 2e-3 move ln g by noise
-    only.  The mixture steps through ``step_batch``; with the q-ratio
-    zeroed the walk is not flat and this test reads |z| ≈ 26."""
+    only.  The mixture steps in pooled blocks; with the q-ratio zeroed the
+    walk is not flat and this test reads |z| ≈ 26."""
     levels, ln_g, _ = exact
     mixture = perturbed_mixture()
     samples = []

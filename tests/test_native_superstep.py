@@ -34,7 +34,15 @@ from repro.obs.events import EventLog
 from repro.obs.profile import SectionProfiler
 from repro.obs.report import render_report
 from repro.parallel.checkpoint import _read_state, save_checkpoint
-from repro.proposals import FlipProposal, NeighborSwapProposal, SwapProposal
+from repro.nn import MADE, MADEConfig
+from repro.proposals import (
+    FlipProposal,
+    MADEProposal,
+    MixtureProposal,
+    NeighborSwapProposal,
+    SwapProposal,
+)
+from repro.proposals.base import PooledBlock, draw_pooled
 from repro.proposals.local import FlipBlock, SwapBlock
 from repro.sampling import CanonicalTeam, EnergyGrid, WangLandauSampler, WLConfig, batched
 from repro.sampling.batched import BatchedWangLandauSampler, advance_block
@@ -82,7 +90,26 @@ def pinned(library):
 
 # ------------------------------------------------------------- random systems
 
-MOVES = ("swap", "swap_any", "nbr_swap", "flip", "flip_field")
+MOVES = ("swap", "swap_any", "nbr_swap", "flip", "flip_field",
+         "pooled_flip", "pooled_swap", "pooled")
+
+
+def pooled_proposal(move, n_sites, n_species, seed):
+    """A free-mode MADE (perturbed, so log q varies) alone, or mixed 70/30
+    with flips or swaps: the pooled block kinds."""
+    model = MADE(MADEConfig(n_sites=n_sites, n_species=n_species, hidden=(8,)), rng=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        p.value += 0.5 * rng.standard_normal(p.value.shape)
+
+    def make():
+        made = MADEProposal(model, composition="free")
+        if move == "pooled":
+            return made
+        local = FlipProposal() if move == "pooled_flip" else SwapProposal()
+        return MixtureProposal([(local, 0.7), (made, 0.3)])
+
+    return make
 
 
 def random_system(seed, move, levels, n_windows, rows, canonical=False):
@@ -109,6 +136,8 @@ def random_system(seed, move, levels, n_windows, rows, canonical=False):
     else:
         configs = rng.integers(s, size=(total, n_sites)).astype(np.int8)
         proposal = FlipProposal
+    if move.startswith("pooled"):
+        proposal = pooled_proposal(move, n_sites, s, seed)
     configs = configs[np.argsort(ham.energies(configs), kind="stable")]
     if canonical:
         shape = (n_windows, rows)
@@ -371,10 +400,19 @@ class TestDeclinedBlocks:
         class MyFlips(FlipBlock):
             pass
 
+        class MyPooled(PooledBlock):
+            pass
+
         fields = members[0][1]
         custom = [(team, MySwaps(*fields.arrays, **fields.params))]
         assert custom[0][1].native_fields() is None
         assert MyFlips(n_species=2).native_fields() is None
+        self.declined(lib, ham, team, custom, grids)
+        pooled = draw_pooled(np.full((5, team.n_slots), -1), [], ham,
+                             np.random.default_rng(0), fields)
+        assert pooled.native_fields() is not None
+        custom = [(team, MyPooled(*pooled.arrays, pooled.candidates, pooled.local))]
+        assert custom[0][1].native_fields() is None
         self.declined(lib, ham, team, custom, grids)
 
 

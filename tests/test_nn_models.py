@@ -207,6 +207,25 @@ class TestMADE:
         # sample() sums the picked entries of the log_softmax it samples from
         assert np.allclose(made.log_prob(oh), logp, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("hidden", [(32,), (16, 12)])
+    def test_samples_follow_q_with_their_own_log_q(self, hidden):
+        """Site-by-site decoding (an incremental first layer, only the
+        drawn site's output columns) samples the distribution ``log_prob``
+        scores, one or several hidden layers, on a non-uniform q."""
+        made = MADE(MADEConfig(n_sites=3, n_species=3, hidden=hidden), rng=5)
+        rng = np.random.default_rng(6)
+        for p in made.parameters():
+            p.value += 0.3 * rng.standard_normal(p.value.shape)
+        configs, logp = made.sample(30_000, np.random.default_rng(7), return_log_prob=True)
+        assert np.allclose(made.log_prob(one_hot(configs, 3)), logp, rtol=0.0, atol=1e-12)
+        states, oh = all_one_hot(3, 3)
+        expected = len(configs) * np.exp(made.log_prob(oh))
+        index = {tuple(state): k for k, state in enumerate(states)}
+        counts = np.bincount([index[tuple(c)] for c in configs], minlength=len(states))
+        assert expected.min() > 5.0
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 61.1  # chi-square, 26 dof, p = 1e-4
+
     def test_training_learns_peaked_distribution(self, made):
         rng = np.random.default_rng(3)
         target = np.array([2, 0, 1, 2], dtype=np.int8)

@@ -18,7 +18,7 @@ from repro.obs.profile import (
     profile_from_env,
     reset_global_collector,
 )
-from repro.proposals import FlipProposal, MixtureProposal
+from repro.proposals import FlipProposal, MultiSwapProposal
 from repro.sampling import EnergyGrid, WangLandauSampler
 
 
@@ -178,7 +178,7 @@ class TestSamplerIntegration:
         which times ``propose_many`` and the commit."""
         ham = _ising()
         wl = WangLandauSampler(
-            hamiltonian=ham, proposal=MixtureProposal([(FlipProposal(), 1.0)]),
+            hamiltonian=ham, proposal=MultiSwapProposal(k=2),
             grid=EnergyGrid.from_levels(ham.energy_levels()),
             initial_config=np.zeros(16, dtype=np.int8), rng=0,
         )
