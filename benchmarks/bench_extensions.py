@@ -1,7 +1,7 @@
 """Benchmarks for the extension subsystems (DESIGN.md §4b).
 
 Not tied to a single paper figure; these keep the extension kernels —
-Wolff clusters, WHAM iteration, conditional-MADE proposals, checkpointing —
+Wolff clusters, WHAM iteration, conditioned MADE proposals, checkpointing —
 under performance regression watch alongside the E1-E12 benches.
 """
 
@@ -10,8 +10,8 @@ import numpy as np
 from repro.dos import exact_ising_dos_bruteforce, wham
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
-from repro.nn import ConditionalMADE, ConditionalMADEConfig
-from repro.proposals import ConditionalMADEProposal
+from repro.nn import MADE, MADEConfig
+from repro.proposals import MADEProposal
 from repro.sampling import WolffSampler
 
 
@@ -48,21 +48,18 @@ def bench_wham_iteration(benchmark):
 
 
 def bench_cmade_proposal(benchmark):
-    """Conditional global proposal (sequential decode + 2 exact densities)."""
+    """One row of a conditioned global proposal (a fresh conditioned decode
+    and the exact reverse density)."""
     ham = IsingHamiltonian(square_lattice(4))
-    model = ConditionalMADE(
-        ConditionalMADEConfig(n_sites=16, n_species=2, cond_dim=1, hidden=(64,)),
-        rng=0,
-    )
-    prop = ConditionalMADEProposal(
-        model, lambda cfg, e: np.array([0.3]), composition="free"
-    )
+    model = MADE(MADEConfig(n_sites=16, n_species=2, hidden=(64,), cond_dim=1), rng=0)
+    prop = MADEProposal(model, composition="free",
+                        conditioner=lambda cfg, e: np.array([0.3]))
     rng = np.random.default_rng(1)
-    cfg = rng.integers(0, 2, 16).astype(np.int8)
-    energy = ham.energy(cfg)
+    cfg = rng.integers(0, 2, 16).astype(np.int8)[None]
+    energy = ham.energies(cfg)
 
-    move = benchmark(prop.propose, cfg, ham, rng, energy)
-    assert move is not None
+    move = benchmark(prop.propose_many, cfg, ham, rng, energy)
+    assert move.new_values.shape == (1, 16)
 
 
 def bench_checkpoint_round_trip(benchmark, tmp_path_factory):

@@ -2,9 +2,11 @@
 
 DeepThermo-style production runs host many walkers at different
 temperatures; training a proposal per walker is wasteful.  This example
-trains a single temperature-conditioned MADE on data pooled from two
-chains and then drives Metropolis chains at *several* temperatures —
-including one never seen in training — with exact conditional densities.
+trains a single temperature-conditioned MADE (``MADEConfig(cond_dim=1)``)
+on data pooled from two chains and then drives Metropolis chains at
+*several* temperatures — including one never seen in training — with exact
+conditional densities, through one ``MADEProposal`` per replica whose
+``conditioner`` hands the model that replica's temperature.
 
 Usage: python examples/conditional_proposal.py
 """
@@ -13,8 +15,8 @@ import numpy as np
 
 from repro.hamiltonians import IsingHamiltonian, enumerate_density_of_states
 from repro.lattice import one_hot, square_lattice
-from repro.nn import Adam, ConditionalMADE, ConditionalMADEConfig
-from repro.proposals import ConditionalMADEProposal, FlipProposal
+from repro.nn import MADE, Adam, MADEConfig
+from repro.proposals import FlipProposal, MADEProposal
 from repro.sampling import MetropolisSampler
 from repro.util.tables import format_table
 
@@ -31,9 +33,7 @@ def main() -> None:
     levels, degens = enumerate_density_of_states(ham)
 
     # ---- train one model on two temperatures -----------------------------
-    model = ConditionalMADE(
-        ConditionalMADEConfig(n_sites=9, n_species=2, cond_dim=1, hidden=(64,)), rng=0
-    )
+    model = MADE(MADEConfig(n_sites=9, n_species=2, hidden=(64,), cond_dim=1), rng=0)
     opt = Adam(model.parameters(), lr=5e-3)
     data, conds = [], []
     train_betas = (0.15, 0.45)
@@ -51,14 +51,15 @@ def main() -> None:
     rng = np.random.default_rng(1)
     for _ in range(400):
         idx = rng.integers(0, len(data), 64)
-        model.train_step(data[idx], conds[idx], opt)
-    print(f"trained one conditional MADE on betas {train_betas}")
+        model.train_step(data[idx], opt, cond=conds[idx])
+    print(f"trained one conditioned MADE on betas {train_betas}")
 
     # ---- drive chains at trained AND interpolated temperatures -----------
     rows = []
     for beta in (0.15, 0.30, 0.45):  # 0.30 was never trained on
-        prop = ConditionalMADEProposal(
-            model, lambda cfg, e, beta=beta: np.array([beta]), composition="free"
+        prop = MADEProposal(
+            model, composition="free",
+            conditioner=lambda cfg, e, beta=beta: np.array([beta]),
         )
         sampler = MetropolisSampler(ham, prop, beta,
                                     np.zeros(9, dtype=np.int8), rng=int(beta * 997))

@@ -40,7 +40,6 @@ from repro.nn.losses import (
 from repro.nn.optim import SGD, Adam, clip_gradients
 from repro.nn.models.vae import CategoricalVAE, VAEConfig
 from repro.nn.models.made import MADE, MADEConfig
-from repro.nn.models.cmade import ConditionalMADE, ConditionalMADEConfig
 from repro.nn.serialization import save_params, load_params
 from repro.nn.workspace import Workspace, encode_one_hot
 
@@ -68,8 +67,6 @@ __all__ = [
     "VAEConfig",
     "MADE",
     "MADEConfig",
-    "ConditionalMADE",
-    "ConditionalMADEConfig",
     "save_params",
     "load_params",
     "Workspace",

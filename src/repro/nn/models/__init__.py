@@ -2,7 +2,5 @@
 
 from repro.nn.models.vae import CategoricalVAE, VAEConfig
 from repro.nn.models.made import MADE, MADEConfig
-from repro.nn.models.cmade import ConditionalMADE, ConditionalMADEConfig
 
-__all__ = ["CategoricalVAE", "VAEConfig", "MADE", "MADEConfig",
-           "ConditionalMADE", "ConditionalMADEConfig"]
+__all__ = ["CategoricalVAE", "VAEConfig", "MADE", "MADEConfig"]

@@ -7,6 +7,14 @@ sampling is ``n_sites`` sequential forward passes.  In the proposal framework
 this makes the Metropolis–Hastings correction exact (no importance-sampling
 estimator), which is why MADE is the cross-check model for the VAE proposal
 (experiment E5/E10 ablations).
+
+An optional condition ``c`` (``MADEConfig.cond_dim > 0``) makes the model
+``q(x | c)``: one network serves every temperature of a tempering ladder or
+every energy window of a REWL campaign.  The condition inputs have
+autoregressive degree 0, so every hidden unit may see them while the
+site-to-site masks stay autoregressive and likelihoods stay exact per
+condition value.  With ``cond_dim == 0`` (the default) the model is the
+plain MADE and every method takes no condition.
 """
 
 from __future__ import annotations
@@ -27,11 +35,13 @@ __all__ = ["MADEConfig", "MADE"]
 
 @dataclass(frozen=True)
 class MADEConfig:
-    """Architecture hyperparameters for :class:`MADE`."""
+    """Architecture hyperparameters for :class:`MADE`; ``cond_dim`` is the
+    length of the condition vector (0: unconditioned)."""
 
     n_sites: int
     n_species: int
     hidden: tuple[int, ...] = (256,)
+    cond_dim: int = 0
 
     def __post_init__(self):
         if self.n_sites < 1 or self.n_species < 2:
@@ -40,10 +50,16 @@ class MADEConfig:
             )
         if not self.hidden:
             raise ValueError("at least one hidden layer is required")
+        if self.cond_dim < 0:
+            raise ValueError(f"cond_dim must be >= 0, got {self.cond_dim}")
+
+    @property
+    def x_dim(self) -> int:
+        return self.n_sites * self.n_species
 
     @property
     def input_dim(self) -> int:
-        return self.n_sites * self.n_species
+        return self.x_dim + self.cond_dim
 
 
 def _build_masks(config: MADEConfig) -> list[np.ndarray]:
@@ -53,11 +69,15 @@ def _build_masks(config: MADEConfig) -> list[np.ndarray]:
     cycle through ``1 .. n_sites − 1`` (so every conditional gets hidden
     capacity); output units for site ``i`` have degree ``i + 1`` with the
     strict rule ``m_out > m_hidden``.  Site 0's output therefore connects to
-    nothing — its logits are pure bias, i.e. ``q(x_0)`` is learned as a
-    marginal, exactly as MADE prescribes.
+    no site — its logits see only the condition (pure bias without one),
+    i.e. ``q(x_0 | c)`` is learned as a marginal, exactly as MADE
+    prescribes.  Condition inputs have degree 0: every hidden unit sees them.
     """
     n, s = config.n_sites, config.n_species
-    in_deg = np.repeat(np.arange(1, n + 1), s)
+    in_deg = np.concatenate([
+        np.repeat(np.arange(1, n + 1), s),
+        np.zeros(config.cond_dim, dtype=np.int64),
+    ])
     hidden_degs = []
     max_hidden_deg = max(n - 1, 1)
     for width in config.hidden:
@@ -80,13 +100,16 @@ class MADE:
     ----------
     config : MADEConfig
     rng : seed or Generator
+
+    With ``config.cond_dim > 0`` every method takes ``cond``, shape
+    ``(B, cond_dim)`` or ``(cond_dim,)`` (broadcast over the batch).
     """
 
     def __init__(self, config: MADEConfig, rng=None):
         self.config = config
         rng = as_generator(rng)
         masks = _build_masks(config)
-        dims = [config.input_dim] + list(config.hidden) + [config.input_dim]
+        dims = [config.input_dim] + list(config.hidden) + [config.x_dim]
         layers: list = []
         for k, mask in enumerate(masks):
             is_last = k == len(masks) - 1
@@ -128,29 +151,53 @@ class MADE:
             )
         return x
 
-    def logits(self, x_onehot: np.ndarray) -> np.ndarray:
+    def _check_cond(self, cond, batch: int):
+        """``cond`` as ``(batch, cond_dim)`` float64; None stays None on an
+        unconditioned model."""
+        c = self.config
+        if cond is None and c.cond_dim == 0:
+            return None
+        if cond is None:
+            raise ValueError(f"this MADE is conditioned: pass cond of length {c.cond_dim}")
+        cond = np.asarray(cond, dtype=np.float64)
+        if cond.ndim == 1:
+            cond = np.broadcast_to(cond, (batch, c.cond_dim))
+        if cond.shape != (batch, c.cond_dim):
+            raise ValueError(
+                f"cond must have shape ({batch}, {c.cond_dim}), got {cond.shape}"
+            )
+        return cond
+
+    def _forward(self, x: np.ndarray, cond) -> np.ndarray:
+        flat = x.reshape(x.shape[0], -1)
+        cond = self._check_cond(cond, x.shape[0])
+        if cond is not None:
+            flat = np.concatenate([flat, cond], axis=1)
+        return self.net.forward(flat).reshape(x.shape)
+
+    def logits(self, x_onehot: np.ndarray, cond=None) -> np.ndarray:
         """Conditional logits, shape (B, n_sites, n_species).
 
-        ``logits[:, i]`` depends only on sites ``< i`` of the input (the
-        autoregressive property, numerically verified in the tests).
+        ``logits[:, i]`` depends only on sites ``< i`` of the input (and on
+        ``cond``) — the autoregressive property, numerically verified in
+        the tests.
         """
-        x = self._check_input(x_onehot)
-        out = self.net.forward(x.reshape(x.shape[0], -1))
-        return out.reshape(x.shape)
+        return self._forward(self._check_input(x_onehot), cond)
 
-    def log_prob(self, x_onehot: np.ndarray) -> np.ndarray:
-        """Exact ``log q(x)`` per batch row."""
+    def log_prob(self, x_onehot: np.ndarray, cond=None) -> np.ndarray:
+        """Exact ``log q(x)`` (``log q(x | cond)``) per batch row."""
         x = self._check_input(x_onehot)
-        logp = log_softmax(self.logits(x), axis=-1)
+        logp = log_softmax(self._forward(x, cond), axis=-1)
         return (logp * x).sum(axis=(1, 2))
 
     # ------------------------------------------------------------- training
 
-    def train_step(self, x_onehot: np.ndarray, optimizer, max_grad_norm: float = 10.0) -> dict:
+    def train_step(self, x_onehot: np.ndarray, optimizer, max_grad_norm: float = 10.0,
+                   cond=None) -> dict:
         """One maximum-likelihood gradient step; returns metrics dict."""
         x = self._check_input(x_onehot)
         self.zero_grad()
-        logits = self.net.forward(x.reshape(x.shape[0], -1)).reshape(x.shape)
+        logits = self._forward(x, cond)
         loss, dlogits = categorical_cross_entropy_from_logits(logits, x)
         self.net.backward(dlogits.reshape(x.shape[0], -1))
         grad_norm = clip_gradients(self.parameters(), max_grad_norm)
@@ -159,13 +206,15 @@ class MADE:
 
     # ------------------------------------------------------------- sampling
 
-    def sample(self, n: int, rng, return_log_prob: bool = False):
-        """Draw ``n`` exact samples by sequential site-by-site decoding.
+    def sample(self, n: int, rng, return_log_prob: bool = False, cond=None):
+        """Draw ``n`` exact samples (of ``q(x | cond)``) by sequential
+        site-by-site decoding.
 
         Site ``i``'s logits need only the sites drawn before it, so a site
         costs far less than a full forward: the first layer's input is
-        one-hot, so its pre-activation grows by one weight row per drawn
-        site; deeper hidden layers run in full; the output layer computes
+        one-hot, so its pre-activation starts from the bias plus the
+        condition's weight rows and grows by one weight row per drawn site;
+        deeper hidden layers run in full; the output layer computes
         only site ``i``'s ``n_species`` columns.  Each site still costs a
         fixed NumPy overhead that barely depends on ``n``, so callers should
         ask for many rows at once (:class:`~repro.proposals.dl_made.
@@ -181,6 +230,9 @@ class MADE:
         w_first, w_last = first.effective_weight(), last.effective_weight()
         # (n, width) buffers made once: fresh ones per site cost page faults
         pre = np.tile(first.bias.value, (n, 1))  # first layer's pre-activation
+        cond = self._check_cond(cond, n)
+        if cond is not None:
+            pre += cond @ w_first[c.x_dim:]
         h0, drawn = np.empty_like(pre), np.empty_like(pre)
         configs = np.zeros((n, c.n_sites), dtype=np.int8)
         total_logp = np.zeros(n, dtype=np.float64)

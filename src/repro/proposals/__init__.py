@@ -19,6 +19,7 @@ Learned global proposals:
 - :class:`VAEProposal` — decode a fresh latent draw (paper's model);
   proposal density estimated by importance sampling,
 - :class:`MADEProposal` — autoregressive model with *exact* density,
+  optionally conditioned on the walker's temperature or energy window,
 - both support composition handling modes for canonical sampling.
 
 Composition:
@@ -41,7 +42,6 @@ from repro.proposals.local import (
 )
 from repro.proposals.dl_vae import VAEProposal
 from repro.proposals.dl_made import MADEProposal
-from repro.proposals.dl_cmade import ConditionalMADEProposal
 from repro.proposals.mixture import MixtureProposal
 
 __all__ = [
@@ -55,6 +55,5 @@ __all__ = [
     "MultiSwapProposal",
     "VAEProposal",
     "MADEProposal",
-    "ConditionalMADEProposal",
     "MixtureProposal",
 ]

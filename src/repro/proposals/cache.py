@@ -6,7 +6,7 @@ accepted — at the low acceptance rates global proposals run at, the same
 value would otherwise be recomputed (a full model forward, or an IWAE
 estimate) for every rejected step.
 
-:class:`CurrentLogQCache` is the shared cache all four DL proposals use.
+:class:`CurrentLogQCache` is the shared cache the DL proposals use.
 Versioning is two-level:
 
 - an **epoch counter** bumped by :meth:`invalidate` — the proposal's

@@ -29,8 +29,8 @@ choices, local fields and pre-drawn MADE candidates with their energies and
 log q — and the super-steps of every team that advances together run as one
 array program with team state written back once per block; the only model
 work left inside a block is scoring the current log q of rows that do not
-hold it.  The other proposals — VAE, cMADE, MADE in ``"reject"`` /
-``"repair"`` mode, multi-swap, and mixtures holding one of them — go through
+hold it.  The other proposals — VAE, conditioned MADE, MADE in ``"reject"``
+/ ``"repair"`` mode, multi-swap, and mixtures holding one of them — go through
 :meth:`BatchedWangLandauSampler.step_batch`, one ``propose_many`` (DESIGN.md
 §12) and one ``commit_batch`` per super-step.  ``tests/test_dl_batched.py``
 pins that both paths reproduce exact enumeration with a MADE mixture.
@@ -501,8 +501,8 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
     :meth:`~repro.proposals.base.Proposal.draw_fields`, then the acceptance
     noise — and teams whose blocks share a key run as one array program
     (:func:`_run_block`).  A team whose proposal draws no block
-    (``draw_fields`` → None, drawing nothing: VAE, cMADE, non-free MADE,
-    multi-swap and mixtures holding one) takes its super-steps through
+    (``draw_fields`` → None, drawing nothing: VAE, conditioned or non-free
+    MADE, multi-swap and mixtures holding one) takes its super-steps through
     :meth:`step_batch`.  A trajectory is thus a pure function of the seed
     and the sequence of ``n_steps`` values.
 

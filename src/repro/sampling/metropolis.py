@@ -194,10 +194,10 @@ class CanonicalTeam:
     Local proposals, free-mode MADE and its mixtures with one local kernel
     step through :func:`~repro.sampling.batched.advance_block` (in C when
     the compiled super-step is loaded; a pooled MADE row accepts on
-    ``ln u < −β_r·ΔE + Δlog q``), proposals that draw no block (VAE, cMADE,
-    other MADE modes, multi-swap, mixtures holding one) through
-    :meth:`step_batch`; a trajectory is a function of the seed and the
-    sequence of :meth:`steps` lengths.
+    ``ln u < −β_r·ΔE + Δlog q``), proposals that draw no block (VAE,
+    conditioned MADE, other MADE modes, multi-swap, mixtures holding one)
+    through :meth:`step_batch`; a trajectory is a function of the seed and
+    the sequence of :meth:`steps` lengths.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, proposal: Proposal, configs,

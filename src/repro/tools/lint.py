@@ -1,7 +1,8 @@
 """API-deprecation lint: fail CI when the repo uses its own shims.
 
 Retired spellings (``Hamiltonian.energy_batch``, ``repro.util.timers``,
-``.profiled(``, the scalar ``propose``/``Move``) must not creep back in,
+``.profiled(``, the scalar ``propose``/``Move``, the separate conditional
+MADE classes) must not creep back in,
 and live shims exist for *downstream* callers only; in-repo code must use
 the canonical spellings or shims can never retire.  This lint is a plain
 line-grep — fast, zero imports of the checked code — over
@@ -48,9 +49,16 @@ DEPRECATED_PATTERNS: list[tuple[re.Pattern[str], str, str, tuple[str, ...]]] = [
         (),
     ),
     (
-        re.compile(r"\bdef propose\(|\.propose\(|(?<![\w.])Move\("),
+        re.compile(r"\bdef propose\(|\.propose\b|(?<![\w.])Move\("),
         "the scalar Proposal.propose()/Move API was removed; every move is "
         "proposed as a batch: propose_many(configs[None], ...) for one row",
+        "",
+        (),
+    ),
+    (
+        re.compile(r"\bConditionalMADE\w*|repro\.nn\.models\.cmade|repro\.proposals\.dl_cmade"),
+        "ConditionalMADE/ConditionalMADEConfig/ConditionalMADEProposal were folded "
+        "into MADE: MADEConfig(cond_dim=...) and MADEProposal(conditioner=...)",
         "",
         (),
     ),

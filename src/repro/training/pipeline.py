@@ -145,7 +145,7 @@ class OnlineLoop:
             metrics = self.trainer.train_steps(self.refresh_train_steps)
             # Every DL proposal caches log q(x_current); retraining changes
             # the density, so the cache must be dropped (the contract all
-            # four DL proposals share — see repro.proposals.cache).
+            # DL proposals share — see repro.proposals.cache).
             invalidate = getattr(self.dl_proposal, "invalidate_cache", None)
             if invalidate is not None:
                 invalidate()

@@ -22,6 +22,7 @@ class ProposalTrainer:
     Parameters
     ----------
     model : CategoricalVAE or MADE
+        An unconditioned MADE (``cond_dim == 0``).
     buffer : ReplayBuffer
     lr : float
         Adam learning rate.
@@ -39,6 +40,11 @@ class ProposalTrainer:
         if not isinstance(model, (CategoricalVAE, MADE)):
             raise TypeError(
                 f"model must be CategoricalVAE or MADE, got {type(model).__name__}"
+            )
+        if isinstance(model, MADE) and model.config.cond_dim > 0:
+            raise ValueError(
+                "a conditioned MADE needs a condition per training row, which a "
+                "replay buffer does not hold; train it with model.train_step(..., cond=...)"
             )
         self.model = model
         self.buffer = buffer

@@ -1,4 +1,4 @@
-"""Tests for the conditional MADE model and its proposal.
+"""Tests for the conditioned MADE model (``cond_dim > 0``) and its proposal.
 
 The key correctness property is the state-dependent-conditioning MH
 correction: with a conditioner that depends on the current configuration,
@@ -12,8 +12,8 @@ import pytest
 
 from repro.hamiltonians import IsingHamiltonian, enumerate_density_of_states
 from repro.lattice import one_hot, square_lattice
-from repro.nn import Adam, ConditionalMADE, ConditionalMADEConfig
-from repro.proposals import ConditionalMADEProposal
+from repro.nn import MADE, Adam, MADEConfig
+from repro.proposals import MADEProposal
 from repro.sampling import MetropolisSampler
 
 
@@ -32,9 +32,7 @@ def trained_cmade(tiny_ising):
     """Conditional MADE trained on (config, beta) pairs from two chains."""
     from repro.proposals import FlipProposal
 
-    model = ConditionalMADE(
-        ConditionalMADEConfig(n_sites=9, n_species=2, cond_dim=1, hidden=(64,)), rng=0
-    )
+    model = MADE(MADEConfig(n_sites=9, n_species=2, hidden=(64,), cond_dim=1), rng=0)
     opt = Adam(model.parameters(), lr=5e-3)
     data, conds = [], []
     for beta in (0.15, 0.45):
@@ -54,7 +52,7 @@ def trained_cmade(tiny_ising):
     rng = np.random.default_rng(1)
     for _ in range(300):
         idx = rng.integers(0, len(data), 64)
-        model.train_step(data[idx], conds[idx], opt)
+        model.train_step(data[idx], opt, cond=conds[idx])
     return model
 
 
@@ -70,8 +68,8 @@ class TestConditionalMADEModel:
         energy: mean sampled energy at beta=0.45 < at beta=0.15."""
         ham = IsingHamiltonian(square_lattice(3))
         rng = np.random.default_rng(2)
-        hot = trained_cmade.sample(256, np.array([0.15]), rng)
-        cold = trained_cmade.sample(256, np.array([0.45]), rng)
+        hot = trained_cmade.sample(256, rng, cond=np.array([0.15]))
+        cold = trained_cmade.sample(256, rng, cond=np.array([0.45]))
         e_hot = np.mean([ham.energy(c) for c in hot])
         e_cold = np.mean([ham.energy(c) for c in cold])
         assert e_cold < e_hot
@@ -93,20 +91,22 @@ class TestConditionalMADEModel:
     def test_sample_log_prob_consistency(self, trained_cmade):
         rng = np.random.default_rng(3)
         cond = np.array([0.3])
-        configs, lps = trained_cmade.sample(16, cond, rng, return_log_prob=True)
+        configs, lps = trained_cmade.sample(16, rng, return_log_prob=True, cond=cond)
         oh = np.stack([one_hot(c, 2) for c in configs])
         assert np.allclose(trained_cmade.log_prob(oh, cond), lps, atol=1e-10)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ConditionalMADEConfig(n_sites=4, n_species=2, cond_dim=0)
+            MADEConfig(n_sites=4, n_species=2, cond_dim=-1)
         with pytest.raises(ValueError):
-            ConditionalMADEConfig(n_sites=0, n_species=2, cond_dim=1)
+            MADEConfig(n_sites=0, n_species=2, cond_dim=1)
 
     def test_cond_shape_validation(self, trained_cmade):
         _, oh = all_one_hot(3, 2)
         with pytest.raises(ValueError):
             trained_cmade.log_prob(oh[:2].reshape(2, 3, 2), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="conditioned"):
+            trained_cmade.log_prob(one_hot(np.zeros((2, 9), dtype=np.int8), 2))  # no cond
 
 
 class TestConditionalProposal:
@@ -118,8 +118,8 @@ class TestConditionalProposal:
         w -= w.max()
         p = np.exp(w) / np.exp(w).sum()
         exact_e = float(np.dot(p, levels))
-        prop = ConditionalMADEProposal(
-            trained_cmade, lambda cfg, e: np.array([beta]), composition="free"
+        prop = MADEProposal(
+            trained_cmade, composition="free", conditioner=lambda cfg, e: np.array([beta])
         )
         sampler = MetropolisSampler(tiny_ising, prop, beta,
                                     np.zeros(9, dtype=np.int8), rng=4)
@@ -142,7 +142,7 @@ class TestConditionalProposal:
             # Aggressively state-dependent: pretend-beta grows with energy.
             return np.array([0.15 + 0.02 * (energy + 18.0) / 36.0 * 30.0])
 
-        prop = ConditionalMADEProposal(trained_cmade, conditioner, composition="free")
+        prop = MADEProposal(trained_cmade, composition="free", conditioner=conditioner)
         sampler = MetropolisSampler(tiny_ising, prop, beta,
                                     np.zeros(9, dtype=np.int8), rng=5)
         sampler.run(800)
@@ -152,9 +152,9 @@ class TestConditionalProposal:
     def test_composition_reject_mode(self, tiny_ising, trained_cmade):
         rng = np.random.default_rng(6)
         cfg = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)
-        prop = ConditionalMADEProposal(
-            trained_cmade, lambda c, e: np.array([0.3]),
-            composition="reject", max_reject_tries=64,
+        prop = MADEProposal(
+            trained_cmade, composition="reject", max_reject_tries=64,
+            conditioner=lambda c, e: np.array([0.3]),
         )
         for _ in range(5):
             move = prop.propose_many(cfg[None], tiny_ising, rng)
@@ -166,5 +166,11 @@ class TestConditionalProposal:
 
     def test_bad_composition_mode(self, trained_cmade):
         with pytest.raises(ValueError):
-            ConditionalMADEProposal(trained_cmade, lambda c, e: [0.1],
-                                    composition="magic")
+            MADEProposal(trained_cmade, composition="magic",
+                         conditioner=lambda c, e: [0.1])
+        # a conditioner goes with a conditioned model, and only with one
+        with pytest.raises(ValueError):
+            MADEProposal(trained_cmade, composition="free")
+        with pytest.raises(ValueError):
+            MADEProposal(MADE(MADEConfig(n_sites=9, n_species=2, hidden=(8,))),
+                         composition="free", conditioner=lambda c, e: [0.1])

@@ -12,7 +12,7 @@ walker team instead of per walker.  Three layers of checks:
    continues bit for bit; the workspace-bound model must be bit-identical
    to the unbound one.
 2. **Row-level**: every batched row's ``log_q_ratio`` equals directly
-   evaluated model densities (exact for MADE/cMADE, including the
+   evaluated model densities (exact for MADE, conditioned too, including the
    reverse-conditioning correction), ``delta_energies`` match recomputed
    Hamiltonian differences, and composition modes behave per row.
 3. **Distribution-level** (E1-style): a *batched* Wang-Landau chain whose
@@ -31,8 +31,6 @@ from repro.hamiltonians import IsingHamiltonian, enumerate_density_of_states
 from repro.lattice import Lattice, composition_counts, one_hot, square_lattice
 from repro.nn import (
     MADE,
-    ConditionalMADE,
-    ConditionalMADEConfig,
     MADEConfig,
     CategoricalVAE,
     VAEConfig,
@@ -40,7 +38,6 @@ from repro.nn import (
     encode_one_hot,
 )
 from repro.proposals import (
-    ConditionalMADEProposal,
     FlipProposal,
     MADEProposal,
     MixtureProposal,
@@ -73,10 +70,7 @@ def made9():
 
 @pytest.fixture(scope="module")
 def cmade9():
-    return ConditionalMADE(
-        ConditionalMADEConfig(n_sites=9, n_species=2, cond_dim=1, hidden=(32,)),
-        rng=2,
-    )
+    return MADE(MADEConfig(n_sites=9, n_species=2, hidden=(32,), cond_dim=1), rng=2)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +172,7 @@ class TestBatchedRowContracts:
         B = 4
         configs = _configs(B, 9, seed=15)
         conditioner = lambda config, energy: np.array([energy / 10.0])
-        prop = ConditionalMADEProposal(cmade9, conditioner, composition="free")
+        prop = MADEProposal(cmade9, composition="free", conditioner=conditioner)
         energies = tiny_ising.energies(configs)
         bmove = prop.propose_many(configs, tiny_ising, np.random.default_rng(11),
                                   current_energies=energies)
@@ -366,10 +360,12 @@ class TestCandidatePool:
         assert (nulls > 0) == (composition == "reject")
 
     def test_pool_rows_are_capped_by_the_scratch_budget(self, monkeypatch):
+        """Per row, ``MADE.sample`` holds three float64 buffers of the first
+        hidden width and one activation of each deeper layer."""
         ham = IsingHamiltonian(Lattice(np.eye(1), (4,), [[0.0]], name="ring"))
-        model = MADE(MADEConfig(n_sites=4, n_species=2, hidden=(8,)), rng=0)
+        model = MADE(MADEConfig(n_sites=4, n_species=2, hidden=(8, 6)), rng=0)
         prop = MADEProposal(model, composition="free")
-        monkeypatch.setattr(dl_made, "_POOL_SCRATCH_BYTES", 10 * 4 * 2 * 8)
+        monkeypatch.setattr(dl_made, "_POOL_SCRATCH_BYTES", 10 * 8 * (3 * 8 + 6))
         prop.propose_many(_configs(3, 4, seed=1), ham, np.random.default_rng(0))
         assert (prop._pool.cursor, prop._pool.size) == (3, 10)
 
@@ -701,6 +697,32 @@ class TestPooledBlockPath:
                 state = rng.bit_generator.state
                 assert proposal.draw_fields(configs, tiny_ising, rng, 5) is None
                 assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("mixed", [True, False])
+    def test_a_conditioned_made_is_not_pooled(self, tiny_ising, cmade9, mixed):
+        """Its candidates depend on the current row through ``c(x)``: a
+        free-mode conditioned MADE, alone or mixed with flips, draws no
+        block and nothing from the stream, and its team steps through
+        ``step_batch``, once per super-step, with exact energies."""
+        made = MADEProposal(cmade9, composition="free",
+                            conditioner=lambda config, energy: np.array([energy / 10.0]))
+        assert not made.pooled
+        proposal = MixtureProposal([(FlipProposal(), 0.5), (made, 0.5)]) if mixed else made
+        configs = _configs(4, 9, seed=31)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert proposal.draw_fields(configs, tiny_ising, rng, 5) is None
+        assert rng.bit_generator.state == state
+        wl = make_wang_landau(hamiltonian=tiny_ising, proposal=proposal,
+                              grid=EnergyGrid.from_levels(tiny_ising.energy_levels()),
+                              initial_config=configs, rng=5)
+        step_batch = type(wl).step_batch
+        with mock.patch.object(type(wl), "step_batch", autospec=True,
+                               side_effect=step_batch) as spy:
+            wl.steps(50)
+        assert spy.call_count == 50
+        assert wl.n_steps == 200 and wl.n_accepted > 0
+        np.testing.assert_array_equal(wl.energies, tiny_ising.energies(wl.configs))
 
 
 class TestPooledMixtureAgainstEnumeration:

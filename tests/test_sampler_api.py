@@ -207,10 +207,13 @@ class TestLintApi:
             "from repro.util.timers import Timer\n"       # lint-api: allow
             "x = ham.energy_batch(cfgs)\n"                # lint-api: allow
             "y = ham.energy_batch(cfgs)  # lint-api: allow\n"
+            "from repro.nn import ConditionalMADE\n"       # lint-api: allow
+            "from repro.proposals.dl_cmade import P\n"     # lint-api: allow
+            "class TestConditionalMADEModel:\n"
         )
         hits = lint_api(tmp_path)
-        assert len(hits) == 2
-        assert {h[1] for h in hits} == {1, 2}  # line 3 opted out
+        assert len(hits) == 4
+        assert {h[1] for h in hits} == {1, 2, 4, 5}  # line 3 opted out
 
     def test_lint_flags_the_scalar_proposal_api(self, tmp_path):
         from repro.tools.lint import lint_api
@@ -223,8 +226,9 @@ class TestLintApi:
             "b = BatchMove(sites=s, new_values=v)\n"
             "b = prop.propose_many(cfg[None], ham, rng)\n"
             "row = {\"propose\": 0.1}\n"
+            "move = benchmark(prop.propose, cfg, ham, rng)\n"  # lint-api: allow
         )
-        assert [h[1] for h in lint_api(tmp_path)] == [1, 2, 3]
+        assert [h[1] for h in lint_api(tmp_path)] == [1, 2, 3, 7]
 
     def test_lint_flags_profiled_views_under_src(self, tmp_path):
         from repro.tools.lint import lint_api

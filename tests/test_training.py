@@ -89,6 +89,12 @@ class TestProposalTrainer:
         with pytest.raises(TypeError):
             ProposalTrainer(object(), buf)
 
+    def test_conditioned_made_is_refused(self):
+        """A replay buffer holds no condition, so train_step would get none."""
+        model = MADE(MADEConfig(6, 2, hidden=(8,), cond_dim=1), rng=0)
+        with pytest.raises(ValueError, match="conditioned"):
+            ProposalTrainer(model, self._filled_buffer())
+
     def test_train_until_reaches_or_stops(self):
         buf = self._filled_buffer()
         model = MADE(MADEConfig(6, 2, hidden=(32,)), rng=5)
