@@ -42,7 +42,7 @@ def bench_vae_proposal(benchmark, hea, hea_config):
 
 def bench_made_proposal(benchmark, hea, hea_config):
     model = MADE(MADEConfig(hea.n_sites, 4, hidden=(128,)), rng=0)
-    prop = MADEProposal(model, composition="repair", max_reject_tries=8)
+    prop = MADEProposal(model, composition="fixed")
     rng = np.random.default_rng(2)
     config = hea_config[None]
     energy = hea.energies(config)

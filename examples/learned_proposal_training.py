@@ -55,8 +55,7 @@ def main() -> None:
         "swap (local)": SwapProposal(),
         "vae (global)": VAEProposal(models["vae"], n_marginal_samples=16,
                                     composition="repair", logit_temperature=1.5),
-        "made (global)": MADEProposal(models["made"], composition="repair",
-                                      max_reject_tries=16),
+        "made (global)": MADEProposal(models["made"], composition="fixed"),
     }
     rows = []
     for name, proposal in kernels.items():

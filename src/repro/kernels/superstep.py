@@ -237,7 +237,7 @@ class _SyntheticPool:
     def __init__(self, weights):
         self.weights = weights
 
-    def take_candidates(self, n, hamiltonian, rng):
+    def take_candidates(self, configs, n, hamiltonian, rng):
         configs = rng.integers(hamiltonian.n_species, size=(n, hamiltonian.n_sites))
         configs = configs.astype(np.int8)
         return configs, self.log_q_current(configs), hamiltonian.energies(configs)
@@ -292,7 +292,7 @@ def self_test(lib) -> None:
         if not pooled:
             return fields
         choice = team.rng.integers(-1, len(synthetic), size=(40, team.n_slots))
-        return draw_pooled(choice, synthetic, ham, team.rng, fields)
+        return draw_pooled(choice, synthetic, team.configs, ham, team.rng, fields)
 
     for ham, proposal, counts, levels, betas, pooled in cases:
         configs = np.stack([random_configuration(ham.n_sites, counts, rng=rng)

@@ -27,7 +27,6 @@ from repro.machine.specs import (
     summit_v100,
     crusher_mi250x,
 )
-from repro.machine.autotune import CampaignPlan, plan_campaign
 from repro.machine.memory import (
     ChunkPlan,
     plan_chunk_sites,
@@ -43,8 +42,6 @@ from repro.machine.scaling import (
 )
 
 __all__ = [
-    "CampaignPlan",
-    "plan_campaign",
     "ChunkPlan",
     "plan_chunk_sites",
     "streaming_bytes_per_site",

@@ -15,6 +15,14 @@ autoregressive degree 0, so every hidden unit may see them while the
 site-to-site masks stay autoregressive and likelihoods stay exact per
 condition value.  With ``cond_dim == 0`` (the default) the model is the
 plain MADE and every method takes no condition.
+
+Fixed composition.  :meth:`MADE.sample` and :meth:`MADE.log_prob` take
+optional per-species ``counts``: at site ``i`` every species whose count is
+used up by sites ``< i`` is masked before the softmax, in both, so every
+sample has exactly that composition and its ``log q`` is the exact density
+of the masked model (``-inf`` for a row off the composition).  This is the
+fixed-composition counterpart of the autoregressive lattice sampler of
+Damewood et al. (arXiv:2107.05109).
 """
 
 from __future__ import annotations
@@ -103,6 +111,8 @@ class MADE:
 
     With ``config.cond_dim > 0`` every method takes ``cond``, shape
     ``(B, cond_dim)`` or ``(cond_dim,)`` (broadcast over the batch).
+    ``counts``, shape ``(B, n_species)`` or ``(n_species,)``, are species
+    counts summing to ``n_sites`` (see the module docstring).
     """
 
     def __init__(self, config: MADEConfig, rng=None):
@@ -168,6 +178,21 @@ class MADE:
             )
         return cond
 
+    def _check_counts(self, counts, batch: int) -> np.ndarray:
+        """``counts`` as a fresh ``(batch, n_species)`` int64 array."""
+        c = self.config
+        given = np.asarray(counts)
+        ok = given.shape in ((c.n_species,), (batch, c.n_species))
+        if ok:
+            out = np.broadcast_to(given, (batch, c.n_species)).astype(np.int64)
+            ok = (out == given).all() and (out >= 0).all() and (out.sum(axis=1) == c.n_sites).all()
+        if not ok:
+            raise ValueError(
+                f"counts must be ({batch}, {c.n_species}) or ({c.n_species},) non-negative "
+                f"integers summing to {c.n_sites}, got {given!r}"
+            )
+        return out
+
     def _forward(self, x: np.ndarray, cond) -> np.ndarray:
         flat = x.reshape(x.shape[0], -1)
         cond = self._check_cond(cond, x.shape[0])
@@ -184,11 +209,16 @@ class MADE:
         """
         return self._forward(self._check_input(x_onehot), cond)
 
-    def log_prob(self, x_onehot: np.ndarray, cond=None) -> np.ndarray:
-        """Exact ``log q(x)`` (``log q(x | cond)``) per batch row."""
+    def log_prob(self, x_onehot: np.ndarray, cond=None, counts=None) -> np.ndarray:
+        """Exact ``log q(x)`` (``log q(x | cond)``) per batch row; with
+        ``counts``, of the model masked to that composition."""
         x = self._check_input(x_onehot)
-        logp = log_softmax(self._forward(x, cond), axis=-1)
-        return (logp * x).sum(axis=(1, 2))
+        logits = self._forward(x, cond)
+        if counts is None:
+            return (log_softmax(logits, axis=-1) * x).sum(axis=(1, 2))
+        left = self._check_counts(counts, x.shape[0])[:, None, :] - (np.cumsum(x, axis=1) - x)
+        logp = log_softmax(np.where(left > 0, logits, -np.inf), axis=-1)
+        return np.where(x > 0, logp, 0.0).sum(axis=(1, 2))
 
     # ------------------------------------------------------------- training
 
@@ -206,9 +236,9 @@ class MADE:
 
     # ------------------------------------------------------------- sampling
 
-    def sample(self, n: int, rng, return_log_prob: bool = False, cond=None):
-        """Draw ``n`` exact samples (of ``q(x | cond)``) by sequential
-        site-by-site decoding.
+    def sample(self, n: int, rng, return_log_prob: bool = False, cond=None, counts=None):
+        """Draw ``n`` exact samples (of ``q(x | cond)``, masked to
+        ``counts`` when given) by sequential site-by-site decoding.
 
         Site ``i``'s logits need only the sites drawn before it, so a site
         costs far less than a full forward: the first layer's input is
@@ -221,7 +251,9 @@ class MADE:
         MADEProposal` draws a pool).  The sampling probabilities are ``exp``
         of the ``log_softmax`` whose picked entries sum to the returned
         ``log q``, which equals :meth:`log_prob` of the returned rows to
-        roundoff (the sums run in another order).
+        roundoff (the sums run in another order).  A masked species has
+        probability 0 and so an empty slice of the CDF; the clip keeps a
+        draw at either end of ``[0, 1)`` off it.
         """
         rng = as_generator(rng)
         c = self.config
@@ -237,17 +269,26 @@ class MADE:
         configs = np.zeros((n, c.n_sites), dtype=np.int8)
         total_logp = np.zeros(n, dtype=np.float64)
         rows = np.arange(n)
+        left = None if counts is None else self._check_counts(counts, n)
+        lo, hi = 0, s - 1
         for i in range(c.n_sites):
             h = np.maximum(pre, 0.0, out=h0)
             for layer in middle:
                 h = np.maximum(h @ layer.effective_weight() + layer.bias.value, 0.0)
             cols = slice(i * s, (i + 1) * s)
-            logp = log_softmax(h @ w_last[:, cols] + last.bias.value[cols], axis=-1)
+            logits = h @ w_last[:, cols] + last.bias.value[cols]
+            if left is not None:
+                allowed = left > 0
+                logits = np.where(allowed, logits, -np.inf)
+                lo, hi = allowed.argmax(axis=1), s - 1 - allowed[:, ::-1].argmax(axis=1)
+            logp = log_softmax(logits, axis=-1)
             cdf = np.cumsum(np.exp(logp), axis=-1)
             u = rng.random((n, 1))
             picks = (u > cdf).sum(axis=-1)
-            np.clip(picks, 0, s - 1, out=picks)
+            np.clip(picks, lo, hi, out=picks)
             configs[:, i] = picks
+            if left is not None:
+                left[rows, picks] -= 1
             pre += np.take(w_first, i * s + picks, axis=0, out=drawn)
             total_logp += logp[rows, picks]
         if return_log_prob:

@@ -140,15 +140,11 @@ class REWLConfig:
     shared memory (:mod:`repro.parallel.fused`); the two are bit-identical.
     ``shm_ranks`` caps the worker ranks of the shm backend (default: one
     per window, bounded by the CPU count).
-
-    ``n_windows`` / ``walkers_per_window`` / ``overlap`` accept ``None``
-    to be auto-tuned from the machine performance model at driver
-    construction (:func:`repro.machine.autotune.plan_campaign`).
     """
 
-    n_windows: int | None = 4
-    walkers_per_window: int | None = 2
-    overlap: float | None = 0.5
+    n_windows: int = 4
+    walkers_per_window: int = 2
+    overlap: float = 0.5
     exchange_interval: int = 2_000
     ln_f_init: float = 1.0
     ln_f_final: float = 1e-6
@@ -162,17 +158,12 @@ class REWLConfig:
     shm_ranks: int | None = None
 
     def __post_init__(self):
-        if self.n_windows is not None:
-            check_integer("n_windows", self.n_windows, minimum=1)
-        if self.walkers_per_window is not None:
-            check_integer(
-                "walkers_per_window", self.walkers_per_window, minimum=1
-            )
+        check_integer("n_windows", self.n_windows, minimum=1)
+        check_integer("walkers_per_window", self.walkers_per_window, minimum=1)
         check_integer("exchange_interval", self.exchange_interval, minimum=1)
         check_probability("flatness", self.flatness)
         # Fail here rather than deep inside make_windows / drive_into_range.
-        if self.overlap is not None:
-            check_in_range("overlap", self.overlap, 0.1, 0.9)
+        check_in_range("overlap", self.overlap, 0.1, 0.9)
         check_integer("max_rounds", self.max_rounds, minimum=1)
         check_integer("drive_max_steps", self.drive_max_steps, minimum=1)
         check_integer("checkpoint_interval", self.checkpoint_interval, minimum=0)
@@ -343,31 +334,7 @@ class REWLDriver:
         self.hamiltonian = hamiltonian
         self.grid = grid
         self.proposal_factory = proposal_factory
-        cfg = config or REWLConfig()
-        if (
-            cfg.n_windows is None or cfg.walkers_per_window is None
-            or cfg.overlap is None
-        ):
-            from repro.machine.autotune import plan_campaign
-
-            plan = plan_campaign(
-                n_bins=grid.n_bins, n_sites=hamiltonian.n_sites,
-                walkers_per_window=cfg.walkers_per_window,
-                overlap=cfg.overlap,
-            )
-            cfg = replace(
-                cfg,
-                n_windows=(
-                    plan.n_windows if cfg.n_windows is None else cfg.n_windows
-                ),
-                walkers_per_window=(
-                    plan.walkers_per_window
-                    if cfg.walkers_per_window is None
-                    else cfg.walkers_per_window
-                ),
-                overlap=plan.overlap if cfg.overlap is None else cfg.overlap,
-            )
-        self.cfg = cfg
+        self.cfg = config or REWLConfig()
         self._engine = None
         self._faults = faults_from_env()
         self.obs = inst.telemetry if inst.telemetry is not None else Telemetry()

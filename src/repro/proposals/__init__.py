@@ -11,8 +11,7 @@ Local proposals (``log q`` ratio = 0 by symmetry):
 
 - :class:`SwapProposal` — exchange two sites (canonical; composition fixed),
 - :class:`NeighborSwapProposal` — Kawasaki dynamics (nearest-neighbor swap),
-- :class:`FlipProposal` — single-site mutation (grand canonical; Ising/Potts),
-- :class:`MultiSwapProposal` — k simultaneous swaps.
+- :class:`FlipProposal` — single-site mutation (grand canonical; Ising/Potts).
 
 Learned global proposals:
 
@@ -20,7 +19,7 @@ Learned global proposals:
   proposal density estimated by importance sampling,
 - :class:`MADEProposal` — autoregressive model with *exact* density,
   optionally conditioned on the walker's temperature or energy window,
-- both support composition handling modes for canonical sampling.
+  decoding on the walkers' composition for canonical sampling.
 
 Composition:
 
@@ -38,7 +37,6 @@ from repro.proposals.local import (
     SwapProposal,
     NeighborSwapProposal,
     FlipProposal,
-    MultiSwapProposal,
 )
 from repro.proposals.dl_vae import VAEProposal
 from repro.proposals.dl_made import MADEProposal
@@ -52,7 +50,6 @@ __all__ = [
     "SwapProposal",
     "NeighborSwapProposal",
     "FlipProposal",
-    "MultiSwapProposal",
     "VAEProposal",
     "MADEProposal",
     "MixtureProposal",

@@ -8,8 +8,8 @@ configurations themselves.  Local kernels draw the randomness of many
 super-steps at once as a :class:`FieldBlock` (:meth:`Proposal.draw_fields`)
 and their :meth:`Proposal.propose_many` is the one-step block; global (DL)
 proposals and mixtures override :meth:`Proposal.propose_many`.  Pooled
-independence proposals (free-mode MADE) and mixtures of them with at most
-one local kernel also draw whole blocks, as a :class:`PooledBlock` of
+independence proposals (unconditioned MADE) and mixtures of them with at
+most one local kernel also draw whole blocks, as a :class:`PooledBlock` of
 pre-drawn candidates.
 
 Contracts, per row (property-tested in ``tests/test_proposals.py``):
@@ -18,7 +18,7 @@ Contracts, per row (property-tested in ``tests/test_proposals.py``):
 - ``log_q_ratios = log q(x|x') − log q(x'|x)`` (0 for symmetric kernels),
 - composition-preserving proposals never change species counts,
 - a row may come back invalid (``valid[b]`` False: "no move produced", e.g.
-  a rejection-mode DL proposal that failed to hit the composition manifold);
+  a reject-mode VAE proposal that failed to hit the composition manifold);
   samplers count it as a rejected step, which keeps the kernel reversible
   (the failure probability is configuration-independent).
 """
@@ -260,11 +260,12 @@ class PooledBlock(FieldBlock):
             profiler.stop("wl.block.score", t0)
 
 
-def draw_pooled(choice, pooled, hamiltonian, rng, local=None) -> PooledBlock:
+def draw_pooled(choice, pooled, configs, hamiltonian, rng, local=None) -> PooledBlock:
     """A :class:`PooledBlock` for the row-steps of ``choice`` (``(n, B)``:
     −1 for the ``local`` block's move, ``d`` for a candidate of
-    ``pooled[d]``).  Each pooled proposal hands out its candidates in
-    row-step order (its ``take_candidates``), in component order."""
+    ``pooled[d]``) of the B rows ``configs``.  Each pooled proposal hands
+    out its candidates in row-step order (its ``take_candidates``), in
+    component order."""
     flat = choice.ravel()
     pick = np.full(flat.shape, -1, dtype=np.int64)
     columns = [(np.empty((0, hamiltonian.n_sites), dtype=np.int8), np.empty(0),
@@ -273,8 +274,8 @@ def draw_pooled(choice, pooled, hamiltonian, rng, local=None) -> PooledBlock:
     for d, proposal in enumerate(pooled):
         at = np.flatnonzero(flat == d)
         if len(at):
-            configs, log_q, energies = proposal.take_candidates(len(at), hamiltonian, rng)
-            columns.append((configs, energies, log_q, np.full(len(at), d, dtype=np.int64)))
+            drawn, log_q, energies = proposal.take_candidates(configs, len(at), hamiltonian, rng)
+            columns.append((drawn, energies, log_q, np.full(len(at), d, dtype=np.int64)))
             pick[at] = np.arange(start, start + len(at))
             start += len(at)
     candidates = tuple(np.concatenate(c) for c in zip(*columns))
@@ -299,8 +300,8 @@ class Proposal:
     is_global: bool = False
     name: str = "proposal"
     #: True for an independence proposal whose candidates are drawn ahead
-    #: of the chain: it has ``take_candidates(n, hamiltonian, rng)`` →
-    #: ``(configs, log q, energies)`` and ``log_q_current(configs)``, and
+    #: of the chain: it has ``take_candidates(configs, n, hamiltonian, rng)``
+    #: → ``(candidates, log q, energies)`` and ``log_q_current(configs)``, and
     #: a mixture may put its row-steps in a :class:`PooledBlock`.
     pooled: bool = False
 
@@ -316,7 +317,7 @@ class Proposal:
         A proposal with a draw/resolve split (:meth:`draw_fields`) is
         proposed as its one-step block: array draws, one
         ``delta_energy_*_many`` gather.  Proposals without one (DL,
-        mixtures, multi-swap) override this.  ``current_energies`` lets
+        mixtures) override this.  ``current_energies`` lets
         global proposals compute ΔE without re-evaluating ``H(x)``;
         samplers always pass it.
         """

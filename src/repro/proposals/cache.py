@@ -184,6 +184,8 @@ class CandidatePool:
         self.cursor = 0
         #: the Hamiltonian that priced an energy column, when there is one
         self.priced_by = None
+        #: the species counts the rows were drawn for (None: any composition)
+        self.drawn_for = None
 
     def take(self, n: int, refill) -> tuple:
         """The next ``n`` rows of every column, refilling as often as needed.

@@ -1,8 +1,10 @@
-"""Composition handling for global (whole-configuration) proposals.
+"""Composition handling for the VAE proposal.
 
-HEA thermodynamics is canonical: species counts are fixed.  A generative
-model decodes configurations sitewise, so its raw samples scatter around the
-target composition.  Three modes are supported by the DL proposals:
+HEA thermodynamics is canonical: species counts are fixed.  The VAE decodes
+all sites at once, so its raw samples scatter around the target
+composition.  :class:`~repro.proposals.dl_vae.VAEProposal` supports three
+modes (MADE needs none of them: it decodes site by site and masks used-up
+species, see :class:`~repro.proposals.dl_made.MADEProposal`):
 
 ``"free"``
     No handling — for non-conserved models (Ising/Potts flips allowed).

@@ -8,28 +8,28 @@ the Boltzmann distribution to statistical tolerance; see
 ``tests/test_dl_proposals.py`` and the batched variant in
 ``tests/test_dl_batched.py``).
 
+Composition.  In ``composition="fixed"`` (the default, for canonical alloy
+sampling) the model decodes masked to the species counts of the rows it
+steps (:meth:`~repro.nn.models.made.MADE.sample` with ``counts``): every
+candidate has that exact composition and carries the exact ``log q`` of the
+masked model, so every candidate is a valid move.  ``"free"`` decodes the
+plain model, for kernels that may change the composition (Ising/Potts).
+
 Pooled candidates.  An independence proposal's candidates depend on nothing
-in the chain, and one ``MADE.sample`` call costs ``n_sites`` full-network
-forwards whose NumPy fixed cost ignores the row count, so candidates are
-drawn ahead, a block at a time: when the
-:class:`~repro.proposals.cache.CandidatePool` runs dry, **one**
-``model.sample(rows, rng, return_log_prob=True)`` call refills it and, in
-``composition="free"`` (every row is a usable candidate), **one**
-``hamiltonian.energies(pool)`` call prices the block.
-:meth:`~MADEProposal.propose_many` hands out consecutive rows with the
-``log q`` (and energy) they already carry; a row is handed out once.
+in the chain but the composition, which every move keeps, and one
+``MADE.sample`` call costs ``n_sites`` decoding steps whose NumPy fixed
+cost ignores the row count, so candidates are drawn ahead, a block at a
+time: when the :class:`~repro.proposals.cache.CandidatePool` runs dry,
+**one** ``model.sample(rows, rng, return_log_prob=True, counts=...)`` call
+refills it and **one** ``hamiltonian.energies(pool)`` call prices the
+block.  :meth:`~MADEProposal.propose_many` hands out consecutive rows with
+the ``log q`` and energy they already carry; a row is handed out once.
 Pre-drawn i.i.d. rows of ``q`` *are* the independence sampler, so detailed
 balance is untouched.  What depends on the chain stays at consume time:
-
-- ``"reject"`` / ``"repair"``: each proposing row scans its own
-  ``max_reject_tries`` consecutive pool rows for the first one on its
-  composition manifold; ``"repair"`` projects the first of them when none
-  matches and re-scores the projection; the chosen candidates are priced
-  with one ``hamiltonian.energies`` call per batch;
-- ``log q`` of the current configuration, cached per walker
-  (:class:`~repro.proposals.cache.CurrentLogQCache`): rejected steps leave
-  a configuration unchanged, so it is re-scored only after an accepted move
-  (its content key changes).
+``log q`` of the current configuration, cached per walker
+(:class:`~repro.proposals.cache.CurrentLogQCache`): rejected steps leave a
+configuration unchanged, so it is re-scored only after an accepted move
+(its content key changes).
 
 The pool is ordinary proposal state.  It pickles with the sampler (REWL
 checkpoints, supervisor snapshots, shm ranks) and a restored sampler
@@ -38,15 +38,13 @@ drops it together with the ``log q`` cache, because rows drawn from the old
 weights are not samples of the retrained ``q``.  A refill draws from the
 ``rng`` of the call that found the pool dry, so a trajectory is still a pure
 function of seed and call sequence, and B one-row calls and one B-row call
-hand out the same candidates in the same order.  (In ``"repair"`` the
-projection draws from ``rng`` after the call's refills; the two agree there
-whenever no refill falls inside the B-row call, e.g. always when
-``B * max_reject_tries`` divides the block.)
-``"free"`` rows carry the energy of the Hamiltonian that priced them; the
-pool keeps a reference to it and re-prices its energy column when a call
-brings another one (no draw, so the candidate stream is unchanged).
+hand out the same candidates in the same order.  Rows carry the energy of
+the Hamiltonian that priced them; the pool keeps a reference to it and
+re-prices its energy column when a call brings another one (no draw, so the
+candidate stream is unchanged).  It records the composition it was drawn
+for the same way, and drops its rows when a call brings rows of another.
 
-In ``"free"`` mode the proposal is *pooled* (:attr:`MADEProposal.pooled`):
+An unconditioned proposal is *pooled* (:attr:`MADEProposal.pooled`):
 :meth:`~MADEProposal.draw_fields` hands a whole block's candidates, one per
 row-step, to the block engine as a :class:`~repro.proposals.base.PooledBlock`
 (a mixture does the same for its row-steps), and the engine asks
@@ -66,9 +64,10 @@ move conditioned on the *proposed* state for detailed balance::
 Both densities are exact MADE evaluations, so the kernel stays exact.
 Candidates then depend on the current row through ``c(x)``, so a
 conditioned proposal draws them fresh per call — one
-``model.sample(rows, rng, cond=...)`` — and is not pooled; the ``log q``
-cache keys carry the reverse condition's bytes (a state-independent
-conditioner keeps them constant, so rejected steps still hit).
+``model.sample(rows, rng, cond=..., counts=...)`` — and is not pooled; the
+``log q`` cache keys carry the reverse condition's bytes (a
+state-independent conditioner keeps them constant, so rejected steps still
+hit).
 """
 
 from __future__ import annotations
@@ -78,18 +77,11 @@ from typing import Callable
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
-from repro.lattice.configuration import one_hot
+from repro.lattice.configuration import composition_counts, one_hot
 from repro.nn.models.made import MADE
 from repro.nn.workspace import Workspace
 from repro.proposals.base import BatchMove, Proposal, draw_pooled
 from repro.proposals.cache import CandidatePool, CurrentLogQCache
-from repro.proposals.composition import (
-    COMPOSITION_MODES,
-    composition_counts_rows,
-    first_match_per_row,
-    repair_composition,
-)
-from repro.util.validation import check_integer
 
 __all__ = ["MADEProposal"]
 
@@ -109,13 +101,10 @@ class MADEProposal(Proposal):
     Parameters
     ----------
     model : MADE
-    composition : {"free", "reject", "repair"}
-        ``"reject"`` keeps the kernel exact (constant restriction mass
-        cancels); ``"repair"`` trades exactness for acceptance like the VAE
-        (see :mod:`repro.proposals.composition`).
-    max_reject_tries : int
-        Consecutive candidates each proposing row scans in ``"reject"`` and
-        ``"repair"``.
+    composition : {"fixed", "free"}
+        ``"fixed"`` decodes on the composition of the rows being stepped
+        (all rows of one call must share it); ``"free"`` ignores
+        composition.
     conditioner : callable, optional
         ``conditioner(config, energy) -> (cond_dim,) array``, required by a
         conditioned model and refused by an unconditioned one.  May depend
@@ -125,12 +114,10 @@ class MADEProposal(Proposal):
 
     is_global = True
 
-    def __init__(self, model: MADE, composition: str = "reject", max_reject_tries: int = 64,
+    def __init__(self, model: MADE, composition: str = "fixed",
                  conditioner: Callable[[np.ndarray, float], np.ndarray] | None = None):
-        if composition not in COMPOSITION_MODES:
-            raise ValueError(
-                f"composition must be one of {COMPOSITION_MODES}, got {composition!r}"
-            )
+        if composition not in ("fixed", "free"):
+            raise ValueError(f"composition must be 'fixed' or 'free', got {composition!r}")
         if (conditioner is None) != (model.config.cond_dim == 0):
             raise ValueError(
                 "a conditioner goes with a conditioned model (cond_dim > 0) and only "
@@ -138,9 +125,8 @@ class MADEProposal(Proposal):
             )
         self.model = model
         self.composition = composition
-        self.max_reject_tries = check_integer("max_reject_tries", max_reject_tries, minimum=1)
         self.conditioner = conditioner
-        self.preserves_composition = composition != "free"
+        self.preserves_composition = composition == "fixed"
         self.name = f"made({composition})"
         self._logq_cache = CurrentLogQCache()
         self._pool = CandidatePool()
@@ -152,66 +138,42 @@ class MADEProposal(Proposal):
 
     def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
                      current_energies=None) -> BatchMove:
-        """The next pool rows as B candidates, one scoring forward for the
-        stale current rows, and no model sampling unless the pool ran dry.
+        """The next B pool rows as candidates, with their carried ``log q``
+        and energy, one scoring forward for the stale current rows, and no
+        model sampling unless the pool ran dry.
 
-        ``"free"`` hands out B rows with their carried ``log q`` and energy;
-        ``"reject"``/``"repair"`` hand out ``B·tries`` rows, ``tries`` per
-        row with first-match assignment, and price the chosen candidates in
-        one batched energy evaluation.  With a conditioner the rows are one
-        fresh ``model.sample`` under each row's ``c(x)`` instead, and the
-        reverse densities one ``log_prob`` under each row's ``c(x')``.
+        With a conditioner the rows are one fresh ``model.sample`` under
+        each row's ``c(x)`` instead, priced in one batched energy
+        evaluation, and the reverse densities one ``log_prob`` under each
+        row's ``c(x')``.
         """
         configs = np.atleast_2d(np.asarray(configs))
-        B = configs.shape[0]
-        n_species = self.model.config.n_species
-        tries = 1 if self.composition == "free" else self.max_reject_tries
         if current_energies is None:
             current_energies = hamiltonian.energies(configs)
         current_energies = np.asarray(current_energies, dtype=np.float64)
-        cond_fwd = None
+        cond_rev = None
         if self.conditioner is None:
-            pool, pool_lp, *priced = self.take_candidates(B * tries, hamiltonian, rng)
+            candidates, logq_new, new_energies = self.take_candidates(
+                configs, len(configs), hamiltonian, rng)
         else:
-            cond_fwd = self._conditions(configs, current_energies)
-            pool, pool_lp = self.model.sample(B * tries, rng, return_log_prob=True,
-                                              cond=np.repeat(cond_fwd, tries, axis=0))
-            priced = ()
-
-        valid = None
-        if self.composition == "free":
-            candidates, logq_new = pool, pool_lp
-        else:
-            pool = pool.reshape(B, tries, -1)
-            pool_lp = pool_lp.reshape(B, tries)
-            targets = composition_counts_rows(configs, n_species)
-            first, has = first_match_per_row(pool, targets)
-            rows = np.arange(B)
-            candidates = pool[rows, first]
-            logq_new = pool_lp[rows, first]
-            miss = np.nonzero(~has)[0]
-            if self.composition == "reject":
-                if len(miss):
-                    valid = has
-                    candidates[miss] = configs[miss]  # no-op rows, never applied
-            elif len(miss):
-                repaired = np.stack([
-                    repair_composition(pool[b, 0], targets[b], rng) for b in miss
-                ])
-                candidates[miss] = repaired
-                logq_new[miss] = self.model.log_prob(
-                    one_hot(repaired, n_species), None if cond_fwd is None else cond_fwd[miss]
-                )
-        new_energies = priced[0] if priced else hamiltonian.energies(candidates)
-
-        cond_rev = None if cond_fwd is None else self._conditions(candidates, new_energies)
+            candidates, logq_new = self.model.sample(
+                len(configs), rng, return_log_prob=True,
+                cond=self._conditions(configs, current_energies),
+                counts=self._counts(configs))
+            new_energies = hamiltonian.energies(candidates)
+            cond_rev = self._conditions(candidates, new_energies)
         logq_old = self.log_q_current(configs, cond_rev)
-        delta = new_energies - current_energies
-        log_q = logq_old - logq_new
-        if valid is not None:
-            delta[~valid] = 0.0
-            log_q[~valid] = 0.0
-        return BatchMove.global_update(configs, candidates, delta, log_q, valid=valid)
+        return BatchMove.global_update(configs, candidates, new_energies - current_energies,
+                                       logq_old - logq_new)
+
+    def _counts(self, configs) -> np.ndarray | None:
+        """The species counts every row of ``configs`` shares in
+        ``"fixed"`` (ValueError if they differ); None in ``"free"``."""
+        if self.composition == "free":
+            return None
+        if (np.sort(configs, axis=1) != np.sort(configs[0])).any():
+            raise ValueError("composition='fixed' steps rows of one composition at a time")
+        return composition_counts(configs[0], self.model.config.n_species)
 
     def _conditions(self, configs, energies) -> np.ndarray:
         """The conditioner per row (arbitrary user code, so a Python loop)."""
@@ -222,12 +184,11 @@ class MADEProposal(Proposal):
 
     @property
     def pooled(self) -> bool:
-        """``"free"`` mode, where every pool row is a candidate, without a
-        conditioner (whose candidates depend on the current row), of this
-        class itself: a subclass may override :meth:`propose_many`, and the
-        block path would silently bypass it."""
-        return (type(self) is MADEProposal and self.composition == "free"
-                and self.conditioner is None)
+        """Without a conditioner (whose candidates depend on the current
+        row), of this class itself: a subclass may override
+        :meth:`propose_many`, and the block path would silently bypass
+        it."""
+        return type(self) is MADEProposal and self.conditioner is None
 
     def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1):
         """A :class:`~repro.proposals.base.PooledBlock` of the next
@@ -235,8 +196,9 @@ class MADEProposal(Proposal):
         unless :attr:`pooled`."""
         if not self.pooled:
             return None
-        choice = np.zeros((n_steps, np.atleast_2d(configs).shape[0]), dtype=np.int64)
-        return draw_pooled(choice, [self], hamiltonian, rng)
+        configs = np.atleast_2d(configs)
+        choice = np.zeros((n_steps, configs.shape[0]), dtype=np.int64)
+        return draw_pooled(choice, [self], configs, hamiltonian, rng)
 
     def log_q_current(self, configs: np.ndarray, cond=None) -> np.ndarray:
         """log q of current configurations (under ``cond``, one row each,
@@ -248,31 +210,35 @@ class MADEProposal(Proposal):
             fresh = self.model.log_prob(
                 one_hot(configs[missing], self.model.config.n_species),
                 None if cond is None else cond[missing],
+                self._counts(configs[missing]),
             )
             self._logq_cache.store_many(keys, missing, values, fresh)
         return values
 
-    def take_candidates(self, n: int, hamiltonian: Hamiltonian, rng) -> tuple:
-        """The next ``n`` pool rows of an unconditioned model: ``(configs,
-        log q)``, and in ``"free"``, where every row is a candidate,
-        ``energies`` — priced by ``hamiltonian`` (a pool priced by another
-        is re-priced first)."""
+    def take_candidates(self, configs, n: int, hamiltonian: Hamiltonian, rng) -> tuple:
+        """The next ``n`` pool rows of an unconditioned model for rows like
+        ``configs``: ``(candidates, log q, energies)``, priced by
+        ``hamiltonian`` (a pool priced by another is re-priced first) and,
+        in ``"fixed"``, on the composition of ``configs`` (a pool drawn for
+        another is dropped first)."""
         pool = self._pool
+        counts = self._counts(configs)
+        drawn_for = None if counts is None else tuple(counts.tolist())
+        if pool.drawn_for != drawn_for:
+            pool.drop()
+            pool.drawn_for = drawn_for
 
         def refill():
             c = self.model.config
             row_bytes = 8 * (3 * c.hidden[0] + sum(c.hidden[1:]))
             rows = max(1, min(_POOL_ROWS, _POOL_SCRATCH_BYTES // row_bytes))
-            block = self.model.sample(rows, rng, return_log_prob=True)
-            if self.composition == "free":
-                block += (hamiltonian.energies(block[0]),)
-            return block
+            block = self.model.sample(rows, rng, return_log_prob=True, counts=counts)
+            return block + (hamiltonian.energies(block[0]),)
 
-        if self.composition == "free":
-            if pool.cursor < pool.size and pool.priced_by is not hamiltonian:
-                candidates, log_q, _ = pool.columns
-                pool.columns = (candidates, log_q, hamiltonian.energies(candidates))
-            pool.priced_by = hamiltonian
+        if pool.cursor < pool.size and pool.priced_by is not hamiltonian:
+            candidates, log_q, _ = pool.columns
+            pool.columns = (candidates, log_q, hamiltonian.energies(candidates))
+        pool.priced_by = hamiltonian
         return pool.take(n, refill)
 
     def invalidate_cache(self) -> None:

@@ -13,8 +13,6 @@ Symmetry arguments (why ``log_q_ratio = 0``):
 - :class:`NeighborSwapProposal` draws uniformly from a fixed bond list.
 - :class:`FlipProposal` draws a site uniformly and a *different* species
   uniformly; the reverse flip has the same probability.
-- :class:`MultiSwapProposal` draws an ordered sequence of k swaps, each
-  uniform; the reversed sequence undoes the move with equal probability.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from repro.hamiltonians.base import Hamiltonian
 from repro.proposals.base import BatchMove, FieldBlock, Proposal
 from repro.util.validation import check_integer
 
-__all__ = ["SwapProposal", "NeighborSwapProposal", "FlipProposal", "MultiSwapProposal"]
+__all__ = ["SwapProposal", "NeighborSwapProposal", "FlipProposal"]
 
 _MAX_DISTINCT_TRIES = 256
 
@@ -201,44 +199,3 @@ class FlipProposal(Proposal):
         sites = rng.integers(hamiltonian.n_sites, size=shape)
         shifts = 1 + rng.integers(hamiltonian.n_species - 1, size=shape)
         return FlipBlock(sites, shifts, n_species=hamiltonian.n_species)
-
-
-class MultiSwapProposal(Proposal):
-    """k simultaneous swaps — a tunable-range interpolation between local
-    and global updates (used in the E5/E6 proposal-quality ablations).
-
-    The k swaps are applied one after another to a scratch copy of the
-    batch, each priced on the scratch state it meets, so arbitrary overlaps
-    between the k pairs are handled exactly.  A row reports all ``2k``
-    touched sites with their final species: a site touched twice carries
-    one value, so writing the row stays correct.
-    """
-
-    preserves_composition = True
-    is_global = False
-
-    def __init__(self, k: int = 4, require_distinct: bool = True):
-        self.k = check_integer("k", k, minimum=1)
-        self.require_distinct = bool(require_distinct)
-        self.name = f"multi-swap(k={k})"
-
-    def propose_many(self, configs, hamiltonian: Hamiltonian, rng,
-                     current_energies=None) -> BatchMove:
-        """The k swaps are the k super-steps of a :class:`SwapProposal`
-        block, each resolved against the scratch state it meets."""
-        scratch = np.array(np.atleast_2d(configs), copy=True)
-        rows = np.arange(scratch.shape[0])
-        block = SwapProposal(self.require_distinct).draw_fields(
-            scratch, hamiltonian, rng, self.k)
-        streams = [(rng, 0, len(rows))]
-        delta = np.zeros(len(rows))
-        touched = []
-        for step in range(self.k):
-            pairs = block.resolve(step, scratch, rows, streams)
-            i, j = pairs[:, 0], pairs[:, 1]
-            delta += hamiltonian.delta_energy_swap_many(scratch, i, j)
-            scratch[rows, i], scratch[rows, j] = scratch[rows, j], scratch[rows, i]
-            touched.append(pairs)
-        sites = np.concatenate(touched, axis=1)
-        return BatchMove(sites=sites, new_values=scratch[rows[:, None], sites],
-                         delta_energies=delta, log_q_ratios=np.zeros(len(rows)))

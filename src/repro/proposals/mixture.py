@@ -8,7 +8,7 @@ own ``log_q_ratio``) is exact — no cross-component density evaluation is
 needed.  This requires the component choice to be made *independently of the
 current state*, which is what :meth:`MixtureProposal.propose_many` does.
 
-A mixture of pooled independence proposals (free-mode MADE) and at most one
+A mixture of pooled independence proposals (unconditioned MADE) and at most one
 local kernel draws the choice for a whole block of super-steps at once
 (:meth:`MixtureProposal.draw_fields`), so its teams step in the block engine
 with the local ones; any other mixture steps through ``propose_many``.
@@ -118,18 +118,18 @@ class MixtureProposal(Proposal):
         if len(local) > 1 or not any(pooled) or any(
                 self.proposals[k].is_global for k in local):
             return None
+        configs = np.atleast_2d(configs)
         fields = None
         if local:
             fields = self.proposals[local[0]].draw_fields(configs, hamiltonian, rng, n_steps)
             if fields is None:
                 return None
-        ks = rng.choice(len(self.proposals), size=(n_steps, np.atleast_2d(configs).shape[0]),
-                        p=self.weights)
+        ks = rng.choice(len(self.proposals), size=(n_steps, configs.shape[0]), p=self.weights)
         self.counts += np.bincount(ks.ravel(), minlength=len(self.proposals))
         slot = np.cumsum(pooled) - 1  # component -> pooled slot; the local one -> -1
         slot[local] = -1
         return draw_pooled(slot[ks], [p for p, is_pooled in zip(self.proposals, pooled)
-                                      if is_pooled], hamiltonian, rng, fields)
+                                      if is_pooled], configs, hamiltonian, rng, fields)
 
     def invalidate_cache(self) -> None:
         """Forward cache invalidation to components that keep one."""

@@ -20,8 +20,8 @@ established multiple-walkers-per-window REWL scheme (Vogel et al. 2013), so
 the convergence guarantees carry over unchanged (E1-tested in
 ``tests/test_batched_wl.py``).
 
-Two paths run super-steps.  Local (swap/flip) proposals, free-mode MADE
-and mixtures of MADE with at most one local kernel go through
+Two paths run super-steps.  Local (swap/flip) proposals, unconditioned MADE
+and mixtures of it with at most one local kernel go through
 :func:`advance_block` (DESIGN.md §16): a team draws the randomness of a
 whole ``steps(n)`` call at once — local fields, or a
 :class:`~repro.proposals.base.PooledBlock` of per-row-step component
@@ -29,10 +29,9 @@ choices, local fields and pre-drawn MADE candidates with their energies and
 log q — and the super-steps of every team that advances together run as one
 array program with team state written back once per block; the only model
 work left inside a block is scoring the current log q of rows that do not
-hold it.  The other proposals — VAE, conditioned MADE, MADE in ``"reject"``
-/ ``"repair"`` mode, multi-swap, and mixtures holding one of them — go through
-:meth:`BatchedWangLandauSampler.step_batch`, one ``propose_many`` (DESIGN.md
-§12) and one ``commit_batch`` per super-step.  ``tests/test_dl_batched.py``
+hold it.  The other proposals — VAE, conditioned MADE and mixtures holding
+one of them — go through :meth:`BatchedWangLandauSampler.step_batch`, one
+``propose_many`` (DESIGN.md §12) and one ``commit_batch`` per super-step.  ``tests/test_dl_batched.py``
 pins that both paths reproduce exact enumeration with a MADE mixture.
 
 These are the only Wang–Landau steps there are.  A single walker is a
@@ -501,8 +500,8 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
     :meth:`~repro.proposals.base.Proposal.draw_fields`, then the acceptance
     noise — and teams whose blocks share a key run as one array program
     (:func:`_run_block`).  A team whose proposal draws no block
-    (``draw_fields`` → None, drawing nothing: VAE, conditioned or non-free
-    MADE, multi-swap and mixtures holding one) takes its super-steps through
+    (``draw_fields`` → None, drawing nothing: VAE, conditioned MADE and
+    mixtures holding one) takes its super-steps through
     :meth:`step_batch`.  A trajectory is thus a pure function of the seed
     and the sequence of ``n_steps`` values.
 

@@ -6,7 +6,7 @@ Acceptance rule (log domain)::
 
 The second term is the proposal's ``log_q_ratio``; for the classical
 symmetric kernels it is identically 0 and the rule reduces to textbook
-Metropolis.  Proposals that produce no move (e.g. a rejection-mode DL
+Metropolis.  Proposals that produce no move (e.g. a reject-mode VAE
 proposal that missed the composition manifold) count as rejected steps.
 
 :class:`CanonicalTeam` is this rule as a mode of the block engine
@@ -191,11 +191,11 @@ class CanonicalTeam:
     (:func:`repro.experiments.common.estimate_energy_range`) and
     :func:`repro.sampling.wang_landau.drive_into_range` drive it.
 
-    Local proposals, free-mode MADE and its mixtures with one local kernel
+    Local proposals, unconditioned MADE and its mixtures with one local kernel
     step through :func:`~repro.sampling.batched.advance_block` (in C when
     the compiled super-step is loaded; a pooled MADE row accepts on
     ``ln u < −β_r·ΔE + Δlog q``), proposals that draw no block (VAE,
-    conditioned MADE, other MADE modes, multi-swap, mixtures holding one)
+    conditioned MADE, mixtures holding one)
     through :meth:`step_batch`; a trajectory is a function of the seed and
     the sequence of :meth:`steps` lengths.
     """

@@ -2,7 +2,8 @@
 
 Retired spellings (``Hamiltonian.energy_batch``, ``repro.util.timers``,
 ``.profiled(``, the scalar ``propose``/``Move``, the separate conditional
-MADE classes) must not creep back in,
+MADE classes, ``MultiSwapProposal``, the campaign auto-tune) must not creep
+back in,
 and live shims exist for *downstream* callers only; in-repo code must use
 the canonical spellings or shims can never retire.  This lint is a plain
 line-grep — fast, zero imports of the checked code — over
@@ -59,6 +60,19 @@ DEPRECATED_PATTERNS: list[tuple[re.Pattern[str], str, str, tuple[str, ...]]] = [
         re.compile(r"\bConditionalMADE\w*|repro\.nn\.models\.cmade|repro\.proposals\.dl_cmade"),
         "ConditionalMADE/ConditionalMADEConfig/ConditionalMADEProposal were folded "
         "into MADE: MADEConfig(cond_dim=...) and MADEProposal(conditioner=...)",
+        "",
+        (),
+    ),
+    (
+        re.compile(r"\bMultiSwapProposal\b"),
+        "MultiSwapProposal was removed; use SwapProposal",
+        "",
+        (),
+    ),
+    (
+        re.compile(r"\bplan_campaign\b|\bCampaignPlan\b|repro\.machine\.autotune"),
+        "the REWL campaign auto-tune was removed; pass n_windows, "
+        "walkers_per_window and overlap to REWLConfig",
         "",
         (),
     ),

@@ -149,25 +149,25 @@ class TestConditionalProposal:
         stats = sampler.run(8_000, record_energy_every=2)
         assert stats.energies.mean() == pytest.approx(exact_e, abs=0.5)
 
-    def test_composition_reject_mode(self, tiny_ising, trained_cmade):
+    def test_composition_fixed_mode(self, tiny_ising, trained_cmade):
         rng = np.random.default_rng(6)
         cfg = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)
-        prop = MADEProposal(
-            trained_cmade, composition="reject", max_reject_tries=64,
-            conditioner=lambda c, e: np.array([0.3]),
-        )
+        prop = MADEProposal(trained_cmade, composition="fixed",
+                            conditioner=lambda c, e: np.array([0.3]))
         for _ in range(5):
             move = prop.propose_many(cfg[None], tiny_ising, rng)
-            if move.valid is not None:
-                continue
+            assert move.valid is None
             after = cfg.copy()
             move.apply_row(0, after)
             assert np.bincount(after, minlength=2).tolist() == [4, 5]
 
     def test_bad_composition_mode(self, trained_cmade):
-        with pytest.raises(ValueError):
-            MADEProposal(trained_cmade, composition="magic",
-                         conditioner=lambda c, e: [0.1])
+        for mode in ("magic", "reject", "repair"):
+            with pytest.raises(ValueError):
+                MADEProposal(trained_cmade, composition=mode,
+                             conditioner=lambda c, e: [0.1])
+        with pytest.raises(TypeError):
+            MADEProposal(trained_cmade, max_reject_tries=8, conditioner=lambda c, e: [0.1])
         # a conditioner goes with a conditioned model, and only with one
         with pytest.raises(ValueError):
             MADEProposal(trained_cmade, composition="free")

@@ -28,7 +28,13 @@ import pytest
 
 from repro.dos import exact_ising_dos_bruteforce
 from repro.hamiltonians import IsingHamiltonian, enumerate_density_of_states
-from repro.lattice import Lattice, composition_counts, one_hot, square_lattice
+from repro.lattice import (
+    Lattice,
+    composition_counts,
+    one_hot,
+    random_configuration,
+    square_lattice,
+)
 from repro.nn import (
     MADE,
     MADEConfig,
@@ -41,18 +47,27 @@ from repro.proposals import (
     FlipProposal,
     MADEProposal,
     MixtureProposal,
+    SwapProposal,
     VAEProposal,
 )
 from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import dl_made
+from repro.proposals.base import PooledBlock
 from repro.proposals.cache import CandidatePool, CurrentLogQCache
 from repro.proposals.composition import (
     composition_counts_rows,
     first_match_per_row,
 )
+from repro.proposals.local import SwapBlock
 from repro.obs.costattr import attribute_cost
 from repro.obs.profile import SectionProfiler
-from repro.sampling import EnergyGrid, MetropolisSampler, WLConfig, make_wang_landau
+from repro.sampling import (
+    CanonicalTeam,
+    EnergyGrid,
+    MetropolisSampler,
+    WLConfig,
+    make_wang_landau,
+)
 from repro.sampling.wang_landau import drive_into_range
 from repro.training import ProposalTrainer, ReplayBuffer
 
@@ -134,38 +149,25 @@ class TestBatchedRowContracts:
             assert tiny_ising.energy(applied) - tiny_ising.energy(configs[b]) \
                 == pytest.approx(bmove.delta_energies[b])
 
-    def test_made_reject_rows_keep_composition(self, tiny_ising, made9):
+    def test_made_fixed_rows_keep_composition(self, tiny_ising, made9):
+        """Every row is a move on the rows' composition, its ratio the
+        masked model's exact log q difference; rows of two compositions in
+        one call are refused."""
         B = 6
-        configs = np.stack([
-            np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)
-        ] * B)
-        prop = MADEProposal(made9, composition="reject", max_reject_tries=64)
+        configs = np.stack([np.random.default_rng(b).permutation(
+            np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)) for b in range(B)])
+        model = _perturbed(MADE(made9.config, rng=1), 9)
+        prop = MADEProposal(model)
         bmove = prop.propose_many(configs, tiny_ising, np.random.default_rng(9))
-        valid = np.ones(B, dtype=bool) if bmove.valid is None else bmove.valid
-        assert valid.any()  # ~25% hit rate per try, 64 tries per row
-        for b in np.nonzero(valid)[0]:
-            assert np.array_equal(
-                composition_counts(bmove.new_values[b], 2), [4, 5]
-            )
-        # Invalid rows are explicit no-ops: zero delta and ratio.
-        for b in np.nonzero(~valid)[0]:
-            assert bmove.delta_energies[b] == 0.0
-            assert bmove.log_q_ratios[b] == 0.0
-            assert np.array_equal(bmove.new_values[b], configs[b])
-
-    def test_made_repair_rows_on_manifold(self, tiny_ising, made9):
-        B = 5
-        configs = np.stack([
-            np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)
-        ] * B)
-        # tries=1 forces the repair fallback on most rows.
-        prop = MADEProposal(made9, composition="repair", max_reject_tries=1)
-        bmove = prop.propose_many(configs, tiny_ising, np.random.default_rng(10))
         assert bmove.valid is None
         for b in range(B):
-            assert np.array_equal(
-                composition_counts(bmove.new_values[b], 2), [4, 5]
-            )
+            assert np.array_equal(composition_counts(bmove.new_values[b], 2), [4, 5])
+            lq_old, lq_new = model.log_prob(
+                one_hot(np.stack([configs[b], bmove.new_values[b]]), 2), counts=[4, 5])
+            assert bmove.log_q_ratios[b] == pytest.approx(lq_old - lq_new, abs=1e-10)
+        configs[0] = 1
+        with pytest.raises(ValueError, match="one composition"):
+            prop.propose_many(configs, tiny_ising, np.random.default_rng(9))
 
     def test_cmade_reverse_conditioning_per_row(self, tiny_ising, cmade9):
         """Each row's ratio uses q(x | c(x')) / q(x' | c(x)) exactly."""
@@ -328,36 +330,29 @@ class TestCandidatePool:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 44.3  # chi-square, 15 dof, p = 1e-4
 
-    @pytest.mark.parametrize("composition,tries,B,calls", [
-        ("free", 64, 5, 210),    # 1024 % 5 != 0: the refill falls inside a call
-        ("reject", 6, 5, 40),    # 1024 % 6 != 0: and inside one row's chunk
-        ("repair", 4, 4, 70),    # B * tries divides the block (module docstring)
+    @pytest.mark.parametrize("composition,B,calls", [
+        ("free", 5, 210),    # 1024 % 5 != 0: the refill falls inside a call
+        ("fixed", 6, 180),   # 1024 % 6 != 0 too, on the masked decoder
     ])
     def test_scalar_calls_and_one_batched_call_hand_out_the_same_rows(
-            self, tiny_ising, made9, composition, tries, B, calls):
+            self, tiny_ising, made9, composition, B, calls):
         """B one-row calls and one B-row call hand out the same rows."""
-        single = MADEProposal(made9, composition=composition, max_reject_tries=tries)
-        team = MADEProposal(made9, composition=composition, max_reject_tries=tries)
+        single = MADEProposal(made9, composition=composition)
+        team = MADEProposal(made9, composition=composition)
         rng_s, rng_b = np.random.default_rng(42), np.random.default_rng(42)
         configs = np.stack([np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)] * B)
         e0 = tiny_ising.energies(configs)
-        nulls = 0
         for _ in range(calls):
             bmove = team.propose_many(configs, tiny_ising, rng_b, current_energies=e0)
+            assert bmove.valid is None
             for b in range(B):
                 row = single.propose_many(configs[b:b + 1], tiny_ising, rng_s,
                                           current_energies=e0[b:b + 1])
-                if row.valid is not None:
-                    nulls += 1
-                    assert not bmove.valid[b]
-                    continue
-                assert bmove.valid is None or bmove.valid[b]
                 assert np.array_equal(row.new_values[0], bmove.new_values[b])
                 assert row.log_q_ratios[0] == bmove.log_q_ratios[b]
                 assert row.delta_energies[0] == bmove.delta_energies[b]
         assert team._pool.cursor == single._pool.cursor
-        assert calls * B * (1 if composition == "free" else tries) > 1024
-        assert (nulls > 0) == (composition == "reject")
+        assert calls * B > 1024
 
     def test_pool_rows_are_capped_by_the_scratch_budget(self, monkeypatch):
         """Per row, ``MADE.sample`` holds three float64 buffers of the first
@@ -451,7 +446,20 @@ class TestCandidatePool:
             cands, energies = bmove.new_values, current + bmove.delta_energies
         assert rng.bit_generator.state == state
         np.testing.assert_array_equal(energies, strong.energies(cands))
-        np.testing.assert_array_equal(cands, twin.take_candidates(4, strong, rng_twin)[0])
+        np.testing.assert_array_equal(cands, twin.take_candidates(configs, 4, strong,
+                                                                  rng_twin)[0])
+
+    def test_rows_drawn_for_another_composition_are_dropped(self, tiny_ising, made9):
+        """A fixed-composition pool hands out rows of the composition it was
+        drawn for only: rows of another composition refill it."""
+        prop = MADEProposal(made9)
+        rng = np.random.default_rng(12)
+        four = np.array([[0, 0, 0, 0, 1, 1, 1, 1, 1]], dtype=np.int8)
+        prop.propose_many(four, tiny_ising, rng)
+        assert prop._pool.drawn_for == (4, 5) and prop._pool.cursor == 1
+        bmove = prop.propose_many(1 - four, tiny_ising, rng)
+        assert prop._pool.drawn_for == (5, 4) and prop._pool.cursor == 1
+        assert np.array_equal(composition_counts(bmove.new_values[0], 2), [5, 4])
 
     def test_invalidate_drops_rows_drawn_from_the_old_weights(self, tiny_ising, made9):
         model = _perturbed(MADE(made9.config, rng=7), 8)
@@ -641,16 +649,17 @@ class _NoRatioPooledMADEProposal(MADEProposal):
 
     pooled = True
 
-    def take_candidates(self, n, hamiltonian, rng):
-        configs, _, energies = super().take_candidates(n, hamiltonian, rng)
-        return configs, np.zeros(len(configs)), energies
+    def take_candidates(self, configs, n, hamiltonian, rng):
+        drawn, _, energies = super().take_candidates(configs, n, hamiltonian, rng)
+        return drawn, np.zeros(len(drawn)), energies
 
     def log_q_current(self, configs):
         return np.zeros(len(configs))
 
 
 class TestPooledBlockPath:
-    """Free-mode MADE teams, alone or mixed with flips, step in blocks."""
+    """Unconditioned MADE teams, alone or mixed with one local kernel, step
+    in blocks."""
 
     @pytest.mark.parametrize("mixed", [True, False])
     def test_pooled_rows_count_like_the_commit_they_replace(
@@ -684,19 +693,42 @@ class TestPooledBlockPath:
             "wl.block": pytest.approx(prof["wl.block"].est_total_s, abs=1e-6)}
 
     def test_only_pooled_proposals_draw_blocks(self, tiny_ising, made9):
-        """A subclass that overrides ``propose_many``, a reject-mode MADE, or
-        a mixture holding either, draws no block and nothing from the
-        stream."""
+        """A subclass that overrides ``propose_many``, or a mixture holding
+        one, draws no block and nothing from the stream."""
         configs = _configs(3, 9, seed=30)
         assert MADEProposal(made9, composition="free").pooled
-        for made in (_NoRatioMADEProposal(made9, composition="free"),
-                     MADEProposal(made9, composition="reject")):
-            assert not made.pooled
-            for proposal in (made, MixtureProposal([(FlipProposal(), 0.7), (made, 0.3)])):
-                rng = np.random.default_rng(0)
-                state = rng.bit_generator.state
-                assert proposal.draw_fields(configs, tiny_ising, rng, 5) is None
-                assert rng.bit_generator.state == state
+        assert MADEProposal(made9).pooled
+        made = _NoRatioMADEProposal(made9, composition="free")
+        assert not made.pooled
+        for proposal in (made, MixtureProposal([(FlipProposal(), 0.7), (made, 0.3)])):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            assert proposal.draw_fields(configs, tiny_ising, rng, 5) is None
+            assert rng.bit_generator.state == state
+
+    def test_an_alloy_swap_made_team_steps_in_pooled_blocks(self, superstep_path, hea_small):
+        """A canonical swap/MADE("fixed") team on NbMoTaW draws a
+        :class:`PooledBlock` around a local swap block, which the compiled
+        loop runs; ``step_batch`` never runs, MADE rows are accepted, and
+        composition and energies stay exact."""
+        counts = [14, 13, 14, 13]
+        rng = np.random.default_rng(3)
+        configs = np.stack([random_configuration(hea_small.n_sites, counts, rng=rng)
+                            for _ in range(4)])
+        model = MADE(MADEConfig(n_sites=hea_small.n_sites, n_species=4, hidden=(16,)), rng=4)
+        proposal = MixtureProposal([(SwapProposal(), 0.5), (MADEProposal(model), 0.5)])
+        block = proposal.draw_fields(configs, hea_small, np.random.default_rng(0), 3)
+        assert type(block) is PooledBlock and type(block.local) is SwapBlock
+        assert block.native_fields() is not None
+        assert (block.arrays[0] >= 0).any() and (block.arrays[0] < 0).any()
+        team = CanonicalTeam(hea_small, proposal, configs, 1.0, rng=5)
+        with mock.patch.object(type(team), "step_batch", side_effect=AssertionError):
+            team.steps(200)
+        assert team.n_steps == 800 and team.n_accepted > 0
+        for row in team.configs:
+            assert np.array_equal(composition_counts(row, 4), counts)
+        np.testing.assert_allclose(team.energies, hea_small.energies(team.configs),
+                                   rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("mixed", [True, False])
     def test_a_conditioned_made_is_not_pooled(self, tiny_ising, cmade9, mixed):

@@ -106,14 +106,13 @@ class TestMADEProposalExactness:
         assert (total / 1500).mean() == pytest.approx(exact_e, abs=0.35)
         assert (team.n_accepted - accepted) / (3000 * team.n_slots) > 0.05
 
-    def test_reject_mode_keeps_composition(self, tiny_ising, trained_made):
+    def test_fixed_mode_keeps_composition(self, tiny_ising, trained_made):
         rng = np.random.default_rng(5)
         cfg = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int8)
-        prop = MADEProposal(trained_made, composition="reject", max_reject_tries=128)
+        prop = MADEProposal(trained_made, composition="fixed")
         for _ in range(10):
             move = prop.propose_many(cfg[None], tiny_ising, rng)
-            if move.valid is not None:
-                continue
+            assert move.valid is None
             after = cfg.copy()
             move.apply_row(0, after)
             assert np.array_equal(composition_counts(after, 2), [4, 5])

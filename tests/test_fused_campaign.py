@@ -19,7 +19,6 @@ import pytest
 from repro.faults import FAULTS_ENV_VAR, FaultConfig, FaultInjector
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
-from repro.machine.autotune import CampaignPlan, plan_campaign
 from repro.obs import Instrumentation, Telemetry
 from repro.obs.profile import SectionProfiler
 from repro.parallel import REWLConfig, REWLDriver
@@ -282,27 +281,3 @@ class TestCampaignState:
             assert clone.ln_f == team.ln_f
         finally:
             drv.close()
-
-
-class TestAutotune:
-    def test_plan_campaign_fills_the_shape(self):
-        plan = plan_campaign(n_bins=64, n_sites=256)
-        assert isinstance(plan, CampaignPlan)
-        assert plan.n_windows >= 1
-        assert plan.walkers_per_window >= 1
-        assert 0.1 <= plan.overlap <= 0.9
-
-    def test_none_config_fields_resolved_at_construction(self):
-        drv = _driver("fused", n_windows=None, walkers_per_window=None,
-                      overlap=None)
-        assert drv.cfg.n_windows >= 1
-        assert drv.cfg.walkers_per_window >= 1
-        assert drv.cfg.overlap is not None
-        assert len(drv.windows) == drv.cfg.n_windows
-
-    def test_explicit_fields_win_over_the_plan(self):
-        drv = _driver("fused", n_windows=2, walkers_per_window=None,
-                      overlap=0.6)
-        assert drv.cfg.n_windows == 2
-        assert drv.cfg.overlap == 0.6
-        assert drv.cfg.walkers_per_window >= 1

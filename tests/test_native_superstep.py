@@ -95,15 +95,16 @@ MOVES = ("swap", "swap_any", "nbr_swap", "flip", "flip_field",
 
 
 def pooled_proposal(move, n_sites, n_species, seed):
-    """A free-mode MADE (perturbed, so log q varies) alone, or mixed 70/30
-    with flips or swaps: the pooled block kinds."""
+    """A MADE (perturbed, so log q varies) alone, or mixed 70/30 with flips
+    or swaps: the pooled block kinds.  Mixed with swaps it decodes on the
+    walkers' composition, as on an alloy."""
     model = MADE(MADEConfig(n_sites=n_sites, n_species=n_species, hidden=(8,)), rng=seed)
     rng = np.random.default_rng(seed)
     for p in model.parameters():
         p.value += 0.5 * rng.standard_normal(p.value.shape)
 
     def make():
-        made = MADEProposal(model, composition="free")
+        made = MADEProposal(model, composition="fixed" if move == "pooled_swap" else "free")
         if move == "pooled":
             return made
         local = FlipProposal() if move == "pooled_flip" else SwapProposal()
@@ -408,7 +409,7 @@ class TestDeclinedBlocks:
         assert custom[0][1].native_fields() is None
         assert MyFlips(n_species=2).native_fields() is None
         self.declined(lib, ham, team, custom, grids)
-        pooled = draw_pooled(np.full((5, team.n_slots), -1), [], ham,
+        pooled = draw_pooled(np.full((5, team.n_slots), -1), [], team.configs, ham,
                              np.random.default_rng(0), fields)
         assert pooled.native_fields() is not None
         custom = [(team, MyPooled(*pooled.arrays, pooled.candidates, pooled.local))]

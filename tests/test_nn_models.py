@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from repro.lattice import one_hot
 from repro.nn import (
@@ -207,16 +208,19 @@ class TestMADE:
         # sample() sums the picked entries of the log_softmax it samples from
         assert np.allclose(made.log_prob(oh), logp, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("hidden, cond_dim", [
-        pytest.param((32,), 0, id="hidden0"),
-        pytest.param((16, 12), 0, id="hidden1"),
-        pytest.param((32,), 1, id="conditioned"),
+    @pytest.mark.parametrize("hidden, cond_dim, compositions", [
+        pytest.param((32,), 0, None, id="hidden0"),
+        pytest.param((16, 12), 0, None, id="hidden1"),
+        pytest.param((32,), 1, None, id="conditioned"),
+        pytest.param((32,), 0, [(1, 1, 1), (0, 2, 1)], id="fixed"),
     ])
-    def test_samples_follow_q_with_their_own_log_q(self, hidden, cond_dim):
+    def test_samples_follow_q_with_their_own_log_q(self, hidden, cond_dim, compositions):
         """Site-by-site decoding (an incremental first layer, only the
         drawn site's output columns) samples the distribution ``log_prob``
         scores, one or several hidden layers, on a non-uniform q; a
-        conditioned model under each row's own condition (two values)."""
+        conditioned model under each row's own condition (two values); a
+        model masked to each row's own composition (two), whose samples
+        all have it and whose masked q sums to 1 over them."""
         made = MADE(MADEConfig(n_sites=3, n_species=3, hidden=hidden, cond_dim=cond_dim),
                     rng=5)
         rng = np.random.default_rng(6)
@@ -224,19 +228,35 @@ class TestMADE:
             p.value += 0.3 * rng.standard_normal(p.value.shape)
         n = 30_000
         conds = [None] if cond_dim == 0 else [np.array([-1.0]), np.array([2.0])]
+        comps = [None] if compositions is None else [np.array(c) for c in compositions]
+        parts = max(len(conds), len(comps))
         cond = None if cond_dim == 0 else np.repeat(np.stack(conds), n // 2, axis=0)
+        counts = None if compositions is None else np.repeat(np.stack(comps), n // 2, axis=0)
         configs, logp = made.sample(n, np.random.default_rng(7), return_log_prob=True,
-                                    cond=cond)
-        assert np.allclose(made.log_prob(one_hot(configs, 3), cond), logp,
+                                    cond=cond, counts=counts)
+        assert np.allclose(made.log_prob(one_hot(configs, 3), cond, counts), logp,
                            rtol=0.0, atol=1e-12)
         states, oh = all_one_hot(3, 3)
         index = {tuple(state): k for k, state in enumerate(states)}
-        for part, c in zip(np.split(configs, len(conds)), conds):
-            expected = len(part) * np.exp(made.log_prob(oh, c))
+        for part, c, comp in zip(np.split(configs, parts), conds * parts, comps * parts):
+            q = np.exp(made.log_prob(oh, c, comp))
+            assert q.sum() == pytest.approx(1.0, abs=1e-12)
+            on = q > 0
+            expected = len(part) * q[on]
             counts = np.bincount([index[tuple(x)] for x in part], minlength=len(states))
+            assert counts[~on].sum() == 0
             assert expected.min() > 5.0
-            chi2 = float(((counts - expected) ** 2 / expected).sum())
-            assert chi2 < 61.1  # chi-square, 26 dof, p = 1e-4
+            chi2 = float(((counts[on] - expected) ** 2 / expected).sum())
+            assert chi2 < scipy.stats.chi2.ppf(1 - 1e-4, on.sum() - 1)
+
+    def test_counts_are_validated(self, made):
+        """Counts must be non-negative integers over every species that
+        sum to the site count, one row or one per sample."""
+        for bad in ([1, 1, 1], [2, 1, 0, 1], [5, -1, 0], [1.5, 1.5, 1], [[2, 1, 1]] * 3):
+            with pytest.raises(ValueError, match="counts"):
+                made.sample(2, 0, counts=bad)
+        ok = made.sample(2, 0, counts=[[4, 0, 0], [0, 0, 4]])
+        assert np.array_equal(ok, [[0] * 4, [2] * 4])
 
     def test_training_learns_peaked_distribution(self, made):
         rng = np.random.default_rng(3)

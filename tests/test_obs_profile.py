@@ -7,6 +7,7 @@ import pytest
 
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
+from repro.nn import MADE, MADEConfig
 from repro.obs import MetricsRegistry
 from repro.obs.profile import (
     DEFAULT_SAMPLE_EVERY,
@@ -18,7 +19,7 @@ from repro.obs.profile import (
     profile_from_env,
     reset_global_collector,
 )
-from repro.proposals import FlipProposal, MultiSwapProposal
+from repro.proposals import FlipProposal, MADEProposal
 from repro.sampling import EnergyGrid, WangLandauSampler
 
 
@@ -174,11 +175,15 @@ class TestSamplerIntegration:
         assert prof["wl.flat_check"].calls == 1
 
     def test_fallback_steps_time_their_own_sections(self):
-        """A proposal without a field block steps through ``step_batch``,
-        which times ``propose_many`` and the commit."""
+        """A proposal without a field block (a conditioned MADE) steps
+        through ``step_batch``, which times ``propose_many`` and the
+        commit."""
         ham = _ising()
+        model = MADE(MADEConfig(n_sites=16, n_species=2, hidden=(8,), cond_dim=1), rng=0)
+        made = MADEProposal(model, composition="free",
+                            conditioner=lambda config, energy: np.array([energy / 32.0]))
         wl = WangLandauSampler(
-            hamiltonian=ham, proposal=MultiSwapProposal(k=2),
+            hamiltonian=ham, proposal=made,
             grid=EnergyGrid.from_levels(ham.energy_levels()),
             initial_config=np.zeros(16, dtype=np.int8), rng=0,
         )

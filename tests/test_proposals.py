@@ -12,7 +12,6 @@ from repro.proposals import local
 from repro.proposals import (
     FlipProposal,
     MixtureProposal,
-    MultiSwapProposal,
     NeighborSwapProposal,
     SwapProposal,
 )
@@ -21,13 +20,12 @@ from repro.proposals.base import BatchMove, Proposal
 SUPPRESS = [HealthCheck.function_scoped_fixture]
 
 
-@pytest.fixture(params=["swap", "nbr", "flip", "multi"])
+@pytest.fixture(params=["swap", "nbr", "flip"])
 def proposal(request):
     return {
         "swap": SwapProposal(),
         "nbr": NeighborSwapProposal(),
         "flip": FlipProposal(),
-        "multi": MultiSwapProposal(k=3),
     }[request.param]
 
 
@@ -149,24 +147,11 @@ class TestFlipProposal:
         assert not FlipProposal().preserves_composition
 
 
-class TestMultiSwap:
-    def test_changes_at_most_2k_sites(self, hea_small):
-        rng = np.random.default_rng(4)
-        configs = alloy_batch(hea_small, 6, rng)
-        batch = MultiSwapProposal(k=4).propose_many(configs, hea_small, rng)
-        assert batch.sites.shape == (6, 8)
-        assert np.all((applied(batch, configs) != configs).sum(axis=1) <= 8)
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            MultiSwapProposal(k=0)
-
-
 class TestMixture:
     def test_empirical_fractions_match_weights(self, hea_small):
         rng = np.random.default_rng(5)
         configs = alloy_batch(hea_small, 200, rng)
-        mix = MixtureProposal([(SwapProposal(), 0.8), (MultiSwapProposal(2), 0.2)])
+        mix = MixtureProposal([(SwapProposal(), 0.8), (NeighborSwapProposal(), 0.2)])
         for _ in range(10):
             mix.propose_many(configs, hea_small, rng)
         fractions = mix.component_fractions()
@@ -175,7 +160,7 @@ class TestMixture:
     def test_flags_combine(self):
         mix = MixtureProposal([(SwapProposal(), 1.0), (FlipProposal(), 1.0)])
         assert not mix.preserves_composition
-        mix2 = MixtureProposal([(SwapProposal(), 1.0), (MultiSwapProposal(2), 1.0)])
+        mix2 = MixtureProposal([(SwapProposal(), 1.0), (NeighborSwapProposal(), 1.0)])
         assert mix2.preserves_composition
 
     def test_validation(self):

@@ -210,10 +210,15 @@ class TestLintApi:
             "from repro.nn import ConditionalMADE\n"       # lint-api: allow
             "from repro.proposals.dl_cmade import P\n"     # lint-api: allow
             "class TestConditionalMADEModel:\n"
+            "p = MultiSwapProposal(k=2)\n"                # lint-api: allow
+            "from repro.machine import plan_campaign\n"   # lint-api: allow
+            "plan: CampaignPlan = None\n"                 # lint-api: allow
+            "import repro.machine.autotune\n"             # lint-api: allow
+            "class TestMultiSwapProposals:\n"
         )
         hits = lint_api(tmp_path)
-        assert len(hits) == 4
-        assert {h[1] for h in hits} == {1, 2, 4, 5}  # line 3 opted out
+        assert len(hits) == 8
+        assert {h[1] for h in hits} == {1, 2, 4, 5, 7, 8, 9, 10}  # line 3 opted out
 
     def test_lint_flags_the_scalar_proposal_api(self, tmp_path):
         from repro.tools.lint import lint_api

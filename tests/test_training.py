@@ -135,7 +135,7 @@ class TestOnlineLoop:
         loop = OnlineLoop(
             ham, beta=0.3, initial_config=cfg,
             local_proposal=SwapProposal(),
-            dl_proposal=MADEProposal(model, composition="reject", max_reject_tries=32),
+            dl_proposal=MADEProposal(model, composition="fixed"),
             trainer=trainer, dl_fraction=0.3, refresh_train_steps=20, seed=4,
         )
         result = loop.run(n_rounds=3, steps_per_round=200, harvest_interval=10)
