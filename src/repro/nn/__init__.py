@@ -37,7 +37,7 @@ from repro.nn.losses import (
     categorical_cross_entropy_from_logits,
     gaussian_kl_divergence,
 )
-from repro.nn.optim import SGD, Adam, clip_gradients
+from repro.nn.optim import SGD, Adam
 from repro.nn.models.vae import CategoricalVAE, VAEConfig
 from repro.nn.models.made import MADE, MADEConfig
 from repro.nn.serialization import save_params, load_params
@@ -62,7 +62,6 @@ __all__ = [
     "gaussian_kl_divergence",
     "SGD",
     "Adam",
-    "clip_gradients",
     "CategoricalVAE",
     "VAEConfig",
     "MADE",

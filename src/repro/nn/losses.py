@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.numerics import log_softmax, softmax
+from repro.util.numerics import log_softmax_and_softmax
 
 __all__ = [
     "mse_loss",
@@ -52,9 +52,11 @@ def categorical_cross_entropy_from_logits(
     if logits.shape != t.shape:
         raise ValueError(f"shape mismatch: logits {logits.shape} vs targets {t.shape}")
     batch = logits.shape[0]
-    logp = log_softmax(logits, axis=-1)
-    loss = float(-(t * logp).sum() / batch)
-    grad = (softmax(logits, axis=-1) - t) / batch
+    logp, grad = log_softmax_and_softmax(logits, axis=-1)
+    logp *= t
+    loss = float(-logp.sum() / batch)
+    grad -= t
+    grad /= batch
     return loss, grad
 
 

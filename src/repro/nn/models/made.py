@@ -34,8 +34,7 @@ import numpy as np
 from repro.nn.initializers import he_normal, zeros_init
 from repro.nn.layers import Dense, ReLU, Sequential
 from repro.nn.losses import categorical_cross_entropy_from_logits
-from repro.nn.optim import clip_gradients
-from repro.util.numerics import log_softmax
+from repro.util.numerics import categorical_inverse_cdf, log_softmax
 from repro.util.rng import as_generator
 
 __all__ = ["MADEConfig", "MADE"]
@@ -230,7 +229,7 @@ class MADE:
         logits = self._forward(x, cond)
         loss, dlogits = categorical_cross_entropy_from_logits(logits, x)
         self.net.backward(dlogits.reshape(x.shape[0], -1))
-        grad_norm = clip_gradients(self.parameters(), max_grad_norm)
+        grad_norm = optimizer.clip_gradients(max_grad_norm)
         optimizer.step()
         return {"loss": loss, "grad_norm": grad_norm}
 
@@ -282,9 +281,7 @@ class MADE:
                 logits = np.where(allowed, logits, -np.inf)
                 lo, hi = allowed.argmax(axis=1), s - 1 - allowed[:, ::-1].argmax(axis=1)
             logp = log_softmax(logits, axis=-1)
-            cdf = np.cumsum(np.exp(logp), axis=-1)
-            u = rng.random((n, 1))
-            picks = (u > cdf).sum(axis=-1)
+            picks = categorical_inverse_cdf(np.exp(logp), rng.random(n))
             np.clip(picks, lo, hi, out=picks)
             configs[:, i] = picks
             if left is not None:

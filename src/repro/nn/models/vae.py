@@ -23,8 +23,7 @@ import numpy as np
 from repro.nn.initializers import glorot_uniform
 from repro.nn.layers import Dense, Sequential, Tanh
 from repro.nn.losses import categorical_cross_entropy_from_logits, gaussian_kl_divergence
-from repro.nn.optim import clip_gradients
-from repro.util.numerics import log_softmax, logsumexp, softmax
+from repro.util.numerics import categorical_inverse_cdf, log_softmax, logsumexp, softmax
 from repro.util.rng import as_generator
 
 __all__ = ["VAEConfig", "CategoricalVAE"]
@@ -180,7 +179,7 @@ class CategoricalVAE:
         dh = self.enc_head.backward(dstats)
         self.encoder.backward(dh)
 
-        grad_norm = clip_gradients(self.parameters(), max_grad_norm)
+        grad_norm = optimizer.clip_gradients(max_grad_norm)
         optimizer.step()
         return {"loss": loss, "recon": recon, "kl": kl, "grad_norm": grad_norm}
 
@@ -209,11 +208,8 @@ class CategoricalVAE:
         c = self.config
         z = rng.standard_normal((n, c.latent_dim))
         logits = self.decode_logits(z) / logit_temperature
-        probs = softmax(logits, axis=-1)
-        # Vectorized categorical sampling via inverse CDF.
-        cdf = np.cumsum(probs, axis=-1)
-        u = rng.random((n, c.n_sites, 1))
-        configs = (u > cdf).sum(axis=-1).astype(np.int8)
+        u = rng.random((n, c.n_sites))
+        configs = categorical_inverse_cdf(softmax(logits, axis=-1), u).astype(np.int8)
         np.clip(configs, 0, c.n_species - 1, out=configs)
         if not return_log_conditional:
             return configs

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lattice.configuration import one_hot
 from repro.util.rng import as_generator
 from repro.util.validation import check_integer
 
@@ -24,6 +23,7 @@ class ReplayBuffer:
         self.n_sites = check_integer("n_sites", n_sites, minimum=1)
         self.n_species = check_integer("n_species", n_species, minimum=2)
         self._data = np.zeros((capacity, n_sites), dtype=np.int8)
+        self._eye = np.eye(n_species)  # row k: species k one-hot
         self._next = 0
         self._count = 0
 
@@ -35,11 +35,21 @@ class ReplayBuffer:
         return self._count == self.capacity
 
     def add(self, config: np.ndarray) -> None:
-        """Append one configuration (copied)."""
+        """Append one configuration (copied).
+
+        Species are checked here, once per row, so that a batch can be
+        encoded without checking: every stored entry is in
+        ``[0, n_species)``.
+        """
         config = np.asarray(config)
         if config.shape != (self.n_sites,):
             raise ValueError(
                 f"configuration must have shape ({self.n_sites},), got {config.shape}"
+            )
+        if config.min() < 0 or config.max() >= self.n_species:
+            raise ValueError(
+                f"species out of range [0, {self.n_species}): "
+                f"[{config.min()}, {config.max()}]"
             )
         self._data[self._next] = config
         self._next = (self._next + 1) % self.capacity
@@ -53,18 +63,17 @@ class ReplayBuffer:
         """Uniform sample with replacement, shape (batch, n_sites) int8."""
         if self._count == 0:
             raise ValueError("cannot sample from an empty buffer")
-        rng = as_generator(rng)
-        idx = rng.integers(0, self._count, size=batch_size)
-        return self._data[idx].copy()
+        idx = as_generator(rng).integers(0, self._count, size=batch_size)
+        return self._data.take(idx, axis=0)
 
     def sample_one_hot(self, batch_size: int, rng=None) -> np.ndarray:
         """Uniform sample, one-hot encoded (B, n_sites, n_species).
 
-        Encoded with the batched :func:`~repro.lattice.configuration.one_hot`
-        gather — one scatter for the whole batch, bit-identical to stacking
-        per-row encodings.
+        Rows of a cached identity matrix taken at the sampled species: the
+        values, dtype and layout of :func:`~repro.lattice.configuration.one_hot`
+        of the same :meth:`sample`, without re-checking the range.
         """
-        return one_hot(self.sample(batch_size, rng), self.n_species)
+        return np.take(self._eye, self.sample(batch_size, rng), axis=0)
 
     def contents(self) -> np.ndarray:
         """All stored configurations (oldest-first not guaranteed)."""

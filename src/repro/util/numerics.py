@@ -19,6 +19,8 @@ __all__ = [
     "log1pexp",
     "softmax",
     "log_softmax",
+    "log_softmax_and_softmax",
+    "categorical_inverse_cdf",
     "stable_sigmoid",
     "weighted_logsumexp",
 ]
@@ -120,19 +122,76 @@ def log1pexp(x):
     return out
 
 
-def softmax(x, axis=-1):
-    """Stable softmax along ``axis``."""
+def _fold_species(op, x, axis):
+    """Fold the binary ufunc ``op`` over ``axis``, one slice at a time,
+    keeping ``axis`` with length 1.
+
+    A handful of elementwise calls over ``x[..., k, ...]`` instead of one
+    axis reduction: NumPy's reduction machinery costs tens of microseconds
+    per call over a short axis, the slices a few each.
+    """
+    head = (slice(None),) * (axis % x.ndim)
+    out = x[head + (slice(0, 1),)].copy()
+    for k in range(1, x.shape[axis]):
+        op(out, x[head + (slice(k, k + 1),)], out=out)
+    return out
+
+
+def _shifted_exp(x, axis):
+    """``x - max``, its ``exp`` and the ``exp`` sums along ``axis``."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - _fold_species(np.maximum, x, axis)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return shifted, e, _fold_species(np.add, e, axis)
+
+
+def log_softmax_and_softmax(x, axis=-1):
+    """``(log_softmax(x), softmax(x))`` along ``axis`` from one ``exp`` pass.
+
+    The softmax family reduces the (short) species axis slice by slice:
+    maxima with ``np.maximum``, sums left to right with ``+=``.  For an axis
+    of length 2–7 that is bit for bit what ``np.max``/``np.sum`` over the
+    axis give, ``-inf`` entries included; from length 8 on NumPy's unrolled
+    pairwise sum adds in another order and the last bit may differ.  Every
+    model here has 2 or 4 species.
+    """
+    shifted, e, total = _shifted_exp(x, axis)
+    shifted -= np.log(total)
+    e /= total
+    return shifted, e
+
+
+def softmax(x, axis=-1):
+    """Stable softmax along ``axis`` (see :func:`log_softmax_and_softmax`)."""
+    _, e, total = _shifted_exp(x, axis)
+    e /= total
+    return e
 
 
 def log_softmax(x, axis=-1):
-    """Stable log-softmax along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    """Stable log-softmax along ``axis`` (see :func:`log_softmax_and_softmax`)."""
+    shifted, _, total = _shifted_exp(x, axis)
+    shifted -= np.log(total)
+    return shifted
+
+
+def categorical_inverse_cdf(probs, u):
+    """Draw from the categoricals ``probs`` (last axis) by inverse CDF.
+
+    Returns, per row, how many CDF entries lie below the uniform ``u``
+    (shape ``probs.shape[:-1]``), as ``intp``: ``(u[..., None] > cdf).sum(-1)``
+    with ``cdf = np.cumsum(probs, axis=-1)``, computed slice by slice (see
+    :func:`log_softmax_and_softmax`).  ``probs`` is overwritten by its CDF.
+    A draw past the last CDF entry (roundoff) returns the number of species;
+    callers clip.
+    """
+    cdf = probs
+    for k in range(1, cdf.shape[-1]):
+        cdf[..., k] += cdf[..., k - 1]
+    picks = np.greater(u, cdf[..., 0]).astype(np.intp)
+    for k in range(1, cdf.shape[-1]):
+        picks += u > cdf[..., k]
+    return picks
 
 
 def stable_sigmoid(x):

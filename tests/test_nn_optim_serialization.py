@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Dense, Sequential, Tanh, clip_gradients, load_params, save_params
+from repro.nn import SGD, Adam, Dense, Sequential, Tanh, load_params, save_params
 from repro.nn.layers import Parameter
 from repro.nn.serialization import params_from_bytes, params_to_bytes
 
@@ -84,19 +84,19 @@ class TestClipGradients:
     def test_clip_reduces_norm(self):
         p = Parameter("w", np.zeros(4))
         p.grad += np.array([3.0, 4.0, 0.0, 0.0])
-        pre = clip_gradients([p], max_norm=1.0)
+        pre = SGD([p], lr=0.1).clip_gradients(max_norm=1.0)
         assert pre == pytest.approx(5.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
 
     def test_no_clip_below_threshold(self):
         p = Parameter("w", np.zeros(2))
         p.grad += np.array([0.3, 0.4])
-        clip_gradients([p], max_norm=1.0)
+        SGD([p], lr=0.1).clip_gradients(max_norm=1.0)
         assert np.allclose(p.grad, [0.3, 0.4])
 
     def test_invalid_norm_raises(self):
         with pytest.raises(ValueError):
-            clip_gradients([], max_norm=0.0)
+            Adam([Parameter("w", np.zeros(2))], lr=0.1).clip_gradients(max_norm=0.0)
 
 
 class TestSerialization:

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.util.numerics import (
+    categorical_inverse_cdf,
     log1pexp,
     log_add_exp,
     log_sub_exp,
     log_softmax,
+    log_softmax_and_softmax,
     logmeanexp,
     logsumexp,
     softmax,
@@ -140,3 +142,64 @@ class TestActivationHelpers:
     @settings(max_examples=50, deadline=None)
     def test_softmax_shift_invariant(self, a):
         assert np.allclose(softmax(a), softmax(a + 17.0), atol=1e-12)
+
+
+def _reference_softmaxes(x, axis):
+    """log_softmax and softmax with NumPy axis reductions."""
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    logp = shifted - np.log(np.sum(e, axis=axis, keepdims=True))
+    return logp, e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _masked_logits(rng, shape):
+    x = rng.normal(scale=4.0, size=shape)
+    x[rng.random(shape) < 0.25] = -np.inf  # some rows end up all -inf: nan, as before
+    return x
+
+
+class TestSpeciesAxisKernels:
+    """The slice-by-slice softmax family against the axis reductions."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("shape", [(64, 16), (1024,), (3, 2, 5)])
+    def test_bit_identical_up_to_seven_species(self, n, shape):
+        rng = np.random.default_rng(n)
+        x = _masked_logits(rng, shape + (n,))
+        with np.errstate(invalid="ignore"):
+            want_logp, want_p = _reference_softmaxes(x, -1)
+            logp, p = log_softmax_and_softmax(x)
+            for got, want in [(logp, want_logp), (p, want_p),
+                              (log_softmax(x), want_logp), (softmax(x), want_p)]:
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("axis", [0, 1, -2])
+    def test_bit_identical_along_other_axes(self, axis):
+        x = _masked_logits(np.random.default_rng(11), (4, 5, 6))
+        with np.errstate(invalid="ignore"):
+            want_logp, want_p = _reference_softmaxes(x, axis)
+            logp, p = log_softmax_and_softmax(x, axis=axis)
+        assert np.array_equal(logp, want_logp, equal_nan=True)
+        assert np.array_equal(p, want_p, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_close_from_eight_species(self, n):
+        """NumPy's pairwise sum adds 8+ terms in another order: roundoff only."""
+        x = np.random.default_rng(n).normal(scale=4.0, size=(256, n))
+        want_logp, want_p = _reference_softmaxes(x, -1)
+        logp, p = log_softmax_and_softmax(x)
+        assert np.allclose(logp, want_logp, rtol=1e-14, atol=1e-14)
+        assert np.allclose(p, want_p, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_inverse_cdf_matches_cumsum_count(self, n):
+        rng = np.random.default_rng(20 + n)
+        x = _masked_logits(rng, (512, n))
+        x[:, 0] = 0.0  # keep every row normalizable
+        p = softmax(x)
+        u = rng.random(512)
+        want = (u[:, None] > np.cumsum(p, axis=-1)).sum(axis=-1)
+        got = categorical_inverse_cdf(p.copy(), u)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
