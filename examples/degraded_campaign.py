@@ -6,7 +6,8 @@ corruption, the rollback budget burns, the window is quarantined, the
 surviving neighbors are re-paired, and the run completes with an explicit
 ``degraded`` flag, a per-window disposition table, and a best-effort
 stitched density of states with a recorded coverage gap.  Running twice
-with the same seeds produces bit-identical output — chaos included.
+with the same seeds produces bit-identical output — chaos included — and
+so does the same campaign on two shared-memory worker ranks.
 
 Usage: python examples/degraded_campaign.py
 
@@ -34,7 +35,7 @@ from repro.sampling import EnergyGrid
 from repro.util.tables import format_table
 
 
-def run_campaign():
+def run_campaign(**backend):
     # The driver reads REPRO_FAULTS when it is built.
     os.environ.setdefault(FAULTS_ENV_VAR, "nan=1.0,window=1,seed=0")
     resilience = ResilienceConfig.from_env()
@@ -48,10 +49,14 @@ def run_campaign():
         hamiltonian=ising, proposal_factory=lambda: FlipProposal(),
         grid=grid, initial_config=np.zeros(16, dtype=np.int8),
         config=REWLConfig(n_windows=4, walkers_per_window=1, overlap=0.4,
-                          exchange_interval=400, ln_f_final=5e-3, seed=21),
+                          exchange_interval=400, ln_f_final=5e-3, seed=21,
+                          **backend),
         resilience=resilience,
     )
-    return driver.run(max_rounds=300)
+    try:
+        return driver.run(max_rounds=300)
+    finally:
+        driver.close()
 
 
 def main() -> None:
@@ -84,6 +89,13 @@ def main() -> None:
     assert np.array_equal(again.ln_g, stitched.ln_g), \
         "degraded runs must be bit-identically reproducible"
     print("\nrerun with the same seeds: bit-identical (chaos included)")
+
+    shm = run_campaign(backend="shm", shm_ranks=2)
+    assert shm.quarantined == result.quarantined
+    assert shm.window_dispositions == result.window_dispositions
+    assert np.array_equal(shm.stitched().ln_g, stitched.ln_g), \
+        "the shm backend must degrade exactly as the in-process one"
+    print("on 2 shared-memory ranks: bit-identical (chaos included)")
 
 
 if __name__ == "__main__":

@@ -22,8 +22,6 @@ Fault kinds
 - ``crash`` — raise :class:`InjectedCrash` (a task-level failure),
 - ``hang``  — sleep ``hang_s`` seconds, then raise :class:`InjectedHang`
   (a slow failure, never mutating walker state),
-- ``kill``  — kept for spec compatibility; degrades to ``crash`` everywhere
-  (a dead shm rank is exercised by killing the process itself),
 - ``corrupt`` — checkpoint I/O faults: flip a payload byte (caught by the
   SHA-256 integrity check) or die between the tmp write and the atomic
   rename (the previous snapshot must survive),
@@ -89,9 +87,8 @@ class InjectedHang(InjectedFault):
 class FaultConfig(EnvSpec):
     """Per-site fault probabilities plus the injector seed.
 
-    ``crash``/``hang``/``kill``/``nan``/``slow`` apply per task *attempt*
-    (their sum must be <= 1; ``kill`` now degrades to ``crash``
-    everywhere); ``corrupt`` applies per checkpoint write.
+    ``crash``/``hang``/``nan``/``slow`` apply per task *attempt* (their
+    sum must be <= 1); ``corrupt`` applies per checkpoint write.
     ``hang_s``/``slow_s`` are the simulated hang/delay durations in
     seconds.  ``window >= 0`` restricts task faults to walkers of that REWL
     window (checkpoint faults are campaign-wide and unaffected).
@@ -100,14 +97,13 @@ class FaultConfig(EnvSpec):
 
     ENV_VAR: ClassVar[str] = FAULTS_ENV_VAR
     SPEC_KEYS: ClassVar[dict[str, str]] = {
-        key: key for key in ("crash", "hang", "kill", "nan", "slow", "corrupt",
+        key: key for key in ("crash", "hang", "nan", "slow", "corrupt",
                              "hang_s", "slow_s", "seed", "window")
     }
     SHORTHAND: ClassVar[bool] = False  # "1" would inject nothing: reject it
 
     crash: float = 0.0
     hang: float = 0.0
-    kill: float = 0.0
     nan: float = 0.0
     slow: float = 0.0
     corrupt: float = 0.0
@@ -117,11 +113,11 @@ class FaultConfig(EnvSpec):
     window: int = -1
 
     def __post_init__(self):
-        for name in ("crash", "hang", "kill", "nan", "slow", "corrupt"):
+        for name in ("crash", "hang", "nan", "slow", "corrupt"):
             check_probability(name, getattr(self, name))
         check_probability(
-            "crash + hang + kill + nan + slow",
-            self.crash + self.hang + self.kill + self.nan + self.slow,
+            "crash + hang + nan + slow",
+            self.crash + self.hang + self.nan + self.slow,
         )
         if self.hang_s < 0:
             raise ValueError(f"hang_s must be >= 0, got {self.hang_s!r}")
@@ -132,7 +128,7 @@ class FaultConfig(EnvSpec):
 
     @property
     def any_task_faults(self) -> bool:
-        return (self.crash + self.hang + self.kill + self.nan + self.slow) > 0.0
+        return (self.crash + self.hang + self.nan + self.slow) > 0.0
 
     @property
     def any_checkpoint_faults(self) -> bool:
@@ -165,8 +161,8 @@ class FaultInjector:
     # ------------------------------------------------------------ decisions
 
     def decide_task(self, key: int, attempt: int) -> str | None:
-        """``"crash"``/``"hang"``/``"kill"``/``"nan"``/``"slow"``/None for
-        one task attempt."""
+        """``"crash"``/``"hang"``/``"nan"``/``"slow"``/None for one task
+        attempt."""
         cfg = self.cfg
         if not cfg.any_task_faults:
             return None
@@ -177,9 +173,6 @@ class FaultInjector:
         band += cfg.hang
         if u < band:
             return "hang"
-        band += cfg.kill
-        if u < band:
-            return "kill"
         band += cfg.nan
         if u < band:
             return "nan"
@@ -237,8 +230,6 @@ class _FaultyCall:
             tag = getattr(args[0], "obs_tag", None) if args else None
             if tag is None or tag[0] != self.cfg.window:
                 action = None
-        if action == "kill":
-            action = "crash"
         if action == "hang":
             time.sleep(self.cfg.hang_s)
             raise InjectedHang(

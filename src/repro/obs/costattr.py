@@ -15,8 +15,8 @@ block       ``wl.block`` — one block of super-steps for a group of teams,
             ``wl.block.score``, time parts of it and add nothing)
 commit      ``wl.batch_commit`` (the ``propose_many`` path), ``wl.flat_check``
 advance     the *unattributed* remainder of ``rewl.advance`` — driver-side
-            advance time not explained by the sections above (dispatch,
-            shm round-trips, scheduling)
+            advance time not explained by the sections above or by the
+            guards (dispatch, shm round-trips, failure handling)
 exchange    ``rewl.exchange_round``
 sync        ``rewl.sync``
 checkpoint  ``rewl.checkpoint``
@@ -24,9 +24,10 @@ guard       ``rewl.guard``
 stitch      ``rewl.stitch``
 ==========  ==================================================================
 
-The propose, block and commit sections happen *inside* the advance phase,
-so naive addition would double count: the ``advance`` row reports only the
-remainder ``rewl.advance − (propose + block + commit)``, clamped at zero
+The propose, block, commit and guard sections happen *inside* the advance
+phase (each window is guarded as its advance lands), so naive addition
+would double count: the ``advance`` row reports only the remainder
+``rewl.advance − (propose + block + commit + guard)``, clamped at zero
 (the subtraction mixes exact timings with strided estimates, which can land
 slightly negative).  Shares are fractions of the attributed total, so the
 table reads as "X% of the accounted wall-clock".
@@ -103,7 +104,7 @@ def attribute_cost(profile: dict) -> dict:
         bucket = phases.setdefault(phase, {"seconds": 0.0, "sections": {}})
         bucket["seconds"] += seconds
         bucket["sections"][section] = round(seconds, 6)
-        if phase in ("propose", "block", "commit"):
+        if phase in ("propose", "block", "commit", "guard"):
             inside_advance += seconds
     remainder = max(0.0, advance_total - inside_advance)
     if remainder > 0.0:

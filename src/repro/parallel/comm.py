@@ -46,9 +46,10 @@ import numpy as np
 
 __all__ = ["ShmRank", "ShmWorld"]
 
-#: Inbox wait slice: how often the controller's drain loop checks that its
-#: workers live, and a waiting worker that its parent does.  Short enough
-#: that a death is noticed promptly, long enough not to busy-spin.
+#: Inbox wait slice: how often the controller, waiting for its ranks'
+#: replies, checks that they live, and a waiting worker that its parent
+#: does.  Short enough that a death is noticed promptly, long enough not to
+#: busy-spin.
 _POLL_S = 1.0
 
 

@@ -14,13 +14,12 @@ campaign from shared memory:
   BatchedWangLandauSampler` whose arrays are *views* into the campaign
   state and whose scalars live in shared blocks, so every driver phase that
   reads team state works unchanged on the controller;
-- :class:`ShmEngine` — the driver hook: worker ranks attach zero-copy and
-  step their windows' rows in place, and the controller drains per-rank
-  completions *without a barrier* — replica-exchange pairs are processed
-  (in strict schedule order, preserving the exchange RNG stream) as soon as
-  both endpoints land, while other ranks keep stepping.
+- :class:`ShmEngine` — the driver's advance step: worker ranks attach
+  zero-copy and step their windows' rows in place; the controller sends
+  each rank its jobs and settles every window as its rank's reply lands.
+  Exchange and sync then run in the driver's round, as in process.
 
-The ranks are forked from the controller on the first ``run_round`` (see
+The ranks are forked from the controller on the first ``advance`` (see
 :class:`~repro.parallel.comm.ShmWorld`), so they start warm — NumPy, the
 package and the native library already loaded — and stay direct children
 of the controller.  Each rank still rebuilds its teams from a plain-data
@@ -30,8 +29,8 @@ the first one did.
 Bit-identity: a team's trajectory is a pure function of its seed and the
 sequence of advance-call lengths, whichever teams share its block; both
 backends issue the same lengths (``exchange_interval`` per round), the
-``*_many`` kernels reduce row-wise, and the exchange stream is consumed in
-pair-schedule order — so ``backend="shm"`` reproduces ``backend="fused"``
+``*_many`` kernels reduce row-wise, and exchange and sync are the driver's
+own phases — so ``backend="shm"`` reproduces ``backend="fused"``
 bit for bit (pinned by ``tests/test_fused_campaign.py``).
 """
 
@@ -355,13 +354,13 @@ def _shm_campaign_worker(handle, rank, blob):
 class ShmEngine:
     """Zero-copy multiprocess campaign engine (``backend="shm"``).
 
-    The controller (rank 0) owns the round structure; worker ranks own
-    static window partitions and step them in place in the shared campaign
-    arrays.  Rounds are overlapped: the controller drains per-rank
-    completions as they land — guarding, snapshotting, exchanging (strict
-    pair-schedule order, so the exchange RNG stream is untouched) and
-    syncing each window the moment it is ready, while slower ranks keep
-    stepping.  Exchange proposals therefore never barrier the stepping.
+    The controller (rank 0) owns the round, which is the driver's own
+    (:meth:`~repro.parallel.rewl.REWLDriver.run`); the engine is only its
+    advance step.  Worker ranks own static window partitions
+    (``rank_of = 1 + w % ranks``) and step them in place in the shared
+    campaign arrays; :meth:`advance` hands each window to the driver's
+    ``settle`` callback as its rank's reply lands, and a rank that dies
+    mid-round is respawned.
     """
 
     def __init__(self, driver, n_ranks: int | None = None):
@@ -415,7 +414,7 @@ class ShmEngine:
         FusedTeam.adopt(driver.walkers[w][0], self.state, w, push=True)
 
     def start(self) -> None:
-        """Start the worker ranks (lazy: first ``run_round`` call)."""
+        """Start the worker ranks (lazy: first :meth:`advance`)."""
         if self._started:
             return
         for rank, blob in self._blobs.items():
@@ -445,173 +444,75 @@ class ShmEngine:
             self.comm.close()
             self.world.close()
 
-    # ------------------------------------------------------------ the round
+    # ---------------------------------------------------------- the advance
 
-    def run_round(self, driver) -> None:
-        """One overlapped advance→guard→exchange→sync round.
+    def advance(self, driver, active, settle) -> None:
+        """One round's advance of the ``active`` windows on their ranks.
 
-        The exchange schedule is fixed at round start; a window quarantined
-        *mid-round* has its pairs skipped without RNG draws (the re-paired
-        surviving topology starts next round — see DESIGN.md §16), so clean
-        rounds are bit-identical to the barriered phases.
+        Sends each rank its windows' jobs, then drains the replies of this
+        round's epoch.  As a window's reply lands, its counters, RNG state
+        and profile are merged into the controller's team and
+        ``settle(w, exc)`` runs, ``exc`` None unless the window failed.
         """
         self.start()
-        cfg = driver.cfg
-        sup = driver.supervisor
-        prof = driver.profiler
-        n_windows = len(driver.windows)
-        active = [
-            w for w in range(n_windows)
-            if not driver.window_converged[w]
-            and not driver.window_quarantined[w]
-        ]
         self._epoch += 1
         epoch = self._epoch
         jobs_by_rank: dict[int, list] = {}
         for w in active:
-            team = driver.walkers[w][0]
             jobs_by_rank.setdefault(self.rank_of[w], []).append(
-                (w, team.rng.bit_generator.state)
+                (w, driver.walkers[w][0].rng.bit_generator.state)
             )
-        # One batched team is one advance task: metric parity with the
-        # classic batched path (steps = tasks × interval, super-steps).
-        steps = len(active) * cfg.exchange_interval
-        t_adv = prof.start_always("rewl.advance") if prof is not None else None
-        with driver.obs.span(
-            "advance", round=driver.rounds,
-            walkers=len(active), steps=steps,
-        ):
-            for rank, jobs in jobs_by_rank.items():
-                self.comm.send(
-                    ("advance", epoch, cfg.exchange_interval, jobs), dest=rank
-                )
-            driver.rounds += 1
-            driver.obs.metrics.inc("rewl.rounds")
-            driver.obs.metrics.inc("rewl.steps", steps)
-
-            pairs = driver._exchange_pairs()[driver.rounds % 2::2]
-            win_pairs: dict[int, list[int]] = {w: [] for w in range(n_windows)}
-            for i, (left, right) in enumerate(pairs):
-                win_pairs[left].append(i)
-                win_pairs[right].append(i)
-            pair_done = [False] * len(pairs)
-            pending = set(active)
-            ready = set(range(n_windows)) - pending
-            synced: set[int] = set()
-            next_pair = 0
-
-            def settle_pairs():
-                # Strict schedule order keeps the shared exchange RNG
-                # stream identical to the barriered exchange phase.
-                nonlocal next_pair
-                while next_pair < len(pairs):
-                    left, right = pairs[next_pair]
-                    if left not in ready or right not in ready:
-                        return
-                    te = (
-                        prof.start_always("rewl.exchange_round")
-                        if prof is not None else None
-                    )
-                    with driver.obs.span("exchange", round=driver.rounds,
-                                         pair=left):
-                        driver._exchange_pair(left, right)
-                    if prof is not None:
-                        prof.stop("rewl.exchange_round", te)
-                    pair_done[next_pair] = True
-                    next_pair += 1
-
-            def sync_ready():
-                for w in active:
-                    if (
-                        w in ready and w not in synced
-                        and all(pair_done[i] for i in win_pairs[w])
-                    ):
-                        ts = (
-                            prof.start_always("rewl.sync")
-                            if prof is not None else None
-                        )
-                        with driver.obs.span("synchronize",
-                                             round=driver.rounds, window=w):
-                            driver._sync_window(w)
-                        if prof is not None:
-                            prof.stop("rewl.sync", ts)
-                        synced.add(w)
-
-            def window_done(w, payload, rank):
-                team = driver.walkers[w][0]
-                if payload["ok"]:
-                    _merge_counters(team.counters, payload["counters"])
-                    team.rng.bit_generator.state = payload["rng"]
-                    if payload.get("profile") is not None:
-                        team._shm_profiler = payload["profile"]
-                    if sup is not None:
-                        tg = (
-                            prof.start_always("rewl.guard")
-                            if prof is not None else None
-                        )
-                        sup.guard_window(driver, w)
-                        if not driver.window_quarantined[w]:
-                            sup.snapshot_window(driver, w)
-                        if prof is not None:
-                            prof.stop("rewl.guard", tg)
-                else:
-                    driver._window_failed(w, RuntimeError(
+        for rank, jobs in jobs_by_rank.items():
+            self.comm.send(
+                ("advance", epoch, driver.cfg.exchange_interval, jobs), dest=rank
+            )
+        pending = set(active)
+        while pending:
+            try:
+                rank, msg = self.comm.recv(timeout=_POLL_S)
+            except TimeoutError:
+                self._reap_dead_ranks(pending, settle)
+                continue
+            if msg[0] != "done" or msg[1] != epoch:
+                continue  # stale reply from a respawned predecessor
+            _, _, report, retries = msg
+            driver._note_retries(retries)
+            for w in sorted(report.keys() & pending):
+                pending.discard(w)
+                payload = report[w]
+                if not payload["ok"]:
+                    settle(w, RuntimeError(
                         f"window {w} advance failed on shm rank {rank}: "
                         f"{payload['error']}"
                     ))
-                ready.add(w)
-
-            while pending:
-                try:
-                    rank, msg = self.comm.recv(timeout=_POLL_S)
-                except TimeoutError:
-                    self._reap_dead_ranks(driver, pending, ready)
-                    settle_pairs()
-                    sync_ready()
                     continue
-                if msg[0] != "done" or msg[1] != epoch:
-                    continue  # stale reply from a respawned predecessor
-                _, _, report, retries = msg
-                driver._note_retries(retries)
-                for w in sorted(report):
-                    if w in pending:
-                        pending.discard(w)
-                        window_done(w, report[w], rank)
-                settle_pairs()
-                sync_ready()
-            settle_pairs()
-            sync_ready()
-            if sup is not None:
-                sup.end_guard_round()
-        if prof is not None:
-            prof.stop("rewl.advance", t_adv)
+                team = driver.walkers[w][0]
+                _merge_counters(team.counters, payload["counters"])
+                team.rng.bit_generator.state = payload["rng"]
+                if payload["profile"] is not None:
+                    team._shm_profiler = payload["profile"]
+                settle(w, None)
 
-    def _reap_dead_ranks(self, driver, pending, ready) -> None:
-        """Fail windows whose rank died; respawn the rank for next round."""
-        sup = driver.supervisor
+    def _reap_dead_ranks(self, pending, settle) -> None:
+        """Fail the pending windows of every dead rank, then respawn it.
+
+        Without a supervisor ``settle`` raises on the first such window, and
+        nothing is respawned.
+        """
         for rank, proc in list(self._proc.items()):
-            if proc.is_alive():
-                continue
             dead = [w for w in sorted(pending) if self.rank_of[w] == rank]
-            if not dead:
+            if proc.is_alive() or not dead:
                 continue
-            if sup is None:
-                raise RuntimeError(
-                    f"shm worker rank {rank} died while advancing windows "
-                    f"{dead} (exitcode {proc.exitcode})"
-                )
-            # Respawn (on a fresh inbox), then hand the lost windows to the
-            # supervisor.  The fork happens while this process's queue
-            # feeder threads run; the rank touches only queues and segments
-            # whose locks are process-shared or rebuilt after a fork
-            # (DESIGN.md §16).
+            for w in dead:
+                pending.discard(w)
+                settle(w, RuntimeError(
+                    f"shm worker rank {rank} died mid-advance "
+                    f"(exitcode {proc.exitcode})"
+                ))
+            # Respawned on a fresh inbox.  The fork happens while this
+            # process's queue feeder threads run; the rank touches only
+            # queues and segments whose locks are process-shared or rebuilt
+            # after a fork (DESIGN.md §16).
             self._proc[rank] = self.world.spawn(
                 _shm_campaign_worker, rank, self._blobs[rank],
             )
-            for w in dead:
-                pending.discard(w)
-                sup.on_window_failure(
-                    driver, w,
-                    RuntimeError(f"worker rank {rank} died mid-advance"),
-                )
-                ready.add(w)

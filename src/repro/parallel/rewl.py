@@ -11,7 +11,9 @@ and the driver alternates
    process (``backend="fused"``) or on shared-memory worker ranks
    (``backend="shm"``, :mod:`repro.parallel.fused`); a team's trajectory is
    a function of its seed and the advance-call lengths only, so both
-   backends are bit-identical,
+   backends are bit-identical.  Each window that advanced is *settled* as it
+   lands: a failed one goes to the supervisor, a healthy one is guarded and
+   snapshotted,
 2. **exchange** — walkers in adjacent windows swap configurations with the
    exact REWL acceptance rule
    ``ln u < [ln g_A(E_A) − ln g_A(E_B)] + [ln g_B(E_B) − ln g_B(E_A)]``,
@@ -469,7 +471,7 @@ class REWLDriver:
         which coincides with the adjacent pair when nothing is quarantined
         and reuses the dead slot after window ``left + 1`` is removed.
         """
-        if self.supervisor is None or not any(self.window_quarantined):
+        if not any(self.window_quarantined):
             return [(w, w + 1) for w in range(len(self.windows) - 1)]
         alive = [not q for q in self.window_quarantined]
         return surviving_pairs(self.windows, alive)
@@ -477,7 +479,14 @@ class REWLDriver:
     # ------------------------------------------------------------- phases
 
     def _advance_phase(self) -> None:
-        """In-process advance: every live window's team, one block."""
+        """Advance every live window's team and settle each one.
+
+        In process every team steps in one block and the windows settle in
+        window order after it; under ``backend="shm"`` the engine settles
+        each window as its rank's reply lands.  The round counter moves
+        first, so settling (guard events, quarantine records) sees this
+        round's number.
+        """
         active = [
             w for w in range(len(self.walkers))
             if not self.window_converged[w] and not self.window_quarantined[w]
@@ -487,17 +496,46 @@ class REWLDriver:
         t0 = prof.start_always("rewl.advance") if prof is not None else None
         with self.obs.span("advance", round=self.rounds, walkers=len(active),
                            steps=steps):
-            failed, retries = advance_windows(
-                {w: self.walkers[w][0] for w in active},
-                self.cfg.exchange_interval, self.hamiltonian, prof,
-                self._faults,
-            )
-            self._note_retries(retries)
-            for w, exc in failed.items():
-                self._window_failed(w, exc)
+            self.rounds += 1
+            self.obs.metrics.inc("rewl.rounds")
+            self.obs.metrics.inc("rewl.steps", steps)
+            if self._engine is not None:
+                self._engine.advance(self, active, self._settle_window)
+            else:
+                failed, retries = advance_windows(
+                    {w: self.walkers[w][0] for w in active},
+                    self.cfg.exchange_interval, self.hamiltonian, prof,
+                    self._faults,
+                )
+                self._note_retries(retries)
+                for w in active:
+                    self._settle_window(w, failed.get(w))
+            if self.supervisor is not None:
+                self.supervisor.end_guard_round()
         if prof is not None:
             prof.stop("rewl.advance", t0)
-        self.obs.metrics.inc("rewl.steps", steps)
+
+    def _settle_window(self, w: int, exc: Exception | None) -> None:
+        """Window ``w``'s advance has landed: a failed window (``exc``: its
+        retries ran out, or its rank died) goes to :meth:`_window_failed`;
+        otherwise the supervisor, if any, guards and snapshots it.
+
+        Guards run before the exchange phase, so corrupted ln g never feeds
+        an acceptance decision of a healthy neighbor, and the round's pair
+        schedule already re-pairs around any window quarantined here.
+        """
+        if exc is not None:
+            self._window_failed(w, exc)
+            return
+        sup = self.supervisor
+        if sup is None:
+            return
+        prof = self.profiler
+        t0 = prof.start_always("rewl.guard") if prof is not None else None
+        sup.guard_window(self, w)
+        sup.snapshot_window(self, w)
+        if prof is not None:
+            prof.stop("rewl.guard", t0)
 
     def _note_retries(self, retries) -> None:
         """Count :func:`advance_windows`' retry records (both backends)."""
@@ -536,17 +574,10 @@ class REWLDriver:
         """One exchange attempt between windows ``left``/``right``: one slot
         pick per side, one uniform for acceptance.
 
-        The unit the overlapped shm round drives directly (pairs settle as
-        their windows finish stepping, in strict schedule order, so the
-        exchange RNG stream matches the phase-at-a-time loop draw-for-draw).
-        Converged or quarantined endpoints make the attempt a silent no-op
-        that draws nothing.
+        A converged endpoint makes the attempt a silent no-op that draws
+        nothing (quarantined windows are not in the schedule).
         """
         if self.window_converged[left] or self.window_converged[right]:
-            return
-        if self.window_quarantined[left] or self.window_quarantined[right]:
-            # Only reachable when quarantine lands mid-round (overlapped
-            # engine); the phase schedule already excludes these pairs.
             return
         team_a = self.walkers[left][0]
         team_b = self.walkers[right][0]
@@ -600,11 +631,7 @@ class REWLDriver:
             prof.stop("rewl.sync", t0)
 
     def _sync_window(self, w: int) -> None:
-        """Merge/advance window ``w`` if its whole team is flat.
-
-        The unit the overlapped shm round drives directly — a window syncs
-        as soon as its exchange pairs have settled, which reads and writes
-        exactly the state the phase-at-a-time loop would."""
+        """Merge/advance window ``w`` if its whole team is flat."""
         if self.window_converged[w] or self.window_quarantined[w]:
             return
         team = self.walkers[w][0]
@@ -704,7 +731,11 @@ class REWLDriver:
     # ----------------------------------------------------------------- run
 
     def run(self, max_rounds: int | None = None) -> REWLResult:
-        """Iterate advance/exchange/sync until every window converges."""
+        """Iterate rounds until every window converges or is quarantined.
+
+        One round, on either backend: advance (each window settled as it
+        lands), exchange, sync, the round observers, the checkpoint.
+        """
         limit = self.cfg.max_rounds if max_rounds is None else max_rounds
         self.obs.emit(
             "run_start", scope="rewl", n_windows=len(self.windows),
@@ -729,30 +760,9 @@ class REWLDriver:
                     # was built, so the end-of-run views need a fresh one.
                     self._sample = None
                     break
-                if self._engine is not None:
-                    # Non-blocking replica exchange: the engine drains
-                    # worker replies as windows finish stepping, settling
-                    # exchange pairs and syncs per window instead of
-                    # barriering the whole campaign between phases.
-                    self._engine.run_round(self)
-                else:
-                    self._advance_phase()
-                    self.rounds += 1
-                    self.obs.metrics.inc("rewl.rounds")
-                    if self.supervisor is not None:
-                        # Guards run before exchange, so corrupted ln g never
-                        # feeds an acceptance decision of a healthy neighbor.
-                        prof = self.profiler
-                        tg = (
-                            prof.start_always("rewl.guard")
-                            if prof is not None else None
-                        )
-                        self.supervisor.guard_round(self)
-                        self.supervisor.snapshot(self)
-                        if prof is not None:
-                            prof.stop("rewl.guard", tg)
-                    self._exchange_phase()
-                    self._sync_phase()
+                self._advance_phase()
+                self._exchange_phase()
+                self._sync_phase()
                 for observer in (self.convergence, self.health,
                                  self.timeseries):
                     if observer is not None:

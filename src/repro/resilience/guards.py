@@ -56,8 +56,8 @@ class GuardPolicy:
     ``max_rollbacks`` bounds *consecutive* rollbacks per window: a clean
     guarded round resets the streak, so transient corruption (one bad
     round) is absorbed while persistent corruption escalates.
-    ``snapshot_interval`` is the cadence (in guarded rounds) of the
-    in-memory last-good snapshots rollback restores from.
+    ``snapshot_interval`` is the cadence (in rounds, round 0 included) of
+    the in-memory last-good snapshots rollback restores from.
     """
 
     mode: str = "quarantine"

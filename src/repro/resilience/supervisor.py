@@ -186,13 +186,17 @@ class CampaignSupervisor:
 
     The driver calls, per round::
 
-        budget_exceeded(driver)      # loop top: terminate-and-harvest?
-        on_window_failure(driver, w, exc)   # advance tasks exhausted retries
-        guard_round(driver)          # post-advance: validate + escalate
-        snapshot(driver)             # record guard-clean windows
+        budget_exceeded(driver)             # loop top: terminate-and-harvest?
+        on_window_failure(driver, w, exc)   # a window's advance failed
+        guard_window(driver, w)             # each window that advanced ...
+        snapshot_window(driver, w)          # ... as its advance lands
+        end_guard_round()                   # once every window has landed
 
-    plus :meth:`state_dict`/:meth:`load_state_dict` for checkpoint
-    ride-along and :meth:`summary` for the result/telemetry payload.
+    :meth:`guard_round` and :meth:`snapshot` loop the per-window methods
+    over every window (``run()`` takes its round-0 baseline with
+    :meth:`snapshot`); :meth:`state_dict`/:meth:`load_state_dict` carry the
+    ledger in checkpoints and :meth:`summary` is the result/telemetry
+    payload.
     """
 
     def __init__(self, config: ResilienceConfig, telemetry=None):
@@ -201,7 +205,6 @@ class CampaignSupervisor:
         self.windows: list[WindowState] = []
         self._snapshots: list[bytes | None] = []
         self._started = time.monotonic()
-        self._rounds_guarded = 0
         # Windows that failed/tripped since the last guarded round: a
         # restored snapshot passes the guards, but that must not count as a
         # clean round, or a permanently failing window would reset its own
@@ -250,29 +253,22 @@ class CampaignSupervisor:
     # --------------------------------------------------------- snapshots
 
     def snapshot(self, driver) -> None:
-        """Byte-copy guard-clean window teams for later rollback.
-
-        Taken *after* :meth:`guard_round`, so a snapshot is always of
-        validated state; pickling keeps walker RNG state with the walkers,
-        preserving bit-identity across a restore.  Only the Hamiltonian is
-        not copied: the snapshot refers to ``driver.hamiltonian``.
-        """
-        if self._rounds_guarded % self.cfg.guards.snapshot_interval != 0:
-            return
-        for w, state in enumerate(self.windows):
-            if state.disposition == "quarantined":
-                continue
-            self._snapshots[w] = _dump_team(driver, w)
+        """:meth:`snapshot_window` for every window."""
+        for w in range(len(self.windows)):
+            self.snapshot_window(driver, w)
 
     def snapshot_window(self, driver, w: int) -> None:
-        """Per-window snapshot for the overlapped (shm) drain loop.
+        """Byte-copy window ``w``'s team for a later rollback.
 
-        Called after :meth:`guard_window` but *before* the round's
-        :meth:`end_guard_round`, so the cadence check uses the round about
-        to be accounted (``_rounds_guarded + 1``) — the same rounds are
-        snapshotted as in the barriered guard→snapshot sequence.
+        Taken after :meth:`guard_window`, so a snapshot is always of
+        validated state, on rounds that are multiples of
+        ``snapshot_interval`` (round 0 is the baseline ``run()`` takes);
+        quarantined windows keep their frozen snapshot.  Pickling keeps
+        walker RNG state with the walkers, preserving bit-identity across a
+        restore.  Only the Hamiltonian is not copied: the snapshot refers to
+        ``driver.hamiltonian``.
         """
-        if (self._rounds_guarded + 1) % self.cfg.guards.snapshot_interval != 0:
+        if driver.rounds % self.cfg.guards.snapshot_interval != 0:
             return
         if self.windows[w].disposition == "quarantined":
             return
@@ -296,18 +292,15 @@ class CampaignSupervisor:
         self._escalate(driver, w, f"task failure ({reason})")
 
     def guard_round(self, driver) -> None:
-        """Validate every live window post-advance; escalate violations."""
+        """:meth:`guard_window` for every window, then :meth:`end_guard_round`."""
         for w in range(len(self.windows)):
             self.guard_window(driver, w)
         self.end_guard_round()
 
     def guard_window(self, driver, w: int) -> None:
-        """Validate one window post-advance; escalate violations.
+        """Validate one window after its advance; escalate violations.
 
-        The per-window half of :meth:`guard_round`, used by the overlapped
-        shm drain loop to guard each window the moment its super-step
-        lands (instead of barriering the whole round first).  Callers must
-        finish the round with :meth:`end_guard_round`.
+        Callers finish the round with :meth:`end_guard_round`.
         """
         state = self.windows[w]
         if state.disposition == "quarantined":
@@ -332,9 +325,8 @@ class CampaignSupervisor:
                 state.disposition = "healthy"
 
     def end_guard_round(self) -> None:
-        """Close a round of per-window guards (streak/round bookkeeping)."""
+        """Close a round of per-window guards: forget this round's trips."""
         self._round_tripped.clear()
-        self._rounds_guarded += 1
 
     def _escalate(self, driver, w: int, reason: str) -> None:
         """One corruption/failure signal for window ``w`` -> policy action."""
@@ -418,12 +410,10 @@ class CampaignSupervisor:
         return {
             "windows": [s.as_dict() for s in self.windows],
             "budget_status": dict(self.budget_status),
-            "rounds_guarded": self._rounds_guarded,
         }
 
     def load_state_dict(self, state: dict) -> None:
         self.windows = [WindowState(**w) for w in state["windows"]]
         self._snapshots = [None] * len(self.windows)
         self.budget_status = dict(state["budget_status"])
-        self._rounds_guarded = int(state["rounds_guarded"])
         self._started = time.monotonic()

@@ -32,7 +32,8 @@ class TestFaultConfig:
         assert not cfg.any_task_faults
         assert not cfg.any_checkpoint_faults
 
-    @pytest.mark.parametrize("field", ["crash", "hang", "kill", "corrupt"])
+    @pytest.mark.parametrize("field", ["crash", "hang", "nan", "slow",
+                                       "corrupt"])
     def test_probability_bounds(self, field):
         with pytest.raises(ValueError, match=field):
             FaultConfig(**{field: 1.5})
@@ -40,8 +41,8 @@ class TestFaultConfig:
             FaultConfig(**{field: -0.1})
 
     def test_task_probs_must_sum_to_at_most_one(self):
-        with pytest.raises(ValueError, match="crash \\+ hang \\+ kill"):
-            FaultConfig(crash=0.5, hang=0.4, kill=0.3)
+        with pytest.raises(ValueError, match="crash \\+ hang \\+ nan"):
+            FaultConfig(crash=0.8, hang=0.4)
 
     def test_negative_hang_duration(self):
         with pytest.raises(ValueError, match="hang_s"):
@@ -51,13 +52,15 @@ class TestFaultConfig:
 class TestParsing:
     def test_parse_all_fields(self):
         cfg = FaultConfig.from_spec(
-            "crash=0.1,hang=0.05,kill=0.02,corrupt=0.2,hang_s=0.5,seed=7")
-        assert cfg == FaultConfig(crash=0.1, hang=0.05, kill=0.02,
+            "crash=0.12,hang=0.05,corrupt=0.2,hang_s=0.5,seed=7")
+        assert cfg == FaultConfig(crash=0.12, hang=0.05,
                                   corrupt=0.2, hang_s=0.5, seed=7)
 
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="explode"):
             FaultConfig.from_spec("explode=1")
+        with pytest.raises(ValueError, match="kill"):  # a retired kind
+            FaultConfig.from_spec("kill=0.1")
 
     @pytest.mark.parametrize("spec", ["1", "on", "true"])
     def test_parse_rejects_enable_shorthand(self, spec):
@@ -107,12 +110,11 @@ class TestDecisions:
         assert all(never.decide_task(k, 0) is None for k in range(20))
 
     def test_rates_roughly_match_probabilities(self):
-        inj = FaultInjector(FaultConfig(crash=0.2, hang=0.1, kill=0.1, seed=3))
+        inj = FaultInjector(FaultConfig(crash=0.3, hang=0.1, seed=3))
         decisions = [inj.decide_task(k, 0) for k in range(2000)]
         rate = lambda kind: sum(d == kind for d in decisions) / len(decisions)  # noqa: E731
-        assert abs(rate("crash") - 0.2) < 0.05
+        assert abs(rate("crash") - 0.3) < 0.05
         assert abs(rate("hang") - 0.1) < 0.05
-        assert abs(rate("kill") - 0.1) < 0.05
 
     def test_checkpoint_split(self):
         inj = FaultInjector(FaultConfig(corrupt=1.0, seed=2))
@@ -136,12 +138,6 @@ class TestWrapping:
     def test_hang_sleeps_then_raises(self):
         inj = FaultInjector(FaultConfig(hang=1.0, hang_s=0.0, seed=0))
         with pytest.raises(InjectedHang):
-            inj.wrap(_double, 0, 0)(3)
-
-    def test_kill_degrades_in_process(self):
-        """A kill degrades to a crash: it must not take the process down."""
-        inj = FaultInjector(FaultConfig(kill=1.0, seed=0))
-        with pytest.raises(InjectedCrash):
             inj.wrap(_double, 0, 0)(3)
 
     def test_wrapper_is_picklable(self):

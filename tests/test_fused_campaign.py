@@ -29,7 +29,8 @@ from repro.resilience import GuardPolicy, ResilienceConfig
 from repro.sampling import BatchedWangLandauSampler, EnergyGrid
 
 
-def _driver(backend="fused", *, seed=11, instrumentation=None, **over):
+def _driver(backend="fused", *, seed=11, instrumentation=None,
+            resilience=None, **over):
     ham = IsingHamiltonian(square_lattice(4))
     grid = EnergyGrid.from_levels(ham.energy_levels())
     cfg = dict(n_windows=2, walkers_per_window=2, overlap=0.6,
@@ -40,6 +41,7 @@ def _driver(backend="fused", *, seed=11, instrumentation=None, **over):
         hamiltonian=ham, proposal_factory=lambda: FlipProposal(), grid=grid,
         initial_config=np.zeros(16, dtype=np.int8),
         config=REWLConfig(**cfg), instrumentation=instrumentation,
+        resilience=resilience,
     )
 
 
@@ -217,6 +219,59 @@ class TestShmBitIdentity:
         result = drv.result()  # teams were detached onto private arrays
         assert 1 <= result.rounds <= 5
         assert all(np.isfinite(g).all() for g in result.window_ln_g)
+
+
+class TestQuarantineRepairs:
+    """A window quarantined in round r leaves the schedule of round r on
+    both backends: the surviving neighbors re-pair in that round's exchange
+    phase, so fused and shm agree on every number."""
+
+    def _run(self, backend, corrupt, max_rollbacks, **over):
+        drv = _driver(
+            backend, n_windows=3, walkers_per_window=2,
+            resilience=ResilienceConfig(guards=GuardPolicy(
+                mode="quarantine", max_rollbacks=max_rollbacks,
+            )),
+            **over,
+        )
+        guard = drv.supervisor.guard_window
+
+        def corrupt_then_guard(driver, w):
+            if (driver.rounds, w) in corrupt:
+                driver.walkers[w][0].ln_g[2] = np.nan
+            guard(driver, w)
+
+        drv.supervisor.guard_window = corrupt_then_guard
+        try:
+            return drv.run(max_rounds=40)
+        finally:
+            drv.close()
+
+    @pytest.mark.parametrize("corrupt, max_rollbacks, rollbacks", [
+        # window 1 quarantined at round 4
+        ({(4, 1)}, 0, [0, 0, 0]),
+        # round 4: window 0 rolls back, window 1 (rolled back in round 3)
+        # is quarantined
+        ({(3, 1), (4, 1), (4, 0)}, 1, [1, 1, 0]),
+    ], ids=["quarantine", "rollback-and-quarantine"])
+    def test_backends_agree_when_a_quarantine_repairs(
+        self, corrupt, max_rollbacks, rollbacks
+    ):
+        fused = self._run("fused", corrupt, max_rollbacks)
+        shm = self._run("shm", corrupt, max_rollbacks, shm_ranks=2)
+        assert fused.quarantined == shm.quarantined == [1]
+        assert [d["quarantined_round"] for d in fused.window_dispositions] \
+            == [None, 4, None]
+        assert [d["rollbacks"] for d in fused.window_dispositions] == rollbacks
+        assert fused.window_dispositions == shm.window_dispositions
+        np.testing.assert_array_equal(fused.exchange_attempts,
+                                      shm.exchange_attempts)
+        np.testing.assert_array_equal(fused.exchange_accepts,
+                                      shm.exchange_accepts)
+        for x, y in zip(fused.window_ln_g, shm.window_ln_g):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(fused.stitched().ln_g,
+                                      shm.stitched().ln_g)
 
 
 class TestMaskedRows:
