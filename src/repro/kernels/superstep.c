@@ -13,10 +13,13 @@
  *     row r accepts on ln u < -beta[r] * dE, and nothing is binned.
  *   - a pooled row-step (pick >= 0) takes candidate i: its energy, dE =
  *     E_i - E, and log q_cur - log q_i added to log alpha last.
+ *   - log q_cur of a row that holds none for the candidate's component is
+ *     made_log_q below, whose arithmetic both blocks share: the NumPy block
+ *     scores through repro_made_log_q whenever this library is loaded.
  *
  * A row reads and writes only its own configuration and its window's ln g,
- * so resolve -> dE -> bin -> commit -> scatter run row by row here where
- * the oracle runs them phase by phase.
+ * so resolve (and scoring) -> dE -> bin -> commit -> scatter run row by row
+ * here where the oracle runs them phase by phase.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off (never -ffast-math or
  * -march=native: no fused multiply-add, no reassociation).  No Python
@@ -45,6 +48,16 @@ typedef struct {                 /* sampling.binning.StackedGrids */
     const int64_t *table;        /* (n_windows, n_marks + 1) flat bins */
 } Grids;
 
+typedef struct {                 /* nn.models.made.MADE, unconditioned */
+    int64_t n_layers;            /* Dense layers: the hidden ones, then the output */
+    const int64_t *widths;       /* (n_layers + 1,) input, hidden..., output */
+    const double *weights;       /* masked (in, out) weights, layer after layer */
+    const double *biases;        /* (out,) biases, layer after layer */
+    const int64_t *counts;       /* (n_species,) the fixed composition; NULL: free */
+    int64_t *left;               /* (n_species,) scratch */
+    double *scratch;             /* (sum of widths[1:],) activations, layer after layer */
+} Made;
+
 typedef struct {                 /* one walker team: an energy window, or canonical */
     int64_t rows, bin_offset, table_base;
     double e_max, ln_f;
@@ -68,18 +81,86 @@ typedef struct {                 /* one walker team: an energy window, or canoni
     const double *cand_energy;   /* (m,) */
     const double *cand_log_q;    /* (m,) */
     const int64_t *cand_slot;    /* (m,) pooled component */
+    const Made *made;            /* (components,) the pooled models, by slot */
     double *log_q;               /* (rows,) log q of the current configuration ... */
     int64_t *held;               /* (rows,) ... under this component; -1: none */
-    int64_t accepted, out_of_grid;   /* outputs, added to */
+    int64_t accepted, out_of_grid, scored;   /* outputs, added to */
 } Team;
 
 enum { SWAP = 0, SWAP_DISTINCT = 1, FLIP = 2, GLOBAL = 3 /* candidates only */ };
 
-/* Fill tm->move for one step; nonzero when a swap row ran out of candidates
- * (its move[0] is set to -1 for the caller to redraw) or a candidate meets
- * a row that holds no log q for its component (the caller scores it). */
-static int resolve(const Tables *t, const Team *tm, int64_t kind,
-                   int64_t n_cand, int64_t step)
+/* log q of one configuration under an unconditioned MADE, in one fixed
+ * order: the first layer is the bias plus the weight row of each site's
+ * species, added in site order (as MADE.sample decodes); each deeper layer
+ * starts from its bias and adds k-major, skipping zero activations; then a
+ * log-softmax per site over the species the composition still allows, the
+ * sites summed in order.  A row off the composition has log q = -inf. */
+static double made_log_q(const Made *m, int64_t n_sites, int64_t n_species,
+                         const int8_t *cfg)
+{
+    const double *w = m->weights, *b = m->biases;
+    double *h = m->scratch;
+    int64_t width = m->widths[1];
+    memcpy(h, b, (size_t)width * sizeof(double));
+    for (int64_t i = 0; i < n_sites; i++) {
+        const double *row = w + (i * n_species + cfg[i]) * width;
+        for (int64_t j = 0; j < width; j++)
+            h[j] += row[j];
+    }
+    w += m->widths[0] * width;
+    b += width;
+    for (int64_t layer = 1; layer < m->n_layers; layer++) {
+        const int64_t in = width;
+        double *out = h + in;
+        width = m->widths[layer + 1];
+        memcpy(out, b, (size_t)width * sizeof(double));
+        for (int64_t k = 0; k < in; k++) {
+            const double a = h[k] > 0.0 ? h[k] : 0.0;   /* ReLU */
+            if (a == 0.0)
+                continue;
+            const double *row = w + k * width;
+            for (int64_t j = 0; j < width; j++)
+                out[j] += a * row[j];
+        }
+        w += in * width;
+        b += width;
+        h = out;
+    }
+    if (m->counts)
+        memcpy(m->left, m->counts, (size_t)n_species * sizeof(int64_t));
+    double total = 0.0;
+    for (int64_t i = 0; i < n_sites; i++) {
+        const double *logits = h + i * n_species;
+        const int x = cfg[i];
+        if (m->counts && m->left[x] <= 0)
+            return -INFINITY;
+        double top = -INFINITY, sum = 0.0;
+        for (int64_t s = 0; s < n_species; s++)
+            if (!m->counts || m->left[s] > 0)
+                top = logits[s] > top ? logits[s] : top;
+        for (int64_t s = 0; s < n_species; s++)
+            if (!m->counts || m->left[s] > 0)
+                sum += exp(logits[s] - top);
+        total += (logits[x] - top) - log(sum);
+        if (m->counts)
+            m->left[x]--;
+    }
+    return total;
+}
+
+/* log q of `rows` configurations (rows, n_sites) under m, into out: the
+ * NumPy block's scorer while this library is loaded. */
+void repro_made_log_q(const Made *m, int64_t n_sites, int64_t n_species,
+                      const int8_t *configs, int64_t rows, double *out)
+{
+    for (int64_t r = 0; r < rows; r++)
+        out[r] = made_log_q(m, n_sites, n_species, configs + r * n_sites);
+}
+
+/* Fill tm->move for one step, scoring each row whose candidate meets it
+ * holding no log q for its component; nonzero when a swap row ran out of
+ * candidates (its move[0] is set to -1 for the caller to redraw). */
+static int resolve(const Tables *t, Team *tm, int64_t kind, int64_t n_cand, int64_t step)
 {
     const int64_t N = t->n_sites;
     int exhausted = 0;
@@ -89,8 +170,13 @@ static int resolve(const Tables *t, const Team *tm, int64_t kind,
         if (tm->pick) {
             const int64_t i = tm->pick[step * tm->rows + r];
             if (i >= 0) {
+                const int64_t slot = tm->cand_slot[i];
                 move[0] = move[1] = 0;
-                exhausted |= tm->held[r] != tm->cand_slot[i];
+                if (tm->held[r] != slot) {
+                    tm->log_q[r] = made_log_q(&tm->made[slot], N, t->n_species, cfg);
+                    tm->held[r] = slot;
+                    tm->scored++;
+                }
                 continue;
             }
         }
@@ -206,10 +292,10 @@ static void accept(const Tables *t, Team *tm, int64_t kind, int64_t r, int8_t *c
 }
 
 /* Run super-steps [start, stop).  Returns stop when done; a smaller step
- * index when that step's resolve left rows without a swap candidate or a
- * current log q: nothing of that step is committed, every team's move array
- * is filled, and the caller replaces each move[0] == -1 row, scores the
- * stale candidate rows and calls again with start = that step and
+ * index when that step's resolve left rows without a swap candidate:
+ * nothing of that step is committed, every team's move array is filled
+ * (and its stale candidate rows scored), and the caller replaces each
+ * move[0] == -1 row and calls again with start = that step and
  * resolved = 1.  Returns -1 on the level-grid clash described above.
  * g may be NULL when every team is canonical.
  */

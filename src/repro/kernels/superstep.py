@@ -4,17 +4,23 @@
 _run_block`, which stays the oracle: same teams in, same arrays, counters
 and RNG streams out, bit for bit (DESIGN.md §16).  It works in place on each
 team's own arrays — no stacking, no write-back — and hands C one struct per
-team (mirrors of the ``Tables`` / ``Grids`` / ``Team`` structs in the C
-file; keep the field orders in step).
+team (mirrors of the ``Tables`` / ``Grids`` / ``Team`` / ``Made`` structs in
+the C file; keep the field orders in step).
+
+A pooled team also hands C one :class:`MadeView` per pooled component, and
+the C loop scores the current log q of its stale rows itself.  The NumPy
+block scores them through the same compiled function (``repro_made_log_q``)
+whenever a library is loaded, so the two blocks still agree bit for bit.
 
 Nothing crosses unchecked.  Before any pointer is taken — and before any
 random number is drawn — every array is checked for dtype, shape and
 C-contiguity, and every index the C loops will read is range-checked once:
 drawn sites in ``[0, n_sites)``, flip shifts in ``[1, S)``, species in
 ``[0, S)``, walker bins inside their window, table entries inside the
-arrays they address.  Whatever fails a check is not an error here: the
-block is declined (:func:`run_block` returns False) and the NumPy path
-handles it exactly as it always has, raising what it always raised.
+arrays they address, candidate components inside the team's views.
+Whatever fails a check is not an error here: the block is declined
+(:func:`run_block` returns False) and the NumPy path handles it exactly as
+it always has, raising what it always raised.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from repro.kernels.tables import PairTables
 
-__all__ = ["declare", "run_block", "self_test"]
+__all__ = ["MadeView", "declare", "run_block", "self_test"]
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
@@ -46,19 +52,24 @@ _Team = _struct(
     "_Team", (_I64, "rows bin_offset table_base"), (_F64, "e_max ln_f"),
     (_PTR, "configs energies bins ln_g histogram visited slot_accepted "
            "field0 field1 ln_u move beta "
-           "pick cand_configs cand_energy cand_log_q cand_slot log_q held"),
-    (_I64, "accepted out_of_grid"))
+           "pick cand_configs cand_energy cand_log_q cand_slot made log_q held"),
+    (_I64, "accepted out_of_grid scored"))
+_Made = _struct("_Made", (_I64, "n_layers"),
+                (_PTR, "widths weights biases counts left scratch"))
 
 _KINDS = {"swap": 0, "swap_distinct": 1, "flip": 2, "global": 3}
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def declare(lib):
-    """Set the C function's signature on a freshly loaded library."""
+    """Set the C functions' signatures on a freshly loaded library."""
     fn = lib.repro_superstep
     fn.restype = _I64
     fn.argtypes = [ctypes.POINTER(_Tables), ctypes.POINTER(_Grids),
                    ctypes.POINTER(_Team)] + [_I64] * 6
+    fn = lib.repro_made_log_q
+    fn.restype = None
+    fn.argtypes = [ctypes.POINTER(_Made), _I64, _I64, _PTR, _I64, _PTR]
     return lib
 
 
@@ -107,11 +118,58 @@ def _tables_view(tables: PairTables):
     return view[0]
 
 
+class MadeView:
+    """An unconditioned MADE's masked weights as the C ``Made`` struct,
+    for rows of one composition (``counts``; None: free), with the arrays
+    it points into.  :meth:`~repro.proposals.dl_made.MADEProposal.
+    native_scorer` builds one per composition; it holds pointers, so it is
+    kept where no pickle of a proposal or a team can reach it."""
+
+    def __init__(self, n_sites: int, n_species: int, weights, biases, counts=None):
+        widths = np.array([weights[0].shape[0]] + [w.shape[1] for w in weights],
+                          dtype=np.int64)  # lint-api: allow
+        x_dim = n_sites * n_species
+        if len(weights) < 2 or widths[0] != x_dim or widths[-1] != x_dim or any(
+                w.shape != (a, b) or bias.shape != (b,)
+                for w, bias, a, b in zip(weights, biases, widths[:-1], widths[1:])):
+            raise ValueError(f"not an unconditioned MADE on {n_sites} x {n_species}")
+        self.n_sites, self.n_species = n_sites, n_species
+        flat_w = np.concatenate([np.ravel(w) for w in weights]).astype(np.float64)
+        flat_b = np.concatenate(biases).astype(np.float64)
+        left = np.zeros(n_species, dtype=np.int64)  # lint-api: allow
+        scratch = np.zeros(int(widths[1:].sum()))
+        if counts is not None:
+            counts = np.array(counts, dtype=np.int64)  # lint-api: allow
+            if counts.shape != (n_species,):
+                raise ValueError(f"counts must have shape ({n_species},), got {counts.shape}")
+        self._arrays = (widths, flat_w, flat_b, counts, left, scratch)
+        self.struct = _Made(len(weights), widths.ctypes.data, flat_w.ctypes.data,
+                            flat_b.ctypes.data,
+                            None if counts is None else counts.ctypes.data,
+                            left.ctypes.data, scratch.ctypes.data)
+
+    def log_q(self, lib, configs) -> np.ndarray | None:
+        """log q of each row of ``configs`` through ``lib``; None, reading
+        nothing, for rows the C scorer must not be handed."""
+        try:
+            _address(configs, np.int8, (len(configs), self.n_sites))
+            _check_below(configs, self.n_species)
+        except _Unfit:
+            return None
+        out = np.empty(len(configs))
+        lib.repro_made_log_q(self.struct, self.n_sites, self.n_species,
+                             configs.ctypes.data, len(configs), out.ctypes.data)
+        return out
+
+
 def _marshal(members, n: int, t, grids):
     """``(kind, n_candidates, team structs, per-team scratch)`` for one
     block, or :class:`_Unfit`.  ``grids`` is None for a canonical group:
     each team hands C its ``beta`` and no window.  A team's scratch is its
-    ``(move, log_q, held)``; the last two are None unless it is pooled."""
+    ``move`` array and whatever else its struct points into.  A pooled team
+    hands C one :class:`MadeView` per component, by slot; a component
+    without one (any pooled proposal but an unconditioned
+    ``MADEProposal``) is unfit."""
     n_sites, s = t.n_sites, t.n_species
     specs = [fields.native_fields() for _, fields in members]
     if None in specs or len({kind for kind, _ in specs}) != 1:
@@ -159,7 +217,7 @@ def _marshal(members, n: int, t, grids):
                 raise _Unfit
         move = np.empty((k, 2), dtype=np.int64)  # lint-api: allow
         ct.move = move.ctypes.data
-        log_q = held = None
+        keep = None
         if fields.candidates is not None:
             (pick,), (configs, energies, log_q_cand, slot) = fields.arrays, fields.candidates
             m = len(configs)
@@ -172,14 +230,21 @@ def _marshal(members, n: int, t, grids):
             if pick.size and (pick.min() < lowest or pick.max() >= m):
                 raise _Unfit
             _check_below(configs, s)
+            views = [c.native_scorer(team.configs) for c in fields.components]
+            if any(v is None or (v.n_sites, v.n_species) != (n_sites, s) for v in views):
+                raise _Unfit
+            _check_below(slot, len(views))
+            made = (_Made * len(views))(*(v.struct for v in views))
             log_q = np.zeros(k)
             held = np.full(k, -1, dtype=np.int64)  # lint-api: allow
-            ct.log_q, ct.held = log_q.ctypes.data, held.ctypes.data
-        scratch.append((move, log_q, held))
+            ct.made, ct.log_q, ct.held = (ctypes.addressof(made), log_q.ctypes.data,
+                                          held.ctypes.data)
+            keep = (views, made, log_q, held)
+        scratch.append((move, keep))
     return _KINDS[kind], n_candidates, teams, scratch
 
 
-def run_block(lib, members, n: int, hamiltonian, grids, profiler=None) -> bool:
+def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
     """``n`` super-steps of every ``(team, fields)`` in ``members`` in C.
 
     Returns False — having drawn nothing and written nothing — when this
@@ -187,9 +252,8 @@ def run_block(lib, members, n: int, hamiltonian, grids, profiler=None) -> bool:
     caller then runs the NumPy block.  Otherwise each team's arrays,
     counters and ``rng`` end exactly where the NumPy block would leave them.
     ``grids`` is None for a group of canonical teams (the C ``Grids`` is
-    then NULL).  Pooled teams' stale rows are scored between C calls
-    (:meth:`~repro.proposals.base.PooledBlock.score`, timed into
-    ``profiler``).
+    then NULL).  The C loop scores pooled teams' stale rows itself and
+    returns to Python only for swap redraws.
     """
     tables = getattr(hamiltonian, "tables", None)
     if type(tables) is not PairTables or (grids is not None and not np.isfinite(grids.tol)):
@@ -216,54 +280,60 @@ def run_block(lib, members, n: int, hamiltonian, grids, profiler=None) -> bool:
         if step < 0:
             raise IndexError("an energy lies within tolerance of two levels")
         # rows whose drawn candidates all failed: the rejection loop on
-        # their team's stream, teams in block order, as the oracle does;
-        # then the log q of each pooled team's stale rows (no draws)
-        for (team, fields), (move, log_q, held) in zip(members, scratch):
+        # their team's stream, teams in block order, as the oracle does
+        for (team, fields), (move, _) in zip(members, scratch):
             sub = np.flatnonzero(move[:, 0] < 0)
             if len(sub):
                 move[sub] = fields.redraw(team.configs[sub], team.rng)
-            if held is not None:
-                fields.score(step, team.configs, log_q, held, profiler)
         resolved = 1
     for (team, _), ct in zip(members, teams):
-        team._tally(n * ct.rows, ct.accepted, ct.out_of_grid)
+        team._tally(n * ct.rows, ct.accepted, ct.out_of_grid, scored=ct.scored)
     return True
 
 
-class _SyntheticPool:
-    """A pooled component without a model (the self-test's): uniform random
-    candidates, and log q a fixed linear function of the configuration."""
+def _check_scorer(lib, made, rng) -> None:
+    """``repro_made_log_q`` against ``MADE.log_prob`` (another summation
+    order, so within 1e-12 relative), free and on a composition, on rows on
+    it and off it (-inf)."""
+    from repro.lattice.configuration import composition_counts, one_hot
+    from repro.proposals.dl_made import MADEProposal
 
-    def __init__(self, weights):
-        self.weights = weights
-
-    def take_candidates(self, configs, n, hamiltonian, rng):
-        configs = rng.integers(hamiltonian.n_species, size=(n, hamiltonian.n_sites))
-        configs = configs.astype(np.int8)
-        return configs, self.log_q_current(configs), hamiltonian.energies(configs)
-
-    def log_q_current(self, configs):
-        return configs @ self.weights
+    s = made.config.n_species
+    configs = made.sample(8, rng)
+    counts = composition_counts(configs[0], s)
+    for composition, given in (("free", None), ("fixed", counts)):
+        view = MADEProposal(made, composition).native_scorer(configs[:1])
+        got = view.log_q(lib, configs)
+        want = made.log_prob(one_hot(configs, s), counts=given)
+        finite = np.isfinite(want)
+        if not (finite[0] and np.array_equal(got[~finite], want[~finite])
+                and np.allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)):
+            raise RuntimeError(f"self-test: compiled log q != MADE.log_prob "
+                               f"(hidden {made.config.hidden}, counts {given})")
 
 
 def self_test(lib) -> None:
-    """Run small blocks through ``lib`` and through the NumPy block.
+    """Check the compiled scorer, then run small blocks through ``lib`` and
+    through the NumPy block.
 
+    The scorer (``repro_made_log_q``) is checked against ``MADE.log_prob``
+    on two small random models, hidden (8,) and (6, 5).  The blocks:
     Wang-Landau swaps (the redraw path included) and field flips on a
     uniform grid, flips on a level grid, and canonical swaps (redraws again)
     and field flips at signed inverse temperatures including 0; then pooled
-    blocks — flips mixed with candidates of two synthetic pooled components
-    (:class:`_SyntheticPool`, no model), whose stale rows make the C loop
-    return for scoring — in both modes.  Two teams each; raises
-    ``RuntimeError`` unless every team array, counter and RNG state agrees
-    bit for bit.  A library is published to the cache only after passing
-    this.
+    blocks — flips mixed with candidates of those two models (``"free"``)
+    in both modes, and swaps mixed with them on the rows' composition.  Two
+    teams each; raises ``RuntimeError`` unless every team array, counter and
+    RNG state agrees bit for bit.  A library is published to the cache only
+    after passing this.
     """
     from copy import deepcopy
 
     from repro.hamiltonians import IsingHamiltonian, PairHamiltonian
     from repro.lattice import random_configuration, square_lattice
+    from repro.nn.models.made import MADE, MADEConfig
     from repro.proposals.base import draw_pooled
+    from repro.proposals.dl_made import MADEProposal
     from repro.proposals.local import FlipProposal, SwapProposal
     from repro.sampling import batched
     from repro.sampling.binning import EnergyGrid
@@ -276,23 +346,29 @@ def self_test(lib) -> None:
                             field=rng.normal(size=3))
     ising = IsingHamiltonian(square_lattice(4))
     signed = [(1.5, 0.0, -0.7), (-3.0, 0.4, 0.0)]  # per team, per row
-    # log q weights large enough that a stale log q flips canonical
-    # decisions (a loop that keeps it across a local accept fails here)
-    synthetic = [_SyntheticPool(rng.normal(scale=2.0, size=16)) for _ in range(2)]
+    # weights perturbed enough that a stale log q flips canonical decisions
+    # (a loop that keeps it across a local accept fails here)
+    models = [MADE(MADEConfig(n_sites=16, n_species=3, hidden=hidden), rng=rng)
+              for hidden in ((8,), (6, 5))]
+    for model in models:
+        for p in model.parameters():
+            p.value += rng.normal(scale=0.7, size=p.value.shape)
+        _check_scorer(lib, model, rng)
     cases = [(alloy, SwapProposal, [13, 2, 1], None, None, False),
              (alloy, FlipProposal, [6, 5, 5], None, None, False),
              (ising, FlipProposal, [8, 8], ising.energy_levels(), None, False),
              (alloy, SwapProposal, [13, 2, 1], None, signed, False),
              (alloy, FlipProposal, [6, 5, 5], None, signed, False),
              (alloy, FlipProposal, [6, 5, 5], None, None, True),
-             (alloy, FlipProposal, [6, 5, 5], None, signed, True)]
+             (alloy, FlipProposal, [6, 5, 5], None, signed, True),
+             (alloy, SwapProposal, [6, 5, 5], None, None, True)]
 
-    def draw(team, ham, pooled):
+    def draw(team, ham, components):
         fields = team.proposal.draw_fields(team.configs, ham, team.rng, 40)
-        if not pooled:
+        if not components:
             return fields
-        choice = team.rng.integers(-1, len(synthetic), size=(40, team.n_slots))
-        return draw_pooled(choice, synthetic, team.configs, ham, team.rng, fields)
+        choice = team.rng.integers(-1, len(components), size=(40, team.n_slots))
+        return draw_pooled(choice, components, team.configs, ham, team.rng, fields)
 
     for ham, proposal, counts, levels, betas, pooled in cases:
         configs = np.stack([random_configuration(ham.n_sites, counts, rng=rng)
@@ -312,13 +388,17 @@ def self_test(lib) -> None:
         else:
             teams = [CanonicalTeam(ham, proposal(), configs[3 * w:3 * w + 3], beta, rng=w)
                      for w, beta in enumerate(betas)]
-        twins = deepcopy(teams)
-        for side, native in ((teams, True), (twins, False)):
-            members = [(team, draw(team, ham, pooled)) for team in side]
+        composition = "fixed" if proposal is SwapProposal else "free"
+        components = [MADEProposal(model, composition) for model in models] if pooled else []
+        # each side consumes candidates from its own pools
+        twins, twin_components = deepcopy((teams, components))
+        for side, pools, native in ((teams, components, True),
+                                    (twins, twin_components, False)):
+            members = [(team, draw(team, ham, pools)) for team in side]
             grids = None if betas else batched.StackedGrids(
                 [team.grid for team in side], [3, 3])
             if not native:
-                batched._run_block(members, 40, ham, grids)
+                batched._run_block(members, 40, ham, grids, lib=lib)
             elif not run_block(lib, members, 40, ham, grids):
                 raise RuntimeError("self-test: the native block declined its own test case")
         for a, b in zip(teams, twins):

@@ -286,7 +286,9 @@ class MADE:
             configs[:, i] = picks
             if left is not None:
                 left[rows, picks] -= 1
-            pre += np.take(w_first, i * s + picks, axis=0, out=drawn)
+            # picks lie in [lo, hi] already; "clip" only spares NumPy the
+            # buffered copy it makes of ``out`` under the default "raise"
+            pre += np.take(w_first, i * s + picks, axis=0, out=drawn, mode="clip")
             total_logp += logp[rows, picks]
         if return_log_prob:
             return configs, total_logp

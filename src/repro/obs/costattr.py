@@ -11,8 +11,8 @@ phase       profiler sections
 propose     ``proposal.*`` (field draws, ``propose_many`` incl. DL inference)
 block       ``wl.block`` — one block of super-steps for a group of teams,
             compiled or NumPy: resolve, ΔE gather, bin lookup and commit
-            (``wl.block.*`` sections, e.g. the pooled rows' log q scoring
-            ``wl.block.score``, time parts of it and add nothing)
+            (``wl.block.*`` sections, e.g. a NumPy block's pooled-row log q
+            scoring ``wl.block.score``, time parts of it and add nothing)
 commit      ``wl.batch_commit`` (the ``propose_many`` path), ``wl.flat_check``
 advance     the *unattributed* remainder of ``rewl.advance`` — driver-side
             advance time not explained by the sections above or by the

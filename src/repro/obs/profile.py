@@ -22,8 +22,8 @@ runs and never selects another: attaching one
 only stores it.  The block advance
 (:func:`repro.sampling.batched.advance_block`) times each team's field draw
 (``proposal.<name>.fields``) and each block, compiled or NumPy
-(``wl.block``, every call), and inside it the pooled rows' log q scoring
-(``wl.block.score``); a team times its ``propose_many`` fallback
+(``wl.block``, every call), and inside a NumPy block the pooled rows' log
+q scoring (``wl.block.score``); a team times its ``propose_many`` fallback
 (``proposal.<name>.many``), its commit (``wl.batch_commit``) and its
 flatness checks (``wl.flat_check``); the REWL driver times its round phases
 (``rewl.*``, :class:`repro.parallel.rewl.REWLDriver`).

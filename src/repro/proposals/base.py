@@ -178,8 +178,10 @@ class PooledBlock(FieldBlock):
     the move of the ``local`` block (drawn for every row-step, read where
     ``pick < 0``), else the index of its candidate in ``candidates`` =
     ``(configs (m, n_sites) int8, energies (m,), log q (m,), component
-    (m,) int64)``.  ``scorers[d](configs)`` is log q of current
-    configurations under pooled component ``d``.
+    (m,) int64)``.  ``components[d]`` is pooled proposal ``d``; its
+    ``log_q_current(configs)`` is log q of current configurations under it,
+    and its ``native_scorer(configs)`` the compiled scorer's view of the
+    same density, or None.
 
     Everything drawn is state-independent except log q of a row's current
     configuration.  A block runner keeps per row the log q it holds and the
@@ -189,11 +191,11 @@ class PooledBlock(FieldBlock):
     row that holds none for its component.
     """
 
-    def __init__(self, pick, candidates, local=None, scorers=()):
+    def __init__(self, pick, candidates, local=None, components=()):
         super().__init__(pick)
         self.candidates = candidates
         self.local = local
-        self.scorers = list(scorers)
+        self.components = list(components)
         self.many = "" if local is None else local.many
 
     @property
@@ -205,7 +207,7 @@ class PooledBlock(FieldBlock):
         offset, so a slot names one team's component."""
         blocks = [self, *blocks]
         starts = np.cumsum([0] + [len(b.candidates[0]) for b in blocks])
-        slots = np.cumsum([0] + [len(b.scorers) for b in blocks])
+        slots = np.cumsum([0] + [len(b.components) for b in blocks])
         pick = np.concatenate([np.where(b.arrays[0] < 0, -1, b.arrays[0] + start)
                                for b, start in zip(blocks, starts)], axis=1)
         columns = [np.concatenate(c) for c in zip(*(b.candidates for b in blocks))]
@@ -213,7 +215,7 @@ class PooledBlock(FieldBlock):
         local = None if self.local is None else self.local.stacked(
             [b.local for b in blocks[1:]])
         return PooledBlock(pick, tuple(columns), local,
-                           [scorer for b in blocks for scorer in b.scorers])
+                           [component for b in blocks for component in b.components])
 
     def resolve(self, step, configs, rows, streams):
         """The local block's moves on the local row-steps (its redraws on
@@ -239,25 +241,34 @@ class PooledBlock(FieldBlock):
             return None
         return ("global", ()) if self.local is None else self.local.native_fields()
 
-    def score(self, step, configs, log_q, held, profiler=None) -> None:
+    def score(self, step, configs, log_q, held, lib=None, profiler=None) -> np.ndarray:
         """Fill ``log_q``/``held`` of the rows whose candidate at ``step``
-        meets them holding no log q for its component: one scoring call per
-        component, in slot order.  Draws nothing."""
+        meets them holding no log q for its component, and return those
+        rows: one scoring call per component, in slot order, through the
+        compiled scorer when ``lib`` (the loaded super-step library) is
+        given and the component has a view, as the C loop scores; else its
+        ``log_q_current``.  Draws nothing."""
         pick = self.arrays[0][step]
         rows = np.flatnonzero(pick >= 0)
         want = self.candidates[3][pick[rows]]
         stale = want != held[rows]
         if not stale.any():
-            return
+            return rows[stale]
         t0 = profiler.start("wl.block.score") if profiler is not None else None
         rows, want = rows[stale], want[stale]
-        groups = [(0, rows)] if len(self.scorers) == 1 else [
+        groups = [(0, rows)] if len(self.components) == 1 else [
             (slot, rows[want == slot]) for slot in np.unique(want)]
         for slot, sub in groups:
-            log_q[sub] = self.scorers[slot](configs[sub])
+            component, stale_rows = self.components[slot], configs[sub]
+            fresh = None
+            if lib is not None:
+                view = component.native_scorer(stale_rows)
+                fresh = None if view is None else view.log_q(lib, stale_rows)
+            log_q[sub] = component.log_q_current(stale_rows) if fresh is None else fresh
             held[sub] = slot
         if profiler is not None:
             profiler.stop("wl.block.score", t0)
+        return rows
 
 
 def draw_pooled(choice, pooled, configs, hamiltonian, rng, local=None) -> PooledBlock:
@@ -279,8 +290,7 @@ def draw_pooled(choice, pooled, configs, hamiltonian, rng, local=None) -> Pooled
             pick[at] = np.arange(start, start + len(at))
             start += len(at)
     candidates = tuple(np.concatenate(c) for c in zip(*columns))
-    return PooledBlock(pick.reshape(choice.shape), candidates, local,
-                       [proposal.log_q_current for proposal in pooled])
+    return PooledBlock(pick.reshape(choice.shape), candidates, local, pooled)
 
 
 class Proposal:
@@ -304,6 +314,13 @@ class Proposal:
     #: → ``(candidates, log q, energies)`` and ``log_q_current(configs)``, and
     #: a mixture may put its row-steps in a :class:`PooledBlock`.
     pooled: bool = False
+
+    def native_scorer(self, configs):
+        """The compiled super-step's view of a pooled proposal's density
+        for rows like ``configs`` (a :class:`repro.kernels.superstep.
+        MadeView`), or None (the default): its pooled rows are then scored
+        by ``log_q_current`` and its blocks run in NumPy."""
+        return None
 
     def propose_many(
         self,

@@ -47,9 +47,14 @@ for the same way, and drops its rows when a call brings rows of another.
 An unconditioned proposal is *pooled* (:attr:`MADEProposal.pooled`):
 :meth:`~MADEProposal.draw_fields` hands a whole block's candidates, one per
 row-step, to the block engine as a :class:`~repro.proposals.base.PooledBlock`
-(a mixture does the same for its row-steps), and the engine asks
-:meth:`~MADEProposal.log_q_current` only for the rows whose current log q it
-does not already hold (DESIGN.md §16).
+(a mixture does the same for its row-steps), and the engine scores only the
+rows whose current log q it does not already hold (DESIGN.md §16).  With the
+compiled super-step loaded it scores them in C, on both block paths, from
+:meth:`~MADEProposal.native_scorer`'s view of the masked weights; without
+it, through :meth:`~MADEProposal.log_q_current`.  The views live in a
+module-level weak map, never on the proposal (they hold pointers, which
+no checkpoint, snapshot or shm rank could pickle), and
+:meth:`~MADEProposal.invalidate_cache` drops them with the pool.
 
 Conditioned proposals.  With a conditioned model (``cond_dim > 0``) a
 ``conditioner(config, energy)`` gives each row its condition, so one model
@@ -73,10 +78,12 @@ hit).
 from __future__ import annotations
 
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
+from repro.kernels.superstep import MadeView
 from repro.lattice.configuration import composition_counts, one_hot
 from repro.nn.models.made import MADE
 from repro.nn.workspace import Workspace
@@ -93,6 +100,10 @@ _POOL_ROWS = 1024
 #: pre-activation, that ReLU and the drawn weight rows) and one activation
 #: of each deeper hidden layer.
 _POOL_SCRATCH_BYTES = 8 << 20
+
+#: MADEProposal -> {composition (None: free): MadeView}, built on a
+#: proposal's first native scoring; see the module docstring.
+_NATIVE_VIEWS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 class MADEProposal(Proposal):
@@ -215,6 +226,24 @@ class MADEProposal(Proposal):
             self._logq_cache.store_many(keys, missing, values, fresh)
         return values
 
+    def native_scorer(self, configs) -> MadeView | None:
+        """The compiled scorer's view of the masked model for rows like
+        ``configs`` (their composition in ``"fixed"``), built once per
+        composition until :meth:`invalidate_cache`; None for a subclass or
+        a conditioned model, which keep :meth:`log_q_current`."""
+        if type(self) is not MADEProposal or self.conditioner is not None:
+            return None
+        counts = self._counts(configs)
+        key = None if counts is None else tuple(counts.tolist())
+        views = _NATIVE_VIEWS.setdefault(self, {})
+        view = views.get(key)
+        if view is None:
+            c, dense = self.model.config, self.model.net.layers[::2]
+            view = views[key] = MadeView(
+                c.n_sites, c.n_species, [layer.effective_weight() for layer in dense],
+                [layer.bias.value for layer in dense], counts)
+        return view
+
     def take_candidates(self, configs, n: int, hamiltonian: Hamiltonian, rng) -> tuple:
         """The next ``n`` pool rows of an unconditioned model for rows like
         ``configs``: ``(candidates, log q, energies)``, priced by
@@ -242,7 +271,9 @@ class MADEProposal(Proposal):
         return pool.take(n, refill)
 
     def invalidate_cache(self) -> None:
-        """Drop cached ``log q`` values and the pooled candidates, both of
-        which belong to the old weights (call after retraining the model)."""
+        """Drop cached ``log q`` values, the pooled candidates and the
+        compiled scorer's views, all of which belong to the old weights
+        (call after retraining the model)."""
         self._logq_cache.invalidate()
         self._pool.drop()
+        _NATIVE_VIEWS.pop(self, None)

@@ -29,8 +29,8 @@ choices, local fields and pre-drawn MADE candidates with their energies and
 log q — and the super-steps of every team that advances together run as one
 array program with team state written back once per block; the only model
 work left inside a block is scoring the current log q of rows that do not
-hold it.  The other proposals — VAE, conditioned MADE and mixtures holding
-one of them — go through :meth:`BatchedWangLandauSampler.step_batch`, one
+hold it, which the compiled loop does inline.  The other proposals — VAE,
+conditioned MADE and mixtures holding one of them — go through :meth:`BatchedWangLandauSampler.step_batch`, one
 ``propose_many`` (DESIGN.md §12) and one ``commit_batch`` per super-step.  ``tests/test_dl_batched.py``
 pins that both paths reproduce exact enumeration with a MADE mixture.
 
@@ -275,11 +275,13 @@ class BatchedWangLandauSampler:
         self._tally(n_rows, accepted, n_out, n_null)
         return accepted
 
-    def _tally(self, steps: int, accepted: int, out_of_grid: int, null: int = 0) -> None:
+    def _tally(self, steps: int, accepted: int, out_of_grid: int, null: int = 0,
+               scored: int = 0) -> None:
         """Add ``steps`` walker steps (whole super-steps) and their outcomes
         to the counters."""
         counters = self.counters
         counters.null_proposals += null
+        counters.log_q_scored += scored
         counters.proposals += steps - null
         counters.out_of_grid += out_of_grid
         counters.accepted += accepted
@@ -515,8 +517,8 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
     Results do not depend on which ran.  A ``profiler`` observes without
     choosing the path: it times each team's field draw as
     ``proposal.<name>.fields`` and each group's block, on either path, as
-    ``wl.block`` (and, inside it, the pooled rows' log q scoring as
-    ``wl.block.score``).
+    ``wl.block`` (and, inside a NumPy block, the pooled rows' log q scoring
+    as ``wl.block.score``; the C loop scores inline).
     """
     lib = native.library()
     log = worker_log()
@@ -541,9 +543,8 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
             grids = _stacked_grids([team for team, _ in members]) if wang_landau else None
             t_block = profiler.start_always("wl.block") if profiler is not None else None
             t0 = time.perf_counter() if log.enabled else 0.0
-            if lib is None or not superstep.run_block(lib, members, n, hamiltonian,
-                                                      grids, profiler):
-                _run_block(members, n, hamiltonian, grids, profiler)
+            if lib is None or not superstep.run_block(lib, members, n, hamiltonian, grids):
+                _run_block(members, n, hamiltonian, grids, profiler, lib)
             elif log.enabled:
                 log.emit("span", name="wl.native_block", path="wl.native_block",
                          dur_s=time.perf_counter() - t0, steps=n,
@@ -571,7 +572,7 @@ def _stacked_grids(teams) -> StackedGrids:
     return hit[1]
 
 
-def _run_block(members, n: int, hamiltonian, grids, profiler=None) -> None:
+def _run_block(members, n: int, hamiltonian, grids, profiler=None, lib=None) -> None:
     """One block for teams of one field kind: every super-step runs once for
     all rows of all teams — resolve, one ΔE gather, one bin lookup, one
     sequential commit loop, one scatter — and team state is written back
@@ -587,9 +588,11 @@ def _run_block(members, n: int, hamiltonian, grids, profiler=None) -> None:
     A :class:`~repro.proposals.base.PooledBlock` adds candidate row-steps:
     first, rows whose candidate meets them holding no current log q are
     scored (:meth:`~repro.proposals.base.PooledBlock.score`, timed as
-    ``wl.block.score``); a candidate row then has the candidate's energy
-    and ``ΔE = E_cand − E``, adds ``log q_cur − log q_cand`` to its
-    ``log α``, and on acceptance takes the candidate row and its log q.
+    ``wl.block.score``; through the compiled scorer when ``lib``, the loaded
+    library, is given, as the C loop scores); a candidate row then has the
+    candidate's energy and ``ΔE = E_cand − E``, adds ``log q_cur − log
+    q_cand`` to its ``log α``, and on acceptance takes the candidate row and
+    its log q.
 
     This is the reference implementation of a block (and the path taken
     without a compiler, or under ``REPRO_NO_NATIVE=1``): ``superstep.c``
@@ -633,10 +636,11 @@ def _run_block(members, n: int, hamiltonian, grids, profiler=None) -> None:
         cand_configs, cand_energies, cand_log_q, cand_slot = fields.candidates
         log_q = np.zeros(ends[-1])
         held = np.full(ends[-1], -1, dtype=np.int64)
+    scored = np.zeros(ends[-1], dtype=np.int64)  # rows whose log q was scored, per row
 
     for step in range(n):
         if pooled:
-            fields.score(step, configs, log_q, held, profiler)
+            scored[fields.score(step, configs, log_q, held, lib, profiler)] += 1
         move = fields.resolve(step, configs, rows, streams)
         if pooled:
             pick = fields.arrays[0][step]
@@ -709,4 +713,5 @@ def _run_block(members, n: int, hamiltonian, grids, profiler=None) -> None:
             team.histogram += deposits
             team.visited |= deposits > 0
         team.slot_accepted += np.asarray(slot_accepted[lo:hi])
-        team._tally(n * (hi - lo), sum(slot_accepted[lo:hi]), n_out[w])
+        team._tally(n * (hi - lo), sum(slot_accepted[lo:hi]), n_out[w],
+                    scored=int(scored[lo:hi].sum()))

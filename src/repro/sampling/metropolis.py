@@ -245,8 +245,10 @@ class CanonicalTeam:
         self._tally(self.n_slots, len(acc))
         return len(acc)
 
-    def _tally(self, steps: int, accepted: int, out_of_grid: int = 0) -> None:
+    def _tally(self, steps: int, accepted: int, out_of_grid: int = 0,
+               scored: int = 0) -> None:
         """Add ``steps`` row steps and their accepts (the block engine's
-        write-back; a canonical row has no grid to leave)."""
+        write-back; a canonical row has no grid to leave, and a canonical
+        team keeps no walker counters)."""
         self.n_steps += steps
         self.n_accepted += accepted

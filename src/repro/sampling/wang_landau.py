@@ -171,6 +171,8 @@ class WalkerCounters:
     flat_checks_failed: int = 0
     exchange_attempts: int = 0
     exchange_accepts: int = 0
+    #: rows whose current log q a pooled block scored (DESIGN.md §16)
+    log_q_scored: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -182,6 +184,7 @@ class WalkerCounters:
             "flat_checks_failed": self.flat_checks_failed,
             "exchange_attempts": self.exchange_attempts,
             "exchange_accepts": self.exchange_accepts,
+            "log_q_scored": self.log_q_scored,
         }
 
 

@@ -21,6 +21,7 @@ walker team instead of per walker.  Three layers of checks:
 """
 
 import pickle
+from copy import deepcopy
 from unittest import mock
 
 import numpy as np
@@ -51,6 +52,7 @@ from repro.proposals import (
     VAEProposal,
 )
 from repro.parallel import REWLConfig, REWLDriver
+from repro.kernels import native
 from repro.proposals import dl_made
 from repro.proposals.base import PooledBlock
 from repro.proposals.cache import CandidatePool, CurrentLogQCache
@@ -667,7 +669,9 @@ class TestPooledBlockPath:
         """On the lower half of the spectrum: ``step_batch`` never runs,
         pooled rows leave the window, are accepted and counted per slot,
         the mixture counts each row-step's component, energies stay exact,
-        and the in-block scoring has its own profiler section."""
+        and the rows whose current log q the block scored are counted alike
+        by the C loop and the NumPy block, whose scoring has its own
+        profiler section."""
         window = EnergyGrid.from_levels(tiny_ising.energy_levels()).subgrid(0, 8)
         start = drive_into_range(tiny_ising, FlipProposal(), window,
                                  np.zeros((4, 9), dtype=np.int8), rng=0)
@@ -675,6 +679,7 @@ class TestPooledBlockPath:
         proposal = MixtureProposal([(FlipProposal(), 0.5), (made, 0.5)]) if mixed else made
         wl = make_wang_landau(hamiltonian=tiny_ising, proposal=proposal, grid=window,
                               initial_config=start, rng=5)
+        numpy_twin = deepcopy(wl)
         prof = SectionProfiler(sample_every=1)
         wl.enable_profiling(prof)
         with mock.patch.object(type(wl), "step_batch", side_effect=AssertionError):
@@ -686,7 +691,11 @@ class TestPooledBlockPath:
         np.testing.assert_array_equal(wl.energies, tiny_ising.energies(wl.configs))
         if mixed:
             assert proposal.counts.sum() == 1200 and (proposal.counts > 0).all()
-        assert prof["wl.block.score"].calls > 0
+        with mock.patch.object(native, "library", lambda: None):
+            numpy_twin.steps(300)
+        assert c.log_q_scored > 0
+        assert c.log_q_scored == numpy_twin.counters.log_q_scored
+        assert ("wl.block.score" in prof) == (superstep_path == "numpy")
         assert prof["wl.block"].calls == 1
         assert f"proposal.{proposal.name}.many" not in prof
         assert attribute_cost(prof.as_dict())["phases"]["block"]["sections"] == {

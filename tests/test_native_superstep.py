@@ -10,6 +10,7 @@ so in one ``engine.native`` event.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -28,12 +29,14 @@ from repro.experiments import run_all
 from repro.hamiltonians import IsingHamiltonian, PairHamiltonian
 from repro.kernels import ChunkedPairTables, native, superstep
 from repro.lattice import bcc, random_configuration, square_lattice
+from repro.lattice.configuration import composition_counts, one_hot
 from repro.obs import Instrumentation, MemorySink, Telemetry
 from repro.obs import events as events_mod
 from repro.obs.events import EventLog
 from repro.obs.profile import SectionProfiler
 from repro.obs.report import render_report
-from repro.parallel.checkpoint import _read_state, save_checkpoint
+from repro.parallel import REWLConfig, REWLDriver
+from repro.parallel.checkpoint import _read_state, load_checkpoint, save_checkpoint
 from repro.nn import MADE, MADEConfig
 from repro.proposals import (
     FlipProposal,
@@ -415,6 +418,140 @@ class TestDeclinedBlocks:
         custom = [(team, MyPooled(*pooled.arrays, pooled.candidates, pooled.local))]
         assert custom[0][1].native_fields() is None
         self.declined(lib, ham, team, custom, grids)
+
+
+# ------------------------------------------------- the compiled log q scorer
+
+
+def perturbed_made(n_sites, n_species, hidden, seed):
+    """A MADE whose output layer is not zero (log q varies)."""
+    model = MADE(MADEConfig(n_sites=n_sites, n_species=n_species, hidden=hidden), rng=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        p.value += 0.7 * rng.standard_normal(p.value.shape)
+    return model
+
+
+def flip_made_proposal(model):
+    return MixtureProposal([(FlipProposal(), 0.7), (MADEProposal(model, "free"), 0.3)])
+
+
+class TestCompiledLogQ:
+    """``repro_made_log_q`` is the scorer of both block paths while the
+    library is loaded, so the blocks agreeing cannot catch a wrong one:
+    these check it against ``MADE.log_prob`` itself."""
+
+    @pytest.mark.parametrize("hidden", [(8,), (6, 5)])
+    @pytest.mark.parametrize("n_species", [2, 4])
+    def test_scorer_equals_log_prob_free_and_on_a_composition(self, lib, n_species, hidden):
+        model = perturbed_made(9, n_species, hidden, seed=n_species)
+        configs = model.sample(12, np.random.default_rng(1))
+        counts = composition_counts(configs[0], n_species)
+        off = np.array([(composition_counts(row, n_species) != counts).any()
+                        for row in configs])
+        assert off.any() and not off.all()
+        for composition, given in (("free", None), ("fixed", counts)):
+            view = MADEProposal(model, composition).native_scorer(configs[:1])
+            got = view.log_q(lib, configs)
+            want = model.log_prob(one_hot(configs, n_species), counts=given)
+            on = ~off if given is not None else np.full(len(configs), True)
+            assert (got[~on] == -np.inf).all() and (want[~on] == -np.inf).all()
+            np.testing.assert_allclose(got[on], want[on], rtol=1e-12, atol=0)
+
+    def test_views_are_per_composition_and_dropped_with_the_cache(self, lib):
+        model = perturbed_made(9, 2, (8,), seed=3)
+        proposal = MADEProposal(model)
+        a, b = np.zeros((1, 9), dtype=np.int8), np.ones((1, 9), dtype=np.int8)
+        b[0, :4] = 0
+        view = proposal.native_scorer(a)
+        assert proposal.native_scorer(a) is view
+        assert proposal.native_scorer(b) is not view
+        assert not any(isinstance(v, superstep.MadeView) for v in vars(proposal).values())
+        for p in model.parameters():  # retrain ...
+            p.value *= 1.5
+        proposal.invalidate_cache()  # ... and say so
+        got = proposal.native_scorer(b).log_q(lib, b)
+        np.testing.assert_allclose(got, model.log_prob(one_hot(b, 2), counts=[4, 5]),
+                                   rtol=1e-12, atol=0)
+
+    def test_only_an_unconditioned_made_proposal_has_a_view(self):
+        model = perturbed_made(9, 2, (8,), seed=4)
+        configs = np.zeros((2, 9), dtype=np.int8)
+
+        class Subclass(MADEProposal):
+            pass
+
+        assert Subclass(model).native_scorer(configs) is None
+        conditioned = MADE(MADEConfig(n_sites=9, n_species=2, hidden=(8,), cond_dim=1), rng=0)
+        assert MADEProposal(conditioned, conditioner=lambda c, e: np.zeros(1)) \
+            .native_scorer(configs) is None
+        assert MADEProposal(model).native_scorer(configs) is not None
+
+    def test_a_stepped_team_pickles_copies_and_continues_bit_for_bit(self, lib):
+        """The scorer's views hold pointers; none may reach a pickle of a
+        team that stepped native blocks."""
+        ham = IsingHamiltonian(square_lattice(3))
+        team = BatchedWangLandauSampler(
+            hamiltonian=ham, proposal=flip_made_proposal(perturbed_made(9, 2, (8,), 5)),
+            grid=EnergyGrid.from_levels(ham.energy_levels()),
+            initial_config=np.zeros((4, 9), dtype=np.int8), rng=6,
+            config=WLConfig(batch_size=4))
+        with pinned(lib) as took:
+            team.steps(200)
+        assert took == [True] and team.counters.log_q_scored > 0
+        copies = [pickle.loads(pickle.dumps(team)), deepcopy(team)]
+        with pinned(lib) as took:
+            for t in [team, *copies]:
+                t.steps(300)
+        assert took == [True] * 3
+        for t in copies:
+            assert_same_team_state(t, team)
+
+    def test_a_flip_made_campaign_resumes_from_a_checkpoint(self, lib, tmp_path):
+        model = perturbed_made(16, 2, (8,), seed=7)
+
+        def make_driver():
+            ham = IsingHamiltonian(square_lattice(4))
+            return REWLDriver(
+                hamiltonian=ham, proposal_factory=lambda: flip_made_proposal(model),
+                grid=EnergyGrid.from_levels(ham.energy_levels()),
+                initial_config=np.zeros(16, dtype=np.int8),
+                config=REWLConfig(n_windows=2, walkers_per_window=2, overlap=0.6,
+                                  exchange_interval=100, ln_f_final=1e-6, seed=8))
+
+        with pinned(lib) as took:
+            straight = make_driver()
+            straight.run(max_rounds=6)
+            first = make_driver()
+            first.run(max_rounds=3)
+        ckpt = save_checkpoint(first, tmp_path / "made.ckpt")
+        with pinned(lib) as took_resumed:
+            resumed = load_checkpoint(make_driver(), ckpt)
+            resumed.run(max_rounds=6)
+        assert took and all(took + took_resumed)
+        ref, res = straight.result(), resumed.result()
+        assert res.rounds == ref.rounds and res.total_steps == ref.total_steps
+        for a, b in zip(ref.window_ln_g, res.window_ln_g):
+            assert np.array_equal(a, b)
+
+    def test_a_subclass_pooled_block_is_declined(self, lib):
+        """The q-ratio negative control overrides the log q methods, so the
+        C loop must not score its rows: its blocks run in NumPy."""
+        from tests.test_dl_batched import _NoRatioPooledMADEProposal
+
+        ham = IsingHamiltonian(square_lattice(3))
+        broken = _NoRatioPooledMADEProposal(perturbed_made(9, 2, (8,), 9), "free")
+        team = BatchedWangLandauSampler(
+            hamiltonian=ham, proposal=MixtureProposal([(FlipProposal(), 0.7), (broken, 0.3)]),
+            grid=EnergyGrid.from_levels(ham.energy_levels()),
+            initial_config=np.zeros((2, 9), dtype=np.int8), rng=10,
+            config=WLConfig(batch_size=2))
+        members, grids = one_block(team)
+        assert members[0][1].native_fields() is not None
+        TestDeclinedBlocks().declined(lib, ham, team, members, grids)
+        with pinned(lib) as took:
+            team.steps(50)
+        assert took == [False] and team.counters.log_q_scored > 0
 
 
 # ------------------------------------------------------------ the loader
