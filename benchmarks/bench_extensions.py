@@ -48,12 +48,11 @@ def bench_wham_iteration(benchmark):
 
 
 def bench_cmade_proposal(benchmark):
-    """One row of a conditioned global proposal (a fresh conditioned decode
-    and the exact reverse density)."""
+    """One row of a conditioned global proposal (a pooled conditioned
+    candidate and the exact density of the current row)."""
     ham = IsingHamiltonian(square_lattice(4))
     model = MADE(MADEConfig(n_sites=16, n_species=2, hidden=(64,), cond_dim=1), rng=0)
-    prop = MADEProposal(model, composition="free",
-                        conditioner=lambda cfg, e: np.array([0.3]))
+    prop = MADEProposal(model, composition="free", cond=[0.3])
     rng = np.random.default_rng(1)
     cfg = rng.integers(0, 2, 16).astype(np.int8)[None]
     energy = ham.energies(cfg)

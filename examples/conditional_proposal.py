@@ -5,8 +5,8 @@ temperatures; training a proposal per walker is wasteful.  This example
 trains a single temperature-conditioned MADE (``MADEConfig(cond_dim=1)``)
 on data pooled from two chains and then drives Metropolis chains at
 *several* temperatures — including one never seen in training — with exact
-conditional densities, through one ``MADEProposal`` per replica whose
-``conditioner`` hands the model that replica's temperature.
+conditional densities, through one ``MADEProposal`` per replica built with
+that replica's temperature as its condition (``cond``).
 
 Usage: python examples/conditional_proposal.py
 """
@@ -57,10 +57,7 @@ def main() -> None:
     # ---- drive chains at trained AND interpolated temperatures -----------
     rows = []
     for beta in (0.15, 0.30, 0.45):  # 0.30 was never trained on
-        prop = MADEProposal(
-            model, composition="free",
-            conditioner=lambda cfg, e, beta=beta: np.array([beta]),
-        )
+        prop = MADEProposal(model, composition="free", cond=[beta])
         sampler = MetropolisSampler(ham, prop, beta,
                                     np.zeros(9, dtype=np.int8), rng=int(beta * 997))
         sampler.run(500)

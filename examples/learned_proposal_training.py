@@ -54,7 +54,7 @@ def main() -> None:
     kernels = {
         "swap (local)": SwapProposal(),
         "vae (global)": VAEProposal(models["vae"], n_marginal_samples=16,
-                                    composition="repair", logit_temperature=1.5),
+                                    composition="reject", logit_temperature=1.5),
         "made (global)": MADEProposal(models["made"], composition="fixed"),
     }
     rows = []

@@ -76,7 +76,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     proposals = {
         "swap (local)": lambda: SwapProposal(),
         "vae (global)": lambda: VAEProposal(
-            vae, n_marginal_samples=16 if quick else 48, composition="repair",
+            vae, n_marginal_samples=16 if quick else 48, composition="reject",
             logit_temperature=1.5,
         ),
         "made (global)": lambda: MADEProposal(made, composition="fixed"),

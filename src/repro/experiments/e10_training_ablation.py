@@ -8,8 +8,11 @@ The knobs DeepThermo has to tune in practice, swept on a small HEA:
 - decoder broadening τ (``logit_temperature``) → the standard control that
   recovers acceptance from an over-sharpened model,
 - IWAE marginal samples S → acceptance stability vs per-proposal cost,
-- composition handling (repair vs reject) → acceptance + empirical bias
+- the composition manifold: ``"reject"`` decoding (exact, DESIGN.md §12)
+  at few and many estimator terms → acceptance and the ⟨E⟩ difference
   against a long local-swap reference mean.
+
+Every sweep decodes with ``composition="reject"``.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
             trained = budget
         acc, _ = _acceptance(
             ham, counts,
-            VAEProposal(model, n_marginal_samples=32, composition="repair"),
+            VAEProposal(model, n_marginal_samples=32, composition="reject"),
             beta, rngs, f"budget{budget}", n_steps,
         )
         budget_rows.append([budget, trainer.loss_history[-1], acc])
@@ -91,7 +94,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     # --- sweep 2: decoder broadening τ -----------------------------------
     tau_rows = []
     for tau in [1.0, 1.5, 2.5, 4.0]:
-        prop = VAEProposal(model, n_marginal_samples=32, composition="repair",
+        prop = VAEProposal(model, n_marginal_samples=32, composition="reject",
                            logit_temperature=tau)
         acc, _ = _acceptance(ham, counts, prop, beta, rngs, f"tau{tau}", n_steps)
         tau_rows.append([tau, acc])
@@ -100,24 +103,24 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     # --- sweep 3: marginal samples (acceptance vs cost) ------------------
     sample_rows = []
     for s in [4, 16, 64]:
-        prop = VAEProposal(model, n_marginal_samples=s, composition="repair",
+        prop = VAEProposal(model, n_marginal_samples=s, composition="reject",
                            logit_temperature=best_tau)
         start = time.perf_counter()
         acc, _ = _acceptance(ham, counts, prop, beta, rngs, f"s{s}", n_steps)
         per_step_ms = (time.perf_counter() - start) / (n_steps + n_steps // 4) * 1e3
         sample_rows.append([s, acc, per_step_ms])
 
-    # --- sweep 4: composition handling bias -------------------------------
+    # --- sweep 4: <E> on the composition manifold against local swaps -----
     _, ref_mean = _acceptance(
         ham, counts, SwapProposal(), beta, rngs, "ref", 30 * n_steps
     )
     comp_rows = [["swap reference", 1.0, ref_mean, 0.0]]
-    for mode in ["repair", "reject"]:
-        prop = VAEProposal(model, n_marginal_samples=32, composition=mode,
+    for s in [4, 32]:
+        prop = VAEProposal(model, n_marginal_samples=s, composition="reject",
                            max_reject_tries=128, logit_temperature=best_tau)
-        acc, mean_e = _acceptance(ham, counts, prop, beta, rngs, f"mode-{mode}",
+        acc, mean_e = _acceptance(ham, counts, prop, beta, rngs, f"mode-reject-{s}",
                                   4 * n_steps)
-        comp_rows.append([f"vae ({mode})", acc, mean_e, mean_e - ref_mean])
+        comp_rows.append([f"vae (reject, S={s})", acc, mean_e, mean_e - ref_mean])
 
     result = ExperimentResult(
         experiment_id="E10",
@@ -129,10 +132,15 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         ),
         measured=(
             f"acceptance over the training sweep: "
-            f"{' -> '.join(f'{r[2]:.3f}' for r in budget_rows)}; decoder "
-            f"broadening recovers it to {max(r[1] for r in tau_rows):.3f} at "
-            f"tau={best_tau}; repair-mode energy bias = {comp_rows[1][3]:+.3f} eV "
-            f"vs a {abs(ref_mean):.1f} eV-scale mean"
+            f"{' -> '.join(f'{r[2]:.3f}' for r in budget_rows)}; over decoder "
+            f"broadening the best is {max(r[1] for r in tau_rows):.3f} at "
+            f"tau={best_tau}; on the composition manifold (exact reject "
+            f"decoding) <E> reads {comp_rows[1][3]:+.3f} eV (S=4, acceptance "
+            f"{comp_rows[1][1]:.3f}) and {comp_rows[2][3]:+.3f} eV (S=32, "
+            f"acceptance {comp_rows[2][1]:.3f}) from the swap reference, vs a "
+            f"{abs(ref_mean):.1f} eV-scale mean: single VAE-only chains of "
+            f"{4 * n_steps} proposals from a random start, which move little at "
+            f"that acceptance (the kernel itself passes the enumeration tests)"
         ),
         tables={
             "budget": format_table(
@@ -149,8 +157,9 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
                 sample_rows, title="Table 4c: acceptance vs IWAE samples",
             ),
             "composition": format_table(
-                ["kernel", "acceptance", "<E> [eV]", "bias vs reference"],
-                comp_rows, title="Table 4d: composition handling bias",
+                ["kernel", "acceptance", "<E> [eV]", "<E> − reference [eV]"],
+                comp_rows, title="Table 4d: <E> on the composition manifold "
+                                 "(reject decoding) vs local swaps",
             ),
         },
         data={

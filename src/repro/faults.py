@@ -12,7 +12,8 @@ Faults are injected *before* the wrapped task body runs (a worker that dies
 mid-task never returns a result, so dying before the body is operationally
 equivalent and keeps walker state untouched).  The task is one window's
 advance in one round (:func:`repro.parallel.rewl.advance_windows`, the same
-loop in process and inside shm worker ranks); because a retried attempt
+loop in process and inside shm worker ranks), keyed ``(window, round)`` so
+each round draws its own faults; because a retried attempt
 starts from the same state, a run that survives its injected faults is
 bit-identical to the fault-free run with the same seed (tested in
 ``tests/test_faults.py``).
@@ -140,9 +141,11 @@ def _site_code(site: str) -> int:
     return zlib.crc32(site.encode("utf-8"))
 
 
-def _draw(cfg: FaultConfig, site: str, key: int, attempt: int) -> float:
-    """One uniform draw, a pure function of (seed, site, key, attempt)."""
-    rng = np.random.default_rng([cfg.seed, _site_code(site), int(key), int(attempt)])
+def _draw(cfg: FaultConfig, site: str, key, attempt: int) -> float:
+    """One uniform draw, a pure function of (seed, site, key, attempt);
+    ``key`` is an int or a tuple of ints."""
+    key = key if isinstance(key, tuple) else (key,)
+    rng = np.random.default_rng([cfg.seed, _site_code(site), *map(int, key), int(attempt)])
     return float(rng.random())
 
 
@@ -160,7 +163,7 @@ class FaultInjector:
 
     # ------------------------------------------------------------ decisions
 
-    def decide_task(self, key: int, attempt: int) -> str | None:
+    def decide_task(self, key, attempt: int) -> str | None:
         """``"crash"``/``"hang"``/``"nan"``/``"slow"``/None for one task
         attempt."""
         cfg = self.cfg
@@ -201,7 +204,7 @@ class FaultInjector:
 
     # ------------------------------------------------------------- wrapping
 
-    def wrap(self, fn, key: int, attempt: int):
+    def wrap(self, fn, key, attempt: int):
         """Wrap a task callable with this injector's decision for one attempt.
 
         The wrapper is picklable as long as ``fn`` is, and is a no-op
@@ -215,10 +218,10 @@ class FaultInjector:
 class _FaultyCall:
     """Picklable task wrapper: consult the decision, maybe fault, else run."""
 
-    def __init__(self, cfg: FaultConfig, fn, key: int, attempt: int):
+    def __init__(self, cfg: FaultConfig, fn, key, attempt: int):
         self.cfg = cfg
         self.fn = fn
-        self.key = int(key)
+        self.key = key
         self.attempt = int(attempt)
 
     def __call__(self, *args, **kwargs):
@@ -250,7 +253,7 @@ class _FaultyCall:
         return result
 
 
-def _poison_walker(cfg: FaultConfig, walker, key: int, attempt: int) -> None:
+def _poison_walker(cfg: FaultConfig, walker, key, attempt: int) -> None:
     """Silent numerical corruption of a completed task's window team.
 
     Deterministically (secondary draw on its own site) either drops a NaN

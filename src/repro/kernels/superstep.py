@@ -119,11 +119,12 @@ def _tables_view(tables: PairTables):
 
 
 class MadeView:
-    """An unconditioned MADE's masked weights as the C ``Made`` struct,
-    for rows of one composition (``counts``; None: free), with the arrays
-    it points into.  :meth:`~repro.proposals.dl_made.MADEProposal.
-    native_scorer` builds one per composition; it holds pointers, so it is
-    kept where no pickle of a proposal or a team can reach it."""
+    """A MADE's masked weights as the C ``Made`` struct (a conditioned
+    model's constant condition folded into the first bias), for rows of one
+    composition (``counts``; None: free), with the arrays it points into.
+    :meth:`~repro.proposals.dl_made.MADEProposal.native_scorer` builds one
+    per composition; it holds pointers, so it is kept where no pickle of a
+    proposal or a team can reach it."""
 
     def __init__(self, n_sites: int, n_species: int, weights, biases, counts=None):
         widths = np.array([weights[0].shape[0]] + [w.shape[1] for w in weights],
@@ -132,7 +133,7 @@ class MadeView:
         if len(weights) < 2 or widths[0] != x_dim or widths[-1] != x_dim or any(
                 w.shape != (a, b) or bias.shape != (b,)
                 for w, bias, a, b in zip(weights, biases, widths[:-1], widths[1:])):
-            raise ValueError(f"not an unconditioned MADE on {n_sites} x {n_species}")
+            raise ValueError(f"not a MADE on {n_sites} x {n_species}")
         self.n_sites, self.n_species = n_sites, n_species
         flat_w = np.concatenate([np.ravel(w) for w in weights]).astype(np.float64)
         flat_b = np.concatenate(biases).astype(np.float64)
@@ -168,8 +169,8 @@ def _marshal(members, n: int, t, grids):
     each team hands C its ``beta`` and no window.  A team's scratch is its
     ``move`` array and whatever else its struct points into.  A pooled team
     hands C one :class:`MadeView` per component, by slot; a component
-    without one (any pooled proposal but an unconditioned
-    ``MADEProposal``) is unfit."""
+    without one (any pooled proposal but a ``MADEProposal``: the VAE, a
+    subclass) is unfit."""
     n_sites, s = t.n_sites, t.n_species
     specs = [fields.native_fields() for _, fields in members]
     if None in specs or len({kind for kind, _ in specs}) != 1:

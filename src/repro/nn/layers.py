@@ -116,6 +116,7 @@ class Dense(Layer):
                 )
         self.mask = mask
         self._x: np.ndarray | None = None
+        self._w: np.ndarray | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -129,15 +130,19 @@ class Dense(Layer):
         return np.multiply(self.weight.value, self.mask, out=buf)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """``x @ W + b``; keeps ``x`` and the masked weight it used for
+        :meth:`backward`, so a training step masks ``W`` once."""
         self._x = x
         ws = self._workspace
         if ws is not None and x.ndim == 2:
-            y = np.matmul(x, self.effective_weight(ws),
+            self._w = self.effective_weight(ws)
+            y = np.matmul(x, self._w,
                           out=ws.take((id(self), "y"), (x.shape[0], self.out_features)))
             if self.bias is not None:
                 y += self.bias.value
             return y
-        y = x @ self.effective_weight()
+        self._w = self.effective_weight()
+        y = x @ self._w
         if self.bias is not None:
             y = y + self.bias.value
         return y
@@ -155,14 +160,14 @@ class Dense(Layer):
             if self.bias is not None:
                 self.bias.grad += grad_out.sum(axis=0)
             gx = ws.take((id(self), "gx"), (grad_out.shape[0], self.in_features))
-            return np.matmul(grad_out, self.effective_weight(ws).T, out=gx)
+            return np.matmul(grad_out, self._w.T, out=gx)
         gw = self._x.T @ grad_out
         if self.mask is not None:
             gw *= self.mask
         self.weight.grad += gw
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.effective_weight().T
+        return grad_out @ self._w.T
 
 
 class _Activation(Layer):

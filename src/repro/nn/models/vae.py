@@ -186,7 +186,7 @@ class CategoricalVAE:
     # -------------------------------------------------------------- sampling
 
     def sample(self, n: int, rng, return_log_conditional: bool = False,
-               logit_temperature: float = 1.0):
+               logit_temperature: float = 1.0, return_latent: bool = False):
         """Draw ``n`` configurations: z ~ N(0, I), x ~ p(x|z) sitewise.
 
         ``logit_temperature > 1`` broadens the decoder categorical
@@ -201,6 +201,8 @@ class CategoricalVAE:
         log_cond : (n,) float, optional
             ``log p(x|z)`` of each draw under its own latent (NOT the
             marginal; use :meth:`log_marginal` for MH corrections).
+        z : (n, latent_dim) float, optional
+            The latent each draw was decoded from (``return_latent``).
         """
         if logit_temperature <= 0:
             raise ValueError(f"logit_temperature must be > 0, got {logit_temperature}")
@@ -211,11 +213,14 @@ class CategoricalVAE:
         u = rng.random((n, c.n_sites))
         configs = categorical_inverse_cdf(softmax(logits, axis=-1), u).astype(np.int8)
         np.clip(configs, 0, c.n_species - 1, out=configs)
-        if not return_log_conditional:
-            return configs
-        logp = log_softmax(logits, axis=-1)
-        picked = np.take_along_axis(logp, configs[..., None].astype(np.int64), axis=-1)
-        return configs, picked[..., 0].sum(axis=1)
+        out = (configs,)
+        if return_log_conditional:
+            logp = log_softmax(logits, axis=-1)
+            picked = np.take_along_axis(logp, configs[..., None].astype(np.int64), axis=-1)
+            out += (picked[..., 0].sum(axis=1),)
+        if return_latent:
+            out += (z,)
+        return out if len(out) > 1 else configs
 
     def log_conditional(self, x_onehot: np.ndarray, z: np.ndarray,
                         logit_temperature: float = 1.0) -> np.ndarray:
@@ -232,33 +237,41 @@ class CategoricalVAE:
         return (logp * x).sum(axis=(1, 2))
 
     def log_marginal(self, x_onehot: np.ndarray, n_samples: int = 32, rng=None,
-                     use_encoder: bool = True,
-                     logit_temperature: float = 1.0) -> np.ndarray:
+                     use_encoder: bool = True, logit_temperature: float = 1.0,
+                     latent: np.ndarray | None = None) -> np.ndarray:
         """IWAE estimate of ``log q(x) = log E_{z~N(0,I)} p(x|z)``.
 
         With ``use_encoder=True`` (default) the estimator importance-samples
-        from the trained posterior: ``log (1/S) Σ p(x|z_s) p(z_s)/q(z_s|x)``,
-        z_s ~ q(z|x) — low variance once the encoder fits.  With ``False`` it
+        from the trained posterior: ``log (1/S) Σ p(x|z_s) p(z_s)/r(z_s|x)``,
+        z_s ~ r(z|x) — low variance once the encoder fits.  With ``False`` it
         samples the prior directly (unbiased in the same sense but higher
         variance; used in tests to bound the encoder estimator).
+
+        ``latent`` (``(B, latent_dim)``) gives the latent each row of ``x``
+        was decoded from: term 0 then uses it and only ``n_samples − 1``
+        terms are drawn — the estimate a VAE proposal's candidate carries
+        (DESIGN.md §12).  Row ``b``'s noise is drawn as one ``(S, L)``
+        block, rows in order, so an estimate does not depend on which other
+        rows share the call.
         """
         x = self._check_input(x_onehot)
         rng = as_generator(rng)
-        B = x.shape[0]
-        L = self.config.latent_dim
-        terms = np.empty((n_samples, B), dtype=np.float64)
+        B, L = x.shape[0], self.config.latent_dim
+        drawn = n_samples if latent is None else n_samples - 1
+        eps = rng.standard_normal((B, drawn, L))
         if use_encoder:
             mu, logvar = self.encode(x)
-            std = np.exp(0.5 * logvar)
-            for s in range(n_samples):
-                eps = rng.standard_normal((B, L))
-                z = mu + std * eps
-                log_pxz = self.log_conditional(x, z, logit_temperature=logit_temperature)
-                log_pz = -0.5 * np.sum(z**2 + np.log(2 * np.pi), axis=1)
-                log_qz = -0.5 * np.sum(eps**2 + np.log(2 * np.pi) + logvar, axis=1)
-                terms[s] = log_pxz + log_pz - log_qz
         else:
-            for s in range(n_samples):
-                z = rng.standard_normal((B, L))
-                terms[s] = self.log_conditional(x, z, logit_temperature=logit_temperature)
-        return logsumexp(terms, axis=0) - np.log(n_samples)
+            mu, logvar = np.zeros((B, L)), np.zeros((B, L))
+        std = np.exp(0.5 * logvar)
+        z = mu[:, None] + std[:, None] * eps
+        if latent is not None:
+            first = np.asarray(latent, dtype=np.float64)[:, None]
+            eps = np.concatenate([(first - mu[:, None]) / std[:, None], eps], axis=1)
+            z = np.concatenate([first, z], axis=1)
+        # log p(z) − log r(z|x) per term: 0 for the prior
+        log_ratio = 0.5 * (np.sum(eps**2 - z**2, axis=2) + logvar.sum(axis=1)[:, None])
+        logits = self.decode_logits(z.reshape(-1, L)) / logit_temperature
+        logp = log_softmax(logits, axis=-1).reshape(B, n_samples, *x.shape[1:])
+        terms = (logp * x[:, None]).sum(axis=(2, 3)) + log_ratio
+        return logsumexp(terms, axis=1) - np.log(n_samples)

@@ -8,12 +8,12 @@ campaign's wall-clock go".  :func:`attribute_cost` folds a merged profile
 ==========  ==================================================================
 phase       profiler sections
 ==========  ==================================================================
-propose     ``proposal.*`` (field draws, ``propose_many`` incl. DL inference)
+propose     ``proposal.*`` (field draws, incl. pooled DL candidates)
 block       ``wl.block`` — one block of super-steps for a group of teams,
             compiled or NumPy: resolve, ΔE gather, bin lookup and commit
             (``wl.block.*`` sections, e.g. a NumPy block's pooled-row log q
             scoring ``wl.block.score``, time parts of it and add nothing)
-commit      ``wl.batch_commit`` (the ``propose_many`` path), ``wl.flat_check``
+commit      ``wl.flat_check``
 advance     the *unattributed* remainder of ``rewl.advance`` — driver-side
             advance time not explained by the sections above or by the
             guards (dispatch, shm round-trips, failure handling)
@@ -54,7 +54,6 @@ PHASES = ("propose", "block", "commit", "advance",
 #: Exact-section → phase mapping (the ``proposal.`` prefix in _phase_of).
 _EXACT = {
     "wl.block": "block",
-    "wl.batch_commit": "commit",
     "wl.flat_check": "commit",
     "rewl.exchange_round": "exchange",
     "rewl.sync": "sync",

@@ -23,9 +23,8 @@ only stores it.  The block advance
 (:func:`repro.sampling.batched.advance_block`) times each team's field draw
 (``proposal.<name>.fields``) and each block, compiled or NumPy
 (``wl.block``, every call), and inside a NumPy block the pooled rows' log
-q scoring (``wl.block.score``); a team times its ``propose_many`` fallback
-(``proposal.<name>.many``), its commit (``wl.batch_commit``) and its
-flatness checks (``wl.flat_check``); the REWL driver times its round phases
+q scoring (``wl.block.score``); a team times its flatness checks
+(``wl.flat_check``); the REWL driver times its round phases
 (``rewl.*``, :class:`repro.parallel.rewl.REWLDriver`).
 
 Environment wiring: ``REPRO_PROFILE=1`` (or ``every=<N>`` / a bare integer)
@@ -105,9 +104,9 @@ class SectionProfiler:
 
     Hot-path usage::
 
-        t0 = prof.start("wl.batch_commit")
+        t0 = prof.start("wl.flat_check")
         ...                      # the measured work
-        prof.stop("wl.batch_commit", t0)
+        prof.stop("wl.flat_check", t0)
 
     ``start`` increments the call count unconditionally and returns a clock
     token only on sampled calls; ``stop`` with a ``None`` token is free.

@@ -322,7 +322,7 @@ def _shm_campaign_worker(handle, rank, blob):
             _, msg = comm.recv()
             if msg[0] == "stop":
                 break
-            _, epoch, n_steps, jobs = msg
+            _, epoch, rounds, n_steps, jobs = msg
             live = {}
             for w, rng_state in jobs:
                 team = live[w] = teams[w]
@@ -331,7 +331,7 @@ def _shm_campaign_worker(handle, rank, blob):
             prof = next(iter(live.values())).profiler
             try:
                 failed, retries = advance_windows(live, n_steps, ham, prof,
-                                                  injector)
+                                                  injector, rounds)
             except Exception as exc:  # pragma: no cover - defensive
                 failed, retries = dict.fromkeys(live, exc), []
             report = {
@@ -464,7 +464,8 @@ class ShmEngine:
             )
         for rank, jobs in jobs_by_rank.items():
             self.comm.send(
-                ("advance", epoch, driver.cfg.exchange_interval, jobs), dest=rank
+                ("advance", epoch, driver.rounds, driver.cfg.exchange_interval, jobs),
+                dest=rank
             )
         pending = set(active)
         while pending:

@@ -77,15 +77,17 @@ def _step_window(team, n_steps: int, hamiltonian, profiler):
 
 
 def advance_windows(teams: dict, n_steps: int, hamiltonian, profiler=None,
-                    faults=None) -> tuple[dict, list]:
+                    faults=None, rounds: int = 0) -> tuple[dict, list]:
     """``n_steps`` super-steps of every team in ``teams`` (``{window: team}``).
 
     The advance phase of both backends: the driver calls it in process, a
     shm worker rank on the windows it owns.  Without ``faults`` every team
     advances in one :func:`~repro.sampling.batched.advance_block` call.
     Under fault injection each window is stepped alone, so a fault hits one
-    window: a failed attempt is retried from the same state (faults fire
-    before the body runs) up to ``_WORKER_RETRIES`` times.  Team streams are
+    window: its faults are keyed on ``(window, rounds)`` — ``rounds`` is the
+    driver's round count, so every round draws its own — and a failed
+    attempt is retried from the same state (faults fire before the body
+    runs) up to ``_WORKER_RETRIES`` times.  Team streams are
     independent, so a run whose faults were all retried away is bit-identical
     to the clean run.
 
@@ -105,7 +107,7 @@ def advance_windows(teams: dict, n_steps: int, hamiltonian, profiler=None,
             attempt = 0
             while True:
                 try:
-                    faults.wrap(_step_window, key=w, attempt=attempt)(
+                    faults.wrap(_step_window, key=(w, rounds), attempt=attempt)(
                         team, n_steps, hamiltonian, profiler
                     )
                     break
@@ -505,7 +507,7 @@ class REWLDriver:
                 failed, retries = advance_windows(
                     {w: self.walkers[w][0] for w in active},
                     self.cfg.exchange_interval, self.hamiltonian, prof,
-                    self._faults,
+                    self._faults, self.rounds,
                 )
                 self._note_retries(retries)
                 for w in active:

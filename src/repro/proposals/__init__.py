@@ -15,11 +15,16 @@ Local proposals (``log q`` ratio = 0 by symmetry):
 
 Learned global proposals:
 
-- :class:`VAEProposal` — decode a fresh latent draw (paper's model);
-  proposal density estimated by importance sampling,
+- :class:`VAEProposal` — decode a prior latent draw (paper's model);
+  proposal density estimated by importance sampling, the estimate carried
+  with the row so the kernel stays exact,
 - :class:`MADEProposal` — autoregressive model with *exact* density,
-  optionally conditioned on the walker's temperature or energy window,
-  decoding on the walkers' composition for canonical sampling.
+  optionally conditioned on a constant (a replica's temperature, a
+  window's band), decoding on the walkers' composition for canonical
+  sampling.
+
+Both are pooled (:class:`~repro.proposals.base.PooledProposal`):
+candidates are drawn ahead of the chain and handed out one per row-step.
 
 Composition:
 
@@ -32,7 +37,6 @@ from repro.proposals.base import (
     FieldBlock,
     Proposal,
 )
-from repro.proposals.cache import CurrentLogQCache
 from repro.proposals.local import (
     SwapProposal,
     NeighborSwapProposal,
@@ -46,7 +50,6 @@ __all__ = [
     "BatchMove",
     "FieldBlock",
     "Proposal",
-    "CurrentLogQCache",
     "SwapProposal",
     "NeighborSwapProposal",
     "FlipProposal",

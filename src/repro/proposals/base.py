@@ -1,26 +1,23 @@
-"""Proposal interface: every move is proposed as a batch.
+"""Proposal interface: every move is proposed as a batch, drawn as a block.
 
 A proposal inspects a ``(B, n_sites)`` batch of configurations and returns a
 :class:`BatchMove`: per row, the sites to change, their new species, the
 energy change, and the log proposal-density ratio.  Samplers decide
 acceptance and write accepted rows — proposals never mutate the
-configurations themselves.  Local kernels draw the randomness of many
-super-steps at once as a :class:`FieldBlock` (:meth:`Proposal.draw_fields`)
-and their :meth:`Proposal.propose_many` is the one-step block; global (DL)
-proposals and mixtures override :meth:`Proposal.propose_many`.  Pooled
-independence proposals (unconditioned MADE) and mixtures of them with at
-most one local kernel also draw whole blocks, as a :class:`PooledBlock` of
-pre-drawn candidates.
+configurations themselves.  Every proposal draws the randomness of many
+super-steps at once (:meth:`Proposal.draw_fields`): a local kernel as a
+:class:`FieldBlock`, an independence proposal (:class:`PooledProposal`:
+MADE, VAE) and a mixture of them with at most one local kernel as a
+:class:`PooledBlock` of pre-drawn candidates.  :meth:`Proposal.propose_many`
+is the one-step block.
 
 Contracts, per row (property-tested in ``tests/test_proposals.py``):
 
 - ``delta_energies`` equals ``H(x') − H(x)`` to roundoff,
-- ``log_q_ratios = log q(x|x') − log q(x'|x)`` (0 for symmetric kernels),
-- composition-preserving proposals never change species counts,
-- a row may come back invalid (``valid[b]`` False: "no move produced", e.g.
-  a reject-mode VAE proposal that failed to hit the composition manifold);
-  samplers count it as a rejected step, which keeps the kernel reversible
-  (the failure probability is configuration-independent).
+- ``log_q_ratios = log q(x|x') − log q(x'|x)`` (0 for symmetric kernels;
+  −inf for a candidate that must be rejected, such as a ``"reject"``-mode
+  VAE slot that never hit the composition),
+- composition-preserving proposals never change species counts.
 """
 
 from __future__ import annotations
@@ -30,8 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
+from repro.lattice.configuration import composition_counts
 
-__all__ = ["BatchMove", "FieldBlock", "PooledBlock", "Proposal", "draw_pooled"]
+__all__ = ["BatchMove", "FieldBlock", "PooledBlock", "PooledProposal", "Proposal",
+           "draw_pooled"]
 
 
 @dataclass
@@ -40,8 +39,7 @@ class BatchMove:
 
     The multi-walker stepping shape: row ``b`` is an independent walker, and
     the arrays below describe its proposed move ``x_b → x'_b``.  Produced by
-    :meth:`Proposal.propose_many`, consumed by the batched Wang-Landau
-    stepper (:mod:`repro.sampling.batched`).
+    :meth:`Proposal.propose_many`.
 
     Attributes
     ----------
@@ -50,47 +48,21 @@ class BatchMove:
         widest move in the batch; rows whose move touches fewer than ``k``
         sites are **padded by repeating their first (site, value) pair** —
         an idempotent re-write of a site the move already sets, so applying
-        a padded row is a plain gather-scatter with no mask.  Rows with
-        ``valid[b] == False`` carry all-zero padding and must not be
-        applied.  Consumers that need the true move width should not infer
-        it from ``k``; global proposals always use ``k == n_sites``.
+        a padded row is a plain gather-scatter with no mask.  Consumers
+        that need the true move width should not infer it from ``k``;
+        global proposals always use ``k == n_sites``.
     new_values : numpy.ndarray of shape (B, k)
         New species at those sites (padded in lockstep with ``sites``).
     delta_energies : numpy.ndarray of shape (B,)
         ``H(x'_b) − H(x_b)`` per row.
     log_q_ratios : numpy.ndarray of shape (B,)
         Per-row ``log q(x|x') − log q(x'|x)``.
-    valid : numpy.ndarray of shape (B,), bool, or None
-        False where the proposal produced no move for that row; ``None``
-        means every row is valid.
     """
 
     sites: np.ndarray
     new_values: np.ndarray
     delta_energies: np.ndarray
     log_q_ratios: np.ndarray
-    valid: np.ndarray | None = None
-
-    @classmethod
-    def global_update(cls, configs: np.ndarray, candidates: np.ndarray,
-                      delta_energies: np.ndarray, log_q_ratios: np.ndarray,
-                      valid: np.ndarray | None = None) -> "BatchMove":
-        """Whole-configuration moves: every row rewrites every site.
-
-        The common shape of the batched DL proposals — ``sites`` is a
-        read-only broadcast of ``arange(n_sites)`` (zero storage per row),
-        ``new_values`` the candidate configurations.  Rows flagged invalid
-        should carry their *current* configuration as the candidate so an
-        accidental apply is a no-op.
-        """
-        B, n_sites = configs.shape
-        return cls(
-            sites=np.broadcast_to(np.arange(n_sites, dtype=np.int64), (B, n_sites)),
-            new_values=np.asarray(candidates).astype(configs.dtype, copy=False),
-            delta_energies=np.asarray(delta_energies, dtype=np.float64),
-            log_q_ratios=np.asarray(log_q_ratios, dtype=np.float64),
-            valid=None if valid is None or valid.all() else valid,
-        )
 
     @property
     def batch_size(self) -> int:
@@ -156,7 +128,7 @@ class FieldBlock:
     candidates = None
 
     def batch_move(self, configs: np.ndarray, hamiltonian: Hamiltonian,
-                   rng: np.random.Generator) -> "BatchMove":
+                   rng: np.random.Generator, current_energies=None) -> "BatchMove":
         """Resolve and price step 0: ``propose_many`` is the one-step block."""
         n_rows = configs.shape[0]
         rows = np.arange(n_rows)
@@ -179,16 +151,18 @@ class PooledBlock(FieldBlock):
     ``pick < 0``), else the index of its candidate in ``candidates`` =
     ``(configs (m, n_sites) int8, energies (m,), log q (m,), component
     (m,) int64)``.  ``components[d]`` is pooled proposal ``d``; its
-    ``log_q_current(configs)`` is log q of current configurations under it,
-    and its ``native_scorer(configs)`` the compiled scorer's view of the
-    same density, or None.
+    ``log_q_current(configs, rng)`` is log q of current configurations under
+    it (an estimate that draws from ``rng`` for the VAE), and its
+    ``native_scorer(configs)`` the compiled scorer's view of the same
+    density, or None.
 
     Everything drawn is state-independent except log q of a row's current
     configuration.  A block runner keeps per row the log q it holds and the
     component it holds it for (``held``, −1 for none): an accepted
     candidate hands the row its pooled log q, an accepted local move clears
     it, and :meth:`score` fills it, at the step where a candidate meets a
-    row that holds none for its component.
+    row that holds none for its component.  Every row starts a block
+    holding none.
     """
 
     def __init__(self, pick, candidates, local=None, components=()):
@@ -241,13 +215,16 @@ class PooledBlock(FieldBlock):
             return None
         return ("global", ()) if self.local is None else self.local.native_fields()
 
-    def score(self, step, configs, log_q, held, lib=None, profiler=None) -> np.ndarray:
+    def score(self, step, configs, log_q, held, streams, lib=None,
+              profiler=None) -> np.ndarray:
         """Fill ``log_q``/``held`` of the rows whose candidate at ``step``
         meets them holding no log q for its component, and return those
         rows: one scoring call per component, in slot order, through the
         compiled scorer when ``lib`` (the loaded super-step library) is
         given and the component has a view, as the C loop scores; else its
-        ``log_q_current``.  Draws nothing."""
+        ``log_q_current`` on the stream of the team the slot belongs to
+        (``streams`` lists ``(rng, row_lo, row_hi)`` per team, as for
+        :meth:`FieldBlock.resolve`)."""
         pick = self.arrays[0][step]
         rows = np.flatnonzero(pick >= 0)
         want = self.candidates[3][pick[rows]]
@@ -264,11 +241,43 @@ class PooledBlock(FieldBlock):
             if lib is not None:
                 view = component.native_scorer(stale_rows)
                 fresh = None if view is None else view.log_q(lib, stale_rows)
-            log_q[sub] = component.log_q_current(stale_rows) if fresh is None else fresh
+            if fresh is None:  # a slot names one team's component
+                rng = next(rng for rng, lo, hi in streams if lo <= sub[0] < hi)
+                fresh = component.log_q_current(stale_rows, rng)
+            log_q[sub] = fresh
             held[sub] = slot
         if profiler is not None:
             profiler.stop("wl.block.score", t0)
         return rows
+
+    def batch_move(self, configs, hamiltonian, rng, current_energies=None) -> BatchMove:
+        """Step 0 as one move per row, every row ``n_sites`` wide: the
+        current rows scored once, then the local move (padded with its first
+        pair) or the candidate with its carried energy and log q."""
+        n_rows, n_sites = configs.shape
+        if current_energies is None:
+            current_energies = hamiltonian.energies(configs)
+        streams = [(rng, 0, n_rows)]
+        log_q = np.zeros(n_rows)
+        self.score(0, configs, log_q, np.full(n_rows, -1, dtype=np.int64), streams)
+        pick = self.arrays[0][0]
+        local, taken = np.flatnonzero(pick < 0), np.flatnonzero(pick >= 0)
+        sites = np.tile(np.arange(n_sites), (n_rows, 1))
+        values = configs.copy()
+        delta, ratio = np.zeros(n_rows), np.zeros(n_rows)
+        if len(local):
+            move = self.resolve(0, configs, np.arange(n_rows), streams)
+            s, v = self.local.moves(configs, local, move)
+            sites[local], values[local] = s[:, :1], v[:, :1]  # the padding
+            sites[local, :s.shape[1]], values[local, :s.shape[1]] = s, v
+            delta[local] = getattr(hamiltonian, self.many)(
+                configs[local], move[local, 0], move[local, 1])
+        cand_configs, cand_energies, cand_log_q, _ = self.candidates
+        values[taken] = cand_configs[pick[taken]]
+        delta[taken] = cand_energies[pick[taken]] - current_energies[taken]
+        ratio[taken] = log_q[taken] - cand_log_q[pick[taken]]
+        return BatchMove(sites=sites, new_values=values, delta_energies=delta,
+                         log_q_ratios=ratio)
 
 
 def draw_pooled(choice, pooled, configs, hamiltonian, rng, local=None) -> PooledBlock:
@@ -310,9 +319,8 @@ class Proposal:
     is_global: bool = False
     name: str = "proposal"
     #: True for an independence proposal whose candidates are drawn ahead
-    #: of the chain: it has ``take_candidates(configs, n, hamiltonian, rng)``
-    #: → ``(candidates, log q, energies)`` and ``log_q_current(configs)``, and
-    #: a mixture may put its row-steps in a :class:`PooledBlock`.
+    #: of the chain (a :class:`PooledProposal`); a mixture puts its
+    #: row-steps in a :class:`PooledBlock`.
     pooled: bool = False
 
     def native_scorer(self, configs):
@@ -329,23 +337,12 @@ class Proposal:
         rng: np.random.Generator,
         current_energies: np.ndarray | None = None,
     ) -> BatchMove:
-        """Produce one move per row of ``configs`` (shape ``(B, n_sites)``).
-
-        A proposal with a draw/resolve split (:meth:`draw_fields`) is
-        proposed as its one-step block: array draws, one
-        ``delta_energy_*_many`` gather.  Proposals without one (DL,
-        mixtures) override this.  ``current_energies`` lets
-        global proposals compute ΔE without re-evaluating ``H(x)``;
-        samplers always pass it.
-        """
+        """Produce one move per row of ``configs`` (shape ``(B, n_sites)``):
+        the one-step block of :meth:`draw_fields`.  ``current_energies``
+        lets pooled candidates price ΔE without re-evaluating ``H(x)``."""
         configs = np.atleast_2d(configs)
         block = self.draw_fields(configs, hamiltonian, rng)
-        if block is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} draws no field block and does not "
-                "override propose_many"
-            )
-        return block.batch_move(configs, hamiltonian, rng)
+        return block.batch_move(configs, hamiltonian, rng, current_energies)
 
     def draw_fields(
         self,
@@ -353,14 +350,73 @@ class Proposal:
         hamiltonian: Hamiltonian,
         rng: np.random.Generator,
         n_steps: int = 1,
-    ) -> FieldBlock | None:
-        """Draw the randomness of ``n_steps`` super-steps of a local kernel.
-
-        Returns ``None``, drawing nothing, when the proposal has no
-        draw/resolve split (the default): the block advance then steps that
-        team through :meth:`propose_many`, one super-step at a time.
-        """
-        return None
+    ) -> FieldBlock:
+        """Draw the randomness of ``n_steps`` super-steps of every row."""
+        raise NotImplementedError(f"{type(self).__name__} draws no field block")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+class PooledProposal(Proposal):
+    """An independence proposal whose candidates are drawn ahead of the
+    chain, a pool block at a time (:class:`~repro.proposals.cache.
+    CandidatePool`), and handed out one per row-step as a
+    :class:`PooledBlock`.
+
+    A subclass has a ``model`` (whose ``config.n_species`` it decodes),
+    a ``composition`` mode, ``_pool`` (a ``CandidatePool``), and implements
+    ``_draw_block(configs, counts, rng) -> (candidates, log q)`` and
+    ``log_q_current(configs, rng)``.  ``preserves_composition`` says
+    whether candidates are drawn on the rows' composition: the pool is then
+    keyed on it.
+    """
+
+    is_global = True
+    pooled = True
+
+    def _counts(self, configs) -> np.ndarray | None:
+        """The species counts every row of ``configs`` shares when
+        candidates keep the composition (ValueError if they differ); None
+        otherwise."""
+        if not self.preserves_composition:
+            return None
+        if (np.sort(configs, axis=1) != np.sort(configs[0])).any():
+            raise ValueError(f"composition={self.composition!r} steps rows of one "
+                             "composition at a time")
+        return composition_counts(configs[0], self.model.config.n_species)
+
+    def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1) -> PooledBlock:
+        """A :class:`PooledBlock` of the next ``n_steps × B`` pool rows,
+        one per row-step."""
+        configs = np.atleast_2d(configs)
+        choice = np.zeros((n_steps, configs.shape[0]), dtype=np.int64)
+        return draw_pooled(choice, [self], configs, hamiltonian, rng)
+
+    def take_candidates(self, configs, n: int, hamiltonian: Hamiltonian, rng) -> tuple:
+        """The next ``n`` pool rows for rows like ``configs``: ``(candidates,
+        log q, energies)``, priced by ``hamiltonian`` (a pool priced by
+        another is re-priced first, drawing nothing) and, when candidates
+        keep the composition, drawn on that of ``configs`` (a pool drawn for
+        another is dropped first).  A refill draws from ``rng``."""
+        pool = self._pool
+        counts = self._counts(configs)
+        drawn_for = None if counts is None else tuple(counts.tolist())
+        if pool.drawn_for != drawn_for:
+            pool.drop()
+            pool.drawn_for = drawn_for
+
+        def refill():
+            candidates, log_q = self._draw_block(configs, counts, rng)
+            return candidates, log_q, hamiltonian.energies(candidates)
+
+        if pool.cursor < pool.size and pool.priced_by is not hamiltonian:
+            candidates, log_q, _ = pool.columns
+            pool.columns = (candidates, log_q, hamiltonian.energies(candidates))
+        pool.priced_by = hamiltonian
+        return pool.take(n, refill)
+
+    def invalidate_cache(self) -> None:
+        """Drop the pooled candidates, drawn from the old weights (call
+        after retraining the model)."""
+        self._pool.drop()

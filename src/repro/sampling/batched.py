@@ -20,19 +20,16 @@ established multiple-walkers-per-window REWL scheme (Vogel et al. 2013), so
 the convergence guarantees carry over unchanged (E1-tested in
 ``tests/test_batched_wl.py``).
 
-Two paths run super-steps.  Local (swap/flip) proposals, unconditioned MADE
-and mixtures of it with at most one local kernel go through
-:func:`advance_block` (DESIGN.md §16): a team draws the randomness of a
-whole ``steps(n)`` call at once — local fields, or a
-:class:`~repro.proposals.base.PooledBlock` of per-row-step component
-choices, local fields and pre-drawn MADE candidates with their energies and
-log q — and the super-steps of every team that advances together run as one
-array program with team state written back once per block; the only model
-work left inside a block is scoring the current log q of rows that do not
-hold it, which the compiled loop does inline.  The other proposals — VAE,
-conditioned MADE and mixtures holding one of them — go through :meth:`BatchedWangLandauSampler.step_batch`, one
-``propose_many`` (DESIGN.md §12) and one ``commit_batch`` per super-step.  ``tests/test_dl_batched.py``
-pins that both paths reproduce exact enumeration with a MADE mixture.
+Every super-step runs in :func:`advance_block` (DESIGN.md §16): a team
+draws the randomness of a whole ``steps(n)`` call at once — local fields,
+or a :class:`~repro.proposals.base.PooledBlock` of per-row-step component
+choices, local fields and pre-drawn MADE/VAE candidates with their energies
+and log q — and the super-steps of every team that advances together run as
+one array program with team state written back once per block; the only
+model work left inside a block is scoring the current log q of rows that do
+not hold it, which the compiled loop does inline for MADE.
+``tests/test_dl_batched.py`` pins that the block reproduces exact
+enumeration with a MADE mixture.
 
 These are the only Wang–Landau steps there are.  A single walker is a
 one-row team: :class:`WangLandauSampler` adds that row's read views
@@ -189,10 +186,9 @@ class BatchedWangLandauSampler:
         """Attach a :class:`repro.obs.profile.SectionProfiler`.
 
         It observes the steps this team takes: :meth:`steps` hands it to
-        :func:`advance_block`, and :meth:`step_batch`, :meth:`commit_batch`
-        and :meth:`is_flat` time their own sections.  Profiling draws no
-        random numbers and changes no path, so the trajectory is
-        bit-identical; the profiler pickles with the team.
+        :func:`advance_block`, and :meth:`is_flat` times its own section.
+        Profiling draws no random numbers and changes no path, so the
+        trajectory is bit-identical; the profiler pickles with the team.
         """
         if self.profiler is not None:
             raise RuntimeError("profiling is already enabled on this walker")
@@ -200,89 +196,13 @@ class BatchedWangLandauSampler:
 
     # ----------------------------------------------------------------- step
 
-    def step_batch(self) -> int:
-        """One super-step: every walker takes one WL step.  Returns accepts.
-
-        Proposal generation, ΔE, bin lookup and the acceptance noise are
-        vectorized over walkers; the accept/reject + ln g commit runs
-        walker-by-walker so each decision sees every earlier commit (see
-        the module docstring for why that ordering is load-bearing).
-        """
-        prof = self.profiler
-        if prof is not None:
-            section = f"proposal.{self.proposal.name}.many"
-            t0 = prof.start(section)
-        batch = self.proposal.propose_many(
-            self.configs, self.hamiltonian, self.rng, current_energies=self.energies
-        )
-        if prof is not None:
-            prof.stop(section, t0)
-        return self.commit_batch(batch)
-
-    def commit_batch(self, batch) -> int:
-        """Decide and commit a prepared :class:`BatchMove`.  Returns accepts.
-
-        The back half of :meth:`step_batch` (proposals that draw no block);
-        the others commit inside :func:`advance_block`.
-        Draws the acceptance noise from ``self.rng``, after the proposal's
-        own draws.
-        """
-        n_rows = self.n_slots
-        new_energies = self.energies + batch.delta_energies
-        new_bins = self.grid.index_array(new_energies).tolist()
-        ln_u = np.log(self.rng.random(n_rows)).tolist()
-        log_q = batch.log_q_ratios.tolist()
-        valid = None if batch.valid is None else batch.valid.tolist()
-
-        prof = self.profiler
-        t0 = prof.start("wl.batch_commit") if prof is not None else None
-        # Scalar indexing dominates the sequential commit, so it runs on
-        # plain Python lists; array state is written back vectorized below.
-        ln_g = self.ln_g.tolist()
-        bins = self.bins.tolist()
-        ln_f = self.ln_f
-        accepted_rows: list[int] = []
-        n_null = n_out = 0
-        for b in range(n_rows):
-            if valid is not None and not valid[b]:
-                n_null += 1
-            else:
-                nb = new_bins[b]
-                if nb < 0:
-                    n_out += 1
-                else:
-                    cur = bins[b]
-                    log_alpha = ln_g[cur] - ln_g[nb] + log_q[b]
-                    if log_alpha >= 0.0 or ln_u[b] < log_alpha:
-                        bins[b] = nb
-                        accepted_rows.append(b)
-            # Update the (possibly unchanged) current bin — mandatory for WL.
-            cur = bins[b]
-            ln_g[cur] += ln_f
-        deposits = np.asarray(bins)  # each walker's post-decision bin
-        self.ln_g[:] = ln_g
-        self.bins[:] = deposits  # in place: fused teams hold views here
-        self.histogram += np.bincount(deposits, minlength=self.grid.n_bins)
-        self.visited[deposits] = True
-        accepted = len(accepted_rows)
-        if accepted:
-            acc = np.asarray(accepted_rows)
-            self.configs[acc[:, None], batch.sites[acc]] = batch.new_values[acc]
-            self.energies[acc] = new_energies[acc]
-            self.slot_accepted[acc] += 1
-        if prof is not None:
-            prof.stop("wl.batch_commit", t0)
-        self._tally(n_rows, accepted, n_out, n_null)
-        return accepted
-
-    def _tally(self, steps: int, accepted: int, out_of_grid: int, null: int = 0,
+    def _tally(self, steps: int, accepted: int, out_of_grid: int,
                scored: int = 0) -> None:
         """Add ``steps`` walker steps (whole super-steps) and their outcomes
         to the counters."""
         counters = self.counters
-        counters.null_proposals += null
         counters.log_q_scored += scored
-        counters.proposals += steps - null
+        counters.proposals += steps
         counters.out_of_grid += out_of_grid
         counters.accepted += accepted
         self.n_accepted += accepted
@@ -501,10 +421,7 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
     whole block's randomness from its own stream — its proposal's
     :meth:`~repro.proposals.base.Proposal.draw_fields`, then the acceptance
     noise — and teams whose blocks share a key run as one array program
-    (:func:`_run_block`).  A team whose proposal draws no block
-    (``draw_fields`` → None, drawing nothing: VAE, conditioned MADE and
-    mixtures holding one) takes its super-steps through
-    :meth:`step_batch`.  A trajectory is thus a pure function of the seed
+    (:func:`_run_block`).  A trajectory is thus a pure function of the seed
     and the sequence of ``n_steps`` values.
 
     Teams are Wang-Landau windows (``team.beta is None``) or canonical
@@ -534,11 +451,7 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
             )
             if profiler is not None:
                 profiler.stop(section, t0)
-            if fields is None:
-                for _ in range(n):
-                    team.step_batch()
-            else:
-                groups.setdefault((fields.key, team.beta is None), []).append((team, fields))
+            groups.setdefault((fields.key, team.beta is None), []).append((team, fields))
         for (_, wang_landau), members in groups.items():
             grids = _stacked_grids([team for team, _ in members]) if wang_landau else None
             t_block = profiler.start_always("wl.block") if profiler is not None else None
@@ -589,10 +502,11 @@ def _run_block(members, n: int, hamiltonian, grids, profiler=None, lib=None) -> 
     first, rows whose candidate meets them holding no current log q are
     scored (:meth:`~repro.proposals.base.PooledBlock.score`, timed as
     ``wl.block.score``; through the compiled scorer when ``lib``, the loaded
-    library, is given, as the C loop scores); a candidate row then has the
-    candidate's energy and ``ΔE = E_cand − E``, adds ``log q_cur − log
-    q_cand`` to its ``log α``, and on acceptance takes the candidate row and
-    its log q.
+    library, is given, as the C loop scores; a VAE estimate draws from its
+    team's stream here, before the step's swap redraws); a candidate row
+    then has the candidate's energy and ``ΔE = E_cand − E``, adds ``log
+    q_cur − log q_cand`` to its ``log α`` (−∞ for a candidate with log q =
+    +∞), and on acceptance takes the candidate row and its log q.
 
     This is the reference implementation of a block (and the path taken
     without a compiler, or under ``REPRO_NO_NATIVE=1``): ``superstep.c``
@@ -640,7 +554,7 @@ def _run_block(members, n: int, hamiltonian, grids, profiler=None, lib=None) -> 
 
     for step in range(n):
         if pooled:
-            scored[fields.score(step, configs, log_q, held, lib, profiler)] += 1
+            scored[fields.score(step, configs, log_q, held, streams, lib, profiler)] += 1
         move = fields.resolve(step, configs, rows, streams)
         if pooled:
             pick = fields.arrays[0][step]

@@ -6,8 +6,8 @@ Acceptance rule (log domain)::
 
 The second term is the proposal's ``log_q_ratio``; for the classical
 symmetric kernels it is identically 0 and the rule reduces to textbook
-Metropolis.  Proposals that produce no move (e.g. a reject-mode VAE
-proposal that missed the composition manifold) count as rejected steps.
+Metropolis.  A candidate with log q = +∞ (a reject-mode VAE slot that
+missed the composition manifold) has ``log α = −∞``: a rejected step.
 
 :class:`CanonicalTeam` is this rule as a mode of the block engine
 (:func:`repro.sampling.batched.advance_block`, DESIGN.md §16): K chains,
@@ -191,13 +191,11 @@ class CanonicalTeam:
     (:func:`repro.experiments.common.estimate_energy_range`) and
     :func:`repro.sampling.wang_landau.drive_into_range` drive it.
 
-    Local proposals, unconditioned MADE and its mixtures with one local kernel
-    step through :func:`~repro.sampling.batched.advance_block` (in C when
-    the compiled super-step is loaded; a pooled MADE row accepts on
-    ``ln u < −β_r·ΔE + Δlog q``), proposals that draw no block (VAE,
-    conditioned MADE, mixtures holding one)
-    through :meth:`step_batch`; a trajectory is a function of the seed and
-    the sequence of :meth:`steps` lengths.
+    Every proposal steps through :func:`~repro.sampling.batched.
+    advance_block` (in C when the compiled super-step is loaded and the
+    block is one it takes; a pooled candidate row accepts on
+    ``ln u < −β_r·ΔE + Δlog q``); a trajectory is a function of the seed
+    and the sequence of :meth:`steps` lengths.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, proposal: Proposal, configs,
@@ -225,25 +223,6 @@ class CanonicalTeam:
         from repro.sampling.batched import advance_block
 
         advance_block([self], n_steps, self.hamiltonian)
-
-    def step_batch(self) -> int:
-        """One super-step through the proposal's ``propose_many``, then the
-        acceptance noise from ``self.rng``.  Rows are independent chains, so
-        the commit is one vectorized decision.  Returns accepts."""
-        batch = self.proposal.propose_many(
-            self.configs, self.hamiltonian, self.rng, current_energies=self.energies
-        )
-        ln_u = np.log(self.rng.random(self.n_slots))
-        log_alpha = -self.beta * batch.delta_energies + batch.log_q_ratios
-        accept = (log_alpha >= 0.0) | (ln_u < log_alpha)
-        if batch.valid is not None:
-            accept &= batch.valid
-        acc = np.flatnonzero(accept)
-        self.configs[acc[:, None], batch.sites[acc]] = batch.new_values[acc]
-        self.energies[acc] += batch.delta_energies[acc]
-        self.slot_accepted[acc] += 1
-        self._tally(self.n_slots, len(acc))
-        return len(acc)
 
     def _tally(self, steps: int, accepted: int, out_of_grid: int = 0,
                scored: int = 0) -> None:

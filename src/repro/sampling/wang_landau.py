@@ -164,7 +164,6 @@ class WalkerCounters:
     """
 
     proposals: int = 0
-    null_proposals: int = 0
     accepted: int = 0
     out_of_grid: int = 0
     flat_checks_passed: int = 0
@@ -177,7 +176,6 @@ class WalkerCounters:
     def as_dict(self) -> dict[str, int]:
         return {
             "proposals": self.proposals,
-            "null_proposals": self.null_proposals,
             "accepted": self.accepted,
             "out_of_grid": self.out_of_grid,
             "flat_checks_passed": self.flat_checks_passed,

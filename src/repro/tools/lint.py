@@ -2,8 +2,9 @@
 
 Retired spellings (``Hamiltonian.energy_batch``, ``repro.util.timers``,
 ``.profiled(``, the scalar ``propose``/``Move``, the separate conditional
-MADE classes, ``MultiSwapProposal``, the campaign auto-tune) must not creep
-back in,
+MADE classes, the ``step_batch``/``commit_batch`` path, ``CurrentLogQCache``,
+the VAE's ``"repair"`` mode, ``conditioner=``, ``MultiSwapProposal``, the
+campaign auto-tune) must not creep back in,
 and live shims exist for *downstream* callers only; in-repo code must use
 the canonical spellings or shims can never retire.  This lint is a plain
 line-grep — fast, zero imports of the checked code — over
@@ -59,7 +60,36 @@ DEPRECATED_PATTERNS: list[tuple[re.Pattern[str], str, str, tuple[str, ...]]] = [
     (
         re.compile(r"\bConditionalMADE\w*|repro\.nn\.models\.cmade|repro\.proposals\.dl_cmade"),
         "ConditionalMADE/ConditionalMADEConfig/ConditionalMADEProposal were folded "
-        "into MADE: MADEConfig(cond_dim=...) and MADEProposal(conditioner=...)",
+        "into MADE: MADEConfig(cond_dim=...) and MADEProposal(model, cond=...)",
+        "",
+        (),
+    ),
+    (
+        re.compile(r"\bstep_batch\b|\bcommit_batch\b|\bnull_proposals\b"),
+        "the step_batch/commit_batch stepping path was removed; every "
+        "proposal draws a block: team.steps(n) (DESIGN §16)",
+        "",
+        (),
+    ),
+    (
+        re.compile(r"\bCurrentLogQCache\b"),
+        "CurrentLogQCache was removed; the block engine holds each row's "
+        "current log q for the length of a block (DESIGN §16)",
+        "",
+        (),
+    ),
+    (
+        re.compile(r"\brepair_composition\b|composition\s*=\s*[\"']repair[\"']"
+                   r"|repro\.proposals\.composition"),
+        "the VAE's biased \"repair\" mode was removed; use composition=\"reject\" "
+        "(exact), or MADEProposal(model) for decoding on the composition",
+        "",
+        (),
+    ),
+    (
+        re.compile(r"\bconditioner\s*="),
+        "MADEProposal(conditioner=...) was removed; a condition is a constant "
+        "of the proposal: MADEProposal(model, cond=vector)",
         "",
         (),
     ),

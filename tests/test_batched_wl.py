@@ -14,10 +14,10 @@ Three contracts from the kernels redesign:
 3. The REWL driver's batched window teams converge, exchange between
    slots, stitch windows within tolerance, and round-trip through
    checkpoints bit-identically.
-4. Local proposals advance in *blocks* (``advance_block``): a block equals
+4. Every proposal advances in *blocks* (``advance_block``): a block equals
    an independent step-by-step replay of the same draws, splits
-   deterministically above the sub-block cap, leaves teams without a
-   draw/resolve split on ``step_batch``, and is unbiased over seeds.
+   deterministically above the sub-block cap, stacks only blocks of one
+   kind, and is unbiased over seeds.
 """
 
 import numpy as np
@@ -29,7 +29,8 @@ from repro.parallel import REWLConfig, REWLDriver
 from repro.parallel.checkpoint import load_checkpoint, save_checkpoint
 from repro.obs import Telemetry
 from repro.obs.profile import SectionProfiler
-from repro.proposals import FlipProposal, MixtureProposal
+from repro.nn import MADE, MADEConfig
+from repro.proposals import FlipProposal, MADEProposal, MixtureProposal
 from repro.sampling import batched
 from repro.sampling import (
     BatchedWangLandauSampler,
@@ -145,13 +146,13 @@ class TestBatchedSampler:
                 rng=0, config=WLConfig(batch_size=4),
             )
 
-    def test_step_batch_counts_walker_steps(self, ising, grid):
+    def test_steps_count_walker_steps(self, ising, grid):
         wl = BatchedWangLandauSampler(
             hamiltonian=ising, proposal=FlipProposal(), grid=grid,
             initial_config=np.zeros(16, dtype=np.int8), rng=0,
             config=WLConfig(batch_size=5),
         )
-        wl.step_batch()
+        wl.steps(1)
         assert wl.n_steps == 5
         assert wl.histogram.sum() == 5  # one deposit per walker
         wl.steps(3)
@@ -348,8 +349,7 @@ class TestBlockAdvance:
             assert np.array_equal(getattr(wl, name), getattr(ref, name)), name
         assert out_of_grid > 0 and accepted > 0
         c = wl.counters
-        assert (c.proposals, c.accepted, c.out_of_grid, c.null_proposals) \
-            == (proposals, accepted, out_of_grid, 0)
+        assert (c.proposals, c.accepted, c.out_of_grid) == (proposals, accepted, out_of_grid)
         assert wl.n_steps == proposals == n * k == wl.histogram.sum()
         assert wl.n_accepted == accepted == wl.slot_accepted.sum()
         assert np.array_equal(wl.energies, ising.energies(wl.configs))
@@ -372,12 +372,15 @@ class TestBlockAdvance:
         assert a.n_steps == b.n_steps
         assert not np.array_equal(a.ln_g, b.ln_g)
 
-    def test_mixed_campaign_keeps_step_batch_for_unsplit_proposals(self, ising, grid):
-        def mixture():
-            return MixtureProposal([(FlipProposal(), 0.5), (FlipProposal(), 0.5)])
+    def test_mixed_campaign_matches_teams_stepped_alone(self, ising, grid):
+        """Flip teams and a flip/MADE team advanced together (two block
+        kinds, one of them stacked) end where each stepped alone does."""
+        model = MADE(MADEConfig(n_sites=16, n_species=2, hidden=(8,)), rng=0)
 
-        assert mixture().draw_fields(np.zeros((2, 16), dtype=np.int8), ising,
-                                     np.random.default_rng(0), 5) is None
+        def mixture():
+            return MixtureProposal([(FlipProposal(), 0.5),
+                                    (MADEProposal(model, "free"), 0.5)])
+
         together = [self._team(ising, grid, seed=1),
                     self._team(ising, grid, mixture(), seed=2),
                     self._team(ising, grid, seed=3, k=2)]

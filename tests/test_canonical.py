@@ -4,9 +4,9 @@ independent oracle: ⟨E⟩(β) of the 4×4 Ising model by exact enumeration.
 Each seed runs one team whose rows sit at three positive and one negative
 inverse temperature; the per-β means over seeds must agree with the exact
 value by a z-test on their seed-to-seed spread.  Local flips take the
-block engine on both super-step paths; a flip/MADE mixture takes the
-``step_batch`` path, where an asymmetric proposal's log q-ratio must enter
-the acceptance for the answer to be right.
+block engine on both super-step paths; so does a flip/MADE mixture, whose
+asymmetric proposal's log q-ratio must enter the acceptance for the answer
+to be right.
 """
 
 import numpy as np

@@ -216,6 +216,26 @@ class TestRetryLoop:
         assert tel.metrics.as_dict()["task.retries"]["value"] > 0
 
 
+    def test_faults_are_keyed_on_the_round(self):
+        """A window's faults are keyed on (window, round): another round
+        draws another retry pattern, the same round the same one."""
+        from repro.parallel.rewl import advance_windows
+        from repro.sampling import make_wang_landau
+
+        ham = IsingHamiltonian(square_lattice(4))
+        grid = EnergyGrid.from_levels(ham.energy_levels())
+        inj = FaultInjector(FaultConfig(crash=0.5, seed=0))
+        patterns = []
+        for rounds in (1, 2, 1):
+            teams = {w: make_wang_landau(hamiltonian=ham, proposal=FlipProposal(), grid=grid,
+                                         initial_config=np.zeros(16, dtype=np.int8), rng=w)
+                     for w in range(6)}
+            _, retries = advance_windows(teams, 5, ham, faults=inj, rounds=rounds)
+            patterns.append([(w, attempt) for w, attempt, _, _ in retries])
+        assert patterns[0] == patterns[2] != patterns[1]
+        assert patterns[1]
+
+
 class TestREWLUnderChaos:
     """The acceptance criterion: injected worker crashes/hangs must not
     change a single bit of the stitched result, on either backend."""

@@ -37,13 +37,14 @@ from repro.obs.profile import SectionProfiler
 from repro.obs.report import render_report
 from repro.parallel import REWLConfig, REWLDriver
 from repro.parallel.checkpoint import _read_state, load_checkpoint, save_checkpoint
-from repro.nn import MADE, MADEConfig
+from repro.nn import MADE, CategoricalVAE, MADEConfig, VAEConfig
 from repro.proposals import (
     FlipProposal,
     MADEProposal,
     MixtureProposal,
     NeighborSwapProposal,
     SwapProposal,
+    VAEProposal,
 )
 from repro.proposals.base import PooledBlock, draw_pooled
 from repro.proposals.local import FlipBlock, SwapBlock
@@ -474,18 +475,28 @@ class TestCompiledLogQ:
         np.testing.assert_allclose(got, model.log_prob(one_hot(b, 2), counts=[4, 5]),
                                    rtol=1e-12, atol=0)
 
-    def test_only_an_unconditioned_made_proposal_has_a_view(self):
+    def test_only_a_made_proposal_has_a_view(self, lib):
+        """A subclass and the VAE have none; a conditioned MADE's view
+        scores as its model does under the proposal's condition."""
         model = perturbed_made(9, 2, (8,), seed=4)
         configs = np.zeros((2, 9), dtype=np.int8)
+        configs[1, :3] = 1
 
         class Subclass(MADEProposal):
             pass
 
         assert Subclass(model).native_scorer(configs) is None
-        conditioned = MADE(MADEConfig(n_sites=9, n_species=2, hidden=(8,), cond_dim=1), rng=0)
-        assert MADEProposal(conditioned, conditioner=lambda c, e: np.zeros(1)) \
-            .native_scorer(configs) is None
-        assert MADEProposal(model).native_scorer(configs) is not None
+        vae = CategoricalVAE(VAEConfig(n_sites=9, n_species=2, latent_dim=2, hidden=(8,)), rng=0)
+        assert VAEProposal(vae, composition="free").native_scorer(configs) is None
+        assert MADEProposal(model).native_scorer(configs[:1]) is not None
+        conditioned = MADE(MADEConfig(n_sites=9, n_species=2, hidden=(8,), cond_dim=2), rng=0)
+        for p in conditioned.parameters():
+            p.value += 0.5 * np.random.default_rng(5).standard_normal(p.value.shape)
+        cond = np.array([0.3, -1.2])
+        view = MADEProposal(conditioned, "free", cond=cond).native_scorer(configs)
+        np.testing.assert_allclose(view.log_q(lib, configs),
+                                   conditioned.log_prob(one_hot(configs, 2), cond),
+                                   rtol=1e-12, atol=0)
 
     def test_a_stepped_team_pickles_copies_and_continues_bit_for_bit(self, lib):
         """The scorer's views hold pointers; none may reach a pickle of a
@@ -802,7 +813,7 @@ class TestContractsHoldOnBothPaths:
         grid = EnergyGrid.from_levels(ham.energy_levels())
         suite = test_batched_wl.TestBlockAdvance()
         suite.test_block_equals_step_by_step_replay_of_its_draws(ham, grid)
-        suite.test_mixed_campaign_keeps_step_batch_for_unsplit_proposals(ham, grid)
+        suite.test_mixed_campaign_matches_teams_stepped_alone(ham, grid)
 
     def test_checkpoint_resume(self, superstep_path, tmp_path):
         test_fused_campaign.TestFusedBitIdentity() \

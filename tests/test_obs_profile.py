@@ -174,14 +174,12 @@ class TestSamplerIntegration:
         assert prof["wl.block"].calls == 50
         assert prof["wl.flat_check"].calls == 1
 
-    def test_fallback_steps_time_their_own_sections(self):
-        """A proposal without a field block (a conditioned MADE) steps
-        through ``step_batch``, which times ``propose_many`` and the
-        commit."""
+    def test_pooled_steps_time_the_draw_and_the_block(self):
+        """A pooled proposal (a conditioned MADE) steps in blocks like a
+        local one: one field draw and one block per advance call."""
         ham = _ising()
         model = MADE(MADEConfig(n_sites=16, n_species=2, hidden=(8,), cond_dim=1), rng=0)
-        made = MADEProposal(model, composition="free",
-                            conditioner=lambda config, energy: np.array([energy / 32.0]))
+        made = MADEProposal(model, composition="free", cond=[0.5])
         wl = WangLandauSampler(
             hamiltonian=ham, proposal=made,
             grid=EnergyGrid.from_levels(ham.energy_levels()),
@@ -190,9 +188,9 @@ class TestSamplerIntegration:
         prof = SectionProfiler(sample_every=1)
         wl.enable_profiling(prof)
         wl.steps(20)
-        assert prof[f"proposal.{wl.proposal.name}.many"].calls == 20
-        assert prof["wl.batch_commit"].calls == 20
-        assert "wl.block" not in prof
+        wl.steps(20)
+        assert prof[f"proposal.{wl.proposal.name}.fields"].calls == 2
+        assert prof["wl.block"].calls == 2
 
     def test_enable_profiling_twice_rejected(self):
         wl = _wl()

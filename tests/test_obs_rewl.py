@@ -177,7 +177,7 @@ class TestWalkerCounters:
                                rng=0, config=WLConfig(ln_f_final=0.25))
         result = wl.run(max_steps=50_000)
         c = result.counters
-        assert c.proposals + c.null_proposals == result.n_steps
+        assert c.proposals == result.n_steps
         assert c.accepted <= c.proposals
         assert c.accepted == wl.n_accepted
         assert c.flat_checks_passed + c.flat_checks_failed > 0
@@ -195,9 +195,8 @@ class TestWalkerCounters:
         assert total_accepts == 2 * int(res.exchange_accepts.sum())
         # A team's counters ride on its slot-0 snapshot: they sum to the
         # walker steps of all its slots.
-        assert sum(
-            s.counters.proposals + s.counters.null_proposals for s in res.walkers
-        ) == res.total_steps == sum(s.n_steps for s in res.walkers)
+        assert sum(s.counters.proposals for s in res.walkers) \
+            == res.total_steps == sum(s.n_steps for s in res.walkers)
 
     def test_result_telemetry_block(self):
         tel = Telemetry()

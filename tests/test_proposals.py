@@ -1,4 +1,5 @@
-"""Tests for the local proposal kernels and the mixture."""
+"""Tests for the local proposal kernels and the mixture (one local kernel
+plus a pooled MADE)."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from scipy.stats import chi2
 
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import composition_counts, random_configuration, square_lattice
+from repro.nn import MADE, MADEConfig
 from repro.proposals import local
 from repro.proposals import (
     FlipProposal,
+    MADEProposal,
     MixtureProposal,
     NeighborSwapProposal,
     SwapProposal,
@@ -56,7 +59,7 @@ class TestMoveContract:
         configs = alloy_batch(hea_small, n_rows, rng)
         e0 = hea_small.energies(configs)
         batch = proposal.propose_many(configs, hea_small, rng, current_energies=e0)
-        assert batch.valid is None and batch.batch_size == n_rows
+        assert batch.batch_size == n_rows
         np.testing.assert_allclose(hea_small.energies(applied(batch, configs)),
                                    e0 + batch.delta_energies, rtol=0, atol=1e-8)
 
@@ -147,36 +150,47 @@ class TestFlipProposal:
         assert not FlipProposal().preserves_composition
 
 
+def alloy_made(composition="fixed"):
+    """An untrained MADE proposal on the 54-site, 4-species alloy."""
+    return MADEProposal(MADE(MADEConfig(n_sites=54, n_species=4, hidden=(16,)), rng=0),
+                        composition)
+
+
 class TestMixture:
     def test_empirical_fractions_match_weights(self, hea_small):
         rng = np.random.default_rng(5)
         configs = alloy_batch(hea_small, 200, rng)
-        mix = MixtureProposal([(SwapProposal(), 0.8), (NeighborSwapProposal(), 0.2)])
+        mix = MixtureProposal([(SwapProposal(), 0.8), (alloy_made("free"), 0.2)])
         for _ in range(10):
             mix.propose_many(configs, hea_small, rng)
         fractions = mix.component_fractions()
         assert fractions[0] == pytest.approx(0.8, abs=0.05)
 
     def test_flags_combine(self):
-        mix = MixtureProposal([(SwapProposal(), 1.0), (FlipProposal(), 1.0)])
-        assert not mix.preserves_composition
-        mix2 = MixtureProposal([(SwapProposal(), 1.0), (NeighborSwapProposal(), 1.0)])
+        mix = MixtureProposal([(SwapProposal(), 1.0), (alloy_made("free"), 1.0)])
+        assert not mix.preserves_composition and mix.is_global
+        mix2 = MixtureProposal([(SwapProposal(), 1.0), (alloy_made(), 1.0)])
         assert mix2.preserves_composition
+        assert not MixtureProposal([(SwapProposal(), 1.0)]).is_global
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MixtureProposal([])
         with pytest.raises(ValueError):
             MixtureProposal([(SwapProposal(), 0.0)])
+        with pytest.raises(ValueError, match="at most one local kernel"):
+            MixtureProposal([(SwapProposal(), 0.5), (NeighborSwapProposal(), 0.5)])
 
     def test_move_is_valid(self, hea_small):
         rng = np.random.default_rng(6)
         configs = alloy_batch(hea_small, 8, rng)
-        mix = MixtureProposal([(SwapProposal(), 0.5), (NeighborSwapProposal(), 0.5)])
+        mix = MixtureProposal([(SwapProposal(), 0.5), (alloy_made(), 0.5)])
         e0 = hea_small.energies(configs)
         batch = mix.propose_many(configs, hea_small, rng, current_energies=e0)
         np.testing.assert_allclose(hea_small.energies(applied(batch, configs)),
                                    e0 + batch.delta_energies, rtol=0, atol=1e-9)
+        for row in applied(batch, configs):
+            assert np.array_equal(composition_counts(row, 4), [14, 14, 13, 13])
 
 
 class TestMoveObject:
@@ -259,7 +273,7 @@ class TestFieldBlocks:
         ])
         proposal = make()
         batch = proposal.propose_many(configs, hea_small, rng)
-        assert batch.valid is None and np.all(batch.log_q_ratios == 0.0)
+        assert np.all(batch.log_q_ratios == 0.0)
         before = hea_small.energies(configs)
         after = configs.copy()
         for b in range(len(configs)):

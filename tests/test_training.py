@@ -305,8 +305,8 @@ class TestOnlineLoop:
         cfg = random_configuration(9, [5, 4], rng=2)
         for _ in range(16):
             buf.add(cfg)
-        dl = VAEProposal(model, n_marginal_samples=4, composition="repair")
+        dl = VAEProposal(model, n_marginal_samples=4)
         loop = OnlineLoop(ham, 0.3, cfg, SwapProposal(), dl, trainer,
                           dl_fraction=0.2, refresh_train_steps=5, seed=3)
         loop.run(n_rounds=1, steps_per_round=50)
-        assert not dl._logq_cache  # invalidated after refresh
+        assert dl._pool.size == 0  # invalidated after refresh
