@@ -47,28 +47,28 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 SOURCE = Path(__file__).with_name("superstep.c")
 
-_resolved: tuple | None = None  # (library or None, status), once per process
+_decided: tuple | None = None  # (library or None, status), once per process
 
 
 def library():
     """The loaded super-step library, or None: blocks then run in NumPy."""
-    global _resolved
-    if _resolved is None:
+    global _decided
+    if _decided is None:
         from repro.obs.events import worker_log
 
         # the self-test builds samplers, which ask for the library: they
         # get "none yet" while the one build of this process is under way
-        _resolved = (None, {"active": False, "reason": "resolving"})
-        _resolved = _resolve()
-        worker_log().emit("engine.native", **_resolved[1])
-    return _resolved[0]
+        _decided = (None, {"active": False, "reason": "resolving"})
+        _decided = _resolve()
+        worker_log().emit("engine.native", **_decided[1])
+    return _decided[0]
 
 
 def status() -> dict:
     """``active``, ``reason``, ``compiler``, ``flags``, ``cache``,
     ``source_hash`` of this process's resolution."""
     library()
-    return dict(_resolved[1])
+    return dict(_decided[1])
 
 
 def describe(info: dict | None = None) -> str:
@@ -82,8 +82,8 @@ def describe(info: dict | None = None) -> str:
 def reset() -> None:
     """Forget the resolution; the next :func:`library` call reads the
     environment again (tests switching paths)."""
-    global _resolved
-    _resolved = None
+    global _decided
+    _decided = None
 
 
 def _resolve() -> tuple:

@@ -202,7 +202,7 @@ def pair_count_deltas_swap(t: PairTables, config: np.ndarray,
     nbr_i = t.cat_table[i]
     nbr_j = t.cat_table[j]
     # Per-shell species histograms of each endpoint's neighbors (one
-    # bincount over the fused row, shell-resolved via the column offsets).
+    # bincount over the fused row, split by shell via the column offsets).
     ni = np.bincount(shell_of_col * S + config[nbr_i],
                      minlength=n_shells * S).reshape(n_shells, S)
     nj = np.bincount(shell_of_col * S + config[nbr_j],
@@ -252,7 +252,7 @@ def pair_count_deltas_swap_alternatives(t: PairTables, config: np.ndarray,
     nbr_i = t.cat_table[ii]                          # (M, Z)
     nbr_j = t.cat_table[jj]
     rows = np.arange(M)
-    # Row-wise shell-resolved neighbor histograms via one flat bincount.
+    # Row-wise per-shell neighbor histograms via one flat bincount.
     base = rows[:, None] * (n_shells * S)
     ni = np.bincount((base + shell_of_col * S + config[nbr_i]).reshape(-1),
                      minlength=M * n_shells * S).reshape(M, n_shells, S)

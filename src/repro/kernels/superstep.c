@@ -8,6 +8,12 @@
  *     add k-major, end-minor; a shared i-j bond reads the null key; a flip
  *     adds field[new] - field[old] last; then energies[r] + dE.
  *   - the bin lookup mirrors sampling.binning.StackedGrids.index_rows.
+ *   - a swap row-step draws its pair from its team's own NumPy bit
+ *     generator (bitgen_t) at the step that resolves it, as SwapBlock.resolve
+ *     does: every local row draws i then j, in row order; the rows whose
+ *     pair fails draw again, in row order, for up to MAX_TRIES passes.  A
+ *     draw is draw_below, NumPy's bounded draw, so both blocks consume the
+ *     same values and leave the generator in the same state.
  *   - the commit is Wang-Landau's: rows of a window in order, each seeing
  *     every earlier deposit.  A team with a beta array is canonical instead:
  *     row r accepts on ln u < -beta[r] * dE, and nothing is binned.
@@ -25,11 +31,20 @@
  * -march=native: no fused multiply-add, no reassociation).  No Python
  * headers; repro.kernels.superstep fills the structs below through ctypes
  * after validating every index these loops read (sites, species, shifts,
- * bins), so nothing here is bounds-checked again.
+ * bins) and every generator it hands over, so nothing here is
+ * bounds-checked again.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+typedef struct {                 /* numpy/random/bitgen.h: bitgen_t */
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} Bitgen;
 
 typedef struct {                 /* kernels.tables.PairTables (read-only) */
     int64_t n_sites, n_species, z, null_key;
@@ -68,10 +83,11 @@ typedef struct {                 /* one walker team: an energy window, or canoni
     int64_t *histogram;          /* (width,) */
     uint8_t *visited;            /* (width,) */
     int64_t *slot_accepted;      /* (rows,) */
-    const int64_t *field0;       /* swap (n, rows, T, 2) pairs; flip (n, rows) sites */
+    const int64_t *field0;       /* pairs (n, rows, 2) sites; flip (n, rows) sites */
     const int64_t *field1;       /* flip (n, rows) shifts */
     const double *ln_u;          /* (n, rows) log-uniform acceptance noise */
-    int64_t *move;               /* (rows, 2) this step's resolved moves */
+    int64_t *move;               /* (rows, 2) this step's moves */
+    Bitgen *rng;                 /* swap kinds: the team's generator; else NULL */
     const double *beta;          /* (rows,) inverse temperatures; NULL: Wang-Landau.
                                     A canonical team has no window: bins, ln_g,
                                     histogram, visited and the Grids are unused. */
@@ -87,7 +103,39 @@ typedef struct {                 /* one walker team: an energy window, or canoni
     int64_t accepted, out_of_grid, scored;   /* outputs, added to */
 } Team;
 
-enum { SWAP = 0, SWAP_DISTINCT = 1, FLIP = 2, GLOBAL = 3 /* candidates only */ };
+enum { SWAP = 0, SWAP_DISTINCT = 1, FLIP = 2, GLOBAL = 3 /* candidates only */,
+       PAIRS = 4 /* pre-drawn pairs */ };
+
+/* SwapBlock's bound on the passes of its rejection loop
+ * (proposals.local._MAX_DISTINCT_TRIES). */
+#define MAX_TRIES 256
+
+/* One integer in [0, n), 1 <= n < 2^32, as Generator.integers(n) draws it
+ * (NumPy's random_bounded_uint64_fill): n = 1 draws nothing, else Lemire's
+ * method on next_uint32, rejecting a draw whose low word is below
+ * 2^32 mod n. */
+static int64_t draw_below(Bitgen *g, uint32_t n)
+{
+    if (n == 1)
+        return 0;
+    uint64_t m = (uint64_t)g->next_uint32(g->state) * n;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < n) {
+        const uint32_t threshold = (UINT32_MAX - (n - 1)) % n;
+        while (leftover < threshold) {
+            m = (uint64_t)g->next_uint32(g->state) * n;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (int64_t)(m >> 32);
+}
+
+/* count draws below n into out: the self-test's view of draw_below. */
+void repro_draw_below(Bitgen *g, int64_t n, int64_t count, int64_t *out)
+{
+    for (int64_t k = 0; k < count; k++)
+        out[k] = draw_below(g, (uint32_t)n);
+}
 
 /* log q of one configuration under an unconditioned MADE, in one fixed
  * order: the first layer is the bias plus the weight row of each site's
@@ -157,51 +205,68 @@ void repro_made_log_q(const Made *m, int64_t n_sites, int64_t n_species,
         out[r] = made_log_q(m, n_sites, n_species, configs + r * n_sites);
 }
 
-/* Fill tm->move for one step, scoring each row whose candidate meets it
- * holding no log q for its component; nonzero when a swap row ran out of
- * candidates (its move[0] is set to -1 for the caller to redraw). */
-static int resolve(const Tables *t, Team *tm, int64_t kind, int64_t n_cand, int64_t step)
+static int is_local(const Team *tm, int64_t step, int64_t r)
+{
+    return !tm->pick || tm->pick[step * tm->rows + r] < 0;
+}
+
+static int fails(const int8_t *cfg, int64_t kind, const int64_t *move)
+{
+    return kind == SWAP_DISTINCT ? cfg[move[0]] == cfg[move[1]] : move[0] == move[1];
+}
+
+/* A pair for every local row of a swap team: the bounded rejection loop,
+ * run pass-major on the team's generator.  Pass 0 draws every local row;
+ * each later pass draws again the rows whose pair fails; after MAX_TRIES
+ * passes a row keeps its last pair. */
+static void draw_pairs(const Tables *t, Team *tm, int64_t kind, int64_t step)
 {
     const int64_t N = t->n_sites;
-    int exhausted = 0;
+    const uint32_t n = (uint32_t)N;
+    for (int pass = 0; pass < MAX_TRIES; pass++) {
+        int failing = 0;
+        for (int64_t r = 0; r < tm->rows; r++) {
+            const int8_t *cfg = tm->configs + r * N;
+            int64_t *move = tm->move + 2 * r;
+            if (!is_local(tm, step, r) || (pass && !fails(cfg, kind, move)))
+                continue;
+            move[0] = draw_below(tm->rng, n);
+            move[1] = draw_below(tm->rng, n);
+            failing |= fails(cfg, kind, move);
+        }
+        if (!failing)
+            return;
+    }
+}
+
+/* Fill tm->move for one step, scoring each row whose candidate meets it
+ * holding no log q for its component. */
+static void resolve(const Tables *t, Team *tm, int64_t kind, int64_t step)
+{
+    const int64_t N = t->n_sites;
     for (int64_t r = 0; r < tm->rows; r++) {
         const int8_t *cfg = tm->configs + r * N;
         int64_t *move = tm->move + 2 * r;
-        if (tm->pick) {
-            const int64_t i = tm->pick[step * tm->rows + r];
-            if (i >= 0) {
-                const int64_t slot = tm->cand_slot[i];
-                move[0] = move[1] = 0;
-                if (tm->held[r] != slot) {
-                    tm->log_q[r] = made_log_q(&tm->made[slot], N, t->n_species, cfg);
-                    tm->held[r] = slot;
-                    tm->scored++;
-                }
-                continue;
+        const int64_t at = step * tm->rows + r;
+        if (!is_local(tm, step, r)) {
+            const int64_t slot = tm->cand_slot[tm->pick[at]];
+            move[0] = move[1] = 0;
+            if (tm->held[r] != slot) {
+                tm->log_q[r] = made_log_q(&tm->made[slot], N, t->n_species, cfg);
+                tm->held[r] = slot;
+                tm->scored++;
             }
-        }
-        if (kind == FLIP) {
-            const int64_t at = step * tm->rows + r, site = tm->field0[at];
+        } else if (kind == FLIP) {
+            const int64_t site = tm->field0[at];
             move[0] = site;
             move[1] = (cfg[site] + tm->field1[at]) % t->n_species;
-            continue;
-        }
-        const int64_t *cand = tm->field0 + (step * tm->rows + r) * n_cand * 2;
-        int64_t c = 0;
-        for (; c < n_cand; c++) {
-            const int64_t i = cand[2 * c], j = cand[2 * c + 1];
-            if (kind == SWAP_DISTINCT ? cfg[i] != cfg[j] : i != j)
-                break;
-        }
-        if (c == n_cand) {
-            move[0] = -1;
-            exhausted = 1;
-        } else {
-            move[0] = cand[2 * c];
-            move[1] = cand[2 * c + 1];
+        } else if (kind == PAIRS) {
+            move[0] = tm->field0[2 * at];
+            move[1] = tm->field0[2 * at + 1];
         }
     }
-    return exhausted;
+    if (kind == SWAP || kind == SWAP_DISTINCT)
+        draw_pairs(t, tm, kind, step);
 }
 
 static double delta_swap(const Tables *t, const int8_t *cfg, int64_t i, int64_t j)
@@ -270,7 +335,7 @@ static int64_t lookup(const Grids *g, const Team *tm, double e)
 }
 
 /* Take row r's move to energy e: candidate i when i >= 0, else the
- * resolved local move (m0, m1). */
+ * local move (m0, m1). */
 static void accept(const Tables *t, Team *tm, int64_t kind, int64_t r, int8_t *cfg,
                    int64_t i, int64_t m0, int64_t m1, double e)
 {
@@ -291,28 +356,15 @@ static void accept(const Tables *t, Team *tm, int64_t kind, int64_t r, int8_t *c
     }
 }
 
-/* Run super-steps [start, stop).  Returns stop when done; a smaller step
- * index when that step's resolve left rows without a swap candidate:
- * nothing of that step is committed, every team's move array is filled
- * (and its stale candidate rows scored), and the caller replaces each
- * move[0] == -1 row and calls again with start = that step and
- * resolved = 1.  Returns -1 on the level-grid clash described above.
- * g may be NULL when every team is canonical.
- */
+/* Run n super-steps.  Returns 0, or -1 on the level-grid clash described
+ * above.  g may be NULL when every team is canonical. */
 int64_t repro_superstep(const Tables *t, const Grids *g, Team *teams,
-                        int64_t n_teams, int64_t kind, int64_t n_cand,
-                        int64_t start, int64_t stop, int64_t resolved)
+                        int64_t n_teams, int64_t kind, int64_t n)
 {
     const int64_t N = t->n_sites;
-    for (int64_t step = start; step < stop; step++) {
-        if (!resolved) {
-            int exhausted = 0;
-            for (int64_t w = 0; w < n_teams; w++)
-                exhausted |= resolve(t, &teams[w], kind, n_cand, step);
-            if (exhausted)
-                return step;
-        }
-        resolved = 0;
+    for (int64_t step = 0; step < n; step++) {
+        for (int64_t w = 0; w < n_teams; w++)
+            resolve(t, &teams[w], kind, step);
         for (int64_t w = 0; w < n_teams; w++) {
             Team *tm = &teams[w];
             const double *ln_u = tm->ln_u + step * tm->rows;
@@ -361,5 +413,5 @@ int64_t repro_superstep(const Tables *t, const Grids *g, Team *teams,
             }
         }
     }
-    return stop;
+    return 0;
 }

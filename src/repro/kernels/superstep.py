@@ -12,13 +12,23 @@ the C loop scores the current log q of its stale rows itself.  The NumPy
 block scores them through the same compiled function (``repro_made_log_q``)
 whenever a library is loaded, so the two blocks still agree bit for bit.
 
+A swap team also hands C its generator's ``bitgen_t``: the C loop draws
+each step's pairs from it as :meth:`repro.proposals.local.SwapBlock.
+resolve` draws them, through a port of NumPy's bounded draw
+(``draw_below``; :func:`self_test` checks it against ``Generator.integers``
+before a library is published).
+
 Nothing crosses unchecked.  Before any pointer is taken — and before any
 random number is drawn — every array is checked for dtype, shape and
 C-contiguity, and every index the C loops will read is range-checked once:
-drawn sites in ``[0, n_sites)``, flip shifts in ``[1, S)``, species in
+pre-drawn sites in ``[0, n_sites)``, flip shifts in ``[1, S)``, species in
 ``[0, S)``, walker bins inside their window, table entries inside the
-arrays they address, candidate components inside the team's views.
-Whatever fails a check is not an error here: the block is declined
+arrays they address, candidate components inside the team's views.  A swap
+team's ``rng`` must be a plain ``np.random.Generator`` whose ``bitgen_t``
+reads back the ``state`` and ``next_uint32`` that NumPy's ctypes interface
+reports, on at most 2³¹ sites; its lock is held across the C call (ctypes
+drops the GIL, and the C loop bypasses NumPy's own locking).  Whatever
+fails a check is not an error here: the block is declined
 (:func:`run_block` returns False) and the NumPy path handles it exactly as
 it always has, raising what it always raised.
 """
@@ -26,13 +36,14 @@ it always has, raising what it always raised.
 from __future__ import annotations
 
 import ctypes
+from contextlib import ExitStack
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro.kernels.tables import PairTables
 
-__all__ = ["MadeView", "declare", "run_block", "self_test"]
+__all__ = ["MadeView", "declare", "draw_below", "run_block", "self_test"]
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
@@ -51,13 +62,15 @@ _Grids = _struct("_Grids", (_I64, "is_levels n_marks"), (_F64, "tol"),
 _Team = _struct(
     "_Team", (_I64, "rows bin_offset table_base"), (_F64, "e_max ln_f"),
     (_PTR, "configs energies bins ln_g histogram visited slot_accepted "
-           "field0 field1 ln_u move beta "
+           "field0 field1 ln_u move rng beta "
            "pick cand_configs cand_energy cand_log_q cand_slot made log_q held"),
     (_I64, "accepted out_of_grid scored"))
 _Made = _struct("_Made", (_I64, "n_layers"),
                 (_PTR, "widths weights biases counts left scratch"))
+_Bitgen = _struct("_Bitgen",
+                  (_PTR, "state next_uint64 next_uint32 next_double next_raw"))
 
-_KINDS = {"swap": 0, "swap_distinct": 1, "flip": 2, "global": 3}
+_KINDS = {"swap": 0, "swap_distinct": 1, "flip": 2, "global": 3, "pairs": 4}
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
@@ -66,10 +79,13 @@ def declare(lib):
     fn = lib.repro_superstep
     fn.restype = _I64
     fn.argtypes = [ctypes.POINTER(_Tables), ctypes.POINTER(_Grids),
-                   ctypes.POINTER(_Team)] + [_I64] * 6
+                   ctypes.POINTER(_Team)] + [_I64] * 3
     fn = lib.repro_made_log_q
     fn.restype = None
     fn.argtypes = [ctypes.POINTER(_Made), _I64, _I64, _PTR, _I64, _PTR]
+    fn = lib.repro_draw_below
+    fn.restype = None
+    fn.argtypes = [_PTR, _I64, _I64, _PTR]
     return lib
 
 
@@ -89,6 +105,36 @@ def _check_below(a: np.ndarray, bound: int) -> None:
     read unsigned, a negative entry is a huge one."""
     if a.size and int(a.view(_UNSIGNED[a.dtype.itemsize]).max()) >= bound:
         raise _Unfit
+
+
+def _bitgen(rng) -> int:
+    """The address of ``rng``'s ``bitgen_t``, once its mirror reads back the
+    ``state`` and ``next_uint32`` that NumPy's ctypes interface reports."""
+    if type(rng) is not np.random.Generator:
+        raise _Unfit
+    face = rng.bit_generator.ctypes
+    address = face.bit_generator.value
+    mirror = _Bitgen.from_address(address)
+    if (mirror.state != face.state_address
+            or mirror.next_uint32 != ctypes.cast(face.next_uint32, _PTR).value):
+        raise _Unfit
+    return address
+
+
+def draw_below(lib, rng, n: int, count: int) -> np.ndarray:
+    """``count`` draws of the compiled ``draw_below`` in ``[0, n)``, ``1 <=
+    n < 2**32``, from ``rng``'s stream: ``rng.integers(n, size=count)``
+    when the port is right (the self-test's and the tests' handle on it)."""
+    if not 1 <= n < 2**32:
+        raise ValueError(f"draw_below needs 1 <= n < 2**32, got {n}")
+    try:
+        address = _bitgen(rng)
+    except _Unfit:
+        raise TypeError("draw_below needs a np.random.Generator") from None
+    out = np.empty(count, dtype=np.int64)  # lint-api: allow
+    with rng.bit_generator.lock:
+        lib.repro_draw_below(address, n, count, out.ctypes.data)
+    return out
 
 
 #: PairTables -> (_Tables, the arrays it points into); built and validated
@@ -164,10 +210,11 @@ class MadeView:
 
 
 def _marshal(members, n: int, t, grids):
-    """``(kind, n_candidates, team structs, per-team scratch)`` for one
-    block, or :class:`_Unfit`.  ``grids`` is None for a canonical group:
-    each team hands C its ``beta`` and no window.  A team's scratch is its
-    ``move`` array and whatever else its struct points into.  A pooled team
+    """``(kind, team structs, per-team scratch, generators)`` for one block,
+    or :class:`_Unfit`.  ``grids`` is None for a canonical group: each team
+    hands C its ``beta`` and no window.  A team's scratch is its ``move``
+    array and whatever else its struct points into.  A swap team hands C
+    its generator, which is listed once in ``generators``.  A pooled team
     hands C one :class:`MadeView` per component, by slot; a component
     without one (any pooled proposal but a ``MADEProposal``: the VAE, a
     subclass) is unfit."""
@@ -175,15 +222,8 @@ def _marshal(members, n: int, t, grids):
     specs = [fields.native_fields() for _, fields in members]
     if None in specs or len({kind for kind, _ in specs}) != 1:
         raise _Unfit
-    kind, arrays = specs[0]
-    if kind == "swap" or kind == "swap_distinct":
-        if np.ndim(arrays[0]) != 4:
-            raise _Unfit
-        # swap candidates per row-step: T of the first team's (n, K, T, 2)
-        n_candidates = arrays[0].shape[2]
-    else:
-        n_candidates = 0
-    scratch = []
+    kind = specs[0][0]
+    scratch, generators = [], {}
     teams = (_Team * len(members))()
     for w, ((team, fields), (_, arrays), ct) in enumerate(zip(members, specs, teams)):
         k = ct.rows = team.n_slots
@@ -210,12 +250,15 @@ def _marshal(members, n: int, t, grids):
             _check_below(sites, n_sites)
             if local.params["n_species"] != s or shifts.min() < 1 or shifts.max() >= s:
                 raise _Unfit
-        elif kind != "global":
+        elif kind == "pairs":
             (pairs,) = arrays
-            ct.field0 = _address(pairs, np.int64, (n, k, n_candidates, 2))
+            ct.field0 = _address(pairs, np.int64, (n, k, 2))
             _check_below(pairs, n_sites)
-            if local.params["n_sites"] != n_sites:
+        elif kind != "global":  # the swap kinds draw in C
+            if local.params["n_sites"] != n_sites or n_sites > 2**31:
                 raise _Unfit
+            ct.rng = _bitgen(team.rng)
+            generators[ct.rng] = team.rng.bit_generator
         move = np.empty((k, 2), dtype=np.int64)  # lint-api: allow
         ct.move = move.ctypes.data
         keep = None
@@ -242,7 +285,7 @@ def _marshal(members, n: int, t, grids):
                                           held.ctypes.data)
             keep = (views, made, log_q, held)
         scratch.append((move, keep))
-    return _KINDS[kind], n_candidates, teams, scratch
+    return _KINDS[kind], teams, scratch, list(generators.values())
 
 
 def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
@@ -253,15 +296,15 @@ def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
     caller then runs the NumPy block.  Otherwise each team's arrays,
     counters and ``rng`` end exactly where the NumPy block would leave them.
     ``grids`` is None for a group of canonical teams (the C ``Grids`` is
-    then NULL).  The C loop scores pooled teams' stale rows itself and
-    returns to Python only for swap redraws.
+    then NULL).  The whole block is one C call: it scores pooled teams'
+    stale rows and draws swap teams' pairs itself.
     """
     tables = getattr(hamiltonian, "tables", None)
     if type(tables) is not PairTables or (grids is not None and not np.isfinite(grids.tol)):
         return False
     try:
         t = _tables_view(tables)
-        kind, n_candidates, teams, scratch = _marshal(members, n, t, grids)
+        kind, teams, scratch, generators = _marshal(members, n, t, grids)
         g = None if grids is None else _Grids(
             grids.is_levels, len(grids.marks), grids.tol,
             _address(grids.marks, np.float64, grids.marks.shape),
@@ -272,21 +315,12 @@ def run_block(lib, members, n: int, hamiltonian, grids) -> bool:
     noise = [np.log(team.rng.random((n, ct.rows))) for (team, _), ct in zip(members, teams)]
     for ct, ln_u in zip(teams, noise):
         ct.ln_u = ln_u.ctypes.data
-    step = resolved = 0
-    while True:
-        step = lib.repro_superstep(t, g, teams, len(members), kind,
-                                   n_candidates, step, n, resolved)
-        if step == n:
-            break
-        if step < 0:
-            raise IndexError("an energy lies within tolerance of two levels")
-        # rows whose drawn candidates all failed: the rejection loop on
-        # their team's stream, teams in block order, as the oracle does
-        for (team, fields), (move, _) in zip(members, scratch):
-            sub = np.flatnonzero(move[:, 0] < 0)
-            if len(sub):
-                move[sub] = fields.redraw(team.configs[sub], team.rng)
-        resolved = 1
+    with ExitStack() as held:
+        for bit_generator in generators:
+            held.enter_context(bit_generator.lock)
+        status = lib.repro_superstep(t, g, teams, len(members), kind, n)
+    if status < 0:
+        raise IndexError("an energy lies within tolerance of two levels")
     for (team, _), ct in zip(members, teams):
         team._tally(n * ct.rows, ct.accepted, ct.out_of_grid, scored=ct.scored)
     return True
@@ -313,20 +347,40 @@ def _check_scorer(lib, made, rng) -> None:
                                f"(hidden {made.config.hidden}, counts {given})")
 
 
-def self_test(lib) -> None:
-    """Check the compiled scorer, then run small blocks through ``lib`` and
-    through the NumPy block.
+def _check_draws(lib) -> None:
+    """``draw_below`` against ``Generator.integers`` on ranges 1, 2, 54 and
+    2**31 + 1 (where about half of the Lemire draws reject), in chunks of 1,
+    5, 7 and 1000 (odd counts leave half of a PCG64 word buffered): equal
+    values and equal final states."""
+    for n in (1, 2, 54, 2**31 + 1):
+        ours, numpy_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for count in (1, 5, 7, 1000):
+            if not np.array_equal(draw_below(lib, ours, n, count),
+                                  numpy_rng.integers(n, size=count)):
+                raise RuntimeError(f"self-test: compiled draw != Generator.integers "
+                                   f"(n = {n}, {count} draws)")
+        if ours.bit_generator.state != numpy_rng.bit_generator.state:
+            raise RuntimeError(f"self-test: compiled draws leave another state (n = {n})")
 
-    The scorer (``repro_made_log_q``) is checked against ``MADE.log_prob``
-    on two small random models, hidden (8,) and (6, 5).  The blocks:
-    Wang-Landau swaps (the redraw path included) and field flips on a
-    uniform grid, flips on a level grid, and canonical swaps (redraws again)
-    and field flips at signed inverse temperatures including 0; then pooled
-    blocks — flips mixed with candidates of those two models (``"free"``)
-    in both modes, and swaps mixed with them on the rows' composition.  Two
-    teams each; raises ``RuntimeError`` unless every team array, counter and
-    RNG state agrees bit for bit.  A library is published to the cache only
-    after passing this.
+
+def self_test(lib) -> None:
+    """Check the compiled bounded draw and scorer, then run small blocks
+    through ``lib`` and through the NumPy block.
+
+    The bounded draw (``repro_draw_below``) is checked against
+    ``Generator.integers`` (:func:`_check_draws`), so a NumPy whose draws
+    differ never gets a library.  The scorer (``repro_made_log_q``) is
+    checked against ``MADE.log_prob`` on two small random models, hidden
+    (8,) and (6, 5).  The blocks: Wang-Landau swaps and field flips on a
+    uniform grid, flips on a level grid, and canonical swaps and field flips
+    at signed inverse temperatures including 0, and canonical swaps on rows
+    with no unlike pair (every row-step runs all 256 passes of the
+    rejection loop and keeps an identity move); then pooled blocks — flips
+    mixed with candidates of those two models (``"free"``) in both modes,
+    and swaps mixed with them on the rows' composition.  Two teams each;
+    raises ``RuntimeError`` unless every team array, counter and RNG state
+    agrees bit for bit.  A library is published to the cache only after
+    passing this.
     """
     from copy import deepcopy
 
@@ -341,6 +395,7 @@ def self_test(lib) -> None:
     from repro.sampling.metropolis import CanonicalTeam
     from repro.sampling.wang_landau import WLConfig
 
+    _check_draws(lib)
     rng = np.random.default_rng(20230515)
     mats = rng.normal(size=(2, 3, 3))
     alloy = PairHamiltonian(square_lattice(4), mats + mats.transpose(0, 2, 1),
@@ -360,6 +415,7 @@ def self_test(lib) -> None:
              (ising, FlipProposal, [8, 8], ising.energy_levels(), None, False),
              (alloy, SwapProposal, [13, 2, 1], None, signed, False),
              (alloy, FlipProposal, [6, 5, 5], None, signed, False),
+             (alloy, SwapProposal, [16, 0, 0], None, signed, False),
              (alloy, FlipProposal, [6, 5, 5], None, None, True),
              (alloy, FlipProposal, [6, 5, 5], None, signed, True),
              (alloy, SwapProposal, [6, 5, 5], None, None, True)]

@@ -110,7 +110,7 @@ class ConvergenceLedger:
     # ------------------------------------------------------------- wiring
 
     def attach(self, driver) -> None:
-        """Size the per-window structures from a driver's resolved config.
+        """Size the per-window structures from a driver's final config (``driver.cfg``).
 
         Walker labels start at their home windows; labels already sitting
         at an end of the ladder seed the traversal tracker so the first

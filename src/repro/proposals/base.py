@@ -74,16 +74,18 @@ class BatchMove:
 
 
 class FieldBlock:
-    """All the randomness of ``n`` super-steps of a local kernel, drawn once.
+    """The randomness of ``n`` super-steps of a local kernel.
 
     :meth:`Proposal.draw_fields` fills ``arrays`` (each ``(n, B, ...)``:
     step-major, one row per walker) from the team's stream in a few array
     calls; nothing in them depends on the configurations.  Each super-step
-    then *resolves* its slice against the current configurations.  Blocks
-    with equal :attr:`key` (type, params and the per-row shape of each
-    array, e.g. a swap block's candidate count) are stacked along the row
-    axis, so one resolve and one ``delta_energy_*_many`` gather serve every
-    window of a campaign.
+    then *resolves* its slice against the current configurations.  Flips
+    draw their whole block here; a swap block
+    (:class:`~repro.proposals.local.SwapBlock`) holds no arrays and draws
+    each step's pairs from the teams' streams as it resolves.  Blocks with
+    equal :attr:`key` (type, params and the per-row shape of each array)
+    are stacked along the row axis, so one resolve and one
+    ``delta_energy_*_many`` gather serve every window of a campaign.
     """
 
     many = ""  # name of the Hamiltonian's ``*_many`` kernel pricing a move
@@ -108,20 +110,21 @@ class FieldBlock:
 
         Returns a ``(B, 2)`` array whose two columns are what the ``many``
         kernel prices.  ``streams`` lists ``(rng, row_lo, row_hi)`` per
-        team, for kernels that may need fresh draws (the swap fallback).
+        team, for kernels that draw as they resolve (the swap block).
         """
         raise NotImplementedError
 
     def moves(self, configs: np.ndarray, rows: np.ndarray, move: np.ndarray):
-        """``(sites, new_values)`` of ``rows``' resolved moves, each
+        """``(sites, new_values)`` of ``rows``' moves (from :meth:`resolve`), each
         ``(len(rows), k)`` as in :class:`BatchMove`, read from ``configs``."""
         raise NotImplementedError
 
     def native_fields(self):
         """``(kind, arrays)`` when the compiled super-step
         (:mod:`repro.kernels.superstep`) can stand in for :meth:`resolve`
-        and :meth:`moves` on these drawn arrays; None (the default) keeps
-        the block on the NumPy path."""
+        and :meth:`moves` on these drawn arrays (none for a swap block, whose
+        pairs C draws itself); None (the default) keeps the block on the
+        NumPy path."""
         return None
 
     #: A :class:`PooledBlock`'s candidate rows; None for a local block.
@@ -192,8 +195,8 @@ class PooledBlock(FieldBlock):
                            [component for b in blocks for component in b.components])
 
     def resolve(self, step, configs, rows, streams):
-        """The local block's moves on the local row-steps (its redraws on
-        their streams only); candidate row-steps read ``(0, 0)``."""
+        """The local block's moves on the local row-steps (a swap block
+        draws for those rows only); candidate row-steps read ``(0, 0)``."""
         move = np.zeros((len(rows), 2), dtype=np.int64)
         local = np.flatnonzero(self.arrays[0][step] < 0)
         if len(local):
@@ -206,9 +209,6 @@ class PooledBlock(FieldBlock):
 
     def moves(self, configs, rows, move):
         return self.local.moves(configs, rows, move)
-
-    def redraw(self, configs, rng):
-        return self.local.redraw(configs, rng)
 
     def native_fields(self):
         if type(self) is not PooledBlock:  # a subclass may resolve differently

@@ -25,71 +25,65 @@ from repro.util.validation import check_integer
 
 __all__ = ["SwapProposal", "NeighborSwapProposal", "FlipProposal"]
 
+#: Passes of the swap rejection loop; a row whose pair still fails after
+#: them keeps its last pair (possibly an identity move).
 _MAX_DISTINCT_TRIES = 256
 
-#: Candidate site pairs drawn per row-step of a swap block.  A candidate
-#: fails with probability ~1/n_species on an equiatomic alloy, so 6 leave
-#: about one row-step in 4000 to the rejection loop.
-_SWAP_CANDIDATES = 6
 
-
-class SwapBlock(FieldBlock):
-    """``_SWAP_CANDIDATES`` i.i.d. site pairs per row-step, shape
-    ``(n, B, T, 2)``.
-
-    A row-step takes its first acceptable pair, and one whose ``T`` pairs
-    all fail runs the bounded rejection loop on its team's stream.  The
-    candidates are i.i.d. and drawn before the configuration they meet, so
-    "first acceptable of T, else keep drawing" *is* the rejection sampler:
-    the move is uniform over acceptable ordered pairs and ``log q = 0``.
-    """
+class PairBlock(FieldBlock):
+    """One pre-drawn site pair per row-step, ``(n, B, 2)``: the bond-list
+    moves of :class:`NeighborSwapProposal`, whose pairs never fail."""
 
     many = "delta_energy_swap_many"
-    _flat = None  # per-block cache, filled by the first resolve
 
     def resolve(self, step, configs, rows, streams):
-        pairs = self.arrays[0][step]
-        if self.params["distinct"]:  # unlike species implies i != j
-            if self._flat is None:  # candidates as indices into configs.reshape(-1)
-                self._flat = self.arrays[0] + (rows * configs.shape[1])[:, None, None]
-            species = configs.reshape(-1).take(self._flat[step])
-            ok = species[..., 0] != species[..., 1]
-        else:
-            ok = pairs[..., 0] != pairs[..., 1]
-        pick = ok.argmax(axis=1) + rows * pairs.shape[1]
-        move = pairs.reshape(-1, 2).take(pick, axis=0)
-        good = ok.reshape(-1).take(pick)
-        if np.count_nonzero(good) < len(rows):
-            for rng, lo, hi in streams:
-                sub = lo + np.flatnonzero(~good[lo:hi])
-                if len(sub):
-                    move[sub] = self.redraw(configs[sub], rng)
-        return move
+        return self.arrays[0][step]
 
     def moves(self, configs, rows, move):
         sites = move[rows]
         return sites, configs[rows[:, None], sites[:, ::-1]]
 
     def native_fields(self):
+        return ("pairs", self.arrays) if type(self) is PairBlock else None
+
+
+class SwapBlock(PairBlock):
+    """The swap rejection sampler, drawn where it is used: the block holds
+    only its parameters, and each super-step draws its pairs from each
+    team's stream as it resolves.
+
+    Per team, every row draws ``(i, j)``, i then j, in row order; the rows
+    whose pair fails (same species under ``distinct``, else ``i == j``) draw
+    again, in row order, for up to ``_MAX_DISTINCT_TRIES`` passes, after
+    which a row keeps its last pair.  So the move is uniform over acceptable
+    ordered pairs and ``log q = 0``.  The compiled super-step draws the same
+    values in the same order from the same generator.
+    """
+
+    def resolve(self, step, configs, rows, streams):
+        n, distinct = self.params["n_sites"], self.params["distinct"]
+        flat = configs.reshape(-1)
+        move = np.empty((len(rows), 2), dtype=np.int64)
+        for rng, lo, hi in streams:
+            if lo == hi:
+                continue
+            pairs = rng.integers(n, size=(hi - lo, 2))
+            todo = np.arange(lo, hi)  # rows whose last pair is unchecked
+            for _ in range(_MAX_DISTINCT_TRIES - 1):
+                ends = pairs[todo - lo]
+                if distinct:  # configs as one flat row: a cheap take
+                    ends = flat.take(ends + (todo * configs.shape[1])[:, None])
+                todo = todo[ends[:, 0] == ends[:, 1]]
+                if not len(todo):
+                    break
+                pairs[todo - lo] = rng.integers(n, size=(len(todo), 2))
+            move[lo:hi] = pairs
+        return move
+
+    def native_fields(self):
         if type(self) is not SwapBlock:  # a subclass may resolve differently
             return None
-        return ("swap_distinct" if self.params["distinct"] else "swap"), self.arrays
-
-    def redraw(self, configs, rng):
-        """A pair for each row of ``configs`` by the bounded rejection loop
-        (falls back to a possibly-identity pair) — the move of a row-step
-        whose drawn candidates all failed.  A bond-list block never gets
-        here: its pairs are distinct sites."""
-        n, distinct = self.params["n_sites"], self.params["distinct"]
-        rows = np.arange(configs.shape[0])[:, None]
-        pairs = rng.integers(n, size=(len(rows), 2))
-        for _ in range(_MAX_DISTINCT_TRIES - 1):
-            species = configs[rows, pairs] if distinct else pairs
-            bad = species[:, 0] == species[:, 1]
-            if not bad.any():
-                break
-            pairs[bad] = rng.integers(n, size=(int(bad.sum()), 2))
-        return pairs
+        return ("swap_distinct" if self.params["distinct"] else "swap"), ()
 
 
 class FlipBlock(FieldBlock):
@@ -133,11 +127,9 @@ class SwapProposal(Proposal):
         self.name = "swap"
 
     def draw_fields(self, configs, hamiltonian: Hamiltonian, rng, n_steps=1):
-        """Candidate site pairs for ``n_steps`` super-steps (one array draw)."""
-        n = hamiltonian.n_sites
-        shape = (n_steps, np.atleast_2d(configs).shape[0], _SWAP_CANDIDATES, 2)
-        return SwapBlock(rng.integers(n, size=shape),
-                         distinct=self.require_distinct, n_sites=n)
+        """A :class:`SwapBlock`: it draws nothing here, its pairs are drawn
+        as each super-step resolves."""
+        return SwapBlock(distinct=self.require_distinct, n_sites=hamiltonian.n_sites)
 
 
 class NeighborSwapProposal(Proposal):
@@ -145,8 +137,7 @@ class NeighborSwapProposal(Proposal):
 
     Physically the local diffusion move for alloys; much slower mixing than
     :class:`SwapProposal`, included as the conservative baseline.  Its field
-    block is a :class:`SwapBlock` of one bond-list pair per row-step
-    (``distinct=False``), so it runs in the compiled block unchanged.
+    block is a :class:`PairBlock` of one bond-list pair per row-step.
     """
 
     preserves_composition = True
@@ -174,9 +165,7 @@ class NeighborSwapProposal(Proposal):
         """One bond per row-step for ``n_steps`` super-steps."""
         pairs = self._pairs(hamiltonian)
         n_rows = np.atleast_2d(configs).shape[0]
-        picks = rng.integers(len(pairs), size=(n_steps, n_rows))
-        return SwapBlock(pairs[picks].reshape(n_steps, n_rows, 1, 2),
-                         distinct=False, n_sites=hamiltonian.n_sites)
+        return PairBlock(pairs[rng.integers(len(pairs), size=(n_steps, n_rows))])
 
 
 class FlipProposal(Proposal):

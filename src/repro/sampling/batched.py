@@ -21,10 +21,11 @@ the convergence guarantees carry over unchanged (E1-tested in
 ``tests/test_batched_wl.py``).
 
 Every super-step runs in :func:`advance_block` (DESIGN.md §16): a team
-draws the randomness of a whole ``steps(n)`` call at once — local fields,
-or a :class:`~repro.proposals.base.PooledBlock` of per-row-step component
-choices, local fields and pre-drawn MADE/VAE candidates with their energies
-and log q — and the super-steps of every team that advances together run as
+draws the randomness of a whole ``steps(n)`` call at once — flip fields, or
+a :class:`~repro.proposals.base.PooledBlock` of per-row-step component
+choices and pre-drawn MADE/VAE candidates with their energies and log q;
+swap pairs alone are drawn step by step, as each super-step resolves — and
+the super-steps of every team that advances together run as
 one array program with team state written back once per block; the only
 model work left inside a block is scoring the current log q of rows that do
 not hold it, which the compiled loop does inline for MADE.
@@ -408,21 +409,23 @@ class WangLandauSampler(BatchedWangLandauSampler):
         return self.n_accepted > before
 
 
-#: Longest block drawn at once.  A block holds its drawn fields and its
-#: acceptance noise (a few integers and one float per row-step), so the cap
-#: bounds block memory; longer advance calls split into sub-blocks.
+#: Longest block drawn at once.  A block holds its drawn fields (two
+#: integers per flip or bond row-step; a swap block none) and its acceptance
+#: noise (one float per row-step), so the cap bounds block memory; longer
+#: advance calls split into sub-blocks.
 _MAX_BLOCK_STEPS = 512
 
 
 def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
     """``n_steps`` super-steps of every team in ``teams`` (DESIGN.md §16).
 
-    Per sub-block of at most ``_MAX_BLOCK_STEPS`` steps, each team draws the
-    whole block's randomness from its own stream — its proposal's
-    :meth:`~repro.proposals.base.Proposal.draw_fields`, then the acceptance
-    noise — and teams whose blocks share a key run as one array program
-    (:func:`_run_block`).  A trajectory is thus a pure function of the seed
-    and the sequence of ``n_steps`` values.
+    Per sub-block of at most ``_MAX_BLOCK_STEPS`` steps, each team draws
+    from its own stream, in this order: its proposal's
+    :meth:`~repro.proposals.base.Proposal.draw_fields` (pooled draws, flip
+    fields), the ``(n, K)`` acceptance noise, then each step's swap pairs as
+    the step resolves; teams whose blocks share a key run as one array
+    program (:func:`_run_block`).  A trajectory is thus a pure function of
+    the seed and the sequence of ``n_steps`` values.
 
     Teams are Wang-Landau windows (``team.beta is None``) or canonical
     (:class:`~repro.sampling.metropolis.CanonicalTeam`, per-row ``beta``);
@@ -434,8 +437,9 @@ def advance_block(teams, n_steps: int, hamiltonian, profiler=None) -> None:
     Results do not depend on which ran.  A ``profiler`` observes without
     choosing the path: it times each team's field draw as
     ``proposal.<name>.fields`` and each group's block, on either path, as
-    ``wl.block`` (and, inside a NumPy block, the pooled rows' log q scoring
-    as ``wl.block.score``; the C loop scores inline).
+    ``wl.block`` (which holds a swap block's pair draws; inside a NumPy
+    block, the pooled rows' log q scoring is ``wl.block.score``; the C loop
+    scores inline).
     """
     lib = native.library()
     log = worker_log()
@@ -503,7 +507,7 @@ def _run_block(members, n: int, hamiltonian, grids, profiler=None, lib=None) -> 
     scored (:meth:`~repro.proposals.base.PooledBlock.score`, timed as
     ``wl.block.score``; through the compiled scorer when ``lib``, the loaded
     library, is given, as the C loop scores; a VAE estimate draws from its
-    team's stream here, before the step's swap redraws); a candidate row
+    team's stream here, before the step's swap pairs); a candidate row
     then has the candidate's energy and ``ΔE = E_cand − E``, adds ``log
     q_cur − log q_cand`` to its ``log α`` (−∞ for a candidate with log q =
     +∞), and on acceptance takes the candidate row and its log q.

@@ -614,7 +614,8 @@ class TestPooledBlockPath:
     def test_only_pooled_proposals_draw_blocks(self, tiny_ising, made9, vae9, cmade9):
         """Every proposal draws a block: only the pooled ones (every DL
         proposal) and mixtures holding them a :class:`PooledBlock`, local
-        kernels their field blocks; a mixture holds at most one local
+        kernels their field blocks (a swap block holds no arrays: it draws
+        its pairs as it resolves); a mixture holds at most one local
         kernel."""
         configs = np.zeros((3, 9), dtype=np.int8)
         configs[:, :4] = 1
@@ -624,7 +625,8 @@ class TestPooledBlockPath:
                          VAEProposal(vae9, 4, "free"),
                          MixtureProposal([(FlipProposal(), 0.7), (made, 0.3)])):
             block = proposal.draw_fields(configs, tiny_ising, np.random.default_rng(0), 5)
-            assert block.arrays[0].shape[:2] == (5, 3)
+            assert all(a.shape[:2] == (5, 3) for a in block.arrays)
+            assert (block.arrays == ()) == isinstance(proposal, SwapProposal)
             assert (type(block) is PooledBlock) == proposal.is_global
         with pytest.raises(ValueError, match="at most one local kernel"):
             MixtureProposal([(FlipProposal(), 0.5), (SwapProposal(), 0.3), (made, 0.2)])

@@ -52,10 +52,11 @@ class TestCanonicalMeans:
     @pytest.mark.parametrize("make", [
         SwapProposal, NeighborSwapProposal, _swap_made_fixed,
     ], ids=["swap", "nbr_swap", "made_fixed"])
-    def test_swap_chain_fixed_composition_mean(self, ising_4x4, make):
+    def test_swap_chain_fixed_composition_mean(self, ising_4x4, make, superstep_path):
         """Canonical (fixed-M) sampling matches fixed-composition
         enumeration: six seeds, each a team of 8 chains, agree with the
-        exact mean within 5 standard errors of their spread."""
+        exact mean within 5 standard errors of their spread, on both block
+        paths (the C loop draws swap pairs itself)."""
         beta = 0.3
         counts = [8, 8]
         energies = enumerate_energies(ising_4x4, counts=counts)

@@ -8,11 +8,13 @@ every way of not getting a library falls back silently in results and says
 so in one ``engine.native`` event.
 """
 
+import ctypes
 import json
 import os
 import pickle
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from copy import deepcopy
 from pathlib import Path
@@ -253,9 +255,10 @@ class TestDifferential:
                 assert_same_state(a, b)
 
     def test_lopsided_composition_redraws_on_most_steps(self, lib):
-        """One B atom in 53 A: a candidate pair is unlike with p = 0.036, so
-        most row-steps exhaust their candidates and take the rejection loop
-        on the team's stream — which must end where the oracle's does."""
+        """One B atom in 53 A: a drawn pair is unlike with p = 0.036, so
+        nearly every row-step runs many passes of the rejection loop on its
+        team's stream; the C loop's passes must end where the NumPy block's
+        do: team state, generator state and composition."""
         ham = IsingHamiltonian(bcc(3))
         start = np.zeros(54, dtype=np.int8)
         start[17] = 1
@@ -268,24 +271,15 @@ class TestDifferential:
                 config=WLConfig(batch_size=k)) for seed, k in ((1, 3), (2, 5))]
 
         teams, twins = make(), make()
-        redraws, real = [], SwapBlock.redraw
-
-        def spy(self, configs, rng):
-            redraws.append(len(configs))
-            return real(self, configs, rng)
-
-        with mock.patch.object(SwapBlock, "redraw", spy):
-            with pinned(lib) as took:
-                advance_block(teams, 50, ham)
-            native_redraws = list(redraws)
-            del redraws[:]
-            with pinned(None):
-                advance_block(twins, 50, ham)
+        with pinned(lib) as took:
+            advance_block(teams, 50, ham)
+        with pinned(None):
+            advance_block(twins, 50, ham)
         assert took == [True]
-        assert native_redraws == redraws and sum(redraws) > 0.5 * 50 * 8
         for a, b in zip(teams, twins):
-            assert_same_team_state(a, b)
-            assert (a.configs.sum(axis=1) == 1).all()
+            assert_same_team_state(a, b)  # the generators' states included
+            assert (a.configs.sum(axis=1) == 1).all() and (b.configs.sum(axis=1) == 1).all()
+            assert a.n_accepted > 0
 
     def test_one_team_steps_its_arrays_in_place(self, lib):
         ham, (team,) = random_system(3, "swap", False, 1, 2)
@@ -295,6 +289,88 @@ class TestDifferential:
         assert took == [True]
         for name, array in arrays.items():
             assert getattr(team, name) is array
+
+
+# ------------------------------------------- the swap pairs C draws itself
+
+
+class TestCompiledDraws:
+    """The C loop draws swap pairs from the team's own bit generator through
+    a port of NumPy's bounded draw; these check the port itself, every bit
+    generator NumPy ships, and the check that guards the handover."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 54, 250, 1_000_003, 2**31 + 1, 2**32 - 1])
+    def test_draws_equal_generator_integers(self, lib, n):
+        ours, numpy_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for count in (1, 5, 7, 1000, 3):
+            assert np.array_equal(superstep.draw_below(lib, ours, n, count),
+                                  numpy_rng.integers(n, size=count))
+            numpy_rng.random(), ours.random()  # interleaved with other draws
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937,
+                                               np.random.SFC64, np.random.Philox])
+    @pytest.mark.parametrize("move", ["swap", "swap_any", "pooled_swap"])
+    def test_every_bit_generator_steps_alike_on_both_paths(self, lib, bit_generator, move):
+        ham, teams = random_system(13, move, False, 2, 5)
+        for w, team in enumerate(teams):
+            team.rng = np.random.Generator(bit_generator(w))
+        twins, took = run_both(lib, ham, teams, 60)
+        assert took == [True]
+        for a, b in zip(teams, twins):
+            for name in test_batched_wl.TEAM_ARRAYS:
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert a.counters == b.counters
+            # MT19937's state holds an array: compare the states' pickles
+            assert pickle.dumps(a.rng.bit_generator.state) == \
+                pickle.dumps(b.rng.bit_generator.state)
+
+    def test_each_generator_lock_is_held_across_the_c_call(self, lib):
+        """ctypes drops the GIL and the C loop bypasses NumPy's locking, so
+        no other thread may draw from a swap team's generator meanwhile."""
+        ham, teams = random_system(17, "swap", False, 2, 3)
+        real, seen = lib.repro_superstep, []
+
+        def free(lock):
+            """Whether another thread could take ``lock`` now (RLocks are
+            reentrant, so only another thread can tell)."""
+            got = []
+            probe = threading.Thread(target=lambda: got.append(
+                lock.acquire(blocking=False) and (lock.release() or True)))
+            probe.start()
+            probe.join(timeout=10)
+            assert not probe.is_alive()
+            return got[0]
+
+        def spy(*args):
+            seen.extend(free(team.rng.bit_generator.lock) for team in teams)
+            return real(*args)
+
+        with mock.patch.object(lib, "repro_superstep", spy), pinned(lib) as took:
+            advance_block(teams, 5, ham)
+        assert took == [True] and seen == [False, False]
+        assert all(free(team.rng.bit_generator.lock) for team in teams)
+
+    def test_a_generator_that_reads_back_wrong_is_declined(self, lib):
+        """A ``bitgen_t`` laid out otherwise than the mirror (here: the
+        mirror's fields shifted), or a Generator subclass, never reaches C;
+        the NumPy block steps it."""
+        ham, (team,) = random_system(11, "swap", False, 1, 2)
+        members, grids = one_block(team)
+        shifted = superstep._struct("_Shifted", (ctypes.c_void_p, "next_uint32 state"))
+        with mock.patch.object(superstep, "_Bitgen", shifted):
+            TestDeclinedBlocks().declined(lib, ham, team, members, grids)
+
+        class MyGenerator(np.random.Generator):
+            pass
+
+        team.rng = MyGenerator(np.random.PCG64(3))
+        TestDeclinedBlocks().declined(lib, ham, team, members, grids)
+        with pinned(lib) as took:
+            team.steps(5)
+        assert took == [False] and team.n_steps == 5 * team.n_slots
+        with pytest.raises(TypeError):
+            superstep.draw_below(lib, team.rng, 5, 1)
 
 
 # ------------------------------------------------------- what the C loop declines
@@ -324,9 +400,11 @@ class TestDeclinedBlocks:
 
     @pytest.mark.parametrize("bad_site", [10_000, -3])
     def test_swap_site_out_of_range_raises_index_error(self, lib, bad_site):
-        ham, team = self.system()
+        """A pre-drawn bond outside the lattice (a swap block draws its
+        pairs inside the loop, from ``n_sites``)."""
+        ham, team = self.system("nbr_swap")
         members, grids = one_block(team)
-        members[0][1].arrays[0][2, :, :, 0] = bad_site  # (bad, j) pairs at step 2
+        members[0][1].arrays[0][2, :, 0] = bad_site  # (bad, j) pairs at step 2
         self.declined(lib, ham, team, members, grids)
         with pytest.raises(IndexError):
             batched._run_block(members, 5, ham, grids)

@@ -1,6 +1,8 @@
 """Tests for the local proposal kernels and the mixture (one local kernel
 plus a pooled MADE)."""
 
+from copy import deepcopy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +12,6 @@ from scipy.stats import chi2
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import composition_counts, random_configuration, square_lattice
 from repro.nn import MADE, MADEConfig
-from repro.proposals import local
 from repro.proposals import (
     FlipProposal,
     MADEProposal,
@@ -216,18 +217,22 @@ class TestFieldBlocks:
     """Block-drawn local moves (``draw_fields`` -> ``FieldBlock.resolve``)."""
 
     # 9 sites, 7 of species 0 and 2 of species 1: 2*7*2 = 28 unlike ordered
-    # pairs, and a candidate pair is acceptable with probability 28/81.
+    # pairs, and a drawn pair is acceptable with probability 28/81.
     LOPSIDED = np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int8)
 
-    def _pair_counts(self, proposal, n_steps=600, n_rows=16, seed=5):
+    def _pair_counts(self, proposal, teams, n_steps=600, n_rows=16, seed=5):
+        """Pair counts of ``n_steps`` resolves of ``n_rows`` rows split
+        evenly into ``teams`` streams (None: one stream per row)."""
         ham = IsingHamiltonian(square_lattice(3))
-        rng = np.random.default_rng(seed)
         configs = np.tile(self.LOPSIDED, (n_rows, 1))
-        block = proposal.draw_fields(configs, ham, rng, n_steps)
+        size = 1 if teams is None else n_rows // teams
+        streams = [(np.random.default_rng([seed, lo]), lo, lo + size)
+                   for lo in range(0, n_rows, size)]
+        block = proposal.draw_fields(configs, ham, streams[0][0], n_steps)
         rows = np.arange(n_rows)
         counts = np.zeros((9, 9), dtype=np.int64)
         for step in range(n_steps):  # configs never change: i.i.d. draws
-            move = block.resolve(step, configs, rows, [(rng, 0, n_rows)])
+            move = block.resolve(step, configs, rows, streams)
             np.add.at(counts, (move[:, 0], move[:, 1]), 1)
         return counts
 
@@ -237,22 +242,19 @@ class TestFieldBlocks:
         stat = float(((observed - expected) ** 2 / expected).sum())
         return chi2.sf(stat, observed.size - 1)
 
-    @pytest.mark.parametrize("candidates", [1, 2, None])
-    def test_swap_is_uniform_over_unlike_ordered_pairs(self, monkeypatch, candidates):
-        """First acceptable of T candidates, else the rejection loop, is the
-        rejection sampler; T=1 sends ~65 % of the row-steps to the loop."""
-        if candidates is not None:
-            monkeypatch.setattr(local, "_SWAP_CANDIDATES", candidates)
-        counts = self._pair_counts(SwapProposal())
+    @pytest.mark.parametrize("teams", [1, 2, None])
+    def test_swap_is_uniform_over_unlike_ordered_pairs(self, teams):
+        """The rejection loop a swap block runs on each team's stream as it
+        resolves: a drawn pair is unlike with p = 28/81 here, so most
+        row-steps draw again; however the rows split into teams."""
+        counts = self._pair_counts(SwapProposal(), teams)
         unlike = self.LOPSIDED[:, None] != self.LOPSIDED[None, :]
         assert counts[~unlike].sum() == 0
         assert self._chi_square_p(counts[unlike]) > 1e-3
 
-    @pytest.mark.parametrize("candidates", [1, None])
-    def test_swap_without_distinct_is_uniform_over_all_pairs(self, monkeypatch, candidates):
-        if candidates is not None:
-            monkeypatch.setattr(local, "_SWAP_CANDIDATES", candidates)
-        counts = self._pair_counts(SwapProposal(require_distinct=False))
+    @pytest.mark.parametrize("teams", [1, None])
+    def test_swap_without_distinct_is_uniform_over_all_pairs(self, teams):
+        counts = self._pair_counts(SwapProposal(require_distinct=False), teams)
         off_diagonal = ~np.eye(9, dtype=bool)
         assert counts[~off_diagonal].sum() == 0
         assert self._chi_square_p(counts[off_diagonal]) > 1e-3
@@ -286,20 +288,24 @@ class TestFieldBlocks:
                 assert np.array_equal(composition_counts(a, 4),
                                       composition_counts(c, 4))
 
-    def test_block_key_carries_the_candidate_count(self, hea_small):
-        """A bond-list block (one pair per row-step) never stacks with a
-        swap block of six candidates, though both are ``SwapBlock``s."""
+    def test_bond_and_swap_blocks_never_stack(self, hea_small):
+        """A bond-list block holds one pre-drawn pair per row-step; a swap
+        block holds only its parameters and draws nothing up front.  Their
+        keys differ by type, so they never stack."""
         configs = alloy_batch(hea_small, 3, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         nbr = NeighborSwapProposal().draw_fields(configs, hea_small, rng, 4)
+        state = rng.bit_generator.state
         swap = SwapProposal(require_distinct=False).draw_fields(configs, hea_small, rng, 4)
-        assert type(nbr) is type(swap) and nbr.params == swap.params
-        assert nbr.arrays[0].shape == (4, 3, 1, 2)
+        assert rng.bit_generator.state == state and swap.arrays == ()
+        assert nbr.arrays[0].shape == (4, 3, 2)
+        assert swap.key == (type(swap), ("distinct", False), ("n_sites", hea_small.n_sites))
         assert nbr.key != swap.key
 
     @pytest.mark.parametrize("make", [SwapProposal, FlipProposal])
     def test_stacked_blocks_resolve_like_their_parts(self, hea_small, make):
-        """Rows are independent: stacking two teams' blocks changes nothing."""
+        """Rows are independent and each team draws from its own stream:
+        stacking two teams' blocks changes nothing."""
         rng = np.random.default_rng(8)
         teams = [
             np.stack([random_configuration(hea_small.n_sites, [14, 14, 13, 13],
@@ -310,8 +316,13 @@ class TestFieldBlocks:
         assert blocks[0].key == blocks[1].key
         both = blocks[0].stacked(blocks[1:])
         stacked = np.concatenate(teams)
+        streams = [np.random.default_rng(seed) for seed in (1, 2)]
+        twins = deepcopy(streams)
         for step in range(4):
-            whole = both.resolve(step, stacked, np.arange(8), [])
-            parts = [b.resolve(step, c, np.arange(len(c)), [])
-                     for b, c in zip(blocks, teams)]
+            whole = both.resolve(step, stacked, np.arange(8),
+                                 [(streams[0], 0, 3), (streams[1], 3, 8)])
+            parts = [b.resolve(step, c, np.arange(len(c)), [(twin, 0, len(c))])
+                     for b, c, twin in zip(blocks, teams, twins)]
             assert np.array_equal(whole, np.concatenate(parts))
+        for a, b in zip(streams, twins):
+            assert a.bit_generator.state == b.bit_generator.state
